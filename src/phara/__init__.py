@@ -9,9 +9,9 @@ finite-difference oracles for every formula.
 
 from .errors import (  # noqa: F401
     AtKink, BadDimension, BadTime, DriftBelowRate, HeterogeneousRisk,
-    IllegalCase, InfeasibleBudget, NoConvergence, NotPhara, OutOfDomain,
-    PharaError, SingularVolatility, StepTooCoarse, UnboundedDemand,
-    UnboundedEnvelope,
+    IllegalCase, InfeasibleBudget, NoConvergence, NotConcave, NotPhara,
+    OutOfDomain, PharaError, SingularVolatility, StepTooCoarse,
+    UnboundedDemand, UnboundedEnvelope,
 )
 from .market import MarketParams, build_market, kernel_value, sample_kernel_terminal  # noqa: F401
 from .utility import (  # noqa: F401

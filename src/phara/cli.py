@@ -23,8 +23,8 @@ from .concavify import concave_envelope
 from .errors import PharaError
 from .market import MarketParams, build_market
 from .solver import (common_risk_aversion, portfolio_general, portfolio_unified,
-                     sahara_portfolio, solve_multiplier, state_price_for_wealth,
-                     wealth_process, wealth_total, weights)
+                     solve_multiplier, state_price_for_wealth, wealth_process,
+                     wealth_total, weights)
 from .utility import (INF, NEG_INF, PharaPiece, PharaUtility,
                       PiecewiseLinearPayoff, SShapedPreference, compose)
 
@@ -219,25 +219,22 @@ def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
 
     lines = ["t,x,xi,percentage,merton,risk_seeking,loss_aversion,first_order_ra"]
     for t in scn.t_grid:
-        for x in _wealth_axis(scn, env, t, grid_n):
-            if x <= 0.0:
-                lines.append(_csv_row([t, x, INF, 0, 0, 0, 0, 0]))
-                continue
-            xi = state_price_for_wealth(env, scn.market, sol.y_star, t, x)
+        axis = _wealth_axis(scn, env, t, grid_n)
+        positive = axis > 0.0
+        xi = state_price_for_wealth(env, scn.market, sol.y_star, t, axis[positive])
+        if unified:
+            dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
+            wealth = dec.wealth
+            cols = [dec.percentage[0], *(v[0] / wealth for v in dec.terms.values())]
+        else:
             wealth = wealth_total(env, scn.market, sol.y_star, t, xi)
-            if unified:
-                dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
-                row = [t, wealth, xi, float(dec.percentage[0]),
-                       float(dec.merton[0]) / wealth,
-                       float(dec.risk_seeking[0]) / wealth,
-                       float(dec.loss_aversion[0]) / wealth,
-                       float(dec.first_order_ra[0]) / wealth]
-            else:
-                pi = portfolio_general(env, scn.market, sol.y_star, t, xi)
-                pct = float(pi[0]) / wealth if wealth != 0.0 else 0.0
-                row = [t, wealth, xi, pct,
-                       float("nan"), float("nan"), float("nan"), float("nan")]
-            lines.append(_csv_row(row))
+            pi = portfolio_general(env, scn.market, sol.y_star, t, xi)[0]
+            pct = np.divide(pi, wealth, out=np.zeros_like(pi), where=wealth != 0.0)
+            cols = [pct] + [np.full_like(pct, np.nan)] * 4
+        rows = zip(wealth, xi, *cols)
+        for x, pos in zip(axis, positive):
+            lines.append(_csv_row([t, *next(rows)] if pos
+                                  else [t, x, INF, 0, 0, 0, 0, 0]))
     (out / "surface.csv").write_text("\n".join(lines) + "\n")
     return 0
 

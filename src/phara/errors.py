@@ -33,6 +33,10 @@ class AtKink(PharaError):
     """Pointwise quantity requested exactly at a partition point."""
 
 
+class NotConcave(PharaError):
+    """An operation that needs a concave envelope got a non-concave utility."""
+
+
 class NotPhara(PharaError):
     """A composition did not reduce to piecewise-HARA form."""
 

@@ -20,13 +20,15 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .errors import (BadTime, HeterogeneousRisk, InfeasibleBudget,
+from .errors import (BadDimension, BadTime, HeterogeneousRisk, IllegalCase,
+                     InfeasibleBudget, NoConvergence, NotConcave,
                      UnboundedDemand)
 from .market import MarketParams
 from .utility import INF, PharaUtility
 
 _BUDGET_RTOL = 1e-10
 _MAX_EXPAND = 200
+_NEWTON_ITERS = 100
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -94,7 +96,7 @@ def truncated_kernel_moments(a: float, b: float, market: MarketParams,
     callers fold any multiplier into them.
     """
     if not 0.0 <= a < b:
-        raise ValueError(f"need 0 <= a < b, got ({a}, {b})")
+        raise IllegalCase(f"need 0 <= a < b, got ({a}, {b})")
     tau = market.tau(t)
     th = market.theta_norm
     s = th * math.sqrt(tau)
@@ -158,7 +160,7 @@ def _tables(env: PharaUtility) -> _Tables:
     with np.errstate(invalid="ignore"):
         rises = np.diff(ladder) > 1e-9 * np.maximum(ladder[:-1], 1e-300)
     if np.any(rises):
-        raise ValueError("utility is not concave; build its envelope first")
+        raise NotConcave("utility is not concave; build its envelope first")
 
     C = np.zeros(n1)
     K = np.zeros(n1)
@@ -392,33 +394,27 @@ class WeightVector:
 
 
 def weights(env: PharaUtility, market: MarketParams, y_star: float, t: float,
-            xi_t: float) -> WeightVector:
+            xi_t) -> WeightVector:
+    """Weights at xi_t, shape (n_pieces,); a vector xi_t adds a trailing axis."""
     tab = _tables(env)
-    w = y_star * xi_t
-    Fp = _Phi(d1(tab.gplus / w, market, t))
-    Fm = _Phi(d1(tab.gminus / w, market, t))
+    w = y_star * np.asarray(xi_t, dtype=float)
+    Fp = _Phi(d1(np.divide.outer(tab.gplus, w), market, t))
+    Fm = _Phi(d1(np.divide.outer(tab.gminus, w), market, t))
     return WeightVector(p=Fp - Fm[:-1], q=Fm[1:] - Fp)
 
 
-def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
-                      t: float, xi_t):
-    """Optimal portfolio vector for any mix of piece types (vectorized in xi).
+def _portfolio_scalar(tab: _Tables, market: MarketParams, t: float, w, xR):
+    """Delta-hedge scalar -xi dX/dxi at w = y xi, from the curvature terms xR.
 
     Per piece: curved pieces contribute X^R_k / R_k, chords contribute the
     near-terminal gambling term, exponential pieces a constant-absolute-risk
-    term; the sum rides the direction (sigma^T)^{-1} theta.
+    term.
     """
-    tab = _tables(env)
-    xi = np.atleast_1d(np.asarray(xi_t, dtype=float))
-    w = y_star * xi
     tau = market.tau(t)
-    th = market.theta_norm
-    s = th * math.sqrt(tau)
+    s = market.theta_norm * math.sqrt(tau)
     disc = math.exp(-market.r * tau)
-
-    total = np.zeros(xi.size)
-    _, _, _, xR, _ = _piece_terms(env, market, y_star, t, xi)
-    for k in range(len(env.pieces)):
+    total = np.zeros(w.size)
+    for k in range(tab.R.size):
         if tab.crra[k]:
             total += xR[k] / tab.R[k]
         elif tab.chord[k]:
@@ -428,21 +424,34 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
             D1p = d1(tab.gplus[k] / w, market, t)
             D1n = d1(tab.gminus[k + 1] / w, market, t)
             total += disc / tab.alpha[k] * (_Phi(D1n) - _Phi(D1p))
-    vec = _risk_vector(market)
-    out = vec[:, None] * total[None, :]
+    return total
+
+
+def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
+                      t: float, xi_t):
+    """Optimal portfolio vector for any mix of piece types (vectorized in xi).
+
+    The delta-hedge scalar of :func:`_portfolio_scalar` rides the direction
+    (sigma^T)^{-1} theta.
+    """
+    xi = np.atleast_1d(np.asarray(xi_t, dtype=float))
+    xR = _piece_terms(env, market, y_star, t, xi)[3]
+    total = _portfolio_scalar(_tables(env), market, t, y_star * xi, xR)
+    out = np.multiply.outer(_risk_vector(market), total)
     return out[:, 0] if np.ndim(xi_t) == 0 else out
 
 
 @dataclass(frozen=True)
 class PortfolioDecomposition:
-    """Four-term split of the optimal portfolio (homogeneous-R envelopes)."""
+    """Four-term split of the optimal portfolio (homogeneous-R envelopes);
+    N state prices give (m, N) vectors and N wealth levels."""
 
     merton: np.ndarray
     risk_seeking: np.ndarray
     loss_aversion: np.ndarray
     first_order_ra: np.ndarray
     total: np.ndarray
-    wealth: float
+    wealth: float | np.ndarray
     percentage: np.ndarray
 
     @property
@@ -466,7 +475,7 @@ def common_risk_aversion(env: PharaUtility) -> float:
 
 
 def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
-                      t: float, xi_t: float) -> PortfolioDecomposition:
+                      t: float, xi_t) -> PortfolioDecomposition:
     """Four-term portfolio: Merton + risk-seeking - loss-aversion - first-order.
 
     Requires every curved piece to share one relative risk aversion R and no
@@ -474,7 +483,7 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
     """
     R = common_risk_aversion(env)
     tab = _tables(env)
-    w = y_star * xi_t
+    w = y_star * np.asarray(xi_t, dtype=float)
     tau = market.tau(t)
     s = market.theta_norm * math.sqrt(tau)
     disc = math.exp(-market.r * tau)
@@ -483,21 +492,19 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
     wv = weights(env, market, y_star, t, xi_t)
 
     merton = x_t / R
-    rs = 0.0
-    for k in range(len(env.pieces)):
-        if tab.chord[k]:
-            rs += (tab.a[k + 1] - tab.a[k]) * float(_phi(d1(tab.gplus[k] / w, market, t)))
-    rs *= disc / (math.sqrt(tau) * market.theta_norm)
-    la = -disc / R * float(np.sum(tab.A[tab.crra] * wv.q[tab.crra]))
-    fo = -disc / R * float(np.sum(tab.a[:-1] * wv.p))
+    widths = (tab.a[1:] - tab.a[:-1])[tab.chord]
+    gamble = _phi(d1(np.divide.outer(tab.gplus[tab.chord], w), market, t))
+    rs = disc / s * np.tensordot(widths, gamble, axes=1)
+    la = -disc / R * np.tensordot(tab.A[tab.crra], wv.q[tab.crra], axes=1)
+    fo = -disc / R * np.tensordot(tab.a[:-1], wv.p, axes=1)
 
-    vec = _risk_vector(market)
-    total_scalar = merton + rs + la + fo
-    pct = np.zeros_like(vec) if x_t == 0.0 else vec * (total_scalar / x_t)
+    total = merton + rs + la + fo
+    pct = np.divide(total, x_t, out=np.zeros_like(total), where=x_t != 0.0)
+    merton, rs, la, fo, total, pct = (np.multiply.outer(_risk_vector(market), v)
+                                      for v in (merton, rs, la, fo, total, pct))
     return PortfolioDecomposition(
-        merton=vec * merton, risk_seeking=vec * rs, loss_aversion=vec * la,
-        first_order_ra=vec * fo, total=vec * total_scalar,
-        wealth=x_t, percentage=pct,
+        merton=merton, risk_seeking=rs, loss_aversion=la, first_order_ra=fo,
+        total=total, wealth=x_t, percentage=pct,
     )
 
 
@@ -509,9 +516,9 @@ def sahara_portfolio(market: MarketParams, alpha: float, beta: float,
     piecewise-HARA strategies pinned to their domain floor.
     """
     if market.m != 1:
-        raise ValueError("SAHARA comparison is one-dimensional")
+        raise BadDimension("SAHARA comparison is one-dimensional")
     if alpha <= 0.0 or beta < 0.0:
-        raise ValueError("need alpha > 0 and beta >= 0")
+        raise IllegalCase("need alpha > 0 and beta >= 0")
     tau = market.T - t
     if tau < 0.0:
         raise BadTime(f"t={t} beyond horizon {market.T}")
@@ -526,29 +533,69 @@ def sahara_portfolio(market: MarketParams, alpha: float, beta: float,
 # ---------------------------------------------------------------------------
 
 
+def _wealth_ladder(env: PharaUtility, market: MarketParams, y_star: float,
+                   t: float, x: np.ndarray, u_cap: float):
+    """X_t on rungs u = log xi = 0, -+2, ... down to X > max(x), up to
+    X < min(x) or the last rung under u_cap; _MAX_EXPAND rungs each way."""
+    rungs = {0.0: wealth_total(env, market, y_star, t, 1.0)}
+    for step, more in ((-2.0, lambda u: rungs[u] <= x.max()),
+                       (2.0, lambda u: rungs[u] >= x.min() and u + 2.0 <= u_cap)):
+        u = 0.0
+        while more(u):
+            if abs(u) >= 2.0 * _MAX_EXPAND:
+                raise UnboundedDemand("wealth inversion found no bracket")
+            u += step
+            rungs[u] = wealth_total(env, market, y_star, t, math.exp(u))
+    u = np.array(sorted(rungs))
+    return u, np.array([rungs[v] for v in u])
+
+
 def state_price_for_wealth(env: PharaUtility, market: MarketParams,
-                           y_star: float, t: float, x: float,
-                           xi_cap: float = 1e18) -> float:
-    """xi_t with X_t(xi_t) = x; saturates at xi_cap near the wealth floor."""
+                           y_star: float, t: float, x,
+                           xi_cap: float = 1e18):
+    """xi_t with X_t(xi_t) = x, vectorized over x; saturates at xi_cap.
+
+    Levels at or below the discounted floor, or not below X_t on the last
+    ladder rung under xi_cap, map to xi_cap.  Other levels are bracketed by
+    rungs and solved by Newton in u = log xi with dX/du = -(delta-hedge
+    scalar), bisecting where a step is not finite or leaves the open bracket
+    (flat wealth near the floor).  Every evaluated point becomes a bracket end,
+    so rounding noise cannot make the steps cycle.  Converged once a move is
+    within 1e-14 (1 + |u|); NoConvergence after _NEWTON_ITERS steps.
+    """
+    tab = _tables(env)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.full(xs.shape, xi_cap)
     floor = math.exp(-market.r * market.tau(t)) * env.a0
-
-    def f(u):
-        return wealth_total(env, market, y_star, t, math.exp(u)) - x
-
-    if x <= floor:
-        return xi_cap
-    lo = hi = 0.0
-    for _ in range(_MAX_EXPAND):
-        if f(lo) > 0.0:
-            break
-        lo -= 2.0
-    else:
-        raise UnboundedDemand("wealth inversion found no lower state price")
-    for _ in range(_MAX_EXPAND):
-        if f(hi) < 0.0:
-            break
-        hi += 2.0
-        if hi > math.log(xi_cap):
-            return xi_cap
-    u = brentq(f, lo, hi, xtol=1e-14, rtol=9e-16, maxiter=200)
-    return math.exp(u)
+    live = np.flatnonzero(xs > floor)
+    if live.size:
+        rung_u, rung_X = _wealth_ladder(env, market, y_star, t, xs[live],
+                                        math.log(xi_cap))
+        k = np.searchsorted(-rung_X, -xs[live], side="right")  # first X < x
+        live, k = live[k < rung_u.size], k[k < rung_u.size]
+        level, lo, hi = xs[live], rung_u[k - 1], rung_u[k]
+        f_lo, f_hi = rung_X[k - 1] - level, rung_X[k] - level
+        u = lo + (hi - lo) * f_lo / (f_lo - f_hi)  # regula falsi start
+        act = np.arange(live.size)
+        for _ in range(_NEWTON_ITERS):
+            if not act.size:
+                break
+            ua, xi = u[act], np.exp(u[act])
+            terms = _piece_terms(env, market, y_star, t, xi)
+            f = sum(term.sum(axis=0) for term in terms) - level[act]
+            if np.isnan(f).any():
+                raise NoConvergence("wealth inversion met a NaN wealth")
+            slope = -_portfolio_scalar(tab, market, t, y_star * xi, terms[3])
+            lo[act] = np.where(f > 0.0, ua, lo[act])
+            hi[act] = np.where(f < 0.0, ua, hi[act])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = np.where(f == 0.0, 0.0, f / slope)
+            newton, tol = ua - step, 1e-14 * (1.0 + np.abs(ua))
+            take = (np.abs(step) <= tol) | ((newton > lo[act]) & (newton < hi[act]))
+            u[act] = np.where(take, newton, 0.5 * (lo[act] + hi[act]))
+            act = act[(np.abs(u[act] - ua) > tol) & (np.abs(step) > tol)]
+        if act.size:
+            raise NoConvergence(f"wealth inversion: {act.size} levels unconverged "
+                                f"after {_NEWTON_ITERS} steps")
+        out[live] = np.exp(u)
+    return float(out[0]) if np.ndim(x) == 0 else out

@@ -184,14 +184,6 @@ class PharaPiece:
                        anchor_slope=a * self.anchor_slope)
 
 
-def piece_from_left(a_lo: float, a_hi: float, R: float, gamma_plus: float,
-                    u_plus: float, A: float = NEG_INF,
-                    alpha: float | None = None) -> PharaPiece:
-    """Piece anchored at its left endpoint (value/slope are right limits)."""
-    return PharaPiece(a_lo=a_lo, a_hi=a_hi, R=R, anchor_x=a_lo,
-                      anchor_u=u_plus, anchor_slope=gamma_plus, A=A, alpha=alpha)
-
-
 @dataclass(frozen=True)
 class PharaUtility:
     """Increasing, upper-semicontinuous piecewise-HARA utility on [a0, inf)."""

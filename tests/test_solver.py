@@ -1,13 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import interesting_multipliers, random_concave_envelope
+from conftest import (interesting_multipliers, random_concave_envelope,
+                      random_raw_utility)
+from phara.cli import load_scenario
 from phara.concavify import concave_envelope
-from phara.errors import BadTime, HeterogeneousRisk, InfeasibleBudget, UnboundedDemand
-from phara.market import sample_kernel_terminal
+from phara.errors import (BadDimension, BadTime, HeterogeneousRisk, IllegalCase,
+                          InfeasibleBudget, NotConcave, PharaError,
+                          UnboundedDemand)
+from phara.market import build_market, sample_kernel_terminal
 from phara.presets import CONTRACT_PARAMS
 from phara.solver import (budget, d0, d1, d_next, d_transform,
                           optimal_terminal_wealth, portfolio_general,
@@ -79,6 +84,11 @@ class TestTruncatedMoments:
         ]:
             se = sample.std(ddof=1) / math.sqrt(n)
             assert abs(sample.mean() - closed) <= 3 * se
+
+    def test_bad_interval(self, market):
+        with pytest.raises(PharaError) as err:
+            truncated_kernel_moments(1.0, 0.5, market, 1.0, 1.0, 0.5)
+        assert isinstance(err.value, IllegalCase)
 
     def test_degenerate_interval(self, market):
         a = 0.7
@@ -424,6 +434,25 @@ class TestSahara:
             pi = sahara_portfolio(market, alpha=2.0, beta=0.0, t=1.0, x=x)
             assert pi[0] == pytest.approx(0.12 / 0.6 * abs(x), rel=1e-12)
 
+    def test_two_assets_rejected(self):
+        mkt = build_market(r=0.05, mu=[0.09, 0.13],
+                           sigma=[[0.2, 0.0], [0.0, 0.4]], T=5.0)
+        with pytest.raises(PharaError) as err:
+            sahara_portfolio(mkt, alpha=2.0, beta=1.0, t=0.0, x=1.0)
+        assert isinstance(err.value, BadDimension)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (-1.0, 1.0), (2.0, -0.1)])
+    def test_bad_parameters_rejected(self, market, alpha, beta):
+        with pytest.raises(PharaError) as err:
+            sahara_portfolio(market, alpha=alpha, beta=beta, t=0.0, x=1.0)
+        assert isinstance(err.value, IllegalCase)
+
+
+def test_non_concave_utility_rejected(demo_utility, market):
+    with pytest.raises(PharaError) as err:
+        wealth_total(demo_utility, market, 1.0, 0.0, 1.0)
+    assert isinstance(err.value, NotConcave)
+
 
 class TestWealthInversion:
     def test_roundtrip(self, demo_envelope, market, demo_dual):
@@ -441,3 +470,102 @@ class TestWealthInversion:
         xi = state_price_for_wealth(demo_envelope.envelope, market,
                                     demo_dual.y_star, t, floor)
         assert xi == 1e18
+
+    def test_vector_matches_scalar_saturation(self, crra_envelope,
+                                              demo_envelope, market):
+        # CRRA keeps X_t(e^40) above its floor 0, so levels below it saturate
+        # by the xi_cap tail rule; the demo's wealth there is the floor itself
+        tail_hits = 0
+        for env, x0 in ((crra_envelope, 10.0), (demo_envelope.envelope, 25.0)):
+            y = solve_multiplier(env, market, x0).y_star
+            for t in (0.0, 5.0, market.T - 1e-4):
+                floor = math.exp(-market.r * (market.T - t)) * env.a0
+                tail = [wealth_total(env, market, y, t, math.exp(u))
+                        for u in (38.0, 40.0, 41.0, 44.0)]
+                x = np.array([floor - 1.0, floor, np.nextafter(floor, INF),
+                              *tail, floor + 1e-3, floor + 1.0])
+                batched = state_price_for_wealth(env, market, y, t, x)
+                scalar = np.array([state_price_for_wealth(env, market, y, t,
+                                                          float(v)) for v in x])
+                # saturated: at or below the floor, or not below X_t at the
+                # last rung u = 40 under log(1e18)
+                expect = (x <= floor) | (x <= tail[1])
+                assert np.array_equal(batched >= 1e18, expect)
+                assert np.array_equal(scalar >= 1e18, expect)
+                tail_hits += int(np.sum((batched >= 1e18) & (x > floor)))
+        assert tail_hits > 0
+
+    def test_empty_levels(self, demo_envelope, market, demo_dual):
+        out = state_price_for_wealth(demo_envelope.envelope, market,
+                                     demo_dual.y_star, 1.0, np.array([]))
+        assert out.shape == (0,)
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+BUNDLED = ("crra", "multi_kink_demo", "participating_contract", "hedge_fund")
+
+
+def _round_trip_error(env, market, y, t, x):
+    """Worst |X_t(xi(x)) - x| / max(1, |x|) over the unsaturated levels."""
+    xi = state_price_for_wealth(env, market, y, t, x)
+    ok = xi < 1e18
+    back = wealth_total(env, market, y, t, xi[ok])
+    err = np.abs(back - x[ok]) / np.maximum(1.0, np.abs(x[ok]))
+    return float(err.max(initial=0.0)), int(ok.sum())
+
+
+def _levels(env, market, t):
+    """From just above the discounted floor to 100 times the last kink."""
+    disc = math.exp(-market.r * (market.T - t))
+    floor = disc * env.a0
+    top = disc * 100.0 * max(1.0, abs(env.pieces[-1].a_lo)) + floor
+    near = floor + np.geomspace(1e-9, 1e-2, 12) * (top - floor)
+    return np.concatenate([near, np.linspace(floor, top, 60)[1:]])
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_batched_inversion_round_trip_bundled(name):
+    scn = load_scenario(SCENARIOS / f"{name}.json")
+    env = concave_envelope(scn.utility).envelope
+    market = scn.market
+    y = solve_multiplier(env, market, scn.x0).y_star
+    for tau in (market.T - 0.01, market.T / 2, 1e-2, 1e-4):
+        t = market.T - tau
+        err, n = _round_trip_error(env, market, y, t, _levels(env, market, t))
+        assert n > 60
+        assert err <= 1e-10
+
+
+def test_batched_inversion_round_trip_random_utilities(market):
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(12):
+        env = concave_envelope(random_raw_utility(rng)).envelope
+        x0 = math.exp(-market.r * market.T) * env.a0 + float(rng.uniform(0.5, 20.0))
+        y = solve_multiplier(env, market, x0).y_star
+        for tau in (market.T - 0.01, market.T / 2, 1e-2, 1e-4):
+            t = market.T - tau
+            err, n = _round_trip_error(env, market, y, t, _levels(env, market, t))
+            assert err <= 1e-10
+            checked += n
+    assert checked > 2000
+
+
+def test_vector_portfolio_unified_matches_scalar(demo_envelope, contract_envelope,
+                                                 market, demo_dual, contract_dual):
+    for env, y in ((demo_envelope.envelope, demo_dual.y_star),
+                   (contract_envelope.envelope, contract_dual.y_star)):
+        xi = np.geomspace(1e-3, 1e3, 41)
+        for t in (0.0, 5.0, market.T - 1e-4):
+            vec = portfolio_unified(env, market, y, t, xi)
+            rows = [portfolio_unified(env, market, y, t, float(v)) for v in xi]
+            for field in ("merton", "risk_seeking", "loss_aversion",
+                          "first_order_ra", "total", "percentage"):
+                stacked = np.stack([getattr(r, field) for r in rows], axis=1)
+                got = getattr(vec, field)
+                assert got.shape == stacked.shape == (1, xi.size)
+                assert np.allclose(got, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
+            assert np.allclose(vec.wealth, [r.wealth for r in rows], rtol=1e-12, atol=0.0)
+            wv = weights(env, market, y, t, xi)
+            assert wv.p.shape == (env.n_pieces, xi.size)
+            assert np.allclose(wv.p.sum(axis=0) + wv.q.sum(axis=0), 1.0, atol=1e-12)

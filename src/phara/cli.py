@@ -20,7 +20,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .concavify import concave_envelope
-from .errors import PharaError
+from .errors import IllegalCase, PharaError
 from .market import MarketParams, build_market
 from .solver import (common_risk_aversion, portfolio_general, portfolio_unified,
                      solve_multiplier, state_price_for_wealth, wealth_process,
@@ -94,7 +94,7 @@ def _parse_utility(block: dict) -> PharaUtility:
         elif kind == "phara":
             pref = _parse_utility(pref_block)
         else:
-            raise ValueError(f"unknown preference type {kind!r}")
+            raise IllegalCase(f"unknown preference type {kind!r}")
         pay = block["payoff"]
         payoff = PiecewiseLinearPayoff(
             domain_lo=_num(pay.get("floor", pay.get("domain_lo", 0.0))),
@@ -104,7 +104,7 @@ def _parse_utility(block: dict) -> PharaUtility:
         )
         return compose(pref, payoff)
 
-    raise ValueError("utility block needs either 'pieces' or 'preference'+'payoff'")
+    raise IllegalCase("utility block needs either 'pieces' or 'preference'+'payoff'")
 
 
 def load_scenario(path, seed_override=None, paths_override=None) -> Scenario:

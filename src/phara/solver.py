@@ -7,7 +7,9 @@ families per piece), and the portfolio is the delta-hedge of the wealth map,
 available in a general per-piece form and, when every curved piece shares one
 relative risk aversion R, as the four-term split: Merton term, risk-seeking
 term from chords, loss-aversion term from benchmarks, and first-order
-risk-aversion term from kinks.
+risk-aversion term from kinks.  All of them come from one evaluation of
+d1(g / y xi) on the envelope's slope ladder; the dual multiplier and the
+wealth-to-state-price map share one root-finder.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .errors import (BadDimension, BadTime, HeterogeneousRisk, IllegalCase,
@@ -29,6 +30,7 @@ from .utility import INF, PharaUtility
 _BUDGET_RTOL = 1e-10
 _MAX_EXPAND = 200
 _NEWTON_ITERS = 100
+_BLOCK = 4096
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -46,13 +48,8 @@ def _Phi(z):
     return ndtr(np.asarray(z, dtype=float))
 
 
-# ---------------------------------------------------------------------------
-# d-transforms
-# ---------------------------------------------------------------------------
-
-
-def d_transform(z, y_shift: float, market: MarketParams, t: float):
-    """d(z, y) = -(log z + (r + |theta|^2/2) tau) / (|theta| sqrt(tau)) + y |theta| sqrt(tau).
+def d1(z, market: MarketParams, t: float):
+    """d(z, 1) = -(log z + (r - |theta|^2/2) tau) / (|theta| sqrt(tau)).
 
     Continuously extended: z -> 0+ gives +inf, z -> inf gives -inf.
     """
@@ -60,63 +57,8 @@ def d_transform(z, y_shift: float, market: MarketParams, t: float):
     s = market.theta_norm * math.sqrt(tau)
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
-        out = -(np.log(z) + (market.r + 0.5 * market.theta_norm**2) * tau) / s \
-            + y_shift * s
-    return float(out) if out.ndim == 0 else out
-
-
-def d0(z, market: MarketParams, t: float):
-    return d_transform(z, 0.0, market, t)
-
-
-def d1(z, market: MarketParams, t: float):
-    """d(z, 1); algebraically -(log z + (r - |theta|^2/2) tau)/(|theta| sqrt(tau))."""
-    tau = market.tau(t)
-    s = market.theta_norm * math.sqrt(tau)
-    z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore"):
         out = -(np.log(z) + (market.r - 0.5 * market.theta_norm**2) * tau) / s
     return float(out) if out.ndim == 0 else out
-
-
-def d_next(z, R: float, market: MarketParams, t: float):
-    """d(z, 1 - 1/R), the transform attached to a piece of risk aversion R."""
-    return d_transform(z, 1.0 - 1.0 / R, market, t)
-
-
-def truncated_kernel_moments(a: float, b: float, market: MarketParams,
-                             t: float, xi_t: float, R_k: float):
-    """Three conditional expectations over the event xi_T in (a, b).
-
-    Returns (m1, mR, mlog) with
-      m1   = E[xi_T 1 | xi_t] / xi_t,
-      mR   = E[xi_T^(1 - 1/R_k) 1 | xi_t] / xi_t,
-      mlog = E[xi_T log xi_T 1 | xi_t] / xi_t,
-    each in normal-CDF closed form.  (a, b) are absolute kernel levels;
-    callers fold any multiplier into them.
-    """
-    if not 0.0 <= a < b:
-        raise IllegalCase(f"need 0 <= a < b, got ({a}, {b})")
-    tau = market.tau(t)
-    th = market.theta_norm
-    s = th * math.sqrt(tau)
-    disc = math.exp(-market.r * tau)
-    za, zb = a / xi_t, b / xi_t
-
-    d1a, d1b = d1(za, market, t), d1(zb, market, t)
-    m1 = disc * (_Phi(d1a) - _Phi(d1b))
-
-    beta = 1.0 - 1.0 / R_k
-    growth = math.exp(-beta * (market.r + 0.5 * th**2) * tau
-                      + 0.5 * beta**2 * th**2 * tau)
-    dka = d_transform(za, beta, market, t)
-    dkb = d_transform(zb, beta, market, t)
-    mR = xi_t ** (-1.0 / R_k) * growth * (_Phi(dka) - _Phi(dkb))
-
-    mlog = disc * ((math.log(xi_t) + (-market.r + 0.5 * th**2) * tau)
-                   * (_Phi(d1a) - _Phi(d1b))
-                   + s * (_phi(d1a) - _phi(d1b)))
-    return float(m1), float(mR), float(mlog)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +68,12 @@ def truncated_kernel_moments(a: float, b: float, market: MarketParams,
 
 @dataclass(frozen=True)
 class _Tables:
-    a: np.ndarray          # partition, length n+2, a[n+1] = inf
+    a: np.ndarray          # partition, length n+1, a[n] = inf
+    ladder: np.ndarray     # gminus[0] >= gplus[0] >= gminus[1] >= ... >= gminus[n]
     R: np.ndarray          # per piece
     A: np.ndarray          # benchmark, 0 where unused
     alpha: np.ndarray      # CARA coefficient, 0 where unused
-    gplus: np.ndarray      # right slope at a_k, k = 0..n
-    gminus: np.ndarray     # left slope at a_k, k = 0..n+1 (inf at k=0)
+    width: np.ndarray      # a[k+1] - a[k]
     C: np.ndarray          # (anchor - A) * anchor_slope^(1/R) per CRRA piece
     K: np.ndarray          # anchor + log(anchor_slope)/alpha per CARA piece
     crra: np.ndarray       # bool masks
@@ -150,13 +92,11 @@ def _tables(env: PharaUtility) -> _Tables:
     A = np.array([p.A if (p.R > 0.0 and np.isfinite(p.R)) else 0.0
                   for p in env.pieces])
     alpha = np.array([p.alpha if p.R == INF else 0.0 for p in env.pieces])
-    gplus = np.array([env.gamma_plus(k) for k in range(n1)])
-    gminus = np.array([env.gamma_minus(k) for k in range(n1 + 1)])
 
     # slope ladder must be nonincreasing: gminus[k] >= gplus[k] >= gminus[k+1]
     ladder = np.empty(2 * n1 + 1)
-    ladder[0::2] = gminus
-    ladder[1::2] = gplus
+    ladder[0::2] = [env.gamma_minus(k) for k in range(n1 + 1)]
+    ladder[1::2] = [env.gamma_plus(k) for k in range(n1)]
     with np.errstate(invalid="ignore"):
         rises = np.diff(ladder) > 1e-9 * np.maximum(ladder[:-1], 1e-300)
     if np.any(rises):
@@ -169,9 +109,10 @@ def _tables(env: PharaUtility) -> _Tables:
             C[k] = (p.anchor_x - p.A) * p.anchor_slope ** (1.0 / p.R)
         elif cara[k]:
             K[k] = p.anchor_x + math.log(p.anchor_slope) / p.alpha
-    for arr in (a, R, A, alpha, gplus, gminus, C, K, crra, cara, chord):
+    tab = _Tables(a, ladder, R, A, alpha, np.diff(a), C, K, crra, cara, chord)
+    for arr in vars(tab).values():
         arr.setflags(write=False)
-    return _Tables(a, R, A, alpha, gplus, gminus, C, K, crra, cara, chord)
+    return tab
 
 
 def _risk_vector(market: MarketParams) -> np.ndarray:
@@ -191,45 +132,87 @@ def optimal_terminal_wealth(env: PharaUtility, y: float, xi_T):
     of the argmax set is returned.
     """
     tab = _tables(env)
-    w = y * np.atleast_1d(np.asarray(xi_T, dtype=float))
-    scalar = np.ndim(xi_T) == 0
-
-    n1 = len(env.pieces)
-    ladder = np.empty(2 * n1 + 1)
-    ladder[0::2] = tab.gminus
-    ladder[1::2] = tab.gplus
+    w = y * np.asarray(xi_T, dtype=float)
     # descending ladder; ties resolve towards the larger-slope interval,
     # i.e. the left endpoint of the argmax set
-    j = np.searchsorted(-ladder, -w, side="left") - 1
-    j = np.clip(j, 0, 2 * n1 - 1)
-
-    out = np.empty_like(w)
-    at_kink = j % 2 == 0
-    out[at_kink] = tab.a[j[at_kink] // 2]
-    interior = ~at_kink
-    pk = j[interior] // 2
-    wi = w[interior]
-    vals = np.empty_like(wi)
-    for k in range(n1):
-        mask = pk == k
-        if not np.any(mask):
-            continue
-        piece = env.pieces[k]
-        if tab.crra[k]:
-            vals[mask] = piece.A + (piece.anchor_slope / wi[mask]) ** (1.0 / piece.R) \
-                * (piece.anchor_x - piece.A)
-        elif tab.cara[k]:
-            vals[mask] = piece.anchor_x + np.log(piece.anchor_slope / wi[mask]) \
-                / piece.alpha
-        else:
-            vals[mask] = tab.a[k]  # chord: left endpoint (ties only)
-    out[interior] = vals
-    return float(out[0]) if scalar else out
+    j = np.searchsorted(-tab.ladder, -w, side="left") - 1
+    j = np.clip(j, 0, tab.ladder.size - 2)
+    k = j // 2  # even j: kink a_k; odd j: inside piece k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curve = np.where(tab.crra[k], tab.A[k] + tab.C[k] * w ** (-1.0 / tab.R[k]),
+                         tab.K[k] - np.log(w) / tab.alpha[k])
+    # kinks and chords (ties only) sit at the left end a_k
+    out = np.where((j % 2 == 1) & ~tab.chord[k], curve, tab.a[k])
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
-# Wealth process
+# The slope ladder: wealth, weights and the delta-hedge at one time
 # ---------------------------------------------------------------------------
+
+
+def _ladder(env: PharaUtility, market: MarketParams, y: float, t: float, xi):
+    """Every closed form at time t and w = y xi, from one d1 evaluation.
+
+    D = d1(g / w) on the 2n+1 ladder slopes; entries 2k and 2k+1 are the
+    left and right slopes at the kink a_k, so piece k spans entries 2k+1 and
+    2k+2.  Returns the kink weights p and cell weights q (one row per piece),
+    the five wealth families xD, xA (one row per piece), xAbar, xR, xRbar
+    (one row per piece of their type: exponential, power, exponential), and
+    each piece's share of the delta-hedge scalar -xi dX/dxi: power pieces
+    give X^R_k / R_k, chords the near-terminal gambling term, exponential
+    pieces a constant-absolute-risk term.  The shape of xi trails every row.
+    """
+    tab = _tables(env)
+    w = y * np.asarray(xi, dtype=float).reshape(-1)
+    tau = market.tau(t)
+    th = market.theta_norm
+    s = th * math.sqrt(tau)
+    disc = math.exp(-market.r * tau)
+
+    D = d1(np.divide.outer(tab.ladder, w), market, t)
+    F = _Phi(D)
+    p, q = F[1::2] - F[:-1:2], F[2::2] - F[1::2]
+    Dp, Dn = D[1::2], D[2::2]
+    crra, cara, chord = tab.crra, tab.cara, tab.chord
+    hedge = np.zeros_like(p)
+
+    R = tab.R[crra]
+    growth = np.array([math.exp(-b * (market.r + 0.5 * th**2) * tau
+                                + 0.5 * b**2 * th**2 * tau) for b in 1.0 - 1.0 / R])
+    R, growth = R[:, None], growth[:, None]
+    xR = tab.C[crra, None] * w ** (-1.0 / R) * growth \
+        * (_Phi(Dn[crra] - s / R) - _Phi(Dp[crra] - s / R))
+    hedge[crra] = xR / R
+
+    al = tab.alpha[cara, None]
+    # a_k - (s/alpha) d1(gplus/w) kept in anchored form: it equals
+    # K + (log(1/w) + (r - th^2/2) tau)/alpha with K constant per piece
+    level = tab.K[cara, None] + (-np.log(w) + (market.r - 0.5 * th**2) * tau) / al
+    xAbar = disc * level * q[cara]
+    xRbar = disc * (-s / al) * (_phi(Dn[cara]) - _phi(Dp[cara]))
+    hedge[cara] = disc / al * q[cara]
+
+    hedge[chord] = disc * tab.width[chord, None] / s * _phi(Dp[chord])
+
+    terms = (disc * tab.a[:-1, None] * p, disc * tab.A[:, None] * q, xAbar, xR, xRbar)
+
+    def rows(a):
+        return a.reshape(a.shape[:1] + np.shape(xi))
+    return rows(p), rows(q), tuple(map(rows, terms)), rows(hedge)
+
+
+def _wealth(terms):
+    return sum(term.sum(axis=0) for term in terms)
+
+
+def _blockwise(fn, xi):
+    """fn over consecutive blocks of _BLOCK points of xi, concatenated and
+    shaped like xi; bounds the (2n+1, N) temporaries of one ladder."""
+    flat = np.asarray(xi, dtype=float).reshape(-1)
+    out = np.concatenate([fn(flat[i:i + _BLOCK])
+                          for i in range(0, max(flat.size, 1), _BLOCK)])
+    return out.reshape(np.shape(xi))
 
 
 @dataclass(frozen=True)
@@ -245,64 +228,23 @@ class WealthDecomposition:
     total: float
 
 
-def _piece_terms(env: PharaUtility, market: MarketParams, y: float, t: float,
-                 xi):
-    """Five term families, each (n_pieces, len(xi))."""
-    tab = _tables(env)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    w = y * xi
-    tau = market.tau(t)
-    th = market.theta_norm
-    s = th * math.sqrt(tau)
-    disc = math.exp(-market.r * tau)
-    n1 = len(env.pieces)
-
-    shape = (n1, xi.size)
-    xD = np.zeros(shape)
-    xA = np.zeros(shape)
-    xAbar = np.zeros(shape)
-    xR = np.zeros(shape)
-    xRbar = np.zeros(shape)
-
-    for k in range(n1):
-        D1p = d1(tab.gplus[k] / w, market, t)
-        D1m = d1(tab.gminus[k] / w, market, t)
-        D1n = d1(tab.gminus[k + 1] / w, market, t)
-        xD[k] = disc * tab.a[k] * (_Phi(D1p) - _Phi(D1m))
-        if tab.crra[k]:
-            R = tab.R[k]
-            xA[k] = disc * tab.A[k] * (_Phi(D1n) - _Phi(D1p))
-            beta = 1.0 - 1.0 / R
-            growth = math.exp(-beta * (market.r + 0.5 * th**2) * tau
-                              + 0.5 * beta**2 * th**2 * tau)
-            Dnp = D1p - s / R
-            Dnn = D1n - s / R
-            xR[k] = tab.C[k] * w ** (-1.0 / R) * growth * (_Phi(Dnn) - _Phi(Dnp))
-        elif tab.cara[k]:
-            al = tab.alpha[k]
-            # a_k - (s/alpha) d1(gplus/w) kept in anchored form: it equals
-            # K + (log(1/w) + (r - th^2/2) tau)/alpha with K constant per piece
-            level = tab.K[k] + (-np.log(w) + (market.r - 0.5 * th**2) * tau) / al
-            xAbar[k] = disc * level * (_Phi(D1n) - _Phi(D1p))
-            xRbar[k] = disc * (-s / al) * (_phi(D1n) - _phi(D1p))
-    return xD, xA, xAbar, xR, xRbar
-
-
 def wealth_total(env: PharaUtility, market: MarketParams, y: float, t: float,
                  xi):
     """Optimal wealth X_t as a function of xi_t (vectorized)."""
-    terms = _piece_terms(env, market, y, t, xi)
-    total = sum(term.sum(axis=0) for term in terms)
-    return float(total[0]) if np.ndim(xi) == 0 else total
+    total = _blockwise(lambda b: _wealth(_ladder(env, market, y, t, b)[2]), xi)
+    return float(total) if np.ndim(xi) == 0 else total
 
 
 def wealth_process(env: PharaUtility, market: MarketParams, y_star: float,
                    t: float, xi_t: float) -> WealthDecomposition:
     """Five-term decomposition of the optimal wealth at one (t, xi_t)."""
-    xD, xA, xAbar, xR, xRbar = _piece_terms(env, market, y_star, t, xi_t)
+    tab = _tables(env)
+    xD, xA, cara_level, curv, cara_curv = _ladder(env, market, y_star, t, xi_t)[2]
+    xAbar, xR, xRbar = np.zeros((3,) + xD.shape)
+    xAbar[tab.cara], xR[tab.crra], xRbar[tab.cara] = cara_level, curv, cara_curv
     total = float((xD + xA + xAbar + xR + xRbar).sum())
-    return WealthDecomposition(xD=xD[:, 0], xA=xA[:, 0], xAbar=xAbar[:, 0],
-                               xR=xR[:, 0], xRbar=xRbar[:, 0], total=total)
+    return WealthDecomposition(xD=xD, xA=xA, xAbar=xAbar, xR=xR, xRbar=xRbar,
+                               total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +268,13 @@ def budget(env: PharaUtility, market: MarketParams, y: float) -> float:
 
 def solve_multiplier(env: PharaUtility, market: MarketParams,
                      x0: float) -> DualSolution:
-    """Unique y* with E[xi_T X_T*] = x0, by bracketed bisection/secant in log y."""
+    """Unique y* with E[xi_T X_T*] = x0.
+
+    X_0 depends on (y, xi_0) only through y xi_0, so B(y) is the time-0
+    wealth at multiplier 1 and state price y, and y* is the wealth inversion
+    of x0 at t = 0.  The bracket holds the two inversion ladder rungs
+    e^{2j} <= y* < e^{2j+2} around it.
+    """
     tab = _tables(env)
     if tab.chord[-1]:
         raise UnboundedDemand("envelope has a linear tail; demand is infinite")
@@ -335,49 +283,15 @@ def solve_multiplier(env: PharaUtility, market: MarketParams,
         raise InfeasibleBudget(
             f"x0={x0} must exceed the discounted floor {floor}"
         )
-
-    grow = math.exp(market.r * market.T) * x0
-    y0 = env.deriv(grow, "right") if grow > env.a0 else env.gamma_plus(0)
-    if not np.isfinite(y0) or y0 <= 0.0:
-        y0 = 1.0
-
-    y_lo = y_hi = y0
-    for _ in range(_MAX_EXPAND):
-        if budget(env, market, y_lo) > x0:
-            break
-        y_lo /= 4.0
-    else:
-        raise UnboundedDemand("budget never exceeds x0 for small multipliers")
-    for _ in range(_MAX_EXPAND):
-        if budget(env, market, y_hi) < x0:
-            break
-        y_hi *= 4.0
-    else:
-        raise UnboundedDemand("budget never falls below x0 for large multipliers")
-
-    u_star = brentq(lambda u: budget(env, market, math.exp(u)) - x0,
-                    math.log(y_lo), math.log(y_hi),
-                    xtol=1e-15, rtol=9e-16, maxiter=200)
-    y_star = math.exp(u_star)
+    y_star = state_price_for_wealth(env, market, 1.0, 0.0, x0, xi_cap=INF)
     resid = budget(env, market, y_star) - x0
     tol = _BUDGET_RTOL * max(1.0, x0)
-    if abs(resid) > tol:
-        # secant polish in log y
-        u_prev, f_prev = u_star, resid
-        u_cur = u_star + math.copysign(1e-9, resid)
-        f_cur = budget(env, market, math.exp(u_cur)) - x0
-        for _ in range(60):
-            if abs(f_cur) <= tol or f_cur == f_prev:
-                break
-            u_next = u_cur - f_cur * (u_cur - u_prev) / (f_cur - f_prev)
-            u_prev, f_prev = u_cur, f_cur
-            u_cur = u_next
-            f_cur = budget(env, market, math.exp(u_cur)) - x0
-        y_star, resid = math.exp(u_cur), f_cur
-    if abs(resid) > tol:
+    if not abs(resid) <= tol:
         raise UnboundedDemand(f"budget equation residual {resid:.3e} > {tol:.3e}")
+    rung = 2.0 * math.floor(0.5 * math.log(y_star))
     return DualSolution(y_star=y_star, budget_residual=float(resid),
-                        bracket=(y_lo, y_hi), x0=x0, feasible_floor=floor)
+                        bracket=(math.exp(rung), math.exp(rung + 2.0)), x0=x0,
+                        feasible_floor=floor)
 
 
 # ---------------------------------------------------------------------------
@@ -396,49 +310,19 @@ class WeightVector:
 def weights(env: PharaUtility, market: MarketParams, y_star: float, t: float,
             xi_t) -> WeightVector:
     """Weights at xi_t, shape (n_pieces,); a vector xi_t adds a trailing axis."""
-    tab = _tables(env)
-    w = y_star * np.asarray(xi_t, dtype=float)
-    Fp = _Phi(d1(np.divide.outer(tab.gplus, w), market, t))
-    Fm = _Phi(d1(np.divide.outer(tab.gminus, w), market, t))
-    return WeightVector(p=Fp - Fm[:-1], q=Fm[1:] - Fp)
-
-
-def _portfolio_scalar(tab: _Tables, market: MarketParams, t: float, w, xR):
-    """Delta-hedge scalar -xi dX/dxi at w = y xi, from the curvature terms xR.
-
-    Per piece: curved pieces contribute X^R_k / R_k, chords contribute the
-    near-terminal gambling term, exponential pieces a constant-absolute-risk
-    term.
-    """
-    tau = market.tau(t)
-    s = market.theta_norm * math.sqrt(tau)
-    disc = math.exp(-market.r * tau)
-    total = np.zeros(w.size)
-    for k in range(tab.R.size):
-        if tab.crra[k]:
-            total += xR[k] / tab.R[k]
-        elif tab.chord[k]:
-            D1p = d1(tab.gplus[k] / w, market, t)
-            total += disc * (tab.a[k + 1] - tab.a[k]) / s * _phi(D1p)
-        else:
-            D1p = d1(tab.gplus[k] / w, market, t)
-            D1n = d1(tab.gminus[k + 1] / w, market, t)
-            total += disc / tab.alpha[k] * (_Phi(D1n) - _Phi(D1p))
-    return total
+    p, q = _ladder(env, market, y_star, t, xi_t)[:2]
+    return WeightVector(p=p, q=q)
 
 
 def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
                       t: float, xi_t):
     """Optimal portfolio vector for any mix of piece types (vectorized in xi).
 
-    The delta-hedge scalar of :func:`_portfolio_scalar` rides the direction
-    (sigma^T)^{-1} theta.
+    The delta-hedge scalar -xi dX/dxi rides the direction (sigma^T)^{-1} theta.
     """
-    xi = np.atleast_1d(np.asarray(xi_t, dtype=float))
-    xR = _piece_terms(env, market, y_star, t, xi)[3]
-    total = _portfolio_scalar(_tables(env), market, t, y_star * xi, xR)
-    out = np.multiply.outer(_risk_vector(market), total)
-    return out[:, 0] if np.ndim(xi_t) == 0 else out
+    scalar = _blockwise(
+        lambda b: _ladder(env, market, y_star, t, b)[3].sum(axis=0), xi_t)
+    return np.multiply.outer(_risk_vector(market), scalar)
 
 
 @dataclass(frozen=True)
@@ -483,20 +367,16 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
     """
     R = common_risk_aversion(env)
     tab = _tables(env)
-    w = y_star * np.asarray(xi_t, dtype=float)
-    tau = market.tau(t)
-    s = market.theta_norm * math.sqrt(tau)
-    disc = math.exp(-market.r * tau)
-
-    x_t = wealth_total(env, market, y_star, t, xi_t)
-    wv = weights(env, market, y_star, t, xi_t)
+    p, q, terms, hedge = _ladder(env, market, y_star, t, xi_t)
+    disc = math.exp(-market.r * market.tau(t))
+    x_t = _wealth(terms)
+    if np.ndim(xi_t) == 0:
+        x_t = float(x_t)
 
     merton = x_t / R
-    widths = (tab.a[1:] - tab.a[:-1])[tab.chord]
-    gamble = _phi(d1(np.divide.outer(tab.gplus[tab.chord], w), market, t))
-    rs = disc / s * np.tensordot(widths, gamble, axes=1)
-    la = -disc / R * np.tensordot(tab.A[tab.crra], wv.q[tab.crra], axes=1)
-    fo = -disc / R * np.tensordot(tab.a[:-1], wv.p, axes=1)
+    rs = hedge[tab.chord].sum(axis=0)  # the chords' gambling terms
+    la = -disc / R * np.tensordot(tab.A, q, axes=1)
+    fo = -disc / R * np.tensordot(tab.a[:-1], p, axes=1)
 
     total = merton + rs + la + fo
     pct = np.divide(total, x_t, out=np.zeros_like(total), where=x_t != 0.0)
@@ -529,7 +409,7 @@ def sahara_portfolio(market: MarketParams, alpha: float, beta: float,
 
 
 # ---------------------------------------------------------------------------
-# Wealth-level inversion (for wealth-indexed sweeps)
+# Wealth-level inversion (for wealth-indexed sweeps and the dual solve)
 # ---------------------------------------------------------------------------
 
 
@@ -563,7 +443,7 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
     so rounding noise cannot make the steps cycle.  Converged once a move is
     within 1e-14 (1 + |u|); NoConvergence after _NEWTON_ITERS steps.
     """
-    tab = _tables(env)
+    _tables(env)  # rejects a non-concave utility
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xs.shape, xi_cap)
     floor = math.exp(-market.r * market.tau(t)) * env.a0
@@ -580,12 +460,12 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
         for _ in range(_NEWTON_ITERS):
             if not act.size:
                 break
-            ua, xi = u[act], np.exp(u[act])
-            terms = _piece_terms(env, market, y_star, t, xi)
-            f = sum(term.sum(axis=0) for term in terms) - level[act]
+            ua = u[act]
+            _, _, terms, hedge = _ladder(env, market, y_star, t, np.exp(ua))
+            f = _wealth(terms) - level[act]
             if np.isnan(f).any():
                 raise NoConvergence("wealth inversion met a NaN wealth")
-            slope = -_portfolio_scalar(tab, market, t, y_star * xi, terms[3])
+            slope = -hedge.sum(axis=0)
             lo[act] = np.where(f > 0.0, ua, lo[act])
             hi[act] = np.where(f < 0.0, ua, hi[act])
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

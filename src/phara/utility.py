@@ -293,7 +293,7 @@ class PharaUtility:
     def deriv(self, x: float, side: str = "right") -> float:
         """One-sided derivative; side in {'left', 'right'}."""
         if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+            raise IllegalCase(f"side must be 'left' or 'right', got {side!r}")
         if x < self.a0 or (not self.a0_included and x == self.a0):
             raise OutOfDomain(f"domain starts at {self.a0}")
         if x == self.a0 and side == "left":

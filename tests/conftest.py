@@ -1,10 +1,45 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from phara.concavify import concave_envelope
 from phara.presets import demo_market, multi_kink_utility, CONTRACT_PARAMS
 from phara.solver import solve_multiplier
 from phara.utility import INF, PharaPiece, PharaUtility, crra_utility, participating_contract_utility
+
+
+# property tests: a fixed example budget per test keeps the suite's runtime
+# bounded, and derandomized draws make every run check the same cases
+settings.register_profile("phara", max_examples=100, deadline=None,
+                          derandomize=True, database=None)
+settings.load_profile("phara")
+
+
+def d_transform(z, y_shift: float, market, t: float):
+    """d(z, y) = -(log z + (r + |theta|^2/2) tau) / (|theta| sqrt(tau)) + y |theta| sqrt(tau).
+
+    The general d-transform of the paper; the solver only needs d(z, 1), its
+    own ``d1``, and the tests check that against this form.  Continuously
+    extended: z -> 0+ gives +inf, z -> inf gives -inf.
+    """
+    tau = market.tau(t)
+    s = market.theta_norm * math.sqrt(tau)
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore"):
+        out = -(np.log(z) + (market.r + 0.5 * market.theta_norm**2) * tau) / s \
+            + y_shift * s
+    return float(out) if out.ndim == 0 else out
+
+
+def d0(z, market, t: float):
+    return d_transform(z, 0.0, market, t)
+
+
+def d_next(z, R: float, market, t: float):
+    """d(z, 1 - 1/R), the transform attached to a piece of risk aversion R."""
+    return d_transform(z, 1.0 - 1.0 / R, market, t)
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phara.cli import load_scenario, main
+from phara.cli import _parse_utility, load_scenario, main
+from phara.errors import PharaError
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
+BUNDLED = ("crra", "multi_kink_demo", "participating_contract", "hedge_fund")
 
 
 def run(args):
@@ -137,6 +139,18 @@ class TestVerifySimulate:
         rep = json.loads((tmp_path / "simulation.json").read_text())
         assert rep["passed"]
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_simulate_bundled_defaults(self, tmp_path, name):
+        # default --steps and --paths; chord envelopes included
+        code = run(["simulate", "--scenario", SCENARIOS / f"{name}.json",
+                    "--out", tmp_path])
+        rep = json.loads((tmp_path / "simulation.json").read_text())
+        assert code == 0 and rep["passed"]
+        assert 0.35 <= rep["computed"] <= 0.65
+        assert rep["detail"]["grid"] == "t_k = T (1 - (1 - k/n)^2)"
+        if name == "crra":
+            assert rep["computed"] == pytest.approx(0.5, abs=0.03)
+
     def test_decompose(self, tmp_path):
         assert run(["decompose", "--scenario",
                     SCENARIOS / "multi_kink_demo.json", "--out", tmp_path,
@@ -183,6 +197,19 @@ class TestErrorPaths:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert run(["solve", "--scenario", bad, "--out", tmp_path]) == 2
+
+    def test_unknown_preference_type(self, tmp_path):
+        raw = json.loads((SCENARIOS / "participating_contract.json").read_text())
+        raw["utility"]["preference"]["type"] = "quadratic"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert run(["solve", "--scenario", bad, "--out", tmp_path]) == 2
+        with pytest.raises(PharaError):
+            _parse_utility(raw["utility"])
+
+    def test_utility_block_without_pieces_or_preference(self):
+        with pytest.raises(PharaError):
+            _parse_utility({"a0": 0.0})
 
     def test_missing_file(self, tmp_path):
         assert run(["solve", "--scenario", tmp_path / "nope.json",

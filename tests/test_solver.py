@@ -3,22 +3,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
-from conftest import (interesting_multipliers, random_concave_envelope,
-                      random_raw_utility)
+from conftest import (d0, d_next, d_transform, interesting_multipliers,
+                      random_concave_envelope, random_raw_utility)
 from phara.cli import load_scenario
 from phara.concavify import concave_envelope
 from phara.errors import (BadDimension, BadTime, HeterogeneousRisk, IllegalCase,
                           InfeasibleBudget, NotConcave, PharaError,
                           UnboundedDemand)
-from phara.market import build_market, sample_kernel_terminal
+from phara.market import build_market
 from phara.presets import CONTRACT_PARAMS
-from phara.solver import (budget, d0, d1, d_next, d_transform,
-                          optimal_terminal_wealth, portfolio_general,
-                          portfolio_unified, sahara_portfolio, solve_multiplier,
-                          state_price_for_wealth, truncated_kernel_moments,
-                          wealth_process, wealth_total, weights)
+from phara.solver import (budget, common_risk_aversion, d1,
+                          optimal_terminal_wealth,
+                          portfolio_general, portfolio_unified,
+                          sahara_portfolio, solve_multiplier,
+                          state_price_for_wealth, wealth_process, wealth_total,
+                          weights)
 from phara.utility import INF, PharaPiece, PharaUtility, cara_utility
 
 
@@ -62,41 +64,6 @@ class TestDTransform:
     def test_bad_time(self, market):
         with pytest.raises(BadTime):
             d1(1.0, market, market.T)
-
-
-class TestTruncatedMoments:
-    def test_untruncated_first_moment(self, market):
-        m1, _, _ = truncated_kernel_moments(0.0, INF, market, 2.0, 1.0, 0.5)
-        assert m1 == pytest.approx(math.exp(-market.r * (market.T - 2.0)),
-                                   rel=1e-13)
-
-    def test_against_monte_carlo(self, market):
-        t, xi_t, R = 3.0, 1.2, 0.7
-        a, b = 0.4 * xi_t, 1.5 * xi_t
-        n = 400_000
-        xi_T = sample_kernel_terminal(market, t, xi_t, n, seed=99)
-        ind = (xi_T > a) & (xi_T < b)
-        m1, mR, mlog = truncated_kernel_moments(a, b, market, t, xi_t, R)
-        for closed, sample in [
-            (m1, xi_T * ind / xi_t),
-            (mR, xi_T ** (1 - 1 / R) * ind / xi_t),
-            (mlog, xi_T * np.log(np.where(ind, xi_T, 1.0)) * ind / xi_t),
-        ]:
-            se = sample.std(ddof=1) / math.sqrt(n)
-            assert abs(sample.mean() - closed) <= 3 * se
-
-    def test_bad_interval(self, market):
-        with pytest.raises(PharaError) as err:
-            truncated_kernel_moments(1.0, 0.5, market, 1.0, 1.0, 0.5)
-        assert isinstance(err.value, IllegalCase)
-
-    def test_degenerate_interval(self, market):
-        a = 0.7
-        m1, mR, mlog = truncated_kernel_moments(a, a * (1 + 1e-15), market,
-                                                1.0, 1.0, 0.5)
-        assert m1 == pytest.approx(0.0, abs=1e-12)
-        assert mR == pytest.approx(0.0, abs=1e-12)
-        assert mlog == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTerminalWealth:
@@ -569,3 +536,102 @@ def test_vector_portfolio_unified_matches_scalar(demo_envelope, contract_envelop
             wv = weights(env, market, y, t, xi)
             assert wv.p.shape == (env.n_pieces, xi.size)
             assert np.allclose(wv.p.sum(axis=0) + wv.q.sum(axis=0), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Property tests: random envelopes, markets with m = 1..3 assets
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def markets(draw):
+    """Well-conditioned (mu, sigma): lower-triangular volatility whose
+    off-diagonal loadings are at most 0.3 of the asset's own volatility."""
+    m = draw(st.integers(1, 3))
+    r = draw(st.floats(0.005, 0.08))
+    vols = draw(st.lists(st.floats(0.1, 0.5), min_size=m, max_size=m))
+    sigma = np.diag(vols)
+    for i in range(m):
+        for j in range(i):
+            sigma[i, j] = draw(st.floats(-0.3, 0.3)) * vols[i]
+    premia = draw(st.lists(st.floats(0.01, 0.1), min_size=m, max_size=m))
+    return build_market(r=r, mu=[r + e for e in premia], sigma=sigma.tolist(),
+                        T=draw(st.floats(1.0, 20.0)))
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _raw_envelope(seed):
+    return concave_envelope(random_raw_utility(np.random.default_rng(seed))).envelope
+
+
+def _floor(env, market, t=0.0):
+    return math.exp(-market.r * (market.T - t)) * env.a0
+
+
+@given(seeds, markets(), st.floats(1e-3, 50.0), st.floats(1e-3, 1.0))
+def test_dual_solve_properties(seed, market, excess, gap):
+    env = _raw_envelope(seed)
+    x0 = _floor(env, market) + excess
+    sol = solve_multiplier(env, market, x0)
+    tol = 1e-10 * max(1.0, x0)
+    assert abs(sol.budget_residual) <= tol
+    assert abs(budget(env, market, sol.y_star) - x0) <= tol
+    lo, hi = sol.bracket
+    assert lo <= sol.y_star < hi
+    assert budget(env, market, lo) > x0 > budget(env, market, hi)
+    richer = solve_multiplier(env, market, x0 + gap * max(1.0, abs(x0)))
+    assert richer.y_star < sol.y_star
+
+
+@given(seeds, markets(), st.floats(1e-3, 50.0), st.floats(0.0, 0.999),
+       st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
+def test_inversion_round_trip_properties(seed, market, excess, frac, logs):
+    env = _raw_envelope(seed)
+    y = solve_multiplier(env, market, _floor(env, market) + excess).y_star
+    t = frac * market.T
+    x = wealth_total(env, market, y, t, np.exp(logs))
+    xi = state_price_for_wealth(env, market, y, t, x)
+    scale = np.maximum(1.0, np.abs(x))
+    ok = xi < 1e18
+    back = wealth_total(env, market, y, t, xi[ok])
+    assert np.all(np.abs(back - x[ok]) <= 1e-10 * scale[ok])
+    # saturation only where the wealth is the floor to rounding
+    assert np.all(x[~ok] - _floor(env, market, t) <= 1e-10 * scale[~ok])
+
+
+@given(seeds, markets(), st.floats(-1.0, 1.0), st.floats(0.0, 0.999),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+def test_unified_equals_general_properties(seed, market, log_y, frac, logs):
+    env = random_concave_envelope(np.random.default_rng(seed))
+    y, t = math.exp(log_y), frac * market.T
+    assert common_risk_aversion(env) > 0.0
+    dec = portfolio_unified(env, market, y, t, np.exp(logs))
+    gen = portfolio_general(env, market, y, t, np.exp(logs))
+    scale = np.maximum(np.linalg.norm(gen, axis=0), np.linalg.norm(dec.total, axis=0))
+    live = scale >= 1e-5 * (1.0 + np.abs(dec.wealth))  # else numerically zero
+    err = np.linalg.norm(dec.total - gen, axis=0)
+    assert np.all(err[live] <= 1e-9 * scale[live])
+
+
+@given(seeds, markets(), st.floats(-5.0, 60.0), st.floats(-1.0, 25.0),
+       st.floats(-5.0, 60.0))
+def test_failures_are_typed(seed, market, x0, t, x):
+    """Out-of-range budgets, times and wealth levels, non-concave and
+    heterogeneous utilities: whatever fails raises a PharaError."""
+    raw = random_raw_utility(np.random.default_rng(seed))
+    env = concave_envelope(raw).envelope
+    calls = (
+        lambda: solve_multiplier(env, market, x0),
+        lambda: state_price_for_wealth(env, market, 1.0, t, x),
+        lambda: wealth_total(raw, market, 1.0, t, 1.0),
+        lambda: portfolio_unified(env, market, 1.0, t, 1.0),
+        lambda: portfolio_general(env, market, 1.0, t, np.array([0.5, 2.0])),
+        lambda: weights(env, market, 1.0, t, 1.0),
+    )
+    for call in calls:
+        try:
+            call()
+        except PharaError:
+            pass

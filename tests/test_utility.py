@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phara.errors import AtKink, IllegalCase, OutOfDomain
+from phara.errors import AtKink, IllegalCase, OutOfDomain, PharaError
 from phara.presets import CONTRACT_PARAMS
 from phara.utility import (INF, NEG_INF, PharaPiece, PharaUtility,
                            PiecewiseLinearPayoff, SShapedPreference, cara_utility,
@@ -76,6 +76,10 @@ class TestEval:
             xs = np.linspace(u.a0, u.pieces[-1].a_lo + 10 * span, 1000)
             vals = u.value(xs)
             assert np.all(np.diff(vals) >= -1e-12)
+
+    def test_bad_derivative_side(self, demo_utility):
+        with pytest.raises(PharaError):
+            demo_utility.deriv(5.0, "middle")
 
     def test_out_of_domain(self, demo_utility):
         with pytest.raises(OutOfDomain):

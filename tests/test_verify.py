@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import interesting_multipliers
-from phara.errors import StepTooCoarse
+from phara.errors import PharaError, StepTooCoarse
 from phara.solver import optimal_terminal_wealth, solve_multiplier
 from phara.verify import (argmax_oracle, fd_portfolio_check, mc_budget_check,
                           mc_martingale_check, simulate_order_check,
@@ -79,19 +79,15 @@ class TestMonteCarlo:
 
 
 class TestReportRunner:
-    def test_thread_cap_preserves_results(self, monkeypatch, market,
-                                          demo_envelope, demo_dual):
+    def test_reports_sorted_by_name(self, market, demo_envelope, demo_dual):
         from phara.verify import run_reports
         env = demo_envelope.envelope
         jobs = [lambda t=t: mc_martingale_check(env, market, demo_dual.y_star,
                                                 t, 5_000, seed=17)
-                for t in (2.0, 4.0, 6.0)]
-        monkeypatch.delenv("PHARA_THREADS", raising=False)
-        serial = run_reports(list(jobs))
-        monkeypatch.setenv("PHARA_THREADS", "3")
-        threaded = run_reports(list(jobs))
-        assert serial == threaded
-        assert [r.name for r in serial] == sorted(r.name for r in serial)
+                for t in (6.0, 2.0, 4.0)]
+        reports = run_reports(jobs)
+        assert [r.name for r in reports] == sorted(r.name for r in reports)
+        assert len(reports) == 3
 
 
 class TestFiniteDifference:
@@ -121,6 +117,12 @@ class TestSimulation:
         with pytest.raises(StepTooCoarse):
             simulate_strategy(crra_envelope, market, 10.0, 100, 5, seed=0)
 
+    def test_order_check_needs_four_times_the_steps(self, crra_envelope,
+                                                   market):
+        with pytest.raises(PharaError):
+            simulate_order_check(crra_envelope, market, 10.0, 100, 20, 60,
+                                 seed=0)
+
     def test_crra_strong_order(self, crra_envelope, market):
         rep = simulate_order_check(crra_envelope, market, 10.0, 2_000,
                                    250, 1000, seed=2024)
@@ -133,7 +135,7 @@ class TestSimulation:
         # of y xi_T in (gplus, gminus) uses the plain normal quantile (d0),
         # while the p-weights are their price-weighted counterparts
         from scipy.special import ndtr
-        from phara.solver import d0
+        from conftest import d0
         from phara.market import sample_kernel_terminal
         env = demo_envelope.envelope
         rep = simulate_strategy(env, market, 25.0, 4_000, 400, seed=3,

@@ -19,7 +19,7 @@ from .utility import (  # noqa: F401
     compose, crra_utility, cara_utility, eval_template,
     hedge_fund_utility, participating_contract_utility,
 )
-from .concavify import EnvelopeResult, concave_envelope, sampled_envelope_fallback  # noqa: F401
+from .concavify import EnvelopeResult, concave_envelope  # noqa: F401
 from .solver import (  # noqa: F401
     DualSolution, PortfolioDecomposition, WealthDecomposition, WeightVector,
     optimal_terminal_wealth, portfolio_general, portfolio_unified,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .concavify import concave_envelope
-from .errors import IllegalCase, PharaError
+from .errors import BadDimension, IllegalCase, PharaError
 from .market import MarketParams, build_market
 from .solver import (common_risk_aversion, portfolio_general, portfolio_unified,
                      solve_multiplier, state_price_for_wealth, wealth_process,
@@ -115,12 +115,16 @@ def load_scenario(path, seed_override=None, paths_override=None) -> Scenario:
                           T=_num(mb["T"]))
     utility = _parse_utility(raw["utility"])
     grids = raw.get("grids", {})
+    paths = int(paths_override if paths_override is not None else raw.get("paths", 100_000))
+    if paths < 2:
+        # a standard error needs at least two samples
+        raise BadDimension(f"paths must be >= 2, got {paths}")
     return Scenario(
         market=market,
         utility=utility,
         x0=_num(raw["x0"]),
         seed=int(seed_override if seed_override is not None else raw.get("seed", 0)),
-        paths=int(paths_override if paths_override is not None else raw.get("paths", 100_000)),
+        paths=paths,
         t_grid=tuple(_num(t) for t in grids.get("t", (0.0,))),
         wealth_grid=grids.get("wealth"),
         raw=raw,
@@ -337,6 +341,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.grid < 2:
+            raise BadDimension(f"--grid must be >= 2, got {args.grid}")
         scn = load_scenario(args.scenario, seed_override=args.seed,
                             paths_override=args.paths)
         out = Path(args.out)

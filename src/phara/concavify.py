@@ -4,10 +4,11 @@ The exact construction sweeps the pieces left to right, maintaining a stack
 of kept fragments whose slopes decrease.  Whenever an incoming fragment or
 junction point breaks concavity, the bridging chord is found by a
 one-dimensional root-find in the supporting-slope variable: the hull and the
-incoming object each have a closed-form support line for every slope s, and
-the difference of their intercepts is strictly increasing in s, so the
-common tangent is a bracketed root.  Chords become linear pieces of the
-output; convex and flat stretches of the input are always swallowed.
+incoming object each have a closed-form support line and contact point for
+every slope s, and the difference of their intercepts is strictly increasing
+in s, so the common tangent is a bracketed root, found by the solver's
+Newton-bisection step in log s.  Chords become linear pieces of the output;
+convex and flat stretches of the input are always swallowed.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoConvergence, UnboundedEnvelope
+from .solver import _newton_root
 from .utility import INF, PharaPiece, PharaUtility
 
 _SLOPE_TIE_RTOL = 1e-12
@@ -55,83 +56,42 @@ class EnvelopeResult:
         return out
 
 
-class _Arc:
-    """A concave or linear fragment of one original piece."""
-
-    def __init__(self, piece: PharaPiece, x_lo: float | None = None,
-                 x_hi: float | None = None):
-        self.piece = piece
-        self.x_lo = piece.a_lo if x_lo is None else x_lo
-        self.x_hi = piece.a_hi if x_hi is None else x_hi
-
-    @property
-    def is_linear(self) -> bool:
-        return self.piece.R == 0.0
-
-    def value(self, x):
-        return self.piece.value(x)
-
-    def slope(self, x):
-        return self.piece.slope(x)
-
-    @property
-    def value_lo(self):
-        return float(self.piece.value(self.x_lo))
-
-    @property
-    def value_hi(self):
-        return float(self.piece.value(self.x_hi))
-
-    @property
-    def slope_lo(self):
-        return float(self.piece.slope(self.x_lo))
-
-    @property
-    def slope_hi(self):
-        return float(self.piece.slope(self.x_hi))
-
-    def slope_inv(self, s: float) -> float:
-        return self.piece.slope_inverse(s)
-
-    def support_intercept(self, s: float) -> float:
-        """Intercept of the slope-s line supporting this fragment from above."""
-        if self.is_linear:
-            # supporting from above: endpoints take over off the exact slope
-            if s >= self.slope_lo:
-                return self.value_lo - s * self.x_lo
-            if not np.isfinite(self.x_hi):
-                raise UnboundedEnvelope(
-                    "no supporting line shallower than an unbounded linear piece"
-                )
-            return self.value_hi - s * self.x_hi
-        if s >= self.slope_lo:
-            return self.value_lo - s * self.x_lo
-        if np.isfinite(self.x_hi) and s <= self.slope_hi:
-            return self.value_hi - s * self.x_hi
-        x = self.slope_inv(s)
-        return float(self.value(x)) - s * x
+def _support(piece: PharaPiece, s: float) -> tuple[float, float]:
+    """Intercept and contact point of the slope-s line supporting a concave
+    or linear piece from above; off the piece's slope range an end takes over."""
+    if s >= piece.slope_lo:
+        x = piece.a_lo
+    elif piece.R == 0.0 and not np.isfinite(piece.a_hi):
+        raise UnboundedEnvelope(
+            "no supporting line shallower than an unbounded linear piece"
+        )
+    elif piece.R == 0.0 or (np.isfinite(piece.a_hi) and s <= piece.slope_hi):
+        x = piece.a_hi
+    else:
+        x = piece.slope_inverse(s)
+    return float(piece.value(x)) - s * x, x
 
 
 class _Seg:
     """One hull element: a kept curve fragment or a bridging chord."""
 
-    __slots__ = ("kind", "x0", "v0", "x1", "v1", "s0", "s1", "arc",
+    __slots__ = ("kind", "x0", "v0", "x1", "v1", "s0", "s1", "piece",
                  "left_contact", "right_contact")
 
-    def __init__(self, kind, x0, v0, x1, v1, s0, s1, arc=None,
+    def __init__(self, kind, x0, v0, x1, v1, s0, s1, piece=None,
                  left_contact="corner", right_contact="corner"):
         self.kind = kind
         self.x0, self.v0, self.x1, self.v1 = x0, v0, x1, v1
         self.s0, self.s1 = s0, s1
-        self.arc = arc
+        self.piece = piece
         self.left_contact = left_contact
         self.right_contact = right_contact
 
 
-def _curve_seg(arc: _Arc, x0: float, x1: float, left_contact="corner"):
-    return _Seg("curve", x0, float(arc.value(x0)), x1, float(arc.value(x1)),
-                float(arc.slope(x0)), float(arc.slope(x1)),
-                arc=arc, left_contact=left_contact)
+def _curve_seg(piece: PharaPiece, x0: float, x1: float, left_contact="corner"):
+    return _Seg("curve", x0, float(piece.value(x0)), x1, float(piece.value(x1)),
+                float(piece.slope(x0)), float(piece.slope(x1)),
+                piece=piece, left_contact=left_contact)
 
 
 class _Sweep:
@@ -152,18 +112,19 @@ class _Sweep:
             return self.anchor[0], self.anchor[1], INF
         return None
 
-    def hull_intercept(self, s: float) -> float:
-        """c_H(s): intercept of the slope-s line supporting the hull."""
+    def hull_support(self, s: float) -> tuple[float, float]:
+        """(c_H(s), x_H(s)): intercept and contact of the slope-s line
+        supporting the hull."""
         for seg in reversed(self.segs):
             if s <= seg.s1:
-                return seg.v1 - s * seg.x1
+                return seg.v1 - s * seg.x1, seg.x1
             if s <= seg.s0:
                 if seg.kind == "chord":
-                    return seg.v0 - s * seg.x0
-                x = float(np.clip(seg.arc.slope_inv(s), seg.x0, seg.x1))
-                return float(seg.arc.value(x)) - s * x
+                    return seg.v0 - s * seg.x0, seg.x0
+                x = float(np.clip(seg.piece.slope_inverse(s), seg.x0, seg.x1))
+                return float(seg.piece.value(x)) - s * x, x
         if self.anchor is not None:
-            return self.anchor[1] - s * self.anchor[0]
+            return self.anchor[1] - s * self.anchor[0], self.anchor[0]
         raise UnboundedEnvelope("support requested left of an open domain")
 
     def truncate_at_slope(self, s: float):
@@ -176,13 +137,13 @@ class _Sweep:
                 if seg.kind == "chord":
                     self.segs.pop()
                     continue
-                x = float(np.clip(seg.arc.slope_inv(s), seg.x0, seg.x1))
+                x = float(np.clip(seg.piece.slope_inverse(s), seg.x0, seg.x1))
                 if x - seg.x0 <= 1e-15 * max(1.0, abs(seg.x0)):
                     self.segs.pop()
                     continue
                 seg.x1 = x
-                seg.v1 = float(seg.arc.value(x))
-                seg.s1 = float(seg.arc.slope(x))
+                seg.v1 = float(seg.piece.value(x))
+                seg.s1 = float(seg.piece.slope(x))
                 return seg.x1, seg.v1, "tangent"
             self.segs.pop()
         if self.anchor is not None:
@@ -191,26 +152,38 @@ class _Sweep:
 
     # -- root machinery -------------------------------------------------------
 
-    def _common_slope(self, obj_intercept, s_lo: float, s_hi: float) -> float:
-        """Root of c_H(s) - c_obj(s), increasing in s, on [s_lo, s_hi]."""
+    def _gap(self, obj_support, s: float) -> float:
+        """c_H(s) - c_obj(s), increasing in s."""
+        return self.hull_support(s)[0] - obj_support(s)[0]
 
-        def gap(u):
-            s = math.exp(u)
-            return self.hull_intercept(s) - obj_intercept(s)
+    def _common_slope(self, obj_support, s_lo: float, s_hi: float) -> float:
+        """Root of c_H(s) - c_obj(s) on [s_lo, s_hi].
 
-        u_lo, u_hi = math.log(s_lo), math.log(s_hi)
-        g_lo, g_hi = gap(u_lo), gap(u_hi)
+        Newton in u = log s on the decreasing map c_obj - c_H, whose slope
+        -s (x_obj(s) - x_H(s)) comes from the two contact points.
+        """
+        g_lo, g_hi = self._gap(obj_support, s_lo), self._gap(obj_support, s_hi)
         if g_lo > 0.0 or g_hi < 0.0:
             raise NoConvergence(
                 f"tangency bracket failed: gap({s_lo:.3e})={g_lo:.3e}, "
                 f"gap({s_hi:.3e})={g_hi:.3e}"
             )
-        u_star = brentq(gap, u_lo, u_hi, xtol=1e-15, rtol=9e-16, maxiter=200)
-        s_star = math.exp(u_star)
-        scale = max(1.0, abs(self.hull_intercept(s_star)))
-        if abs(gap(u_star)) > _RESIDUAL_TOL * scale:
+
+        def support_gap(act, u):
+            s = math.exp(u[0])
+            c_h, x_h = self.hull_support(s)
+            c_obj, x_obj = obj_support(s)
+            return np.array([c_obj - c_h]), np.array([-s * (x_obj - x_h)])
+
+        lo, hi = np.array([math.log(s_lo)]), np.array([math.log(s_hi)])
+        falsi = g_lo / (g_lo - g_hi) if g_hi > g_lo else 0.0
+        s_star = math.exp(_newton_root(support_gap, lo, hi,
+                                       lo + (hi - lo) * falsi)[0])
+        resid = self._gap(obj_support, s_star)
+        scale = max(1.0, abs(self.hull_support(s_star)[0]))
+        if abs(resid) > _RESIDUAL_TOL * scale:
             raise NoConvergence(
-                f"tangency residual {gap(u_star):.3e} at slope {s_star:.3e}"
+                f"tangency residual {resid:.3e} at slope {s_star:.3e}"
             )
         return s_star
 
@@ -232,24 +205,22 @@ class _Sweep:
         x_e, v_e, s1 = end
         if x <= x_e:
             if v > v_e + 1e-12 * max(1.0, abs(v_e)):
-                self._attach_by_tangent(
-                    lambda s: v - s * x,
-                    s_hint=None, target=(x, v), contact_right="corner")
+                self._attach_by_tangent(x, v, s_hint=None)
             return
         s_c = (v - v_e) / (x - x_e)
         if s_c <= s1 * (1.0 + _SLOPE_TIE_RTOL) + 1e-300:
             self._push_chord(x_e, v_e, x, v, max(s_c, 0.0), "corner", "corner")
             return
-        self._attach_by_tangent(lambda s: v - s * x, s_hint=s_c,
-                                target=(x, v), contact_right="corner")
+        self._attach_by_tangent(x, v, s_hint=s_c)
 
-    def _attach_by_tangent(self, obj_intercept, s_hint, target,
-                           contact_right):
-        """Bridge from the hull to a fixed point by a supporting chord."""
-        x, v = target
+    def _attach_by_tangent(self, x: float, v: float, s_hint):
+        """Bridge from the hull to the fixed point (x, v) by a supporting chord."""
+
+        def point_support(s):
+            return v - s * x, x
 
         def gap(s):
-            return self.hull_intercept(s) - obj_intercept(s)
+            return self._gap(point_support, s)
 
         if s_hint is not None and gap(s_hint) >= 0.0:
             s_hi = s_hint
@@ -262,40 +233,43 @@ class _Sweep:
                 break
         else:
             raise NoConvergence("no shallow supporting slope found")
-        s_star = self._common_slope(obj_intercept, s_lo, s_hi)
+        s_star = self._common_slope(point_support, s_lo, s_hi)
         x_b, v_b, contact = self.truncate_at_slope(s_star)
-        self._push_chord(x_b, v_b, x, v, s_star, contact, contact_right)
+        self._push_chord(x_b, v_b, x, v, s_star, contact, "corner")
 
-    def attach_arc(self, arc: _Arc):
+    def attach_arc(self, piece: PharaPiece):
         end = self.right_end()
         if end is None:
-            self.segs.append(_curve_seg(arc, arc.x_lo, arc.x_hi))
+            self.segs.append(_curve_seg(piece, piece.a_lo, piece.a_hi))
             return
-        if arc.is_linear:
-            self._attach_linear(arc)
+        if piece.R == 0.0:
+            self._attach_linear(piece)
             return
         x_e, v_e, s1 = end
-        s_in = arc.slope_lo
-        if (x_e == arc.x_lo and v_e <= arc.value_lo + 1e-12 * max(1.0, abs(v_e))
+        s_in = piece.slope_lo
+        if (x_e == piece.a_lo and v_e <= piece.value_lo + 1e-12 * max(1.0, abs(v_e))
                 and s_in <= s1 * (1.0 + _SLOPE_TIE_RTOL) + 1e-300):
-            self.segs.append(_curve_seg(arc, arc.x_lo, arc.x_hi))
+            self.segs.append(_curve_seg(piece, piece.a_lo, piece.a_hi))
             return
 
+        def arc_support(s):
+            return _support(piece, s)
+
         def gap(s):
-            return self.hull_intercept(s) - arc.support_intercept(s)
+            return self._gap(arc_support, s)
 
         # upper bracket: at the arc's steepest slope the hull line is above
         if np.isfinite(s_in) and gap(s_in) >= 0.0:
             s_hi = s_in
         else:
             s_hi = self._bracket_up(gap, max(s1 if np.isfinite(s1) else 1.0,
-                                             arc.slope_hi, 1e-12) * 2.0)
+                                             piece.slope_hi, 1e-12) * 2.0)
         # lower bracket: shallow supports favour the arc
-        s_out = arc.slope_hi
-        if np.isfinite(arc.x_hi):
+        s_out = piece.slope_hi
+        if np.isfinite(piece.a_hi):
             if gap(max(s_out, 1e-300)) >= 0.0:
                 # whole arc below the hull fan: only its right endpoint matters
-                self.attach_point(arc.x_hi, arc.value_hi)
+                self.attach_point(piece.a_hi, piece.value_hi)
                 return
             s_lo = max(s_out, 1e-300)
         else:
@@ -306,31 +280,31 @@ class _Sweep:
                     break
             else:
                 raise NoConvergence("no tangency bracket on the unbounded piece")
-        s_star = self._common_slope(arc.support_intercept, s_lo, s_hi)
+        s_star = self._common_slope(arc_support, s_lo, s_hi)
         x_b, v_b, contact = self.truncate_at_slope(s_star)
         if s_star >= s_in:
-            f = arc.x_lo
+            f = piece.a_lo
         else:
-            f = float(np.clip(arc.slope_inv(s_star), arc.x_lo, arc.x_hi))
-        if np.isfinite(arc.x_hi) and arc.x_hi - f <= 1e-15 * max(1.0, abs(arc.x_hi)):
-            self._push_chord(x_b, v_b, arc.x_hi, arc.value_hi, s_star,
+            f = float(np.clip(piece.slope_inverse(s_star), piece.a_lo, piece.a_hi))
+        if np.isfinite(piece.a_hi) and piece.a_hi - f <= 1e-15 * max(1.0, abs(piece.a_hi)):
+            self._push_chord(x_b, v_b, piece.a_hi, piece.value_hi, s_star,
                              contact, "corner")
             return
-        right_contact = "corner" if f == arc.x_lo else "tangent"
-        self._push_chord(x_b, v_b, f, float(arc.value(f)), s_star,
+        right_contact = "corner" if f == piece.a_lo else "tangent"
+        self._push_chord(x_b, v_b, f, float(piece.value(f)), s_star,
                          contact, right_contact)
-        self.segs.append(_curve_seg(arc, f, arc.x_hi,
+        self.segs.append(_curve_seg(piece, f, piece.a_hi,
                                     left_contact=right_contact))
 
-    def _attach_linear(self, arc: _Arc):
+    def _attach_linear(self, piece: PharaPiece):
         x_e, v_e, s1 = self.right_end()
-        s_a = arc.slope_lo
-        if (x_e == arc.x_lo and v_e <= arc.value_lo + 1e-12 * max(1.0, abs(v_e))
+        s_a = piece.slope_lo
+        if (x_e == piece.a_lo and v_e <= piece.value_lo + 1e-12 * max(1.0, abs(v_e))
                 and s_a <= s1 * (1.0 + _SLOPE_TIE_RTOL) + 1e-300):
-            self.segs.append(_curve_seg(arc, arc.x_lo, arc.x_hi))
+            self.segs.append(_curve_seg(piece, piece.a_lo, piece.a_hi))
             return
-        if np.isfinite(arc.x_hi):
-            self.attach_point(arc.x_hi, arc.value_hi)
+        if np.isfinite(piece.a_hi):
+            self.attach_point(piece.a_hi, piece.value_hi)
             return
         # unbounded linear tail steeper than the hull: the envelope follows
         # the hull to its slope-s_a support and then runs parallel above it
@@ -359,7 +333,7 @@ class _Sweep:
                 self.attach_point(piece.a_lo, piece.value_lo)
             if piece.curvature == "convex":
                 continue
-            self.attach_arc(_Arc(piece))
+            self.attach_arc(piece)
         if not self.segs:
             raise UnboundedEnvelope("sweep produced an empty hull")
         return self.segs
@@ -420,8 +394,8 @@ def concave_envelope(utility: PharaUtility) -> EnvelopeResult:
     pieces, chords, tangency, differs = [], [], [], []
     for seg in segs:
         if seg.kind == "curve":
-            pieces.append(_reanchor(seg.arc.piece, seg.x0, seg.x1))
-            if seg.arc.is_linear:
+            pieces.append(_reanchor(seg.piece, seg.x0, seg.x1))
+            if seg.piece.R == 0.0:
                 chords.append((seg.x0, seg.x1, float(seg.s0)))
         else:
             pieces.append(_chord_piece(seg))
@@ -441,208 +415,3 @@ def concave_envelope(utility: PharaUtility) -> EnvelopeResult:
         differs_on=tuple(differs),
     )
 
-
-# ---------------------------------------------------------------------------
-# Sampled fallback for black-box utilities
-# ---------------------------------------------------------------------------
-
-
-def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Indices of the upper convex hull of the graph, left to right."""
-    keep: list[int] = []
-    for i in range(len(x)):
-        while len(keep) >= 2:
-            i0, i1 = keep[-2], keep[-1]
-            cross = ((x[i1] - x[i0]) * (y[i] - y[i0])
-                     - (x[i] - x[i0]) * (y[i1] - y[i0]))
-            if cross >= 0.0:
-                keep.pop()
-            else:
-                break
-        keep.append(i)
-    return np.asarray(keep)
-
-
-def _fit_power_piece(x0, v0, s0, x1, v1, s1) -> PharaPiece | None:
-    """Fit one power branch to endpoint values and slopes; None on failure."""
-    if s1 <= 0.0 or s0 <= s1 * (1.0 + 1e-9):
-        return None
-    log_ratio = math.log(s1 / s0)
-
-    def value_residual(A):
-        denom = math.log1p((x1 - x0) / (x0 - A))  # log((x1-A)/(x0-A)), stable
-        if denom <= 0.0:
-            return np.nan
-        R = -log_ratio / denom
-        if R <= 0.0:
-            return np.nan
-        if abs(R - 1.0) < 1e-12:
-            pred = s0 * (x0 - A) * math.log((x1 - A) / (x0 - A))
-        else:
-            pred = s0 * (x0 - A) / (1.0 - R) * (((x1 - A) / (x0 - A)) ** (1.0 - R) - 1.0)
-        return pred - (v1 - v0)
-
-    width = x1 - x0
-    a_hi = x0 - 1e-9 * max(1.0, abs(x0))
-    a_lo = x0 - width
-    f_hi = value_residual(a_hi)
-    f_lo = value_residual(a_lo)
-    for _ in range(80):
-        if np.isfinite(f_lo) and np.isfinite(f_hi) and f_lo * f_hi <= 0.0:
-            break
-        a_lo = x0 - (x0 - a_lo) * 4.0
-        f_lo = value_residual(a_lo)
-    else:
-        return None
-    try:
-        A = brentq(value_residual, a_lo, a_hi, xtol=1e-13, rtol=9e-16, maxiter=200)
-    except ValueError:
-        return None
-    R = -log_ratio / math.log1p((x1 - x0) / (x0 - A))
-    return PharaPiece(a_lo=x0, a_hi=x1, R=R, A=A, anchor_x=x0,
-                      anchor_u=v0, anchor_slope=s0)
-
-
-def _fit_concave_run(f, x0, v0, s0, x1, v1, s1, depth=0) -> list[PharaPiece]:
-    piece = _fit_power_piece(x0, v0, s0, x1, v1, s1)
-    if piece is not None:
-        probes = x0 + (x1 - x0) * np.array([0.25, 0.5, 0.75])
-        err = max(abs(float(piece.value(p)) - f(p)) for p in probes)
-        if err <= 1e-7 * max(1.0, abs(v0), abs(v1)):
-            return [piece]
-    if depth >= 10 or (x1 - x0) < 1e-9 * max(1.0, abs(x1)):
-        slope = (v1 - v0) / (x1 - x0)
-        return [PharaPiece(a_lo=x0, a_hi=x1, R=0.0, anchor_x=x0,
-                           anchor_u=v0, anchor_slope=max(slope, 0.0))]
-    xm = 0.5 * (x0 + x1)
-    h = 1e-7 * max(1.0, abs(xm))
-    vm = f(xm)
-    sm = (f(xm + h) - f(xm - h)) / (2.0 * h)
-    return (_fit_concave_run(f, x0, v0, s0, xm, vm, sm, depth + 1)
-            + _fit_concave_run(f, xm, vm, sm, x1, v1, s1, depth + 1))
-
-
-def _chord_endpoints(xs: np.ndarray, ys: np.ndarray, f, base_gap: float):
-    """Hull edges that bridge strictly over the graph: list of (x0, x1)."""
-    hull_idx = _upper_hull(xs, ys)
-    hx, hy = xs[hull_idx], ys[hull_idx]
-    edges = []
-    for i in range(len(hx) - 1):
-        width = hx[i + 1] - hx[i]
-        if width <= base_gap:
-            continue
-        xm = 0.5 * (hx[i] + hx[i + 1])
-        line = hy[i] + (hy[i + 1] - hy[i]) / width * (xm - hx[i])
-        if line - f(xm) > 1e-9 * max(1.0, abs(line)):
-            edges.append((float(hx[i]), float(hx[i + 1])))
-    return edges
-
-
-def sampled_envelope_fallback(evaluable, a0: float, grid_hint) -> EnvelopeResult:
-    """Grid-based envelope for a black-box increasing usc function.
-
-    ``grid_hint`` supplies at least ``x_max`` (where the tail is already
-    concave) and optionally ``n`` base points and ``tail_exponent``, the
-    power-growth exponent used to extend the last piece to infinity.  Chord
-    endpoints are refined on shrinking local grids until they move by less
-    than 1e-8 of the span between rounds.
-    """
-    if isinstance(grid_hint, dict):
-        x_max = float(grid_hint["x_max"])
-        n = int(grid_hint.get("n", 4097))
-        tail_exponent = grid_hint.get("tail_exponent")
-    else:
-        x_max, n, tail_exponent = float(grid_hint), 4097, None
-
-    span = x_max - a0
-    if span <= 0.0:
-        raise NoConvergence("grid_hint.x_max must exceed a0")
-    f = lambda x: float(evaluable(x))  # noqa: E731
-
-    xs = np.linspace(a0, x_max, n)
-    ys = np.array([f(x) for x in xs])
-    base_gap = 3.0 * span / n
-    window = 4.0 * span / n
-    prev = None
-    for _ in range(20):
-        edges = _chord_endpoints(xs, ys, f, base_gap)
-        ends = sorted({e for pair in edges for e in pair})
-        if prev is not None and len(ends) == len(prev) and (
-                not ends or max(abs(a - b) for a, b in zip(ends, prev))
-                < 1e-8 * span):
-            break
-        prev = ends
-        if not ends:
-            break
-        extra = np.concatenate([
-            np.linspace(max(a0, e - window), min(x_max, e + window), 65)
-            for e in ends])
-        xs = np.unique(np.concatenate([xs, extra]))
-        ys = np.array([f(x) for x in xs])
-        window = max(window / 8.0, 1e-10 * span)
-    else:
-        raise NoConvergence("sampled envelope did not stabilize in 20 rounds")
-
-    edges = _chord_endpoints(xs, ys, f, base_gap)
-
-    def graph_slope(x, side=0):
-        h = 1e-7 * max(1.0, abs(x))
-        if side > 0:
-            return (f(x + 2 * h) - f(x + h)) / h
-        if side < 0:
-            return (f(x - h) - f(x - 2 * h)) / h
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-
-    pieces: list[PharaPiece] = []
-    chords, tangency, differs = [], [], []
-    runs: list[tuple[float, float]] = []
-    cursor = a0
-    for x0, x1 in edges:
-        if x0 > cursor + 1e-12 * span:
-            runs.append((cursor, x0))
-        slope = (f(x1) - f(x0)) / (x1 - x0)
-        pieces.append(PharaPiece(a_lo=x0, a_hi=x1, R=0.0, anchor_x=x0,
-                                 anchor_u=f(x0), anchor_slope=slope))
-        chords.append((x0, x1, float(slope)))
-        differs.append((x0, x1))
-        # endpoint is a tangency when the outside graph slope matches
-        if x0 > a0 + 1e-12 * span:
-            if abs(graph_slope(x0, -1) - slope) <= 1e-3 * max(slope, 1e-12):
-                tangency.append(x0)
-        if x1 < x_max - 1e-12 * span:
-            if abs(graph_slope(x1, +1) - slope) <= 1e-3 * max(slope, 1e-12):
-                tangency.append(x1)
-        cursor = x1
-    runs.append((cursor, x_max))
-
-    concave_runs = []
-    for lo, hi in runs:
-        if hi - lo > 1e-9 * span:
-            concave_runs.append(
-                _fit_concave_run(f, lo, f(lo), graph_slope(lo + 1e-7 * span),
-                                 hi, f(hi), graph_slope(hi)))
-
-    fitted = [p for run in concave_runs for p in run]
-    all_pieces = sorted(pieces + fitted, key=lambda p: p.a_lo)
-
-    # extend the tail: reuse the last fitted branch on [x_max, inf)
-    last = all_pieces[-1]
-    if last.R > 0.0:
-        all_pieces[-1] = PharaPiece(
-            a_lo=last.a_lo, a_hi=INF, R=last.R, A=last.A, alpha=last.alpha,
-            anchor_x=last.anchor_x, anchor_u=last.anchor_u,
-            anchor_slope=last.anchor_slope)
-    else:
-        exponent = 0.5 if tail_exponent is None else float(tail_exponent)
-        R = 1.0 - exponent
-        s_tail = graph_slope(x_max, -1)
-        A = x_max - exponent * f(x_max) / s_tail if s_tail > 0 else x_max - 1.0
-        all_pieces.append(PharaPiece(a_lo=x_max, a_hi=INF, R=R,
-                                     A=min(A, x_max - 1e-9),
-                                     anchor_x=x_max, anchor_u=f(x_max),
-                                     anchor_slope=max(s_tail, 1e-12)))
-
-    env = PharaUtility(a0=a0, pieces=tuple(all_pieces), a0_included=True)
-    return EnvelopeResult(envelope=env, chords=tuple(chords),
-                          tangency_points=tuple(sorted(set(tangency))),
-                          differs_on=tuple(differs))

@@ -8,8 +8,9 @@ available in a general per-piece form and, when every curved piece shares one
 relative risk aversion R, as the four-term split: Merton term, risk-seeking
 term from chords, loss-aversion term from benchmarks, and first-order
 risk-aversion term from kinks.  All of them come from one evaluation of
-d1(g / y xi) on the envelope's slope ladder; the dual multiplier and the
-wealth-to-state-price map share one root-finder.
+d1(g / y xi) on the envelope's slope ladder.  One Newton-bisection
+root-finder serves the dual multiplier, the wealth-to-state-price map and
+the envelope's tangent search.
 """
 
 from __future__ import annotations
@@ -430,6 +431,38 @@ def _wealth_ladder(env: PharaUtility, market: MarketParams, y_star: float,
     return u, np.array([rungs[v] for v in u])
 
 
+def _newton_root(fn, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Roots of decreasing maps, one per entry of u, each inside (lo, hi).
+
+    fn(act, u[act]) returns f and df/du on the active entries, with
+    f(lo) > 0 > f(hi).  Newton steps from the start u, bisecting where a step
+    is not finite or leaves the open bracket.  Every evaluated point becomes a
+    bracket end (lo and hi are updated in place), so rounding noise cannot
+    make the steps cycle.  An entry is done once a step or a move is within
+    1e-14 (1 + |u|); NoConvergence after _NEWTON_ITERS steps.
+    """
+    act = np.arange(u.size)
+    for _ in range(_NEWTON_ITERS):
+        if not act.size:
+            return u
+        ua = u[act]
+        f, df = fn(act, ua)
+        if np.isnan(f).any():
+            raise NoConvergence("root-find met a NaN value")
+        lo[act] = np.where(f > 0.0, ua, lo[act])
+        hi[act] = np.where(f < 0.0, ua, hi[act])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.where(f == 0.0, 0.0, f / df)
+        newton, tol = ua - step, 1e-14 * (1.0 + np.abs(ua))
+        take = (np.abs(step) <= tol) | ((newton > lo[act]) & (newton < hi[act]))
+        u[act] = np.where(take, newton, 0.5 * (lo[act] + hi[act]))
+        act = act[~((np.abs(step) <= tol) | (np.abs(u[act] - ua) <= tol))]
+    if act.size:
+        raise NoConvergence(f"root-find: {act.size} roots unconverged after "
+                            f"{_NEWTON_ITERS} steps")
+    return u
+
+
 def state_price_for_wealth(env: PharaUtility, market: MarketParams,
                            y_star: float, t: float, x,
                            xi_cap: float = 1e18):
@@ -437,11 +470,9 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
 
     Levels at or below the discounted floor, or not below X_t on the last
     ladder rung under xi_cap, map to xi_cap.  Other levels are bracketed by
-    rungs and solved by Newton in u = log xi with dX/du = -(delta-hedge
-    scalar), bisecting where a step is not finite or leaves the open bracket
-    (flat wealth near the floor).  Every evaluated point becomes a bracket end,
-    so rounding noise cannot make the steps cycle.  Converged once a move is
-    within 1e-14 (1 + |u|); NoConvergence after _NEWTON_ITERS steps.
+    rungs and solved by :func:`_newton_root` in u = log xi with
+    dX/du = -(delta-hedge scalar); it bisects where wealth is flat near the
+    floor.
     """
     _tables(env)  # rejects a non-concave utility
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -456,26 +487,9 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
         level, lo, hi = xs[live], rung_u[k - 1], rung_u[k]
         f_lo, f_hi = rung_X[k - 1] - level, rung_X[k] - level
         u = lo + (hi - lo) * f_lo / (f_lo - f_hi)  # regula falsi start
-        act = np.arange(live.size)
-        for _ in range(_NEWTON_ITERS):
-            if not act.size:
-                break
-            ua = u[act]
+
+        def wealth_gap(act, ua):
             _, _, terms, hedge = _ladder(env, market, y_star, t, np.exp(ua))
-            f = _wealth(terms) - level[act]
-            if np.isnan(f).any():
-                raise NoConvergence("wealth inversion met a NaN wealth")
-            slope = -hedge.sum(axis=0)
-            lo[act] = np.where(f > 0.0, ua, lo[act])
-            hi[act] = np.where(f < 0.0, ua, hi[act])
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                step = np.where(f == 0.0, 0.0, f / slope)
-            newton, tol = ua - step, 1e-14 * (1.0 + np.abs(ua))
-            take = (np.abs(step) <= tol) | ((newton > lo[act]) & (newton < hi[act]))
-            u[act] = np.where(take, newton, 0.5 * (lo[act] + hi[act]))
-            act = act[(np.abs(u[act] - ua) > tol) & (np.abs(step) > tol)]
-        if act.size:
-            raise NoConvergence(f"wealth inversion: {act.size} levels unconverged "
-                                f"after {_NEWTON_ITERS} steps")
-        out[live] = np.exp(u)
+            return _wealth(terms) - level[act], -hedge.sum(axis=0)
+        out[live] = np.exp(_newton_root(wealth_gap, lo, hi, u))
     return float(out[0]) if np.ndim(x) == 0 else out

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -221,3 +224,45 @@ class TestErrorPaths:
         bad = tmp_path / "low.json"
         bad.write_text(json.dumps(raw))
         assert run(["solve", "--scenario", bad, "--out", tmp_path]) == 2
+
+    def test_grid_below_two(self, tmp_path, capsys):
+        # U(a0) = -inf on crra: the curve's first abscissa is moved off a0
+        for grid in ("0", "1"):
+            assert run(["envelope", "--scenario", SCENARIOS / "crra.json",
+                        "--out", tmp_path, "--grid", grid]) == 2
+        assert "--grid must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "envelope_curve.csv").exists()
+
+    def test_paths_below_two(self, tmp_path, capsys):
+        # one sample has no standard error: the report would hold NaN
+        assert run(["verify", "--scenario", SCENARIOS / "crra.json",
+                    "--out", tmp_path, "--paths", "1"]) == 2
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        raw["paths"] = 1
+        bad = tmp_path / "one_path.json"
+        bad.write_text(json.dumps(raw))
+        assert run(["verify", "--scenario", bad, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.count("paths must be >= 2") == 2
+        assert not (tmp_path / "verification.json").exists()
+
+
+def test_no_scipy_optimize():
+    # the envelope's tangent search shares the solver's Newton step, so
+    # nothing in the package needs scipy.optimize
+    code = f"""
+import sys
+from phara.cli import load_scenario
+from phara.concavify import concave_envelope
+from phara.solver import solve_multiplier
+for name in {BUNDLED!r}:
+    scn = load_scenario({str(SCENARIOS)!r} + "/" + name + ".json")
+    solve_multiplier(concave_envelope(scn.utility).envelope, scn.market, scn.x0)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+assert not loaded, loaded
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_concave_envelope, random_raw_utility
-from phara.concavify import concave_envelope, sampled_envelope_fallback
-from phara.utility import INF, PharaPiece, PharaUtility, crra_utility
+from phara.concavify import concave_envelope
+from phara.utility import INF, PharaPiece, PharaUtility
 
 
 def analytic_tangency(p: float, A: float, gamma: float) -> float:
@@ -234,6 +234,16 @@ class TestGeneralProperties:
             finite = [s for s in slopes if np.isfinite(s)]
             assert all(a >= b - 1e-9 * max(a, 1.0)
                        for a, b in zip(finite, finite[1:]))
+            # tangent contacts are smooth
+            for x_t in res.tangency_points:
+                left = env.deriv(x_t, "left")
+                assert env.deriv(x_t, "right") == pytest.approx(left, rel=1e-10)
+            # chords touch the input at their ends
+            for x_c in {x for lo, hi, _ in res.chords for x in (lo, hi)
+                        if np.isfinite(x)}:
+                raw_c = float(u.value(x_c))
+                assert abs(float(env.value(x_c)) - raw_c) <= \
+                    1e-10 * max(1.0, abs(raw_c))
 
     def test_jump_up_bridged(self):
         # value jump at 2 forces a chord over the junction
@@ -252,28 +262,3 @@ class TestGeneralProperties:
         chords = 0.5 * (env[:-2] + env[2:])
         assert np.all(env[1:-1] >= chords - 1e-10)
 
-
-class TestSampledFallback:
-    def test_demo_tangency(self, demo_utility, demo_envelope):
-        res = sampled_envelope_fallback(
-            lambda x: float(demo_utility.value(x)), 4.0,
-            {"x_max": 120.0, "n": 4001})
-        exact = demo_envelope.tangency_points[0]
-        candidates = [t for t in res.tangency_points if abs(t - exact) < 0.5]
-        assert candidates and abs(candidates[0] - exact) < 1e-6
-
-    def test_contract_tangency(self, contract_utility):
-        res = sampled_envelope_fallback(
-            lambda x: float(contract_utility.value(x)), 0.0,
-            {"x_max": 12.0, "n": 4001})
-        candidates = [t for t in res.tangency_points if abs(t - 2.0) < 0.5]
-        assert candidates and abs(candidates[0] - 2.0) < 1e-6
-
-    def test_concave_input_no_chords(self):
-        u = crra_utility(0.5)
-        res = sampled_envelope_fallback(lambda x: float(u.value(max(x, 1e-12))),
-                                        0.0, {"x_max": 30.0, "n": 2001})
-        assert res.chords == ()
-        xs = np.linspace(0.5, 25.0, 300)
-        assert np.allclose(res.envelope.value(xs), u.value(xs),
-                           rtol=1e-5, atol=1e-5)

@@ -15,9 +15,9 @@ from .errors import (  # noqa: F401
 )
 from .market import MarketParams, build_market, kernel_value, sample_kernel_terminal  # noqa: F401
 from .utility import (  # noqa: F401
-    PharaPiece, PharaUtility, PiecewiseLinearPayoff, SShapedPreference,
-    compose, crra_utility, cara_utility, eval_template,
-    hedge_fund_utility, participating_contract_utility,
+    PharaPiece, PharaUtility, PiecewiseLinearPayoff, compose, crra_utility,
+    cara_utility, hedge_fund_utility, participating_contract_utility,
+    s_shaped_utility,
 )
 from .concavify import EnvelopeResult, concave_envelope  # noqa: F401
 from .solver import (  # noqa: F401

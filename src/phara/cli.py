@@ -26,7 +26,7 @@ from .solver import (common_risk_aversion, portfolio_general, portfolio_unified,
                      solve_multiplier, state_price_for_wealth, wealth_process,
                      wealth_total, weights)
 from .utility import (INF, NEG_INF, PharaPiece, PharaUtility,
-                      PiecewiseLinearPayoff, SShapedPreference, compose)
+                      PiecewiseLinearPayoff, compose, s_shaped_utility)
 
 _FMT = "{:.17g}"
 
@@ -81,12 +81,21 @@ def _parse_utility(block: dict) -> PharaUtility:
                             a0_included=bool(block.get("a0_included", True)))
 
     if "preference" in block:
+        pay = block["payoff"]
+        payoff = PiecewiseLinearPayoff(
+            domain_lo=_num(pay.get("floor", pay.get("domain_lo", 0.0))),
+            value_lo=_num(pay.get("value_lo", 0.0)),
+            breakpoints=tuple(_num(b) for b in pay.get("breakpoints", ())),
+            slopes=tuple(_num(s) for s in pay["slopes"]),
+        )
         pref_block = block["preference"]
         kind = pref_block.get("type", "s_shaped")
         if kind == "s_shaped":
-            pref = SShapedPreference(
+            # built on the payoff's range [value_lo, inf)
+            pref = s_shaped_utility(
                 reference=_num(pref_block.get("reference", 0.0)),
                 gain_exponent=_num(pref_block["gain_exponent"]),
+                a0=payoff.value_lo,
                 loss_exponent=(_num(pref_block["loss_exponent"])
                                if "loss_exponent" in pref_block else None),
                 loss_weight=_num(pref_block.get("loss_weight", 1.0)),
@@ -95,13 +104,6 @@ def _parse_utility(block: dict) -> PharaUtility:
             pref = _parse_utility(pref_block)
         else:
             raise IllegalCase(f"unknown preference type {kind!r}")
-        pay = block["payoff"]
-        payoff = PiecewiseLinearPayoff(
-            domain_lo=_num(pay.get("floor", pay.get("domain_lo", 0.0))),
-            value_lo=_num(pay.get("value_lo", 0.0)),
-            breakpoints=tuple(_num(b) for b in pay.get("breakpoints", ())),
-            slopes=tuple(_num(s) for s in pay["slopes"]),
-        )
         return compose(pref, payoff)
 
     raise IllegalCase("utility block needs either 'pieces' or 'preference'+'payoff'")

@@ -339,23 +339,6 @@ class _Sweep:
         return self.segs
 
 
-def _reanchor(piece: PharaPiece, x0: float, x1: float) -> PharaPiece:
-    """Restrict an original piece to [x0, x1] with a numerically safe anchor."""
-    if piece.R == 0.0 or piece.R == INF:
-        ax = x0
-    elif x0 > piece.A:
-        ax = x0
-    elif np.isfinite(x1):
-        ax = x1
-    else:
-        ax = piece.A + max(1.0, abs(piece.A))
-    return PharaPiece(
-        a_lo=x0, a_hi=x1, R=piece.R, A=piece.A, alpha=piece.alpha,
-        anchor_x=ax, anchor_u=float(piece.value(ax)),
-        anchor_slope=float(piece.slope(ax)),
-    )
-
-
 def _chord_piece(seg: _Seg) -> PharaPiece:
     return PharaPiece(a_lo=seg.x0, a_hi=seg.x1, R=0.0, anchor_x=seg.x0,
                       anchor_u=seg.v0, anchor_slope=seg.s0)
@@ -394,7 +377,7 @@ def concave_envelope(utility: PharaUtility) -> EnvelopeResult:
     pieces, chords, tangency, differs = [], [], [], []
     for seg in segs:
         if seg.kind == "curve":
-            pieces.append(_reanchor(seg.piece, seg.x0, seg.x1))
+            pieces.append(seg.piece.restrict(seg.x0, seg.x1))
             if seg.piece.R == 0.0:
                 chords.append((seg.x0, seg.x1, float(seg.s0)))
         else:

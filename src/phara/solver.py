@@ -172,7 +172,9 @@ def _ladder(env: PharaUtility, market: MarketParams, y: float, t: float, xi):
     disc = math.exp(-market.r * tau)
 
     D = d1(np.divide.outer(tab.ladder, w), market, t)
-    F = _Phi(D)
+    # a CDF along the descending ladder; the running maximum keeps rounding
+    # from turning a zero-mass kink or cell weight negative
+    F = np.maximum.accumulate(_Phi(D), axis=0)
     p, q = F[1::2] - F[:-1:2], F[2::2] - F[1::2]
     Dp, Dn = D[1::2], D[2::2]
     crra, cara, chord = tab.crra, tab.cara, tab.chord

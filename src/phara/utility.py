@@ -1,4 +1,4 @@
-"""Piecewise-HARA utilities: template, pieces, evaluation, composition.
+"""Piecewise-HARA utilities: pieces, S-shaped preferences, composition.
 
 A utility is a partition ``a0 = a_0 < a_1 < ... < a_{n+1} = inf`` together
 with one HARA branch per cell.  Each branch is one of four closed forms
@@ -6,7 +6,9 @@ with one HARA branch per cell.  Each branch is one of four closed forms
 ``R`` in [0, inf], a benchmark level ``A``, and the value/slope at a finite
 anchor point.  Raw utilities may be non-concave: convex power branches
 (benchmark above the cell) and flat segments are admitted so that payoff
-compositions can be represented before concavification.
+compositions can be represented before concavification.  S-shaped
+preferences are such utilities, and so is any PHARA preference composed with
+a piecewise-linear payoff.
 """
 
 from __future__ import annotations
@@ -25,71 +27,27 @@ _CONTINUITY_TOL = 1e-9
 _VERIFY_TOL = 1e-10
 
 
-def eval_template(R: float, A: float, x_hat: float, u: float, gamma: float,
-                  alpha: float | None, x):
-    """Evaluate the four-case HARA template at x.
+def _anchor(lo: float, hi: float, R: float, A: float) -> float:
+    """Finite anchor in [lo, hi] where a branch's slope is finite.
 
-    Cases: R = 0 linear; R = 1 log; R in (0,1)u(1,inf) power; R = inf
-    exponential (requires A = -inf and alpha > 0).  The template is anchored:
-    it returns ``u`` at ``x = x_hat`` and has slope ``gamma`` there.
+    The anchor is ``lo`` unless a power or log branch has its benchmark
+    there (the slope blows up at A); then it is ``hi``, or a point above A
+    when the cell is unbounded.
     """
-    _check_template_args(R, A, x_hat, u, gamma, alpha)
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if R == 0.0:
-            out = gamma * (x - x_hat) + u
-        elif R == INF:
-            out = -(gamma / alpha) * (np.exp(-alpha * (x - x_hat)) - 1.0) + u
-        elif R == 1.0:
-            out = gamma * (x_hat - A) * np.log((x - A) / (x_hat - A)) + u
-        else:
-            ratio = (x - A) / (x_hat - A)
-            out = gamma * (x_hat - A) / (1.0 - R) * (ratio ** (1.0 - R) - 1.0) + u
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_template_deriv(R: float, A: float, x_hat: float, u: float,
-                        gamma: float, alpha: float | None, x):
-    """Derivative of :func:`eval_template` with respect to x."""
-    _check_template_args(R, A, x_hat, u, gamma, alpha)
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if R == 0.0:
-            out = np.full_like(x, gamma)
-        elif R == INF:
-            out = gamma * np.exp(-alpha * (x - x_hat))
-        else:
-            out = gamma * ((x - A) / (x_hat - A)) ** (-R)
-    return float(out) if out.ndim == 0 else out
-
-
-def _check_template_args(R, A, x_hat, u, gamma, alpha):
-    if not (R >= 0.0):
-        raise IllegalCase(f"risk aversion R must be >= 0, got {R}")
-    if R == INF:
-        if A != NEG_INF:
-            raise IllegalCase("exponential case needs A = -inf")
-        if alpha is None or not (0.0 < alpha < INF):
-            raise IllegalCase(f"exponential case needs alpha in (0, inf), got {alpha}")
-    elif R > 0.0:
-        if not np.isfinite(A):
-            raise IllegalCase("power/log case needs a finite benchmark A")
-        if x_hat == A:
-            raise IllegalCase("anchor point must differ from the benchmark A")
-    if not np.isfinite(x_hat) or not np.isfinite(u):
-        raise IllegalCase("anchor point and value must be finite")
-    if gamma < 0.0 or (gamma == 0.0 and R != 0.0):
-        raise IllegalCase(f"slope must be positive (0 only on flat pieces), got {gamma}")
+    if 0.0 < R < INF and A == lo:
+        return hi if np.isfinite(hi) else A + max(1.0, abs(A))
+    return lo
 
 
 @dataclass(frozen=True)
 class PharaPiece:
     """One HARA branch of a piecewise utility on [a_lo, a_hi).
 
-    The branch is stored in anchored form: value ``anchor_u`` and slope
-    ``anchor_slope`` at the finite point ``anchor_x`` in [a_lo, a_hi].  The
-    anchor is normally a_lo; it moves to the other end when the benchmark
-    coincides with a_lo (slope blows up there).
+    The branch is one of four closed forms: R = 0 linear; R = 1 log;
+    R in (0,1)u(1,inf) power with benchmark A; R = inf exponential (needs
+    A = -inf and alpha > 0).  It is stored in anchored form: value
+    ``anchor_u`` and slope ``anchor_slope`` at the finite point ``anchor_x``
+    in [a_lo, a_hi], chosen by :func:`_anchor` when a piece is derived.
     """
 
     a_lo: float
@@ -108,15 +66,22 @@ class PharaPiece:
             raise IllegalCase("piece must start at a finite point")
         if not self.a_lo <= self.anchor_x <= self.a_hi:
             raise IllegalCase("anchor must lie inside the piece")
+        if not (np.isfinite(self.anchor_x) and np.isfinite(self.anchor_u)):
+            raise IllegalCase("anchor point and value must be finite")
+        if not self.R >= 0.0:
+            raise IllegalCase(f"risk aversion R must be >= 0, got {self.R}")
         if self.R == 0.0:
-            if self.anchor_slope < 0.0:
+            if not self.anchor_slope >= 0.0:
                 raise IllegalCase("linear piece needs slope >= 0")
             return
-        if self.anchor_slope <= 0.0:
+        if not self.anchor_slope > 0.0:
             raise IllegalCase("non-linear piece needs a positive anchor slope")
         if self.R == INF:
-            _check_template_args(self.R, self.A, self.anchor_x, self.anchor_u,
-                                 self.anchor_slope, self.alpha)
+            if self.A != NEG_INF:
+                raise IllegalCase("exponential case needs A = -inf")
+            if self.alpha is None or not 0.0 < self.alpha < INF:
+                raise IllegalCase(
+                    f"exponential case needs alpha in (0, inf), got {self.alpha}")
             return
         if not np.isfinite(self.A):
             raise IllegalCase("power/log piece needs a finite benchmark")
@@ -133,12 +98,41 @@ class PharaPiece:
     # -- closed-form evaluation -------------------------------------------
 
     def value(self, x):
-        return eval_template(self.R, self.A, self.anchor_x, self.anchor_u,
-                             self.anchor_slope, self.alpha, x)
+        """The template: ``anchor_u`` at ``anchor_x`` with slope ``anchor_slope``."""
+        R, A, x_hat, u, gamma = (self.R, self.A, self.anchor_x, self.anchor_u,
+                                 self.anchor_slope)
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if R == 0.0:
+                out = gamma * (x - x_hat) + u
+            elif R == INF:
+                out = -(gamma / self.alpha) * (np.exp(-self.alpha * (x - x_hat)) - 1.0) + u
+            elif R == 1.0:
+                out = gamma * (x_hat - A) * np.log((x - A) / (x_hat - A)) + u
+            else:
+                ratio = (x - A) / (x_hat - A)
+                out = gamma * (x_hat - A) / (1.0 - R) * (ratio ** (1.0 - R) - 1.0) + u
+        return float(out) if out.ndim == 0 else out
 
     def slope(self, x):
-        return eval_template_deriv(self.R, self.A, self.anchor_x, self.anchor_u,
-                                   self.anchor_slope, self.alpha, x)
+        """Derivative of :meth:`value` with respect to x."""
+        R, gamma = self.R, self.anchor_slope
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if R == 0.0:
+                out = np.full_like(x, gamma)
+            elif R == INF:
+                out = gamma * np.exp(-self.alpha * (x - self.anchor_x))
+            else:
+                out = gamma * ((x - self.A) / (self.anchor_x - self.A)) ** (-R)
+        return float(out) if out.ndim == 0 else out
+
+    def restrict(self, lo: float, hi: float) -> "PharaPiece":
+        """The same branch on [lo, hi], re-anchored by :func:`_anchor`."""
+        x = _anchor(lo, hi, self.R, self.A)
+        return replace(self, a_lo=lo, a_hi=hi, anchor_x=x,
+                       anchor_u=float(self.value(x)),
+                       anchor_slope=float(self.slope(x)))
 
     def slope_inverse(self, s: float) -> float:
         """x with slope(x) = s; only for strictly monotone-slope pieces."""
@@ -298,11 +292,8 @@ class PharaUtility:
             raise OutOfDomain(f"domain starts at {self.a0}")
         if x == self.a0 and side == "left":
             return INF
-        pts = self.interior_points
-        if side == "right":
-            k = int(np.searchsorted(pts, x, side="right"))
-            return float(self.pieces[k].slope(x))
-        k = int(np.searchsorted(pts, x, side="left"))
+        # at a_k the left side reads piece k-1 and the right side piece k
+        k = int(np.searchsorted(self.interior_points, x, side=side))
         return float(self.pieces[k].slope(x))
 
     def ara(self, x: float) -> float:
@@ -311,7 +302,7 @@ class PharaUtility:
             raise OutOfDomain(f"domain starts at {self.a0}")
         if x == self.a0 or np.any(self.interior_points == x):
             raise AtKink(f"x={x} is a partition point")
-        piece = self.pieces[int(np.searchsorted(self.interior_points, x, side="right"))]
+        piece = self.pieces[int(self._piece_index(x))]
         if piece.R == 0.0:
             return 0.0
         if piece.R == INF:
@@ -329,77 +320,58 @@ class PharaUtility:
         )
 
 
-def single_piece_utility(R: float, A: float, a0: float, anchor_x: float,
-                         anchor_u: float, anchor_slope: float,
-                         alpha: float | None = None,
-                         a0_included: bool = True) -> PharaUtility:
-    """Convenience constructor for a one-piece (globally HARA) utility."""
-    piece = PharaPiece(a_lo=a0, a_hi=INF, R=R, anchor_x=anchor_x,
-                       anchor_u=anchor_u, anchor_slope=anchor_slope,
-                       A=A, alpha=alpha)
-    return PharaUtility(a0=a0, pieces=(piece,), a0_included=a0_included)
-
-
 def crra_utility(R: float, a0: float = 0.0) -> PharaUtility:
     """Pure power/log utility on (a0, inf) with benchmark a0 and U'(x)=(x-a0)^-R."""
-    anchor = a0 + 1.0
     u = 0.0 if R == 1.0 else 1.0 / (1.0 - R)
-    return single_piece_utility(R=R, A=a0, a0=a0, anchor_x=anchor, anchor_u=u,
-                                anchor_slope=1.0, a0_included=False)
+    piece = PharaPiece(a_lo=a0, a_hi=INF, R=R, A=a0, anchor_x=a0 + 1.0,
+                       anchor_u=u, anchor_slope=1.0)
+    return PharaUtility(a0=a0, pieces=(piece,), a0_included=False)
 
 
 def cara_utility(alpha: float, a0: float = -200.0) -> PharaUtility:
     """Exponential utility -exp(-alpha x)/alpha, truncated far below zero."""
-    return single_piece_utility(
-        R=INF, A=NEG_INF, a0=a0, anchor_x=0.0,
-        anchor_u=-1.0 / alpha, anchor_slope=1.0, alpha=alpha,
-    )
+    piece = PharaPiece(a_lo=a0, a_hi=INF, R=INF, anchor_x=0.0,
+                       anchor_u=-1.0 / alpha, anchor_slope=1.0, alpha=alpha)
+    return PharaUtility(a0=a0, pieces=(piece,))
 
 
-# ---------------------------------------------------------------------------
-# Preferences and payoffs
-# ---------------------------------------------------------------------------
+def s_shaped_utility(reference: float, gain_exponent: float, a0: float,
+                     loss_exponent: float | None = None,
+                     loss_weight: float = 1.0) -> PharaUtility:
+    """S-shaped preference (Kahneman & Tversky 1979) on [a0, inf).
 
+    gains:  (w - reference)^gain_exponent               for w >= reference
+    losses: -loss_weight (reference - w)^loss_exponent   for a0 <= w < reference
 
-@dataclass(frozen=True)
-class SShapedPreference:
-    """Two signed power branches around a reference point.
-
-    gains:  (w - reference)^gain_exponent          for w >= reference
-    losses: -loss_weight (reference - w)^loss_exponent  for w < reference
+    Both sides are power branches with benchmark ``reference``: a concave
+    piece for the gains, and a convex piece for the losses when a0 lies
+    below the reference.  The loss exponent defaults to the gain exponent.
     """
+    q = gain_exponent if loss_exponent is None else loss_exponent
+    if not 0.0 < gain_exponent < 1.0:
+        raise IllegalCase("gain exponent must be in (0, 1)")
+    if not 0.0 < q < 1.0:
+        raise IllegalCase("loss exponent must be in (0, 1)")
+    if not loss_weight > 0.0:
+        raise IllegalCase("loss weight must be positive")
+    pieces = []
+    if a0 < reference:
+        d = reference - a0
+        pieces.append(PharaPiece(a_lo=a0, a_hi=reference, R=1.0 - q, A=reference,
+                                 anchor_x=a0, anchor_u=-loss_weight * d ** q,
+                                 anchor_slope=loss_weight * q * d ** (q - 1.0)))
+    lo = max(a0, reference)
+    x = _anchor(lo, INF, 1.0 - gain_exponent, reference)
+    d = x - reference
+    pieces.append(PharaPiece(a_lo=lo, a_hi=INF, R=1.0 - gain_exponent, A=reference,
+                             anchor_x=x, anchor_u=d ** gain_exponent,
+                             anchor_slope=gain_exponent * d ** (gain_exponent - 1.0)))
+    return PharaUtility(a0=a0, pieces=tuple(pieces))
 
-    reference: float
-    gain_exponent: float
-    loss_exponent: float | None = None
-    loss_weight: float = 1.0
 
-    def __post_init__(self):
-        if not 0.0 < self.gain_exponent < 1.0:
-            raise IllegalCase("gain exponent must be in (0, 1)")
-        q = self.loss_exponent
-        if q is not None and not 0.0 < q < 1.0:
-            raise IllegalCase("loss exponent must be in (0, 1)")
-        if self.loss_weight <= 0.0:
-            raise IllegalCase("loss weight must be positive")
-
-    @property
-    def _loss_exp(self) -> float:
-        return self.gain_exponent if self.loss_exponent is None else self.loss_exponent
-
-    def value(self, w: float) -> float:
-        if w >= self.reference:
-            return (w - self.reference) ** self.gain_exponent
-        return -self.loss_weight * (self.reference - w) ** self._loss_exp
-
-    def slope(self, w: float) -> float:
-        if w == self.reference:
-            return INF
-        if w > self.reference:
-            g = self.gain_exponent
-            return g * (w - self.reference) ** (g - 1.0)
-        q = self._loss_exp
-        return self.loss_weight * q * (self.reference - w) ** (q - 1.0)
+# ---------------------------------------------------------------------------
+# Payoffs and composition
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -431,11 +403,6 @@ class PiecewiseLinearPayoff:
         return cls(domain_lo=domain_lo, value_lo=domain_lo, breakpoints=(), slopes=(1.0,))
 
     @property
-    def is_identity(self) -> bool:
-        return (not self.breakpoints and self.slopes == (1.0,)
-                and self.value_lo == self.domain_lo)
-
-    @property
     def values(self) -> tuple[float, ...]:
         """Payoff value at each breakpoint (continuity makes them derived)."""
         out, v, lo = [], self.value_lo, self.domain_lo
@@ -462,49 +429,25 @@ class PiecewiseLinearPayoff:
         return float(out) if out.ndim == 0 else out
 
 
-def _choose_anchor(lo: float, hi: float, A: float, concave: bool) -> float:
-    """Finite anchor inside [lo, hi] keeping the slope finite."""
-    if concave:
-        if lo > A:
-            return lo
-        return hi if np.isfinite(hi) else A + max(1.0, abs(A))
-    # convex: benchmark at or above hi, anchor below it
-    return lo
-
-
-def _preference_pieces(preference):
-    """(kink points, piece lookup by value) for either preference kind."""
-    if isinstance(preference, SShapedPreference):
-        return [preference.reference]
-    return [float(a) for a in preference.interior_points]
-
-
-def compose(preference, payoff: PiecewiseLinearPayoff) -> PharaUtility:
+def compose(preference: PharaUtility, payoff: PiecewiseLinearPayoff) -> PharaUtility:
     """Utility of a payoff: U = preference o payoff, returned in PHARA form.
 
     The partition is the payoff's breakpoints together with preimages of the
-    preference's kink points; each resulting cell is a single HARA branch
-    (affine substitution preserves the template).  Raises NotPhara when the
-    rebuilt branches fail to reproduce the pointwise composition.
+    preference's interior points; on each resulting cell the payoff is affine
+    and the preference is one HARA branch, and the affine substitution keeps
+    the template.  Raises OutOfDomain when the payoff's floor value lies
+    outside the preference's domain, and NotPhara when the rebuilt branches
+    fail to reproduce the pointwise composition.
     """
-    if isinstance(preference, PharaUtility) and payoff.is_identity:
-        if payoff.domain_lo <= preference.a0:
-            return preference
+    if (not payoff.breakpoints and payoff.slopes == (1.0,)
+            and payoff.value_lo == payoff.domain_lo == preference.a0):
+        return preference  # the identity payoff on the preference's domain
+    lo_val = payoff.value_lo
+    if lo_val < preference.a0 or (lo_val == preference.a0
+                                  and not preference.a0_included):
+        raise OutOfDomain(f"payoff floor value {lo_val} below preference domain")
 
-    if isinstance(preference, SShapedPreference):
-        pref_value, pref_slope = preference.value, preference.slope
-    else:
-        lo_val = payoff.value_lo
-        if lo_val < preference.a0 or (lo_val == preference.a0
-                                      and not preference.a0_included):
-            raise OutOfDomain(
-                f"payoff floor value {lo_val} below preference domain"
-            )
-        pref_value = lambda w: preference.value(w)  # noqa: E731
-        pref_slope = lambda w: preference.deriv(w, "right")  # noqa: E731
-
-    kink_values = _preference_pieces(preference)
-
+    kink_values = preference.interior_points.tolist()
     pieces: list[PharaPiece] = []
     for lo, hi, v_lo, s in payoff.segments():
         cuts = [lo]
@@ -516,61 +459,40 @@ def compose(preference, payoff: PiecewiseLinearPayoff) -> PharaUtility:
         cuts.append(hi)
         cuts.sort()
         for c_lo, c_hi in zip(cuts, cuts[1:]):
-            pieces.append(_composed_piece(preference, pref_value, pref_slope,
-                                          c_lo, c_hi, lo, v_lo, s))
+            pieces.append(_composed_piece(preference, c_lo, c_hi, lo, v_lo, s))
 
     utility = PharaUtility(a0=payoff.domain_lo, pieces=tuple(pieces),
                            a0_included=True)
-    _verify_composition(utility, pref_value, payoff)
+    _verify_composition(utility, preference.value, payoff)
     return utility
 
 
-def _composed_piece(preference, pref_value, pref_slope, lo, hi,
-                    seg_lo, seg_v, s) -> PharaPiece:
-    """One HARA branch of preference(payoff(x)) on [lo, hi)."""
+def _composed_piece(preference: PharaUtility, lo, hi, seg_lo, seg_v, s) -> PharaPiece:
+    """preference(seg_v + s (x - seg_lo)) on [lo, hi) as one HARA branch.
+
+    The preference's branch under the cell's midpoint, with benchmark and
+    absolute risk aversion mapped through the affine payoff, anchored with
+    that branch's own value and slope.
+    """
+    def theta(x):
+        return seg_v + s * (x - seg_lo)
+
+    x_mid = lo + 0.5 if hi == INF else 0.5 * (lo + hi)
+    branch = preference.pieces[int(preference._piece_index(theta(x_mid)))]
     if s == 0.0:
-        u = pref_value(seg_v)
+        u = branch.value(seg_v)
         if not np.isfinite(u):
             raise NotPhara(f"flat payoff value {seg_v} maps outside the preference")
         return PharaPiece(a_lo=lo, a_hi=hi, R=0.0, anchor_x=lo,
                           anchor_u=u, anchor_slope=0.0)
 
-    def theta(x):
-        return seg_v + s * (x - seg_lo)
-
-    x_mid = lo + 0.5 if hi == INF else 0.5 * (lo + hi)
-    mid_w = theta(x_mid)
-
-    if isinstance(preference, SShapedPreference):
-        x_ref = seg_lo + (preference.reference - seg_v) / s
-        if mid_w >= preference.reference:
-            R, A = 1.0 - preference.gain_exponent, x_ref
-            concave = True
-        else:
-            R, A = 1.0 - preference._loss_exp, x_ref
-            concave = False
-        alpha = None
-    else:
-        k = int(np.searchsorted(preference.interior_points, mid_w, side="right"))
-        branch = preference.pieces[k]
-        R = branch.R
-        if R == INF:
-            A, alpha, concave = NEG_INF, branch.alpha * s, True
-        elif R == 0.0:
-            A, alpha, concave = NEG_INF, None, True
-        else:
-            A = seg_lo + (branch.A - seg_v) / s
-            alpha = None
-            concave = branch.curvature == "concave"
-
-    if R == 0.0:
-        x_hat = lo
-    else:
-        x_hat = _choose_anchor(lo, hi, A, concave) if R != INF else lo
+    A = seg_lo + (branch.A - seg_v) / s
+    alpha = None if branch.alpha is None else branch.alpha * s
+    x_hat = _anchor(lo, hi, branch.R, A)
     w_hat = theta(x_hat)
-    return PharaPiece(a_lo=lo, a_hi=hi, R=R, anchor_x=x_hat,
-                      anchor_u=pref_value(w_hat),
-                      anchor_slope=pref_slope(w_hat) * s,
+    return PharaPiece(a_lo=lo, a_hi=hi, R=branch.R, anchor_x=x_hat,
+                      anchor_u=branch.value(w_hat),
+                      anchor_slope=branch.slope(w_hat) * s,
                       A=A, alpha=alpha)
 
 
@@ -614,9 +536,9 @@ def participating_contract_utility(gamma: float, wealth_share: float,
                                    bonus_share: float,
                                    guarantee: float) -> PharaUtility:
     """Power-preference issuer facing the participating contract payoff."""
-    pref = SShapedPreference(reference=0.0, gain_exponent=gamma)
-    return compose(pref, participating_contract_payoff(
-        guarantee, wealth_share, bonus_share))
+    payoff = participating_contract_payoff(guarantee, wealth_share, bonus_share)
+    return compose(s_shaped_utility(reference=0.0, gain_exponent=gamma,
+                                    a0=payoff.value_lo), payoff)
 
 
 def hedge_fund_payoff(omega: float, mgmt_fee: float, incentive: float,
@@ -639,7 +561,7 @@ def hedge_fund_payoff(omega: float, mgmt_fee: float, incentive: float,
     )
 
 
-def hedge_fund_utility(preference, omega: float, mgmt_fee: float,
+def hedge_fund_utility(preference: PharaUtility, omega: float, mgmt_fee: float,
                        incentive: float, floor_mult: float,
                        benchmark_mult: float, x0: float, r: float,
                        T: float) -> PharaUtility:

@@ -189,8 +189,8 @@ class TestGeneralProperties:
         # manager stake: sqrt(0.28 x) then sqrt(0.64 (x - 0.5625 B)) above B;
         # the bridging chord is a two-sided tangent with closed-form data:
         # slope s = 0.4 / sqrt(B), contacts at 0.4375 B and 1.5625 B
-        from phara.utility import SShapedPreference, hedge_fund_utility
-        pref = SShapedPreference(reference=0.0, gain_exponent=0.5)
+        from phara.utility import hedge_fund_utility, s_shaped_utility
+        pref = s_shaped_utility(reference=0.0, gain_exponent=0.5, a0=0.0)
         u = hedge_fund_utility(pref, omega=0.1, mgmt_fee=0.2, incentive=0.4,
                                floor_mult=0.7, benchmark_mult=2.0, x0=1.0,
                                r=market.r, T=market.T)

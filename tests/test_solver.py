@@ -599,6 +599,9 @@ def test_inversion_round_trip_properties(seed, market, excess, frac, logs):
     assert np.all(np.abs(back - x[ok]) <= 1e-10 * scale[ok])
     # saturation only where the wealth is the floor to rounding
     assert np.all(x[~ok] - _floor(env, market, t) <= 1e-10 * scale[~ok])
+    # kink and cell weights are probabilities, never negative by rounding
+    wv = weights(env, market, y, t, xi)
+    assert np.all(wv.p >= 0.0) and np.all(wv.q >= 0.0)
 
 
 @given(seeds, markets(), st.floats(-1.0, 1.0), st.floats(0.0, 0.999),

@@ -13,7 +13,7 @@ from .errors import (  # noqa: F401
     OutOfDomain, PharaError, SingularVolatility, StepTooCoarse,
     UnboundedDemand, UnboundedEnvelope,
 )
-from .market import MarketParams, build_market, kernel_value, sample_kernel_terminal  # noqa: F401
+from .market import MarketParams, build_market  # noqa: F401
 from .utility import (  # noqa: F401
     PharaPiece, PharaUtility, PiecewiseLinearPayoff, compose, crra_utility,
     cara_utility, hedge_fund_utility, participating_contract_utility,

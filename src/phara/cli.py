@@ -111,26 +111,29 @@ def _parse_utility(block: dict) -> PharaUtility:
 
 def load_scenario(path, seed_override=None, paths_override=None) -> Scenario:
     raw = json.loads(Path(path).read_text())
-    mb = raw["market"]
-    market = build_market(r=_num(mb["r"]), mu=[_num(v) for v in mb["mu"]],
-                          sigma=[[_num(v) for v in row] for row in mb["sigma"]],
-                          T=_num(mb["T"]))
-    utility = _parse_utility(raw["utility"])
-    grids = raw.get("grids", {})
-    paths = int(paths_override if paths_override is not None else raw.get("paths", 100_000))
+    try:
+        mb = raw["market"]
+        market = build_market(r=_num(mb["r"]), mu=[_num(v) for v in mb["mu"]],
+                              sigma=[[_num(v) for v in row] for row in mb["sigma"]],
+                              T=_num(mb["T"]))
+        utility = _parse_utility(raw["utility"])
+        grids = raw.get("grids", {})
+        t_grid = tuple(_num(t) for t in grids.get("t", (0.0,)))
+        seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
+        paths = int(paths_override if paths_override is not None else raw.get("paths", 100_000))
+        x0 = _num(raw["x0"])
+    except (TypeError, AttributeError, OverflowError) as exc:
+        # a value of the wrong JSON type (a number where an array or object
+        # belongs, an object where a number does) or an infinite seed or count
+        raise BadDimension(f"malformed scenario {path}: {exc}") from exc
     if paths < 2:
         # a standard error needs at least two samples
         raise BadDimension(f"paths must be >= 2, got {paths}")
-    return Scenario(
-        market=market,
-        utility=utility,
-        x0=_num(raw["x0"]),
-        seed=int(seed_override if seed_override is not None else raw.get("seed", 0)),
-        paths=paths,
-        t_grid=tuple(_num(t) for t in grids.get("t", (0.0,))),
-        wealth_grid=grids.get("wealth"),
-        raw=raw,
-    )
+    if not 0 <= seed < 2**64 - 3:
+        # the commands key Philox (uint64) with seeds up to seed + 3
+        raise BadDimension(f"seed must be in [0, 2^64 - 4], got {seed}")
+    return Scenario(market=market, utility=utility, x0=x0, seed=seed, paths=paths,
+                    t_grid=t_grid, wealth_grid=grids.get("wealth"), raw=raw)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -214,7 +217,7 @@ def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.
 
 def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
     if scn.market.m != 1:
-        raise PharaError("surface sweeps are one-dimensional")
+        raise BadDimension("surface sweeps are one-dimensional")
     env = concave_envelope(scn.utility).envelope
     sol = solve_multiplier(env, scn.market, scn.x0)
     try:
@@ -247,11 +250,15 @@ def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
 
 def cmd_decompose(scn: Scenario, out: Path, t: float, x: float | None,
                   xi: float | None) -> int:
+    if x is None and xi is None:
+        raise IllegalCase("decompose needs --x or --xi")
+    if x is not None and not math.isfinite(x):
+        raise BadDimension(f"--x must be finite, got {x}")
+    if xi is not None and not (math.isfinite(xi) and xi > 0.0):
+        raise BadDimension(f"--xi must be finite and positive, got {xi}")
     env = concave_envelope(scn.utility).envelope
     sol = solve_multiplier(env, scn.market, scn.x0)
     if xi is None:
-        if x is None:
-            raise PharaError("decompose needs --x or --xi")
         xi = state_price_for_wealth(env, scn.market, sol.y_star, t, x)
     wd = wealth_process(env, scn.market, sol.y_star, t, xi)
     wv = weights(env, scn.market, sol.y_star, t, xi)
@@ -290,17 +297,14 @@ def cmd_verify(scn: Scenario, out: Path) -> int:
     env = concave_envelope(scn.utility).envelope
     sol = solve_multiplier(env, scn.market, scn.x0)
     T = scn.market.T
-    jobs = [
-        lambda: verify_mod.mc_budget_check(env, scn.market, sol.y_star,
-                                           scn.paths, scn.seed),
-    ]
-    for i, t in enumerate((T / 4, T / 2, 3 * T / 4)):
-        jobs.append(lambda t=t, i=i: verify_mod.mc_martingale_check(
-            env, scn.market, sol.y_star, t, scn.paths, scn.seed + 1 + i))
-    for t, xi in ((0.0, 1.0), (T / 2, 0.6), (T / 2, 1.7), (0.9 * T, 1.1)):
-        jobs.append(lambda t=t, xi=xi: verify_mod.fd_portfolio_check(
-            env, scn.market, sol.y_star, t, xi))
-    reports = verify_mod.run_reports(jobs)
+    reports = [verify_mod.mc_budget_check(env, scn.market, sol.y_star,
+                                          scn.paths, scn.seed)]
+    reports += [verify_mod.mc_martingale_check(env, scn.market, sol.y_star, t,
+                                               scn.paths, scn.seed + 1 + i)
+                for i, t in enumerate((T / 4, T / 2, 3 * T / 4))]
+    reports += [verify_mod.fd_portfolio_check(env, scn.market, sol.y_star, t, xi)
+                for t, xi in ((0.0, 1.0), (T / 2, 0.6), (T / 2, 1.7), (0.9 * T, 1.1))]
+    reports.sort(key=lambda r: r.name)
     _write_json(out / "verification.json", [r.to_dict() for r in reports])
     ok = all(r.passed for r in reports)
     for r in reports:
@@ -311,8 +315,9 @@ def cmd_verify(scn: Scenario, out: Path) -> int:
 
 def cmd_simulate(scn: Scenario, out: Path, steps: int) -> int:
     env = concave_envelope(scn.utility).envelope
+    sol = solve_multiplier(env, scn.market, scn.x0)
     report = verify_mod.simulate_order_check(
-        env, scn.market, scn.x0, min(scn.paths, 10_000), steps, 4 * steps,
+        env, scn.market, sol.y_star, scn.x0, min(scn.paths, 10_000), steps,
         scn.seed)
     _write_json(out / "simulation.json", report.to_dict())
     print(f"{'PASS' if report.passed else 'FAIL'} {report.name}: "

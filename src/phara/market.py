@@ -94,26 +94,6 @@ def build_market(r: float, mu, sigma, T: float) -> MarketParams:
     )
 
 
-def kernel_value(market: MarketParams, t: float, w) -> float:
-    """Pricing kernel xi_t = exp{-(r + |theta|^2/2) t - theta.w}.
-
-    ``w`` is the Brownian vector W_t (length m, or batched with trailing
-    dimension m).
-    """
-    if not 0.0 <= t <= market.T:
-        raise BadTime(f"t={t} outside [0, {market.T}]")
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] != market.m:
-        raise BadDimension(f"w must have trailing dimension {market.m}")
-    if t == 0.0:
-        # W_0 is identically zero, so the exponent is empty
-        out = np.ones(w.shape[:-1])
-    else:
-        drift = (market.r + 0.5 * market.theta_norm**2) * t
-        out = np.exp(-drift - w @ market.theta)
-    return float(out) if out.ndim == 0 else out
-
-
 def standard_normals(seed: int, n: int, stream: int = 0) -> np.ndarray:
     """n standard normals from a counter-based generator.
 
@@ -128,31 +108,18 @@ def standard_normals(seed: int, n: int, stream: int = 0) -> np.ndarray:
     return ndtri(u)
 
 
-def _terminal_from_normals(market: MarketParams, t: float, xi_t: float,
-                           z: np.ndarray) -> np.ndarray:
-    """Map standard normals to terminal kernel values given xi_t."""
-    tau = market.tau(t)
-    drift = (market.r + 0.5 * market.theta_norm**2) * tau
-    return xi_t * np.exp(-drift - market.theta_norm * math.sqrt(tau) * z)
+def _kernel(market: MarketParams, t: float, z) -> np.ndarray:
+    """Pricing kernel xi_t = exp{-(r + |theta|^2/2) t - |theta| sqrt(t) z}.
 
-
-def sample_kernel_terminal(market: MarketParams, t: float, xi_t: float,
-                           n_paths: int, seed: int,
-                           stream: int = 0) -> np.ndarray:
-    """Draw xi_T conditional on xi_t (lognormal); deterministic per seed."""
-    if xi_t <= 0.0:
-        raise BadDimension(f"xi_t must be positive, got {xi_t}")
-    if n_paths < 1:
-        raise BadDimension(f"n_paths must be >= 1, got {n_paths}")
-    z = standard_normals(seed, n_paths, stream=stream)
-    return _terminal_from_normals(market, t, xi_t, z)
-
-
-def sample_kernel_at(market: MarketParams, t: float, n_paths: int, seed: int,
-                     stream: int = 0) -> np.ndarray:
-    """Draw xi_t from time zero (xi_0 = 1); lognormal at horizon t."""
-    if not 0.0 < t <= market.T:
-        raise BadTime(f"t={t} outside (0, {market.T}]")
-    z = standard_normals(seed, n_paths, stream=stream)
+    ``z`` is the standard normal theta.W_t / (|theta| sqrt(t)); xi_0 = 1.
+    """
     drift = (market.r + 0.5 * market.theta_norm**2) * t
     return np.exp(-drift - market.theta_norm * math.sqrt(t) * z)
+
+
+def sample_kernel_at(market: MarketParams, t: float, n_paths: int,
+                     seed: int) -> np.ndarray:
+    """Draw xi_t from time zero (xi_0 = 1); deterministic per seed."""
+    if not 0.0 < t <= market.T:
+        raise BadTime(f"t={t} outside (0, {market.T}]")
+    return _kernel(market, t, standard_normals(seed, n_paths))

@@ -8,13 +8,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllegalCase, StepTooCoarse
-from .market import MarketParams, sample_kernel_at, sample_kernel_terminal, standard_normals
+from .errors import StepTooCoarse
+from .market import MarketParams, sample_kernel_at, standard_normals
 from .solver import (budget, optimal_terminal_wealth, portfolio_general,
                      wealth_total, _risk_vector)
 from .utility import PharaUtility
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_ARGMAX_GRID = 10_000      # grid points of the argmax oracle's first pass
+_GOLDEN_STEPS = 40         # golden-section steps around the best grid point
+_FD_STEP = 1e-5            # central-difference step in log xi
 
 
 @dataclass(frozen=True)
@@ -37,11 +40,6 @@ class VerificationReport:
         }
 
 
-def run_reports(jobs) -> list[VerificationReport]:
-    """Execute independent report factories; reports sorted by name."""
-    return sorted((job() for job in jobs), key=lambda r: r.name)
-
-
 # ---------------------------------------------------------------------------
 # Pointwise argmax
 # ---------------------------------------------------------------------------
@@ -58,8 +56,7 @@ def _grid_upper_limit(utility: PharaUtility, w: float) -> float:
     return max(x * 1.5 if x > 0 else x + span, last.a_lo + 2.0 * span)
 
 
-def argmax_oracle(utility: PharaUtility, y: float, xi_T: float,
-                  n_grid: int = 10_000, refinements: int = 40) -> float:
+def argmax_oracle(utility: PharaUtility, y: float, xi_T: float) -> float:
     """Grid + golden-section maximizer of U(x) - y xi_T x over the domain.
 
     Works on raw (non-concave) utilities, which is the point: it certifies
@@ -68,19 +65,19 @@ def argmax_oracle(utility: PharaUtility, y: float, xi_T: float,
     w = y * xi_T
     lo = utility.a0
     hi = _grid_upper_limit(utility, w)
-    xs = np.linspace(lo, hi, n_grid)
+    xs = np.linspace(lo, hi, _ARGMAX_GRID)
     if not utility.a0_included or not np.isfinite(utility.value_at_a0):
         xs[0] = lo + (hi - lo) * 1e-12
     vals = utility.value(xs) - w * xs
     i = int(np.argmax(vals))
 
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n_grid - 1)]
+    b = xs[min(i + 1, _ARGMAX_GRID - 1)]
     c = b - _GOLD * (b - a)
     d = a + _GOLD * (b - a)
     fc = float(utility.value(c)) - w * c
     fd = float(utility.value(d)) - w * d
-    for _ in range(refinements):
+    for _ in range(_GOLDEN_STEPS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLD * (b - a)
@@ -99,34 +96,33 @@ def argmax_oracle(utility: PharaUtility, y: float, xi_T: float,
 # ---------------------------------------------------------------------------
 
 
+def _mc_report(name: str, v: np.ndarray, oracle: float,
+               detail: dict) -> VerificationReport:
+    """Sample mean of v against the oracle; passes within 3 standard errors."""
+    est = float(np.mean(v))
+    se = float(np.std(v, ddof=1) / math.sqrt(v.size))
+    return VerificationReport(
+        name=name, computed=est, oracle=oracle, tolerance=3.0 * se,
+        passed=abs(est - oracle) <= 3.0 * se,
+        detail={**detail, "paths": v.size, "std_error": se},
+    )
+
+
 def mc_budget_check(env: PharaUtility, market: MarketParams, y: float,
                     n_paths: int, seed: int) -> VerificationReport:
     """E[xi_T X_T*] by simulation against the closed-form budget."""
-    xi_T = sample_kernel_terminal(market, 0.0, 1.0, n_paths, seed)
-    v = xi_T * optimal_terminal_wealth(env, y, xi_T)
-    est = float(np.mean(v))
-    se = float(np.std(v, ddof=1) / math.sqrt(n_paths))
-    oracle = budget(env, market, y)
-    return VerificationReport(
-        name="mc_budget", computed=est, oracle=oracle, tolerance=3.0 * se,
-        passed=abs(est - oracle) <= 3.0 * se,
-        detail={"paths": n_paths, "seed": seed, "std_error": se},
-    )
+    xi_T = sample_kernel_at(market, market.T, n_paths, seed)
+    return _mc_report("mc_budget", xi_T * optimal_terminal_wealth(env, y, xi_T),
+                      budget(env, market, y), {"seed": seed})
 
 
 def mc_martingale_check(env: PharaUtility, market: MarketParams, y: float,
                         t: float, n_paths: int, seed: int) -> VerificationReport:
     """E[xi_t X_t*] must equal the budget (deflated optimal wealth is a martingale)."""
     xi_t = sample_kernel_at(market, t, n_paths, seed)
-    v = xi_t * wealth_total(env, market, y, t, xi_t)
-    est = float(np.mean(v))
-    se = float(np.std(v, ddof=1) / math.sqrt(n_paths))
-    oracle = budget(env, market, y)
-    return VerificationReport(
-        name=f"mc_martingale_t={t:g}", computed=est, oracle=oracle,
-        tolerance=3.0 * se, passed=abs(est - oracle) <= 3.0 * se,
-        detail={"paths": n_paths, "seed": seed, "t": t, "std_error": se},
-    )
+    return _mc_report(f"mc_martingale_t={t:g}",
+                      xi_t * wealth_total(env, market, y, t, xi_t),
+                      budget(env, market, y), {"seed": seed, "t": t})
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +131,7 @@ def mc_martingale_check(env: PharaUtility, market: MarketParams, y: float,
 
 
 def fd_portfolio_check(env: PharaUtility, market: MarketParams, y_star: float,
-                       t: float, xi_t: float, h: float = 1e-5,
+                       t: float, xi_t: float,
                        tol: float = 1e-6) -> VerificationReport:
     """Central difference of the wealth map in log xi against the closed form.
 
@@ -144,18 +140,18 @@ def fd_portfolio_check(env: PharaUtility, market: MarketParams, y_star: float,
     numerically zero do not produce spurious relative blowups.
     """
     x_t = wealth_total(env, market, y_star, t, xi_t)
-    up = wealth_total(env, market, y_star, t, xi_t * math.exp(h))
-    dn = wealth_total(env, market, y_star, t, xi_t * math.exp(-h))
-    slope = (up - dn) / (2.0 * h)          # xi dX/dxi
+    up = wealth_total(env, market, y_star, t, xi_t * math.exp(_FD_STEP))
+    dn = wealth_total(env, market, y_star, t, xi_t * math.exp(-_FD_STEP))
+    slope = (up - dn) / (2.0 * _FD_STEP)  # xi dX/dxi
     pi_fd = -_risk_vector(market) * slope
     pi = portfolio_general(env, market, y_star, t, xi_t)
-    noise = 4.0 * np.finfo(float).eps * (1.0 + abs(x_t)) / (2.0 * h)
+    noise = 4.0 * np.finfo(float).eps * (1.0 + abs(x_t)) / (2.0 * _FD_STEP)
     scale = max(float(np.linalg.norm(pi)), noise / tol)
     err = float(np.linalg.norm(pi - pi_fd)) / scale
     return VerificationReport(
         name=f"fd_portfolio_t={t:g}_xi={xi_t:g}", computed=err, oracle=0.0,
         tolerance=tol, passed=err <= tol,
-        detail={"t": t, "xi": xi_t, "step": h,
+        detail={"t": t, "xi": xi_t, "step": _FD_STEP,
                 "portfolio_norm": float(np.linalg.norm(pi)),
                 "noise_floor": noise},
     )
@@ -166,9 +162,9 @@ def fd_portfolio_check(env: PharaUtility, market: MarketParams, y_star: float,
 # ---------------------------------------------------------------------------
 
 
-def simulate_strategy(env: PharaUtility, market: MarketParams, x0: float,
-                      n_paths: int, n_steps: int, seed: int,
-                      y_star: float | None = None) -> VerificationReport:
+def simulate_strategy(env: PharaUtility, market: MarketParams, y_star: float,
+                      x0: float, n_paths: int, n_steps: int,
+                      seed: int) -> VerificationReport:
     """Euler scheme for the wealth SDE driven by the closed-form portfolio.
 
     The same Brownian draws feed both the simulated wealth and the exact
@@ -181,9 +177,6 @@ def simulate_strategy(env: PharaUtility, market: MarketParams, x0: float,
     """
     if n_steps < 10:
         raise StepTooCoarse(f"need at least 10 steps, got {n_steps}")
-    if y_star is None:
-        from .solver import solve_multiplier
-        y_star = solve_multiplier(env, market, x0).y_star
 
     m = market.m
     grid = market.T * (1.0 - (1.0 - np.arange(n_steps + 1) / n_steps) ** 2)
@@ -214,19 +207,18 @@ def simulate_strategy(env: PharaUtility, market: MarketParams, x0: float,
     )
 
 
-def simulate_order_check(env: PharaUtility, market: MarketParams, x0: float,
-                         n_paths: int, steps_coarse: int, steps_fine: int,
+def simulate_order_check(env: PharaUtility, market: MarketParams, y_star: float,
+                         x0: float, n_paths: int, steps: int,
                          seed: int) -> VerificationReport:
     """Strong-order-1/2 scaling: quadrupling steps should halve the RMS gap."""
-    if steps_fine != 4 * steps_coarse:
-        raise IllegalCase("order check expects steps_fine = 4 * steps_coarse")
-    coarse = simulate_strategy(env, market, x0, n_paths, steps_coarse, seed)
-    fine = simulate_strategy(env, market, x0, n_paths, steps_fine, seed + 1)
+    coarse = simulate_strategy(env, market, y_star, x0, n_paths, steps, seed)
+    fine = simulate_strategy(env, market, y_star, x0, n_paths, 4 * steps,
+                             seed + 1)
     ratio = fine.computed / coarse.computed
     return VerificationReport(
         name="simulate_order", computed=ratio, oracle=0.5,
         tolerance=0.15, passed=0.35 <= ratio <= 0.65,
         detail={"rms_coarse": coarse.computed, "rms_fine": fine.computed,
-                "paths": n_paths, "steps": (steps_coarse, steps_fine),
+                "paths": n_paths, "steps": (steps, 4 * steps),
                 "grid": coarse.detail["grid"], "seed": seed},
     )

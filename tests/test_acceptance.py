@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import interesting_multipliers, random_concave_envelope
 from phara.concavify import concave_envelope
-from phara.market import sample_kernel_at, sample_kernel_terminal
+from phara.market import sample_kernel_at
 from phara.presets import CONTRACT_PARAMS
 from phara.solver import (optimal_terminal_wealth, portfolio_general,
                           portfolio_unified, sahara_portfolio, solve_multiplier,
@@ -140,7 +140,7 @@ def test_criterion_6_budget_martingale_mc(market, demo_envelope, demo_dual,
              ("demo", demo_envelope.envelope, demo_dual),
              ("contract", contract_envelope.envelope, contract_dual)]
     for name, env, sol in cases:
-        xi_T = sample_kernel_terminal(market, 0.0, 1.0, n, seed)
+        xi_T = sample_kernel_at(market, market.T, n, seed)
         v = xi_T * optimal_terminal_wealth(env, sol.y_star, xi_T)
         se = v.std(ddof=1) / math.sqrt(n)
         gap = abs(v.mean() - sol.x0)
@@ -247,10 +247,10 @@ def test_criterion_9_sahara_contrast(market, contract_envelope, contract_dual):
 def test_criterion_10_simulation_consistency(market, crra_envelope):
     start = time.time()
     sol = solve_multiplier(crra_envelope, market, 10.0)
-    coarse = simulate_strategy(crra_envelope, market, 10.0, 10_000, 250,
-                               seed=20260810, y_star=sol.y_star)
-    fine = simulate_strategy(crra_envelope, market, 10.0, 10_000, 1000,
-                             seed=20260811, y_star=sol.y_star)
+    coarse = simulate_strategy(crra_envelope, market, sol.y_star, 10.0, 10_000,
+                               250, seed=20260810)
+    fine = simulate_strategy(crra_envelope, market, sol.y_star, 10.0, 10_000,
+                             1000, seed=20260811)
     ratio = fine.computed / coarse.computed
     elapsed = time.time() - start
     _report(10, "Euler strong order", 0.35 <= ratio <= 0.65 and elapsed < 60.0,

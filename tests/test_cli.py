@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phara.cli import _parse_utility, load_scenario, main
-from phara.errors import PharaError
+from phara.cli import (_parse_utility, cmd_decompose, cmd_surface,
+                       load_scenario, main)
+from phara.errors import BadDimension, IllegalCase, PharaError
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -244,6 +245,71 @@ class TestErrorPaths:
         assert run(["verify", "--scenario", bad, "--out", tmp_path]) == 2
         assert capsys.readouterr().err.count("paths must be >= 2") == 2
         assert not (tmp_path / "verification.json").exists()
+
+    @staticmethod
+    def _input_error(args, capsys):
+        # exit 2 with one "error:" line, never an escaped exception
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64 - 3)])
+    def test_seed_flag_out_of_range(self, tmp_path, capsys, seed):
+        # verify keys Philox with seed .. seed + 3, which must fit a uint64
+        err = self._input_error(["verify", "--scenario", SCENARIOS / "crra.json",
+                                 "--out", tmp_path, "--paths", "100",
+                                 "--seed", seed], capsys)
+        assert "seed must be in" in err
+        assert not (tmp_path / "verification.json").exists()
+
+    def test_scenario_seed_out_of_range(self, tmp_path, capsys):
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        raw["seed"] = -5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        self._input_error(["verify", "--scenario", bad, "--out", tmp_path],
+                          capsys)
+
+    @pytest.mark.parametrize("edit", ["mu", "utility", "top_level_list"])
+    def test_block_of_wrong_json_type(self, tmp_path, capsys, edit):
+        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
+        if edit == "mu":
+            raw["market"]["mu"] = 0.086
+        elif edit == "utility":
+            raw["utility"] = 3
+        else:
+            raw = [raw]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
+                                capsys)
+        assert "malformed scenario" in err
+        with pytest.raises(BadDimension):
+            load_scenario(bad)
+
+    @pytest.mark.parametrize("flag", [("--xi", "-1"), ("--xi", "0"),
+                                      ("--xi", "nan"), ("--xi", "inf"),
+                                      ("--x", "nan"), ("--x", "inf")],
+                             ids=lambda f: f"{f[0][2:]}={f[1]}")
+    def test_decompose_bad_state(self, tmp_path, capsys, flag):
+        self._input_error(["decompose", "--scenario",
+                           SCENARIOS / "multi_kink_demo.json", "--out",
+                           tmp_path, "--t", "5.0", *flag], capsys)
+        assert not (tmp_path / "decompose.json").exists()
+
+    def test_decompose_needs_x_or_xi(self, tmp_path):
+        scn = load_scenario(SCENARIOS / "crra.json")
+        with pytest.raises(IllegalCase):
+            cmd_decompose(scn, tmp_path, 0.0, None, None)
+
+    def test_surface_needs_one_asset(self, tmp_path):
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        raw["market"].update(mu=[0.086, 0.09], sigma=[[0.3, 0.0], [0.0, 0.2]])
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(BadDimension):
+            cmd_surface(load_scenario(path), tmp_path, 11)
 
 
 def test_no_scipy_optimize():

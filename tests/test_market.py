@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from phara.errors import BadDimension, BadTime, DriftBelowRate, SingularVolatility
-from phara.market import (build_market, kernel_value, sample_kernel_terminal,
-                          standard_normals, _terminal_from_normals)
+from phara.market import _kernel, build_market, sample_kernel_at, standard_normals
 
 
 def test_theta_demo_market(market):
@@ -50,63 +49,54 @@ def test_build_market_errors():
 
 
 def test_kernel_at_zero(market):
-    assert kernel_value(market, 0.0, [0.37]) == pytest.approx(1.0)
-    assert kernel_value(market, 0.0, [0.0]) == 1.0
+    assert _kernel(market, 0.0, 0.37) == pytest.approx(1.0)
+    assert _kernel(market, 0.0, 0.0) == 1.0
 
 
 def test_kernel_drift_only(market):
     # exponent (r + theta^2/2) * 10 = 0.572
-    got = kernel_value(market, 10.0, [0.0])
+    got = _kernel(market, 10.0, 0.0)
     assert got == pytest.approx(math.exp(-0.572), rel=1e-13)
 
 
 def test_kernel_cancellation(market):
-    # choose w with theta . w = -(r + theta^2/2) t so the exponent vanishes
+    # choose z with |theta| sqrt(t) z = -(r + theta^2/2) t so the exponent vanishes
     t = 7.0
-    w_star = -(market.r + 0.5 * market.theta_norm**2) * t / market.theta[0]
-    assert kernel_value(market, t, [w_star]) == pytest.approx(1.0, rel=1e-13)
+    z_star = -(market.r + 0.5 * market.theta_norm**2) * math.sqrt(t) / market.theta_norm
+    assert _kernel(market, t, z_star) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_kernel_decreasing_in_theta_w(market):
-    t = 2.0
-    ws = np.linspace(-3.0, 3.0, 41)[:, None]
-    vals = kernel_value(market, t, ws)
+    # z = theta.W_t / (|theta| sqrt(t)) grows with theta.W_t
+    zs = np.linspace(-3.0, 3.0, 41)
+    vals = _kernel(market, 2.0, zs)
     assert np.all(np.diff(vals) < 0.0)
 
 
-def test_kernel_bad_time(market):
-    with pytest.raises(BadTime):
-        kernel_value(market, market.T + 0.1, [0.0])
-
-
-def test_sampling_zero_noise_hook(market):
-    t, xi_t = 3.0, 0.8
-    z = np.zeros(1)
-    got = _terminal_from_normals(market, t, xi_t, z)
-    tau = market.T - t
-    expect = xi_t * math.exp(-(market.r + 0.5 * market.theta_norm**2) * tau)
-    assert got[0] == pytest.approx(expect, rel=1e-14)
-
-
 def test_sampling_discounted_mean(market):
-    t, xi_t, n = 2.0, 1.3, 100_000
-    draws = sample_kernel_terminal(market, t, xi_t, n, seed=1234)
-    ratio = draws / xi_t
-    se = ratio.std(ddof=1) / math.sqrt(n)
-    assert abs(ratio.mean() - math.exp(-market.r * (market.T - t))) <= 3 * se
+    t, n = 8.0, 100_000
+    draws = sample_kernel_at(market, t, n, seed=1234)
+    se = draws.std(ddof=1) / math.sqrt(n)
+    assert abs(draws.mean() - math.exp(-market.r * t)) <= 3 * se
 
 
 def test_sampling_deterministic(market):
-    a = sample_kernel_terminal(market, 1.0, 1.0, 5000, seed=7)
-    b = sample_kernel_terminal(market, 1.0, 1.0, 5000, seed=7)
-    c = sample_kernel_terminal(market, 1.0, 1.0, 5000, seed=8)
+    a = sample_kernel_at(market, 9.0, 5000, seed=7)
+    b = sample_kernel_at(market, 9.0, 5000, seed=7)
+    c = sample_kernel_at(market, 9.0, 5000, seed=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def test_sampling_bad_time(market):
+def test_kernel_bad_time(market):
     with pytest.raises(BadTime):
-        sample_kernel_terminal(market, market.T, 1.0, 10, seed=0)
+        sample_kernel_at(market, market.T + 0.1, 10, seed=0)
+
+
+def test_sampling_bad_time(market):
+    for t in (0.0, -1.0):
+        with pytest.raises(BadTime):
+            sample_kernel_at(market, t, 10, seed=0)
 
 
 def test_normals_counter_based():

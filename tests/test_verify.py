@@ -1,10 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import interesting_multipliers
-from phara.errors import PharaError, StepTooCoarse
+from phara.cli import main
+from phara.errors import StepTooCoarse
 from phara.solver import optimal_terminal_wealth, solve_multiplier
 from phara.verify import (argmax_oracle, fd_portfolio_check, mc_budget_check,
                           mc_martingale_check, simulate_order_check,
@@ -79,15 +82,16 @@ class TestMonteCarlo:
 
 
 class TestReportRunner:
-    def test_reports_sorted_by_name(self, market, demo_envelope, demo_dual):
-        from phara.verify import run_reports
-        env = demo_envelope.envelope
-        jobs = [lambda t=t: mc_martingale_check(env, market, demo_dual.y_star,
-                                                t, 5_000, seed=17)
-                for t in (6.0, 2.0, 4.0)]
-        reports = run_reports(jobs)
-        assert [r.name for r in reports] == sorted(r.name for r in reports)
-        assert len(reports) == 3
+    def test_reports_sorted_by_name(self, tmp_path):
+        # cmd_verify builds its reports and writes them sorted by name
+        scenario = (Path(__file__).resolve().parents[1] / "scenarios"
+                    / "multi_kink_demo.json")
+        main(["verify", "--scenario", str(scenario), "--out", str(tmp_path),
+              "--paths", "5000"])
+        names = [r["name"] for r in
+                 json.loads((tmp_path / "verification.json").read_text())]
+        assert names == sorted(names)
+        assert len(names) == 8
 
 
 class TestFiniteDifference:
@@ -115,17 +119,13 @@ class TestFiniteDifference:
 class TestSimulation:
     def test_step_floor(self, crra_envelope, market):
         with pytest.raises(StepTooCoarse):
-            simulate_strategy(crra_envelope, market, 10.0, 100, 5, seed=0)
-
-    def test_order_check_needs_four_times_the_steps(self, crra_envelope,
-                                                   market):
-        with pytest.raises(PharaError):
-            simulate_order_check(crra_envelope, market, 10.0, 100, 20, 60,
-                                 seed=0)
+            simulate_strategy(crra_envelope, market, 1.0, 10.0, 100, 5,
+                              seed=0)
 
     def test_crra_strong_order(self, crra_envelope, market):
-        rep = simulate_order_check(crra_envelope, market, 10.0, 2_000,
-                                   250, 1000, seed=2024)
+        y_star = solve_multiplier(crra_envelope, market, 10.0).y_star
+        rep = simulate_order_check(crra_envelope, market, y_star, 10.0, 2_000,
+                                   250, seed=2024)
         assert rep.passed, rep
 
     def test_demo_terminal_mass_at_kinks(self, demo_envelope, market,
@@ -136,12 +136,12 @@ class TestSimulation:
         # while the p-weights are their price-weighted counterparts
         from scipy.special import ndtr
         from conftest import d0
-        from phara.market import sample_kernel_terminal
+        from phara.market import sample_kernel_at
         env = demo_envelope.envelope
-        rep = simulate_strategy(env, market, 25.0, 4_000, 400, seed=3,
-                                y_star=demo_dual.y_star)
+        rep = simulate_strategy(env, market, demo_dual.y_star, 25.0, 4_000,
+                                400, seed=3)
         assert rep.passed
-        xi_T = sample_kernel_terminal(market, 0.0, 1.0, 100_000, seed=8)
+        xi_T = sample_kernel_at(market, market.T, 100_000, seed=8)
         x_T = optimal_terminal_wealth(env, demo_dual.y_star, xi_T)
         y = demo_dual.y_star
         for k, a_k in enumerate(env.partition[:-1]):

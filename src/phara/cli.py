@@ -42,6 +42,36 @@ def _num(x):
     return float(x)
 
 
+def _count(x, name: str) -> int:
+    """Parse a JSON count or seed: an integer, or a float with an integral value."""
+    if isinstance(x, float) and not x.is_integer():
+        raise BadDimension(f"{name} must be an integer, got {x}")
+    return int(x)
+
+
+@dataclass(frozen=True)
+class WealthGrid:
+    """The scenario's ``grids.wealth`` block; ``n`` unset means ``--grid`` points."""
+
+    lo: float
+    hi: float
+    n: int | None
+    discounted: bool
+
+
+def _parse_wealth_grid(block) -> WealthGrid | None:
+    if block is None:
+        return None
+    if "lo" not in block or "hi" not in block:
+        raise BadDimension("grids.wealth needs 'lo' and 'hi'")
+    lo, hi = _num(block["lo"]), _num(block["hi"])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BadDimension(f"grids.wealth needs finite 'lo' and 'hi', got {lo}, {hi}")
+    return WealthGrid(lo=lo, hi=hi,
+                      n=_count(block["n"], "grids.wealth.n") if "n" in block else None,
+                      discounted=bool(block.get("discounted", False)))
+
+
 @dataclass(frozen=True)
 class Scenario:
     market: MarketParams
@@ -50,7 +80,7 @@ class Scenario:
     seed: int
     paths: int
     t_grid: tuple[float, ...]
-    wealth_grid: dict | None
+    wealth_grid: WealthGrid | None
     raw: dict
 
     def save(self, path) -> None:
@@ -119,12 +149,15 @@ def load_scenario(path, seed_override=None, paths_override=None) -> Scenario:
         utility = _parse_utility(raw["utility"])
         grids = raw.get("grids", {})
         t_grid = tuple(_num(t) for t in grids.get("t", (0.0,)))
-        seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
-        paths = int(paths_override if paths_override is not None else raw.get("paths", 100_000))
+        seed = _count(seed_override if seed_override is not None
+                      else raw.get("seed", 0), "seed")
+        paths = _count(paths_override if paths_override is not None
+                       else raw.get("paths", 100_000), "paths")
+        wealth_grid = _parse_wealth_grid(grids.get("wealth"))
         x0 = _num(raw["x0"])
     except (TypeError, AttributeError, OverflowError) as exc:
         # a value of the wrong JSON type (a number where an array or object
-        # belongs, an object where a number does) or an infinite seed or count
+        # belongs, an object where a number does) or a number too large for a float
         raise BadDimension(f"malformed scenario {path}: {exc}") from exc
     if paths < 2:
         # a standard error needs at least two samples
@@ -133,7 +166,7 @@ def load_scenario(path, seed_override=None, paths_override=None) -> Scenario:
         # the commands key Philox (uint64) with seeds up to seed + 3
         raise BadDimension(f"seed must be in [0, 2^64 - 4], got {seed}")
     return Scenario(market=market, utility=utility, x0=x0, seed=seed, paths=paths,
-                    t_grid=t_grid, wealth_grid=grids.get("wealth"), raw=raw)
+                    t_grid=t_grid, wealth_grid=wealth_grid, raw=raw)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -201,14 +234,10 @@ def cmd_solve(scn: Scenario, out: Path) -> int:
 def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.ndarray:
     tau = scn.market.T - t
     disc = math.exp(-scn.market.r * tau)
-    if scn.wealth_grid is not None:
-        lo = _num(scn.wealth_grid["lo"])
-        hi = _num(scn.wealth_grid["hi"])
-        n = int(scn.wealth_grid.get("n", grid_n))
-        axis = np.linspace(lo, hi, n)
-        if bool(scn.wealth_grid.get("discounted", False)):
-            axis = axis * disc
-        return axis
+    grid = scn.wealth_grid
+    if grid is not None:
+        axis = np.linspace(grid.lo, grid.hi, grid_n if grid.n is None else grid.n)
+        return axis * disc if grid.discounted else axis
     knots = [p.a_lo for p in env.pieces]
     hi = disc * (knots[-1] + 0.5 * (knots[-1] - env.a0))
     lo = disc * env.a0

@@ -55,7 +55,4 @@ def multi_kink_utility() -> PharaUtility:
     return PharaUtility(a0=4.0, pieces=pieces, a0_included=True)
 
 
-DEMO_X0 = 25.0
-
 CONTRACT_PARAMS = dict(gamma=0.5, wealth_share=0.4, bonus_share=0.3, guarantee=1.0)
-CONTRACT_X0 = 1.8

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -144,19 +145,19 @@ class PharaPiece:
 
     # -- one-sided limits ---------------------------------------------------
 
-    @property
+    @cached_property
     def value_lo(self) -> float:
         return float(self.value(self.a_lo))
 
-    @property
+    @cached_property
     def value_hi(self) -> float:
         return float(self.value(self.a_hi))
 
-    @property
+    @cached_property
     def slope_lo(self) -> float:
         return float(self.slope(self.a_lo))
 
-    @property
+    @cached_property
     def slope_hi(self) -> float:
         return float(self.slope(self.a_hi))
 

@@ -33,6 +33,19 @@ class TestScenarioIO:
         again.save(saved2)
         assert saved.read_text() == saved2.read_text()
 
+    def test_integral_floats_and_default_wealth_n(self, tmp_path):
+        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
+        raw.update(seed=7.0, paths=100000.0)
+        del raw["grids"]["wealth"]["n"]
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(raw))
+        scn = load_scenario(path)
+        assert (scn.seed, scn.paths, scn.wealth_grid.n) == (7, 100000, None)
+        assert run(["surface", "--scenario", path, "--out", tmp_path,
+                    "--grid", "7"]) == 0
+        rows = (tmp_path / "surface.csv").read_text().splitlines()[1:]
+        assert len(rows) == 7 * len(raw["grids"]["t"])
+
     def test_parsed_utilities_match_presets(self, demo_utility, contract_utility):
         scn = load_scenario(SCENARIOS / "multi_kink_demo.json")
         xs = np.linspace(4.0, 90.0, 300)
@@ -287,6 +300,33 @@ class TestErrorPaths:
         assert "malformed scenario" in err
         with pytest.raises(BadDimension):
             load_scenario(bad)
+
+    @pytest.mark.parametrize("edit", ["seed", "paths", "wealth_n", "wealth_list",
+                                      "wealth_without_hi", "wealth_lo_inf"])
+    def test_fractional_count_or_bad_wealth_grid(self, tmp_path, capsys, edit):
+        # counts are not truncated, and the wealth grid is checked on load,
+        # so every command rejects it, not only surface
+        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
+        if edit == "seed":
+            raw["seed"] = 1.7
+        elif edit == "paths":
+            raw["paths"] = 1000.9
+        elif edit == "wealth_n":
+            raw["grids"]["wealth"]["n"] = 2.5
+        elif edit == "wealth_list":
+            raw["grids"]["wealth"] = [1, 2]
+        elif edit == "wealth_without_hi":
+            del raw["grids"]["wealth"]["hi"]
+        else:
+            raw["grids"]["wealth"]["lo"] = "-inf"  # surface wrote NaN rows
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        for command in ("solve", "surface"):
+            self._input_error([command, "--scenario", bad, "--out", tmp_path],
+                              capsys)
+        with pytest.raises(BadDimension):
+            load_scenario(bad)
+        assert not (tmp_path / "dual.json").exists()
 
     @pytest.mark.parametrize("flag", [("--xi", "-1"), ("--xi", "0"),
                                       ("--xi", "nan"), ("--xi", "inf"),

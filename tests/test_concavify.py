@@ -222,10 +222,15 @@ class TestGeneralProperties:
             # concave
             mid = 0.5 * (env_v[:-2] + env_v[2:])
             assert np.all(env_v[1:-1] >= mid - 1e-9 * scale[1:-1])
-            # equals the input off the recorded difference set
+            # equals the input off the recorded difference set, and lies
+            # strictly above it inside
             outside = res.equals_original(xs)
             assert np.allclose(env_v[outside], raw_v[outside],
                                rtol=1e-8, atol=1e-8)
+            for lo, hi in res.differs_on:
+                if np.isfinite(hi):
+                    mid = 0.5 * (lo + hi)
+                    assert env.value(mid) > u.value(mid)
             # slope ladder nonincreasing
             slopes = []
             for k in range(env.n_pieces):
@@ -244,6 +249,43 @@ class TestGeneralProperties:
                 raw_c = float(u.value(x_c))
                 assert abs(float(env.value(x_c)) - raw_c) <= \
                     1e-10 * max(1.0, abs(raw_c))
+
+    def test_collinear_chords_merge(self):
+        # the chord over the first flat and the chord over the second have
+        # the same slope, so they become one chord with no kink between them
+        pieces = (
+            PharaPiece(a_lo=0.0, a_hi=1.0, R=0.0, anchor_x=0.0, anchor_u=0.0,
+                       anchor_slope=0.0),
+            PharaPiece(a_lo=1.0, a_hi=2.0, R=0.0, anchor_x=1.0, anchor_u=1.0,
+                       anchor_slope=0.0),
+            PharaPiece(a_lo=2.0, a_hi=INF, R=0.5, A=1.0, anchor_x=2.0,
+                       anchor_u=2.0, anchor_slope=0.25),
+        )
+        res = concave_envelope(PharaUtility(a0=0.0, pieces=pieces))
+        assert res.chords == ((0.0, 2.0, 1.0),)
+        assert res.differs_on == ((0.0, 2.0),)
+        assert res.tangency_points == ()
+        assert res.kinks == [0.0, 2.0]
+
+    def test_steep_unbounded_linear_tail(self, market):
+        # sqrt-type arc with slope 1 at 0, then a line of slope 0.9 from 1:
+        # the envelope leaves the arc where its slope is 0.9 and runs
+        # parallel to the line forever, so demand is unbounded
+        from phara.errors import UnboundedDemand
+        from phara.solver import solve_multiplier
+        arc = PharaPiece(a_lo=0.0, a_hi=1.0, R=0.5, A=-1.0, anchor_x=0.0,
+                         anchor_u=0.0, anchor_slope=1.0)
+        line = PharaPiece(a_lo=1.0, a_hi=INF, R=0.0, anchor_x=1.0,
+                          anchor_u=arc.value_hi, anchor_slope=0.9)
+        res = concave_envelope(PharaUtility(a0=0.0, pieces=(arc, line)))
+        x_t = 1.0 / 0.81 - 1.0
+        ((lo, hi, slope),) = res.chords
+        assert lo == pytest.approx(x_t, rel=1e-12)
+        assert (hi, slope) == (INF, 0.9)
+        assert res.tangency_points == (lo,)
+        assert res.differs_on == ((lo, INF),)
+        with pytest.raises(UnboundedDemand):
+            solve_multiplier(res.envelope, market, 1.0)
 
     def test_jump_up_bridged(self):
         # value jump at 2 forces a chord over the junction

@@ -49,6 +49,14 @@ def _count(x, name: str) -> int:
     return int(x)
 
 
+def _flag(block: dict, key: str, default: bool) -> bool:
+    """Parse a JSON boolean; a string such as "false" is not one."""
+    value = block.get(key, default)
+    if not isinstance(value, bool):
+        raise BadDimension(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class WealthGrid:
     """The scenario's ``grids.wealth`` block; ``n`` unset means ``--grid`` points."""
@@ -67,9 +75,11 @@ def _parse_wealth_grid(block) -> WealthGrid | None:
     lo, hi = _num(block["lo"]), _num(block["hi"])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise BadDimension(f"grids.wealth needs finite 'lo' and 'hi', got {lo}, {hi}")
-    return WealthGrid(lo=lo, hi=hi,
-                      n=_count(block["n"], "grids.wealth.n") if "n" in block else None,
-                      discounted=bool(block.get("discounted", False)))
+    n = _count(block["n"], "grids.wealth.n") if "n" in block else None
+    if n is not None and n < 2:
+        raise BadDimension(f"grids.wealth.n must be >= 2, got {n}")
+    return WealthGrid(lo=lo, hi=hi, n=n,
+                      discounted=_flag(block, "discounted", False))
 
 
 @dataclass(frozen=True)
@@ -108,7 +118,7 @@ def _parse_utility(block: dict) -> PharaUtility:
                                    anchor_slope=_num(e["gamma_plus"]))
             pieces.append(piece)
         return PharaUtility(a0=a0, pieces=tuple(pieces),
-                            a0_included=bool(block.get("a0_included", True)))
+                            a0_included=_flag(block, "a0_included", True))
 
     if "preference" in block:
         pay = block["payoff"]

@@ -6,9 +6,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import BadDimension, BadTime, DriftBelowRate, SingularVolatility
+from .normal import ppf
 
 # Smallest acceptable eigenvalue ratio of sigma @ sigma.T before the market
 # is declared singular (double-precision conditioning limit).
@@ -94,6 +94,17 @@ def build_market(r: float, mu, sigma, T: float) -> MarketParams:
     )
 
 
+def _centred_normals(k) -> np.ndarray:
+    """Standard normals z(k) for 53-bit integers k: the quantile of the
+    centred uniform (k + 1/2) 2^-53, computed from the lower tail so that
+    z(k) = -z(2^53 - 1 - k) exactly and every z is finite."""
+    k = np.asarray(k, dtype=np.uint64)
+    mirror = np.uint64((1 << 53) - 1) - k
+    # min(k, mirror) + 1/2 < 2^52 is exact in a double
+    z = ppf((np.minimum(k, mirror) + 0.5) * 2.0**-53)
+    return np.where(k > mirror, -z, z)
+
+
 def standard_normals(seed: int, n: int, stream: int = 0) -> np.ndarray:
     """n standard normals from a counter-based generator.
 
@@ -103,9 +114,7 @@ def standard_normals(seed: int, n: int, stream: int = 0) -> np.ndarray:
     """
     key = np.array([seed, stream], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    # (k + 1/2) * 2^-53 lies strictly inside (0, 1)
-    u = (rng.integers(0, 1 << 53, size=n, dtype=np.uint64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    return _centred_normals(rng.integers(0, 1 << 53, size=n, dtype=np.uint64))
 
 
 def _kernel(market: MarketParams, t: float, z) -> np.ndarray:

@@ -7,8 +7,9 @@ families per piece), and the portfolio is the delta-hedge of the wealth map,
 available in a general per-piece form and, when every curved piece shares one
 relative risk aversion R, as the four-term split: Merton term, risk-seeking
 term from chords, loss-aversion term from benchmarks, and first-order
-risk-aversion term from kinks.  All of them come from one evaluation of
-d1(g / y xi) on the envelope's slope ladder.  One Newton-bisection
+risk-aversion term from kinks.  All of them come from d1(g / y xi) on the
+envelope's slope ladder, each caller evaluating only the rungs it reads.
+One Newton-bisection
 root-finder serves the dual multiplier, the wealth-to-state-price map and
 the envelope's tangent search.
 """
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import normal
 from .errors import (BadDimension, BadTime, HeterogeneousRisk, IllegalCase,
                      InfeasibleBudget, NoConvergence, NotConcave,
                      UnboundedDemand)
@@ -34,19 +35,12 @@ _NEWTON_ITERS = 100
 _BLOCK = 4096
 
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _phi(z):
-    """Standard normal density; underflows gracefully to 0 at +-inf."""
-    z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.exp(-0.5 * z * z) / _SQRT_2PI
-
-
-def _Phi(z):
-    """Standard normal CDF (erfc-based); exact 0/1 at -+inf."""
-    return ndtr(np.asarray(z, dtype=float))
+def _d1_outer(log_g, log_w, market: MarketParams, t: float):
+    """d1(g / w) for every g (rows) and w (columns), from log g and log w."""
+    tau = market.tau(t)
+    s = market.theta_norm * math.sqrt(tau)
+    return np.add.outer(-(log_g + (market.r - 0.5 * market.theta_norm**2) * tau) / s,
+                        log_w / s)
 
 
 def d1(z, market: MarketParams, t: float):
@@ -54,11 +48,9 @@ def d1(z, market: MarketParams, t: float):
 
     Continuously extended: z -> 0+ gives +inf, z -> inf gives -inf.
     """
-    tau = market.tau(t)
-    s = market.theta_norm * math.sqrt(tau)
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
-        out = -(np.log(z) + (market.r - 0.5 * market.theta_norm**2) * tau) / s
+        out = _d1_outer(np.log(z), 0.0, market, t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -71,6 +63,7 @@ def d1(z, market: MarketParams, t: float):
 class _Tables:
     a: np.ndarray          # partition, length n+1, a[n] = inf
     ladder: np.ndarray     # gminus[0] >= gplus[0] >= gminus[1] >= ... >= gminus[n]
+    log_ladder: np.ndarray
     R: np.ndarray          # per piece
     A: np.ndarray          # benchmark, 0 where unused
     alpha: np.ndarray      # CARA coefficient, 0 where unused
@@ -80,6 +73,11 @@ class _Tables:
     crra: np.ndarray       # bool masks
     cara: np.ndarray
     chord: np.ndarray
+    # ladder rows a piece type reads: 2k+1, 2k+2 per power and exponential
+    # piece (interleaved), 2k+1 per chord
+    crra_rungs: np.ndarray
+    cara_rungs: np.ndarray
+    chord_rungs: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -110,7 +108,15 @@ def _tables(env: PharaUtility) -> _Tables:
             C[k] = (p.anchor_x - p.A) * p.anchor_slope ** (1.0 / p.R)
         elif cara[k]:
             K[k] = p.anchor_x + math.log(p.anchor_slope) / p.alpha
-    tab = _Tables(a, ladder, R, A, alpha, np.diff(a), C, K, crra, cara, chord)
+    with np.errstate(divide="ignore"):
+        log_ladder = np.log(ladder)
+
+    def rungs(mask, *offsets):
+        return np.array([2 * k + o for k in np.flatnonzero(mask) for o in offsets],
+                        dtype=np.intp)
+    tab = _Tables(a, ladder, log_ladder, R, A, alpha, np.diff(a), C, K, crra,
+                  cara, chord, rungs(crra, 1, 2), rungs(cara, 1, 2),
+                  rungs(chord, 1))
     for arr in vars(tab).values():
         arr.setflags(write=False)
     return tab
@@ -152,57 +158,94 @@ def optimal_terminal_wealth(env: PharaUtility, y: float, xi_T):
 # ---------------------------------------------------------------------------
 
 
+def _horizon(market: MarketParams, t: float):
+    """(tau, |theta| sqrt(tau), exp(-r tau)) at time t."""
+    tau = market.tau(t)
+    return tau, market.theta_norm * math.sqrt(tau), math.exp(-market.r * tau)
+
+
+def _cdf_rows(D):
+    """Phi(D) on ladder rows in ladder order, along which D is nondecreasing;
+    the running maximum keeps rounding from turning a weight negative."""
+    return np.maximum.accumulate(normal.cdf(D), axis=0)
+
+
+def _power_terms(tab: _Tables, market: MarketParams, t: float, log_w, D):
+    """X^R_k = C_k w^{-1/R_k} growth_k (Phi(D_{2k+2} - s/R_k) - Phi(D_{2k+1} - s/R_k))
+    per power piece, from D on its rows ``tab.crra_rungs``."""
+    tau, s, _ = _horizon(market, t)
+    th = market.theta_norm
+    R = tab.R[tab.crra]
+    growth = np.array([math.exp(-b * (market.r + 0.5 * th**2) * tau
+                                + 0.5 * b**2 * th**2 * tau) for b in 1.0 - 1.0 / R])
+    R, growth = R[:, None], growth[:, None]
+    F = normal.cdf(D - np.repeat(s / R, 2, axis=0))
+    return tab.C[tab.crra, None] * np.exp(-log_w / R) * growth * (F[1::2] - F[::2])
+
+
+def _hedge(tab: _Tables, market: MarketParams, t: float, xR, q_cara, D_chord):
+    """Each piece's share of the delta-hedge scalar -xi dX/dxi: X^R_k / R_k
+    on power pieces, a constant-absolute-risk term disc q_k / alpha_k on
+    exponential pieces, and on chords the near-terminal gambling term
+    disc width_k phi(D_{2k+1}) / s."""
+    _, s, disc = _horizon(market, t)
+    hedge = np.zeros((tab.R.size, xR.shape[-1]))
+    hedge[tab.crra] = xR / tab.R[tab.crra, None]
+    hedge[tab.cara] = disc / tab.alpha[tab.cara, None] * q_cara
+    hedge[tab.chord] = disc * tab.width[tab.chord, None] / s * normal.pdf(D_chord)
+    return hedge
+
+
 def _ladder(env: PharaUtility, market: MarketParams, y: float, t: float, xi):
-    """Every closed form at time t and w = y xi, from one d1 evaluation.
+    """Every closed form at time t and w = y xi, from D on the whole ladder.
 
     D = d1(g / w) on the 2n+1 ladder slopes; entries 2k and 2k+1 are the
     left and right slopes at the kink a_k, so piece k spans entries 2k+1 and
     2k+2.  Returns the kink weights p and cell weights q (one row per piece),
     the five wealth families xD, xA (one row per piece), xAbar, xR, xRbar
     (one row per piece of their type: exponential, power, exponential), and
-    each piece's share of the delta-hedge scalar -xi dX/dxi: power pieces
-    give X^R_k / R_k, chords the near-terminal gambling term, exponential
-    pieces a constant-absolute-risk term.  The shape of xi trails every row.
+    the delta-hedge rows of :func:`_hedge`.  The shape of xi trails every row.
     """
     tab = _tables(env)
-    w = y * np.asarray(xi, dtype=float).reshape(-1)
-    tau = market.tau(t)
+    log_w = np.log(y * np.asarray(xi, dtype=float).reshape(-1))
+    tau, s, disc = _horizon(market, t)
     th = market.theta_norm
-    s = th * math.sqrt(tau)
-    disc = math.exp(-market.r * tau)
 
-    D = d1(np.divide.outer(tab.ladder, w), market, t)
-    # a CDF along the descending ladder; the running maximum keeps rounding
-    # from turning a zero-mass kink or cell weight negative
-    F = np.maximum.accumulate(_Phi(D), axis=0)
+    D = _d1_outer(tab.log_ladder, log_w, market, t)
+    F = _cdf_rows(D)
     p, q = F[1::2] - F[:-1:2], F[2::2] - F[1::2]
-    Dp, Dn = D[1::2], D[2::2]
-    crra, cara, chord = tab.crra, tab.cara, tab.chord
-    hedge = np.zeros_like(p)
+    xR = _power_terms(tab, market, t, log_w, D[tab.crra_rungs])
 
-    R = tab.R[crra]
-    growth = np.array([math.exp(-b * (market.r + 0.5 * th**2) * tau
-                                + 0.5 * b**2 * th**2 * tau) for b in 1.0 - 1.0 / R])
-    R, growth = R[:, None], growth[:, None]
-    xR = tab.C[crra, None] * w ** (-1.0 / R) * growth \
-        * (_Phi(Dn[crra] - s / R) - _Phi(Dp[crra] - s / R))
-    hedge[crra] = xR / R
-
+    cara = tab.cara
     al = tab.alpha[cara, None]
+    D_cara = D[tab.cara_rungs]
     # a_k - (s/alpha) d1(gplus/w) kept in anchored form: it equals
     # K + (log(1/w) + (r - th^2/2) tau)/alpha with K constant per piece
-    level = tab.K[cara, None] + (-np.log(w) + (market.r - 0.5 * th**2) * tau) / al
+    level = tab.K[cara, None] + (-log_w + (market.r - 0.5 * th**2) * tau) / al
     xAbar = disc * level * q[cara]
-    xRbar = disc * (-s / al) * (_phi(Dn[cara]) - _phi(Dp[cara]))
-    hedge[cara] = disc / al * q[cara]
-
-    hedge[chord] = disc * tab.width[chord, None] / s * _phi(Dp[chord])
+    xRbar = disc * (-s / al) * (normal.pdf(D_cara[1::2]) - normal.pdf(D_cara[::2]))
+    hedge = _hedge(tab, market, t, xR, q[cara], D[tab.chord_rungs])
 
     terms = (disc * tab.a[:-1, None] * p, disc * tab.A[:, None] * q, xAbar, xR, xRbar)
 
     def rows(a):
         return a.reshape(a.shape[:1] + np.shape(xi))
     return rows(p), rows(q), tuple(map(rows, terms)), rows(hedge)
+
+
+def _hedge_rows(env: PharaUtility, market: MarketParams, y: float, t: float,
+                xi):
+    """The delta-hedge rows of :func:`_ladder` alone, from D on the rows they
+    read: two per power piece, two per exponential piece (its cell weight q),
+    one per chord.  xi is flat."""
+    tab = _tables(env)
+    log_w = np.log(y * np.asarray(xi, dtype=float))
+
+    def D(rungs):
+        return _d1_outer(tab.log_ladder[rungs], log_w, market, t)
+    F = _cdf_rows(D(tab.cara_rungs))
+    return _hedge(tab, market, t, _power_terms(tab, market, t, log_w, D(tab.crra_rungs)),
+                  F[1::2] - F[::2], D(tab.chord_rungs))
 
 
 def _wealth(terms):
@@ -324,7 +367,7 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
     The delta-hedge scalar -xi dX/dxi rides the direction (sigma^T)^{-1} theta.
     """
     scalar = _blockwise(
-        lambda b: _ladder(env, market, y_star, t, b)[3].sum(axis=0), xi_t)
+        lambda b: _hedge_rows(env, market, y_star, t, b).sum(axis=0), xi_t)
     return np.multiply.outer(_risk_vector(market), scalar)
 
 

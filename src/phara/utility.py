@@ -187,6 +187,15 @@ class PharaUtility:
     pieces: tuple[PharaPiece, ...]
     a0_included: bool = True
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.a0, self.pieces, self.a0_included))
+
+    def __hash__(self) -> int:
+        # the field hash, computed once: the solver's table cache looks the
+        # utility up on every call
+        return self._hash
+
     def __post_init__(self):
         if not self.pieces:
             raise IllegalCase("utility needs at least one piece")

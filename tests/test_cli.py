@@ -301,7 +301,8 @@ class TestErrorPaths:
         with pytest.raises(BadDimension):
             load_scenario(bad)
 
-    @pytest.mark.parametrize("edit", ["seed", "paths", "wealth_n", "wealth_list",
+    @pytest.mark.parametrize("edit", ["seed", "paths", "wealth_n", "wealth_n_zero",
+                                      "wealth_n_negative", "wealth_list",
                                       "wealth_without_hi", "wealth_lo_inf"])
     def test_fractional_count_or_bad_wealth_grid(self, tmp_path, capsys, edit):
         # counts are not truncated, and the wealth grid is checked on load,
@@ -313,6 +314,10 @@ class TestErrorPaths:
             raw["paths"] = 1000.9
         elif edit == "wealth_n":
             raw["grids"]["wealth"]["n"] = 2.5
+        elif edit == "wealth_n_zero":
+            raw["grids"]["wealth"]["n"] = 0  # surface wrote a header-only csv
+        elif edit == "wealth_n_negative":
+            raw["grids"]["wealth"]["n"] = -3
         elif edit == "wealth_list":
             raw["grids"]["wealth"] = [1, 2]
         elif edit == "wealth_without_hi":
@@ -327,6 +332,20 @@ class TestErrorPaths:
         with pytest.raises(BadDimension):
             load_scenario(bad)
         assert not (tmp_path / "dual.json").exists()
+
+    @pytest.mark.parametrize("key", ["discounted", "a0_included"])
+    def test_quoted_boolean(self, tmp_path, capsys, key):
+        # bool("false") is True: only JSON true and false are accepted
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        block = raw["grids"]["wealth"] if key == "discounted" else raw["utility"]
+        block[key] = "false"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
+                                capsys)
+        assert f"{key} must be true or false" in err
+        with pytest.raises(BadDimension):
+            load_scenario(bad)
 
     @pytest.mark.parametrize("flag", [("--xi", "-1"), ("--xi", "0"),
                                       ("--xi", "nan"), ("--xi", "inf"),
@@ -352,18 +371,20 @@ class TestErrorPaths:
             cmd_surface(load_scenario(path), tmp_path, 11)
 
 
-def test_no_scipy_optimize():
-    # the envelope's tangent search shares the solver's Newton step, so
-    # nothing in the package needs scipy.optimize
+def test_commands_never_import_scipy(tmp_path):
+    # Phi and its inverse live in phara.normal; scipy is a test-only oracle
     code = f"""
 import sys
-from phara.cli import load_scenario
-from phara.concavify import concave_envelope
-from phara.solver import solve_multiplier
+from phara.cli import main
+commands = (("envelope",), ("solve",), ("surface",),
+            ("decompose", "--t", "1", "--x", "12"), ("verify", "--paths", "2000"),
+            ("simulate", "--paths", "200", "--steps", "10"))
 for name in {BUNDLED!r}:
-    scn = load_scenario({str(SCENARIOS)!r} + "/" + name + ".json")
-    solve_multiplier(concave_envelope(scn.utility).envelope, scn.market, scn.x0)
-loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+    for command, *flags in commands:
+        code = main([command, "--scenario", {str(SCENARIOS)!r} + "/" + name + ".json",
+                     "--out", {str(tmp_path)!r}, *flags])
+        assert code == 0, (name, command, code)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
     env = dict(os.environ)

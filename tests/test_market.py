@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from phara.errors import BadDimension, BadTime, DriftBelowRate, SingularVolatility
-from phara.market import _kernel, build_market, sample_kernel_at, standard_normals
+from phara.market import (_centred_normals, _kernel, build_market,
+                          sample_kernel_at, standard_normals)
 
 
 def test_theta_demo_market(market):
@@ -108,3 +109,18 @@ def test_normals_counter_based():
     big = standard_normals(3, 200_000)
     assert abs(big.mean()) < 0.01
     assert abs(big.std() - 1.0) < 0.01
+
+
+def test_centred_normals_finite_and_antisymmetric():
+    # (k + 1/2) 2^-53 rounds to 1.0 at the top count; the quantile is taken
+    # from the lower tail instead, so z stays finite and mirrors exactly
+    top = (1 << 53) - 1
+    k = np.array([0, 1, 2**52 - 1, 2**52, top - 1, top], dtype=np.uint64)
+    z = _centred_normals(k)
+    assert np.all(np.isfinite(z)) and z[-1] == -z[0] > 8.0
+    k = np.concatenate([k, np.random.default_rng(5).integers(
+        0, 1 << 53, size=100_000, dtype=np.uint64)])
+    assert np.array_equal(_centred_normals(k), -_centred_normals(np.uint64(top) - k))
+    # one counter tick per variate: a shorter draw is a prefix of a longer one
+    assert np.array_equal(standard_normals(9, 1000, stream=4)[:300],
+                          standard_normals(9, 300, stream=4))

@@ -1,0 +1,62 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.special import ndtr, ndtri
+
+from phara import normal
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_cdf_matches_ndtr():
+    x = np.linspace(-40.0, 40.0, 1_600_001)
+    ref = ndtr(x)
+    got = normal.cdf(x)
+    live = ref >= 1e-300
+    assert np.all(np.abs(got[live] - ref[live]) <= 2e-15 * ref[live])
+    # below 1e-300 Phi only runs out into zero, never above ndtr
+    assert np.all(got[~live] <= 1e-300)
+
+
+def test_cdf_saturation_and_nan():
+    assert normal.cdf(-np.inf) == 0.0 and normal.cdf(np.inf) == 1.0
+    lower = -np.geomspace(37.5, 1e300, 200)
+    upper = np.geomspace(8.5, 1e300, 200)
+    assert np.all(normal.cdf(lower) == 0.0)
+    assert np.all(normal.cdf(upper) == 1.0)
+    assert np.isnan(normal.cdf(np.nan))
+    got = normal.cdf(np.array([np.nan, 0.0, -np.inf]))
+    assert np.isnan(got[0]) and got[1] == 0.5 and got[2] == 0.0
+
+
+def test_ppf_matches_ndtri_on_centred_uniforms():
+    k = np.random.default_rng(2024).integers(0, 1 << 53, size=2_000_000,
+                                             dtype=np.uint64)
+    u = (k + 0.5) * 2.0**-53
+    ref = ndtri(u)
+    assert np.all(np.abs(normal.ppf(u) - ref) <= 2e-15 * np.abs(ref))
+
+
+def test_ppf_edges():
+    got = normal.ppf(np.array([0.0, 1.0, 0.5, np.nan, -0.1, 1.1]))
+    assert got[0] == -np.inf and got[1] == np.inf and got[2] == 0.0
+    assert np.all(np.isnan(got[3:]))
+    assert normal.ppf(2.0**-1074) == pytest.approx(ndtri(2.0**-1074), rel=2e-15)
+    assert normal.ppf(0.975) == pytest.approx(1.959963984540054, rel=1e-15)
+
+
+def test_pdf():
+    assert normal.pdf(0.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), rel=1e-15)
+    assert np.all(normal.pdf(np.array([-np.inf, np.inf, 1e200])) == 0.0)
+
+
+def test_committed_coefficients_match_generator():
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location(
+        "normal_coefficients", ROOT / "tools" / "normal_coefficients.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.K == normal._K
+    assert gen.coefficients() == normal._ERFC_CHEB

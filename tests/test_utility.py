@@ -374,3 +374,20 @@ def test_compose_properties(seed, raw, data):
         direct = pref.value(payoff.value(xs))
         assert np.all(np.abs(built - direct)
                       <= 1e-10 * np.maximum(1.0, np.abs(built)))
+
+
+def test_utility_hash_computed_once(monkeypatch, demo_utility):
+    # the solver's table cache looks a utility up on every call: the field
+    # hash is taken once per utility, and equality is unchanged
+    fresh = PharaUtility(a0=demo_utility.a0, pieces=demo_utility.pieces,
+                         a0_included=demo_utility.a0_included)
+    calls = []
+    piece_hash = PharaPiece.__hash__
+    monkeypatch.setattr(PharaPiece, "__hash__",
+                        lambda self: calls.append(1) or piece_hash(self))
+    first = hash(fresh)
+    assert len(calls) == fresh.n_pieces
+    assert hash(fresh) == first and len(calls) == fresh.n_pieces
+    assert fresh == demo_utility and first == hash(demo_utility)
+    assert fresh != PharaUtility(a0=fresh.a0, pieces=fresh.pieces,
+                                 a0_included=not fresh.a0_included)

@@ -169,6 +169,12 @@ def load_scenario(path, seed_override=None, paths_override=None) -> Scenario:
         # a value of the wrong JSON type (a number where an array or object
         # belongs, an object where a number does) or a number too large for a float
         raise BadDimension(f"malformed scenario {path}: {exc}") from exc
+    if not math.isfinite(x0):
+        raise BadDimension(f"x0 must be finite, got {x0}")
+    outside = [t for t in t_grid if not 0.0 <= t < market.T]  # NaN included
+    if outside:
+        raise BadDimension(f"grids.t entries must be finite and in [0, {market.T}), "
+                           f"got {outside}")
     if paths < 2:
         # a standard error needs at least two samples
         raise BadDimension(f"paths must be >= 2, got {paths}")

@@ -333,6 +333,38 @@ class TestErrorPaths:
             load_scenario(bad)
         assert not (tmp_path / "dual.json").exists()
 
+    @pytest.mark.parametrize("x0", ["inf", "nan"])
+    def test_non_finite_x0(self, tmp_path, capsys, x0):
+        # inf failed in the root-find, nan in the budget residual check
+        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
+        raw["x0"] = x0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
+                                capsys)
+        assert "x0 must be finite" in err
+        with pytest.raises(BadDimension):
+            load_scenario(bad)
+        assert not (tmp_path / "dual.json").exists()
+
+    @pytest.mark.parametrize("t", ["T", "nan", "inf", "negative"])
+    def test_time_grid_outside_horizon(self, tmp_path, capsys, t):
+        # solve exited 0 on these while surface exited 2: every command
+        # now rejects them on load
+        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
+        raw["grids"]["t"] = [0.0, {"T": raw["market"]["T"], "nan": "nan",
+                                   "inf": "inf", "negative": -1.0}[t]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        for command in ("solve", "surface"):
+            err = self._input_error([command, "--scenario", bad, "--out", tmp_path],
+                                    capsys)
+            assert "grids.t entries must be finite and in [0, 10.0)" in err
+        with pytest.raises(BadDimension):
+            load_scenario(bad)
+        assert not (tmp_path / "dual.json").exists()
+        assert not (tmp_path / "surface.csv").exists()
+
     @pytest.mark.parametrize("key", ["discounted", "a0_included"])
     def test_quoted_boolean(self, tmp_path, capsys, key):
         # bool("false") is True: only JSON true and false are accepted

@@ -58,5 +58,33 @@ def test_committed_coefficients_match_generator():
         "normal_coefficients", ROOT / "tools" / "normal_coefficients.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    assert gen.K == normal._K
-    assert gen.coefficients() == normal._ERFC_CHEB
+    assert (gen.K, gen.X_ZERO, gen.X_ONE) == (normal._K, normal._X_ZERO, normal._X_ONE)
+    tables = gen.tables()
+    assert set(tables) == {"_ERFC_NEAR", "_ERFC_FAR"}
+    for name, table in tables.items():
+        assert table == getattr(normal, name), name
+
+
+JOINS = (-37.5, -8.3, 8.3)  # zero and the far piece, the two pieces, one
+
+
+def _around(join):
+    """A dense grid across a join: 2000 ulps each way, then steps of 1e-9."""
+    ulps = join + np.arange(-2000, 2001) * np.spacing(join)
+    return np.unique(np.concatenate([ulps, np.linspace(join - 1e-3, join + 1e-3,
+                                                       2_000_001)]))
+
+
+@pytest.mark.parametrize("join", JOINS)
+def test_cdf_nondecreasing_across_joins(join):
+    assert np.all(np.diff(normal.cdf(_around(join))) >= 0.0)
+
+
+@pytest.mark.parametrize("join", JOINS)
+def test_cdf_within_band_on_both_sides_of_joins(join):
+    x = _around(join)
+    ref, got = ndtr(x), normal.cdf(x)
+    zero = x <= -37.5  # saturated; Phi is below 5e-308 there
+    assert np.all(got[zero] == 0.0) and np.all(ref[zero] < 5e-308)
+    live = ~zero
+    assert np.all(np.abs(got[live] - ref[live]) <= 2e-15 * ref[live])

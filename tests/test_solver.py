@@ -15,7 +15,9 @@ from phara.errors import (BadDimension, BadTime, HeterogeneousRisk, IllegalCase,
                           UnboundedDemand)
 from phara.market import build_market
 from phara.presets import CONTRACT_PARAMS
-from phara.solver import (budget, common_risk_aversion, d1,
+from phara import normal
+from phara.solver import (_cdf_rows, _d1_outer, _tables, budget,
+                          common_risk_aversion, d1,
                           optimal_terminal_wealth,
                           portfolio_general, portfolio_unified,
                           sahara_portfolio, solve_multiplier,
@@ -616,6 +618,20 @@ def test_unified_equals_general_properties(seed, market, log_y, frac, logs):
     live = scale >= 1e-5 * (1.0 + np.abs(dec.wealth))  # else numerically zero
     err = np.linalg.norm(dec.total - gen, axis=0)
     assert np.all(err[live] <= 1e-9 * scale[live])
+
+
+@given(seeds, markets(), st.floats(0.0, 0.999),
+       st.lists(st.one_of(st.floats(-40.0, 40.0), st.just(math.nan)),
+                min_size=1, max_size=8))
+def test_cdf_rows_is_the_running_maximum(seed, market, frac, logs):
+    # the row-by-row maximum in place equals numpy's accumulate bit for bit,
+    # NaN columns (a NaN state price) and infinite ladder ends included; the
+    # reversed ladder makes every row's maximum differ from its own value
+    env = _raw_envelope(seed)
+    D = _d1_outer(_tables(env).log_ladder, np.array(logs), market, frac * market.T)
+    for rows in (D, D[::-1]):
+        want = np.maximum.accumulate(normal.cdf(rows), axis=0)
+        assert _cdf_rows(rows).tobytes() == want.tobytes()
 
 
 @given(seeds, markets(), st.floats(-5.0, 60.0), st.floats(-1.0, 25.0),

@@ -91,10 +91,6 @@ class Scenario:
     paths: int
     t_grid: tuple[float, ...]
     wealth_grid: WealthGrid | None
-    raw: dict
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.raw, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_utility(block: dict) -> PharaUtility:
@@ -182,11 +178,25 @@ def load_scenario(path, seed_override=None, paths_override=None) -> Scenario:
         # the commands key Philox (uint64) with seeds up to seed + 3
         raise BadDimension(f"seed must be in [0, 2^64 - 4], got {seed}")
     return Scenario(market=market, utility=utility, x0=x0, seed=seed, paths=paths,
-                    t_grid=t_grid, wealth_grid=wealth_grid, raw=raw)
+                    t_grid=t_grid, wealth_grid=wealth_grid)
+
+
+def _strict(value):
+    """value with every float +-inf replaced by the string "inf" / "-inf",
+    which :func:`_num` reads back."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0.0 else "-inf"
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Standard JSON: infinities as strings, and no NaN."""
+    path.write_text(json.dumps(_strict(payload), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def _csv_row(values) -> str:
@@ -209,11 +219,11 @@ def cmd_envelope(scn: Scenario, out: Path, grid_n: int) -> int:
         "pieces": [
             {
                 "a_lo": p.a_lo,
-                "a_hi": p.a_hi if np.isfinite(p.a_hi) else "inf",
-                "R": p.R if np.isfinite(p.R) else "inf",
-                "A": p.A if np.isfinite(p.A) else "-inf",
+                "a_hi": p.a_hi,
+                "R": p.R,
+                "A": p.A,
                 "alpha": p.alpha,
-                "gamma_plus": p.slope_lo if np.isfinite(p.slope_lo) else "inf",
+                "gamma_plus": p.slope_lo,
                 "u_plus": p.value_lo,
             }
             for p in env.pieces

@@ -52,25 +52,13 @@ class EnvelopeResult:
     def kinks(self) -> list[float]:
         return self.envelope.kinks()
 
-    def equals_original(self, x) -> np.ndarray:
-        """True where the envelope coincides with the original utility."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.ones(x.shape, dtype=bool)
-        for lo, hi in self.differs_on:
-            out &= ~((x > lo) & (x < hi))
-        return out
-
 
 def _support(piece: PharaPiece, s: float) -> tuple[float, float]:
     """Intercept and contact point of the slope-s line supporting a concave
-    or linear piece from above; off the piece's slope range an end takes over."""
+    curved piece from above; off the piece's slope range an end takes over."""
     if s >= piece.slope_lo:
         x = piece.a_lo
-    elif piece.R == 0.0 and not np.isfinite(piece.a_hi):
-        raise UnboundedEnvelope(
-            "no supporting line shallower than an unbounded linear piece"
-        )
-    elif piece.R == 0.0 or (np.isfinite(piece.a_hi) and s <= piece.slope_hi):
+    elif np.isfinite(piece.a_hi) and s <= piece.slope_hi:
         x = piece.a_hi
     else:
         x = piece.slope_inverse(s)
@@ -128,17 +116,13 @@ class _Sweep:
     # -- root machinery -------------------------------------------------------
 
     def _common_slope(self, obj_support, gap, s_lo: float, s_hi: float) -> float:
-        """Root of gap(s) = c_H(s) - c_obj(s) on [s_lo, s_hi].
+        """Root of gap(s) = c_H(s) - c_obj(s) on [s_lo, s_hi], where the
+        callers have found gap(s_lo) < 0 <= gap(s_hi).
 
         Newton in u = log s on the decreasing map c_obj - c_H, whose slope
         -s (x_obj(s) - x_H(s)) comes from the two contact points.
         """
         g_lo, g_hi = gap(s_lo), gap(s_hi)
-        if g_lo > 0.0 or g_hi < 0.0:
-            raise NoConvergence(
-                f"tangency bracket failed: gap({s_lo:.3e})={g_lo:.3e}, "
-                f"gap({s_hi:.3e})={g_hi:.3e}"
-            )
 
         def support_gap(act, u):
             s = math.exp(u[0])
@@ -165,6 +149,14 @@ class _Sweep:
                 return s
             s *= 4.0
         raise NoConvergence("no steep supporting slope found")
+
+    def _bracket_down(self, gap_at, start: float) -> float:
+        s = start
+        for _ in range(_MAX_EXPAND):
+            s *= 0.25
+            if gap_at(s) < 0.0:
+                return s
+        raise NoConvergence("no shallow supporting slope found")
 
     # -- attaching objects -----------------------------------------------------
 
@@ -193,13 +185,7 @@ class _Sweep:
             s_hi = s_hint
         else:
             s_hi = self._bracket_up(gap, s_hint if s_hint else 1.0)
-        s_lo = s_hi
-        for _ in range(_MAX_EXPAND):
-            s_lo *= 0.25
-            if gap(s_lo) < 0.0:
-                break
-        else:
-            raise NoConvergence("no shallow supporting slope found")
+        s_lo = self._bracket_down(gap, s_hi)
         s_star = self._common_slope(point_support, gap, s_lo, s_hi)
         x_b, v_b = self.truncate_at_slope(s_star)
         self._push_chord(x_b, v_b, x, s_star)
@@ -244,22 +230,16 @@ class _Sweep:
             s_e = self.right_end()[2]
             s_hi = self._bracket_up(gap, max(s_e if np.isfinite(s_e) else 1.0,
                                              piece.slope_hi, 1e-12) * 2.0)
-        # lower bracket: shallow supports favour the arc
-        s_out = piece.slope_hi
+        # lower bracket: shallow supports favour the arc; an unbounded arc
+        # flattens out to slope 0, so its bracket is searched downwards
         if np.isfinite(piece.a_hi):
-            if gap(max(s_out, 1e-300)) >= 0.0:
+            s_lo = max(piece.slope_hi, 1e-300)
+            if gap(s_lo) >= 0.0:
                 # whole arc below the hull fan: only its right endpoint matters
                 self.attach_point(piece.a_hi, piece.value_hi)
                 return
-            s_lo = max(s_out, 1e-300)
         else:
-            s_lo = s_hi
-            for _ in range(_MAX_EXPAND):
-                s_lo = s_out + 0.25 * (s_lo - s_out)
-                if s_lo <= s_out or gap(s_lo) < 0.0:
-                    break
-            else:
-                raise NoConvergence("no tangency bracket on the unbounded piece")
+            s_lo = self._bracket_down(gap, s_hi)
         s_star = self._common_slope(arc_support, gap, s_lo, s_hi)
         x_b, v_b = self.truncate_at_slope(s_star)
         if s_star >= s_in:
@@ -292,8 +272,6 @@ class _Sweep:
             if piece.curvature == "convex":
                 continue
             self.attach_arc(piece)
-        if not self.hull:
-            raise UnboundedEnvelope("sweep produced an empty hull")
         return self.hull
 
 

@@ -29,10 +29,6 @@ class IllegalCase(PharaError):
     """Parameter combination not covered by the piecewise-HARA template."""
 
 
-class AtKink(PharaError):
-    """Pointwise quantity requested exactly at a partition point."""
-
-
 class NotConcave(PharaError):
     """An operation that needs a concave envelope got a non-concave utility."""
 

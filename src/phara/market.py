@@ -14,6 +14,9 @@ from .normal import ppf
 # is declared singular (double-precision conditioning limit).
 _EIG_RATIO_FLOOR = 1e-12
 _THETA_RESIDUAL_TOL = 1e-12
+# Largest exponent whose exponential is a finite double: bounds r T and
+# |theta|^2 T, so that e^{rT} and e^{|theta|^2 T} are finite.
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +56,9 @@ def build_market(r: float, mu, sigma, T: float) -> MarketParams:
 
     Raises
     ------
-    BadDimension : shape mismatch or non-positive horizon/rate
+    BadDimension : shape mismatch, non-finite entries, non-positive
+        horizon/rate, or r T or |theta|^2 T beyond the log of the largest
+        double
     DriftBelowRate : some mu_i <= r
     SingularVolatility : sigma @ sigma.T numerically singular
     """
@@ -64,14 +69,24 @@ def build_market(r: float, mu, sigma, T: float) -> MarketParams:
     m = mu.shape[0]
     if sigma.shape != (m, m):
         raise BadDimension(f"sigma must be {m}x{m}, got shape {sigma.shape}")
+    for name, value in (("mu", mu), ("sigma", sigma)):
+        if not np.all(np.isfinite(value)):
+            raise BadDimension(f"{name} entries must be finite, got {value.tolist()}")
     if not (np.isfinite(T) and T > 0.0):
         raise BadDimension(f"horizon T must be positive, got {T}")
     if not (np.isfinite(r) and r > 0.0):
         raise BadDimension(f"riskless rate must be positive, got {r}")
+    if not r * T <= _LOG_MAX:
+        raise BadDimension(f"r T must be at most {_LOG_MAX:.6g} so that e^(rT) "
+                           f"is finite, got r={r}, T={T}")
     if np.any(mu <= r):
         raise DriftBelowRate(f"every drift must exceed r={r}, got mu={mu}")
 
-    gram = sigma @ sigma.T
+    with np.errstate(over="ignore"):
+        gram = sigma @ sigma.T
+    if not np.all(np.isfinite(gram)):
+        raise BadDimension(f"sigma entries too large: sigma sigma^T overflows, "
+                           f"got sigma={sigma.tolist()}")
     eig = np.linalg.eigvalsh(gram)
     if eig[0] <= _EIG_RATIO_FLOOR * eig[-1]:
         raise SingularVolatility(
@@ -80,7 +95,13 @@ def build_market(r: float, mu, sigma, T: float) -> MarketParams:
         )
 
     excess = mu - r
-    theta = np.linalg.solve(sigma, excess)
+    with np.errstate(over="ignore"):
+        theta = np.linalg.solve(sigma, excess)
+        theta_norm = float(np.linalg.norm(theta))
+    if not theta_norm * theta_norm * T <= _LOG_MAX:
+        raise BadDimension(f"|theta|^2 T must be at most {_LOG_MAX:.6g} so that "
+                           f"e^(|theta|^2 T) is finite, got |theta|={theta_norm} "
+                           f"from mu, sigma and r, and T={T}")
     resid = np.linalg.norm(sigma @ theta - excess)
     if resid > _THETA_RESIDUAL_TOL * max(1.0, np.linalg.norm(excess)):
         raise SingularVolatility(f"market price of risk residual {resid:.3e}")
@@ -90,7 +111,7 @@ def build_market(r: float, mu, sigma, T: float) -> MarketParams:
     theta.setflags(write=False)
     return MarketParams(
         r=float(r), mu=mu, sigma=sigma, T=float(T),
-        theta=theta, theta_norm=float(np.linalg.norm(theta)),
+        theta=theta, theta_norm=theta_norm,
     )
 
 

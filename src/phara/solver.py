@@ -43,17 +43,6 @@ def _d1_outer(log_g, log_w, market: MarketParams, t: float):
                         log_w / s)
 
 
-def d1(z, market: MarketParams, t: float):
-    """d(z, 1) = -(log z + (r - |theta|^2/2) tau) / (|theta| sqrt(tau)).
-
-    Continuously extended: z -> 0+ gives +inf, z -> inf gives -inf.
-    """
-    z = np.asarray(z, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = _d1_outer(np.log(z), 0.0, market, t)
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Envelope tables
 # ---------------------------------------------------------------------------
@@ -491,12 +480,11 @@ def _newton_root(fn, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarra
     is not finite or leaves the open bracket.  Every evaluated point becomes a
     bracket end (lo and hi are updated in place), so rounding noise cannot
     make the steps cycle.  An entry is done once a step or a move is within
-    1e-14 (1 + |u|); NoConvergence after _NEWTON_ITERS steps.
+    1e-14 (1 + |u|); NoConvergence after _NEWTON_ITERS steps.  An empty u
+    costs one call of fn on no entries.
     """
     act = np.arange(u.size)
     for _ in range(_NEWTON_ITERS):
-        if not act.size:
-            return u
         ua = u[act]
         f, df = fn(act, ua)
         if np.isnan(f).any():
@@ -509,10 +497,10 @@ def _newton_root(fn, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarra
         take = (np.abs(step) <= tol) | ((newton > lo[act]) & (newton < hi[act]))
         u[act] = np.where(take, newton, 0.5 * (lo[act] + hi[act]))
         act = act[~((np.abs(step) <= tol) | (np.abs(u[act] - ua) <= tol))]
-    if act.size:
-        raise NoConvergence(f"root-find: {act.size} roots unconverged after "
-                            f"{_NEWTON_ITERS} steps")
-    return u
+        if not act.size:
+            return u
+    raise NoConvergence(f"root-find: {act.size} roots unconverged after "
+                        f"{_NEWTON_ITERS} steps")
 
 
 def state_price_for_wealth(env: PharaUtility, market: MarketParams,

@@ -19,13 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AtKink, IllegalCase, NotPhara, OutOfDomain
+from .errors import IllegalCase, NotPhara, OutOfDomain
 
 INF = float("inf")
 NEG_INF = float("-inf")
 
 _CONTINUITY_TOL = 1e-9
 _VERIFY_TOL = 1e-10
+_KINK_RTOL = 1e-9
 
 
 def _anchor(lo: float, hi: float, R: float, A: float) -> float:
@@ -170,14 +171,6 @@ class PharaPiece:
             return "concave"
         return "concave" if self.A <= self.a_lo else "convex"
 
-    @property
-    def is_flat(self) -> bool:
-        return self.R == 0.0 and self.anchor_slope == 0.0
-
-    def shift_scale(self, a: float, b: float) -> "PharaPiece":
-        return replace(self, anchor_u=a * self.anchor_u + b,
-                       anchor_slope=a * self.anchor_slope)
-
 
 @dataclass(frozen=True)
 class PharaUtility:
@@ -217,9 +210,6 @@ class PharaUtility:
                     f"utility decreases across the junction at {right.a_lo}: "
                     f"{lv} -> {rv}"
                 )
-        last = self.pieces[-1]
-        if last.R != 0.0 and last.curvature == "convex":
-            raise IllegalCase("unbounded piece cannot be convex")
 
     # -- structure ----------------------------------------------------------
 
@@ -258,7 +248,7 @@ class PharaUtility:
                         left.slope_hi, right.slope_lo))
         return out
 
-    def kinks(self, rel_tol: float = 1e-9) -> list[float]:
+    def kinks(self) -> list[float]:
         """Domain floor plus interior points where the slope jumps."""
         out = [self.a0]
         for a_k, _, _, s_minus, s_plus in self.junctions():
@@ -266,7 +256,7 @@ class PharaUtility:
                 if math.isinf(s_minus) != math.isinf(s_plus):
                     out.append(a_k)
                 continue
-            if abs(s_minus - s_plus) > rel_tol * max(s_minus, s_plus, 1e-300):
+            if abs(s_minus - s_plus) > _KINK_RTOL * max(s_minus, s_plus, 1e-300):
                 out.append(a_k)
         return out
 
@@ -290,44 +280,6 @@ class PharaUtility:
             if np.any(mask):
                 out[mask] = piece.value(x[mask])
         return float(out[0]) if scalar else out
-
-    def __call__(self, x):
-        return self.value(x)
-
-    def deriv(self, x: float, side: str = "right") -> float:
-        """One-sided derivative; side in {'left', 'right'}."""
-        if side not in ("left", "right"):
-            raise IllegalCase(f"side must be 'left' or 'right', got {side!r}")
-        if x < self.a0 or (not self.a0_included and x == self.a0):
-            raise OutOfDomain(f"domain starts at {self.a0}")
-        if x == self.a0 and side == "left":
-            return INF
-        # at a_k the left side reads piece k-1 and the right side piece k
-        k = int(np.searchsorted(self.interior_points, x, side=side))
-        return float(self.pieces[k].slope(x))
-
-    def ara(self, x: float) -> float:
-        """Absolute risk aversion -U''/U' = R/(x - A) at an interior point."""
-        if x < self.a0 or (not self.a0_included and x == self.a0):
-            raise OutOfDomain(f"domain starts at {self.a0}")
-        if x == self.a0 or np.any(self.interior_points == x):
-            raise AtKink(f"x={x} is a partition point")
-        piece = self.pieces[int(self._piece_index(x))]
-        if piece.R == 0.0:
-            return 0.0
-        if piece.R == INF:
-            return piece.alpha
-        return piece.R / (x - piece.A)
-
-    def scale_shift(self, a_scale: float, b_shift: float) -> "PharaUtility":
-        """Affine image a*U + b (a > 0): same partition, scaled slopes."""
-        if a_scale <= 0.0:
-            raise IllegalCase(f"scale must be positive, got {a_scale}")
-        return PharaUtility(
-            a0=self.a0,
-            pieces=tuple(p.shift_scale(a_scale, b_shift) for p in self.pieces),
-            a0_included=self.a0_included,
-        )
 
 
 def crra_utility(R: float, a0: float = 0.0) -> PharaUtility:
@@ -407,10 +359,6 @@ class PiecewiseLinearPayoff:
             )
         if any(s < 0.0 for s in self.slopes):
             raise IllegalCase("payoff slopes must be nonnegative")
-
-    @classmethod
-    def identity(cls, domain_lo: float = 0.0) -> "PiecewiseLinearPayoff":
-        return cls(domain_lo=domain_lo, value_lo=domain_lo, breakpoints=(), slopes=(1.0,))
 
     @property
     def values(self) -> tuple[float, ...]:

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from phara.concavify import concave_envelope
-from phara.presets import demo_market, multi_kink_utility, CONTRACT_PARAMS
-from phara.solver import solve_multiplier
+from phara.errors import IllegalCase
+from phara.market import build_market
+from phara.solver import _d1_outer, solve_multiplier
 from phara.utility import INF, PharaPiece, PharaUtility, crra_utility, participating_contract_utility
 
 
@@ -20,9 +22,10 @@ settings.load_profile("phara")
 def d_transform(z, y_shift: float, market, t: float):
     """d(z, y) = -(log z + (r + |theta|^2/2) tau) / (|theta| sqrt(tau)) + y |theta| sqrt(tau).
 
-    The general d-transform of the paper; the solver only needs d(z, 1), its
-    own ``d1``, and the tests check that against this form.  Continuously
-    extended: z -> 0+ gives +inf, z -> inf gives -inf.
+    The general d-transform of the paper; the solver only needs d(z, 1),
+    which it evaluates on the slope ladder with ``_d1_outer``, and the tests
+    check that against this form.  Continuously extended: z -> 0+ gives
+    +inf, z -> inf gives -inf.
     """
     tau = market.tau(t)
     s = market.theta_norm * math.sqrt(tau)
@@ -40,6 +43,89 @@ def d0(z, market, t: float):
 def d_next(z, R: float, market, t: float):
     """d(z, 1 - 1/R), the transform attached to a piece of risk aversion R."""
     return d_transform(z, 1.0 - 1.0 / R, market, t)
+
+
+def d1(z, market, t: float):
+    """d(z, 1) = -(log z + (r - |theta|^2/2) tau) / (|theta| sqrt(tau)), by
+    the solver's ladder kernel ``_d1_outer``."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore"):
+        out = _d1_outer(np.log(z), 0.0, market, t)
+    return float(out) if out.ndim == 0 else out
+
+
+def deriv(u: PharaUtility, x: float, side: str = "right") -> float:
+    """One-sided derivative of u at x; at a_k the left side reads piece k-1
+    and the right side piece k, and the left slope at a0 is inf."""
+    if side not in ("left", "right"):
+        raise IllegalCase(f"side must be 'left' or 'right', got {side!r}")
+    if x == u.a0 and side == "left":
+        return INF
+    k = int(np.searchsorted(u.interior_points, x, side=side))
+    return float(u.pieces[k].slope(x))
+
+
+def scale_shift(u: PharaUtility, a: float, b: float) -> PharaUtility:
+    """The affine image a u + b (a > 0): same partition, scaled slopes."""
+    return replace(u, pieces=tuple(
+        replace(p, anchor_u=a * p.anchor_u + b, anchor_slope=a * p.anchor_slope)
+        for p in u.pieces))
+
+
+# ---------------------------------------------------------------------------
+# Demo models
+# ---------------------------------------------------------------------------
+
+
+CONTRACT_PARAMS = dict(gamma=0.5, wealth_share=0.4, bonus_share=0.3, guarantee=1.0)
+
+
+def demo_market():
+    """One risky asset, r=5%, drift 8.6%, vol 30%, ten-year horizon.
+
+    The implied market price of risk is 0.12; with R = 0.5 the Merton
+    constant percentage is 0.8.
+    """
+    return build_market(r=0.05, mu=[0.086], sigma=[[0.3]], T=10.0)
+
+
+def multi_kink_utility() -> PharaUtility:
+    """A deliberately nasty showcase utility on [4, inf).
+
+    Square-root gains near the floor, a flat stretch, a convex recovery
+    branch, a second plateau, and two concave square-root tails with a slope
+    drop at 40.  Its concave envelope keeps the first and last arcs, bridges
+    the middle with two chords (4.4 -> 12 and 12 -> tangency at 28), and has
+    kinks at 4, 4.4, 12 and 40.  ``scenarios/multi_kink_demo.json`` holds
+    the same utility.
+    """
+    k1 = math.sqrt(0.24)
+    k2 = 0.02
+    lam = 1.01
+    v_plateau = -lam * math.sqrt(12.0 - 8.96)   # value on the first plateau
+    v_top = k1 * math.sqrt(40.0 - 20.0)         # value where the slope drops
+
+    pieces = (
+        # k1 (x-4)^{1/2} shifted to hit the plateau value at 4.4
+        PharaPiece(a_lo=4.0, a_hi=4.4, R=0.5, A=4.0, anchor_x=4.4,
+                   anchor_u=v_plateau,
+                   anchor_slope=0.5 * k1 / math.sqrt(0.4)),
+        PharaPiece(a_lo=4.4, a_hi=8.96, R=0.0, anchor_x=4.4,
+                   anchor_u=v_plateau, anchor_slope=0.0),
+        # -lam (12-x)^{1/2}: convex recovery towards zero at 12
+        PharaPiece(a_lo=8.96, a_hi=12.0, R=0.5, A=12.0, anchor_x=8.96,
+                   anchor_u=v_plateau,
+                   anchor_slope=0.5 * lam / math.sqrt(12.0 - 8.96)),
+        PharaPiece(a_lo=12.0, a_hi=20.0, R=0.0, anchor_x=12.0,
+                   anchor_u=0.0, anchor_slope=0.0),
+        # k1 (x-20)^{1/2}
+        PharaPiece(a_lo=20.0, a_hi=40.0, R=0.5, A=20.0, anchor_x=40.0,
+                   anchor_u=v_top, anchor_slope=0.5 * k1 / math.sqrt(20.0)),
+        # k2 (x-20)^{1/2} + continuity constant
+        PharaPiece(a_lo=40.0, a_hi=INF, R=0.5, A=20.0, anchor_x=40.0,
+                   anchor_u=v_top, anchor_slope=0.5 * k2 / math.sqrt(20.0)),
+    )
+    return PharaUtility(a0=4.0, pieces=pieces, a0_included=True)
 
 
 @pytest.fixture(scope="session")

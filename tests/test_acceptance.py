@@ -9,10 +9,10 @@ import time
 
 import numpy as np
 
-from conftest import interesting_multipliers, random_concave_envelope
+from conftest import (CONTRACT_PARAMS, interesting_multipliers,
+                      random_concave_envelope)
 from phara.concavify import concave_envelope
 from phara.market import sample_kernel_at
-from phara.presets import CONTRACT_PARAMS
 from phara.solver import (optimal_terminal_wealth, portfolio_general,
                           portfolio_unified, sahara_portfolio, solve_multiplier,
                           state_price_for_wealth, wealth_total)

@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phara.cli import (_parse_utility, cmd_decompose, cmd_surface,
+from phara.cli import (_num, _parse_utility, cmd_decompose, cmd_surface,
                        load_scenario, main)
+from phara.concavify import concave_envelope
 from phara.errors import BadDimension, IllegalCase, PharaError
+from phara.solver import portfolio_general, solve_multiplier
+from phara.utility import INF, PharaPiece
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -21,18 +24,19 @@ def run(args):
     return main([str(a) for a in args])
 
 
-class TestScenarioIO:
-    def test_round_trip(self, tmp_path):
-        src = SCENARIOS / "multi_kink_demo.json"
-        scn = load_scenario(src)
-        saved = tmp_path / "copy.json"
-        scn.save(saved)
-        again = load_scenario(saved)
-        assert again.raw == scn.raw
-        saved2 = tmp_path / "copy2.json"
-        again.save(saved2)
-        assert saved.read_text() == saved2.read_text()
+def _strict_json(path):
+    """json.loads that rejects the non-standard tokens NaN and +-Infinity."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds the non-standard token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
+
+def _csv(path):
+    return np.array([r.split(",") for r in path.read_text().splitlines()[1:]],
+                    dtype=float)
+
+
+class TestScenarioIO:
     def test_integral_floats_and_default_wealth_n(self, tmp_path):
         raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
         raw.update(seed=7.0, paths=100000.0)
@@ -137,6 +141,90 @@ class TestSurfaceCommand:
         # the four split columns add up to the percentage column
         assert np.allclose(data[:, 4:].sum(axis=1), data[:, 3],
                            rtol=1e-9, atol=1e-12)
+
+    def test_default_wealth_axis(self, tmp_path):
+        # without grids.wealth, --grid points from e^{-r(T-t)} a0 to
+        # e^{-r(T-t)} (a_n + (a_n - a0)/2) over the envelope's last knot
+        # a_n = 40, the first point dropped
+        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
+        del raw["grids"]["wealth"]
+        path = tmp_path / "no_axis.json"
+        path.write_text(json.dumps(raw))
+        assert run(["surface", "--scenario", path, "--out", tmp_path,
+                    "--grid", "5"]) == 0
+        data = _csv(tmp_path / "surface.csv")
+        assert data.shape == (4 * len(raw["grids"]["t"]), 8)
+        for t in raw["grids"]["t"]:
+            disc = math.exp(-0.05 * (10.0 - t))
+            axis = np.linspace(disc * 4.0, disc * (40.0 + 0.5 * 36.0), 5)[1:]
+            assert np.allclose(data[data[:, 0] == t, 1], axis, rtol=1e-10)
+
+
+def _two_risk_aversions(tmp_path):
+    """The demo market with sqrt gains up to 2 and an R = 2 tail: no common R."""
+    head = PharaPiece(a_lo=0.0, a_hi=2.0, R=0.5, A=-1.0, anchor_x=0.0,
+                      anchor_u=0.0, anchor_slope=1.0)
+    raw = json.loads((SCENARIOS / "crra.json").read_text())
+    raw["utility"] = {"a0": 0.0, "pieces": [
+        {"a_lo": 0.0, "R": 0.5, "A": -1.0, "anchor": {"x": 0.0, "u": 0.0, "slope": 1.0}},
+        {"a_lo": 2.0, "R": 2.0, "A": 1.0,
+         "anchor": {"x": 2.0, "u": head.value_hi, "slope": 0.9 * head.slope_hi}}]}
+    raw.update(x0=3.0, grids={"t": [0.0, 5.0], "wealth": {"lo": 1.0, "hi": 6.0, "n": 4}})
+    path = tmp_path / "two_R.json"
+    path.write_text(json.dumps(raw))
+    scn = load_scenario(path)
+    env = concave_envelope(scn.utility).envelope
+    return path, scn, env, solve_multiplier(env, scn.market, scn.x0).y_star
+
+
+class TestWithoutCommonRiskAversion:
+    def test_surface_split_columns_are_nan(self, tmp_path):
+        path, scn, env, y = _two_risk_aversions(tmp_path)
+        assert run(["surface", "--scenario", path, "--out", tmp_path]) == 0
+        data = _csv(tmp_path / "surface.csv")
+        assert data.shape == (8, 8)
+        assert np.all(np.isnan(data[:, 4:]))
+        for t, x, xi, pct in data[:, :4]:
+            pi = portfolio_general(env, scn.market, y, t, np.array([xi]))[0, 0]
+            assert pct == pytest.approx(pi / x, rel=1e-12)
+
+    def test_decompose_reports_only_the_total(self, tmp_path):
+        path, scn, env, y = _two_risk_aversions(tmp_path)
+        assert run(["decompose", "--scenario", path, "--out", tmp_path,
+                    "--t", "1.0", "--xi", "0.8"]) == 0
+        payload = _strict_json(tmp_path / "decompose.json")
+        pi = portfolio_general(env, scn.market, y, 1.0, 0.8)
+        assert payload["portfolio"] == {"total": pi.tolist()}
+
+
+class TestStandardJson:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_artifacts(self, tmp_path, name):
+        scenario = SCENARIOS / f"{name}.json"
+        x0 = json.loads(scenario.read_text())["x0"]
+        for command, *flags in (("envelope",), ("solve",), ("surface", "--grid", "11"),
+                                ("decompose", "--t", "5", "--x", x0),
+                                ("verify", "--paths", "2000"),
+                                ("simulate", "--paths", "200", "--steps", "10")):
+            assert run([command, "--scenario", scenario, "--out", tmp_path,
+                        *flags]) == 0
+        written = sorted(p.name for p in tmp_path.glob("*.json"))
+        assert written == ["decompose.json", "dual.json", "envelope.json",
+                           "simulation.json", "verification.json"]
+        for artifact in written:
+            _strict_json(tmp_path / artifact)
+
+    def test_linear_tail_envelope(self, tmp_path):
+        # R = 0 on crra: the envelope is one line to +inf, written as "inf"
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        raw["utility"]["pieces"][0]["R"] = 0.0
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps(raw))
+        assert run(["envelope", "--scenario", path, "--out", tmp_path]) == 0
+        table = _strict_json(tmp_path / "envelope.json")
+        ((lo, hi, slope),) = table["chords"]
+        assert (lo, _num(hi), slope) == (0.0, INF, 1.0)
+        assert table["pieces"][0]["a_hi"] == "inf"
 
 
 class TestVerifySimulate:
@@ -364,6 +452,24 @@ class TestErrorPaths:
             load_scenario(bad)
         assert not (tmp_path / "dual.json").exists()
         assert not (tmp_path / "surface.csv").exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"T": 1e308}, "r T"), ({"mu": ["inf"]}, "mu entries"),
+        ({"mu": [1e308]}, "|theta|^2 T"), ({"sigma": [[1e308]]}, "sigma entries"),
+    ], ids=["T_1e308", "mu_inf", "mu_1e308", "sigma_1e308"])
+    def test_market_out_of_range(self, tmp_path, capsys, edit, field):
+        # these gave an OverflowError traceback or overflow and invalid-value
+        # warnings; now one typed error that names the field
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        raw["market"].update(edit)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
+                                capsys)
+        assert field in err and err.count("\n") == 1
+        with pytest.raises(BadDimension):
+            load_scenario(bad)
+        assert not (tmp_path / "dual.json").exists()
 
     @pytest.mark.parametrize("key", ["discounted", "a0_included"])
     def test_quoted_boolean(self, tmp_path, capsys, key):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_concave_envelope, random_raw_utility
+from conftest import (deriv, random_concave_envelope, random_raw_utility,
+                      scale_shift)
+from phara import concavify
 from phara.concavify import concave_envelope
-from phara.utility import INF, PharaPiece, PharaUtility
+from phara.errors import NoConvergence, UnboundedEnvelope
+from phara.utility import INF, PharaPiece, PharaUtility, crra_utility
 
 
 def analytic_tangency(p: float, A: float, gamma: float) -> float:
@@ -15,6 +18,14 @@ def analytic_tangency(p: float, A: float, gamma: float) -> float:
     =>  x = (A - g p) / (1 - g).
     """
     return (A - gamma * p) / (1.0 - gamma)
+
+
+def _equals_input(res, xs):
+    """True where x lies in none of the open intervals ``res.differs_on``."""
+    above = np.zeros(xs.shape, dtype=bool)
+    for lo, hi in res.differs_on:
+        above |= (xs > lo) & (xs < hi)
+    return ~above
 
 
 class TestDemoEnvelope:
@@ -40,7 +51,7 @@ class TestDemoEnvelope:
         raw = demo_utility.value(xs)
         env = demo_envelope.envelope.value(xs)
         assert np.all(env >= raw - 1e-12 * np.maximum(1.0, np.abs(raw)))
-        outside = demo_envelope.equals_original(xs)
+        outside = _equals_input(demo_envelope, xs)
         assert np.allclose(env[outside], raw[outside], rtol=1e-10, atol=1e-10)
         inside = ~outside
         assert np.all(env[inside] >= raw[inside] - 1e-12)
@@ -67,8 +78,8 @@ class TestDemoEnvelope:
     def test_tangency_slope_continuity(self, demo_envelope):
         env = demo_envelope.envelope
         for x_t in demo_envelope.tangency_points:
-            left = env.deriv(x_t, "left")
-            right = env.deriv(x_t, "right")
+            left = deriv(env, x_t, "left")
+            right = deriv(env, x_t, "right")
             assert left == pytest.approx(right, rel=1e-9)
 
 
@@ -82,10 +93,10 @@ class TestContractEnvelope:
         env = contract_envelope.envelope
         K = 0.5
         m = 0.5 / math.sqrt(1.5)
-        assert env.deriv(2.0, "left") == pytest.approx(K, abs=1e-12)
-        assert env.deriv(2.0, "right") == pytest.approx(K, abs=1e-12)
-        assert env.deriv(2.5, "left") == pytest.approx(m, rel=1e-12)
-        assert env.deriv(2.5, "right") == pytest.approx(0.88 * m, rel=1e-12)
+        assert deriv(env, 2.0, "left") == pytest.approx(K, abs=1e-12)
+        assert deriv(env, 2.0, "right") == pytest.approx(K, abs=1e-12)
+        assert deriv(env, 2.5, "left") == pytest.approx(m, rel=1e-12)
+        assert deriv(env, 2.5, "right") == pytest.approx(0.88 * m, rel=1e-12)
 
     def test_structure(self, contract_envelope):
         env = contract_envelope.envelope
@@ -160,7 +171,7 @@ class TestGeneralProperties:
 
     def test_affine_equivariance(self, demo_utility, demo_envelope):
         a, b = 2.7, -3.1
-        scaled = concave_envelope(demo_utility.scale_shift(a, b))
+        scaled = concave_envelope(scale_shift(demo_utility, a, b))
         # kink locations are junction points of the input: exactly preserved
         assert scaled.kinks == demo_envelope.kinks
         # the tangency point is a root-find output: ulp-level wiggle allowed
@@ -224,7 +235,7 @@ class TestGeneralProperties:
             assert np.all(env_v[1:-1] >= mid - 1e-9 * scale[1:-1])
             # equals the input off the recorded difference set, and lies
             # strictly above it inside
-            outside = res.equals_original(xs)
+            outside = _equals_input(res, xs)
             assert np.allclose(env_v[outside], raw_v[outside],
                                rtol=1e-8, atol=1e-8)
             for lo, hi in res.differs_on:
@@ -241,8 +252,8 @@ class TestGeneralProperties:
                        for a, b in zip(finite, finite[1:]))
             # tangent contacts are smooth
             for x_t in res.tangency_points:
-                left = env.deriv(x_t, "left")
-                assert env.deriv(x_t, "right") == pytest.approx(left, rel=1e-10)
+                left = deriv(env, x_t, "left")
+                assert deriv(env, x_t, "right") == pytest.approx(left, rel=1e-10)
             # chords touch the input at their ends
             for x_c in {x for lo, hi, _ in res.chords for x in (lo, hi)
                         if np.isfinite(x)}:
@@ -304,3 +315,101 @@ class TestGeneralProperties:
         chords = 0.5 * (env[:-2] + env[2:])
         assert np.all(env[1:-1] >= chords - 1e-10)
 
+
+def _check_envelope(u, res, hi):
+    """Majorant, concave, and equal to the input off ``differs_on``."""
+    xs = np.linspace(u.a0, hi, 4001)
+    raw_v, env_v = u.value(xs), res.envelope.value(xs)
+    scale = np.maximum(1.0, np.abs(env_v))
+    assert np.all(env_v >= raw_v - 1e-9 * scale)
+    assert np.all(env_v[1:-1] >= 0.5 * (env_v[:-2] + env_v[2:]) - 1e-9 * scale[1:-1])
+    off = _equals_input(res, xs)
+    assert np.allclose(env_v[off], raw_v[off], rtol=1e-9, atol=1e-9)
+
+
+class TestSweepEdges:
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    def test_open_domain_branch_is_fixed_point(self, R):
+        # U(a0) = -inf: the sweep starts with no anchor point and an empty hull
+        u = crra_utility(R)
+        res = concave_envelope(u)
+        assert res.envelope == u and res.chords == () and res.differs_on == ()
+
+    def test_convex_sliver_one_ulp_wide(self):
+        # a convex piece one ulp wide between two concave arcs: the chord
+        # over it is shorter than the sweep's 1e-15 resolution and is dropped
+        x1 = 1e4
+        x2 = math.nextafter(x1, INF)
+        head = PharaPiece(a_lo=0.0, a_hi=x1, R=0.5, A=-1.0, anchor_x=0.0,
+                          anchor_u=0.0, anchor_slope=1.0)
+        sliver = PharaPiece(a_lo=x1, a_hi=x2, R=0.5, A=x2 + 1.0, anchor_x=x1,
+                            anchor_u=head.value_hi, anchor_slope=1e-3)
+        arc = PharaPiece(a_lo=x2, a_hi=x2 + 2.0, R=2.0, A=x2 - 5.0, anchor_x=x2,
+                         anchor_u=sliver.value_hi, anchor_slope=1e-2)
+        tail = PharaPiece(a_lo=arc.a_hi, a_hi=INF, R=0.5, A=arc.a_hi - 1.0,
+                          anchor_x=arc.a_hi, anchor_u=arc.value_hi,
+                          anchor_slope=0.5 * arc.slope_hi)
+        u = PharaUtility(a0=0.0, pieces=(head, sliver, arc, tail))
+        res = concave_envelope(u)
+        assert res.chords
+        _check_envelope(u, res, x1 + 10.0)
+
+    def test_common_tangent_at_an_arc_end(self):
+        # the line 0.5 x + 1 touches sqrt gains at 2 and a flatter arc exactly
+        # at its right end 8: the chord swallows the whole arc
+        def line(x):
+            return 0.5 * x + 1.0
+        head = PharaPiece(a_lo=0.0, a_hi=3.0, R=0.5, A=-1.0, anchor_x=2.0,
+                          anchor_u=line(2.0), anchor_slope=0.5)
+        flat = PharaPiece(a_lo=3.0, a_hi=5.0, R=0.0, anchor_x=3.0,
+                          anchor_u=head.value_hi, anchor_slope=0.0)
+        arc = PharaPiece(a_lo=5.0, a_hi=8.0, R=3.0, A=-45.0, anchor_x=8.0,
+                         anchor_u=line(8.0), anchor_slope=0.5)
+        tail = PharaPiece(a_lo=8.0, a_hi=INF, R=0.5, A=7.0, anchor_x=8.0,
+                          anchor_u=line(8.0), anchor_slope=0.25)
+        u = PharaUtility(a0=0.0, pieces=(head, flat, arc, tail))
+        res = concave_envelope(u)
+        ((lo, hi, slope),) = res.chords
+        assert (lo, hi, slope) == (pytest.approx(2.0, rel=1e-12),
+                                   pytest.approx(8.0, rel=1e-12),
+                                   pytest.approx(0.5, rel=1e-12))
+        _check_envelope(u, res, 20.0)
+
+    def test_contact_below_resolution_of_open_end(self):
+        # log x on (0, 1) and a jump to 1e20 at 1: the bridging chord would
+        # touch the log branch 1e-20 above its open end, closer than the
+        # sweep resolves, so the support search runs off the open domain
+        log = PharaPiece(a_lo=0.0, a_hi=1.0, R=1.0, A=0.0, anchor_x=1.0,
+                         anchor_u=0.0, anchor_slope=1.0)
+        tail = PharaPiece(a_lo=1.0, a_hi=INF, R=0.5, A=0.0, anchor_x=1.0,
+                          anchor_u=1e20, anchor_slope=1.0)
+        u = PharaUtility(a0=0.0, pieces=(log, tail), a0_included=False)
+        with pytest.raises(UnboundedEnvelope, match="open domain"):
+            concave_envelope(u)
+
+    def test_chord_steeper_than_the_bracket_search(self):
+        # a jump of 1 after a flat stretch 1e-130 wide needs a chord of slope
+        # 1e130, beyond the 4^200 range of the upward bracket search
+        flat = PharaPiece(a_lo=0.0, a_hi=1e-130, R=0.0, anchor_x=0.0,
+                          anchor_u=0.0, anchor_slope=0.0)
+        tail = PharaPiece(a_lo=1e-130, a_hi=INF, R=0.5, A=0.0, anchor_x=1e-130,
+                          anchor_u=1.0, anchor_slope=1.0)
+        with pytest.raises(NoConvergence, match="steep"):
+            concave_envelope(PharaUtility(a0=0.0, pieces=(flat, tail)))
+
+    def test_tangency_shallower_than_the_bracket_search(self):
+        # 1e-150 (x - 1)^{1/2} after a flat: the tangent from the flat's
+        # start has slope 5e-151, beyond the 4^-200 range of the downward search
+        flat = PharaPiece(a_lo=0.0, a_hi=1.0, R=0.0, anchor_x=0.0, anchor_u=0.0,
+                          anchor_slope=0.0)
+        arc = PharaPiece(a_lo=1.0, a_hi=INF, R=0.5, A=1.0, anchor_x=2.0,
+                         anchor_u=1e-150, anchor_slope=0.5e-150)
+        with pytest.raises(NoConvergence, match="shallow"):
+            concave_envelope(PharaUtility(a0=0.0, pieces=(flat, arc)))
+
+    def test_tangency_residual_is_checked(self, monkeypatch, demo_utility):
+        # a root-finder that returns the bracket's lower end leaves a gap
+        # between the two support lines
+        monkeypatch.setattr(concavify, "_newton_root", lambda fn, lo, hi, u: lo)
+        with pytest.raises(NoConvergence, match="tangency residual"):
+            concave_envelope(demo_utility)

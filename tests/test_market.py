@@ -47,6 +47,39 @@ def test_build_market_errors():
         build_market(r=0.05, mu=[0.09, 0.10], sigma=[[0.3]], T=1.0)
     with pytest.raises(BadDimension):
         build_market(r=0.05, mu=[0.09], sigma=[[0.3]], T=-1.0)
+    for kwargs in (dict(mu=[]), dict(mu=[[0.09]]), dict(r=0.0), dict(r=-0.01)):
+        with pytest.raises(BadDimension):
+            build_market(**{**dict(r=0.05, mu=[0.09], sigma=[[0.3]], T=1.0),
+                            **kwargs})
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(mu=[float("inf")]), "mu entries"),
+    (dict(mu=[float("nan")]), "mu entries"),
+    (dict(sigma=[[float("inf")]]), "sigma entries"),
+    (dict(sigma=[[1e308]]), "sigma entries too large"),
+    (dict(T=1e308), "r T"),
+    (dict(mu=[1e308]), "|theta|^2 T"),
+    (dict(sigma=[[1e-160]]), "|theta|^2 T"),
+    (dict(mu=[0.05 + 3.0], T=100.0), "|theta|^2 T"),
+], ids=["mu_inf", "mu_nan", "sigma_inf", "sigma_1e308", "T_1e308", "mu_1e308",
+        "sigma_1e-160", "theta_squared_T_1e4"])
+def test_build_market_ranges(kwargs, field):
+    # e^{rT} and e^{|theta|^2 T} stay finite doubles; a non-finite entry or
+    # an overflow in sigma sigma^T is named, never computed with
+    with pytest.raises(BadDimension) as err:
+        build_market(**{**dict(r=0.05, mu=[0.086], sigma=[[0.3]], T=10.0),
+                        **kwargs})
+    assert field in str(err.value)
+
+
+def test_build_market_theta_residual():
+    # eigenvalue ratio 1e-11 passes the singularity test, but theta ~ 1e6
+    # (allowed by the short horizon) misses mu - r by ~1e-10
+    sigma = [[0.369804988317233, 0.264464562608578],
+             [-0.724478883365859, -0.518105311011219]]
+    with pytest.raises(SingularVolatility, match="residual"):
+        build_market(r=0.05, mu=[0.976, 0.472], sigma=sigma, T=1e-10)
 
 
 def test_kernel_at_zero(market):

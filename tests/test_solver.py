@@ -6,24 +6,24 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
-from conftest import (d0, d_next, d_transform, interesting_multipliers,
-                      random_concave_envelope, random_raw_utility)
+from conftest import (CONTRACT_PARAMS, d0, d1, d_next, d_transform, deriv,
+                      interesting_multipliers, random_concave_envelope,
+                      random_raw_utility, scale_shift)
 from phara.cli import load_scenario
 from phara.concavify import concave_envelope
 from phara.errors import (BadDimension, BadTime, HeterogeneousRisk, IllegalCase,
-                          InfeasibleBudget, NotConcave, PharaError,
-                          UnboundedDemand)
+                          InfeasibleBudget, NoConvergence, NotConcave,
+                          PharaError, UnboundedDemand)
 from phara.market import build_market
-from phara.presets import CONTRACT_PARAMS
-from phara import normal
-from phara.solver import (_cdf_rows, _d1_outer, _tables, budget,
-                          common_risk_aversion, d1,
+from phara import normal, solver
+from phara.solver import (_cdf_rows, _d1_outer, _newton_root, _tables, budget,
+                          common_risk_aversion,
                           optimal_terminal_wealth,
                           portfolio_general, portfolio_unified,
                           sahara_portfolio, solve_multiplier,
                           state_price_for_wealth, wealth_process, wealth_total,
                           weights)
-from phara.utility import INF, PharaPiece, PharaUtility, cara_utility
+from phara.utility import INF, PharaPiece, PharaUtility, cara_utility, crra_utility
 
 
 def norm_pdf(z):
@@ -105,7 +105,7 @@ class TestTerminalWealth:
         m = 0.5 / math.sqrt(1.5)
         w = 0.5 * 0.88 * m
         x = optimal_terminal_wealth(env, y, w / y)
-        assert env.deriv(x, "right") == pytest.approx(w, rel=1e-10)
+        assert deriv(env, x, "right") == pytest.approx(w, rel=1e-10)
 
 
 class TestMultiplier:
@@ -128,7 +128,7 @@ class TestMultiplier:
     def test_scale_shift_scales_multiplier(self, demo_envelope, market,
                                            demo_dual):
         a = 3.7
-        scaled = demo_envelope.envelope.scale_shift(a, 2.0)
+        scaled = scale_shift(demo_envelope.envelope, a, 2.0)
         sol = solve_multiplier(scaled, market, 25.0)
         assert sol.y_star == pytest.approx(a * demo_dual.y_star, rel=1e-9)
         # terminal wealth is unchanged pathwise
@@ -136,6 +136,14 @@ class TestMultiplier:
         x1 = optimal_terminal_wealth(demo_envelope.envelope, demo_dual.y_star, xi)
         x2 = optimal_terminal_wealth(scaled, sol.y_star, xi)
         assert np.allclose(x1, x2, rtol=1e-9)
+
+    def test_budget_residual_is_checked(self, monkeypatch, demo_envelope,
+                                        market, demo_dual):
+        # an inversion 1% off the root leaves a residual far above 1e-10 x0
+        monkeypatch.setattr(solver, "state_price_for_wealth",
+                            lambda *args, **kwargs: 1.01 * demo_dual.y_star)
+        with pytest.raises(UnboundedDemand, match="residual"):
+            solve_multiplier(demo_envelope.envelope, market, 25.0)
 
     def test_budget_decreasing(self, demo_envelope, market):
         ys = np.geomspace(1e-4, 1e3, 100)
@@ -321,7 +329,7 @@ class TestPortfolios:
 
     def test_affine_invariance(self, demo_envelope, market, demo_dual):
         a = 2.2
-        scaled = demo_envelope.envelope.scale_shift(a, -0.7)
+        scaled = scale_shift(demo_envelope.envelope, a, -0.7)
         sol = solve_multiplier(scaled, market, 25.0)
         for t, xi in [(1.0, 0.8), (6.0, 1.5)]:
             d_orig = portfolio_unified(demo_envelope.envelope, market,
@@ -342,6 +350,13 @@ class TestPortfolios:
         # the general form still works there
         pi = portfolio_general(env, market, 0.5, 1.0, 1.0)
         assert np.all(np.isfinite(pi))
+
+    def test_all_linear_envelope_has_no_split(self, market):
+        line = PharaPiece(a_lo=0.0, a_hi=INF, R=0.0, anchor_x=0.0, anchor_u=0.0,
+                          anchor_slope=1.0)
+        env = PharaUtility(a0=0.0, pieces=(line,))
+        with pytest.raises(HeterogeneousRisk, match="no curved piece"):
+            portfolio_unified(env, market, 0.5, 1.0, 1.0)
 
     def test_bad_time(self, crra_envelope, market):
         with pytest.raises(BadTime):
@@ -410,6 +425,10 @@ class TestSahara:
             sahara_portfolio(mkt, alpha=2.0, beta=1.0, t=0.0, x=1.0)
         assert isinstance(err.value, BadDimension)
 
+    def test_beyond_horizon_rejected(self, market):
+        with pytest.raises(BadTime):
+            sahara_portfolio(market, alpha=2.0, beta=1.0, t=market.T + 1.0, x=1.0)
+
     @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (-1.0, 1.0), (2.0, -0.1)])
     def test_bad_parameters_rejected(self, market, alpha, beta):
         with pytest.raises(PharaError) as err:
@@ -468,6 +487,25 @@ class TestWealthInversion:
         out = state_price_for_wealth(demo_envelope.envelope, market,
                                      demo_dual.y_star, 1.0, np.array([]))
         assert out.shape == (0,)
+
+    def test_no_bracket_within_the_rungs(self, market):
+        # X_0 = C (y xi)^{-1/20} grows so slowly that wealth 1e12 lies beyond
+        # the 200 rungs log xi = -2, -4, ..., -400
+        with pytest.raises(UnboundedDemand, match="no bracket"):
+            solve_multiplier(crra_utility(20.0), market, 1e12)
+
+    def test_root_find_rejects_nan(self):
+        def nan_map(act, u):
+            return np.full(u.size, np.nan), np.ones(u.size)
+        with pytest.raises(NoConvergence, match="NaN"):
+            _newton_root(nan_map, np.array([-1.0]), np.array([1.0]), np.array([0.0]))
+
+    def test_root_find_step_cap(self, monkeypatch, demo_envelope, market,
+                                demo_dual):
+        monkeypatch.setattr(solver, "_NEWTON_ITERS", 1)
+        with pytest.raises(NoConvergence, match="unconverged after 1 steps"):
+            state_price_for_wealth(demo_envelope.envelope, market,
+                                   demo_dual.y_star, 5.0, 20.0)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_concave_envelope, random_raw_utility
-from phara.errors import AtKink, IllegalCase, OutOfDomain, PharaError
-from phara.presets import CONTRACT_PARAMS
+from conftest import (CONTRACT_PARAMS, deriv, random_concave_envelope,
+                      random_raw_utility)
+from phara.errors import IllegalCase, NotPhara, OutOfDomain, PharaError
 from phara.utility import (INF, NEG_INF, PharaPiece, PharaUtility,
-                           PiecewiseLinearPayoff, cara_utility, compose,
-                           crra_utility, hedge_fund_utility, s_shaped_utility)
+                           PiecewiseLinearPayoff, _verify_composition,
+                           cara_utility, compose, crra_utility,
+                           hedge_fund_payoff, hedge_fund_utility,
+                           s_shaped_utility)
 
 
 def _s_shape(w, reference, g, q=None, lam=1.0):
@@ -81,6 +83,10 @@ class TestTemplate:
             with pytest.raises(IllegalCase):
                 _template(**kwargs)
 
+    def test_linear_piece_has_no_slope_inverse(self):
+        with pytest.raises(IllegalCase):
+            _template(0.0, NEG_INF, None).slope_inverse(1.0)
+
     def test_restrict_keeps_branch(self, demo_utility):
         for piece in demo_utility.pieces + crra_utility(0.5).pieces:
             hi = piece.a_hi if math.isfinite(piece.a_hi) else piece.a_lo + 9.0
@@ -105,17 +111,25 @@ class TestEval:
     def test_crra_derivative_both_sides(self):
         u = crra_utility(0.5)
         for x in (0.3, 1.0, 7.7):
-            assert u.deriv(x, "left") == pytest.approx(x**-0.5, rel=1e-14)
-            assert u.deriv(x, "right") == pytest.approx(x**-0.5, rel=1e-14)
+            assert deriv(u, x, "left") == pytest.approx(x**-0.5, rel=1e-14)
+            assert deriv(u, x, "right") == pytest.approx(x**-0.5, rel=1e-14)
 
     def test_right_derivative_matches_finite_difference(self, demo_utility):
         for a_k in demo_utility.interior_points:
-            got = demo_utility.deriv(float(a_k), "right")
+            got = deriv(demo_utility, float(a_k), "right")
             if not math.isfinite(got):
                 continue  # square-root branch rooted exactly at a_k
             h = 1e-7 * max(1.0, a_k)
             fd = (demo_utility.value(a_k + h) - demo_utility.value(a_k)) / h
             assert got == pytest.approx(fd, rel=5e-6, abs=1e-9)
+
+    def test_kinks(self, demo_utility):
+        # a slope jump, or an infinite slope on one side only, is a kink; the
+        # S-shape's reference point has infinite slope on both sides
+        assert demo_utility.kinks() == [4.0, 4.4, 8.96, 12.0, 20.0, 40.0]
+        u = s_shaped_utility(reference=1.0, gain_exponent=0.5, a0=0.0)
+        assert u.junctions()[0][3:] == (INF, INF)
+        assert u.kinks() == [0.0]
 
     def test_monotone_on_grid(self, demo_utility, contract_utility):
         for u in (demo_utility, contract_utility):
@@ -126,7 +140,7 @@ class TestEval:
 
     def test_bad_derivative_side(self, demo_utility):
         with pytest.raises(PharaError):
-            demo_utility.deriv(5.0, "middle")
+            deriv(demo_utility, 5.0, "middle")
 
     def test_out_of_domain(self, demo_utility):
         with pytest.raises(OutOfDomain):
@@ -139,29 +153,45 @@ class TestEval:
         assert crra_utility(2.0).value_at_a0 == NEG_INF
 
 
+def _ara(piece: PharaPiece, x: float) -> float:
+    """-U''/U' at x, by a central difference of log slope."""
+    h = 1e-6 * max(1.0, abs(x))
+    return -(math.log(piece.slope(x + h)) - math.log(piece.slope(x - h))) / (2.0 * h)
+
+
 class TestAra:
-    def test_linear_zero(self, demo_utility):
-        assert demo_utility.ara(5.0) == 0.0
+    """The HARA property the template rests on: on each branch the absolute
+    risk aversion -U''/U' is R/(x - A), alpha, or 0."""
+
+    def test_linear_zero(self):
+        assert _ara(_template(0.0, NEG_INF, None), 5.0) == 0.0
 
     def test_cara_constant(self):
-        u = cara_utility(2.0)
-        assert u.ara(3.0) == 2.0
-        assert u.ara(-10.0) == 2.0
+        (piece,) = cara_utility(2.0).pieces
+        for x in (3.0, -10.0):
+            assert _ara(piece, x) == pytest.approx(2.0, rel=1e-8)
 
     def test_hyperbolic(self):
-        piece = PharaPiece(a_lo=5.0, a_hi=INF, R=0.5, A=4.0, anchor_x=5.0,
-                           anchor_u=0.0, anchor_slope=1.0)
-        u = PharaUtility(a0=5.0, pieces=(piece,))
-        assert u.ara(6.0) == pytest.approx(0.25, rel=1e-14)
+        for R in (0.5, 1.0, 3.0):
+            piece = PharaPiece(a_lo=5.0, a_hi=INF, R=R, A=4.0, anchor_x=5.0,
+                               anchor_u=0.0, anchor_slope=1.0)
+            assert _ara(piece, 6.0) == pytest.approx(R / 2.0, rel=1e-8)
 
     def test_crra_exact(self):
-        u = crra_utility(0.5)
+        (piece,) = crra_utility(0.5).pieces
         for x in (0.5, 2.0, 9.0):
-            assert u.ara(x) == 0.5 / x
+            assert _ara(piece, x) == pytest.approx(0.5 / x, rel=1e-8)
 
-    def test_at_kink(self, demo_utility):
-        with pytest.raises(AtKink):
-            demo_utility.ara(12.0)
+    def test_at_kink(self, contract_utility):
+        # at the kink L/alpha the two branches meeting there disagree, so
+        # the risk aversion is one-sided: R/(x - A) of each branch
+        _, mid, top = contract_utility.pieces
+        x = mid.a_hi
+        assert x == top.a_lo == 2.5
+        left, right = _ara(mid, x), _ara(top, x)
+        assert left == pytest.approx(0.5 / (x - mid.A), rel=1e-8)
+        assert right == pytest.approx(0.5 / (x - top.A), rel=1e-8)
+        assert right < left
 
 
 class TestCompose:
@@ -172,7 +202,7 @@ class TestCompose:
         L = CONTRACT_PARAMS["guarantee"]
         assert [p.a_lo for p in contract_utility.pieces] == [0.0, L, L / alpha]
         flat, mid, top = contract_utility.pieces
-        assert flat.is_flat
+        assert (flat.R, flat.anchor_slope) == (0.0, 0.0)
         assert mid.R == pytest.approx(1.0 - gamma)
         assert mid.A == pytest.approx(L)
         assert top.R == pytest.approx(1.0 - gamma)
@@ -185,7 +215,8 @@ class TestCompose:
         assert contract_utility.value(x) == pytest.approx(expect, rel=1e-12)
 
     def test_identity_payoff_returns_preference(self, demo_utility):
-        payoff = PiecewiseLinearPayoff.identity(domain_lo=4.0)
+        payoff = PiecewiseLinearPayoff(domain_lo=4.0, value_lo=4.0,
+                                       breakpoints=(), slopes=(1.0,))
         assert compose(demo_utility, payoff) is demo_utility
 
     def test_hedge_fund_kinks(self, market):
@@ -219,7 +250,8 @@ class TestCompose:
     def test_loss_branch_is_convex(self):
         pref = s_shaped_utility(reference=1.0, gain_exponent=0.5, a0=0.0,
                                 loss_weight=2.25)
-        payoff = PiecewiseLinearPayoff.identity(domain_lo=0.0)
+        payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
+                                       breakpoints=(), slopes=(1.0,))
         u = compose(pref, payoff)
         assert [p.a_lo for p in u.pieces] == [0.0, 1.0]
         assert u.pieces[0].curvature == "convex"
@@ -240,7 +272,8 @@ class TestCompose:
         with pytest.raises(OutOfDomain):
             compose(pref, payoff)
         with pytest.raises(OutOfDomain):
-            compose(pref, PiecewiseLinearPayoff.identity(domain_lo=-1.0))
+            compose(pref, PiecewiseLinearPayoff(domain_lo=-1.0, value_lo=-1.0,
+                                                breakpoints=(), slopes=(1.0,)))
 
     def test_preference_branch_anchored_at_cell_end(self, demo_utility):
         # the cell [20, 40) has its benchmark at its left end, so it is
@@ -255,6 +288,33 @@ class TestCompose:
         assert np.all(np.abs(u.value(xs) - direct)
                       <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
+    def test_flat_payoff_at_an_infinite_preference_value(self):
+        # log x with the floor a0 = 0 included: U(0) = -inf, so a payoff flat
+        # at 0 has no finite utility
+        log = PharaPiece(a_lo=0.0, a_hi=INF, R=1.0, A=0.0, anchor_x=1.0,
+                         anchor_u=0.0, anchor_slope=1.0)
+        pref = PharaUtility(a0=0.0, pieces=(log,), a0_included=True)
+        payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
+                                       breakpoints=(1.0,), slopes=(0.0, 1.0))
+        with pytest.raises(NotPhara, match="flat payoff"):
+            compose(pref, payoff)
+
+    def test_composition_check_rejects_a_wrong_branch(self):
+        # the pointwise check behind compose: a cell off by 1e-6 fails it
+        pref = crra_utility(0.5)
+        payoff = PiecewiseLinearPayoff(domain_lo=1.0, value_lo=1.0,
+                                       breakpoints=(), slopes=(1.0,))
+        u = compose(pref, payoff)
+        _verify_composition(u, pref.value, payoff)
+        with pytest.raises(NotPhara, match="does not reduce"):
+            _verify_composition(u, lambda w: pref.value(w) + 1e-6, payoff)
+
+    def test_hedge_fund_floor_above_benchmark(self, market):
+        with pytest.raises(IllegalCase, match="floor"):
+            hedge_fund_payoff(omega=0.1, mgmt_fee=0.2, incentive=0.4,
+                              floor_mult=2.0, benchmark_mult=2.0, x0=1.0,
+                              r=market.r, T=market.T)
+
     def test_payoff_validation(self):
         with pytest.raises(IllegalCase):
             PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
@@ -262,37 +322,9 @@ class TestCompose:
         with pytest.raises(IllegalCase):
             PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
                                   breakpoints=(1.0,), slopes=(1.0, -0.2))
-
-
-class TestScaleShift:
-    def test_identity(self, demo_utility):
-        u = demo_utility.scale_shift(1.0, 0.0)
-        xs = np.linspace(4.0, 80.0, 200)
-        assert np.allclose(u.value(xs), demo_utility.value(xs), rtol=0, atol=0)
-
-    def test_slopes_doubled(self):
-        u = crra_utility(0.5)
-        v = u.scale_shift(2.0, 0.0)
-        for x in (0.5, 1.0, 3.0):
-            assert v.deriv(x, "right") == pytest.approx(2 * u.deriv(x, "right"),
-                                                        rel=1e-14)
-
-    def test_affine_values(self, demo_utility):
-        v = demo_utility.scale_shift(3.0, -1.0)
-        xs = np.linspace(4.0, 100.0, 500)
-        assert np.allclose(v.value(xs), 3.0 * demo_utility.value(xs) - 1.0,
-                           rtol=1e-13, atol=1e-12)
-
-    def test_structure_preserved(self, demo_utility):
-        v = demo_utility.scale_shift(2.5, 4.0)
-        assert np.array_equal(v.partition, demo_utility.partition)
-        assert [p.is_flat for p in v.pieces] == \
-            [p.is_flat for p in demo_utility.pieces]
-        assert v.kinks() == demo_utility.kinks()
-
-    def test_negative_scale_rejected(self, demo_utility):
-        with pytest.raises(IllegalCase):
-            demo_utility.scale_shift(-1.0, 0.0)
+        with pytest.raises(IllegalCase, match="slopes"):
+            PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
+                                  breakpoints=(1.0,), slopes=(1.0,))
 
 
 class TestValidation:
@@ -316,6 +348,20 @@ class TestValidation:
                         anchor_u=-1.0, anchor_slope=0.5)
         with pytest.raises(IllegalCase):
             PharaUtility(a0=0.0, pieces=(p1, p2))
+
+    def test_structure_rejected(self):
+        line = PharaPiece(a_lo=0.0, a_hi=1.0, R=0.0, anchor_x=0.0,
+                          anchor_u=0.0, anchor_slope=1.0)
+        tail = PharaPiece(a_lo=1.0, a_hi=INF, R=0.5, A=0.0, anchor_x=1.0,
+                          anchor_u=1.0, anchor_slope=0.5)
+        # a convex log branch whose benchmark is its right end: +inf there
+        spike = PharaPiece(a_lo=0.0, a_hi=1.0, R=1.0, A=1.0, anchor_x=0.0,
+                           anchor_u=0.0, anchor_slope=1.0)
+        assert spike.value_hi == INF
+        for a0, pieces in ((0.0, ()), (-1.0, (line, tail)), (0.0, (line,)),
+                           (0.0, (spike, tail))):
+            with pytest.raises(IllegalCase):
+                PharaUtility(a0=a0, pieces=pieces)
 
     def test_single_piece_accepted(self):
         # one global cell is fine: every kink weight downstream vanishes

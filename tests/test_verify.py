@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import interesting_multipliers
+from conftest import deriv, interesting_multipliers
 from phara.cli import main
 from phara.errors import StepTooCoarse
 from phara.solver import optimal_terminal_wealth, solve_multiplier
@@ -153,8 +153,8 @@ class TestSimulation:
             # the window [a_k (1 +- 0.01)] also captures continuum neighbours;
             # its exact probability follows from the envelope slopes there
             lo, hi = a_k * 0.99, a_k * 1.01
-            s_hi = env.deriv(hi, "right")
-            s_lo = math.inf if lo < env.a0 else env.deriv(lo, "left")
+            s_hi = deriv(env, hi, "right")
+            s_lo = math.inf if lo < env.a0 else deriv(env, lo, "left")
             prob = float(ndtr(d0(s_hi / y, market, 0.0))
                          - ndtr(d0(s_lo / y, market, 0.0)))
             freq = np.mean(np.abs(x_T - a_k) < 0.01 * a_k)

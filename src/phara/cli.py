@@ -13,7 +13,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,57 +30,70 @@ from .utility import (INF, NEG_INF, PharaPiece, PharaUtility,
                       PiecewiseLinearPayoff, compose, s_shaped_utility)
 
 _FMT = "{:.17g}"
+_MISSING = object()
+_NOUNS = {"number": "a number", "count": "an integer", "flag": "true or false",
+          "text": "a string", "list": "a list", "object": "an object"}
+_TYPES = {"flag": bool, "text": str, "list": list, "object": dict}
+_FINITE = {"ok": math.isfinite, "rule": "finite"}
+# a standard error needs two samples and an axis two points; 10^8 bounds the arrays
+_SIZE = {"ok": lambda n: 2 <= n <= 10**8, "rule": ">= 2, at most 10^8 and integral"}
+# the commands key Philox (uint64) with seeds up to seed + 3
+_SEED = {"ok": lambda s: 0 <= s < 2**64 - 3, "rule": "in [0, 2^64 - 4] and integral"}
 
 
-def _num(x):
-    """Parse a JSON number that may be the strings 'inf' / '-inf'."""
-    if isinstance(x, str):
-        if x.lower() in ("inf", "+inf", "infinity"):
-            return INF
-        if x.lower() in ("-inf", "-infinity"):
-            return NEG_INF
-        return float(x)
-    return float(x)
+def _check(value, field: str, kind: str, ok=None, rule: str | None = None):
+    """value read as a JSON ``kind`` (README, "Scenario file") that passes
+    ``ok``, the range ``rule`` states; a BadDimension naming ``field`` otherwise."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind == "number" and isinstance(value, str):
+        parsed = {"inf": INF, "-inf": NEG_INF}.get(value)
+    elif kind == "number":
+        huge = isinstance(value, int) and abs(value) > sys.float_info.max
+        parsed = float(value) if real and value == value and not huge else None
+    elif kind == "count":
+        integral = isinstance(value, int) or real and value.is_integer()
+        parsed = int(value) if real and integral else None
+    else:
+        parsed = value if isinstance(value, _TYPES[kind]) else None
+    if parsed is None or (ok is not None and not ok(parsed)):
+        got = {list: "a list", dict: "an object"}.get(type(value)) or json.dumps(value)
+        raise BadDimension(f"{field} must be {rule or _NOUNS[kind]}, got {got}")
+    return parsed
 
 
-def _count(x, name: str) -> int:
-    """Parse a JSON count or seed: an integer, or a float with an integral value."""
-    if isinstance(x, float) and not x.is_integer():
-        raise BadDimension(f"{name} must be an integer, got {x}")
-    return int(x)
+class _Fields:
+    """The scenario's JSON object at a field path such as ``utility.pieces[2]``."""
+
+    def __init__(self, value, path: str):
+        self.path, self.data = path, _check(value, path or "the scenario", "object")
+        self.prefix = f"{path}." if path else ""
+
+    def get(self, key: str, kind: str = "number", default=_MISSING, ok=None,
+            rule: str | None = None):
+        """The value at ``key`` read as a ``kind``: an "object" as a _Fields,
+        and "numbers" as a list whose entries each pass ``ok``."""
+        name = self.prefix + key
+        if key not in self.data:
+            if default is _MISSING:
+                raise BadDimension(f"{name} is missing")
+            return default
+        if kind == "numbers":
+            return [_check(v, f"{name} entries", "number", ok, rule)
+                    for v in _check(self.data[key], name, "list")]
+        value = _check(self.data[key], name, kind, ok, rule)
+        return _Fields(value, name) if kind == "object" else value
 
 
-def _flag(block: dict, key: str, default: bool) -> bool:
-    """Parse a JSON boolean; a string such as "false" is not one."""
-    value = block.get(key, default)
-    if not isinstance(value, bool):
-        raise BadDimension(f"{key} must be true or false, got {value!r}")
-    return value
+def _build(field: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its PharaError re-raised with ``field`` as a prefix."""
+    try:
+        return make(*args, **kwargs)
+    except PharaError as exc:
+        raise type(exc)(f"{field}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class WealthGrid:
-    """The scenario's ``grids.wealth`` block; ``n`` unset means ``--grid`` points."""
-
-    lo: float
-    hi: float
-    n: int | None
-    discounted: bool
-
-
-def _parse_wealth_grid(block) -> WealthGrid | None:
-    if block is None:
-        return None
-    if "lo" not in block or "hi" not in block:
-        raise BadDimension("grids.wealth needs 'lo' and 'hi'")
-    lo, hi = _num(block["lo"]), _num(block["hi"])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise BadDimension(f"grids.wealth needs finite 'lo' and 'hi', got {lo}, {hi}")
-    n = _count(block["n"], "grids.wealth.n") if "n" in block else None
-    if n is not None and n < 2:
-        raise BadDimension(f"grids.wealth.n must be >= 2, got {n}")
-    return WealthGrid(lo=lo, hi=hi, n=n,
-                      discounted=_flag(block, "discounted", False))
+# the scenario's grids.wealth block; n unset means --grid points
+WealthGrid = namedtuple("WealthGrid", "lo hi n discounted")
 
 
 @dataclass(frozen=True)
@@ -93,97 +107,84 @@ class Scenario:
     wealth_grid: WealthGrid | None
 
 
-def _parse_utility(block: dict) -> PharaUtility:
-    if "pieces" in block:
-        a0 = _num(block["a0"])
-        entries = block["pieces"]
-        bounds = [_num(e["a_lo"]) for e in entries] + [INF]
+def _parse_utility(value, path: str = "utility") -> PharaUtility:
+    block = _Fields(value, path)
+    if "pieces" in block.data:
+        entries = [_Fields(v, f"{path}.pieces[{i}]")
+                   for i, v in enumerate(block.get("pieces", "list"))]
+        bounds = [e.get("a_lo") for e in entries] + [INF]
         pieces = []
         for e, lo, hi in zip(entries, bounds, bounds[1:]):
-            R = _num(e["R"])
-            A = _num(e.get("A", "-inf"))
-            alpha = _num(e["alpha"]) if "alpha" in e else None
-            if "anchor" in e:
-                anc = e["anchor"]
-                piece = PharaPiece(a_lo=lo, a_hi=hi, R=R, A=A, alpha=alpha,
-                                   anchor_x=_num(anc["x"]), anchor_u=_num(anc["u"]),
-                                   anchor_slope=_num(anc["slope"]))
-            else:
-                piece = PharaPiece(a_lo=lo, a_hi=hi, R=R, A=A, alpha=alpha,
-                                   anchor_x=lo, anchor_u=_num(e["u_plus"]),
-                                   anchor_slope=_num(e["gamma_plus"]))
-            pieces.append(piece)
-        return PharaUtility(a0=a0, pieces=tuple(pieces),
-                            a0_included=_flag(block, "a0_included", True))
+            anc = e.get("anchor", "object", None)
+            x, u, slope = ((anc.get("x"), anc.get("u"), anc.get("slope")) if anc
+                           else (lo, e.get("u_plus"), e.get("gamma_plus")))
+            pieces.append(_build(e.path, PharaPiece, a_lo=lo, a_hi=hi, R=e.get("R"),
+                                 A=e.get("A", default=NEG_INF),
+                                 alpha=e.get("alpha", default=None),
+                                 anchor_x=x, anchor_u=u, anchor_slope=slope))
+        return _build(path, PharaUtility, a0=block.get("a0"), pieces=tuple(pieces),
+                      a0_included=block.get("a0_included", "flag", True))
 
-    if "preference" in block:
-        pay = block["payoff"]
-        payoff = PiecewiseLinearPayoff(
-            domain_lo=_num(pay.get("floor", pay.get("domain_lo", 0.0))),
-            value_lo=_num(pay.get("value_lo", 0.0)),
-            breakpoints=tuple(_num(b) for b in pay.get("breakpoints", ())),
-            slopes=tuple(_num(s) for s in pay["slopes"]),
-        )
-        pref_block = block["preference"]
-        kind = pref_block.get("type", "s_shaped")
-        if kind == "s_shaped":
-            # built on the payoff's range [value_lo, inf)
-            pref = s_shaped_utility(
-                reference=_num(pref_block.get("reference", 0.0)),
-                gain_exponent=_num(pref_block["gain_exponent"]),
-                a0=payoff.value_lo,
-                loss_exponent=(_num(pref_block["loss_exponent"])
-                               if "loss_exponent" in pref_block else None),
-                loss_weight=_num(pref_block.get("loss_weight", 1.0)),
-            )
-        elif kind == "phara":
-            pref = _parse_utility(pref_block)
-        else:
-            raise IllegalCase(f"unknown preference type {kind!r}")
-        return compose(pref, payoff)
+    if "preference" in block.data:
+        pay = block.get("payoff", "object")
+        payoff = _build(pay.path, PiecewiseLinearPayoff,
+                        domain_lo=pay.get("floor", default=0.0),
+                        value_lo=pay.get("value_lo", default=0.0),
+                        breakpoints=tuple(pay.get("breakpoints", "numbers", [])),
+                        slopes=tuple(pay.get("slopes", "numbers")))
+        pref = block.get("preference", "object")
+        if pref.get("type", "text", "s_shaped", ("s_shaped", "phara").__contains__,
+                    '"s_shaped" or "phara"') == "phara":
+            preference = _parse_utility(pref.data, pref.path)
+        else:  # built on the payoff's range [value_lo, inf)
+            preference = _build(pref.path, s_shaped_utility, a0=payoff.value_lo,
+                                reference=pref.get("reference", default=0.0),
+                                gain_exponent=pref.get("gain_exponent"),
+                                loss_exponent=pref.get("loss_exponent", default=None),
+                                loss_weight=pref.get("loss_weight", default=1.0))
+        return _build(path, compose, preference, payoff)
 
-    raise IllegalCase("utility block needs either 'pieces' or 'preference'+'payoff'")
+    raise BadDimension(f"{path} needs either 'pieces' or 'preference' and 'payoff'")
+
+
+def _scenario(path, flags: dict) -> Scenario:
+    try:
+        text = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise BadDimension(f"not JSON: {exc}") from exc
+    raw = _Fields(text, "")
+    mb = raw.get("market", "object")
+    grids = raw.get("grids", "object", _Fields({}, "grids"))
+    market = _build("market", build_market, r=mb.get("r"), mu=mb.get("mu", "numbers"),
+                    sigma=[_Fields({"sigma": row}, "market").get("sigma", "numbers")
+                           for row in mb.get("sigma", "list")],  # each row: a list
+                    T=mb.get("T"))
+    wealth = grids.get("wealth", "object", None)
+    counts = {key: raw.get(key, "count", default, **spec) for key, default, spec
+              in (("seed", 0, _SEED), ("paths", 100_000, _SIZE)) if key not in flags}
+    return Scenario(
+        market=market, utility=_parse_utility(raw.get("utility", "object").data),
+        x0=raw.get("x0", **_FINITE), **counts, **flags,
+        t_grid=tuple(grids.get("t", "numbers", [0.0], lambda t: 0.0 <= t < market.T,
+                                   f"finite and in [0, {market.T}) (market.T)")),
+        wealth_grid=wealth and WealthGrid(
+            lo=wealth.get("lo", **_FINITE), hi=wealth.get("hi", **_FINITE),
+            n=wealth.get("n", "count", None, **_SIZE),
+            discounted=wealth.get("discounted", "flag", False)))
 
 
 def load_scenario(path, seed_override=None, paths_override=None) -> Scenario:
-    raw = json.loads(Path(path).read_text())
-    try:
-        mb = raw["market"]
-        market = build_market(r=_num(mb["r"]), mu=[_num(v) for v in mb["mu"]],
-                              sigma=[[_num(v) for v in row] for row in mb["sigma"]],
-                              T=_num(mb["T"]))
-        utility = _parse_utility(raw["utility"])
-        grids = raw.get("grids", {})
-        t_grid = tuple(_num(t) for t in grids.get("t", (0.0,)))
-        seed = _count(seed_override if seed_override is not None
-                      else raw.get("seed", 0), "seed")
-        paths = _count(paths_override if paths_override is not None
-                       else raw.get("paths", 100_000), "paths")
-        wealth_grid = _parse_wealth_grid(grids.get("wealth"))
-        x0 = _num(raw["x0"])
-    except (TypeError, AttributeError, OverflowError) as exc:
-        # a value of the wrong JSON type (a number where an array or object
-        # belongs, an object where a number does) or a number too large for a float
-        raise BadDimension(f"malformed scenario {path}: {exc}") from exc
-    if not math.isfinite(x0):
-        raise BadDimension(f"x0 must be finite, got {x0}")
-    outside = [t for t in t_grid if not 0.0 <= t < market.T]  # NaN included
-    if outside:
-        raise BadDimension(f"grids.t entries must be finite and in [0, {market.T}), "
-                           f"got {outside}")
-    if paths < 2:
-        # a standard error needs at least two samples
-        raise BadDimension(f"paths must be >= 2, got {paths}")
-    if not 0 <= seed < 2**64 - 3:
-        # the commands key Philox (uint64) with seeds up to seed + 3
-        raise BadDimension(f"seed must be in [0, 2^64 - 4], got {seed}")
-    return Scenario(market=market, utility=utility, x0=x0, seed=seed, paths=paths,
-                    t_grid=t_grid, wealth_grid=wealth_grid)
+    """The scenario file at ``path``; an input error is a PharaError whose
+    message starts with "malformed scenario <path>:" and names the field."""
+    flags = {key: _check(flag, f"--{key}", "count", **spec) for key, flag, spec
+             in (("seed", seed_override, _SEED), ("paths", paths_override, _SIZE))
+             if flag is not None}
+    return _build(f"malformed scenario {path}", _scenario, path, flags)
 
 
 def _strict(value):
     """value with every float +-inf replaced by the string "inf" / "-inf",
-    which :func:`_num` reads back."""
+    which :func:`_check` reads back."""
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0.0 else "-inf"
     if isinstance(value, dict):
@@ -216,18 +217,8 @@ def cmd_envelope(scn: Scenario, out: Path, grid_n: int) -> int:
         "kinks": res.kinks,
         "tangency_points": list(res.tangency_points),
         "chords": [list(c) for c in res.chords],
-        "pieces": [
-            {
-                "a_lo": p.a_lo,
-                "a_hi": p.a_hi,
-                "R": p.R,
-                "A": p.A,
-                "alpha": p.alpha,
-                "gamma_plus": p.slope_lo,
-                "u_plus": p.value_lo,
-            }
-            for p in env.pieces
-        ],
+        "pieces": [{"a_lo": p.a_lo, "a_hi": p.a_hi, "R": p.R, "A": p.A, "alpha": p.alpha,
+                    "gamma_plus": p.slope_lo, "u_plus": p.value_lo} for p in env.pieces],
     }
     _write_json(out / "envelope.json", table)
 
@@ -247,13 +238,7 @@ def cmd_envelope(scn: Scenario, out: Path, grid_n: int) -> int:
 def cmd_solve(scn: Scenario, out: Path) -> int:
     env = concave_envelope(scn.utility).envelope
     sol = solve_multiplier(env, scn.market, scn.x0)
-    _write_json(out / "dual.json", {
-        "y_star": sol.y_star,
-        "budget_residual": sol.budget_residual,
-        "bracket": list(sol.bracket),
-        "x0": sol.x0,
-        "feasible_floor": sol.feasible_floor,
-    })
+    _write_json(out / "dual.json", asdict(sol))
     return 0
 
 
@@ -289,7 +274,9 @@ def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
         if unified:
             dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
             wealth = dec.wealth
-            cols = [dec.percentage[0], *(v[0] / wealth for v in dec.terms.values())]
+            cols = [dec.percentage[0], *(np.divide(v[0], wealth, out=np.zeros_like(wealth),
+                                                   where=wealth != 0.0)
+                                         for v in dec.terms.values())]
         else:
             wealth = wealth_total(env, scn.market, sol.y_star, t, xi)
             pi = portfolio_general(env, scn.market, sol.y_star, t, xi)[0]
@@ -307,10 +294,10 @@ def cmd_decompose(scn: Scenario, out: Path, t: float, x: float | None,
                   xi: float | None) -> int:
     if x is None and xi is None:
         raise IllegalCase("decompose needs --x or --xi")
-    if x is not None and not math.isfinite(x):
-        raise BadDimension(f"--x must be finite, got {x}")
-    if xi is not None and not (math.isfinite(xi) and xi > 0.0):
-        raise BadDimension(f"--xi must be finite and positive, got {xi}")
+    if x is not None:
+        _check(x, "--x", "number", **_FINITE)
+    if xi is not None:
+        _check(xi, "--xi", "number", lambda v: 0.0 < v < INF, "finite and positive")
     env = concave_envelope(scn.utility).envelope
     sol = solve_multiplier(env, scn.market, scn.x0)
     if xi is None:
@@ -380,14 +367,16 @@ def cmd_simulate(scn: Scenario, out: Path, steps: int) -> int:
     return 0 if report.passed else 1
 
 
+_COMMANDS = {"envelope": cmd_envelope, "solve": cmd_solve, "surface": cmd_surface,
+             "decompose": cmd_decompose, "verify": cmd_verify, "simulate": cmd_simulate}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="phara",
         description="Closed-form optimal portfolios for piecewise-HARA utilities",
     )
-    parser.add_argument("command",
-                        choices=["envelope", "solve", "surface", "decompose",
-                                 "verify", "simulate"])
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None)
@@ -403,24 +392,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.grid < 2:
-            raise BadDimension(f"--grid must be >= 2, got {args.grid}")
+        for name in ("grid", "steps"):
+            _check(getattr(args, name), f"--{name}", "count", **_SIZE)
         scn = load_scenario(args.scenario, seed_override=args.seed,
                             paths_override=args.paths)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "envelope":
-            return cmd_envelope(scn, out, args.grid)
-        if args.command == "solve":
-            return cmd_solve(scn, out)
-        if args.command == "surface":
-            return cmd_surface(scn, out, args.grid)
-        if args.command == "decompose":
-            return cmd_decompose(scn, out, args.t, args.x, args.xi)
-        if args.command == "verify":
-            return cmd_verify(scn, out)
-        return cmd_simulate(scn, out, args.steps)
-    except (PharaError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        extra = {"envelope": (args.grid,), "surface": (args.grid,),
+                 "decompose": (args.t, args.x, args.xi), "simulate": (args.steps,)}
+        return _COMMANDS[args.command](scn, out, *extra.get(args.command, ()))
+    except (PharaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

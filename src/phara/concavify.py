@@ -249,6 +249,7 @@ class _Sweep:
         if np.isfinite(piece.a_hi) and piece.a_hi - f <= 1e-15 * max(1.0, abs(piece.a_hi)):
             f = piece.a_hi  # the chord reaches the arc's end: no fragment is kept
         self._push_chord(x_b, v_b, f, s_star)
+        f = self.right_end()[0]  # x_b when the chord was too short to keep
         if f < piece.a_hi:
             self.hull.append(piece.restrict(f, piece.a_hi))
 

@@ -62,8 +62,11 @@ def build_market(r: float, mu, sigma, T: float) -> MarketParams:
     DriftBelowRate : some mu_i <= r
     SingularVolatility : sigma @ sigma.T numerically singular
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    try:
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    except ValueError as exc:  # ragged rows
+        raise BadDimension(f"mu and sigma must be arrays: {exc}") from exc
     if mu.ndim != 1 or mu.size < 1:
         raise BadDimension(f"mu must be a vector, got shape {mu.shape}")
     m = mu.shape[0]

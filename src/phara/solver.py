@@ -32,6 +32,7 @@ from .utility import INF, PharaUtility
 _BUDGET_RTOL = 1e-10
 _MAX_EXPAND = 200
 _NEWTON_ITERS = 100
+_NEWTON_STEPS = 20  # then bisection, which a steep map cannot make creep
 _BLOCK = 4096
 
 
@@ -93,10 +94,16 @@ def _tables(env: PharaUtility) -> _Tables:
     C = np.zeros(n1)
     K = np.zeros(n1)
     for k, p in enumerate(env.pieces):
-        if crra[k]:
-            C[k] = (p.anchor_x - p.A) * p.anchor_slope ** (1.0 / p.R)
-        elif cara[k]:
-            K[k] = p.anchor_x + math.log(p.anchor_slope) / p.alpha
+        try:
+            if crra[k]:
+                C[k] = (p.anchor_x - p.A) * p.anchor_slope ** (1.0 / p.R)
+            elif cara[k]:
+                K[k] = p.anchor_x + math.log(p.anchor_slope) / p.alpha
+        except OverflowError:
+            C[k] = INF
+        if not (0.0 < C[k] < INF if crra[k] else abs(K[k]) < INF):
+            raise IllegalCase(f"piece on [{p.a_lo}, {p.a_hi}) with R = {p.R}: its inverse "
+                              f"marginal utility does not fit a double (C = {C[k]}, K = {K[k]})")
     with np.errstate(divide="ignore"):
         log_ladder = np.log(ladder)
 
@@ -170,8 +177,13 @@ def _power_terms(tab: _Tables, market: MarketParams, t: float, log_w, D):
     tau, s, _ = _horizon(market, t)
     th = market.theta_norm
     R = tab.R[tab.crra]
-    growth = np.array([math.exp(-b * (market.r + 0.5 * th**2) * tau
-                                + 0.5 * b**2 * th**2 * tau) for b in 1.0 - 1.0 / R])
+    try:  # the smallest R has the largest growth
+        with np.errstate(over="raise"):
+            growth = np.array([math.exp(-b * (market.r + 0.5 * th**2) * tau
+                                        + 0.5 * b**2 * th**2 * tau) for b in 1.0 - 1.0 / R])
+    except (OverflowError, FloatingPointError):
+        raise IllegalCase(f"power piece with R = {R.min()}: its wealth growth factor "
+                          f"overflows at T - t = {tau}") from None
     R, growth = R[:, None], growth[:, None]
     F = normal.cdf(D - np.repeat(s / R, 2, axis=0))
     return tab.C[tab.crra, None] * np.exp(-log_w / R) * growth * (F[1::2] - F[::2])
@@ -390,12 +402,12 @@ def common_risk_aversion(env: PharaUtility) -> float:
     tab = _tables(env)
     if np.any(tab.cara):
         raise HeterogeneousRisk("exponential pieces have no four-term split")
-    levels = np.unique(tab.R[tab.crra])
-    if levels.size == 0:
+    levels = set(tab.R[tab.crra].tolist())
+    if not levels:
         raise HeterogeneousRisk("no curved piece to define the Merton term")
-    if levels.size > 1:
-        raise HeterogeneousRisk(f"multiple risk aversions {levels}")
-    return float(levels[0])
+    if len(levels) > 1:
+        raise HeterogeneousRisk(f"multiple risk aversions {sorted(levels)}")
+    return levels.pop()
 
 
 def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
@@ -464,10 +476,12 @@ def _wealth_ladder(env: PharaUtility, market: MarketParams, y_star: float,
                        (2.0, lambda u: rungs[u] >= x.min() and u + 2.0 <= u_cap)):
         u = 0.0
         while more(u):
-            if abs(u) >= 2.0 * _MAX_EXPAND:
-                raise UnboundedDemand("wealth inversion found no bracket")
             u += step
-            rungs[u] = wealth_total(env, market, y_star, t, math.exp(u))
+            with np.errstate(over="ignore", invalid="ignore"):
+                rungs[u] = wealth_total(env, market, y_star, t, math.exp(u))
+            if abs(u) > 2.0 * _MAX_EXPAND or not math.isfinite(rungs[u]):
+                raise UnboundedDemand(f"wealth inversion found no bracket: X_t is "
+                                      f"{rungs[u]:.6g} at xi = e^{u:g}")
     u = np.array(sorted(rungs))
     return u, np.array([rungs[v] for v in u])
 
@@ -484,7 +498,7 @@ def _newton_root(fn, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarra
     costs one call of fn on no entries.
     """
     act = np.arange(u.size)
-    for _ in range(_NEWTON_ITERS):
+    for i in range(_NEWTON_ITERS):
         ua = u[act]
         f, df = fn(act, ua)
         if np.isnan(f).any():
@@ -494,7 +508,8 @@ def _newton_root(fn, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarra
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = np.where(f == 0.0, 0.0, f / df)
         newton, tol = ua - step, 1e-14 * (1.0 + np.abs(ua))
-        take = (np.abs(step) <= tol) | ((newton > lo[act]) & (newton < hi[act]))
+        take = (np.abs(step) <= tol) | ((newton > lo[act]) & (newton < hi[act])
+                                        & (i < _NEWTON_STEPS))
         u[act] = np.where(take, newton, 0.5 * (lo[act] + hi[act]))
         act = act[~((np.abs(step) <= tol) | (np.abs(u[act] - ua) <= tol))]
         if not act.size:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -17,6 +18,13 @@ from phara.utility import INF, PharaPiece, PharaUtility, crra_utility, participa
 settings.register_profile("phara", max_examples=100, deadline=None,
                           derandomize=True, database=None)
 settings.load_profile("phara")
+
+
+def strict_json(path):
+    """json.loads that rejects the non-standard tokens NaN and +-Infinity."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds the non-standard token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def d_transform(z, y_shift: float, market, t: float):

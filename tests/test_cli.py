@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phara.cli import (_num, _parse_utility, cmd_decompose, cmd_surface,
+from conftest import strict_json as _strict_json
+from phara.cli import (_check, _parse_utility, cmd_decompose, cmd_surface,
                        load_scenario, main)
 from phara.concavify import concave_envelope
 from phara.errors import BadDimension, IllegalCase, PharaError
@@ -22,13 +23,6 @@ BUNDLED = ("crra", "multi_kink_demo", "participating_contract", "hedge_fund")
 
 def run(args):
     return main([str(a) for a in args])
-
-
-def _strict_json(path):
-    """json.loads that rejects the non-standard tokens NaN and +-Infinity."""
-    def reject(token):
-        raise ValueError(f"{path.name} holds the non-standard token {token}")
-    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def _csv(path):
@@ -223,7 +217,7 @@ class TestStandardJson:
         assert run(["envelope", "--scenario", path, "--out", tmp_path]) == 0
         table = _strict_json(tmp_path / "envelope.json")
         ((lo, hi, slope),) = table["chords"]
-        assert (lo, _num(hi), slope) == (0.0, INF, 1.0)
+        assert (lo, _check(hi, "hi", "number"), slope) == (0.0, INF, 1.0)
         assert table["pieces"][0]["a_hi"] == "inf"
 
 
@@ -319,6 +313,40 @@ class TestErrorPaths:
     def test_missing_file(self, tmp_path):
         assert run(["solve", "--scenario", tmp_path / "nope.json",
                     "--out", tmp_path]) == 2
+
+    @pytest.mark.parametrize("text", ["{", b"\xff{}"], ids=["truncated", "not_utf8"])
+    def test_not_json(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text.encode() if isinstance(text, str) else text)
+        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path], capsys)
+        assert f"malformed scenario {bad}: not JSON" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (("x0", True), "x0 must be finite, got true"),
+        (("utility", "pieces", 0, "anchor", "slope", "1"),
+         'utility.pieces[0].anchor.slope must be a number, got "1"'),
+        (("utility", "pieces", 0, "R", None), "utility.pieces[0].R is missing"),
+        (("utility", "pieces", 0, "A", 0.5), "utility.pieces[0]: benchmark 0.5 inside"),
+        (("market", "sigma", 0, "x"), "market.sigma must be a list, got \"x\""),
+        (("grids", "wealth", "n", 1e9), "grids.wealth.n must be >= 2, at most 10^8"),
+    ], ids=["bool_number", "quoted_number", "missing", "constructor", "sigma_row",
+            "huge_count"])
+    def test_error_names_the_field(self, tmp_path, capsys, edit, message):
+        # a JSON true was read as 1.0 and "1" as a number; a missing key
+        # printed only its name, and a constructor's error named no piece
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        *keys, last, value = edit
+        block = raw
+        for key in keys:
+            block = block[key]
+        if value is None:
+            del block[last]
+        else:
+            block[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path], capsys)
+        assert err.startswith(f"error: malformed scenario {bad}: {message}")
 
     def test_infeasible_budget(self, tmp_path):
         raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
@@ -456,7 +484,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("edit, field", [
         ({"T": 1e308}, "r T"), ({"mu": ["inf"]}, "mu entries"),
         ({"mu": [1e308]}, "|theta|^2 T"), ({"sigma": [[1e308]]}, "sigma entries"),
-    ], ids=["T_1e308", "mu_inf", "mu_1e308", "sigma_1e308"])
+        ({"mu": [0.086, 0.09], "sigma": [[0.3, 0.0], [0.2]]}, "mu and sigma must be arrays"),
+    ], ids=["T_1e308", "mu_inf", "mu_1e308", "sigma_1e308", "sigma_ragged"])
     def test_market_out_of_range(self, tmp_path, capsys, edit, field):
         # these gave an OverflowError traceback or overflow and invalid-value
         # warnings; now one typed error that names the field
@@ -509,9 +538,33 @@ class TestErrorPaths:
             cmd_surface(load_scenario(path), tmp_path, 11)
 
 
+def _run_child(code: str) -> None:
+    """Run ``code`` in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_split_commands_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma (about 15 ms and 1.4 MB); the common-R
+    # test of surface and decompose needs only a set
+    _run_child(f"""
+import sys
+from phara.cli import main
+for command, *flags in (("surface",), ("decompose", "--t", "1", "--x", "12")):
+    code = main([command, "--scenario", {str(SCENARIOS / "multi_kink_demo.json")!r},
+                 "--out", {str(tmp_path)!r}, *flags])
+    assert code == 0, (command, code)
+assert "numpy.ma" not in sys.modules
+""")
+
+
 def test_commands_never_import_scipy(tmp_path):
     # Phi and its inverse live in phara.normal; scipy is a test-only oracle
-    code = f"""
+    _run_child(f"""
 import sys
 from phara.cli import main
 commands = (("envelope",), ("solve",), ("surface",),
@@ -524,10 +577,4 @@ for name in {BUNDLED!r}:
         assert code == 0, (name, command, code)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
-"""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+""")

@@ -354,6 +354,43 @@ class TestSweepEdges:
         assert res.chords
         _check_envelope(u, res, x1 + 10.0)
 
+    def test_dropped_chord_leaves_no_gap(self):
+        # a convex sliver two ulps wide, then a concave arc as steep as the
+        # sliver's end: the chord onto the arc is too short to keep, so the
+        # arc's fragment must start where the hull ends, not at the chord's
+        # far end (that left a partition gap of an ulp)
+        x1 = 1000.0
+        x2 = math.nextafter(math.nextafter(x1, INF), INF)
+        head = PharaPiece(a_lo=0.0, a_hi=x1, R=2.0, A=-1.0, anchor_x=0.0,
+                          anchor_u=0.0, anchor_slope=1.0)
+        sliver = PharaPiece(a_lo=x1, a_hi=x2, R=0.8, A=x2 + 1e-9, anchor_x=x1,
+                            anchor_u=head.value_hi, anchor_slope=0.5 * head.slope_hi)
+        tail = PharaPiece(a_lo=x2, a_hi=INF, R=0.5, A=x2 - 10.0, anchor_x=x2,
+                          anchor_u=sliver.value_hi, anchor_slope=sliver.slope_hi)
+        u = PharaUtility(a0=0.0, pieces=(head, sliver, tail))
+        res = concave_envelope(u)
+        env = res.envelope
+        assert all(p.a_hi == q.a_lo for p, q in zip(env.pieces, env.pieces[1:]))
+        _check_envelope(u, res, x1 + 10.0)
+
+    def test_chord_touches_the_arc_at_its_start(self):
+        # 1 - 1/(x + 1) up to 1, flat for two ulps, then a jump of 1e-12 to a
+        # concave arc half as steep: the chord from the head meets the arc
+        # at its first point, so the arc is kept whole after the chord
+        x1 = 1.0
+        x2 = math.nextafter(math.nextafter(x1, INF), INF)
+        head = PharaPiece(a_lo=0.0, a_hi=x1, R=2.0, A=-1.0, anchor_x=0.0,
+                          anchor_u=0.0, anchor_slope=1.0)
+        flat = PharaPiece(a_lo=x1, a_hi=x2, R=0.0, anchor_x=x1,
+                          anchor_u=head.value_hi, anchor_slope=0.0)
+        arc = PharaPiece(a_lo=x2, a_hi=INF, R=0.5, A=-999.0, anchor_x=x2,
+                         anchor_u=head.value_hi + 1e-12, anchor_slope=0.125)
+        u = PharaUtility(a0=0.0, pieces=(head, flat, arc))
+        res = concave_envelope(u)
+        ((lo, hi, slope),) = res.chords
+        assert hi == x2 and slope >= arc.slope_lo
+        _check_envelope(u, res, 10.0)
+
     def test_common_tangent_at_an_arc_end(self):
         # the line 0.5 x + 1 touches sqrt gains at 2 and a flatter arc exactly
         # at its right end 8: the chord swallows the whole arc

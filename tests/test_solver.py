@@ -507,6 +507,40 @@ class TestWealthInversion:
             state_price_for_wealth(demo_envelope.envelope, market,
                                    demo_dual.y_star, 5.0, 20.0)
 
+    def test_steep_map_bisects(self):
+        # crra R = 1e-3 where |theta| is 3.3e-4: inside the bracket every
+        # Newton step moved u by exactly R and 100 steps did not reach the
+        # root; bisection after 20 steps does
+        thin = build_market(r=0.05, mu=[0.0501], sigma=[[0.3]], T=10.0)
+        sol = solve_multiplier(crra_utility(1e-3), thin, 1e3)
+        assert abs(sol.budget_residual) <= 1e-10 * 1e3
+
+    def test_wealth_beyond_the_doubles(self, market):
+        # X_0 = C (y xi)^{-2} growth overflows on the rungs before it reaches
+        # 1e308: no bracket, and no overflow warning on the way
+        with pytest.raises(UnboundedDemand, match="no bracket: X_t is inf"):
+            solve_multiplier(crra_utility(0.5), market, 1e308)
+
+
+class TestBeyondTheDoubles:
+    """Pieces whose closed forms leave the doubles are typed errors that
+    name the piece, not an OverflowError or an overflow warning."""
+
+    @pytest.mark.parametrize("R, A, alpha, slope, scale", [
+        (0.5, -1.0, None, 1e308, "C = inf"), (0.5, -1.0, None, 1e-300, "C = 0.0"),
+        (INF, -INF, 1e-308, 1e-300, "K = -inf")], ids=["C_over", "C_under", "K_over"])
+    def test_inverse_marginal_utility(self, R, A, alpha, slope, scale):
+        piece = PharaPiece(a_lo=0.0, a_hi=INF, R=R, A=A, alpha=alpha, anchor_x=0.0,
+                           anchor_u=0.0, anchor_slope=slope)
+        with pytest.raises(IllegalCase, match=rf"piece on \[0.0, inf\) with R = {R}: .*{scale}"):
+            _tables(PharaUtility(a0=0.0, pieces=(piece,)))
+
+    @pytest.mark.parametrize("R", [0.01, 1e-300])
+    def test_growth_factor(self, market, R):
+        # R = 0.01 on the demo market: the growth exponent is about 762
+        with pytest.raises(IllegalCase, match=f"R = {R}: its wealth growth factor"):
+            solve_multiplier(crra_utility(R), market, 10.0)
+
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 BUNDLED = ("crra", "multi_kink_demo", "participating_contract", "hedge_fund")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .concavify import concave_envelope
-from .errors import BadDimension, IllegalCase, PharaError
+from .errors import BadDimension, HeterogeneousRisk, IllegalCase, PharaError
 from .market import MarketParams, build_market
 from .solver import (common_risk_aversion, portfolio_general, portfolio_unified,
                      solve_multiplier, state_price_for_wealth, wealth_process,
@@ -255,16 +255,22 @@ def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.
     return np.linspace(lo, hi, grid_n)[1:]
 
 
+def _has_split(env: PharaUtility) -> bool:
+    """True when the envelope's curved pieces share one R, so that the
+    portfolio has the four-term split of :func:`portfolio_unified`."""
+    try:
+        common_risk_aversion(env)
+    except HeterogeneousRisk:
+        return False
+    return True
+
+
 def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
     if scn.market.m != 1:
         raise BadDimension("surface sweeps are one-dimensional")
     env = concave_envelope(scn.utility).envelope
     sol = solve_multiplier(env, scn.market, scn.x0)
-    try:
-        common_risk_aversion(env)
-        unified = True
-    except PharaError:
-        unified = False
+    unified = _has_split(env)
 
     lines = ["t,x,xi,percentage,merton,risk_seeking,loss_aversion,first_order_ra"]
     for t in scn.t_grid:
@@ -318,7 +324,7 @@ def cmd_decompose(scn: Scenario, out: Path, t: float, x: float | None,
         },
         "weights": {"p": wv.p.tolist(), "q": wv.q.tolist()},
     }
-    try:
+    if _has_split(env):
         dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
         payload["portfolio"] = {
             "merton": dec.merton.tolist(),
@@ -328,7 +334,7 @@ def cmd_decompose(scn: Scenario, out: Path, t: float, x: float | None,
             "total": dec.total.tolist(),
             "percentage": dec.percentage.tolist(),
         }
-    except PharaError:
+    else:
         pi = portfolio_general(env, scn.market, sol.y_star, t, xi)
         payload["portfolio"] = {"total": pi.tolist()}
     _write_json(out / "decompose.json", payload)
@@ -347,7 +353,7 @@ def cmd_verify(scn: Scenario, out: Path) -> int:
     reports += [verify_mod.fd_portfolio_check(env, scn.market, sol.y_star, t, xi)
                 for t, xi in ((0.0, 1.0), (T / 2, 0.6), (T / 2, 1.7), (0.9 * T, 1.1))]
     reports.sort(key=lambda r: r.name)
-    _write_json(out / "verification.json", [r.to_dict() for r in reports])
+    _write_json(out / "verification.json", [asdict(r) for r in reports])
     ok = all(r.passed for r in reports)
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
@@ -361,7 +367,7 @@ def cmd_simulate(scn: Scenario, out: Path, steps: int) -> int:
     report = verify_mod.simulate_order_check(
         env, scn.market, sol.y_star, scn.x0, min(scn.paths, 10_000), steps,
         scn.seed)
-    _write_json(out / "simulation.json", report.to_dict())
+    _write_json(out / "simulation.json", asdict(report))
     print(f"{'PASS' if report.passed else 'FAIL'} {report.name}: "
           f"gap ratio {report.computed:.4f} (target 0.5)")
     return 0 if report.passed else 1

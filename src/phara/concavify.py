@@ -3,13 +3,14 @@
 The exact construction sweeps the pieces left to right, keeping the hull as
 a list of ``PharaPiece``s whose slopes decrease: a kept fragment is an input
 piece cut to its hull extent, and a bridging chord is a linear piece.
-Whenever an incoming fragment or junction point breaks concavity, the
-bridging chord is found by a one-dimensional root-find in the
-supporting-slope variable: the hull and the incoming object each have a
-closed-form support line and contact point for every slope s, and the
-difference of their intercepts is strictly increasing in s, so the common
-tangent is a bracketed root, found by the solver's Newton-bisection step in
-log s.  One walk finds the hull's slope-s contact; it serves both the
+Whenever an incoming fragment or junction point breaks concavity, one
+routine, ``_Sweep._bridge``, finds the bridging chord for either object by
+a one-dimensional root-find in the supporting-slope variable: the hull and
+the incoming object each have a closed-form support line and contact point
+for every slope s, and the difference of their intercepts is strictly
+increasing in s, so the common tangent is a root bracketed by one geometric
+search, found by the solver's Newton-bisection step in log s, and the hull
+is cut there.  One walk finds the hull's slope-s contact; it serves both the
 support query and the truncation of the hull at the new chord.  Convex and
 flat stretches of the input are always swallowed.  The chord anatomy
 (chords, tangency points, where the envelope lies above the input) is read
@@ -65,6 +66,15 @@ def _support(piece: PharaPiece, s: float) -> tuple[float, float]:
     return float(piece.value(x)) - s * x, x
 
 
+def _geometric(found, s: float, factor: float, kind: str) -> float:
+    """First of s, s factor, s factor^2, ... (_MAX_EXPAND tries) where found(s)."""
+    for _ in range(_MAX_EXPAND):
+        if found(s):
+            return s
+        s *= factor
+    raise NoConvergence(f"no {kind} supporting slope found")
+
+
 class _Sweep:
     def __init__(self, utility: PharaUtility):
         self.utility = utility
@@ -113,21 +123,37 @@ class _Sweep:
             self.hull[k] = self.hull[k].restrict(self.hull[k].a_lo, x)
         return x, v
 
-    # -- root machinery -------------------------------------------------------
+    # -- bridging chords -----------------------------------------------------
 
-    def _common_slope(self, obj_support, gap, s_lo: float, s_hi: float) -> float:
-        """Root of gap(s) = c_H(s) - c_obj(s) on [s_lo, s_hi], where the
-        callers have found gap(s_lo) < 0 <= gap(s_hi).
+    def _bridge(self, support, hint: float, start: float, s_lo=None):
+        """Cut the hull at its common tangent with an incoming object whose
+        slope-s support line has (intercept, contact) = support(s); return
+        the chord's hull contact and slope (x_b, v_b, s*).
 
-        Newton in u = log s on the decreasing map c_obj - c_H, whose slope
-        -s (x_obj(s) - x_H(s)) comes from the two contact points.
+        gap(s) = c_H(s) - c_obj(s) increases in s.  The upper bracket is
+        ``hint`` when gap(hint) >= 0, else a search up from ``start``; the
+        lower one is ``s_lo``, else a search down.  None when gap(s_lo) >= 0:
+        the object lies under the hull's support lines.  Newton in u = log s
+        runs on c_obj - c_H, whose slope -s (x_obj - x_H) comes from the two
+        contact points.
         """
+        def gap(s):
+            return self.hull_support(s)[0] - support(s)[0]
+
+        if s_lo is not None and gap(s_lo) >= 0.0:
+            return None
+        if np.isfinite(hint) and gap(hint) >= 0.0:
+            s_hi = hint
+        else:
+            s_hi = _geometric(lambda s: gap(s) > 0.0, max(start, 1e-300), 4.0, "steep")
+        if s_lo is None:
+            s_lo = _geometric(lambda s: gap(s) < 0.0, 0.25 * s_hi, 0.25, "shallow")
         g_lo, g_hi = gap(s_lo), gap(s_hi)
 
         def support_gap(act, u):
             s = math.exp(u[0])
             c_h, x_h = self.hull_support(s)
-            c_obj, x_obj = obj_support(s)
+            c_obj, x_obj = support(s)
             return np.array([c_obj - c_h]), np.array([-s * (x_obj - x_h)])
 
         lo, hi = np.array([math.log(s_lo)]), np.array([math.log(s_hi)])
@@ -140,54 +166,23 @@ class _Sweep:
             raise NoConvergence(
                 f"tangency residual {resid:.3e} at slope {s_star:.3e}"
             )
-        return s_star
-
-    def _bracket_up(self, gap_at, start: float) -> float:
-        s = max(start, 1e-300)
-        for _ in range(_MAX_EXPAND):
-            if gap_at(s) > 0.0:
-                return s
-            s *= 4.0
-        raise NoConvergence("no steep supporting slope found")
-
-    def _bracket_down(self, gap_at, start: float) -> float:
-        s = start
-        for _ in range(_MAX_EXPAND):
-            s *= 0.25
-            if gap_at(s) < 0.0:
-                return s
-        raise NoConvergence("no shallow supporting slope found")
+        return (*self.truncate_at_slope(s_star), s_star)
 
     # -- attaching objects -----------------------------------------------------
 
     def attach_point(self, x: float, v: float):
         x_e, v_e, s_e = self.right_end()
-        if x <= x_e:
-            if v > v_e + 1e-12 * max(1.0, abs(v_e)):
-                self._attach_by_tangent(x, v, s_hint=None)
-            return
-        s_c = (v - v_e) / (x - x_e)
-        if s_c <= s_e * (1.0 + _SLOPE_TIE_RTOL) + 1e-300:
-            self._push_chord(x_e, v_e, x, max(s_c, 0.0))
-            return
-        self._attach_by_tangent(x, v, s_hint=s_c)
-
-    def _attach_by_tangent(self, x: float, v: float, s_hint):
-        """Bridge from the hull to the fixed point (x, v) by a supporting chord."""
-
-        def point_support(s):
-            return v - s * x, x
-
-        def gap(s):
-            return self.hull_support(s)[0] - point_support(s)[0]
-
-        if s_hint is not None and gap(s_hint) >= 0.0:
-            s_hi = s_hint
+        if x > x_e:
+            s_c = (v - v_e) / (x - x_e)
+            if s_c <= s_e * (1.0 + _SLOPE_TIE_RTOL) + 1e-300:
+                self._push_chord(x_e, v_e, x, max(s_c, 0.0))
+                return
+        elif v > v_e + 1e-12 * max(1.0, abs(v_e)):
+            s_c = INF  # a jump up at the hull's end
         else:
-            s_hi = self._bracket_up(gap, s_hint if s_hint else 1.0)
-        s_lo = self._bracket_down(gap, s_hi)
-        s_star = self._common_slope(point_support, gap, s_lo, s_hi)
-        x_b, v_b = self.truncate_at_slope(s_star)
+            return
+        x_b, v_b, s_star = self._bridge(lambda s: (v - s * x, x), s_c,
+                                        s_c if s_c < INF else 1.0)
         self._push_chord(x_b, v_b, x, s_star)
 
     def _continues(self, piece: PharaPiece) -> bool:
@@ -216,32 +211,19 @@ class _Sweep:
             self.hull.append(PharaPiece(a_lo=x_b, a_hi=INF, R=0.0, anchor_x=x_b,
                                         anchor_u=v_b, anchor_slope=s_in))
             return
-
-        def arc_support(s):
-            return _support(piece, s)
-
-        def gap(s):
-            return self.hull_support(s)[0] - arc_support(s)[0]
-
-        # upper bracket: at the arc's steepest slope the hull line is above
-        if np.isfinite(s_in) and gap(s_in) >= 0.0:
-            s_hi = s_in
-        else:
-            s_e = self.right_end()[2]
-            s_hi = self._bracket_up(gap, max(s_e if np.isfinite(s_e) else 1.0,
-                                             piece.slope_hi, 1e-12) * 2.0)
-        # lower bracket: shallow supports favour the arc; an unbounded arc
-        # flattens out to slope 0, so its bracket is searched downwards
-        if np.isfinite(piece.a_hi):
-            s_lo = max(piece.slope_hi, 1e-300)
-            if gap(s_lo) >= 0.0:
-                # whole arc below the hull fan: only its right endpoint matters
-                self.attach_point(piece.a_hi, piece.value_hi)
-                return
-        else:
-            s_lo = self._bracket_down(gap, s_hi)
-        s_star = self._common_slope(arc_support, gap, s_lo, s_hi)
-        x_b, v_b = self.truncate_at_slope(s_star)
+        # at the arc's steepest slope the hull line is above; shallow supports
+        # favour the arc, so a finite arc's flattest slope is the lower
+        # bracket, and an unbounded arc, which flattens out to 0, searches one
+        s_e = self.right_end()[2]
+        bridge = self._bridge(
+            lambda s: _support(piece, s), s_in,
+            max(s_e if np.isfinite(s_e) else 1.0, piece.slope_hi, 1e-12) * 2.0,
+            max(piece.slope_hi, 1e-300) if np.isfinite(piece.a_hi) else None)
+        if bridge is None:
+            # whole arc below the hull fan: only its right endpoint matters
+            self.attach_point(piece.a_hi, piece.value_hi)
+            return
+        x_b, v_b, s_star = bridge
         if s_star >= s_in:
             f = piece.a_lo
         else:

@@ -50,7 +50,8 @@ class InfeasibleBudget(PharaError):
 
 
 class UnboundedDemand(PharaError):
-    """The budget equation has no root (malformed envelope)."""
+    """No finite optimal wealth: the budget equation has no root, or X_t
+    leaves the doubles."""
 
 
 class HeterogeneousRisk(PharaError):

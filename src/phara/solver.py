@@ -291,10 +291,14 @@ def wealth_process(env: PharaUtility, market: MarketParams, y_star: float,
                    t: float, xi_t: float) -> WealthDecomposition:
     """Five-term decomposition of the optimal wealth at one (t, xi_t)."""
     tab = _tables(env)
-    xD, xA, cara_level, curv, cara_curv = _ladder(env, market, y_star, t, xi_t)[2]
-    xAbar, xR, xRbar = np.zeros((3,) + xD.shape)
-    xAbar[tab.cara], xR[tab.crra], xRbar[tab.cara] = cara_level, curv, cara_curv
-    total = float((xD + xA + xAbar + xR + xRbar).sum())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xD, xA, cara_level, curv, cara_curv = _ladder(env, market, y_star, t, xi_t)[2]
+        xAbar, xR, xRbar = np.zeros((3,) + xD.shape)
+        xAbar[tab.cara], xR[tab.crra], xRbar[tab.cara] = cara_level, curv, cara_curv
+        total = float((xD + xA + xAbar + xR + xRbar).sum())
+    if not math.isfinite(total):
+        raise UnboundedDemand(f"optimal wealth at state price xi = {xi_t:g} "
+                              f"does not fit a double")
     return WealthDecomposition(xD=xD, xA=xA, xAbar=xAbar, xR=xR, xRbar=xRbar,
                                total=total)
 

@@ -29,16 +29,6 @@ class VerificationReport:
     passed: bool
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "computed": self.computed,
-            "oracle": self.oracle,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-            "detail": dict(self.detail),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Pointwise argmax
@@ -145,7 +135,7 @@ def fd_portfolio_check(env: PharaUtility, market: MarketParams, y_star: float,
     slope = (up - dn) / (2.0 * _FD_STEP)  # xi dX/dxi
     pi_fd = -_risk_vector(market) * slope
     pi = portfolio_general(env, market, y_star, t, xi_t)
-    noise = 4.0 * np.finfo(float).eps * (1.0 + abs(x_t)) / (2.0 * _FD_STEP)
+    noise = 4.0 * float(np.finfo(float).eps) * (1.0 + abs(x_t)) / (2.0 * _FD_STEP)
     scale = max(float(np.linalg.norm(pi)), noise / tol)
     err = float(np.linalg.norm(pi - pi_fd)) / scale
     return VerificationReport(

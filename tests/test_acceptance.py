@@ -16,7 +16,7 @@ from phara.market import sample_kernel_at
 from phara.solver import (optimal_terminal_wealth, portfolio_general,
                           portfolio_unified, sahara_portfolio, solve_multiplier,
                           state_price_for_wealth, wealth_total)
-from phara.verify import argmax_oracle, fd_portfolio_check, simulate_strategy
+from phara.verify import argmax_oracle, fd_portfolio_check, simulate_order_check
 
 
 def _report(number, label, ok, detail=""):
@@ -247,12 +247,9 @@ def test_criterion_9_sahara_contrast(market, contract_envelope, contract_dual):
 def test_criterion_10_simulation_consistency(market, crra_envelope):
     start = time.time()
     sol = solve_multiplier(crra_envelope, market, 10.0)
-    coarse = simulate_strategy(crra_envelope, market, sol.y_star, 10.0, 10_000,
+    rep = simulate_order_check(crra_envelope, market, sol.y_star, 10.0, 10_000,
                                250, seed=20260810)
-    fine = simulate_strategy(crra_envelope, market, sol.y_star, 10.0, 10_000,
-                             1000, seed=20260811)
-    ratio = fine.computed / coarse.computed
     elapsed = time.time() - start
-    _report(10, "Euler strong order", 0.35 <= ratio <= 0.65 and elapsed < 60.0,
-            f"rms {coarse.computed:.4f} -> {fine.computed:.4f} "
-            f"(ratio {ratio:.3f}), {elapsed:.1f}s")
+    _report(10, "Euler strong order", rep.passed and elapsed < 60.0,
+            f"rms {rep.detail['rms_coarse']:.4f} -> {rep.detail['rms_fine']:.4f} "
+            f"(ratio {rep.computed:.3f}), {elapsed:.1f}s")

@@ -524,6 +524,16 @@ class TestErrorPaths:
                            tmp_path, "--t", "5.0", *flag], capsys)
         assert not (tmp_path / "decompose.json").exists()
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_decompose_wealth_beyond_the_doubles(self, tmp_path, capsys, name):
+        # X_t at xi = 1e-200 is above 1e308: the power terms overflowed and
+        # the report's NaN escaped as a ValueError traceback
+        err = self._input_error(["decompose", "--scenario", SCENARIOS / f"{name}.json",
+                                 "--out", tmp_path, "--xi", "1e-200"], capsys)
+        assert err == ("error: optimal wealth at state price xi = 1e-200 "
+                       "does not fit a double\n")
+        assert not (tmp_path / "decompose.json").exists()
+
     def test_decompose_needs_x_or_xi(self, tmp_path):
         scn = load_scenario(SCENARIOS / "crra.json")
         with pytest.raises(IllegalCase):

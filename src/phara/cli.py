@@ -93,7 +93,7 @@ def _build(field: str, make, *args, **kwargs):
 
 
 # the scenario's grids.wealth block; n unset means --grid points
-WealthGrid = namedtuple("WealthGrid", "lo hi n discounted")
+WealthGrid = namedtuple("WealthGrid", "lo hi n")
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,7 @@ def _scenario(path, flags: dict) -> Scenario:
                                    f"finite and in [0, {market.T}) (market.T)")),
         wealth_grid=wealth and WealthGrid(
             lo=wealth.get("lo", **_FINITE), hi=wealth.get("hi", **_FINITE),
-            n=wealth.get("n", "count", None, **_SIZE),
-            discounted=wealth.get("discounted", "flag", False)))
+            n=wealth.get("n", "count", None, **_SIZE)))
 
 
 def load_scenario(path, seed_override=None, paths_override=None) -> Scenario:
@@ -243,16 +242,13 @@ def cmd_solve(scn: Scenario, out: Path) -> int:
 
 
 def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.ndarray:
-    tau = scn.market.T - t
-    disc = math.exp(-scn.market.r * tau)
     grid = scn.wealth_grid
     if grid is not None:
-        axis = np.linspace(grid.lo, grid.hi, grid_n if grid.n is None else grid.n)
-        return axis * disc if grid.discounted else axis
-    knots = [p.a_lo for p in env.pieces]
-    hi = disc * (knots[-1] + 0.5 * (knots[-1] - env.a0))
-    lo = disc * env.a0
-    return np.linspace(lo, hi, grid_n)[1:]
+        return np.linspace(grid.lo, grid.hi, grid_n if grid.n is None else grid.n)
+    disc = math.exp(-scn.market.r * scn.market.tau(t))
+    a_n = env.pieces[-1].a_lo
+    hi = disc * (a_n + 0.5 * max(1.0, a_n - env.a0))
+    return np.linspace(disc * env.a0, hi, grid_n)[1:]
 
 
 def _has_split(env: PharaUtility) -> bool:
@@ -274,9 +270,8 @@ def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
 
     lines = ["t,x,xi,percentage,merton,risk_seeking,loss_aversion,first_order_ra"]
     for t in scn.t_grid:
-        axis = _wealth_axis(scn, env, t, grid_n)
-        positive = axis > 0.0
-        xi = state_price_for_wealth(env, scn.market, sol.y_star, t, axis[positive])
+        xi = state_price_for_wealth(env, scn.market, sol.y_star, t,
+                                    _wealth_axis(scn, env, t, grid_n))
         if unified:
             dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
             wealth = dec.wealth
@@ -288,10 +283,7 @@ def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
             pi = portfolio_general(env, scn.market, sol.y_star, t, xi)[0]
             pct = np.divide(pi, wealth, out=np.zeros_like(pi), where=wealth != 0.0)
             cols = [pct] + [np.full_like(pct, np.nan)] * 4
-        rows = zip(wealth, xi, *cols)
-        for x, pos in zip(axis, positive):
-            lines.append(_csv_row([t, *next(rows)] if pos
-                                  else [t, x, INF, 0, 0, 0, 0, 0]))
+        lines += [_csv_row([t, *row]) for row in zip(wealth, xi, *cols)]
     (out / "surface.csv").write_text("\n".join(lines) + "\n")
     return 0
 
@@ -307,7 +299,7 @@ def cmd_decompose(scn: Scenario, out: Path, t: float, x: float | None,
     env = concave_envelope(scn.utility).envelope
     sol = solve_multiplier(env, scn.market, scn.x0)
     if xi is None:
-        xi = state_price_for_wealth(env, scn.market, sol.y_star, t, x)
+        xi = state_price_for_wealth(env, scn.market, sol.y_star, t, x, xi_cap=INF)
     wd = wealth_process(env, scn.market, sol.y_star, t, xi)
     wv = weights(env, scn.market, sol.y_star, t, xi)
     payload = {

@@ -46,7 +46,7 @@ class NoConvergence(PharaError):
 
 
 class InfeasibleBudget(PharaError):
-    """Initial wealth does not exceed the discounted domain floor."""
+    """A wealth level does not exceed the floor e^{-r(T-t)} a0 at its time t."""
 
 
 class UnboundedDemand(PharaError):

@@ -331,14 +331,8 @@ def solve_multiplier(env: PharaUtility, market: MarketParams,
     of x0 at t = 0.  The bracket holds the two inversion ladder rungs
     e^{2j} <= y* < e^{2j+2} around it.
     """
-    tab = _tables(env)
-    if tab.chord[-1]:
+    if _tables(env).chord[-1]:
         raise UnboundedDemand("envelope has a linear tail; demand is infinite")
-    floor = math.exp(-market.r * market.T) * env.a0
-    if x0 <= floor + 1e-12:
-        raise InfeasibleBudget(
-            f"x0={x0} must exceed the discounted floor {floor}"
-        )
     y_star = state_price_for_wealth(env, market, 1.0, 0.0, x0, xi_cap=INF)
     resid = budget(env, market, y_star) - x0
     tol = _BUDGET_RTOL * max(1.0, x0)
@@ -347,7 +341,7 @@ def solve_multiplier(env: PharaUtility, market: MarketParams,
     rung = 2.0 * math.floor(0.5 * math.log(y_star))
     return DualSolution(y_star=y_star, budget_residual=float(resid),
                         bracket=(math.exp(rung), math.exp(rung + 2.0)), x0=x0,
-                        feasible_floor=floor)
+                        feasible_floor=_horizon(market, 0.0)[2] * env.a0)
 
 
 # ---------------------------------------------------------------------------
@@ -527,17 +521,23 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
                            xi_cap: float = 1e18):
     """xi_t with X_t(xi_t) = x, vectorized over x; saturates at xi_cap.
 
-    Levels at or below the discounted floor, or not below X_t on the last
-    ladder rung under xi_cap, map to xi_cap.  Other levels are bracketed by
-    rungs and solved by :func:`_newton_root` in u = log xi with
-    dX/du = -(delta-hedge scalar); it bisects where wealth is flat near the
-    floor.
+    The one attainability rule: a level is attainable when it exceeds the
+    floor e^{-r(T-t)} a0.  Other levels, and levels not below X_t on the last
+    ladder rung under xi_cap, map to a finite xi_cap; with no cap to saturate
+    at, an unattainable level raises InfeasibleBudget.
+    The rest are bracketed by rungs and solved by :func:`_newton_root` in
+    u = log xi with dX/du = -(delta-hedge scalar); it bisects where wealth is
+    flat near the floor.
     """
     tab = _tables(env)  # rejects a non-concave utility
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xs.shape, xi_cap)
-    floor = math.exp(-market.r * market.tau(t)) * env.a0
-    live = np.flatnonzero(xs > floor)
+    floor = _horizon(market, t)[2] * env.a0
+    attainable = xs > floor
+    if xi_cap == INF and not attainable.all():
+        raise InfeasibleBudget(f"wealth {float(xs[~attainable][0])} at t = {t:g} must "
+                               f"exceed the floor e^(-r(T-t)) a0 = {floor}")
+    live = np.flatnonzero(attainable)
     if live.size:
         rung_u, rung_X = _wealth_ladder(env, market, y_star, t, xs[live],
                                         math.log(xi_cap))

@@ -13,7 +13,7 @@ from phara.cli import (_check, _parse_utility, cmd_decompose, cmd_surface,
                        load_scenario, main)
 from phara.concavify import concave_envelope
 from phara.errors import BadDimension, IllegalCase, PharaError
-from phara.solver import portfolio_general, solve_multiplier
+from phara.solver import portfolio_general, solve_multiplier, wealth_total
 from phara.utility import INF, PharaPiece
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,6 +152,50 @@ class TestSurfaceCommand:
             disc = math.exp(-0.05 * (10.0 - t))
             axis = np.linspace(disc * 4.0, disc * (40.0 + 0.5 * 36.0), 5)[1:]
             assert np.allclose(data[data[:, 0] == t, 1], axis, rtol=1e-10)
+
+    def test_default_wealth_axis_one_piece(self, tmp_path):
+        # a_n = a0 = 0 on crra: the span max(1, a_n - a0) keeps the axis
+        # above the floor instead of collapsing every level onto it
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        del raw["grids"]["wealth"]
+        path = tmp_path / "no_axis.json"
+        path.write_text(json.dumps(raw))
+        assert run(["surface", "--scenario", path, "--out", tmp_path,
+                    "--grid", "6"]) == 0
+        data = _csv(tmp_path / "surface.csv")
+        scn = load_scenario(path)
+        env = concave_envelope(scn.utility).envelope
+        y = solve_multiplier(env, scn.market, scn.x0).y_star
+        for t in scn.t_grid:
+            _, x, xi = data[data[:, 0] == t, :3].T
+            assert x.size == 5 and np.all(x > 0.0) and np.all(np.diff(x) > 0.0)
+            back = wealth_total(env, scn.market, y, t, xi)
+            assert np.allclose(back, x, rtol=1e-8, atol=0.0)
+
+    def test_cara_levels_at_and_below_zero(self, tmp_path):
+        # an exponential piece from a0 = -5: wealth in (-5 e^{-r(T-t)}, 0]
+        # is attainable and gets its own state price, not xi = inf
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        raw["utility"] = {"a0": -5.0, "pieces": [
+            {"a_lo": -5.0, "R": "inf", "alpha": 0.5,
+             "anchor": {"x": 0.0, "u": 0.0, "slope": 1.0}}]}
+        raw["grids"]["wealth"] = {"lo": -3.0, "hi": 3.0, "n": 7}
+        path = tmp_path / "cara.json"
+        path.write_text(json.dumps(raw))
+        assert run(["surface", "--scenario", path, "--out", tmp_path]) == 0
+        data = _csv(tmp_path / "surface.csv")
+        scn = load_scenario(path)
+        env = concave_envelope(scn.utility).envelope
+        y = solve_multiplier(env, scn.market, scn.x0).y_star
+        axis = np.linspace(-3.0, 3.0, 7)
+        for t in scn.t_grid:
+            _, x, xi, pct = data[data[:, 0] == t, :4].T
+            assert np.all(axis > -5.0 * math.exp(-scn.market.r * (scn.market.T - t)))
+            assert np.all(xi < 1e18)
+            assert np.allclose(x, axis, rtol=0.0, atol=1e-8)
+            assert np.allclose(wealth_total(env, scn.market, y, t, xi), axis,
+                               rtol=0.0, atol=1e-8)
+            assert np.all(pct[axis < 0.0] != 0.0)
 
 
 def _two_risk_aversions(tmp_path):
@@ -348,6 +392,17 @@ class TestErrorPaths:
         err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path], capsys)
         assert err.startswith(f"error: malformed scenario {bad}: {message}")
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_decompose_below_the_floor(self, tmp_path, capsys, name):
+        # no state price reaches it; saturating at xi_cap would answer for the floor
+        scenario = SCENARIOS / f"{name}.json"
+        scn = load_scenario(scenario)
+        floor = math.exp(-scn.market.r * (scn.market.T - 5.0)) * scn.utility.a0
+        err = self._input_error(["decompose", "--scenario", scenario, "--out", tmp_path,
+                                 "--t", "5", "--x", floor - 1.0], capsys)
+        assert err.count("\n") == 1 and f"a0 = {floor}" in err
+        assert not (tmp_path / "decompose.json").exists()
+
     def test_infeasible_budget(self, tmp_path):
         raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
         raw["x0"] = 0.5
@@ -500,12 +555,11 @@ class TestErrorPaths:
             load_scenario(bad)
         assert not (tmp_path / "dual.json").exists()
 
-    @pytest.mark.parametrize("key", ["discounted", "a0_included"])
+    @pytest.mark.parametrize("key", ["a0_included"])
     def test_quoted_boolean(self, tmp_path, capsys, key):
         # bool("false") is True: only JSON true and false are accepted
         raw = json.loads((SCENARIOS / "crra.json").read_text())
-        block = raw["grids"]["wealth"] if key == "discounted" else raw["utility"]
-        block[key] = "false"
+        raw["utility"][key] = "false"
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],

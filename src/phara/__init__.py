@@ -8,10 +8,9 @@ finite-difference oracles for every formula.
 """
 
 from .errors import (  # noqa: F401
-    BadDimension, BadTime, DriftBelowRate, HeterogeneousRisk, IllegalCase,
-    InfeasibleBudget, NoConvergence, NotConcave, NotPhara, OutOfDomain,
-    PharaError, SingularVolatility, StepTooCoarse, UnboundedDemand,
-    UnboundedEnvelope,
+    BadDimension, BadTime, DriftBelowRate, IllegalCase, InfeasibleBudget,
+    NoConvergence, NotConcave, NotPhara, OutOfDomain, PharaError,
+    SingularVolatility, StepTooCoarse, UnboundedDemand, UnboundedEnvelope,
 )
 from .market import MarketParams, build_market  # noqa: F401
 from .utility import (  # noqa: F401

@@ -21,11 +21,10 @@ import numpy as np
 
 from . import verify as verify_mod
 from .concavify import concave_envelope
-from .errors import BadDimension, HeterogeneousRisk, IllegalCase, PharaError
+from .errors import BadDimension, IllegalCase, PharaError
 from .market import MarketParams, build_market
-from .solver import (common_risk_aversion, portfolio_general, portfolio_unified,
-                     solve_multiplier, state_price_for_wealth, wealth_process,
-                     wealth_total, weights)
+from .solver import (portfolio_unified, solve_multiplier, state_price_for_wealth,
+                     wealth_process, weights)
 from .utility import (INF, NEG_INF, PharaPiece, PharaUtility,
                       PiecewiseLinearPayoff, compose, s_shaped_utility)
 
@@ -251,39 +250,23 @@ def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.
     return np.linspace(disc * env.a0, hi, grid_n)[1:]
 
 
-def _has_split(env: PharaUtility) -> bool:
-    """True when the envelope's curved pieces share one R, so that the
-    portfolio has the four-term split of :func:`portfolio_unified`."""
-    try:
-        common_risk_aversion(env)
-    except HeterogeneousRisk:
-        return False
-    return True
-
-
 def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
     if scn.market.m != 1:
         raise BadDimension("surface sweeps are one-dimensional")
     env = concave_envelope(scn.utility).envelope
     sol = solve_multiplier(env, scn.market, scn.x0)
-    unified = _has_split(env)
 
     lines = ["t,x,xi,percentage,merton,risk_seeking,loss_aversion,first_order_ra"]
     for t in scn.t_grid:
         xi = state_price_for_wealth(env, scn.market, sol.y_star, t,
                                     _wealth_axis(scn, env, t, grid_n))
-        if unified:
-            dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
-            wealth = dec.wealth
-            cols = [dec.percentage[0], *(np.divide(v[0], wealth, out=np.zeros_like(wealth),
-                                                   where=wealth != 0.0)
-                                         for v in dec.terms.values())]
-        else:
-            wealth = wealth_total(env, scn.market, sol.y_star, t, xi)
-            pi = portfolio_general(env, scn.market, sol.y_star, t, xi)[0]
-            pct = np.divide(pi, wealth, out=np.zeros_like(pi), where=wealth != 0.0)
-            cols = [pct] + [np.full_like(pct, np.nan)] * 4
-        lines += [_csv_row([t, *row]) for row in zip(wealth, xi, *cols)]
+        dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
+        wealth = dec.wealth
+        # split columns are fractions of wealth; NaN without a split
+        split = [np.divide(v[0], wealth, out=np.zeros_like(wealth), where=wealth != 0.0)
+                 for v in dec.terms.values()] or [np.full_like(wealth, np.nan)] * 4
+        lines += [_csv_row([t, *row])
+                  for row in zip(wealth, xi, dec.percentage[0], *split)]
     (out / "surface.csv").write_text("\n".join(lines) + "\n")
     return 0
 
@@ -316,19 +299,9 @@ def cmd_decompose(scn: Scenario, out: Path, t: float, x: float | None,
         },
         "weights": {"p": wv.p.tolist(), "q": wv.q.tolist()},
     }
-    if _has_split(env):
-        dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
-        payload["portfolio"] = {
-            "merton": dec.merton.tolist(),
-            "risk_seeking": dec.risk_seeking.tolist(),
-            "loss_aversion": dec.loss_aversion.tolist(),
-            "first_order_ra": dec.first_order_ra.tolist(),
-            "total": dec.total.tolist(),
-            "percentage": dec.percentage.tolist(),
-        }
-    else:
-        pi = portfolio_general(env, scn.market, sol.y_star, t, xi)
-        payload["portfolio"] = {"total": pi.tolist()}
+    dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
+    payload["portfolio"] = {key: v.tolist() for key, v in {
+        **dec.terms, "total": dec.total, "percentage": dec.percentage}.items()}
     _write_json(out / "decompose.json", payload)
     return 0
 

@@ -54,9 +54,5 @@ class UnboundedDemand(PharaError):
     leaves the doubles."""
 
 
-class HeterogeneousRisk(PharaError):
-    """The four-term split needs a single relative risk aversion level."""
-
-
 class StepTooCoarse(PharaError):
     """Too few time steps for a meaningful forward simulation."""

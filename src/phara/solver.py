@@ -4,11 +4,11 @@ Everything here consumes the *concave envelope* of a utility.  The terminal
 wealth inverts the envelope's marginal utility at y* xi_T, the time-t wealth
 is the conditional expectation of that inverse (a sum of five normal-CDF
 families per piece), and the portfolio is the delta-hedge of the wealth map,
-available in a general per-piece form and, when every curved piece shares one
-relative risk aversion R, as the four-term split: Merton term, risk-seeking
-term from chords, loss-aversion term from benchmarks, and first-order
-risk-aversion term from kinks.  All of them come from d1(g / y xi) on the
-envelope's slope ladder, each caller evaluating only the rungs it reads.
+which, when every curved piece shares one relative risk aversion R, regroups
+into the four-term split: Merton term, risk-seeking term from chords,
+loss-aversion term from benchmarks, and first-order risk-aversion term from
+kinks.  All of them come from d1(g / y xi) on the envelope's slope ladder,
+each caller evaluating only the rungs it reads.
 One Newton-bisection
 root-finder serves the dual multiplier, the wealth-to-state-price map and
 the envelope's tangent search.
@@ -23,9 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import normal
-from .errors import (BadDimension, BadTime, HeterogeneousRisk, IllegalCase,
-                     InfeasibleBudget, NoConvergence, NotConcave,
-                     UnboundedDemand)
+from .errors import (BadDimension, BadTime, IllegalCase, InfeasibleBudget,
+                     NoConvergence, NotConcave, UnboundedDemand)
 from .market import MarketParams
 from .utility import INF, PharaUtility
 
@@ -186,7 +185,10 @@ def _power_terms(tab: _Tables, market: MarketParams, t: float, log_w, D):
                           f"overflows at T - t = {tau}") from None
     R, growth = R[:, None], growth[:, None]
     F = normal.cdf(D - np.repeat(s / R, 2, axis=0))
-    return tab.C[tab.crra, None] * np.exp(-log_w / R) * growth * (F[1::2] - F[::2])
+    cell = F[1::2] - F[::2]
+    # w^{-1/R} may overflow where the cell has probability 0: leave it 0 there
+    power = np.exp(-log_w / R, out=np.zeros(cell.shape), where=cell != 0.0)
+    return tab.C[tab.crra, None] * power * growth * cell
 
 
 def _hedge(tab: _Tables, market: MarketParams, t: float, xR, q_cara, D_chord):
@@ -369,6 +371,8 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
     """Optimal portfolio vector for any mix of piece types (vectorized in xi).
 
     The delta-hedge scalar -xi dX/dxi rides the direction (sigma^T)^{-1} theta.
+    It equals ``portfolio_unified(...).total`` from only the ladder rows the
+    hedge reads: the Euler step's form.
     """
     scalar = _blockwise(
         lambda b: _hedge_rows(env, market, y_star, t, b).sum(axis=0), xi_t)
@@ -377,62 +381,61 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
 
 @dataclass(frozen=True)
 class PortfolioDecomposition:
-    """Four-term split of the optimal portfolio (homogeneous-R envelopes);
+    """The optimal portfolio, its wealth and their ratio, with the four-term
+    split when :func:`_common_risk_aversion` gives one (None otherwise);
     N state prices give (m, N) vectors and N wealth levels."""
 
-    merton: np.ndarray
-    risk_seeking: np.ndarray
-    loss_aversion: np.ndarray
-    first_order_ra: np.ndarray
+    merton: np.ndarray | None
+    risk_seeking: np.ndarray | None
+    loss_aversion: np.ndarray | None
+    first_order_ra: np.ndarray | None
     total: np.ndarray
     wealth: float | np.ndarray
     percentage: np.ndarray
 
     @property
     def terms(self) -> dict:
+        """The four split terms by name; empty without a split."""
+        if self.merton is None:
+            return {}
         return {"merton": self.merton, "risk_seeking": self.risk_seeking,
                 "loss_aversion": self.loss_aversion,
                 "first_order_ra": self.first_order_ra}
 
 
-def common_risk_aversion(env: PharaUtility) -> float:
-    """The single R shared by all curved pieces; HeterogeneousRisk otherwise."""
-    tab = _tables(env)
-    if np.any(tab.cara):
-        raise HeterogeneousRisk("exponential pieces have no four-term split")
+def _common_risk_aversion(tab: _Tables) -> float | None:
+    """The R shared by every curved piece, which the four-term split needs;
+    None with an exponential piece, several R or no curved piece."""
     levels = set(tab.R[tab.crra].tolist())
-    if not levels:
-        raise HeterogeneousRisk("no curved piece to define the Merton term")
-    if len(levels) > 1:
-        raise HeterogeneousRisk(f"multiple risk aversions {sorted(levels)}")
-    return levels.pop()
+    return levels.pop() if len(levels) == 1 and not tab.cara.any() else None
 
 
 def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
                       t: float, xi_t) -> PortfolioDecomposition:
-    """Four-term portfolio: Merton + risk-seeking - loss-aversion - first-order.
-
-    Requires every curved piece to share one relative risk aversion R and no
-    exponential pieces.  The total agrees with :func:`portfolio_general`.
+    """Optimal portfolio of any concave envelope: the delta-hedge ``total``,
+    the wealth and ``total`` / wealth, and with a common R the four-term split
+    Merton + risk-seeking - loss-aversion - first-order, which regroups the
+    hedge rows and so adds up to ``total``.
     """
-    R = common_risk_aversion(env)
     tab = _tables(env)
+    R = _common_risk_aversion(tab)
     shape = np.shape(xi_t)
     p, q, terms, D = _ladder(env, market, y_star, t, np.reshape(xi_t, -1))
-    disc = math.exp(-market.r * market.tau(t))
     x_t = _wealth(terms)
-
-    merton = x_t / R
     hedge = _hedge(tab, market, t, terms[3], q[tab.cara], D[tab.chord_rungs])
-    rs = hedge[tab.chord].sum(axis=0)  # the chords' gambling terms
-    la = -disc / R * np.tensordot(tab.A, q, axes=1)
-    fo = -disc / R * np.tensordot(tab.a[:-1], p, axes=1)
-
-    total = merton + rs + la + fo
+    total = hedge.sum(axis=0)
     pct = np.divide(total, x_t, out=np.zeros_like(total), where=x_t != 0.0)
-    merton, rs, la, fo, total, pct = (
-        np.multiply.outer(_risk_vector(market), v.reshape(shape))
-        for v in (merton, rs, la, fo, total, pct))
+    split = [None] * 4
+    if R is not None:
+        disc = _horizon(market, t)[2]
+        split = [x_t / R, hedge[tab.chord].sum(axis=0),  # the chords' gambling terms
+                 -disc / R * np.tensordot(tab.A, q, axes=1),
+                 -disc / R * np.tensordot(tab.a[:-1], p, axes=1)]
+
+    def vector(v):
+        return None if v is None else np.multiply.outer(_risk_vector(market),
+                                                        v.reshape(shape))
+    merton, rs, la, fo, total, pct = map(vector, [*split, total, pct])
     return PortfolioDecomposition(
         merton=merton, risk_seeking=rs, loss_aversion=la, first_order_ra=fo,
         total=total, wealth=float(x_t[0]) if not shape else x_t.reshape(shape),

@@ -226,13 +226,16 @@ class TestWithoutCommonRiskAversion:
             pi = portfolio_general(env, scn.market, y, t, np.array([xi]))[0, 0]
             assert pct == pytest.approx(pi / x, rel=1e-12)
 
-    def test_decompose_reports_only_the_total(self, tmp_path):
+    def test_decompose_reports_total_and_percentage(self, tmp_path):
         path, scn, env, y = _two_risk_aversions(tmp_path)
         assert run(["decompose", "--scenario", path, "--out", tmp_path,
                     "--t", "1.0", "--xi", "0.8"]) == 0
         payload = _strict_json(tmp_path / "decompose.json")
+        portfolio, wealth = payload["portfolio"], payload["wealth"]["total"]
+        assert sorted(portfolio) == ["percentage", "total"]
         pi = portfolio_general(env, scn.market, y, 1.0, 0.8)
-        assert payload["portfolio"] == {"total": pi.tolist()}
+        assert portfolio["total"] == pytest.approx(pi.tolist(), rel=1e-12)
+        assert portfolio["percentage"] == pytest.approx((pi / wealth).tolist(), rel=1e-12)
 
 
 class TestStandardJson:

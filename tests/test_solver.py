@@ -11,14 +11,12 @@ from conftest import (CONTRACT_PARAMS, d0, d1, d_next, d_transform, deriv,
                       random_raw_utility, scale_shift)
 from phara.cli import load_scenario
 from phara.concavify import concave_envelope
-from phara.errors import (BadDimension, BadTime, HeterogeneousRisk, IllegalCase,
-                          InfeasibleBudget, NoConvergence, NotConcave,
-                          PharaError, UnboundedDemand)
+from phara.errors import (BadDimension, BadTime, IllegalCase, InfeasibleBudget,
+                          NoConvergence, NotConcave, PharaError, UnboundedDemand)
 from phara.market import build_market
 from phara import normal, solver
-from phara.solver import (_cdf_rows, _d1_outer, _newton_root, _tables, budget,
-                          common_risk_aversion,
-                          optimal_terminal_wealth,
+from phara.solver import (_cdf_rows, _common_risk_aversion, _d1_outer, _newton_root,
+                          _risk_vector, _tables, budget, optimal_terminal_wealth,
                           portfolio_general, portfolio_unified,
                           sahara_portfolio, solve_multiplier,
                           state_price_for_wealth, wealth_process, wealth_total,
@@ -338,25 +336,32 @@ class TestPortfolios:
             assert np.allclose(d_new.total, d_orig.total, rtol=1e-9)
             assert d_new.wealth == pytest.approx(d_orig.wealth, rel=1e-9)
 
-    def test_heterogeneous_risk_rejected(self, market):
+    def test_heterogeneous_risk_has_no_split(self, market):
         head = PharaPiece(a_lo=0.0, a_hi=2.0, R=0.5, A=-1.0, anchor_x=0.0,
                           anchor_u=0.0, anchor_slope=1.0)
         tail = PharaPiece(a_lo=2.0, a_hi=INF, R=2.0, A=1.0, anchor_x=2.0,
                           anchor_u=float(head.value(2.0)),
                           anchor_slope=0.9 * head.slope_hi)
         env = PharaUtility(a0=0.0, pieces=(head, tail))
-        with pytest.raises(HeterogeneousRisk):
-            portfolio_unified(env, market, 0.5, 1.0, 1.0)
-        # the general form still works there
+        assert _common_risk_aversion(_tables(env)) is None
+        dec = portfolio_unified(env, market, 0.5, 1.0, 1.0)
+        assert dec.terms == {} and dec.merton is None
+        # the same delta-hedge as the Euler step's form
         pi = portfolio_general(env, market, 0.5, 1.0, 1.0)
-        assert np.all(np.isfinite(pi))
+        assert np.all(np.isfinite(pi)) and np.all(pi > 0.0)
+        assert np.allclose(dec.total, pi, rtol=1e-12, atol=0.0)
+        assert np.allclose(dec.percentage, pi / dec.wealth, rtol=1e-12, atol=0.0)
 
     def test_all_linear_envelope_has_no_split(self, market):
         line = PharaPiece(a_lo=0.0, a_hi=INF, R=0.0, anchor_x=0.0, anchor_u=0.0,
                           anchor_slope=1.0)
         env = PharaUtility(a0=0.0, pieces=(line,))
-        with pytest.raises(HeterogeneousRisk, match="no curved piece"):
-            portfolio_unified(env, market, 0.5, 1.0, 1.0)
+        assert _common_risk_aversion(_tables(env)) is None
+        dec = portfolio_unified(env, market, 0.5, 1.0, 1.0)
+        assert dec.terms == {}
+        # a linear tail gambles without bound in both forms
+        assert dec.total.tolist() == portfolio_general(env, market, 0.5, 1.0, 1.0).tolist() \
+            == [INF]
 
     def test_bad_time(self, crra_envelope, market):
         with pytest.raises(BadTime):
@@ -541,6 +546,20 @@ class TestBeyondTheDoubles:
         with pytest.raises(IllegalCase, match=f"R = {R}: its wealth growth factor"):
             solve_multiplier(crra_utility(R), market, 10.0)
 
+    def test_power_term_of_an_empty_cell(self, market):
+        # R = 0.1 on [0, 1), then R = 5: at xi = 1e-40 the head's w^{-1/R}
+        # overflows where its cell has probability 0; its term is 0 there,
+        # not inf * 0 = NaN, and the inversion brackets 1e8
+        head = PharaPiece(a_lo=0.0, a_hi=1.0, R=0.1, A=-1.0, anchor_x=0.0,
+                          anchor_u=0.0, anchor_slope=1.0)
+        tail = PharaPiece(a_lo=1.0, a_hi=INF, R=5.0, A=0.0, anchor_x=1.0,
+                          anchor_u=float(head.value_hi), anchor_slope=head.slope_hi)
+        env = PharaUtility(a0=0.0, pieces=(head, tail))
+        x = wealth_total(env, market, 1.0, 5.0, np.array([1e-30, 1e-40]))
+        assert x[1] / x[0] == pytest.approx(1e10 ** (1 / 5), rel=1e-9)  # the R = 5 tail
+        xi = state_price_for_wealth(env, market, 1.0, 5.0, 1e8, xi_cap=1e300)
+        assert wealth_total(env, market, 1.0, 5.0, xi) == pytest.approx(1e8, rel=1e-10)
+
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 BUNDLED = ("crra", "multi_kink_demo", "participating_contract", "hedge_fund")
@@ -678,18 +697,39 @@ def test_inversion_round_trip_properties(seed, market, excess, frac, logs):
     assert np.all(wv.p >= 0.0) and np.all(wv.q >= 0.0)
 
 
-@given(seeds, markets(), st.floats(-1.0, 1.0), st.floats(0.0, 0.999),
+@given(seeds, st.booleans(), markets(), st.floats(-1.0, 1.0), st.floats(0.0, 0.999),
        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
-def test_unified_equals_general_properties(seed, market, log_y, frac, logs):
-    env = random_concave_envelope(np.random.default_rng(seed))
+def test_unified_equals_general_properties(seed, raw, market, log_y, frac, logs):
+    # one common R, or the envelope of a raw utility: several R, exponential
+    # pieces and chords
+    env = _raw_envelope(seed) if raw else random_concave_envelope(np.random.default_rng(seed))
     y, t = math.exp(log_y), frac * market.T
-    assert common_risk_aversion(env) > 0.0
+    R = _common_risk_aversion(_tables(env))
+    assert raw or R > 0.0
     dec = portfolio_unified(env, market, y, t, np.exp(logs))
     gen = portfolio_general(env, market, y, t, np.exp(logs))
     scale = np.maximum(np.linalg.norm(gen, axis=0), np.linalg.norm(dec.total, axis=0))
     live = scale >= 1e-5 * (1.0 + np.abs(dec.wealth))  # else numerically zero
     err = np.linalg.norm(dec.total - gen, axis=0)
     assert np.all(err[live] <= 1e-9 * scale[live])
+    # the split exists exactly with a common R, and regroups the hedge
+    assert (dec.terms != {}) == (R is not None)
+    if dec.terms:
+        largest = np.max([np.linalg.norm(v, axis=0) for v in dec.terms.values()], axis=0)
+        gap = np.linalg.norm(sum(dec.terms.values()) - dec.total, axis=0)
+        assert np.all(gap <= 1e-12 * largest)
+
+
+@given(seeds, markets(), st.floats(-1.0, 1.0), st.floats(0.0, 0.999),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+def test_split_signs_properties(seed, market, log_y, frac, logs):
+    # non-concavity (chords) raises risk taking; non-differentiability
+    # (kinks, all at nonnegative wealth when a0 >= 0) lowers it
+    env = random_concave_envelope(np.random.default_rng(seed))
+    dec = portfolio_unified(env, market, math.exp(log_y), frac * market.T, np.exp(logs))
+    direction = _risk_vector(market)[:, None]  # a term over it has its scalar's sign
+    assert np.all(dec.risk_seeking * direction >= 0.0)
+    assert env.a0 >= 0.0 and np.all(dec.first_order_ra * direction <= 0.0)
 
 
 @given(seeds, markets(), st.floats(0.0, 0.999),

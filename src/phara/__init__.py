@@ -3,8 +3,8 @@
 The pipeline: describe a (possibly non-concave) piecewise-HARA utility or
 build one by composing a preference with a piecewise-linear payoff, take its
 concave envelope, solve the dual budget equation, and evaluate the optimal
-wealth process and portfolio in closed form, with Monte-Carlo and
-finite-difference oracles for every formula.
+wealth, its decomposition and the portfolio in closed form, with
+Monte-Carlo and finite-difference oracles for every formula.
 """
 
 from .errors import (  # noqa: F401
@@ -20,9 +20,8 @@ from .utility import (  # noqa: F401
 )
 from .concavify import EnvelopeResult, concave_envelope  # noqa: F401
 from .solver import (  # noqa: F401
-    DualSolution, PortfolioDecomposition, WealthDecomposition, WeightVector,
-    optimal_terminal_wealth, portfolio_general, portfolio_unified,
-    sahara_portfolio, solve_multiplier, wealth_process, weights,
+    DualSolution, PortfolioDecomposition, optimal_terminal_wealth,
+    portfolio_general, portfolio_unified, sahara_portfolio, solve_multiplier,
 )
 
 __version__ = "0.1.0"

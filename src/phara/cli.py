@@ -23,8 +23,7 @@ from . import verify as verify_mod
 from .concavify import concave_envelope
 from .errors import BadDimension, IllegalCase, PharaError
 from .market import MarketParams, build_market
-from .solver import (portfolio_unified, solve_multiplier, state_price_for_wealth,
-                     wealth_process, weights)
+from .solver import portfolio_unified, solve_multiplier, state_price_for_wealth
 from .utility import (INF, NEG_INF, PharaPiece, PharaUtility,
                       PiecewiseLinearPayoff, compose, s_shaped_utility)
 
@@ -283,25 +282,23 @@ def cmd_decompose(scn: Scenario, out: Path, t: float, x: float | None,
     sol = solve_multiplier(env, scn.market, scn.x0)
     if xi is None:
         xi = state_price_for_wealth(env, scn.market, sol.y_star, t, x, xi_cap=INF)
-    wd = wealth_process(env, scn.market, sol.y_star, t, xi)
-    wv = weights(env, scn.market, sol.y_star, t, xi)
+    dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
     payload = {
         "t": t,
         "xi": xi,
         "y_star": sol.y_star,
         "wealth": {
-            "total": wd.total,
-            "kink_terms": wd.xD.tolist(),
-            "benchmark_terms": wd.xA.tolist(),
-            "cara_level_terms": wd.xAbar.tolist(),
-            "curvature_terms": wd.xR.tolist(),
-            "cara_curvature_terms": wd.xRbar.tolist(),
+            "total": dec.wealth,
+            "kink_terms": dec.xD.tolist(),
+            "benchmark_terms": dec.xA.tolist(),
+            "cara_level_terms": dec.xAbar.tolist(),
+            "curvature_terms": dec.xR.tolist(),
+            "cara_curvature_terms": dec.xRbar.tolist(),
         },
-        "weights": {"p": wv.p.tolist(), "q": wv.q.tolist()},
+        "weights": {"p": dec.p.tolist(), "q": dec.q.tolist()},
+        "portfolio": {key: v.tolist() for key, v in {
+            **dec.terms, "total": dec.total, "percentage": dec.percentage}.items()},
     }
-    dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
-    payload["portfolio"] = {key: v.tolist() for key, v in {
-        **dec.terms, "total": dec.total, "percentage": dec.percentage}.items()}
     _write_json(out / "decompose.json", payload)
     return 0
 

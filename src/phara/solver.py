@@ -8,7 +8,10 @@ which, when every curved piece shares one relative risk aversion R, regroups
 into the four-term split: Merton term, risk-seeking term from chords,
 loss-aversion term from benchmarks, and first-order risk-aversion term from
 kinks.  All of them come from d1(g / y xi) on the envelope's slope ladder,
-each caller evaluating only the rungs it reads.
+each caller evaluating only the rungs it reads.  :func:`portfolio_unified`
+is the one point evaluator: from one pass over the ladder it returns the
+weights, the wealth's five families, the wealth and the portfolio, and it
+raises UnboundedDemand where the wealth does not fit a double.
 One Newton-bisection
 root-finder serves the dual multiplier, the wealth-to-state-price map and
 the envelope's tangent search.
@@ -200,7 +203,10 @@ def _hedge(tab: _Tables, market: MarketParams, t: float, xR, q_cara, D_chord):
     hedge = np.zeros((tab.R.size, xR.shape[-1]))
     hedge[tab.crra] = xR / tab.R[tab.crra, None]
     hedge[tab.cara] = disc / tab.alpha[tab.cara, None] * q_cara
-    hedge[tab.chord] = disc * tab.width[tab.chord, None] / s * normal.pdf(D_chord)
+    # a flat tail has width inf and phi(D) = 0: leave its row 0 there
+    phi = normal.pdf(D_chord)
+    hedge[tab.chord] = np.multiply(disc * tab.width[tab.chord, None] / s, phi,
+                                   out=np.zeros(phi.shape), where=phi != 0.0)
     return hedge
 
 
@@ -212,11 +218,11 @@ def _ladder(env: PharaUtility, market: MarketParams, y: float, t: float, xi):
     2k+2.  Returns the kink weights p and cell weights q (one row per piece),
     the five wealth families xD, xA (one row per piece), xAbar, xR, xRbar
     (one row per piece of their type: exponential, power, exponential), and
-    D, from which a caller that needs the delta-hedge passes the chord rows
-    to :func:`_hedge`.  The shape of xi trails every row.
+    D, whose chord rows :func:`_point` passes to :func:`_hedge`.  xi is
+    flat, and every row has one entry per xi.
     """
     tab = _tables(env)
-    log_w = np.log(y * np.asarray(xi, dtype=float).reshape(-1))
+    log_w = np.log(y * np.asarray(xi, dtype=float))
     tau, s, disc = _horizon(market, t)
     th = market.theta_norm
 
@@ -235,10 +241,24 @@ def _ladder(env: PharaUtility, market: MarketParams, y: float, t: float, xi):
     xRbar = disc * (-s / al) * (normal.pdf(D_cara[1::2]) - normal.pdf(D_cara[::2]))
 
     terms = (disc * tab.a[:-1, None] * p, disc * tab.A[:, None] * q, xAbar, xR, xRbar)
+    return p, q, terms, D
 
-    def rows(a):
-        return a.reshape(a.shape[:1] + np.shape(xi))
-    return rows(p), rows(q), tuple(map(rows, terms)), rows(D)
+
+def _point(env: PharaUtility, market: MarketParams, y: float, t: float, xi):
+    """:func:`_ladder` at flat xi with the wealth X_t and the delta-hedge
+    rows of :func:`_hedge`.  The one overflow rule: evaluate without
+    warnings, then raise UnboundedDemand naming the first xi whose wealth
+    does not fit a double."""
+    tab = _tables(env)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p, q, terms, D = _ladder(env, market, y, t, xi)
+        x_t = _wealth(terms)
+        hedge = _hedge(tab, market, t, terms[3], q[tab.cara], D[tab.chord_rungs])
+    bad = ~np.isfinite(x_t)
+    if bad.any():
+        raise UnboundedDemand(f"optimal wealth at state price xi = {xi[bad][0]:g} "
+                              f"does not fit a double")
+    return p, q, terms, x_t, hedge
 
 
 def _hedge_rows(env: PharaUtility, market: MarketParams, y: float, t: float,
@@ -269,40 +289,11 @@ def _blockwise(fn, xi):
     return out.reshape(np.shape(xi))
 
 
-@dataclass(frozen=True)
-class WealthDecomposition:
-    """Per-piece wealth terms at one (t, xi_t) point: kink atoms (xD),
-    benchmark terms (xA), and curvature terms (xR), with CARA analogues."""
-
-    xD: np.ndarray
-    xA: np.ndarray
-    xAbar: np.ndarray
-    xR: np.ndarray
-    xRbar: np.ndarray
-    total: float
-
-
 def wealth_total(env: PharaUtility, market: MarketParams, y: float, t: float,
                  xi):
     """Optimal wealth X_t as a function of xi_t (vectorized)."""
     total = _blockwise(lambda b: _wealth(_ladder(env, market, y, t, b)[2]), xi)
     return float(total) if np.ndim(xi) == 0 else total
-
-
-def wealth_process(env: PharaUtility, market: MarketParams, y_star: float,
-                   t: float, xi_t: float) -> WealthDecomposition:
-    """Five-term decomposition of the optimal wealth at one (t, xi_t)."""
-    tab = _tables(env)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xD, xA, cara_level, curv, cara_curv = _ladder(env, market, y_star, t, xi_t)[2]
-        xAbar, xR, xRbar = np.zeros((3,) + xD.shape)
-        xAbar[tab.cara], xR[tab.crra], xRbar[tab.cara] = cara_level, curv, cara_curv
-        total = float((xD + xA + xAbar + xR + xRbar).sum())
-    if not math.isfinite(total):
-        raise UnboundedDemand(f"optimal wealth at state price xi = {xi_t:g} "
-                              f"does not fit a double")
-    return WealthDecomposition(xD=xD, xA=xA, xAbar=xAbar, xR=xR, xRbar=xRbar,
-                               total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -351,21 +342,6 @@ def solve_multiplier(env: PharaUtility, market: MarketParams,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Kink weights p_k and cell weights q_k; they sum to one."""
-
-    p: np.ndarray
-    q: np.ndarray
-
-
-def weights(env: PharaUtility, market: MarketParams, y_star: float, t: float,
-            xi_t) -> WeightVector:
-    """Weights at xi_t, shape (n_pieces,); a vector xi_t adds a trailing axis."""
-    p, q = _ladder(env, market, y_star, t, xi_t)[:2]
-    return WeightVector(p=p, q=q)
-
-
 def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
                       t: float, xi_t):
     """Optimal portfolio vector for any mix of piece types (vectorized in xi).
@@ -381,9 +357,15 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
 
 @dataclass(frozen=True)
 class PortfolioDecomposition:
-    """The optimal portfolio, its wealth and their ratio, with the four-term
-    split when :func:`_common_risk_aversion` gives one (None otherwise);
-    N state prices give (m, N) vectors and N wealth levels."""
+    """Everything at one (t, xi_t) from one pass over the slope ladder.
+
+    The optimal portfolio ``total``, the wealth and their ratio, with the
+    four-term split when :func:`_common_risk_aversion` gives one (None
+    otherwise); the kink and cell weights p and q, which sum to one; and the
+    wealth's five families per piece, zero on pieces of another type: kink
+    atoms xD, benchmark terms xA, curvature terms xR, and the exponential
+    pieces' level xAbar and curvature xRbar.  N state prices give (m, N)
+    vectors, N wealth levels and (n_pieces, N) rows."""
 
     merton: np.ndarray | None
     risk_seeking: np.ndarray | None
@@ -392,6 +374,13 @@ class PortfolioDecomposition:
     total: np.ndarray
     wealth: float | np.ndarray
     percentage: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    xD: np.ndarray
+    xA: np.ndarray
+    xAbar: np.ndarray
+    xR: np.ndarray
+    xRbar: np.ndarray
 
     @property
     def terms(self) -> dict:
@@ -412,17 +401,16 @@ def _common_risk_aversion(tab: _Tables) -> float | None:
 
 def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
                       t: float, xi_t) -> PortfolioDecomposition:
-    """Optimal portfolio of any concave envelope: the delta-hedge ``total``,
-    the wealth and ``total`` / wealth, and with a common R the four-term split
-    Merton + risk-seeking - loss-aversion - first-order, which regroups the
-    hedge rows and so adds up to ``total``.
+    """The one point evaluator, for any concave envelope: the delta-hedge
+    ``total``, the wealth and ``total`` / wealth, the weights and wealth
+    families, and with a common R the four-term split Merton + risk-seeking
+    - loss-aversion - first-order, which regroups the hedge rows and so adds
+    up to ``total``.  UnboundedDemand where the wealth does not fit a double.
     """
     tab = _tables(env)
     R = _common_risk_aversion(tab)
     shape = np.shape(xi_t)
-    p, q, terms, D = _ladder(env, market, y_star, t, np.reshape(xi_t, -1))
-    x_t = _wealth(terms)
-    hedge = _hedge(tab, market, t, terms[3], q[tab.cara], D[tab.chord_rungs])
+    p, q, terms, x_t, hedge = _point(env, market, y_star, t, np.reshape(xi_t, -1))
     total = hedge.sum(axis=0)
     pct = np.divide(total, x_t, out=np.zeros_like(total), where=x_t != 0.0)
     split = [None] * 4
@@ -435,11 +423,19 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
     def vector(v):
         return None if v is None else np.multiply.outer(_risk_vector(market),
                                                         v.reshape(shape))
+
+    def per_piece(v, mask=slice(None)):  # one row per piece, 0 off the mask
+        out = np.zeros(p.shape)
+        out[mask] = v
+        return out.reshape(p.shape[:1] + shape)
     merton, rs, la, fo, total, pct = map(vector, [*split, total, pct])
+    xD, xA, xAbar, xR, xRbar = map(per_piece, terms,
+                                   [slice(None)] * 2 + [tab.cara, tab.crra, tab.cara])
     return PortfolioDecomposition(
         merton=merton, risk_seeking=rs, loss_aversion=la, first_order_ra=fo,
         total=total, wealth=float(x_t[0]) if not shape else x_t.reshape(shape),
-        percentage=pct,
+        percentage=pct, p=per_piece(p), q=per_piece(q), xD=xD, xA=xA,
+        xAbar=xAbar, xR=xR, xRbar=xRbar,
     )
 
 
@@ -532,7 +528,7 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
     u = log xi with dX/du = -(delta-hedge scalar); it bisects where wealth is
     flat near the floor.
     """
-    tab = _tables(env)  # rejects a non-concave utility
+    _tables(env)  # rejects a non-concave utility
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xs.shape, xi_cap)
     floor = _horizon(market, t)[2] * env.a0
@@ -551,8 +547,7 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
         u = lo + (hi - lo) * f_lo / (f_lo - f_hi)  # regula falsi start
 
         def wealth_gap(act, ua):
-            _, q, terms, D = _ladder(env, market, y_star, t, np.exp(ua))
-            hedge = _hedge(tab, market, t, terms[3], q[tab.cara], D[tab.chord_rungs])
-            return _wealth(terms) - level[act], -hedge.sum(axis=0)
+            x_t, hedge = _point(env, market, y_star, t, np.exp(ua))[3:]
+            return x_t - level[act], -hedge.sum(axis=0)
         out[live] = np.exp(_newton_root(wealth_gap, lo, hi, u))
     return float(out[0]) if np.ndim(x) == 0 else out

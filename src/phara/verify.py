@@ -126,16 +126,19 @@ def fd_portfolio_check(env: PharaUtility, market: MarketParams, y_star: float,
     """Central difference of the wealth map in log xi against the closed form.
 
     The comparison scale never drops below the scheme's own roundoff floor
-    (eps * wealth / step), so plateau points where the true portfolio is
-    numerically zero do not produce spurious relative blowups.
+    (eps * wealth / step along the portfolio direction), so plateau points
+    where the true portfolio is numerically zero do not produce spurious
+    relative blowups.
     """
     x_t = wealth_total(env, market, y_star, t, xi_t)
     up = wealth_total(env, market, y_star, t, xi_t * math.exp(_FD_STEP))
     dn = wealth_total(env, market, y_star, t, xi_t * math.exp(-_FD_STEP))
     slope = (up - dn) / (2.0 * _FD_STEP)  # xi dX/dxi
-    pi_fd = -_risk_vector(market) * slope
+    direction = _risk_vector(market)
+    pi_fd = -direction * slope
     pi = portfolio_general(env, market, y_star, t, xi_t)
-    noise = 4.0 * float(np.finfo(float).eps) * (1.0 + abs(x_t)) / (2.0 * _FD_STEP)
+    noise = (4.0 * float(np.finfo(float).eps) * (1.0 + abs(x_t)) / (2.0 * _FD_STEP)
+             * float(np.linalg.norm(direction)))
     scale = max(float(np.linalg.norm(pi)), noise / tol)
     err = float(np.linalg.norm(pi - pi_fd)) / scale
     return VerificationReport(

@@ -309,6 +309,20 @@ class TestVerifySimulate:
         assert payload["portfolio"]["total"][0] == pytest.approx(total,
                                                                  rel=1e-12)
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_decompose_wealth_is_wealth_total(self, tmp_path, name):
+        # the reported wealth is the one sum that wealth_total and the
+        # wealth inversion use, to the last bit
+        scenario = SCENARIOS / f"{name}.json"
+        scn = load_scenario(scenario)
+        env = concave_envelope(scn.utility).envelope
+        for flags in (("--t", "5", "--x", "30"), ("--t", "2", "--xi", "0.3")):
+            assert run(["decompose", "--scenario", scenario, "--out", tmp_path,
+                        *flags]) == 0
+            payload = _strict_json(tmp_path / "decompose.json")
+            assert payload["wealth"]["total"] == wealth_total(
+                env, scn.market, payload["y_star"], payload["t"], payload["xi"])
+
 
 class TestHedgeFundScenario:
     def test_envelope_bridges_the_benchmark(self, tmp_path):

@@ -15,13 +15,13 @@ from phara.errors import (BadDimension, BadTime, IllegalCase, InfeasibleBudget,
                           NoConvergence, NotConcave, PharaError, UnboundedDemand)
 from phara.market import build_market
 from phara import normal, solver
-from phara.solver import (_cdf_rows, _common_risk_aversion, _d1_outer, _newton_root,
-                          _risk_vector, _tables, budget, optimal_terminal_wealth,
-                          portfolio_general, portfolio_unified,
+from phara.solver import (PortfolioDecomposition, _cdf_rows, _common_risk_aversion,
+                          _d1_outer, _newton_root, _risk_vector, _tables, budget,
+                          optimal_terminal_wealth, portfolio_general, portfolio_unified,
                           sahara_portfolio, solve_multiplier,
-                          state_price_for_wealth, wealth_process, wealth_total,
-                          weights)
+                          state_price_for_wealth, wealth_total)
 from phara.utility import INF, PharaPiece, PharaUtility, cara_utility, crra_utility
+from phara.verify import _FD_STEP, fd_portfolio_check
 
 
 def norm_pdf(z):
@@ -179,19 +179,19 @@ class TestWealthProcess:
             assert process == pytest.approx(terminal, abs=1e-3)
 
     def test_crra_single_term(self, crra_envelope, market):
-        wd = wealth_process(crra_envelope, market, 0.4, 3.0, 1.2)
+        wd = portfolio_unified(crra_envelope, market, 0.4, 3.0, 1.2)
         assert wd.xD == pytest.approx([0.0], abs=0.0)
         assert wd.xA == pytest.approx([0.0], abs=0.0)
         assert wd.xAbar == pytest.approx([0.0], abs=0.0)
         assert wd.xRbar == pytest.approx([0.0], abs=0.0)
-        assert wd.total == pytest.approx(float(wd.xR[0]), rel=1e-15)
+        assert wd.wealth == pytest.approx(float(wd.xR[0]), rel=1e-15)
 
     def test_decomposition_sums_to_total(self, demo_envelope, market, demo_dual):
-        wd = wealth_process(demo_envelope.envelope, market, demo_dual.y_star,
-                            2.0, 0.9)
+        wd = portfolio_unified(demo_envelope.envelope, market, demo_dual.y_star,
+                               2.0, 0.9)
         parts = wd.xD.sum() + wd.xA.sum() + wd.xAbar.sum() + wd.xR.sum() \
             + wd.xRbar.sum()
-        assert wd.total == pytest.approx(parts, rel=1e-14)
+        assert wd.wealth == pytest.approx(parts, rel=1e-14)
 
     def test_phi_ratio_identity(self, demo_envelope, market, demo_dual):
         # the curvature term equals its density-ratio form on finite-slope pieces
@@ -200,7 +200,7 @@ class TestWealthProcess:
         tau = market.T - t
         disc = math.exp(-market.r * tau)
         w = demo_dual.y_star * xi
-        wd = wealth_process(env, market, demo_dual.y_star, t, xi)
+        wd = portfolio_unified(env, market, demo_dual.y_star, t, xi)
         for k, piece in enumerate(env.pieces):
             if piece.R == 0.0 or not np.isfinite(env.gamma_plus(k)):
                 continue
@@ -284,7 +284,6 @@ class TestPortfolios:
         w = y * xi
         sigma = 0.3
         R = 0.5
-        wv = weights(env, market, y, t, xi)
         dec = portfolio_unified(env, market, y, t, xi)
 
         a = env.partition
@@ -294,12 +293,12 @@ class TestPortfolios:
             + (a[3] - a[2]) * norm_pdf(d1(chord2.anchor_slope / w, market, t)))
         assert dec.risk_seeking[0] == pytest.approx(rs_manual, rel=1e-11)
 
-        A_terms = sum(env.pieces[k].A * wv.q[k] for k in (0, 3, 4))
+        A_terms = sum(env.pieces[k].A * dec.q[k] for k in (0, 3, 4))
         la_manual = -market.theta_norm * disc / (sigma * R) * A_terms
         assert dec.loss_aversion[0] == pytest.approx(la_manual, rel=1e-11)
 
         fo_manual = -market.theta_norm * disc / (sigma * R) * float(
-            np.sum(a[:-1] * wv.p))
+            np.sum(a[:-1] * dec.p))
         assert dec.first_order_ra[0] == pytest.approx(fo_manual, rel=1e-11)
         total = dec.merton[0] + dec.risk_seeking[0] + dec.loss_aversion[0] \
             + dec.first_order_ra[0]
@@ -363,6 +362,23 @@ class TestPortfolios:
         assert dec.total.tolist() == portfolio_general(env, market, 0.5, 1.0, 1.0).tolist() \
             == [INF]
 
+    def test_flat_tail_chord(self, market):
+        # a flat tail is a chord of width inf whose phi(D) is 0 at slope 0:
+        # its hedge row is 0, not inf * 0 = NaN, and only the line gambles
+        line = PharaPiece(a_lo=0.0, a_hi=5.0, R=0.0, anchor_x=0.0, anchor_u=0.0,
+                          anchor_slope=1.0)
+        flat = PharaPiece(a_lo=5.0, a_hi=INF, R=0.0, anchor_x=5.0, anchor_u=5.0,
+                          anchor_slope=0.0)
+        env = PharaUtility(a0=0.0, pieces=(line, flat))
+        dec = portfolio_unified(env, market, 0.5, 1.0, 1.0)
+        h = 1e-5  # central difference of X_t in log xi: -xi dX/dxi
+        fd = (wealth_total(env, market, 0.5, 1.0, math.exp(-h))
+              - wealth_total(env, market, 0.5, 1.0, math.exp(h))) / (2.0 * h)
+        hedge = dec.total / _risk_vector(market)
+        assert hedge == pytest.approx([fd], rel=1e-6)
+        assert hedge == pytest.approx([0.0398], abs=5e-5)
+        assert portfolio_general(env, market, 0.5, 1.0, 1.0).tolist() == dec.total.tolist()
+
     def test_bad_time(self, crra_envelope, market):
         with pytest.raises(BadTime):
             portfolio_general(crra_envelope, market, 0.4, market.T, 1.0)
@@ -371,14 +387,15 @@ class TestPortfolios:
 class TestWeights:
     def test_sum_to_one(self, demo_envelope, market, demo_dual):
         for t, xi in [(0.0, 1.0), (5.0, 0.2), (9.5, 3.0)]:
-            wv = weights(demo_envelope.envelope, market, demo_dual.y_star,
-                         t, xi)
+            wv = portfolio_unified(demo_envelope.envelope, market, demo_dual.y_star,
+                                   t, xi)
             assert wv.p.sum() + wv.q.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(wv.p >= -1e-15)
             assert np.all(wv.q >= -1e-15)
 
     def test_zero_at_tangency_and_chords(self, contract_envelope, market, contract_dual):
-        wv = weights(contract_envelope.envelope, market, contract_dual.y_star, 3.0, 1.0)
+        wv = portfolio_unified(contract_envelope.envelope, market, contract_dual.y_star,
+                               3.0, 1.0)
         # tangency point: slopes equal up to the root-find residual
         assert abs(wv.p[1]) <= 1e-14
         assert wv.q[0] == 0.0          # chord cell: exactly equal end slopes
@@ -403,7 +420,7 @@ class TestWeights:
 
         t, xi = 4.0, 0.9
         w = contract_dual.y_star * xi
-        wv = weights(env, market, contract_dual.y_star, t, xi)
+        wv = portfolio_unified(env, market, contract_dual.y_star, t, xi)
         assert wv.p[0] == pytest.approx(float(ndtr(d1(K / w, market, t))),
                                         abs=1e-14)
         assert wv.q[2] == pytest.approx(
@@ -626,9 +643,12 @@ def test_vector_portfolio_unified_matches_scalar(demo_envelope, contract_envelop
                 assert got.shape == stacked.shape == (1, xi.size)
                 assert np.allclose(got, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
             assert np.allclose(vec.wealth, [r.wealth for r in rows], rtol=1e-12, atol=0.0)
-            wv = weights(env, market, y, t, xi)
-            assert wv.p.shape == (env.n_pieces, xi.size)
-            assert np.allclose(wv.p.sum(axis=0) + wv.q.sum(axis=0), 1.0, atol=1e-12)
+            for field in ("p", "q", "xD", "xA", "xAbar", "xR", "xRbar"):  # per piece
+                stacked = np.stack([getattr(r, field) for r in rows], axis=1)
+                got = getattr(vec, field)
+                assert got.shape == stacked.shape == (env.n_pieces, xi.size)
+                assert np.allclose(got, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
+            assert np.allclose(vec.p.sum(axis=0) + vec.q.sum(axis=0), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +713,8 @@ def test_inversion_round_trip_properties(seed, market, excess, frac, logs):
     # saturation only where the wealth is the floor to rounding
     assert np.all(x[~ok] - _floor(env, market, t) <= 1e-10 * scale[~ok])
     # kink and cell weights are probabilities, never negative by rounding
-    wv = weights(env, market, y, t, xi)
-    assert np.all(wv.p >= 0.0) and np.all(wv.q >= 0.0)
+    dec = portfolio_unified(env, market, y, t, xi)
+    assert np.all(dec.p >= 0.0) and np.all(dec.q >= 0.0)
 
 
 @given(seeds, st.booleans(), markets(), st.floats(-1.0, 1.0), st.floats(0.0, 0.999),
@@ -718,6 +738,23 @@ def test_unified_equals_general_properties(seed, raw, market, log_y, frac, logs)
         largest = np.max([np.linalg.norm(v, axis=0) for v in dec.terms.values()], axis=0)
         gap = np.linalg.norm(sum(dec.terms.values()) - dec.total, axis=0)
         assert np.all(gap <= 1e-12 * largest)
+
+
+@given(seeds, markets(), st.floats(1e-3, 50.0))
+def test_fd_portfolio_properties(seed, market, excess):
+    # the delta-hedge against the central difference of the wealth map at
+    # the four points of `phara verify`, on envelopes of raw utilities:
+    # exponential pieces, several R and chords.  The difference's truncation
+    # error is about (step / s)^2 of the portfolio, where s = |theta| sqrt(T - t)
+    # is the wealth map's scale in log xi, so points with s under 5000 steps
+    # are finer than the oracle resolves
+    env = _raw_envelope(seed)
+    y = solve_multiplier(env, market, _floor(env, market) + excess).y_star
+    T = market.T
+    for t, xi in ((0.0, 1.0), (T / 2, 0.6), (T / 2, 1.7), (0.9 * T, 1.1)):
+        if market.theta_norm * math.sqrt(T - t) >= 5000 * _FD_STEP:
+            report = fd_portfolio_check(env, market, y, t, xi)
+            assert report.passed, report
 
 
 @given(seeds, markets(), st.floats(-1.0, 1.0), st.floats(0.0, 0.999),
@@ -747,22 +784,26 @@ def test_cdf_rows_is_the_running_maximum(seed, market, frac, logs):
 
 
 @given(seeds, markets(), st.floats(-5.0, 60.0), st.floats(-1.0, 25.0),
-       st.floats(-5.0, 60.0))
-def test_failures_are_typed(seed, market, x0, t, x):
-    """Out-of-range budgets, times and wealth levels, non-concave and
-    heterogeneous utilities: whatever fails raises a PharaError."""
+       st.floats(-5.0, 60.0), st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8))
+def test_failures_are_typed(seed, market, x0, t, x, log_xi):
+    """Out-of-range budgets, times, wealth levels and state prices, and
+    non-concave utilities: whatever fails raises a PharaError, and a point
+    evaluation that returns has only finite fields."""
     raw = random_raw_utility(np.random.default_rng(seed))
     env = concave_envelope(raw).envelope
+    xi = 10.0 ** np.array(log_xi)  # log-uniform in [1e-300, 1e300]
     calls = (
         lambda: solve_multiplier(env, market, x0),
         lambda: state_price_for_wealth(env, market, 1.0, t, x),
         lambda: wealth_total(raw, market, 1.0, t, 1.0),
-        lambda: portfolio_unified(env, market, 1.0, t, 1.0),
+        lambda: portfolio_unified(env, market, 1.0, t, float(xi[0])),
+        lambda: portfolio_unified(env, market, 1.0, t, xi),
         lambda: portfolio_general(env, market, 1.0, t, np.array([0.5, 2.0])),
-        lambda: weights(env, market, 1.0, t, 1.0),
     )
     for call in calls:
         try:
-            call()
+            out = call()
         except PharaError:
-            pass
+            continue
+        if isinstance(out, PortfolioDecomposition):
+            assert all(np.all(np.isfinite(v)) for v in vars(out).values() if v is not None)

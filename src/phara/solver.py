@@ -10,9 +10,9 @@ loss-aversion term from benchmarks, and first-order risk-aversion term from
 kinks.  All of them come from d1(g / y xi) on the envelope's slope ladder,
 each caller evaluating only the rungs it reads.  :func:`portfolio_unified`
 is the one point evaluator: from one pass over the ladder it returns the
-weights, the wealth's five families, the wealth and the portfolio, and it
-raises UnboundedDemand where the wealth does not fit a double.
-One Newton-bisection
+weights, the wealth's five families, the wealth and the portfolio.  Every
+evaluator runs in one driver, :func:`_evaluate`, which raises
+UnboundedDemand where a result does not fit a double.  One Newton-bisection
 root-finder serves the dual multiplier, the wealth-to-state-price map and
 the envelope's tangent search.
 """
@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import normal
-from .errors import (BadDimension, BadTime, IllegalCase, InfeasibleBudget,
+from .errors import (BadDimension, IllegalCase, InfeasibleBudget,
                      NoConvergence, NotConcave, UnboundedDemand)
 from .market import MarketParams
 from .utility import INF, PharaUtility
@@ -38,12 +39,50 @@ _NEWTON_STEPS = 20  # then bisection, which a steep map cannot make creep
 _BLOCK = 4096
 
 
-def _d1_outer(log_g, log_w, market: MarketParams, t: float):
-    """d1(g / w) for every g (rows) and w (columns), from log g and log w."""
+class _Horizon(NamedTuple):
+    tau: float    # T - t
+    s: float      # |theta| sqrt(tau)
+    disc: float   # exp(-r tau)
+    drift: float  # (r - |theta|^2 / 2) tau
+
+
+def _horizon(market: MarketParams, t: float) -> _Horizon:
+    """The constants of the time to horizon that every closed form reads,
+    computed once per evaluation; BadTime outside [0, T)."""
     tau = market.tau(t)
-    s = market.theta_norm * math.sqrt(tau)
-    return np.add.outer(-(log_g + (market.r - 0.5 * market.theta_norm**2) * tau) / s,
-                        log_w / s)
+    return _Horizon(tau, market.theta_norm * math.sqrt(tau), math.exp(-market.r * tau),
+                    (market.r - 0.5 * market.theta_norm**2) * tau)
+
+
+def _d1_outer(log_g, log_w, h: _Horizon):
+    """d1(g / w) for every g (rows) and w (columns), from log g and log w."""
+    return np.add.outer(-(log_g + h.drift) / h.s, log_w / h.s)
+
+
+def _evaluate(pass_, xi, *args):
+    """The one evaluation driver: ``pass_(block, *args)`` returns arrays whose
+    last axis runs over a flat block of xi.  It runs on blocks of _BLOCK
+    points, which bounds the (2n+1, N) temporaries of one ladder, under one
+    warning scope.  The one overflow rule: UnboundedDemand names the first xi
+    where an array is not finite.  Each array gets xi's shape as its trailing
+    axes, and is a float where that leaves no axis."""
+    flat = np.asarray(xi, dtype=float).reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        blocks = [pass_(flat[i:i + _BLOCK], *args)
+                  for i in range(0, max(flat.size, 1), _BLOCK)]
+    out = [np.concatenate(arrays, axis=-1) for arrays in zip(*blocks)]
+    bad = ~np.isfinite(np.vstack(out)).all(axis=0)
+    if bad.any():
+        raise UnboundedDemand(f"optimal wealth at state price xi = {flat[bad][0]:g} "
+                              f"does not fit a double")
+    shaped = [a.reshape(a.shape[:-1] + np.shape(xi)) for a in out]
+    return [float(a) if a.ndim == 0 else a for a in shaped]
+
+
+def _normal(fn, D):
+    """normal.cdf or normal.pdf on ladder rows D; a piece family that the
+    envelope does not have has no rows, and costs no call."""
+    return fn(D) if D.size else np.zeros(D.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +175,20 @@ def optimal_terminal_wealth(env: PharaUtility, y: float, xi_T):
     Vectorized over xi_T.  On the measure-zero tie levels the left endpoint
     of the argmax set is returned.
     """
-    tab = _tables(env)
-    w = y * np.asarray(xi_T, dtype=float)
+    return _evaluate(_argmax, xi_T, _tables(env), y)[0]
+
+
+def _argmax(xi, tab: _Tables, y: float):
+    w = y * xi
     # descending ladder; ties resolve towards the larger-slope interval,
     # i.e. the left endpoint of the argmax set
     j = np.searchsorted(-tab.ladder, -w, side="left") - 1
     j = np.clip(j, 0, tab.ladder.size - 2)
     k = j // 2  # even j: kink a_k; odd j: inside piece k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        curve = np.where(tab.crra[k], tab.A[k] + tab.C[k] * w ** (-1.0 / tab.R[k]),
-                         tab.K[k] - np.log(w) / tab.alpha[k])
+    curve = np.where(tab.crra[k], tab.A[k] + tab.C[k] * w ** (-1.0 / tab.R[k]),
+                     tab.K[k] - np.log(w) / tab.alpha[k])
     # kinks and chords (ties only) sit at the left end a_k
-    out = np.where((j % 2 == 1) & ~tab.chord[k], curve, tab.a[k])
-    return float(out) if out.ndim == 0 else out
+    return (np.where((j % 2 == 1) & ~tab.chord[k], curve, tab.a[k]),)
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +196,21 @@ def optimal_terminal_wealth(env: PharaUtility, y: float, xi_T):
 # ---------------------------------------------------------------------------
 
 
-def _horizon(market: MarketParams, t: float):
-    """(tau, |theta| sqrt(tau), exp(-r tau)) at time t."""
-    tau = market.tau(t)
-    return tau, market.theta_norm * math.sqrt(tau), math.exp(-market.r * tau)
-
-
 def _cdf_rows(D):
     """Phi(D) on ladder rows in ladder order, along which D is nondecreasing;
     the running maximum keeps rounding from turning a weight negative.  Row
     by row, in place: the same values as ``np.maximum.accumulate(axis=0)``,
     which strides across rows and is several times slower."""
-    F = normal.cdf(D)
+    F = _normal(normal.cdf, D)
     for i in range(1, F.shape[0]):
         np.maximum(F[i - 1], F[i], out=F[i])
     return F
 
 
-def _power_terms(tab: _Tables, market: MarketParams, t: float, log_w, D):
+def _power_terms(tab: _Tables, market: MarketParams, h: _Horizon, log_w, D):
     """X^R_k = C_k w^{-1/R_k} growth_k (Phi(D_{2k+2} - s/R_k) - Phi(D_{2k+1} - s/R_k))
     per power piece, from D on its rows ``tab.crra_rungs``."""
-    tau, s, _ = _horizon(market, t)
-    th = market.theta_norm
+    tau, th = h.tau, market.theta_norm
     R = tab.R[tab.crra]
     try:  # the smallest R has the largest growth
         with np.errstate(over="raise"):
@@ -187,113 +220,84 @@ def _power_terms(tab: _Tables, market: MarketParams, t: float, log_w, D):
         raise IllegalCase(f"power piece with R = {R.min()}: its wealth growth factor "
                           f"overflows at T - t = {tau}") from None
     R, growth = R[:, None], growth[:, None]
-    F = normal.cdf(D - np.repeat(s / R, 2, axis=0))
+    F = _normal(normal.cdf, D - np.repeat(h.s / R, 2, axis=0))
     cell = F[1::2] - F[::2]
     # w^{-1/R} may overflow where the cell has probability 0: leave it 0 there
     power = np.exp(-log_w / R, out=np.zeros(cell.shape), where=cell != 0.0)
     return tab.C[tab.crra, None] * power * growth * cell
 
 
-def _hedge(tab: _Tables, market: MarketParams, t: float, xR, q_cara, D_chord):
+def _hedge(tab: _Tables, h: _Horizon, xR, q_cara, D_chord):
     """Each piece's share of the delta-hedge scalar -xi dX/dxi: X^R_k / R_k
     on power pieces, a constant-absolute-risk term disc q_k / alpha_k on
     exponential pieces, and on chords the near-terminal gambling term
     disc width_k phi(D_{2k+1}) / s."""
-    _, s, disc = _horizon(market, t)
     hedge = np.zeros((tab.R.size, xR.shape[-1]))
     hedge[tab.crra] = xR / tab.R[tab.crra, None]
-    hedge[tab.cara] = disc / tab.alpha[tab.cara, None] * q_cara
+    hedge[tab.cara] = h.disc / tab.alpha[tab.cara, None] * q_cara
     # a flat tail has width inf and phi(D) = 0: leave its row 0 there
-    phi = normal.pdf(D_chord)
-    hedge[tab.chord] = np.multiply(disc * tab.width[tab.chord, None] / s, phi,
+    phi = _normal(normal.pdf, D_chord)
+    hedge[tab.chord] = np.multiply(h.disc * tab.width[tab.chord, None] / h.s, phi,
                                    out=np.zeros(phi.shape), where=phi != 0.0)
     return hedge
 
 
-def _ladder(env: PharaUtility, market: MarketParams, y: float, t: float, xi):
-    """Every closed form at time t and w = y xi, from D on the whole ladder.
+def _ladder(xi, tab: _Tables, market: MarketParams, h: _Horizon, y: float):
+    """Every closed form at w = y xi, from D on the whole ladder.
 
     D = d1(g / w) on the 2n+1 ladder slopes; entries 2k and 2k+1 are the
     left and right slopes at the kink a_k, so piece k spans entries 2k+1 and
-    2k+2.  Returns the kink weights p and cell weights q (one row per piece),
-    the five wealth families xD, xA (one row per piece), xAbar, xR, xRbar
-    (one row per piece of their type: exponential, power, exponential), and
-    D, whose chord rows :func:`_point` passes to :func:`_hedge`.  xi is
-    flat, and every row has one entry per xi.
+    2k+2.  Returns the wealth X_t, the kink weights p and cell weights q (one
+    row per piece), the five wealth families xD, xA (one row per piece),
+    xAbar, xR, xRbar (one row per piece of their type: exponential, power,
+    exponential), and D, whose chord rows the hedge reads.
     """
-    tab = _tables(env)
-    log_w = np.log(y * np.asarray(xi, dtype=float))
-    tau, s, disc = _horizon(market, t)
-    th = market.theta_norm
-
-    D = _d1_outer(tab.log_ladder, log_w, market, t)
+    log_w, disc = np.log(y * xi), h.disc
+    D = _d1_outer(tab.log_ladder, log_w, h)
     F = _cdf_rows(D)
     p, q = F[1::2] - F[:-1:2], F[2::2] - F[1::2]
-    xR = _power_terms(tab, market, t, log_w, D[tab.crra_rungs])
+    xR = _power_terms(tab, market, h, log_w, D[tab.crra_rungs])
 
     cara = tab.cara
     al = tab.alpha[cara, None]
     D_cara = D[tab.cara_rungs]
     # a_k - (s/alpha) d1(gplus/w) kept in anchored form: it equals
     # K + (log(1/w) + (r - th^2/2) tau)/alpha with K constant per piece
-    level = tab.K[cara, None] + (-log_w + (market.r - 0.5 * th**2) * tau) / al
+    level = tab.K[cara, None] + (-log_w + h.drift) / al
     xAbar = disc * level * q[cara]
-    xRbar = disc * (-s / al) * (normal.pdf(D_cara[1::2]) - normal.pdf(D_cara[::2]))
+    xRbar = disc * (-h.s / al) * (_normal(normal.pdf, D_cara[1::2])
+                                - _normal(normal.pdf, D_cara[::2]))
 
     terms = (disc * tab.a[:-1, None] * p, disc * tab.A[:, None] * q, xAbar, xR, xRbar)
-    return p, q, terms, D
+    return sum(term.sum(axis=0) for term in terms), p, q, terms, D
 
 
-def _point(env: PharaUtility, market: MarketParams, y: float, t: float, xi):
-    """:func:`_ladder` at flat xi with the wealth X_t and the delta-hedge
-    rows of :func:`_hedge`.  The one overflow rule: evaluate without
-    warnings, then raise UnboundedDemand naming the first xi whose wealth
-    does not fit a double."""
-    tab = _tables(env)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p, q, terms, D = _ladder(env, market, y, t, xi)
-        x_t = _wealth(terms)
-        hedge = _hedge(tab, market, t, terms[3], q[tab.cara], D[tab.chord_rungs])
-    bad = ~np.isfinite(x_t)
-    if bad.any():
-        raise UnboundedDemand(f"optimal wealth at state price xi = {xi[bad][0]:g} "
-                              f"does not fit a double")
-    return p, q, terms, x_t, hedge
+def _decomposition(xi, tab: _Tables, market: MarketParams, h: _Horizon, y: float):
+    """The point evaluator's pass: the wealth, the delta-hedge scalar and its
+    chord rows' sum, then :func:`_ladder`'s weights and wealth families."""
+    x_t, p, q, terms, D = _ladder(xi, tab, market, h, y)
+    hedge = _hedge(tab, h, terms[3], q[tab.cara], D[tab.chord_rungs])
+    return x_t, hedge.sum(axis=0), hedge[tab.chord].sum(axis=0), p, q, *terms
 
 
-def _hedge_rows(env: PharaUtility, market: MarketParams, y: float, t: float,
-                xi):
-    """The delta-hedge rows of :func:`_hedge`, from D on the rows they
-    read: two per power piece, two per exponential piece (its cell weight q),
-    one per chord.  xi is flat."""
-    tab = _tables(env)
-    log_w = np.log(y * np.asarray(xi, dtype=float))
+def _hedge_rows(xi, tab: _Tables, market: MarketParams, h: _Horizon, y: float):
+    """The delta-hedge scalar of :func:`_hedge`, from D on the rows it reads:
+    two per power piece, two per exponential piece (its cell weight q), one
+    per chord."""
+    log_w = np.log(y * xi)
 
     def D(rungs):
-        return _d1_outer(tab.log_ladder[rungs], log_w, market, t)
+        return _d1_outer(tab.log_ladder[rungs], log_w, h)
     F = _cdf_rows(D(tab.cara_rungs))
-    return _hedge(tab, market, t, _power_terms(tab, market, t, log_w, D(tab.crra_rungs)),
-                  F[1::2] - F[::2], D(tab.chord_rungs))
-
-
-def _wealth(terms):
-    return sum(term.sum(axis=0) for term in terms)
-
-
-def _blockwise(fn, xi):
-    """fn over consecutive blocks of _BLOCK points of xi, concatenated and
-    shaped like xi; bounds the (2n+1, N) temporaries of one ladder."""
-    flat = np.asarray(xi, dtype=float).reshape(-1)
-    out = np.concatenate([fn(flat[i:i + _BLOCK])
-                          for i in range(0, max(flat.size, 1), _BLOCK)])
-    return out.reshape(np.shape(xi))
+    return (_hedge(tab, h, _power_terms(tab, market, h, log_w, D(tab.crra_rungs)),
+                   F[1::2] - F[::2], D(tab.chord_rungs)).sum(axis=0),)
 
 
 def wealth_total(env: PharaUtility, market: MarketParams, y: float, t: float,
                  xi):
     """Optimal wealth X_t as a function of xi_t (vectorized)."""
-    total = _blockwise(lambda b: _wealth(_ladder(env, market, y, t, b)[2]), xi)
-    return float(total) if np.ndim(xi) == 0 else total
+    tab, h = _tables(env), _horizon(market, t)
+    return _evaluate(lambda b: _ladder(b, tab, market, h, y)[:1], xi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,7 @@ def solve_multiplier(env: PharaUtility, market: MarketParams,
     rung = 2.0 * math.floor(0.5 * math.log(y_star))
     return DualSolution(y_star=y_star, budget_residual=float(resid),
                         bracket=(math.exp(rung), math.exp(rung + 2.0)), x0=x0,
-                        feasible_floor=_horizon(market, 0.0)[2] * env.a0)
+                        feasible_floor=_horizon(market, 0.0).disc * env.a0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +354,8 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
     It equals ``portfolio_unified(...).total`` from only the ladder rows the
     hedge reads: the Euler step's form.
     """
-    scalar = _blockwise(
-        lambda b: _hedge_rows(env, market, y_star, t, b).sum(axis=0), xi_t)
+    scalar = _evaluate(_hedge_rows, xi_t, _tables(env), market, _horizon(market, t),
+                       y_star)[0]
     return np.multiply.outer(_risk_vector(market), scalar)
 
 
@@ -405,36 +409,31 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
     ``total``, the wealth and ``total`` / wealth, the weights and wealth
     families, and with a common R the four-term split Merton + risk-seeking
     - loss-aversion - first-order, which regroups the hedge rows and so adds
-    up to ``total``.  UnboundedDemand where the wealth does not fit a double.
+    up to ``total``.
     """
-    tab = _tables(env)
+    tab, h = _tables(env), _horizon(market, t)
     R = _common_risk_aversion(tab)
-    shape = np.shape(xi_t)
-    p, q, terms, x_t, hedge = _point(env, market, y_star, t, np.reshape(xi_t, -1))
-    total = hedge.sum(axis=0)
+    x_t, total, chords, p, q, *terms = _evaluate(_decomposition, xi_t, tab, market,
+                                                 h, y_star)
     pct = np.divide(total, x_t, out=np.zeros_like(total), where=x_t != 0.0)
     split = [None] * 4
-    if R is not None:
-        disc = _horizon(market, t)[2]
-        split = [x_t / R, hedge[tab.chord].sum(axis=0),  # the chords' gambling terms
-                 -disc / R * np.tensordot(tab.A, q, axes=1),
-                 -disc / R * np.tensordot(tab.a[:-1], p, axes=1)]
+    if R is not None:  # risk-seeking: the chords' gambling terms
+        split = [x_t / R, chords, -h.disc / R * np.tensordot(tab.A, q, axes=1),
+                 -h.disc / R * np.tensordot(tab.a[:-1], p, axes=1)]
 
     def vector(v):
-        return None if v is None else np.multiply.outer(_risk_vector(market),
-                                                        v.reshape(shape))
+        return None if v is None else np.multiply.outer(_risk_vector(market), v)
 
     def per_piece(v, mask=slice(None)):  # one row per piece, 0 off the mask
         out = np.zeros(p.shape)
         out[mask] = v
-        return out.reshape(p.shape[:1] + shape)
+        return out
     merton, rs, la, fo, total, pct = map(vector, [*split, total, pct])
     xD, xA, xAbar, xR, xRbar = map(per_piece, terms,
                                    [slice(None)] * 2 + [tab.cara, tab.crra, tab.cara])
     return PortfolioDecomposition(
         merton=merton, risk_seeking=rs, loss_aversion=la, first_order_ra=fo,
-        total=total, wealth=float(x_t[0]) if not shape else x_t.reshape(shape),
-        percentage=pct, p=per_piece(p), q=per_piece(q), xD=xD, xA=xA,
+        total=total, wealth=x_t, percentage=pct, p=p, q=q, xD=xD, xA=xA,
         xAbar=xAbar, xR=xR, xRbar=xRbar,
     )
 
@@ -450,9 +449,7 @@ def sahara_portfolio(market: MarketParams, alpha: float, beta: float,
         raise BadDimension("SAHARA comparison is one-dimensional")
     if alpha <= 0.0 or beta < 0.0:
         raise IllegalCase("need alpha > 0 and beta >= 0")
-    tau = market.T - t
-    if tau < 0.0:
-        raise BadTime(f"t={t} beyond horizon {market.T}")
+    tau = market.tau(t)
     th = market.theta_norm
     b_t = beta * math.exp(-(market.r - th**2 / (2.0 * alpha**2)) * tau)
     sigma = float(market.sigma[0, 0])
@@ -474,9 +471,8 @@ def _wealth_ladder(env: PharaUtility, market: MarketParams, y_star: float,
         u = 0.0
         while more(u):
             u += step
-            with np.errstate(over="ignore", invalid="ignore"):
-                rungs[u] = wealth_total(env, market, y_star, t, math.exp(u))
-            if abs(u) > 2.0 * _MAX_EXPAND or not math.isfinite(rungs[u]):
+            rungs[u] = wealth_total(env, market, y_star, t, math.exp(u))
+            if abs(u) > 2.0 * _MAX_EXPAND:
                 raise UnboundedDemand(f"wealth inversion found no bracket: X_t is "
                                       f"{rungs[u]:.6g} at xi = e^{u:g}")
     u = np.array(sorted(rungs))
@@ -528,10 +524,10 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
     u = log xi with dX/du = -(delta-hedge scalar); it bisects where wealth is
     flat near the floor.
     """
-    _tables(env)  # rejects a non-concave utility
+    tab, h = _tables(env), _horizon(market, t)  # a non-concave utility, a bad t
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xs.shape, xi_cap)
-    floor = _horizon(market, t)[2] * env.a0
+    floor = h.disc * env.a0
     attainable = xs > floor
     if xi_cap == INF and not attainable.all():
         raise InfeasibleBudget(f"wealth {float(xs[~attainable][0])} at t = {t:g} must "
@@ -547,7 +543,8 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
         u = lo + (hi - lo) * f_lo / (f_lo - f_hi)  # regula falsi start
 
         def wealth_gap(act, ua):
-            x_t, hedge = _point(env, market, y_star, t, np.exp(ua))[3:]
-            return x_t - level[act], -hedge.sum(axis=0)
+            x_t, total = _evaluate(lambda b: _decomposition(b, tab, market, h, y_star)[:2],
+                                   np.exp(ua))
+            return x_t - level[act], -total
         out[live] = np.exp(_newton_root(wealth_gap, lo, hi, u))
     return float(out[0]) if np.ndim(x) == 0 else out

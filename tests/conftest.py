@@ -9,7 +9,7 @@ from hypothesis import settings
 from phara.concavify import concave_envelope
 from phara.errors import IllegalCase
 from phara.market import build_market
-from phara.solver import _d1_outer, solve_multiplier
+from phara.solver import _d1_outer, _horizon, solve_multiplier
 from phara.utility import INF, PharaPiece, PharaUtility, crra_utility, participating_contract_utility
 
 
@@ -58,7 +58,7 @@ def d1(z, market, t: float):
     the solver's ladder kernel ``_d1_outer``."""
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
-        out = _d1_outer(np.log(z), 0.0, market, t)
+        out = _d1_outer(np.log(z), 0.0, _horizon(market, t))
     return float(out) if out.ndim == 0 else out
 
 

@@ -15,8 +15,9 @@ from phara.errors import (BadDimension, BadTime, IllegalCase, InfeasibleBudget,
                           NoConvergence, NotConcave, PharaError, UnboundedDemand)
 from phara.market import build_market
 from phara import normal, solver
-from phara.solver import (PortfolioDecomposition, _cdf_rows, _common_risk_aversion,
-                          _d1_outer, _newton_root, _risk_vector, _tables, budget,
+from phara.solver import (DualSolution, PortfolioDecomposition, _cdf_rows,
+                          _common_risk_aversion, _d1_outer, _horizon, _newton_root,
+                          _risk_vector, _tables, budget,
                           optimal_terminal_wealth, portfolio_general, portfolio_unified,
                           sahara_portfolio, solve_multiplier,
                           state_price_for_wealth, wealth_total)
@@ -356,11 +357,10 @@ class TestPortfolios:
                           anchor_slope=1.0)
         env = PharaUtility(a0=0.0, pieces=(line,))
         assert _common_risk_aversion(_tables(env)) is None
-        dec = portfolio_unified(env, market, 0.5, 1.0, 1.0)
-        assert dec.terms == {}
         # a linear tail gambles without bound in both forms
-        assert dec.total.tolist() == portfolio_general(env, market, 0.5, 1.0, 1.0).tolist() \
-            == [INF]
+        for form in (portfolio_unified, portfolio_general):
+            with pytest.raises(UnboundedDemand, match="at state price xi = 1 does not fit"):
+                form(env, market, 0.5, 1.0, 1.0)
 
     def test_flat_tail_chord(self, market):
         # a flat tail is a chord of width inf whose phi(D) is 0 at slope 0:
@@ -448,8 +448,9 @@ class TestSahara:
         assert isinstance(err.value, BadDimension)
 
     def test_beyond_horizon_rejected(self, market):
-        with pytest.raises(BadTime):
-            sahara_portfolio(market, alpha=2.0, beta=1.0, t=market.T + 1.0, x=1.0)
+        for t in (-5.0, market.T, market.T + 1.0):
+            with pytest.raises(BadTime):
+                sahara_portfolio(market, alpha=2.0, beta=1.0, t=t, x=1.0)
 
     @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (-1.0, 1.0), (2.0, -0.1)])
     def test_bad_parameters_rejected(self, market, alpha, beta):
@@ -539,8 +540,8 @@ class TestWealthInversion:
 
     def test_wealth_beyond_the_doubles(self, market):
         # X_0 = C (y xi)^{-2} growth overflows on the rungs before it reaches
-        # 1e308: no bracket, and no overflow warning on the way
-        with pytest.raises(UnboundedDemand, match="no bracket: X_t is inf"):
+        # 1e308: the evaluation's overflow rule, and no warning on the way
+        with pytest.raises(UnboundedDemand, match="at state price xi = .* does not fit a double"):
             solve_multiplier(crra_utility(0.5), market, 1e308)
 
 
@@ -777,7 +778,7 @@ def test_cdf_rows_is_the_running_maximum(seed, market, frac, logs):
     # NaN columns (a NaN state price) and infinite ladder ends included; the
     # reversed ladder makes every row's maximum differ from its own value
     env = _raw_envelope(seed)
-    D = _d1_outer(_tables(env).log_ladder, np.array(logs), market, frac * market.T)
+    D = _d1_outer(_tables(env).log_ladder, np.array(logs), _horizon(market, frac * market.T))
     for rows in (D, D[::-1]):
         want = np.maximum.accumulate(normal.cdf(rows), axis=0)
         assert _cdf_rows(rows).tobytes() == want.tobytes()
@@ -787,19 +788,24 @@ def test_cdf_rows_is_the_running_maximum(seed, market, frac, logs):
        st.floats(-5.0, 60.0), st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8))
 def test_failures_are_typed(seed, market, x0, t, x, log_xi):
     """Out-of-range budgets, times, wealth levels and state prices, and
-    non-concave utilities: whatever fails raises a PharaError, and a point
-    evaluation that returns has only finite fields."""
+    non-concave utilities: whatever fails raises a PharaError, and an
+    evaluation that returns has only finite values.  The suite turns a
+    RuntimeWarning into a failure, so none may be emitted on the way."""
     raw = random_raw_utility(np.random.default_rng(seed))
     env = concave_envelope(raw).envelope
     xi = 10.0 ** np.array(log_xi)  # log-uniform in [1e-300, 1e300]
-    calls = (
+    calls = [
         lambda: solve_multiplier(env, market, x0),
         lambda: state_price_for_wealth(env, market, 1.0, t, x),
         lambda: wealth_total(raw, market, 1.0, t, 1.0),
-        lambda: portfolio_unified(env, market, 1.0, t, float(xi[0])),
-        lambda: portfolio_unified(env, market, 1.0, t, xi),
         lambda: portfolio_general(env, market, 1.0, t, np.array([0.5, 2.0])),
-    )
+        lambda: budget(env, market, float(xi[0])),
+    ]
+    for z in (float(xi[0]), xi):  # scalar and vector state prices
+        calls += [lambda z=z: portfolio_unified(env, market, 1.0, t, z),
+                  lambda z=z: wealth_total(env, market, 1.0, t, z),
+                  lambda z=z: portfolio_general(env, market, 1.0, t, z),
+                  lambda z=z: optimal_terminal_wealth(env, 1.0, z)]
     for call in calls:
         try:
             out = call()
@@ -807,3 +813,5 @@ def test_failures_are_typed(seed, market, x0, t, x, log_xi):
             continue
         if isinstance(out, PortfolioDecomposition):
             assert all(np.all(np.isfinite(v)) for v in vars(out).values() if v is not None)
+        elif not isinstance(out, DualSolution):
+            assert np.all(np.isfinite(out))

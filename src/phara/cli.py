@@ -23,7 +23,8 @@ from . import verify as verify_mod
 from .concavify import concave_envelope
 from .errors import BadDimension, IllegalCase, PharaError
 from .market import MarketParams, build_market
-from .solver import portfolio_unified, solve_multiplier, state_price_for_wealth
+from .solver import (portfolio_unified, solve_multiplier, state_price_for_wealth,
+                     _fraction_of_wealth)
 from .utility import (INF, NEG_INF, PharaPiece, PharaUtility,
                       PiecewiseLinearPayoff, compose, s_shaped_utility)
 
@@ -262,7 +263,7 @@ def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
         dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
         wealth = dec.wealth
         # split columns are fractions of wealth; NaN without a split
-        split = [np.divide(v[0], wealth, out=np.zeros_like(wealth), where=wealth != 0.0)
+        split = [_fraction_of_wealth(v[0], wealth)
                  for v in dec.terms.values()] or [np.full_like(wealth, np.nan)] * 4
         lines += [_csv_row([t, *row])
                   for row in zip(wealth, xi, dec.percentage[0], *split)]

@@ -7,14 +7,14 @@ families per piece), and the portfolio is the delta-hedge of the wealth map,
 which, when every curved piece shares one relative risk aversion R, regroups
 into the four-term split: Merton term, risk-seeking term from chords,
 loss-aversion term from benchmarks, and first-order risk-aversion term from
-kinks.  All of them come from d1(g / y xi) on the envelope's slope ladder,
-each caller evaluating only the rungs it reads.  :func:`portfolio_unified`
+kinks.  All of them come from D = d1(g / y xi) on the envelope's slope
+ladder, which one step, :func:`_phi`, computes once per distinct slope, with
+one normal.cdf call per pass on the rungs it reads.  :func:`portfolio_unified`
 is the one point evaluator: from one pass over the ladder it returns the
 weights, the wealth's five families, the wealth and the portfolio.  Every
-evaluator runs in one driver, :func:`_evaluate`, which raises
-UnboundedDemand where a result does not fit a double.  One Newton-bisection
-root-finder serves the dual multiplier, the wealth-to-state-price map and
-the envelope's tangent search.
+evaluator runs in one driver, :func:`_evaluate`, which raises UnboundedDemand
+where a result does not fit a double.  One Newton-bisection root-finder
+serves the dual multiplier, the wealth inversion and the tangent search.
 """
 
 from __future__ import annotations
@@ -44,14 +44,24 @@ class _Horizon(NamedTuple):
     s: float      # |theta| sqrt(tau)
     disc: float   # exp(-r tau)
     drift: float  # (r - |theta|^2 / 2) tau
+    growth: np.ndarray  # wealth growth factor per power piece, a column
 
 
-def _horizon(market: MarketParams, t: float) -> _Horizon:
+def _horizon(market: MarketParams, t: float, tab: _Tables | None = None) -> _Horizon:
     """The constants of the time to horizon that every closed form reads,
-    computed once per evaluation; BadTime outside [0, T)."""
-    tau = market.tau(t)
-    return _Horizon(tau, market.theta_norm * math.sqrt(tau), math.exp(-market.r * tau),
-                    (market.r - 0.5 * market.theta_norm**2) * tau)
+    computed once per evaluation, with the growth factors of tab's power
+    pieces; BadTime outside [0, T), IllegalCase where a factor overflows."""
+    tau, th = market.tau(t), market.theta_norm
+    R = np.empty(0) if tab is None else tab.R[tab.crra]
+    try:  # the smallest R has the largest growth
+        with np.errstate(over="raise"):
+            growth = np.array([math.exp(-b * (market.r + 0.5 * th**2) * tau
+                                        + 0.5 * b**2 * th**2 * tau) for b in 1.0 - 1.0 / R])
+    except (OverflowError, FloatingPointError):
+        raise IllegalCase(f"power piece with R = {R.min()}: its wealth growth factor "
+                          f"overflows at T - t = {tau}") from None
+    return _Horizon(tau, th * math.sqrt(tau), math.exp(-market.r * tau),
+                    (market.r - 0.5 * th**2) * tau, growth[:, None])
 
 
 def _d1_outer(log_g, log_w, h: _Horizon):
@@ -59,30 +69,28 @@ def _d1_outer(log_g, log_w, h: _Horizon):
     return np.add.outer(-(log_g + h.drift) / h.s, log_w / h.s)
 
 
-def _evaluate(pass_, xi, *args):
+def _evaluate(pass_, xi, *args, first="optimal wealth"):
     """The one evaluation driver: ``pass_(block, *args)`` returns arrays whose
-    last axis runs over a flat block of xi.  It runs on blocks of _BLOCK
-    points, which bounds the (2n+1, N) temporaries of one ladder, under one
-    warning scope.  The one overflow rule: UnboundedDemand names the first xi
-    where an array is not finite.  Each array gets xi's shape as its trailing
-    axes, and is a float where that leaves no axis."""
+    last axis runs over a flat block of xi, on blocks of _BLOCK points (which
+    bounds a ladder's temporaries) under one warning scope; an xi that is not
+    positive is BadDimension.  The one overflow rule: UnboundedDemand names
+    the first xi where an array is not finite, and ``first`` if the first
+    array is not, else the optimal portfolio.  Each array gets xi's shape as
+    its trailing axes, and is a float where that leaves no axis."""
     flat = np.asarray(xi, dtype=float).reshape(-1)
+    if not (flat > 0.0).all():  # NaN included
+        raise BadDimension(f"state price xi = {flat[~(flat > 0.0)][0]:g} is not positive")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         blocks = [pass_(flat[i:i + _BLOCK], *args)
                   for i in range(0, max(flat.size, 1), _BLOCK)]
     out = [np.concatenate(arrays, axis=-1) for arrays in zip(*blocks)]
-    bad = ~np.isfinite(np.vstack(out)).all(axis=0)
-    if bad.any():
-        raise UnboundedDemand(f"optimal wealth at state price xi = {flat[bad][0]:g} "
-                              f"does not fit a double")
+    finite = np.isfinite(np.vstack(out))
+    if not finite.all():
+        i = np.argmin(finite.all(axis=0))
+        what = "optimal portfolio" if finite[0, i] else first
+        raise UnboundedDemand(f"{what} at state price xi = {flat[i]:g} does not fit a double")
     shaped = [a.reshape(a.shape[:-1] + np.shape(xi)) for a in out]
     return [float(a) if a.ndim == 0 else a for a in shaped]
-
-
-def _normal(fn, D):
-    """normal.cdf or normal.pdf on ladder rows D; a piece family that the
-    envelope does not have has no rows, and costs no call."""
-    return fn(D) if D.size else np.zeros(D.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +102,8 @@ def _normal(fn, D):
 class _Tables:
     a: np.ndarray          # partition, length n+1, a[n] = inf
     ladder: np.ndarray     # gminus[0] >= gplus[0] >= gminus[1] >= ... >= gminus[n]
-    log_ladder: np.ndarray
+    slot: np.ndarray       # ladder row -> distinct slope
+    log_slopes: np.ndarray  # per distinct slope
     R: np.ndarray          # per piece
     A: np.ndarray          # benchmark, 0 where unused
     alpha: np.ndarray      # CARA coefficient, 0 where unused
@@ -104,11 +113,13 @@ class _Tables:
     crra: np.ndarray       # bool masks
     cara: np.ndarray
     chord: np.ndarray
-    # ladder rows a piece type reads: 2k+1, 2k+2 per power and exponential
-    # piece (interleaved), 2k+1 per chord
+    # slots a piece type reads: rows 2k+1, 2k+2 per power and exponential piece
+    # (interleaved), 2k+1 per chord; exponential slots, and each row's place there
     crra_rungs: np.ndarray
     cara_rungs: np.ndarray
     chord_rungs: np.ndarray
+    cara_slots: np.ndarray
+    cara_cells: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -145,15 +156,18 @@ def _tables(env: PharaUtility) -> _Tables:
         if not (0.0 < C[k] < INF if crra[k] else abs(K[k]) < INF):
             raise IllegalCase(f"piece on [{p.a_lo}, {p.a_hi}) with R = {p.R}: its inverse "
                               f"marginal utility does not fit a double (C = {C[k]}, K = {K[k]})")
+    # adjacent equal slopes (a tangency, a chord's two ends) share one slot
+    new = np.r_[True, ladder[1:] != ladder[:-1]]
+    slot = np.cumsum(new) - 1
     with np.errstate(divide="ignore"):
-        log_ladder = np.log(ladder)
+        log_slopes = np.log(ladder[new])
 
-    def rungs(mask, *offsets):
-        return np.array([2 * k + o for k in np.flatnonzero(mask) for o in offsets],
-                        dtype=np.intp)
-    tab = _Tables(a, ladder, log_ladder, R, A, alpha, np.diff(a), C, K, crra,
-                  cara, chord, rungs(crra, 1, 2), rungs(cara, 1, 2),
-                  rungs(chord, 1))
+    def rungs(mask, *offsets):  # interleaved per piece
+        return slot[(2 * np.flatnonzero(mask)[:, None] + offsets).ravel()]
+    cara_rungs = rungs(cara, 1, 2)
+    tab = _Tables(a, ladder, slot, log_slopes, R, A, alpha, np.diff(a), C, K, crra,
+                  cara, chord, rungs(crra, 1, 2), cara_rungs, rungs(chord, 1),
+                  *np.unique(cara_rungs, return_inverse=True))
     for arr in vars(tab).values():
         arr.setflags(write=False)
     return tab
@@ -196,35 +210,23 @@ def _argmax(xi, tab: _Tables, y: float):
 # ---------------------------------------------------------------------------
 
 
-def _cdf_rows(D):
-    """Phi(D) on ladder rows in ladder order, along which D is nondecreasing;
-    the running maximum keeps rounding from turning a weight negative.  Row
-    by row, in place: the same values as ``np.maximum.accumulate(axis=0)``,
-    which strides across rows and is several times slower."""
-    F = _normal(normal.cdf, D)
-    for i in range(1, F.shape[0]):
+def _phi(tab: _Tables, h: _Horizon, log_w, slots):
+    """A pass's one D-and-Phi step: D = d1(g / w) once per distinct slope, and
+    one normal.cdf call on D at the ascending ``slots`` (their running maximum,
+    which keeps rounding from turning a weight negative) and on D - s/R_k at
+    each power piece's two slopes.  Returns D, Phi on the slots, and X^R_k =
+    C_k w^{-1/R_k} growth_k (Phi(D_{2k+2} - s/R_k) - Phi(D_{2k+1} - s/R_k)).
+    The maximum runs row by row in place: ``np.maximum.accumulate(axis=0)``
+    gives the same values, striding across rows, several times slower."""
+    D, R = _d1_outer(tab.log_slopes, log_w, h), tab.R[tab.crra, None]
+    F = normal.cdf(np.vstack((D[slots], D[tab.crra_rungs] - np.repeat(h.s / R, 2, axis=0))))
+    n = len(F) - 2 * len(R)  # the ladder rows
+    for i in range(1, n):
         np.maximum(F[i - 1], F[i], out=F[i])
-    return F
-
-
-def _power_terms(tab: _Tables, market: MarketParams, h: _Horizon, log_w, D):
-    """X^R_k = C_k w^{-1/R_k} growth_k (Phi(D_{2k+2} - s/R_k) - Phi(D_{2k+1} - s/R_k))
-    per power piece, from D on its rows ``tab.crra_rungs``."""
-    tau, th = h.tau, market.theta_norm
-    R = tab.R[tab.crra]
-    try:  # the smallest R has the largest growth
-        with np.errstate(over="raise"):
-            growth = np.array([math.exp(-b * (market.r + 0.5 * th**2) * tau
-                                        + 0.5 * b**2 * th**2 * tau) for b in 1.0 - 1.0 / R])
-    except (OverflowError, FloatingPointError):
-        raise IllegalCase(f"power piece with R = {R.min()}: its wealth growth factor "
-                          f"overflows at T - t = {tau}") from None
-    R, growth = R[:, None], growth[:, None]
-    F = _normal(normal.cdf, D - np.repeat(h.s / R, 2, axis=0))
-    cell = F[1::2] - F[::2]
+    cell = F[n + 1::2] - F[n::2]
     # w^{-1/R} may overflow where the cell has probability 0: leave it 0 there
     power = np.exp(-log_w / R, out=np.zeros(cell.shape), where=cell != 0.0)
-    return tab.C[tab.crra, None] * power * growth * cell
+    return D, F[:n], tab.C[tab.crra, None] * power * h.growth * cell
 
 
 def _hedge(tab: _Tables, h: _Horizon, xR, q_cara, D_chord):
@@ -236,27 +238,23 @@ def _hedge(tab: _Tables, h: _Horizon, xR, q_cara, D_chord):
     hedge[tab.crra] = xR / tab.R[tab.crra, None]
     hedge[tab.cara] = h.disc / tab.alpha[tab.cara, None] * q_cara
     # a flat tail has width inf and phi(D) = 0: leave its row 0 there
-    phi = _normal(normal.pdf, D_chord)
+    phi = normal.pdf(D_chord)
     hedge[tab.chord] = np.multiply(h.disc * tab.width[tab.chord, None] / h.s, phi,
                                    out=np.zeros(phi.shape), where=phi != 0.0)
     return hedge
 
 
-def _ladder(xi, tab: _Tables, market: MarketParams, h: _Horizon, y: float):
-    """Every closed form at w = y xi, from D on the whole ladder.
-
-    D = d1(g / w) on the 2n+1 ladder slopes; entries 2k and 2k+1 are the
-    left and right slopes at the kink a_k, so piece k spans entries 2k+1 and
-    2k+2.  Returns the wealth X_t, the kink weights p and cell weights q (one
-    row per piece), the five wealth families xD, xA (one row per piece),
-    xAbar, xR, xRbar (one row per piece of their type: exponential, power,
-    exponential), and D, whose chord rows the hedge reads.
-    """
+def _ladder(xi, tab: _Tables, h: _Horizon, y: float):
+    """Every closed form at w = y xi, from :func:`_phi` on the whole ladder,
+    whose entries 2k, 2k+1 are the slopes left and right of the kink a_k.
+    Returns the wealth X_t, the kink weights p and cell weights q (one row
+    per piece), the five wealth families xD, xA (one row per piece), xAbar,
+    xR, xRbar (one row per piece of their type: exponential, power,
+    exponential), and D per distinct slope, which the hedge reads."""
     log_w, disc = np.log(y * xi), h.disc
-    D = _d1_outer(tab.log_ladder, log_w, h)
-    F = _cdf_rows(D)
+    D, F, xR = _phi(tab, h, log_w, slice(None))
+    F = F[tab.slot]  # one row per ladder entry
     p, q = F[1::2] - F[:-1:2], F[2::2] - F[1::2]
-    xR = _power_terms(tab, market, h, log_w, D[tab.crra_rungs])
 
     cara = tab.cara
     al = tab.alpha[cara, None]
@@ -265,39 +263,34 @@ def _ladder(xi, tab: _Tables, market: MarketParams, h: _Horizon, y: float):
     # K + (log(1/w) + (r - th^2/2) tau)/alpha with K constant per piece
     level = tab.K[cara, None] + (-log_w + h.drift) / al
     xAbar = disc * level * q[cara]
-    xRbar = disc * (-h.s / al) * (_normal(normal.pdf, D_cara[1::2])
-                                - _normal(normal.pdf, D_cara[::2]))
+    xRbar = disc * (-h.s / al) * (normal.pdf(D_cara[1::2]) - normal.pdf(D_cara[::2]))
 
     terms = (disc * tab.a[:-1, None] * p, disc * tab.A[:, None] * q, xAbar, xR, xRbar)
     return sum(term.sum(axis=0) for term in terms), p, q, terms, D
 
 
-def _decomposition(xi, tab: _Tables, market: MarketParams, h: _Horizon, y: float):
+def _decomposition(xi, tab: _Tables, h: _Horizon, y: float):
     """The point evaluator's pass: the wealth, the delta-hedge scalar and its
     chord rows' sum, then :func:`_ladder`'s weights and wealth families."""
-    x_t, p, q, terms, D = _ladder(xi, tab, market, h, y)
+    x_t, p, q, terms, D = _ladder(xi, tab, h, y)
     hedge = _hedge(tab, h, terms[3], q[tab.cara], D[tab.chord_rungs])
     return x_t, hedge.sum(axis=0), hedge[tab.chord].sum(axis=0), p, q, *terms
 
 
-def _hedge_rows(xi, tab: _Tables, market: MarketParams, h: _Horizon, y: float):
-    """The delta-hedge scalar of :func:`_hedge`, from D on the rows it reads:
-    two per power piece, two per exponential piece (its cell weight q), one
-    per chord."""
-    log_w = np.log(y * xi)
-
-    def D(rungs):
-        return _d1_outer(tab.log_ladder[rungs], log_w, h)
-    F = _cdf_rows(D(tab.cara_rungs))
-    return (_hedge(tab, h, _power_terms(tab, market, h, log_w, D(tab.crra_rungs)),
-                   F[1::2] - F[::2], D(tab.chord_rungs)).sum(axis=0),)
+def _hedge_rows(xi, tab: _Tables, h: _Horizon, y: float):
+    """The delta-hedge scalar of :func:`_hedge`, with Phi from :func:`_phi`
+    on the slopes it reads: the exponential and the power pieces'."""
+    D, F, xR = _phi(tab, h, np.log(y * xi), tab.cara_slots)
+    q = F[tab.cara_cells[1::2]] - F[tab.cara_cells[::2]]
+    return (_hedge(tab, h, xR, q, D[tab.chord_rungs]).sum(axis=0),)
 
 
 def wealth_total(env: PharaUtility, market: MarketParams, y: float, t: float,
                  xi):
     """Optimal wealth X_t as a function of xi_t (vectorized)."""
-    tab, h = _tables(env), _horizon(market, t)
-    return _evaluate(lambda b: _ladder(b, tab, market, h, y)[:1], xi)[0]
+    tab = _tables(env)
+    h = _horizon(market, t, tab)
+    return _evaluate(lambda b: _ladder(b, tab, h, y)[:1], xi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +347,9 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
     It equals ``portfolio_unified(...).total`` from only the ladder rows the
     hedge reads: the Euler step's form.
     """
-    scalar = _evaluate(_hedge_rows, xi_t, _tables(env), market, _horizon(market, t),
-                       y_star)[0]
+    tab = _tables(env)
+    scalar = _evaluate(_hedge_rows, xi_t, tab, _horizon(market, t, tab), y_star,
+                       first="optimal portfolio")[0]
     return np.multiply.outer(_risk_vector(market), scalar)
 
 
@@ -403,6 +397,11 @@ def _common_risk_aversion(tab: _Tables) -> float | None:
     return levels.pop() if len(levels) == 1 and not tab.cara.any() else None
 
 
+def _fraction_of_wealth(v, wealth):
+    """v / wealth, 0 where the wealth is 0: the one zero-wealth rule."""
+    return np.divide(v, wealth, out=np.zeros(np.shape(v)), where=wealth != 0.0)
+
+
 def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
                       t: float, xi_t) -> PortfolioDecomposition:
     """The one point evaluator, for any concave envelope: the delta-hedge
@@ -411,11 +410,10 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
     - loss-aversion - first-order, which regroups the hedge rows and so adds
     up to ``total``.
     """
-    tab, h = _tables(env), _horizon(market, t)
-    R = _common_risk_aversion(tab)
-    x_t, total, chords, p, q, *terms = _evaluate(_decomposition, xi_t, tab, market,
-                                                 h, y_star)
-    pct = np.divide(total, x_t, out=np.zeros_like(total), where=x_t != 0.0)
+    tab = _tables(env)
+    h, R = _horizon(market, t, tab), _common_risk_aversion(tab)
+    x_t, total, chords, p, q, *terms = _evaluate(_decomposition, xi_t, tab, h, y_star)
+    pct = _fraction_of_wealth(total, x_t)
     split = [None] * 4
     if R is not None:  # risk-seeking: the chords' gambling terms
         split = [x_t / R, chords, -h.disc / R * np.tensordot(tab.A, q, axes=1),
@@ -524,10 +522,9 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
     u = log xi with dX/du = -(delta-hedge scalar); it bisects where wealth is
     flat near the floor.
     """
-    tab, h = _tables(env), _horizon(market, t)  # a non-concave utility, a bad t
+    tab, floor = _tables(env), _horizon(market, t).disc * env.a0  # not concave, bad t
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xs.shape, xi_cap)
-    floor = h.disc * env.a0
     attainable = xs > floor
     if xi_cap == INF and not attainable.all():
         raise InfeasibleBudget(f"wealth {float(xs[~attainable][0])} at t = {t:g} must "
@@ -536,6 +533,7 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
     if live.size:
         rung_u, rung_X = _wealth_ladder(env, market, y_star, t, xs[live],
                                         math.log(xi_cap))
+        h = _horizon(market, t, tab)  # after the rungs, which raise its IllegalCase first
         k = np.searchsorted(-rung_X, -xs[live], side="right")  # first X < x
         live, k = live[k < rung_u.size], k[k < rung_u.size]
         level, lo, hi = xs[live], rung_u[k - 1], rung_u[k]
@@ -543,7 +541,7 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
         u = lo + (hi - lo) * f_lo / (f_lo - f_hi)  # regula falsi start
 
         def wealth_gap(act, ua):
-            x_t, total = _evaluate(lambda b: _decomposition(b, tab, market, h, y_star)[:2],
+            x_t, total = _evaluate(lambda b: _decomposition(b, tab, h, y_star)[:2],
                                    np.exp(ua))
             return x_t - level[act], -total
         out[live] = np.exp(_newton_root(wealth_gap, lo, hi, u))

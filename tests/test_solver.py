@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ from phara.errors import (BadDimension, BadTime, IllegalCase, InfeasibleBudget,
                           NoConvergence, NotConcave, PharaError, UnboundedDemand)
 from phara.market import build_market
 from phara import normal, solver
-from phara.solver import (DualSolution, PortfolioDecomposition, _cdf_rows,
+from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
                           _common_risk_aversion, _d1_outer, _horizon, _newton_root,
-                          _risk_vector, _tables, budget,
+                          _phi, _risk_vector, _tables, budget,
                           optimal_terminal_wealth, portfolio_general, portfolio_unified,
                           sahara_portfolio, solve_multiplier,
                           state_price_for_wealth, wealth_total)
@@ -357,9 +358,11 @@ class TestPortfolios:
                           anchor_slope=1.0)
         env = PharaUtility(a0=0.0, pieces=(line,))
         assert _common_risk_aversion(_tables(env)) is None
-        # a linear tail gambles without bound in both forms
+        # a linear tail gambles without bound in both forms; the wealth is finite
+        assert math.isfinite(wealth_total(env, market, 0.5, 1.0, 1.0))
         for form in (portfolio_unified, portfolio_general):
-            with pytest.raises(UnboundedDemand, match="at state price xi = 1 does not fit"):
+            with pytest.raises(UnboundedDemand,
+                               match="optimal portfolio at state price xi = 1 does not fit"):
                 form(env, market, 0.5, 1.0, 1.0)
 
     def test_flat_tail_chord(self, market):
@@ -558,6 +561,30 @@ class TestBeyondTheDoubles:
         with pytest.raises(IllegalCase, match=rf"piece on \[0.0, inf\) with R = {R}: .*{scale}"):
             _tables(PharaUtility(a0=0.0, pieces=(piece,)))
 
+    def test_the_error_names_the_quantity(self, demo_envelope, market, demo_dual):
+        # at xi = 1e-200 the wealth leaves the doubles, and so does the hedge
+        # of the Euler step's form, which computes no wealth
+        env, y = demo_envelope.envelope, demo_dual.y_star
+        for form in (wealth_total, portfolio_unified):
+            with pytest.raises(UnboundedDemand, match="^optimal wealth at state price xi = 1e-200"):
+                form(env, market, y, 5.0, 1e-200)
+        with pytest.raises(UnboundedDemand, match="^optimal portfolio at state price xi = 1e-200"):
+            portfolio_general(env, market, y, 5.0, 1e-200)
+
+    @pytest.mark.parametrize("xi, shown", [(math.nan, "nan"), (np.array([1.0, math.nan]), "nan"),
+                                           (-1.0, "-1"), (np.array([2.0, 0.0]), "0")],
+                             ids=["nan", "nan_vector", "negative", "zero_vector"])
+    def test_state_price_not_positive(self, demo_envelope, market, xi, shown):
+        # an input error, not a result beyond the doubles: a negative xi
+        # gave a terminal wealth, and the others "does not fit a double"
+        env = demo_envelope.envelope
+        for call in (lambda: wealth_total(env, market, 1.0, 5.0, xi),
+                     lambda: portfolio_general(env, market, 1.0, 5.0, xi),
+                     lambda: portfolio_unified(env, market, 1.0, 5.0, xi),
+                     lambda: optimal_terminal_wealth(env, 1.0, xi)):
+            with pytest.raises(BadDimension, match=f"state price xi = {shown} is not positive"):
+                call()
+
     @pytest.mark.parametrize("R", [0.01, 1e-300])
     def test_growth_factor(self, market, R):
         # R = 0.01 on the demo market: the growth exponent is about 762
@@ -658,10 +685,11 @@ def test_vector_portfolio_unified_matches_scalar(demo_envelope, contract_envelop
 
 
 @st.composite
-def markets(draw):
-    """Well-conditioned (mu, sigma): lower-triangular volatility whose
-    off-diagonal loadings are at most 0.3 of the asset's own volatility."""
-    m = draw(st.integers(1, 3))
+def markets(draw, max_m=3):
+    """Well-conditioned (mu, sigma) with 1 to max_m assets: lower-triangular
+    volatility whose off-diagonal loadings are at most 0.3 of the asset's own
+    volatility."""
+    m = draw(st.integers(1, max_m))
     r = draw(st.floats(0.005, 0.08))
     vols = draw(st.lists(st.floats(0.1, 0.5), min_size=m, max_size=m))
     sigma = np.diag(vols)
@@ -773,15 +801,65 @@ def test_split_signs_properties(seed, market, log_y, frac, logs):
 @given(seeds, markets(), st.floats(0.0, 0.999),
        st.lists(st.one_of(st.floats(-40.0, 40.0), st.just(math.nan)),
                 min_size=1, max_size=8))
-def test_cdf_rows_is_the_running_maximum(seed, market, frac, logs):
-    # the row-by-row maximum in place equals numpy's accumulate bit for bit,
-    # NaN columns (a NaN state price) and infinite ladder ends included; the
-    # reversed ladder makes every row's maximum differ from its own value
-    env = _raw_envelope(seed)
-    D = _d1_outer(_tables(env).log_ladder, np.array(logs), _horizon(market, frac * market.T))
-    for rows in (D, D[::-1]):
-        want = np.maximum.accumulate(normal.cdf(rows), axis=0)
-        assert _cdf_rows(rows).tobytes() == want.tobytes()
+def test_phi_is_the_running_maximum(seed, market, frac, logs):
+    # _phi's row-by-row maximum in place equals numpy's accumulate bit for
+    # bit, NaN columns (a NaN state price) and infinite ladder ends included,
+    # on the whole ladder and on the exponential pieces' slopes; the reversed
+    # ladder makes every row's maximum differ from its own value.  The power
+    # pieces' rows of the same normal.cdf call take no maximum.
+    tab, logs = _tables(_raw_envelope(seed)), np.array(logs)
+    h = _horizon(market, frac * market.T, tab)
+    for t in (tab, replace(tab, log_slopes=tab.log_slopes[::-1])):
+        D, R = _d1_outer(t.log_slopes, logs, h), t.R[t.crra, None]
+        G = normal.cdf(D[t.crra_rungs] - np.repeat(h.s / R, 2, axis=0))
+        power = t.C[t.crra, None] * np.exp(-logs / R) * h.growth * (G[1::2] - G[::2])
+        for slots in (slice(None), t.cara_slots):
+            got, F, xR = _phi(t, h, logs, slots)
+            assert got.tobytes() == D.tobytes()
+            assert F.tobytes() == np.maximum.accumulate(normal.cdf(D[slots]), axis=0).tobytes()
+            assert np.array_equal(xR, power, equal_nan=True)
+
+
+@given(seeds, markets(max_m=2), st.floats(-2.0, 2.0), st.floats(0.0, 0.999),
+       st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))
+def test_no_kink_weight_at_a_tangency(seed, market, log_y, frac, logs):
+    # where a chord touches a curve the envelope is differentiable, so the
+    # kink weight p there is 0: exactly 0 where the two ladder slopes are one
+    # double (one D row), and within their gap in D where concavification
+    # left them ulps apart
+    result = concave_envelope(random_raw_utility(np.random.default_rng(seed)))
+    env, t = result.envelope, frac * market.T
+    dec = portfolio_unified(env, market, math.exp(log_y), t, np.exp(logs))
+    for x in result.tangency_points:
+        k = env.partition.tolist().index(x)
+        gap = abs(math.log(env.gamma_minus(k) / env.gamma_plus(k))) / _horizon(market, t).s
+        assert np.all(dec.p[k] == 0.0) if gap == 0.0 else np.all(dec.p[k] <= gap + 1e-15)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_one_phi_call_per_block(monkeypatch, name):
+    # a block of wealth_total makes one normal.cdf call, on the distinct
+    # ladder slopes and two rows per power piece; a block of the Euler
+    # step's portfolio_general reads only the exponential pieces' slopes
+    scn = load_scenario(SCENARIOS / f"{name}.json")
+    env, market = concave_envelope(scn.utility).envelope, scn.market
+    power = sum(0.0 < p.R < INF for p in env.pieces)
+    slopes = {INF, *(s for p in env.pieces for s in (p.slope_lo, p.slope_hi))}  # inf: left of a0
+    cara = {s for p in env.pieces if p.R == INF for s in (p.slope_lo, p.slope_hi)}
+    shapes, cdf = [], normal.cdf
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return cdf(x)
+    monkeypatch.setattr(normal, "cdf", counted)
+    xi = np.geomspace(0.1, 10.0, _BLOCK + 1)
+    wealth_total(env, market, 1.0, 1.0, xi)
+    rows = len(slopes) + 2 * power
+    assert shapes == [(rows, _BLOCK), (rows, 1)]
+    shapes.clear()
+    portfolio_general(env, market, 1.0, 1.0, xi)
+    rows = len(cara) + 2 * power
+    assert shapes == [(rows, _BLOCK), (rows, 1)]
 
 
 @given(seeds, markets(), st.floats(-5.0, 60.0), st.floats(-1.0, 25.0),

@@ -212,7 +212,7 @@ def cmd_envelope(scn: Scenario, out: Path, grid_n: int) -> int:
     env = res.envelope
     table = {
         "a0": env.a0,
-        "kinks": res.kinks,
+        "kinks": env.kinks(),
         "tangency_points": list(res.tangency_points),
         "chords": [list(c) for c in res.chords],
         "pieces": [{"a_lo": p.a_lo, "a_hi": p.a_hi, "R": p.R, "A": p.A, "alpha": p.alpha,

@@ -13,8 +13,7 @@ search, found by the solver's Newton-bisection step in log s, and the hull
 is cut there.  One walk finds the hull's slope-s contact; it serves both the
 support query and the truncation of the hull at the new chord.  Convex and
 flat stretches of the input are always swallowed.  The chord anatomy
-(chords, tangency points, where the envelope lies above the input) is read
-off the finished envelope.
+(chords and tangency points) is read off the finished envelope.
 """
 
 from __future__ import annotations
@@ -39,19 +38,14 @@ class EnvelopeResult:
 
     ``chords`` lists every linear interval of the envelope (bridging chords
     and surviving linear pieces of the input) as (x_left, x_right, slope);
-    ``tangency_points`` are chord endpoints where the envelope is
-    differentiable; ``differs_on`` are the open intervals where the envelope
-    lies strictly above the input.
+    off them the envelope is the input.  ``tangency_points`` are chord
+    endpoints where the envelope is differentiable; its kinks are
+    ``envelope.kinks()``.
     """
 
     envelope: PharaUtility
     chords: tuple[tuple[float, float, float], ...]
     tangency_points: tuple[float, ...]
-    differs_on: tuple[tuple[float, float], ...]
-
-    @property
-    def kinks(self) -> list[float]:
-        return self.envelope.kinks()
 
 
 def _support(piece: PharaPiece, s: float) -> tuple[float, float]:
@@ -66,11 +60,14 @@ def _support(piece: PharaPiece, s: float) -> tuple[float, float]:
     return float(piece.value(x)) - s * x, x
 
 
-def _geometric(found, s: float, factor: float, kind: str) -> float:
-    """First of s, s factor, s factor^2, ... (_MAX_EXPAND tries) where found(s)."""
+def _geometric(gap, s: float, factor: float, kind: str) -> tuple[float, float]:
+    """First (s, gap(s)) of s, s factor, s factor^2, ... (_MAX_EXPAND tries)
+    where the increasing gap has crossed zero: a search up (factor > 1) stops
+    at a positive gap, a search down at a negative one."""
     for _ in range(_MAX_EXPAND):
-        if found(s):
-            return s
+        g = gap(s)
+        if g * (factor - 1.0) > 0.0:
+            return s, g
         s *= factor
     raise NoConvergence(f"no {kind} supporting slope found")
 
@@ -140,15 +137,15 @@ class _Sweep:
         def gap(s):
             return self.hull_support(s)[0] - support(s)[0]
 
-        if s_lo is not None and gap(s_lo) >= 0.0:
-            return None
-        if np.isfinite(hint) and gap(hint) >= 0.0:
-            s_hi = hint
-        else:
-            s_hi = _geometric(lambda s: gap(s) > 0.0, max(start, 1e-300), 4.0, "steep")
+        if s_lo is not None:
+            g_lo = gap(s_lo)
+            if g_lo >= 0.0:
+                return None
+        s_hi, g_hi = hint, (gap(hint) if np.isfinite(hint) else -INF)
+        if not g_hi >= 0.0:
+            s_hi, g_hi = _geometric(gap, max(start, 1e-300), 4.0, "steep")
         if s_lo is None:
-            s_lo = _geometric(lambda s: gap(s) < 0.0, 0.25 * s_hi, 0.25, "shallow")
-        g_lo, g_hi = gap(s_lo), gap(s_hi)
+            s_lo, g_lo = _geometric(gap, 0.25 * s_hi, 0.25, "shallow")
 
         def support_gap(act, u):
             s = math.exp(u[0])
@@ -160,8 +157,9 @@ class _Sweep:
         falsi = g_lo / (g_lo - g_hi) if g_hi > g_lo else 0.0
         s_star = math.exp(_newton_root(support_gap, lo, hi,
                                        lo + (hi - lo) * falsi)[0])
-        resid = gap(s_star)
-        scale = max(1.0, abs(self.hull_support(s_star)[0]))
+        c_h = self.hull_support(s_star)[0]
+        resid = c_h - support(s_star)[0]
+        scale = max(1.0, abs(c_h))
         if abs(resid) > _RESIDUAL_TOL * scale:
             raise NoConvergence(
                 f"tangency residual {resid:.3e} at slope {s_star:.3e}"
@@ -258,44 +256,15 @@ class _Sweep:
         return self.hull
 
 
-def _differs_intervals(utility: PharaUtility, chord: PharaPiece):
-    """Sub-intervals of a linear envelope piece where it sits strictly above U."""
-    out = []
-    for piece in utility.pieces:
-        lo = max(chord.a_lo, piece.a_lo)
-        hi = min(chord.a_hi, piece.a_hi)
-        if hi <= lo:
-            continue
-        if piece.R == 0.0:
-            mid = 0.5 * (lo + hi) if np.isfinite(hi) else lo + 1.0
-            chord_v = float(chord.value(mid))
-            scale = max(1.0, abs(chord_v))
-            if (abs(piece.anchor_slope - chord.anchor_slope)
-                    <= 1e-10 * max(1.0, chord.anchor_slope)
-                    and abs(float(piece.value(mid)) - chord_v) <= 1e-10 * scale):
-                continue  # collinear linear piece: envelope equals it here
-        out.append((lo, hi))
-    # merge touching intervals
-    merged = []
-    for lo, hi in out:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
 def concave_envelope(utility: PharaUtility) -> EnvelopeResult:
     """Exact concave envelope, returned as another piecewise-HARA utility."""
     env = PharaUtility(a0=utility.a0, pieces=tuple(_Sweep(utility).run()),
                        a0_included=utility.a0_included)
-    linear = [p for p in env.pieces if p.R == 0.0]
-    chords = tuple((p.a_lo, p.a_hi, p.anchor_slope) for p in linear)
+    chords = tuple((p.a_lo, p.a_hi, p.anchor_slope) for p in env.pieces if p.R == 0.0)
     kinks = set(env.kinks())
     return EnvelopeResult(
         envelope=env,
         chords=chords,
         tangency_points=tuple(sorted({x for lo, hi, _ in chords for x in (lo, hi)
                                       if np.isfinite(x) and x not in kinks})),
-        differs_on=tuple(iv for p in linear for iv in _differs_intervals(utility, p)),
     )

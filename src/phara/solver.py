@@ -40,8 +40,7 @@ _BLOCK = 4096
 
 
 class _Horizon(NamedTuple):
-    tau: float    # T - t
-    s: float      # |theta| sqrt(tau)
+    s: float      # |theta| sqrt(tau), tau = T - t
     disc: float   # exp(-r tau)
     drift: float  # (r - |theta|^2 / 2) tau
     growth: np.ndarray  # wealth growth factor per power piece, a column
@@ -60,7 +59,7 @@ def _horizon(market: MarketParams, t: float, tab: _Tables | None = None) -> _Hor
     except (OverflowError, FloatingPointError):
         raise IllegalCase(f"power piece with R = {R.min()}: its wealth growth factor "
                           f"overflows at T - t = {tau}") from None
-    return _Horizon(tau, th * math.sqrt(tau), math.exp(-market.r * tau),
+    return _Horizon(th * math.sqrt(tau), math.exp(-market.r * tau),
                     (market.r - 0.5 * th**2) * tau, growth[:, None])
 
 

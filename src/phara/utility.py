@@ -240,18 +240,11 @@ class PharaUtility:
             return INF
         return self.pieces[k - 1].slope_hi
 
-    def junctions(self):
-        """(a_k, left value, right value, left slope, right slope), k=1..n."""
-        out = []
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            out.append((right.a_lo, left.value_hi, right.value_lo,
-                        left.slope_hi, right.slope_lo))
-        return out
-
     def kinks(self) -> list[float]:
         """Domain floor plus interior points where the slope jumps."""
         out = [self.a0]
-        for a_k, _, _, s_minus, s_plus in self.junctions():
+        for left, right in zip(self.pieces, self.pieces[1:]):
+            a_k, s_minus, s_plus = right.a_lo, left.slope_hi, right.slope_lo
             if math.isinf(s_minus) or math.isinf(s_plus):
                 if math.isinf(s_minus) != math.isinf(s_plus):
                     out.append(a_k)

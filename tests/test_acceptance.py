@@ -39,7 +39,7 @@ def test_criterion_1_merton_constant(market, crra_envelope):
 
 def test_criterion_2_demo_envelope(demo_envelope):
     start = time.time()
-    kinks = demo_envelope.kinks
+    kinks = demo_envelope.envelope.kinks()
     ok = len(kinks) == 4 and all(
         abs(a - b) <= 1e-6 for a, b in zip(kinks, (4.0, 4.4, 12.0, 40.0)))
     tang = demo_envelope.tangency_points
@@ -112,14 +112,14 @@ def test_criterion_5_finite_difference(market, demo_envelope, demo_dual,
                 ok = ok and rep.passed
                 if not rep.passed:
                     lines.append(f"{rep.name}: {rep.computed:.2e}")
-        # 4 near-kink points, declared at the relaxed 1e-4 tolerance
+        # 4 near-kink points, at the same default tolerance
         t = market.T - 0.01
         for k in range(env.n_pieces):
             g = env.gamma_plus(k)
             if not np.isfinite(g) or len(lines) > 8:
                 continue
             xi = g / sol.y_star * 1.001
-            rep = fd_portfolio_check(env, market, sol.y_star, t, xi, tol=1e-4)
+            rep = fd_portfolio_check(env, market, sol.y_star, t, xi)
             ok = ok and rep.passed
             if not rep.passed:
                 lines.append(f"near-kink {rep.name}: {rep.computed:.2e}")

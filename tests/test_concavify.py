@@ -21,17 +21,43 @@ def analytic_tangency(p: float, A: float, gamma: float) -> float:
 
 
 def _equals_input(res, xs):
-    """True where x lies in none of the open intervals ``res.differs_on``."""
+    """True where x lies inside none of the envelope's chords."""
     above = np.zeros(xs.shape, dtype=bool)
-    for lo, hi in res.differs_on:
+    for lo, hi, _ in res.chords:
         above |= (xs > lo) & (xs < hi)
     return ~above
 
 
+def _differs_on(u, res):
+    """Open intervals where the envelope lies strictly above the input u:
+    each chord less the linear pieces of u it runs along, touching parts
+    of one chord merged."""
+    out = []
+    for lo, hi, slope in res.chords:
+        merged = []
+        for piece in u.pieces:
+            a, b = max(lo, piece.a_lo), min(hi, piece.a_hi)
+            if b <= a:
+                continue
+            if piece.R == 0.0:
+                mid = 0.5 * (a + b) if np.isfinite(b) else a + 1.0
+                env_v = float(res.envelope.value(mid))
+                if (abs(piece.anchor_slope - slope) <= 1e-10 * max(1.0, slope)
+                        and abs(float(piece.value(mid)) - env_v)
+                        <= 1e-10 * max(1.0, abs(env_v))):
+                    continue  # the chord runs along this linear piece
+            if merged and a <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(b, merged[-1][1]))
+            else:
+                merged.append((a, b))
+        out += merged
+    return out
+
+
 class TestDemoEnvelope:
     def test_kinks(self, demo_envelope):
-        assert demo_envelope.kinks == pytest.approx([4.0, 4.4, 12.0, 40.0],
-                                                    abs=1e-9)
+        assert demo_envelope.envelope.kinks() == pytest.approx(
+            [4.0, 4.4, 12.0, 40.0], abs=1e-9)
 
     def test_tangency(self, demo_envelope):
         assert len(demo_envelope.tangency_points) == 1
@@ -111,14 +137,13 @@ class TestGeneralProperties:
     def test_concave_input_is_fixed_point(self, crra_envelope):
         res = concave_envelope(crra_envelope)
         assert res.chords == ()
-        assert res.differs_on == ()
         xs = np.geomspace(0.01, 50.0, 500)
         assert np.allclose(res.envelope.value(xs), crra_envelope.value(xs),
                            rtol=1e-12)
 
     def test_idempotence(self, demo_envelope):
         again = concave_envelope(demo_envelope.envelope)
-        assert again.differs_on == ()
+        assert _differs_on(demo_envelope.envelope, again) == []
         # chord intervals survive unchanged (they are linear pieces now)
         assert len(again.chords) == len(demo_envelope.chords)
         for a, b in zip(again.chords, demo_envelope.chords):
@@ -132,7 +157,7 @@ class TestGeneralProperties:
         for _ in range(25):
             u = random_concave_envelope(rng)
             res = concave_envelope(u)
-            assert res.differs_on == ()
+            assert _differs_on(u, res) == []
             hi = u.pieces[-1].a_lo + 20.0
             xs = np.linspace(u.a0, hi, 700)
             assert np.allclose(res.envelope.value(xs), u.value(xs),
@@ -173,7 +198,7 @@ class TestGeneralProperties:
         a, b = 2.7, -3.1
         scaled = concave_envelope(scale_shift(demo_utility, a, b))
         # kink locations are junction points of the input: exactly preserved
-        assert scaled.kinks == demo_envelope.kinks
+        assert scaled.envelope.kinks() == demo_envelope.envelope.kinks()
         # the tangency point is a root-find output: ulp-level wiggle allowed
         assert np.allclose(scaled.envelope.partition[:-1],
                            demo_envelope.envelope.partition[:-1],
@@ -214,7 +239,7 @@ class TestGeneralProperties:
         assert hi == pytest.approx(1.5625 * B, rel=1e-12)
         assert res.tangency_points == (pytest.approx(lo), pytest.approx(hi))
         # the benchmark kink is swallowed: only the floor remains
-        assert res.kinks == [u.a0]
+        assert res.envelope.kinks() == [u.a0]
 
     def test_random_raw_utilities(self):
         # stress the sweep with convex stretches, flats, jumps and up-kinks
@@ -233,12 +258,12 @@ class TestGeneralProperties:
             # concave
             mid = 0.5 * (env_v[:-2] + env_v[2:])
             assert np.all(env_v[1:-1] >= mid - 1e-9 * scale[1:-1])
-            # equals the input off the recorded difference set, and lies
-            # strictly above it inside
+            # equals the input off the chords, and lies strictly above it
+            # where a chord leaves the input's linear pieces
             outside = _equals_input(res, xs)
             assert np.allclose(env_v[outside], raw_v[outside],
                                rtol=1e-8, atol=1e-8)
-            for lo, hi in res.differs_on:
+            for lo, hi in _differs_on(u, res):
                 if np.isfinite(hi):
                     mid = 0.5 * (lo + hi)
                     assert env.value(mid) > u.value(mid)
@@ -272,11 +297,12 @@ class TestGeneralProperties:
             PharaPiece(a_lo=2.0, a_hi=INF, R=0.5, A=1.0, anchor_x=2.0,
                        anchor_u=2.0, anchor_slope=0.25),
         )
-        res = concave_envelope(PharaUtility(a0=0.0, pieces=pieces))
+        u = PharaUtility(a0=0.0, pieces=pieces)
+        res = concave_envelope(u)
         assert res.chords == ((0.0, 2.0, 1.0),)
-        assert res.differs_on == ((0.0, 2.0),)
+        assert _differs_on(u, res) == [(0.0, 2.0)]
         assert res.tangency_points == ()
-        assert res.kinks == [0.0, 2.0]
+        assert res.envelope.kinks() == [0.0, 2.0]
 
     def test_steep_unbounded_linear_tail(self, market):
         # sqrt-type arc with slope 1 at 0, then a line of slope 0.9 from 1:
@@ -288,13 +314,14 @@ class TestGeneralProperties:
                          anchor_u=0.0, anchor_slope=1.0)
         line = PharaPiece(a_lo=1.0, a_hi=INF, R=0.0, anchor_x=1.0,
                           anchor_u=arc.value_hi, anchor_slope=0.9)
-        res = concave_envelope(PharaUtility(a0=0.0, pieces=(arc, line)))
+        u = PharaUtility(a0=0.0, pieces=(arc, line))
+        res = concave_envelope(u)
         x_t = 1.0 / 0.81 - 1.0
         ((lo, hi, slope),) = res.chords
         assert lo == pytest.approx(x_t, rel=1e-12)
         assert (hi, slope) == (INF, 0.9)
         assert res.tangency_points == (lo,)
-        assert res.differs_on == ((lo, INF),)
+        assert _differs_on(u, res) == [(lo, INF)]
         with pytest.raises(UnboundedDemand):
             solve_multiplier(res.envelope, market, 1.0)
 
@@ -317,7 +344,7 @@ class TestGeneralProperties:
 
 
 def _check_envelope(u, res, hi):
-    """Majorant, concave, and equal to the input off ``differs_on``."""
+    """Majorant, concave, and equal to the input off the chords."""
     xs = np.linspace(u.a0, hi, 4001)
     raw_v, env_v = u.value(xs), res.envelope.value(xs)
     scale = np.maximum(1.0, np.abs(env_v))
@@ -333,7 +360,7 @@ class TestSweepEdges:
         # U(a0) = -inf: the sweep starts with no anchor point and an empty hull
         u = crra_utility(R)
         res = concave_envelope(u)
-        assert res.envelope == u and res.chords == () and res.differs_on == ()
+        assert res.envelope == u and res.chords == ()
 
     def test_convex_sliver_one_ulp_wide(self):
         # a convex piece one ulp wide between two concave arcs: the chord

@@ -23,7 +23,7 @@ from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
                           sahara_portfolio, solve_multiplier,
                           state_price_for_wealth, wealth_total)
 from phara.utility import INF, PharaPiece, PharaUtility, cara_utility, crra_utility
-from phara.verify import _FD_STEP, fd_portfolio_check
+from phara.verify import fd_portfolio_check
 
 
 def norm_pdf(z):
@@ -773,17 +773,13 @@ def test_unified_equals_general_properties(seed, raw, market, log_y, frac, logs)
 def test_fd_portfolio_properties(seed, market, excess):
     # the delta-hedge against the central difference of the wealth map at
     # the four points of `phara verify`, on envelopes of raw utilities:
-    # exponential pieces, several R and chords.  The difference's truncation
-    # error is about (step / s)^2 of the portfolio, where s = |theta| sqrt(T - t)
-    # is the wealth map's scale in log xi, so points with s under 5000 steps
-    # are finer than the oracle resolves
+    # exponential pieces, several R and chords
     env = _raw_envelope(seed)
     y = solve_multiplier(env, market, _floor(env, market) + excess).y_star
     T = market.T
     for t, xi in ((0.0, 1.0), (T / 2, 0.6), (T / 2, 1.7), (0.9 * T, 1.1)):
-        if market.theta_norm * math.sqrt(T - t) >= 5000 * _FD_STEP:
-            report = fd_portfolio_check(env, market, y, t, xi)
-            assert report.passed, report
+        report = fd_portfolio_check(env, market, y, t, xi)
+        assert report.passed, report
 
 
 @given(seeds, markets(), st.floats(-1.0, 1.0), st.floats(0.0, 0.999),

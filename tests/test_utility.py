@@ -128,7 +128,7 @@ class TestEval:
         # S-shape's reference point has infinite slope on both sides
         assert demo_utility.kinks() == [4.0, 4.4, 8.96, 12.0, 20.0, 40.0]
         u = s_shaped_utility(reference=1.0, gain_exponent=0.5, a0=0.0)
-        assert u.junctions()[0][3:] == (INF, INF)
+        assert (u.gamma_minus(1), u.gamma_plus(1)) == (INF, INF)
         assert u.kinks() == [0.0]
 
     def test_monotone_on_grid(self, demo_utility, contract_utility):

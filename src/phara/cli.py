@@ -5,11 +5,21 @@ piece list or a preference composed with a piecewise-linear payoff), the
 initial wealth, grids, and reproducibility knobs.  Commands write JSON/CSV
 artifacts into the output directory.  Exit codes: 0 success, 1 verification
 failure, 2 input error.
+
+Run as the program (``phara`` or ``python -m phara.cli``, so ``main()`` gets
+no ``argv``), ``main`` first settles the process for one command and exit:
+it freezes the import-time objects out of the garbage collector, which then
+skips them in every collection, the final one at exit included, and on glibc
+it keeps freed heap pages for reuse instead of handing numpy's temporaries
+back to the kernel and faulting them in afresh on the next call.  ``main(argv)``
+and the library change neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import gc
 import json
 import math
 import sys
@@ -340,7 +350,34 @@ _COMMANDS = {"envelope": cmd_envelope, "solve": cmd_solve, "surface": cmd_surfac
              "decompose": cmd_decompose, "verify": cmd_verify, "simulate": cmd_simulate}
 
 
+# glibc's mallopt parameters; 32 MiB is the largest mmap threshold it accepts
+# on a 64-bit host
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _settle_process() -> None:
+    """Settings for a process that runs one command and exits.
+
+    ``gc.freeze()`` puts every object alive now (the imports) out of the
+    collector's reach.  The two ``mallopt`` values make glibc serve blocks
+    below 32 MiB from the heap and keep up to 1 GiB of freed heap, so numpy's
+    temporaries reuse pages already mapped; setting either value turns off
+    glibc's own moving threshold, and the trim threshold alone would map
+    every array of 128 KiB or more afresh.  Without glibc's ``mallopt``
+    the allocator keeps its defaults."""
+    gc.freeze()
+    try:  # Windows opens no library by the name None: a TypeError
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    if argv is None:  # run as the program
+        _settle_process()
     parser = argparse.ArgumentParser(
         prog="phara",
         description="Closed-form optimal portfolios for piecewise-HARA utilities",

@@ -1,16 +1,19 @@
+import ctypes
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import strict_json as _strict_json
-from phara.cli import (_check, _parse_utility, cmd_decompose, cmd_surface,
-                       load_scenario, main)
+from phara.cli import (_check, _parse_utility, _settle_process, cmd_decompose,
+                       cmd_surface, load_scenario, main)
 from phara.concavify import concave_envelope
 from phara.errors import BadDimension, IllegalCase, PharaError
 from phara.solver import portfolio_general, solve_multiplier, wealth_total
@@ -619,12 +622,12 @@ class TestErrorPaths:
             cmd_surface(load_scenario(path), tmp_path, 11)
 
 
-def _run_child(code: str) -> None:
-    """Run ``code`` in a fresh interpreter on this checkout's sources."""
+def _run_child(*args) -> None:
+    """Run a fresh interpreter with ``args`` on this checkout's sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, *map(str, args)], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -632,7 +635,7 @@ def _run_child(code: str) -> None:
 def test_split_commands_leave_numpy_ma_unimported(tmp_path):
     # np.unique imports numpy.ma (about 15 ms and 1.4 MB); the common-R
     # test of surface and decompose needs only a set
-    _run_child(f"""
+    _run_child("-c", f"""
 import sys
 from phara.cli import main
 for command, *flags in (("surface",), ("decompose", "--t", "1", "--x", "12")):
@@ -645,7 +648,7 @@ assert "numpy.ma" not in sys.modules
 
 def test_commands_never_import_scipy(tmp_path):
     # Phi and its inverse live in phara.normal; scipy is a test-only oracle
-    _run_child(f"""
+    _run_child("-c", f"""
 import sys
 from phara.cli import main
 commands = (("envelope",), ("solve",), ("surface",),
@@ -659,3 +662,66 @@ for name in {BUNDLED!r}:
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 """)
+
+
+class TestProcessSettings:
+    """``main()`` run as the program freezes the collector and sets glibc's
+    malloc thresholds; ``main(argv)`` leaves the process alone."""
+
+    @pytest.fixture(autouse=True)
+    def mallopt_calls(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(
+            mallopt=mallopt))
+        yield calls
+        gc.unfreeze()
+
+    def test_freezes_and_sets_both_thresholds(self, mallopt_calls):
+        _settle_process()
+        assert gc.get_freeze_count() > 0
+        # M_MMAP_THRESHOLD (-3) at 32 MiB, M_TRIM_THRESHOLD (-1) at 1 GiB
+        assert mallopt_calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        _settle_process()
+        assert gc.get_freeze_count() > 0
+
+    @pytest.mark.parametrize("error", [OSError, TypeError])
+    def test_without_a_c_library(self, monkeypatch, error):
+        def cdll(name):
+            raise error("no library by the name None")
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        _settle_process()
+        assert gc.get_freeze_count() > 0
+
+    def test_main_as_the_program(self, tmp_path, monkeypatch, mallopt_calls):
+        monkeypatch.setattr(sys, "argv", [
+            "phara", "solve", "--scenario", str(SCENARIOS / "crra.json"),
+            "--out", str(tmp_path)])
+        assert main() == 0
+        assert gc.get_freeze_count() > 0 and len(mallopt_calls) == 2
+
+    def test_main_with_argv(self, tmp_path, mallopt_calls):
+        frozen = gc.get_freeze_count()
+        assert run(["solve", "--scenario", SCENARIOS / "crra.json",
+                    "--out", tmp_path]) == 0
+        assert gc.get_freeze_count() == frozen and mallopt_calls == []
+
+    def test_child_artifacts_match_in_process(self, tmp_path):
+        scenario = SCENARIOS / "participating_contract.json"
+        _run_child("-m", "phara.cli", "envelope", "--scenario", scenario,
+                   "--out", tmp_path / "child")
+        assert run(["envelope", "--scenario", scenario,
+                    "--out", tmp_path / "here"]) == 0
+        names = sorted(f.name for f in (tmp_path / "child").iterdir())
+        assert names == ["envelope.json", "envelope_curve.csv"]
+        for name in names:
+            assert (tmp_path / "child" / name).read_bytes() == \
+                (tmp_path / "here" / name).read_bytes()

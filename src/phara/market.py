@@ -129,16 +129,15 @@ def _centred_normals(k) -> np.ndarray:
     return np.where(k > mirror, -z, z)
 
 
-def standard_normals(seed: int, n: int, stream: int = 0) -> np.ndarray:
-    """n standard normals from a counter-based generator.
-
-    Philox keyed by (seed, stream); normals obtained by inverse-CDF of
-    centred 53-bit uniforms so that exactly one counter tick is consumed
-    per variate, making draws pure functions of (seed, stream, index).
-    """
+def standard_normals(seed: int, n: int, stream: int = 0, start: int = 0) -> np.ndarray:
+    """Normals start, ..., start + n - 1 of the stream (seed, stream), pure functions
+    of (seed, stream, index): Philox keyed by (seed, stream), from counter start // 4,
+    gives four 64-bit words per counter; word k shifted right by 11, as in
+    ``Generator.integers(0, 2**53)``, is the centred 53-bit uniform of normal k."""
     key = np.array([seed, stream], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return _centred_normals(rng.integers(0, 1 << 53, size=n, dtype=np.uint64))
+    raw = np.random.Philox(key=key, counter=[start // 4, 0, 0, 0]).random_raw(start % 4 + n)
+    raw >>= np.uint64(11)
+    return _centred_normals(raw[start % 4:])
 
 
 def _kernel(market: MarketParams, t: float, z) -> np.ndarray:
@@ -151,8 +150,9 @@ def _kernel(market: MarketParams, t: float, z) -> np.ndarray:
 
 
 def sample_kernel_at(market: MarketParams, t: float, n_paths: int,
-                     seed: int) -> np.ndarray:
-    """Draw xi_t from time zero (xi_0 = 1); deterministic per seed."""
+                     seed: int, start: int = 0) -> np.ndarray:
+    """xi_t from time zero (xi_0 = 1) on paths start, ..., start + n_paths - 1
+    of stream 0 of ``standard_normals``: deterministic per seed and path."""
     if not 0.0 < t <= market.T:
         raise BadTime(f"t={t} outside (0, {market.T}]")
-    return _kernel(market, t, standard_normals(seed, n_paths))
+    return _kernel(market, t, standard_normals(seed, n_paths, start=start))

@@ -97,40 +97,53 @@ def pdf(x):
         return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def cdf(x):
+def cdf(x, out=None):
     """Standard normal CDF; exact 0 at and below -37.5, exact 1 from 8.3 on,
-    NaN for NaN."""
+    NaN for NaN.  Into ``out`` if given: a C-contiguous array of x's shape, x
+    itself allowed, so that only the series' own arguments are copied."""
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    # (1 + sign x)/2: the saturated values, and NaN for NaN
-    out = np.sign(flat)
-    out += 1.0
-    out *= 0.5
-    near = np.flatnonzero(np.abs(flat) < _X_ONE)
-    if near.size:
-        h = _lower_tail(np.abs(flat[near]) * _SQRT1_2, _NEAR_PIECE)  # ndtr's y
-        # h below zero, 1 - h from zero on, without a data-dependent branch
-        step = out[near]
-        out[near] = step + (1.0 - 2.0 * step) * h
-    far = np.flatnonzero((flat > _X_ZERO) & (flat <= -_X_ONE))
-    if far.size:
-        out[far] = _lower_tail(flat[far] * -_SQRT1_2, _FAR_PIECE)
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    if out is None:
+        out = x.copy()
+    elif out is not x:
+        out[...] = x
+    v = out.reshape(-1)  # the arguments, each overwritten by its Phi in [0, 1]
+    idx = np.flatnonzero((v > -_X_ONE) & (v < _X_ONE))
+    if idx.size:
+        y = v[idx]
+        h = _lower_tail(np.multiply(np.abs(y, out=y), _SQRT1_2, out=y), _NEAR_PIECE)
+        # (1 + sign x)/2 - sign x h: h below zero, 1 - h above it, 1/2 at zero,
+        # without a data-dependent branch
+        sign = np.sign(v[idx], out=y)
+        h *= sign
+        sign += 1.0
+        sign *= 0.5
+        v[idx] = np.subtract(sign, h, out=h)
+        del y, h, sign  # before the far series
+    idx = np.flatnonzero((v > _X_ZERO) & (v <= -_X_ONE))  # no Phi written is in range
+    if idx.size:
+        v[idx] = _lower_tail(v[idx] * -_SQRT1_2, _FAR_PIECE)
+    # the rest: exact 0 below, exact 1 above, NaN for NaN; Phi in [0, 1] stays
+    np.maximum(v, 0.0, out=v)
+    np.minimum(v, 1.0, out=v)
+    return float(v[0]) if x.ndim == 0 else out
 
 
 def _lower_tail(y, piece):
     """Phi(-sqrt(2) y) = erfc(y) / 2 on one piece's range of y >= 0."""
     alpha, beta, coeffs = piece
-    s = (y * alpha - beta) / (y + _K)
+    s = y * alpha
+    s -= beta
+    acc = y + _K
+    s /= acc
     # Horner, in place
-    acc = s * coeffs[-1]
+    np.multiply(s, coeffs[-1], out=acc)
     acc += coeffs[-2]
     for c in coeffs[-3::-1]:
         acc *= s
         acc += c
-    # erfc(y) / 2 = exp(-y^2) f(y) / (2 (1 + 2y))
-    acc *= np.exp(-(y * y))
-    acc /= y * 4.0 + 2.0
+    # erfc(y) / 2 = exp(-y^2) f(y) / (2 (1 + 2y)), each factor formed in s
+    acc *= np.exp(np.negative(np.multiply(y, y, out=s), out=s), out=s)
+    acc /= np.add(np.multiply(y, 4.0, out=s), 2.0, out=s)
     return acc
 
 

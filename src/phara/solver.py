@@ -218,8 +218,10 @@ def _phi(tab: _Tables, h: _Horizon, log_w, slots):
     The maximum runs row by row in place: ``np.maximum.accumulate(axis=0)``
     gives the same values, striding across rows, several times slower."""
     D, R = _d1_outer(tab.log_slopes, log_w, h), tab.R[tab.crra, None]
-    F = normal.cdf(np.vstack((D[slots], D[tab.crra_rungs] - np.repeat(h.s / R, 2, axis=0))))
+    F = D[np.concatenate((np.arange(len(D))[slots], tab.crra_rungs))]
     n = len(F) - 2 * len(R)  # the ladder rows
+    F[n:] -= np.repeat(h.s / R, 2, axis=0)
+    normal.cdf(F, out=F)
     for i in range(1, n):
         np.maximum(F[i - 1], F[i], out=F[i])
     cell = F[n + 1::2] - F[n::2]

@@ -440,7 +440,8 @@ def _composed_piece(preference: PharaUtility, lo, hi, seg_lo, seg_v, s) -> Phara
     A = seg_lo + (branch.A - seg_v) / s
     alpha = None if branch.alpha is None else branch.alpha * s
     x_hat = _anchor(lo, hi, branch.R, A)
-    w_hat = theta(x_hat)
+    # power or log: the argument that the rounded A gives x_hat, theta(x_hat) + O(s ulp(A))
+    w_hat = branch.A + s * (x_hat - A) if 0.0 < branch.R < INF else theta(x_hat)
     return PharaPiece(a_lo=lo, a_hi=hi, R=branch.R, anchor_x=x_hat,
                       anchor_u=branch.value(w_hat),
                       anchor_slope=branch.slope(w_hat) * s,

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import StepTooCoarse
 from .market import MarketParams, sample_kernel_at, standard_normals
 from .solver import (budget, optimal_terminal_wealth, portfolio_general,
-                     wealth_total, _risk_vector)
+                     wealth_total, _BLOCK, _risk_vector)
 from .utility import PharaUtility
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -19,6 +19,7 @@ _ARGMAX_GRID = 10_000      # grid points of the argmax oracle's first pass
 _GOLDEN_STEPS = 40         # golden-section steps around the best grid point
 _FD_STEP = 1e-4            # central-difference step in log xi, per |theta| sqrt(T - t)
 _FD_TOL = 1e-6             # relative error bound of the finite-difference delta
+_CHUNK = 4 * _BLOCK        # Monte-Carlo paths per chunk, whole evaluation blocks
 
 
 @dataclass(frozen=True)
@@ -87,33 +88,42 @@ def argmax_oracle(utility: PharaUtility, y: float, xi_T: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mc_report(name: str, v: np.ndarray, oracle: float,
-               detail: dict) -> VerificationReport:
-    """Sample mean of v against the oracle; passes within 3 standard errors."""
-    est = float(np.mean(v))
-    se = float(np.std(v, ddof=1) / math.sqrt(v.size))
+def _mc_check(name: str, market: MarketParams, t: float, n_paths: int, seed: int,
+              value, oracle: float, detail: dict) -> VerificationReport:
+    """Mean of xi_t value(xi_t) over n_paths draws of xi_t against the oracle;
+    passes within 3 standard errors.  Chunks of _CHUNK paths fold into a running
+    mean and sum of squared deviations (Chan et al.'s pairwise update), so
+    memory does not grow with n_paths."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n_paths, _CHUNK):
+        xi = sample_kernel_at(market, t, min(_CHUNK, n_paths - start), seed, start)
+        v = xi * value(xi)
+        size, v_mean = v.size, float(np.mean(v))
+        delta, count = v_mean - mean, count + size
+        mean += delta * size / count
+        m2 += float(np.sum((v - v_mean) ** 2)) + delta * delta * (count - size) * size / count
+    se = math.sqrt(m2 / (count - 1)) / math.sqrt(count)
     return VerificationReport(
-        name=name, computed=est, oracle=oracle, tolerance=3.0 * se,
-        passed=abs(est - oracle) <= 3.0 * se,
-        detail={**detail, "paths": v.size, "std_error": se},
+        name=name, computed=mean, oracle=oracle, tolerance=3.0 * se,
+        passed=abs(mean - oracle) <= 3.0 * se,
+        detail={**detail, "paths": count, "std_error": se},
     )
 
 
 def mc_budget_check(env: PharaUtility, market: MarketParams, y: float,
                     n_paths: int, seed: int) -> VerificationReport:
     """E[xi_T X_T*] by simulation against the closed-form budget."""
-    xi_T = sample_kernel_at(market, market.T, n_paths, seed)
-    return _mc_report("mc_budget", xi_T * optimal_terminal_wealth(env, y, xi_T),
-                      budget(env, market, y), {"seed": seed})
+    return _mc_check("mc_budget", market, market.T, n_paths, seed,
+                     lambda xi: optimal_terminal_wealth(env, y, xi),
+                     budget(env, market, y), {"seed": seed})
 
 
 def mc_martingale_check(env: PharaUtility, market: MarketParams, y: float,
                         t: float, n_paths: int, seed: int) -> VerificationReport:
     """E[xi_t X_t*] must equal the budget (deflated optimal wealth is a martingale)."""
-    xi_t = sample_kernel_at(market, t, n_paths, seed)
-    return _mc_report(f"mc_martingale_t={t:g}",
-                      xi_t * wealth_total(env, market, y, t, xi_t),
-                      budget(env, market, y), {"seed": seed, "t": t})
+    return _mc_check(f"mc_martingale_t={t:g}", market, t, n_paths, seed,
+                     lambda xi: wealth_total(env, market, y, t, xi),
+                     budget(env, market, y), {"seed": seed, "t": t})
 
 
 # ---------------------------------------------------------------------------

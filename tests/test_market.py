@@ -157,3 +157,31 @@ def test_centred_normals_finite_and_antisymmetric():
     # one counter tick per variate: a shorter draw is a prefix of a longer one
     assert np.array_equal(standard_normals(9, 1000, stream=4)[:300],
                           standard_normals(9, 300, stream=4))
+
+
+def test_normals_are_the_integer_draws_of_philox():
+    # the raw words shifted right by 11 are Generator.integers(0, 2^53)'s
+    key = np.array([77, 3], dtype=np.uint64)
+    k = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, 1 << 53, size=5001, dtype=np.uint64)
+    assert np.array_equal(standard_normals(77, 5001, stream=3), _centred_normals(k))
+
+
+@pytest.mark.parametrize("chunk, n", [(1, 103), (3, 103), (4, 103), (7, 103),
+                                      (4096, 40_003), (16_384, 40_003)])
+def test_normals_drawn_in_slices(chunk, n):
+    # slices from any start, the last one shorter than the others, make up
+    # the one-shot draw
+    whole = standard_normals(12, n, stream=5)
+    parts = [standard_normals(12, min(chunk, n - i), stream=5, start=i)
+             for i in range(0, n, chunk)]
+    assert np.array_equal(np.concatenate(parts), whole)
+    for start in (1, 2, 3, n // 2, n - 5):
+        assert np.array_equal(standard_normals(12, 5, stream=5, start=start),
+                              whole[start:start + 5])
+
+
+def test_kernel_drawn_in_slices(market):
+    whole = sample_kernel_at(market, 4.0, 20_000, seed=9)
+    tail = sample_kernel_at(market, 4.0, 20_000 - 16_384, seed=9, start=16_384)
+    assert np.array_equal(tail, whole[16_384:])

@@ -31,6 +31,41 @@ def test_cdf_saturation_and_nan():
     assert np.isnan(got[0]) and got[1] == 0.5 and got[2] == 0.0
 
 
+def _cdf_out_of_place(x):
+    """The series on gathered copies, each summed by np.polyval's Horner:
+    cdf's operations on each element, in their order, in fresh arrays."""
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    out = (np.sign(flat) + 1.0) * 0.5
+    near = np.abs(flat) < normal._X_ONE
+    far = (flat > normal._X_ZERO) & (flat <= -normal._X_ONE)
+    for mask, y, (alpha, beta, coeffs) in (
+            (near, np.abs(flat) * normal._SQRT1_2, normal._NEAR_PIECE),
+            (far, flat * -normal._SQRT1_2, normal._FAR_PIECE)):
+        y = y[mask]
+        s = (y * alpha - beta) / (y + normal._K)
+        h = np.polyval(coeffs[::-1], s) * np.exp(-(y * y)) / (y * 4.0 + 2.0)
+        step = out[mask] if mask is near else 0.0
+        out[mask] = step + (1.0 - 2.0 * step) * h
+    return out.reshape(np.shape(x))
+
+
+def test_cdf_in_place_bit_identical():
+    rng = np.random.default_rng(22)
+    special = np.array([np.nan, np.inf, -np.inf, 8.3, -8.3, -37.5, -37.49, 0.0, -0.0,
+                        5e-324, -5e-324, np.nextafter(8.3, 0.0), np.nextafter(-8.3, 0.0),
+                        np.nextafter(-37.5, 0.0)])
+    for x in (special, rng.normal(0.0, 12.0, (13, 4096)), rng.uniform(-40.0, 10.0, 99_999),
+              np.concatenate([special, rng.normal(0.0, 3.0, 500)])):
+        ref = _cdf_out_of_place(x).view(np.uint64)
+        assert np.array_equal(normal.cdf(x).view(np.uint64), ref)
+        y, z = x.copy(), np.empty_like(x)
+        assert normal.cdf(y, out=y) is y and normal.cdf(x, out=z) is z
+        assert np.array_equal(y.view(np.uint64), ref)
+        assert np.array_equal(z.view(np.uint64), ref)
+    for v in special:
+        assert np.array_equal(normal.cdf(v), _cdf_out_of_place(v), equal_nan=True)
+
+
 def test_ppf_matches_ndtri_on_centred_uniforms():
     k = np.random.default_rng(2024).integers(0, 1 << 53, size=2_000_000,
                                              dtype=np.uint64)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from phara.cli import load_scenario
 from phara.concavify import concave_envelope
 from phara.errors import (BadDimension, BadTime, IllegalCase, InfeasibleBudget,
                           NoConvergence, NotConcave, PharaError, UnboundedDemand)
-from phara.market import build_market
+from phara.market import build_market, sample_kernel_at
 from phara import normal, solver
 from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
                           _common_risk_aversion, _d1_outer, _horizon, _newton_root,
@@ -844,9 +845,9 @@ def test_one_phi_call_per_block(monkeypatch, name):
     cara = {s for p in env.pieces if p.R == INF for s in (p.slope_lo, p.slope_hi)}
     shapes, cdf = [], normal.cdf
 
-    def counted(x):
+    def counted(x, out=None):
         shapes.append(np.shape(x))
-        return cdf(x)
+        return cdf(x, out)
     monkeypatch.setattr(normal, "cdf", counted)
     xi = np.geomspace(0.1, 10.0, _BLOCK + 1)
     wealth_total(env, market, 1.0, 1.0, xi)
@@ -856,6 +857,22 @@ def test_one_phi_call_per_block(monkeypatch, name):
     portfolio_general(env, market, 1.0, 1.0, xi)
     rows = len(cara) + 2 * power
     assert shapes == [(rows, _BLOCK), (rows, 1)]
+
+
+def test_block_temporaries_bounded(market, demo_envelope, demo_dual):
+    # one block of 4096 states on the demo: the Phi arguments fill one array
+    # that normal.cdf overwrites, and the series copy only their own arguments
+    env = demo_envelope.envelope
+    xi = sample_kernel_at(market, 5.0, _BLOCK, seed=3)
+    wealth_total(env, market, demo_dual.y_star, 5.0, xi)  # tables cached
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        wealth_total(env, market, demo_dual.y_star, 5.0, xi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 2**20
 
 
 @given(seeds, markets(), st.floats(-5.0, 60.0), st.floats(-1.0, 25.0),

@@ -8,7 +8,7 @@ from conftest import (CONTRACT_PARAMS, deriv, random_concave_envelope,
                       random_raw_utility)
 from phara.errors import IllegalCase, NotPhara, OutOfDomain, PharaError
 from phara.utility import (INF, NEG_INF, PharaPiece, PharaUtility,
-                           PiecewiseLinearPayoff, _verify_composition,
+                           PiecewiseLinearPayoff, _VERIFY_TOL, _verify_composition,
                            cara_utility, compose, crra_utility,
                            hedge_fund_payoff, hedge_fund_utility,
                            s_shaped_utility)
@@ -246,6 +246,21 @@ class TestCompose:
         xs = np.linspace(0.0, 8.0, 400)
         direct = pref.value(payoff.value(xs))
         assert np.allclose(u.value(xs), direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("slope", [1e9, 1e12])
+    def test_steep_payoff_compose(self, slope):
+        # the second cell's benchmark 1 - 1.5/slope sits within 1/slope of the
+        # cell start 1, where the anchor is: its rounding must not reach the
+        # template.  Points from 1 + 1e-6 on: nearer the start one ulp of x
+        # moves the payoff by slope ulp(1), and the value by more than the bound
+        pref = crra_utility(0.5)
+        payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=1.0,
+                                       breakpoints=(1.0,), slopes=(0.5, slope))
+        u = compose(pref, payoff)
+        xs = np.r_[np.linspace(0.0, 0.999, 40), 1.0 + np.geomspace(1e-6, 1e3, 46)]
+        direct = pref.value(payoff.value(xs))
+        assert np.all(np.abs(u.value(xs) - direct)
+                      <= _VERIFY_TOL * np.maximum(1.0, np.abs(direct)))
 
     def test_loss_branch_is_convex(self):
         pref = s_shaped_utility(reference=1.0, gain_exponent=0.5, a0=0.0,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +10,15 @@ import pytest
 
 from conftest import deriv, interesting_multipliers
 from phara.cli import main
+from phara.concavify import concave_envelope
 from phara.errors import StepTooCoarse
+from phara.market import build_market, sample_kernel_at
 from phara.solver import optimal_terminal_wealth, solve_multiplier
-from phara.verify import (argmax_oracle, fd_portfolio_check, mc_budget_check,
-                          mc_martingale_check, simulate_order_check,
-                          simulate_strategy)
+from phara.verify import (_CHUNK, _mc_check, argmax_oracle, fd_portfolio_check,
+                          mc_budget_check, mc_martingale_check,
+                          simulate_order_check, simulate_strategy)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestArgmaxOracle:
@@ -80,6 +87,38 @@ class TestMonteCarlo:
                             20_000, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("n", [2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    def test_streamed_mean_and_error(self, market, n):
+        # the chunks' running mean and sum of squared deviations give the
+        # one-pass figures of the whole sample, whose length crosses chunk edges
+        rng = np.random.default_rng(n)
+        level, spread = rng.uniform(-50.0, 50.0), rng.uniform(0.1, 10.0)
+
+        def value(xi):
+            return (level + spread * np.sin(1e3 * xi)) / xi
+        rep = _mc_check("stream", market, 3.0, n, 17, value, 0.0, {})
+        xi = sample_kernel_at(market, 3.0, n, 17)
+        v = xi * value(xi)
+        assert rep.detail["paths"] == n
+        assert rep.computed == pytest.approx(np.mean(v), rel=1e-13)
+        assert rep.detail["std_error"] == pytest.approx(
+            np.std(v, ddof=1) / math.sqrt(n), rel=1e-13)
+
+    def test_memory_does_not_grow_with_paths(self, tmp_path):
+        # the checks stream their paths: ten times the paths, the same peak
+        def peak_mb(paths):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                                       if os.environ.get("PYTHONPATH") else [])))
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "phara.cli", "verify", "--scenario",
+                 str(ROOT / "scenarios" / "crra.json"), "--out", str(tmp_path / str(paths)),
+                 "--paths", str(paths)], env=env, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            return usage.ru_maxrss / 1024.0
+        assert peak_mb(1_000_000) <= peak_mb(100_000) + 3.0
+
 
 class TestReportRunner:
     def test_reports_sorted_by_name(self, tmp_path):
@@ -126,6 +165,15 @@ class TestSimulation:
         y_star = solve_multiplier(crra_envelope, market, 10.0).y_star
         rep = simulate_order_check(crra_envelope, market, y_star, 10.0, 2_000,
                                    250, seed=2024)
+        assert rep.passed, rep
+
+    def test_two_asset_strong_order(self, demo_utility):
+        # the Euler step's m > 1 algebra: sigma^T pi against two Brownian drivers
+        market = build_market(r=0.05, mu=[0.086, 0.07],
+                              sigma=[[0.3, 0.0], [0.1, 0.2]], T=10.0)
+        env = concave_envelope(demo_utility).envelope
+        y_star = solve_multiplier(env, market, 25.0).y_star
+        rep = simulate_order_check(env, market, y_star, 25.0, 4_000, 100, seed=2024)
         assert rep.passed, rep
 
     def test_demo_terminal_mass_at_kinks(self, demo_envelope, market,

@@ -99,13 +99,12 @@ def pdf(x):
 
 def cdf(x, out=None):
     """Standard normal CDF; exact 0 at and below -37.5, exact 1 from 8.3 on,
-    NaN for NaN.  Into ``out`` if given: a C-contiguous array of x's shape, x
-    itself allowed, so that only the series' own arguments are copied."""
-    x = np.asarray(x, dtype=float)
+    NaN for NaN.  In place with ``out=x``, x a C-contiguous float array, so
+    that only the series' own arguments are copied; else on a copy of x."""
     if out is None:
-        out = x.copy()
-    elif out is not x:
-        out[...] = x
+        out = np.array(x, dtype=float, order="C")
+    elif out is not x or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError("normal.cdf: out must be x, a C-contiguous float array")
     v = out.reshape(-1)  # the arguments, each overwritten by its Phi in [0, 1]
     idx = np.flatnonzero((v > -_X_ONE) & (v < _X_ONE))
     if idx.size:
@@ -125,7 +124,7 @@ def cdf(x, out=None):
     # the rest: exact 0 below, exact 1 above, NaN for NaN; Phi in [0, 1] stays
     np.maximum(v, 0.0, out=v)
     np.minimum(v, 1.0, out=v)
-    return float(v[0]) if x.ndim == 0 else out
+    return float(v[0]) if out.ndim == 0 else out
 
 
 def _lower_tail(y, piece):

@@ -15,17 +15,21 @@ second of host drift, where a pair of whole benchmark runs sees minutes.
 Per pair it records the change/parent ratio of the wall time, the CPU time
 (``ru_utime + ru_stime`` from ``os.wait4``) and the peak RSS
 (``ru_maxrss``).  Per command type and over all commands it prints each
-ratio's median with a bootstrap interval at ``--level``, and the count of
-pairs where the change took longer.  The last line of standard output is the
-result object; ``--json PATH`` also writes it with every pair.  A report,
-not a gate: the exit code is 0 once every pair has run, 2 when a tree has no
-sources.  It uses the standard library only.
+ratio's median with its distribution-free 95 % interval (the sign-test
+interval: two order statistics of the ratios, which holds its level at any
+pair count and reads n/a below 6 pairs), and the count of pairs where the
+change took longer.  The plan is the one ``perfbench/run.py --seconds 40``
+builds.  The last line of standard output is the result object; ``--json
+PATH`` also writes it with every pair.  A report, not a gate: the exit code
+is 0 once every pair has run, 2 when a tree has no sources.  It uses the
+standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import statistics
@@ -43,7 +47,8 @@ from scenarios import WORKLOADS, build_plan  # noqa: E402
 METRICS = ("wall", "cpu", "rss")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-BOOTSTRAP = 2000
+PLAN_SECONDS = 40.0
+LEVEL = 0.95
 
 
 def child_env(tree: Path) -> dict:
@@ -78,17 +83,22 @@ def run_child(argv: list, env: dict, cwd: Path, log: Path) -> dict:
             "cpu": usage.ru_utime + usage.ru_stime, "rss": usage.ru_maxrss / 1024.0}
 
 
-def interval(ratios: list, level: float, seed: int) -> dict:
-    """Median of the ratios with a percentile-bootstrap interval at ``level``."""
-    rng = random.Random(seed)
-    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
-                     for _ in range(BOOTSTRAP))
-    cut = int((1.0 - level) / 2.0 * BOOTSTRAP)
-    return {"median": statistics.median(ratios), "lo": medians[cut],
-            "hi": medians[BOOTSTRAP - 1 - cut]}
+def interval(ratios: list) -> dict:
+    """Median of the ratios and the widest-k order statistics [x_(k),
+    x_(n+1-k)] that cover the true median with probability at least LEVEL
+    whatever the ratios' law; lo and hi are None when even [min, max] does not
+    (n < 6)."""
+    xs = sorted(ratios)
+    n = len(xs)
+    k, below = 0, 0  # below: P(Binomial(n, 1/2) <= k - 1) * 2^n
+    while 2 * (below + math.comb(n, k)) <= (1.0 - LEVEL) * 2 ** n:
+        below += math.comb(n, k)
+        k += 1
+    lo, hi = (xs[k - 1], xs[n - k]) if k else (None, None)
+    return {"median": statistics.median(xs), "lo": lo, "hi": hi}
 
 
-def summarize(pairs: list, level: float, seed: int) -> dict:
+def summarize(pairs: list) -> dict:
     """Per command type, and over all pairs: each ratio's median and
     interval, the pair count and the count of pairs where the change was
     slower."""
@@ -100,8 +110,13 @@ def summarize(pairs: list, level: float, seed: int) -> dict:
         ratios = {m: [p["change"][m] / p["parent"][m] for p in group] for m in METRICS}
         out[name] = {"pairs": len(group),
                      "slower": sum(r > 1.0 for r in ratios["wall"]),
-                     **{m: interval(ratios[m], level, seed) for m in METRICS}}
+                     **{m: interval(ratios[m]) for m in METRICS}}
     return out
+
+
+def bounds(iv: dict) -> str:
+    """An interval as printed: [lo, hi], or [n/a] on too few pairs."""
+    return "[n/a]" if iv["lo"] is None else f"[{iv['lo']:.4f}, {iv['hi']:.4f}]"
 
 
 def main(argv=None) -> int:
@@ -110,19 +125,16 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path, help="changed checkout")
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", required=True, type=int)
-    ap.add_argument("--seconds", type=float, default=40.0,
-                    help="plan size, as perfbench/run.py's --seconds")
     ap.add_argument("--rounds", type=int, default=1, help="passes over the plan")
     ap.add_argument("--only", default="",
                     help="run only the commands whose name contains this text")
-    ap.add_argument("--level", type=float, default=0.95, help="interval level")
     ap.add_argument("--json", type=Path, default=None, help="also write every pair here")
     args = ap.parse_args(argv)
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if not all([build(tree) for tree in trees.values()]):
         return 2
-    plan = build_plan(args.workload, args.seed, args.seconds, ROOT / "scenarios")
+    plan = build_plan(args.workload, args.seed, PLAN_SECONDS, ROOT / "scenarios")
     commands = [c for c in plan.commands if args.only in c.name]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="phara-pair-") as tmp:
@@ -145,18 +157,17 @@ def main(argv=None) -> int:
                                            out / "console.log")
                 pairs.append(pair)
 
-    summary = summarize(pairs, args.level, args.seed)
+    summary = summarize(pairs)
     print(f"{'type':<10} {'pairs':>5} {'slower':>6}   "
           + "   ".join(f"{m + ' ratio [interval]':<25}" for m in METRICS))
     for name, s in summary.items():
         print(f"{name:<10} {s['pairs']:>5} {s['slower']:>6}   " + "   ".join(
-            f"{s[m]['median']:.4f} [{s[m]['lo']:.4f}, {s[m]['hi']:.4f}]".ljust(25)
-            for m in METRICS))
+            f"{s[m]['median']:.4f} {bounds(s[m])}".ljust(25) for m in METRICS))
     mismatched = sorted({p["name"] for p in pairs if p["parent"]["rc"] != p["change"]["rc"]})
     if mismatched:
         print(f"exit codes differ: {', '.join(mismatched)}")
     result = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
-              "only": args.only, "level": args.level,
+              "only": args.only, "level": LEVEL,
               "parent": str(trees["parent"]), "change": str(trees["change"]),
               "exit_codes_differ": mismatched, "summary": summary}
     if args.json is not None:

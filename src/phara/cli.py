@@ -273,7 +273,7 @@ def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
         dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
         wealth = dec.wealth
         # split columns are fractions of wealth; NaN without a split
-        split = [_fraction_of_wealth(v[0], wealth)
+        split = [_fraction_of_wealth(v[0], wealth, dec.wealth_rounding)
                  for v in dec.terms.values()] or [np.full_like(wealth, np.nan)] * 4
         lines += [_csv_row([t, *row])
                   for row in zip(wealth, xi, dec.percentage[0], *split)]

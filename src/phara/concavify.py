@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import NoConvergence, UnboundedEnvelope
 from .solver import _newton_root
-from .utility import INF, PharaPiece, PharaUtility
+from .utility import INF, PharaPiece, PharaUtility, same_slope
 
-_SLOPE_TIE_RTOL = 1e-12
 _RESIDUAL_TOL = 1e-12
 _MAX_EXPAND = 200
 
@@ -72,11 +71,15 @@ def _geometric(gap, s: float, factor: float, kind: str) -> tuple[float, float]:
     raise NoConvergence(f"no {kind} supporting slope found")
 
 
+def _short(lo: float, hi: float) -> bool:
+    """The stretch [lo, hi] is too short to keep: at most 1e-15 max(1, |lo|)."""
+    return hi - lo <= 1e-15 * max(1.0, abs(lo))
+
+
 class _Sweep:
     def __init__(self, utility: PharaUtility):
         self.utility = utility
-        first = utility.pieces[0]
-        v0 = first.value_lo
+        v0 = utility.pieces[0].value_lo
         self.anchor = (utility.a0, v0) if np.isfinite(v0) else None
         self.hull: list[PharaPiece] = []
 
@@ -95,12 +98,12 @@ class _Sweep:
         (x, v) and lies above every piece right of it; k = -1 is the anchor."""
         for k in range(len(self.hull) - 1, -1, -1):
             piece = self.hull[k]
-            if s <= piece.slope_hi * (1.0 + _SLOPE_TIE_RTOL):
+            if s <= piece.slope_hi or same_slope(s, piece.slope_hi):
                 return k, piece.a_hi, piece.value_hi
             # a linear piece has one slope, so only a curve gets here
             if s <= piece.slope_lo:
                 x = min(max(piece.slope_inverse(s), piece.a_lo), piece.a_hi)
-                if x - piece.a_lo > 1e-15 * max(1.0, abs(piece.a_lo)):
+                if not _short(piece.a_lo, x):
                     return k, x, float(piece.value(x))
         if self.anchor is None:
             raise UnboundedEnvelope("support requested left of an open domain")
@@ -172,7 +175,7 @@ class _Sweep:
         x_e, v_e, s_e = self.right_end()
         if x > x_e:
             s_c = (v - v_e) / (x - x_e)
-            if s_c <= s_e * (1.0 + _SLOPE_TIE_RTOL) + 1e-300:
+            if s_c <= s_e or same_slope(s_c, s_e):
                 self._push_chord(x_e, v_e, x, max(s_c, 0.0))
                 return
         elif v > v_e + 1e-12 * max(1.0, abs(v_e)):
@@ -192,7 +195,7 @@ class _Sweep:
         x_e, v_e, s_e = end
         return (x_e == piece.a_lo
                 and v_e <= piece.value_lo + 1e-12 * max(1.0, abs(v_e))
-                and piece.slope_lo <= s_e * (1.0 + _SLOPE_TIE_RTOL) + 1e-300)
+                and (piece.slope_lo <= s_e or same_slope(piece.slope_lo, s_e)))
 
     def attach_arc(self, piece: PharaPiece):
         if self._continues(piece):
@@ -226,7 +229,7 @@ class _Sweep:
             f = piece.a_lo
         else:
             f = min(max(piece.slope_inverse(s_star), piece.a_lo), piece.a_hi)
-        if np.isfinite(piece.a_hi) and piece.a_hi - f <= 1e-15 * max(1.0, abs(piece.a_hi)):
+        if _short(f, piece.a_hi):
             f = piece.a_hi  # the chord reaches the arc's end: no fragment is kept
         self._push_chord(x_b, v_b, f, s_star)
         f = self.right_end()[0]  # x_b when the chord was too short to keep
@@ -234,15 +237,12 @@ class _Sweep:
             self.hull.append(piece.restrict(f, piece.a_hi))
 
     def _push_chord(self, x0: float, v0: float, x1: float, s: float):
-        if x1 <= x0 or (x1 - x0) < 1e-15 * max(1.0, abs(x0)):
+        if _short(x0, x1):
             return
-        if self.hull:
-            top = self.hull[-1]
-            if top.R == 0.0 and \
-                    abs(top.anchor_slope - s) <= _SLOPE_TIE_RTOL * max(top.anchor_slope, s):
-                # collinear tie: merge, junction treated as differentiable
-                self.hull[-1] = replace(top, a_hi=x1)
-                return
+        if self.hull and self.hull[-1].R == 0.0 and same_slope(self.hull[-1].anchor_slope, s):
+            # collinear tie: merge, junction treated as differentiable
+            self.hull[-1] = replace(self.hull[-1], a_hi=x1)
+            return
         self.hull.append(PharaPiece(a_lo=x0, a_hi=x1, R=0.0, anchor_x=x0,
                                     anchor_u=v0, anchor_slope=s))
 
@@ -262,9 +262,5 @@ def concave_envelope(utility: PharaUtility) -> EnvelopeResult:
                        a0_included=utility.a0_included)
     chords = tuple((p.a_lo, p.a_hi, p.anchor_slope) for p in env.pieces if p.R == 0.0)
     kinks = set(env.kinks())
-    return EnvelopeResult(
-        envelope=env,
-        chords=chords,
-        tangency_points=tuple(sorted({x for lo, hi, _ in chords for x in (lo, hi)
-                                      if np.isfinite(x) and x not in kinks})),
-    )
+    return EnvelopeResult(env, chords, tuple(sorted(
+        {x for lo, hi, _ in chords for x in (lo, hi) if np.isfinite(x) and x not in kinks})))

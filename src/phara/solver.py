@@ -8,7 +8,7 @@ which, when every curved piece shares one relative risk aversion R, regroups
 into the four-term split: Merton term, risk-seeking term from chords,
 loss-aversion term from benchmarks, and first-order risk-aversion term from
 kinks.  All of them come from D = d1(g / y xi) on the envelope's slope
-ladder, which one step, :func:`_phi`, computes once per distinct slope, with
+ladder, which one step, :func:`_phi`, computes once per ladder slot, with
 one normal.cdf call per pass on the rungs it reads.  :func:`portfolio_unified`
 is the one point evaluator: from one pass over the ladder it returns the
 weights, the wealth's five families, the wealth and the portfolio.  Every
@@ -30,7 +30,7 @@ from . import normal
 from .errors import (BadDimension, IllegalCase, InfeasibleBudget,
                      NoConvergence, NotConcave, UnboundedDemand)
 from .market import MarketParams
-from .utility import INF, PharaUtility
+from .utility import _KINK_RTOL, INF, PharaUtility
 
 _BUDGET_RTOL = 1e-10
 _MAX_EXPAND = 200
@@ -101,8 +101,8 @@ def _evaluate(pass_, xi, *args, first="optimal wealth"):
 class _Tables:
     a: np.ndarray          # partition, length n+1, a[n] = inf
     ladder: np.ndarray     # gminus[0] >= gplus[0] >= gminus[1] >= ... >= gminus[n]
-    slot: np.ndarray       # ladder row -> distinct slope
-    log_slopes: np.ndarray  # per distinct slope
+    slot: np.ndarray       # ladder row -> slope, shared where no kink parts them
+    log_slopes: np.ndarray  # per slot
     R: np.ndarray          # per piece
     A: np.ndarray          # benchmark, 0 where unused
     alpha: np.ndarray      # CARA coefficient, 0 where unused
@@ -129,16 +129,15 @@ def _tables(env: PharaUtility) -> _Tables:
     crra = (R > 0.0) & np.isfinite(R)
     cara = R == INF
     chord = R == 0.0
-    A = np.array([p.A if (p.R > 0.0 and np.isfinite(p.R)) else 0.0
-                  for p in env.pieces])
+    A = np.where(crra, [p.A for p in env.pieces], 0.0)
     alpha = np.array([p.alpha if p.R == INF else 0.0 for p in env.pieces])
 
     # slope ladder must be nonincreasing: gminus[k] >= gplus[k] >= gminus[k+1]
     ladder = np.empty(2 * n1 + 1)
     ladder[0::2] = [env.gamma_minus(k) for k in range(n1 + 1)]
     ladder[1::2] = [env.gamma_plus(k) for k in range(n1)]
-    with np.errstate(invalid="ignore"):
-        rises = np.diff(ladder) > 1e-9 * np.maximum(ladder[:-1], 1e-300)
+    with np.errstate(invalid="ignore"):  # same_slope's tolerances; inf - inf: no rise
+        rises = np.diff(ladder) > np.maximum(_KINK_RTOL * ladder[:-1], 1e-300)
     if np.any(rises):
         raise NotConcave("utility is not concave; build its envelope first")
 
@@ -155,8 +154,9 @@ def _tables(env: PharaUtility) -> _Tables:
         if not (0.0 < C[k] < INF if crra[k] else abs(K[k]) < INF):
             raise IllegalCase(f"piece on [{p.a_lo}, {p.a_hi}) with R = {p.R}: its inverse "
                               f"marginal utility does not fit a double (C = {C[k]}, K = {K[k]})")
-    # adjacent equal slopes (a tangency, a chord's two ends) share one slot
+    # one slot per run of equal slopes (a chord's ends) and per smooth junction
     new = np.r_[True, ladder[1:] != ladder[:-1]]
+    new[1::2] &= np.isin(a[:-1], env.kinks())
     slot = np.cumsum(new) - 1
     with np.errstate(divide="ignore"):
         log_slopes = np.log(ladder[new])
@@ -210,7 +210,7 @@ def _argmax(xi, tab: _Tables, y: float):
 
 
 def _phi(tab: _Tables, h: _Horizon, log_w, slots):
-    """A pass's one D-and-Phi step: D = d1(g / w) once per distinct slope, and
+    """A pass's one D-and-Phi step: D = d1(g / w) once per ladder slot, and
     one normal.cdf call on D at the ascending ``slots`` (their running maximum,
     which keeps rounding from turning a weight negative) and on D - s/R_k at
     each power piece's two slopes.  Returns D, Phi on the slots, and X^R_k =
@@ -251,7 +251,7 @@ def _ladder(xi, tab: _Tables, h: _Horizon, y: float):
     Returns the wealth X_t, the kink weights p and cell weights q (one row
     per piece), the five wealth families xD, xA (one row per piece), xAbar,
     xR, xRbar (one row per piece of their type: exponential, power,
-    exponential), and D per distinct slope, which the hedge reads."""
+    exponential), and D per ladder slot, which the hedge reads."""
     log_w, disc = np.log(y * xi), h.disc
     D, F, xR = _phi(tab, h, log_w, slice(None))
     F = F[tab.slot]  # one row per ladder entry
@@ -358,13 +358,13 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
 class PortfolioDecomposition:
     """Everything at one (t, xi_t) from one pass over the slope ladder.
 
-    The optimal portfolio ``total``, the wealth and their ratio, with the
-    four-term split when :func:`_common_risk_aversion` gives one (None
-    otherwise); the kink and cell weights p and q, which sum to one; and the
-    wealth's five families per piece, zero on pieces of another type: kink
-    atoms xD, benchmark terms xA, curvature terms xR, and the exponential
-    pieces' level xAbar and curvature xRbar.  N state prices give (m, N)
-    vectors, N wealth levels and (n_pieces, N) rows."""
+    The optimal portfolio ``total``, the wealth, a bound on its rounding and
+    their ratio, with the four-term split when :func:`_common_risk_aversion`
+    gives one (None otherwise); the kink and cell weights p and q, which sum
+    to one; and the wealth's five families per piece, zero on pieces of
+    another type: kink atoms xD, benchmark terms xA, curvature terms xR, and
+    the exponential pieces' level xAbar and curvature xRbar.  N state prices
+    give (m, N) vectors, N wealth levels and (n_pieces, N) rows."""
 
     merton: np.ndarray | None
     risk_seeking: np.ndarray | None
@@ -372,6 +372,7 @@ class PortfolioDecomposition:
     first_order_ra: np.ndarray | None
     total: np.ndarray
     wealth: float | np.ndarray
+    wealth_rounding: float | np.ndarray
     percentage: np.ndarray
     p: np.ndarray
     q: np.ndarray
@@ -398,9 +399,12 @@ def _common_risk_aversion(tab: _Tables) -> float | None:
     return levels.pop() if len(levels) == 1 and not tab.cara.any() else None
 
 
-def _fraction_of_wealth(v, wealth):
-    """v / wealth, 0 where the wealth is 0: the one zero-wealth rule."""
-    return np.divide(v, wealth, out=np.zeros(np.shape(v)), where=wealth != 0.0)
+def _fraction_of_wealth(v, wealth, rounding):
+    """v / wealth, 0 where |wealth| <= rounding, the one zero-wealth rule; the
+    bound is 2 eps (the magnitude of the wealth's five families + (1 + |log xi|)
+    |xi dX/dxi|, the wealth's move over the rounding of log xi)."""
+    return np.divide(v, wealth, out=np.zeros(np.shape(v)),
+                     where=np.abs(wealth) > rounding)
 
 
 def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
@@ -414,7 +418,10 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
     tab = _tables(env)
     h, R = _horizon(market, t, tab), _common_risk_aversion(tab)
     x_t, total, chords, p, q, *terms = _evaluate(_decomposition, xi_t, tab, h, y_star)
-    pct = _fraction_of_wealth(total, x_t)
+    eps2 = 2.0 * np.finfo(float).eps  # first, so that no magnitude overflows
+    rounding = (sum(np.abs(eps2 * f).sum(axis=0) for f in terms)
+                + eps2 * (1.0 + np.abs(np.log(xi_t))) * np.abs(total))
+    pct = _fraction_of_wealth(total, x_t, rounding)
     split = [None] * 4
     if R is not None:  # risk-seeking: the chords' gambling terms
         split = [x_t / R, chords, -h.disc / R * np.tensordot(tab.A, q, axes=1),
@@ -432,8 +439,8 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
                                    [slice(None)] * 2 + [tab.cara, tab.crra, tab.cara])
     return PortfolioDecomposition(
         merton=merton, risk_seeking=rs, loss_aversion=la, first_order_ra=fo,
-        total=total, wealth=x_t, percentage=pct, p=p, q=q, xD=xD, xA=xA,
-        xAbar=xAbar, xR=xR, xRbar=xRbar,
+        total=total, wealth=x_t, wealth_rounding=rounding, percentage=pct, p=p, q=q,
+        xD=xD, xA=xA, xAbar=xAbar, xR=xR, xRbar=xRbar,
     )
 
 

@@ -29,6 +29,11 @@ _VERIFY_TOL = 1e-10
 _KINK_RTOL = 1e-9
 
 
+def same_slope(s: float, t: float) -> bool:
+    """The one kink rule: s and t are one slope within _KINK_RTOL, or 1e-300."""
+    return math.isclose(s, t, rel_tol=_KINK_RTOL, abs_tol=1e-300)
+
+
 def _anchor(lo: float, hi: float, R: float, A: float) -> float:
     """Finite anchor in [lo, hi] where a branch's slope is finite.
 
@@ -241,17 +246,9 @@ class PharaUtility:
         return self.pieces[k - 1].slope_hi
 
     def kinks(self) -> list[float]:
-        """Domain floor plus interior points where the slope jumps."""
-        out = [self.a0]
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            a_k, s_minus, s_plus = right.a_lo, left.slope_hi, right.slope_lo
-            if math.isinf(s_minus) or math.isinf(s_plus):
-                if math.isinf(s_minus) != math.isinf(s_plus):
-                    out.append(a_k)
-                continue
-            if abs(s_minus - s_plus) > _KINK_RTOL * max(s_minus, s_plus, 1e-300):
-                out.append(a_k)
-        return out
+        """Domain floor plus the junctions whose slopes differ by :func:`same_slope`."""
+        return [self.a0] + [right.a_lo for left, right in zip(self.pieces, self.pieces[1:])
+                            if not same_slope(left.slope_hi, right.slope_lo)]
 
     # -- evaluation ----------------------------------------------------------
 

@@ -199,6 +199,7 @@ class TestSurfaceCommand:
             assert np.allclose(wealth_total(env, scn.market, y, t, xi), axis,
                                rtol=0.0, atol=1e-8)
             assert np.all(pct[axis < 0.0] != 0.0)
+            assert np.all(pct[axis == 0.0] == 0.0)  # wealth zero to rounding
 
 
 def _two_risk_aversions(tmp_path):

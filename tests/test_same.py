@@ -1,0 +1,42 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("same", ROOT / "tools" / "same.py")
+same = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same)
+
+
+def test_crra_against_itself(tmp_path):
+    # the bundled matrix's crra commands but the slow simulate, each run in
+    # this tree twice: exit codes, output and every artifact agree
+    runs = [(group, cmd) for group, cmd in same.matrix(tmp_path)
+            if group.name == "bundled" and cmd.scenario == "crra"
+            and cmd.command != "simulate"]
+    assert sorted({cmd.command for _, cmd in runs}) == ["decompose", "envelope",
+                                                        "solve", "surface", "verify"]
+    assert len(runs) == 14
+    assert same.compare(ROOT, ROOT, runs, tmp_path) == []
+
+
+def test_differences_are_named(tmp_path):
+    # a JSON leaf by its key path, a report in a list by its name, a CSV
+    # cell by row and column, a line of output by number; ulps count across 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, computed, cell, line in ((a, 1.0, "0.5", "PASS"), (b, 1.0000000000000002,
+                                                              "0.25", "FAIL")):
+        d.mkdir()
+        (d / "v.json").write_text(f'[{{"name": "mc", "computed": {computed!r}}}]')
+        (d / "s.csv").write_text(f"t,x\n0,1\n1,{cell}\n")
+        (d / "stdout").write_text(f"{line} mc\n")
+    (b / "extra.json").write_text("{}")
+    assert list(same.compare_dirs(a, b)) == [
+        ("extra.json", "", "<absent>", "present"),
+        ("s.csv", "[row 2].x", 0.5, 0.25),
+        ("stdout", "[line 1]", "PASS mc", "FAIL mc"),
+        ("v.json", ":[mc].computed", 1.0, 1.0000000000000002)]
+    assert same.describe(1.0, 1.0000000000000002) == \
+        "1.0 -> 1.0000000000000002 (1 ulps, rel 2.2e-16)"
+    assert same.distance(-5e-324, 5e-324) == (2, 2.0)
+    assert same.distance(-0.0, 0.0) == (0, 0.0)
+    assert same.distance("inf", 1.0) is None

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -226,6 +227,22 @@ class TestPortfolios:
             assert np.allclose(dec.risk_seeking, 0.0)
             assert np.allclose(dec.loss_aversion, 0.0)
             assert np.allclose(dec.first_order_ra, 0.0)
+
+    def test_wealth_zero_to_rounding(self, market):
+        # an exponential piece from a0 = -5, inverted at wealth 0: the wealth
+        # comes back as a few ulps of the magnitudes it is computed from, and
+        # its fraction is 0 as at a wealth of exactly 0 (it read 5e14); a
+        # level of 1e-12 keeps its ratio
+        env = concave_envelope(cara_utility(1.0, a0=-5.0)).envelope
+        y = solve_multiplier(env, market, 10.0).y_star
+        for t in (0.0, 5.0, 9.0):
+            xi = state_price_for_wealth(env, market, y, t, np.array([0.0, 1e-12]))
+            dec = portfolio_unified(env, market, y, t, xi)
+            assert abs(dec.wealth[0]) <= dec.wealth_rounding[0] < 1e-14
+            assert dec.percentage[0, 0] == 0.0
+            assert dec.wealth[1] > dec.wealth_rounding[1]
+            assert dec.percentage[0, 1] == pytest.approx(dec.total[0, 1] / dec.wealth[1],
+                                                         rel=1e-12)
 
     def test_pure_cara_constant_amount(self, market):
         alpha = 2.0
@@ -821,28 +838,65 @@ def test_phi_is_the_running_maximum(seed, market, frac, logs):
        st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))
 def test_no_kink_weight_at_a_tangency(seed, market, log_y, frac, logs):
     # where a chord touches a curve the envelope is differentiable, so the
-    # kink weight p there is 0: exactly 0 where the two ladder slopes are one
-    # double (one D row), and within their gap in D where concavification
-    # left them ulps apart
+    # kink weight p there is exactly 0, even where concavification left the
+    # two slopes ulps apart: a junction that is no kink has one ladder slot
     result = concave_envelope(random_raw_utility(np.random.default_rng(seed)))
     env, t = result.envelope, frac * market.T
     dec = portfolio_unified(env, market, math.exp(log_y), t, np.exp(logs))
     for x in result.tangency_points:
-        k = env.partition.tolist().index(x)
-        gap = abs(math.log(env.gamma_minus(k) / env.gamma_plus(k))) / _horizon(market, t).s
-        assert np.all(dec.p[k] == 0.0) if gap == 0.0 else np.all(dec.p[k] <= gap + 1e-15)
+        assert np.all(dec.p[env.partition.tolist().index(x)] == 0.0)
+
+
+def _slots(env, keep=None):
+    """Ladder slots by the kink rule: two per kept piece, one per linear
+    piece, less one per junction of two kept pieces that ``kinks()`` does not
+    list.  keep=None keeps every piece and adds the ladder's first row, the
+    slope inf left of a0, unless the first piece's slope is infinite there."""
+    kinks, pairs = env.kinks(), zip(env.pieces, env.pieces[1:])
+    head = keep is None and env.pieces[0].slope_lo < INF
+    keep = keep or (lambda p: True)
+    return (head + sum(1 if p.R == 0.0 else 2 for p in env.pieces if keep(p))
+            - sum(keep(a) and keep(b) and b.a_lo not in kinks for a, b in pairs))
+
+
+def _assert_one_slot_per_smooth_junction(env):
+    tab = _tables(env)  # NotConcave where the ladder rises
+    kinks = env.kinks()
+    for k, x in enumerate(env.partition[1:-1], 1):  # a0 is a kink by fiat
+        assert (tab.slot[2 * k + 1] != tab.slot[2 * k]) == (x in kinks), x
+    assert tab.log_slopes.size == _slots(env)
+
+
+@given(seeds)
+def test_one_slot_per_smooth_junction_properties(seed):
+    # every envelope the sweep builds passes _tables' concavity check, and
+    # each junction that kinks() does not list shares one slot
+    _assert_one_slot_per_smooth_junction(_raw_envelope(seed))
+
+
+@pytest.mark.parametrize("name, gain", [(n, None) for n in BUNDLED]
+                         + [("hedge_fund", 1e-300)])
+def test_one_slot_per_smooth_junction(tmp_path, name, gain):
+    # gain exponent 1e-300: the slopes 3.03e-301 and 6.93e-301 at the
+    # junction 3.297 are one slope by the kink rule, for the sweep, kinks()
+    # and _tables alike
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    if gain is not None:
+        raw["utility"]["preference"]["gain_exponent"] = gain
+    (tmp_path / "s.json").write_text(json.dumps(raw))
+    utility = load_scenario(tmp_path / "s.json").utility
+    _assert_one_slot_per_smooth_junction(concave_envelope(utility).envelope)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_one_phi_call_per_block(monkeypatch, name):
-    # a block of wealth_total makes one normal.cdf call, on the distinct
-    # ladder slopes and two rows per power piece; a block of the Euler
-    # step's portfolio_general reads only the exponential pieces' slopes
+    # a block of wealth_total makes one normal.cdf call, on the ladder's
+    # slots, which the kink rule counts, and two rows per power piece; a
+    # block of the Euler step's portfolio_general reads only the
+    # exponential pieces' slots
     scn = load_scenario(SCENARIOS / f"{name}.json")
     env, market = concave_envelope(scn.utility).envelope, scn.market
     power = sum(0.0 < p.R < INF for p in env.pieces)
-    slopes = {INF, *(s for p in env.pieces for s in (p.slope_lo, p.slope_hi))}  # inf: left of a0
-    cara = {s for p in env.pieces if p.R == INF for s in (p.slope_lo, p.slope_hi)}
     shapes, cdf = [], normal.cdf
 
     def counted(x, out=None):
@@ -851,11 +905,11 @@ def test_one_phi_call_per_block(monkeypatch, name):
     monkeypatch.setattr(normal, "cdf", counted)
     xi = np.geomspace(0.1, 10.0, _BLOCK + 1)
     wealth_total(env, market, 1.0, 1.0, xi)
-    rows = len(slopes) + 2 * power
+    rows = _slots(env) + 2 * power
     assert shapes == [(rows, _BLOCK), (rows, 1)]
     shapes.clear()
     portfolio_general(env, market, 1.0, 1.0, xi)
-    rows = len(cara) + 2 * power
+    rows = _slots(env, lambda p: p.R == INF) + 2 * power
     assert shapes == [(rows, _BLOCK), (rows, 1)]
 
 

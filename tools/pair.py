@@ -71,12 +71,29 @@ def build(tree: Path) -> bool:
     return True
 
 
-def run_child(argv: list, env: dict, cwd: Path, log: Path) -> dict:
-    """Run argv to completion: exit code, wall and CPU seconds, peak RSS in MB."""
-    with log.open("wb") as fh:
+def plan_commands(workload: str, seed: int, scenario_dir: Path) -> list:
+    """The commands of the plan that ``perfbench/run.py --seconds 40`` runs,
+    with its scenario files written into scenario_dir."""
+    plan = build_plan(workload, seed, PLAN_SECONDS, ROOT / "scenarios")
+    plan.write_scenarios(scenario_dir)
+    return plan.commands
+
+
+def phara_argv(cmd, scenario_dir: Path, out: Path) -> list:
+    """The child process's command line for one plan command."""
+    return [sys.executable, "-m", "phara.cli", cmd.command,
+            "--scenario", str(scenario_dir / f"{cmd.scenario}.json"),
+            "--out", str(out), *cmd.args]
+
+
+def run_child(argv: list, env: dict, cwd: Path, out: Path) -> dict:
+    """Run argv to completion, its standard output and error written to the
+    files ``stdout`` and ``stderr`` in out: exit code, wall and CPU seconds,
+    peak RSS in MB."""
+    with (out / "stdout").open("wb") as fh, (out / "stderr").open("wb") as err:
         t0 = time.perf_counter()
-        proc = subprocess.Popen(argv, env=env, cwd=cwd, stdout=fh,
-                                stderr=subprocess.STDOUT, stdin=subprocess.DEVNULL)
+        proc = subprocess.Popen(argv, env=env, cwd=cwd, stdout=fh, stderr=err,
+                                stdin=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
     return {"rc": os.waitstatus_to_exitcode(status), "wall": wall,
@@ -134,12 +151,11 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if not all([build(tree) for tree in trees.values()]):
         return 2
-    plan = build_plan(args.workload, args.seed, PLAN_SECONDS, ROOT / "scenarios")
-    commands = [c for c in plan.commands if args.only in c.name]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="phara-pair-") as tmp:
         work = Path(tmp)
-        plan.write_scenarios(work / "scenarios")
+        commands = [c for c in plan_commands(args.workload, args.seed, work / "scenarios")
+                    if args.only in c.name]
         for k in range(args.rounds):
             order = list(commands)
             random.Random(f"{args.seed}/pair/{k}").shuffle(order)
@@ -150,11 +166,8 @@ def main(argv=None) -> int:
                 for side in sides:
                     out = work / "out" / side / str(k) / cmd.name
                     out.mkdir(parents=True)
-                    argv = [sys.executable, "-m", "phara.cli", cmd.command,
-                            "--scenario", str(work / "scenarios" / f"{cmd.scenario}.json"),
-                            "--out", str(out), *cmd.args]
-                    pair[side] = run_child(argv, child_env(trees[side]), work,
-                                           out / "console.log")
+                    pair[side] = run_child(phara_argv(cmd, work / "scenarios", out),
+                                           child_env(trees[side]), work, out)
                 pairs.append(pair)
 
     summary = summarize(pairs)

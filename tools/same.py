@@ -1,0 +1,215 @@
+"""Artifact comparison of two checkouts over one fixed command matrix.
+
+    python tools/same.py PARENT_TREE [CHANGE_TREE]
+
+Each tree is a checkout holding ``src/phara``; CHANGE_TREE defaults to this
+repository.  Both trees are byte-compiled and run the same matrix as
+``python -m phara.cli`` child processes, at most two at a time:
+
+- all six commands on the four bundled scenarios at their defaults, and
+  ``decompose`` at ten points each (state prices and wealth levels across
+  the horizon, the state prices 1e-200 and 1e200 whose wealth does not fit
+  a double included);
+- every command of the ``surface_sweep`` and ``cold_commands`` plans that
+  ``perfbench/run.py --seconds 40`` runs, for seeds 1 and 7.
+
+The inputs come from this repository, so both trees read the same files.
+For every command it compares the exit code, the standard output and error,
+line by line, and the bytes of every artifact.  Where an artifact differs it
+names the JSON key path (a report in a list by its ``name``) or the CSV
+cell, the two values, their distance in units in the last place (ulps) and
+their relative difference.  A summary counts the differences per file and
+key, with the largest relative difference.  A report, not a gate: the exit
+code is 0 when nothing differs, 1 when something does and 2 when a tree has
+no sources.  It uses the standard library only, with the plan and
+child-process code of ``tools/pair.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import math
+import re
+import shutil
+import struct
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+from pair import build, child_env, phara_argv, plan_commands, run_child  # noqa: E402
+from scenarios import BUNDLED, WORKLOADS, Command  # noqa: E402  (pair's path)
+
+SEEDS = (1, 7)
+WORKERS = 2
+# decompose points (t, flag, value); "x0" is the scenario's initial wealth
+POINTS = ((5.0, "--xi", 1.0), (5.0, "--xi", 0.3), (9.0, "--xi", 2.5),
+          (2.0, "--xi", 1e-3), (5.0, "--xi", 1e-200), (5.0, "--xi", 1e200),
+          (0.0, "--x", "x0"), (5.0, "--x", "x0"), (5.0, "--x", 30.0),
+          (9.5, "--x", 1.5))
+
+
+def bundled_commands(scenario_dir: Path) -> list:
+    """The six commands on each bundled scenario, decompose at POINTS, with
+    the scenario files copied into scenario_dir."""
+    scenario_dir.mkdir(parents=True)
+    commands = []
+    for name in BUNDLED:
+        copy = shutil.copy(ROOT / "scenarios" / f"{name}.json", scenario_dir)
+        x0 = json.loads(Path(copy).read_text())["x0"]
+        commands += [Command(f"{c}-{name}", c, name)
+                     for c in ("envelope", "solve", "surface", "verify", "simulate")]
+        commands += [Command(f"decompose-{name}-t{t:g}{flag}{v}", "decompose", name,
+                             ["--t", repr(t), flag, repr(x0 if v == "x0" else v)])
+                     for t, flag, v in POINTS]
+    return commands
+
+
+def matrix(work: Path) -> list:
+    """(scenario directory, command) for the whole matrix, every scenario
+    file written under work; the directory's name labels the group."""
+    groups = {work / "bundled": bundled_commands(work / "bundled")}
+    for workload, seed in itertools.product(WORKLOADS, SEEDS):
+        group = work / f"{workload}-{seed}"
+        groups[group] = plan_commands(workload, seed, group)
+    return [(group, cmd) for group, commands in groups.items() for cmd in commands]
+
+
+def _ordered(x: float) -> int:
+    """x's bit pattern as an integer that counts ulps across zero."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def distance(a, b):
+    """(ulps, relative difference) of two finite numbers, else None."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and math.isfinite(v) for v in (a, b)):
+        return None
+    rel = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+    return abs(_ordered(float(a)) - _ordered(float(b))), rel
+
+
+def describe(a, b) -> str:
+    """The two values, with their distance when both are finite numbers."""
+    dist = distance(a, b)
+    return f"{a!r} -> {b!r}" + ("" if dist is None else " ({} ulps, rel {:.2g})".format(*dist))
+
+
+def _json_diff(a, b, path: str):
+    """(key path, a, b) for every leaf where two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                yield from _json_diff(a[key], b[key], sub)
+            else:
+                yield sub, a.get(key, "<absent>"), b.get(key, "<absent>")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (u, v) in enumerate(zip(a, b)):
+            label = u.get("name", i) if isinstance(u, dict) else i
+            yield from _json_diff(u, v, f"{path}[{label}]")
+    elif repr(a) != repr(b):  # 1 and 1.0, or -0.0 and 0.0, differ too
+        yield path, a, b
+
+
+def _csv_diff(a: str, b: str):
+    """(cell, a, b) for every CSV cell that differs, the cell as
+    [row k].column with rows counted from 1 below the header."""
+    rows_a, rows_b = a.splitlines(), b.splitlines()
+    head = rows_a[0].split(",")
+    if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
+        yield "shape", f"{len(rows_a)} rows: {rows_a[0]}", f"{len(rows_b)} rows: {rows_b[0]}"
+        return
+    for k, (u, v) in enumerate(zip(rows_a[1:], rows_b[1:]), 1):
+        for col, x, y in zip(head, u.split(","), v.split(",")):
+            if x != y:
+                yield f"[row {k}].{col}", float(x), float(y)
+
+
+def _text_diff(a: str, b: str):
+    """([line k], a, b) for every line that differs."""
+    for k, (u, v) in enumerate(itertools.zip_longest(a.splitlines(), b.splitlines()), 1):
+        if u != v:
+            yield f"[line {k}]", u, v
+
+
+def compare_dirs(a: Path, b: Path):
+    """(file, place, a, b) for every difference between two output
+    directories: a file in one only, or a JSON leaf, CSV cell or text line."""
+    names = sorted({p.relative_to(d).as_posix() for d in (a, b)
+                    for p in d.rglob("*") if p.is_file()})
+    for name in names:
+        fa, fb = a / name, b / name
+        if not (fa.is_file() and fb.is_file()):
+            yield name, "", *("present" if f.is_file() else "<absent>" for f in (fa, fb))
+            continue
+        ta, tb = fa.read_text(), fb.read_text()
+        if ta == tb:
+            continue
+        if name.endswith(".json"):
+            diffs = _json_diff(json.loads(ta), json.loads(tb), "")
+            yield from ((name, f":{path}", u, v) for path, u, v in diffs)
+        else:
+            diffs = (_csv_diff if name.endswith(".csv") else _text_diff)(ta, tb)
+            yield from ((name, place, u, v) for place, u, v in diffs)
+
+
+def compare(parent: Path, change: Path, runs: list, work: Path) -> list:
+    """Run every (scenario directory, command) of runs in both trees, outputs
+    under work, and return one (command, file, place, parent value, change
+    value) per difference; the file of an exit code is "exit code"."""
+    jobs = [(side, tree, group, cmd) for group, cmd in runs
+            for side, tree in (("parent", parent), ("change", change))]
+
+    def run(job):
+        side, tree, group, cmd = job
+        out = work / side / group.name / cmd.name
+        out.mkdir(parents=True)
+        return run_child(phara_argv(cmd, group, out), child_env(tree), work, out)["rc"]
+
+    with ThreadPoolExecutor(WORKERS) as pool:
+        codes = list(pool.map(run, jobs))
+    diffs = []
+    for (group, cmd), rc_a, rc_b in zip(runs, codes[::2], codes[1::2]):
+        name = f"{group.name}/{cmd.name}"
+        if rc_a != rc_b:
+            diffs.append((name, "exit code", "", rc_a, rc_b))
+        diffs += [(name, *d) for d in compare_dirs(work / "parent" / group.name / cmd.name,
+                                                   work / "change" / group.name / cmd.name)]
+    return diffs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="parent checkout")
+    ap.add_argument("change", type=Path, nargs="?", default=ROOT,
+                    help="changed checkout (default: this repository)")
+    args = ap.parse_args(argv)
+    trees = [args.parent.resolve(), args.change.resolve()]
+    if not all([build(tree) for tree in trees]):
+        return 2
+    with tempfile.TemporaryDirectory(prefix="phara-same-") as tmp:
+        runs = matrix(Path(tmp))
+        diffs = compare(*trees, runs, Path(tmp))
+    tally = {}
+    for name, file, place, a, b in diffs:
+        print(f"{name}/{file}{place}: {describe(a, b)}")
+        key = (file, re.sub(r"\[[^]]*\]", "[]", place))  # the key, without indices
+        tally.setdefault(key, []).append(distance(a, b))
+    for (file, place), dists in sorted(tally.items()):
+        worst = max((d[1] for d in dists if d), default=None)
+        print(f"summary {file}{place}: {len(dists)} differences"
+              + ("" if worst is None else f", largest rel {worst:.2g}"))
+    print(f"{len(diffs)} differences in {len({d[0] for d in diffs})} of "
+          f"{len(runs)} commands")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

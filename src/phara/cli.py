@@ -254,7 +254,7 @@ def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.
     grid = scn.wealth_grid
     if grid is not None:
         return np.linspace(grid.lo, grid.hi, grid_n if grid.n is None else grid.n)
-    disc = math.exp(-scn.market.r * scn.market.tau(t))
+    disc = scn.market.discount(t)
     a_n = env.pieces[-1].a_lo
     hi = disc * (a_n + 0.5 * max(1.0, a_n - env.a0))
     return np.linspace(disc * env.a0, hi, grid_n)[1:]

@@ -24,11 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoConvergence, UnboundedEnvelope
-from .solver import _newton_root
+from .solver import _MAX_EXPAND, _newton_root
 from .utility import INF, PharaPiece, PharaUtility, same_slope
 
 _RESIDUAL_TOL = 1e-12
-_MAX_EXPAND = 200
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,10 @@ class _Sweep:
         (x, v) and lies above every piece right of it; k = -1 is the anchor."""
         for k in range(len(self.hull) - 1, -1, -1):
             piece = self.hull[k]
-            if s <= piece.slope_hi or same_slope(s, piece.slope_hi):
+            # a tie holds for a curve only: past a line's slope its left end
+            # supports, and its right end would lift the intercept off the hull
+            if s <= piece.slope_hi or (piece.R != 0.0 and same_slope(s, piece.slope_hi)):
                 return k, piece.a_hi, piece.value_hi
-            # a linear piece has one slope, so only a curve gets here
             if s <= piece.slope_lo:
                 x = min(max(piece.slope_inverse(s), piece.a_lo), piece.a_hi)
                 if not _short(piece.a_lo, x):
@@ -250,7 +250,7 @@ class _Sweep:
         for k, piece in enumerate(self.utility.pieces):
             if k > 0:
                 self.attach_point(piece.a_lo, piece.value_lo)
-            if piece.curvature == "convex":
+            if piece.convex:
                 continue
             self.attach_arc(piece)
         return self.hull

@@ -31,6 +31,8 @@ class MarketParams:
     T : horizon in years
     theta : (m,) market price of risk, the solution of sigma @ theta = mu - r
     theta_norm : Euclidean norm of theta
+    risk_direction : (m,) (sigma^T)^{-1} theta, the common direction of every
+        portfolio term
     """
 
     r: float
@@ -39,6 +41,7 @@ class MarketParams:
     T: float
     theta: np.ndarray
     theta_norm: float
+    risk_direction: np.ndarray
 
     @property
     def m(self) -> int:
@@ -49,6 +52,17 @@ class MarketParams:
         if not 0.0 <= t < self.T:
             raise BadTime(f"t={t} outside [0, {self.T})")
         return self.T - t
+
+    def discount(self, t: float) -> float:
+        """e^{-r (T - t)}, the time-t price of one unit paid at T; BadTime
+        outside [0, T)."""
+        return math.exp(-self.r * self.tau(t))
+
+    def kernel(self, t: float, theta_w) -> np.ndarray:
+        """Pricing kernel xi_t = exp{-(r + |theta|^2/2) t - theta.W_t} from
+        theta.W_t; xi_0 = 1.  Over a step dt with increment theta.dW it is
+        the step's factor of xi."""
+        return np.exp(-(self.r + 0.5 * self.theta_norm**2) * t - theta_w)
 
 
 def build_market(r: float, mu, sigma, T: float) -> MarketParams:
@@ -109,12 +123,12 @@ def build_market(r: float, mu, sigma, T: float) -> MarketParams:
     if resid > _THETA_RESIDUAL_TOL * max(1.0, np.linalg.norm(excess)):
         raise SingularVolatility(f"market price of risk residual {resid:.3e}")
 
-    mu.setflags(write=False)
-    sigma.setflags(write=False)
-    theta.setflags(write=False)
+    direction = np.linalg.solve(sigma.T, theta)
+    for array in (mu, sigma, theta, direction):
+        array.setflags(write=False)
     return MarketParams(
         r=float(r), mu=mu, sigma=sigma, T=float(T),
-        theta=theta, theta_norm=theta_norm,
+        theta=theta, theta_norm=theta_norm, risk_direction=direction,
     )
 
 
@@ -140,19 +154,12 @@ def standard_normals(seed: int, n: int, stream: int = 0, start: int = 0) -> np.n
     return _centred_normals(raw[start % 4:])
 
 
-def _kernel(market: MarketParams, t: float, z) -> np.ndarray:
-    """Pricing kernel xi_t = exp{-(r + |theta|^2/2) t - |theta| sqrt(t) z}.
-
-    ``z`` is the standard normal theta.W_t / (|theta| sqrt(t)); xi_0 = 1.
-    """
-    drift = (market.r + 0.5 * market.theta_norm**2) * t
-    return np.exp(-drift - market.theta_norm * math.sqrt(t) * z)
-
-
 def sample_kernel_at(market: MarketParams, t: float, n_paths: int,
                      seed: int, start: int = 0) -> np.ndarray:
     """xi_t from time zero (xi_0 = 1) on paths start, ..., start + n_paths - 1
     of stream 0 of ``standard_normals``: deterministic per seed and path."""
     if not 0.0 < t <= market.T:
         raise BadTime(f"t={t} outside (0, {market.T}]")
-    return _kernel(market, t, standard_normals(seed, n_paths, start=start))
+    # theta.W_t = |theta| sqrt(t) z for a standard normal z
+    return market.kernel(t, market.theta_norm * math.sqrt(t)
+                         * standard_normals(seed, n_paths, start=start))

@@ -97,15 +97,13 @@ def pdf(x):
         return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-def cdf(x, out=None):
-    """Standard normal CDF; exact 0 at and below -37.5, exact 1 from 8.3 on,
-    NaN for NaN.  In place with ``out=x``, x a C-contiguous float array, so
-    that only the series' own arguments are copied; else on a copy of x."""
-    if out is None:
-        out = np.array(x, dtype=float, order="C")
-    elif out is not x or out.dtype != float or not out.flags.c_contiguous:
-        raise ValueError("normal.cdf: out must be x, a C-contiguous float array")
-    v = out.reshape(-1)  # the arguments, each overwritten by its Phi in [0, 1]
+def cdf(x):
+    """Standard normal CDF, in place: x, a C-contiguous float array, is
+    overwritten and returned, so that only the series' own arguments are
+    copied.  Exact 0 at and below -37.5, exact 1 from 8.3 on, NaN for NaN."""
+    if not (isinstance(x, np.ndarray) and x.dtype == float and x.flags.c_contiguous):
+        raise ValueError("normal.cdf: x must be a C-contiguous float array")
+    v = x.reshape(-1)  # the arguments, each overwritten by its Phi in [0, 1]
     idx = np.flatnonzero((v > -_X_ONE) & (v < _X_ONE))
     if idx.size:
         y = v[idx]
@@ -124,7 +122,7 @@ def cdf(x, out=None):
     # the rest: exact 0 below, exact 1 above, NaN for NaN; Phi in [0, 1] stays
     np.maximum(v, 0.0, out=v)
     np.minimum(v, 1.0, out=v)
-    return float(v[0]) if out.ndim == 0 else out
+    return x
 
 
 def _lower_tail(y, piece):

@@ -30,7 +30,7 @@ from . import normal
 from .errors import (BadDimension, IllegalCase, InfeasibleBudget,
                      NoConvergence, NotConcave, UnboundedDemand)
 from .market import MarketParams
-from .utility import _KINK_RTOL, INF, PharaUtility
+from .utility import INF, PharaUtility, same_slope
 
 _BUDGET_RTOL = 1e-10
 _MAX_EXPAND = 200
@@ -46,12 +46,11 @@ class _Horizon(NamedTuple):
     growth: np.ndarray  # wealth growth factor per power piece, a column
 
 
-def _horizon(market: MarketParams, t: float, tab: _Tables | None = None) -> _Horizon:
+def _horizon(market: MarketParams, t: float, tab: _Tables) -> _Horizon:
     """The constants of the time to horizon that every closed form reads,
     computed once per evaluation, with the growth factors of tab's power
     pieces; BadTime outside [0, T), IllegalCase where a factor overflows."""
-    tau, th = market.tau(t), market.theta_norm
-    R = np.empty(0) if tab is None else tab.R[tab.crra]
+    tau, th, R = market.tau(t), market.theta_norm, tab.R[tab.crra]
     try:  # the smallest R has the largest growth
         with np.errstate(over="raise"):
             growth = np.array([math.exp(-b * (market.r + 0.5 * th**2) * tau
@@ -59,7 +58,7 @@ def _horizon(market: MarketParams, t: float, tab: _Tables | None = None) -> _Hor
     except (OverflowError, FloatingPointError):
         raise IllegalCase(f"power piece with R = {R.min()}: its wealth growth factor "
                           f"overflows at T - t = {tau}") from None
-    return _Horizon(th * math.sqrt(tau), math.exp(-market.r * tau),
+    return _Horizon(th * math.sqrt(tau), market.discount(t),
                     (market.r - 0.5 * th**2) * tau, growth[:, None])
 
 
@@ -132,13 +131,13 @@ def _tables(env: PharaUtility) -> _Tables:
     A = np.where(crra, [p.A for p in env.pieces], 0.0)
     alpha = np.array([p.alpha if p.R == INF else 0.0 for p in env.pieces])
 
-    # slope ladder must be nonincreasing: gminus[k] >= gplus[k] >= gminus[k+1]
+    # slope ladder must be nonincreasing: gminus[k] >= gplus[k] >= gminus[k+1],
+    # where a rise within the one kink rule is one slope
     ladder = np.empty(2 * n1 + 1)
     ladder[0::2] = [env.gamma_minus(k) for k in range(n1 + 1)]
     ladder[1::2] = [env.gamma_plus(k) for k in range(n1)]
-    with np.errstate(invalid="ignore"):  # same_slope's tolerances; inf - inf: no rise
-        rises = np.diff(ladder) > np.maximum(_KINK_RTOL * ladder[:-1], 1e-300)
-    if np.any(rises):
+    g = ladder.tolist()
+    if any(g[i + 1] > g[i] and not same_slope(g[i], g[i + 1]) for i in range(2 * n1)):
         raise NotConcave("utility is not concave; build its envelope first")
 
     C = np.zeros(n1)
@@ -170,11 +169,6 @@ def _tables(env: PharaUtility) -> _Tables:
     for arr in vars(tab).values():
         arr.setflags(write=False)
     return tab
-
-
-def _risk_vector(market: MarketParams) -> np.ndarray:
-    """(sigma^T)^{-1} theta, the common direction of every portfolio term."""
-    return np.linalg.solve(market.sigma.T, market.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +215,7 @@ def _phi(tab: _Tables, h: _Horizon, log_w, slots):
     F = D[np.concatenate((np.arange(len(D))[slots], tab.crra_rungs))]
     n = len(F) - 2 * len(R)  # the ladder rows
     F[n:] -= np.repeat(h.s / R, 2, axis=0)
-    normal.cdf(F, out=F)
+    normal.cdf(F)
     for i in range(1, n):
         np.maximum(F[i - 1], F[i], out=F[i])
     cell = F[n + 1::2] - F[n::2]
@@ -332,7 +326,7 @@ def solve_multiplier(env: PharaUtility, market: MarketParams,
     rung = 2.0 * math.floor(0.5 * math.log(y_star))
     return DualSolution(y_star=y_star, budget_residual=float(resid),
                         bracket=(math.exp(rung), math.exp(rung + 2.0)), x0=x0,
-                        feasible_floor=_horizon(market, 0.0).disc * env.a0)
+                        feasible_floor=market.discount(0.0) * env.a0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
     tab = _tables(env)
     scalar = _evaluate(_hedge_rows, xi_t, tab, _horizon(market, t, tab), y_star,
                        first="optimal portfolio")[0]
-    return np.multiply.outer(_risk_vector(market), scalar)
+    return np.multiply.outer(market.risk_direction, scalar)
 
 
 @dataclass(frozen=True)
@@ -428,7 +422,7 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
                  -h.disc / R * np.tensordot(tab.a[:-1], p, axes=1)]
 
     def vector(v):
-        return None if v is None else np.multiply.outer(_risk_vector(market), v)
+        return None if v is None else np.multiply.outer(market.risk_direction, v)
 
     def per_piece(v, mask=slice(None)):  # one row per piece, 0 off the mask
         out = np.zeros(p.shape)
@@ -530,7 +524,7 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
     u = log xi with dX/du = -(delta-hedge scalar); it bisects where wealth is
     flat near the floor.
     """
-    tab, floor = _tables(env), _horizon(market, t).disc * env.a0  # not concave, bad t
+    tab, floor = _tables(env), market.discount(t) * env.a0  # not concave, bad t
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xs.shape, xi_cap)
     attainable = xs > floor

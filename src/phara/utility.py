@@ -168,13 +168,10 @@ class PharaPiece:
         return float(self.slope(self.a_hi))
 
     @property
-    def curvature(self) -> str:
-        """'concave', 'convex', or 'linear' on the open cell."""
-        if self.R == 0.0:
-            return "linear"
-        if self.R == INF:
-            return "concave"
-        return "concave" if self.A <= self.a_lo else "convex"
+    def convex(self) -> bool:
+        """Convex on the open cell: a power or log branch whose benchmark
+        lies above the cell."""
+        return 0.0 < self.R < INF and self.A > self.a_lo
 
 
 @dataclass(frozen=True)

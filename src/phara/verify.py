@@ -11,7 +11,7 @@ import numpy as np
 from .errors import StepTooCoarse
 from .market import MarketParams, sample_kernel_at, standard_normals
 from .solver import (budget, optimal_terminal_wealth, portfolio_general,
-                     wealth_total, _BLOCK, _risk_vector)
+                     wealth_total, _BLOCK)
 from .utility import PharaUtility
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -58,7 +58,7 @@ def argmax_oracle(utility: PharaUtility, y: float, xi_T: float) -> float:
     lo = utility.a0
     hi = _grid_upper_limit(utility, w)
     xs = np.linspace(lo, hi, _ARGMAX_GRID)
-    if not utility.a0_included or not np.isfinite(utility.value_at_a0):
+    if not np.isfinite(utility.value_at_a0):  # -inf where a0 is excluded
         xs[0] = lo + (hi - lo) * 1e-12
     vals = utility.value(xs) - w * xs
     i = int(np.argmax(vals))
@@ -147,7 +147,7 @@ def fd_portfolio_check(env: PharaUtility, market: MarketParams, y_star: float,
     x_t, up, dn = wealth_total(env, market, y_star, t,
                                xi_t * np.exp([0.0, step, -step]))
     slope = (up - dn) / (2.0 * step)  # xi dX/dxi
-    direction = _risk_vector(market)
+    direction = market.risk_direction
     pi_fd = -direction * slope
     pi = portfolio_general(env, market, y_star, t, xi_t)
     noise = float(4.0 * np.finfo(float).eps * (1.0 + abs(x_t)) / (2.0 * step)
@@ -187,7 +187,6 @@ def simulate_strategy(env: PharaUtility, market: MarketParams, y_star: float,
     m = market.m
     grid = market.T * (1.0 - (1.0 - np.arange(n_steps + 1) / n_steps) ** 2)
     excess = market.mu - market.r
-    kernel_rate = market.r + 0.5 * market.theta_norm**2
 
     x = np.full(n_paths, x0)
     xi = np.ones(n_paths)
@@ -197,7 +196,7 @@ def simulate_strategy(env: PharaUtility, market: MarketParams, y_star: float,
                                               stream=i).reshape(m, n_paths)
         diffusion = ((market.sigma.T @ pi) * dW).sum(axis=0)
         x = x + (market.r * x + excess @ pi) * dt + diffusion
-        xi = xi * np.exp(-kernel_rate * dt - market.theta @ dW)
+        xi = xi * market.kernel(dt, market.theta @ dW)
 
     return float(np.sqrt(np.mean((x - optimal_terminal_wealth(env, y_star, xi))**2)))
 

@@ -9,8 +9,9 @@ from hypothesis import settings
 from phara.concavify import concave_envelope
 from phara.errors import IllegalCase
 from phara.market import build_market
-from phara.solver import _d1_outer, _horizon, solve_multiplier
-from phara.utility import INF, PharaPiece, PharaUtility, crra_utility, participating_contract_utility
+from phara.solver import _d1_outer, _horizon, _tables, solve_multiplier
+from phara.utility import (INF, PharaPiece, PharaUtility, cara_utility, crra_utility,
+                           participating_contract_utility)
 
 
 # property tests: a fixed example budget per test keeps the suite's runtime
@@ -58,7 +59,8 @@ def d1(z, market, t: float):
     the solver's ladder kernel ``_d1_outer``."""
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
-        out = _d1_outer(np.log(z), 0.0, _horizon(market, t))
+        # no power piece, so no growth factor to compute
+        out = _d1_outer(np.log(z), 0.0, _horizon(market, t, _tables(cara_utility(1.0))))
     return float(out) if out.ndim == 0 else out
 
 

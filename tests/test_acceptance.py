@@ -11,12 +11,11 @@ import numpy as np
 
 from conftest import (CONTRACT_PARAMS, interesting_multipliers,
                       random_concave_envelope)
-from phara.concavify import concave_envelope
-from phara.market import sample_kernel_at
 from phara.solver import (optimal_terminal_wealth, portfolio_general,
                           portfolio_unified, sahara_portfolio, solve_multiplier,
-                          state_price_for_wealth, wealth_total)
-from phara.verify import argmax_oracle, fd_portfolio_check, simulate_order_check
+                          state_price_for_wealth)
+from phara.verify import (argmax_oracle, fd_portfolio_check, mc_budget_check,
+                          mc_martingale_check, simulate_order_check)
 
 
 def _report(number, label, ok, detail=""):
@@ -134,26 +133,18 @@ def test_criterion_6_budget_martingale_mc(market, demo_envelope, demo_dual,
     start = time.time()
     n = 100_000
     seed = 20260810
-    ok = True
-    details = []
     cases = [("crra", crra_envelope, solve_multiplier(crra_envelope, market, 10.0)),
              ("demo", demo_envelope.envelope, demo_dual),
              ("contract", contract_envelope.envelope, contract_dual)]
-    for name, env, sol in cases:
-        xi_T = sample_kernel_at(market, market.T, n, seed)
-        v = xi_T * optimal_terminal_wealth(env, sol.y_star, xi_T)
-        se = v.std(ddof=1) / math.sqrt(n)
-        gap = abs(v.mean() - sol.x0)
-        ok = ok and gap <= 3 * se
-        details.append(f"{name} budget gap {gap:.4f} (3se={3 * se:.4f})")
+    reports = [(name, mc_budget_check(env, market, sol.y_star, n, seed))
+               for name, env, sol in cases]
     env, sol = demo_envelope.envelope, demo_dual
-    for i, t in enumerate((market.T / 4, market.T / 2, 3 * market.T / 4)):
-        xi_t = sample_kernel_at(market, t, n, seed + 1 + i)
-        v = xi_t * wealth_total(env, market, sol.y_star, t, xi_t)
-        se = v.std(ddof=1) / math.sqrt(n)
-        gap = abs(v.mean() - sol.x0)
-        ok = ok and gap <= 3 * se
-        details.append(f"t={t:g} gap {gap:.4f} (3se={3 * se:.4f})")
+    reports += [("demo", mc_martingale_check(env, market, sol.y_star, t, n, seed + 1 + i))
+                for i, t in enumerate((market.T / 4, market.T / 2, 3 * market.T / 4))]
+    # each report passes within 3 standard errors of the closed-form budget
+    ok = all(rep.passed for _, rep in reports)
+    details = [f"{name} {rep.name} gap {abs(rep.computed - rep.oracle):.4f} "
+               f"(3se={rep.tolerance:.4f})" for name, rep in reports]
     elapsed = time.time() - start
     _report(6, "budget/martingale Monte-Carlo", ok and elapsed < 30.0,
             "; ".join(details) + f", {elapsed:.1f}s")
@@ -198,7 +189,7 @@ def test_criterion_8_portfolio_shape(market, demo_envelope, demo_dual):
         scaled = []
         for tau in (1e-2, 1e-4):
             t = market.T - tau
-            x = math.exp(-market.r * tau) * x_ref
+            x = market.discount(t) * x_ref
             xi = state_price_for_wealth(env, market, y, t, x)
             dec = portfolio_unified(env, market, y, t, xi)
             scaled.append(float(dec.percentage[0]) * math.sqrt(tau))
@@ -211,7 +202,7 @@ def test_criterion_8_portfolio_shape(market, demo_envelope, demo_dual):
     tau = 1e-4
     t = market.T - tau
     for a_k in (4.0, 4.4, 12.0, 40.0):
-        x = math.exp(-market.r * tau) * a_k
+        x = market.discount(t) * a_k
         xi = state_price_for_wealth(env, market, y, t, x)
         dec = portfolio_unified(env, market, y, t, xi)
         pct = abs(float(dec.percentage[0]))

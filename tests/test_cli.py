@@ -193,7 +193,7 @@ class TestSurfaceCommand:
         axis = np.linspace(-3.0, 3.0, 7)
         for t in scn.t_grid:
             _, x, xi, pct = data[data[:, 0] == t, :4].T
-            assert np.all(axis > -5.0 * math.exp(-scn.market.r * (scn.market.T - t)))
+            assert np.all(axis > -5.0 * scn.market.discount(t))
             assert np.all(xi < 1e18)
             assert np.allclose(x, axis, rtol=0.0, atol=1e-8)
             assert np.allclose(wealth_total(env, scn.market, y, t, xi), axis,
@@ -418,7 +418,7 @@ class TestErrorPaths:
         # no state price reaches it; saturating at xi_cap would answer for the floor
         scenario = SCENARIOS / f"{name}.json"
         scn = load_scenario(scenario)
-        floor = math.exp(-scn.market.r * (scn.market.T - 5.0)) * scn.utility.a0
+        floor = scn.market.discount(5.0) * scn.utility.a0
         err = self._input_error(["decompose", "--scenario", scenario, "--out", tmp_path,
                                  "--t", "5", "--x", floor - 1.0], capsys)
         assert err.count("\n") == 1 and f"a0 = {floor}" in err

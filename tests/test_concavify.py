@@ -8,7 +8,7 @@ from conftest import (deriv, random_concave_envelope, random_raw_utility,
 from phara import concavify
 from phara.concavify import concave_envelope
 from phara.errors import NoConvergence, UnboundedEnvelope
-from phara.utility import INF, PharaPiece, PharaUtility, crra_utility
+from phara.utility import INF, PharaPiece, PharaUtility, crra_utility, s_shaped_utility
 
 
 def analytic_tangency(p: float, A: float, gamma: float) -> float:
@@ -174,7 +174,7 @@ class TestGeneralProperties:
                 cands = [piece.a_lo]
                 if np.isfinite(piece.a_hi):
                     cands.append(piece.a_hi)
-                if piece.R != 0.0 and piece.curvature == "concave":
+                if piece.R != 0.0 and not piece.convex:
                     if c < piece.slope_lo:
                         x_st = piece.slope_inverse(c)
                         if piece.a_lo < x_st < piece.a_hi:
@@ -438,6 +438,24 @@ class TestSweepEdges:
                                    pytest.approx(8.0, rel=1e-12),
                                    pytest.approx(0.5, rel=1e-12))
         _check_envelope(u, res, 20.0)
+
+    @pytest.mark.parametrize("gain, loss, weight, a0", [
+        (0.95, 0.5, 5.0, -1.0), (0.9, 0.2, 5.0, -0.5), (0.95, 0.88, 5.0, -5.0),
+        (0.95, 0.5, 2.25, -0.5)])
+    def test_support_past_a_chord_slope(self, gain, loss, weight, a0):
+        # S-shaped preferences whose nearly linear gains bend so close to the
+        # reference 0 that the tangent from a0 has a slope within 1e-9 of the
+        # chord over the losses.  Past a chord's slope the chord's left end
+        # supports the hull; its right end, taken as a slope tie, lifted the
+        # support intercept by up to 1e-9 s (chord length), and the tangent
+        # search raised NoConvergence on that jump
+        u = s_shaped_utility(reference=0.0, gain_exponent=gain, a0=a0,
+                             loss_exponent=loss, loss_weight=weight)
+        res = concave_envelope(u)
+        ((lo, hi, slope),) = res.chords
+        assert lo == a0 and res.tangency_points == (hi,) and 0.0 < hi < 1e-9
+        assert slope == pytest.approx(u.pieces[1].slope(hi), rel=1e-9)
+        _check_envelope(u, res, 10.0)
 
     def test_contact_below_resolution_of_open_end(self):
         # log x on (0, 1) and a jump to 1e20 at 1: the bridging chord would

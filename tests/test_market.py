@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from phara.errors import BadDimension, BadTime, DriftBelowRate, SingularVolatility
-from phara.market import (_centred_normals, _kernel, build_market,
-                          sample_kernel_at, standard_normals)
+from phara.market import _centred_normals, build_market, sample_kernel_at, standard_normals
 
 
 def test_theta_demo_market(market):
@@ -83,28 +82,41 @@ def test_build_market_theta_residual():
 
 
 def test_kernel_at_zero(market):
-    assert _kernel(market, 0.0, 0.37) == pytest.approx(1.0)
-    assert _kernel(market, 0.0, 0.0) == 1.0
+    # W_0 = 0
+    assert market.kernel(0.0, 0.0) == 1.0
+    assert market.kernel(0.0, np.zeros(3)).tolist() == [1.0] * 3
 
 
 def test_kernel_drift_only(market):
     # exponent (r + theta^2/2) * 10 = 0.572
-    got = _kernel(market, 10.0, 0.0)
+    got = market.kernel(10.0, 0.0)
     assert got == pytest.approx(math.exp(-0.572), rel=1e-13)
 
 
 def test_kernel_cancellation(market):
-    # choose z with |theta| sqrt(t) z = -(r + theta^2/2) t so the exponent vanishes
+    # choose theta.W_t = -(r + theta^2/2) t so the exponent vanishes
     t = 7.0
-    z_star = -(market.r + 0.5 * market.theta_norm**2) * math.sqrt(t) / market.theta_norm
-    assert _kernel(market, t, z_star) == pytest.approx(1.0, rel=1e-13)
+    theta_w = -(market.r + 0.5 * market.theta_norm**2) * t
+    assert market.kernel(t, theta_w) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_kernel_decreasing_in_theta_w(market):
-    # z = theta.W_t / (|theta| sqrt(t)) grows with theta.W_t
-    zs = np.linspace(-3.0, 3.0, 41)
-    vals = _kernel(market, 2.0, zs)
+    vals = market.kernel(2.0, np.linspace(-3.0, 3.0, 41))
     assert np.all(np.diff(vals) < 0.0)
+
+
+def test_discount(market):
+    assert market.discount(0.0) == math.exp(-market.r * market.T)
+    assert market.discount(7.5) == pytest.approx(math.exp(-market.r * 2.5), rel=1e-15)
+    with pytest.raises(BadTime):
+        market.discount(market.T)
+
+
+def test_risk_direction():
+    mkt = build_market(r=0.05, mu=[0.09, 0.13], sigma=[[0.2, 0.0], [0.1, 0.4]], T=5.0)
+    assert mkt.sigma.T @ mkt.risk_direction == pytest.approx(mkt.theta, rel=1e-14)
+    with pytest.raises(ValueError):
+        mkt.risk_direction[0] = 1.0
 
 
 def test_sampling_discounted_mean(market):

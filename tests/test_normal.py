@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_cdf_matches_ndtr():
     x = np.linspace(-40.0, 40.0, 1_600_001)
     ref = ndtr(x)
-    got = normal.cdf(x)
+    got = normal.cdf(x)  # x overwritten
     live = ref >= 1e-300
     assert np.all(np.abs(got[live] - ref[live]) <= 2e-15 * ref[live])
     # below 1e-300 Phi only runs out into zero, never above ndtr
@@ -21,12 +21,11 @@ def test_cdf_matches_ndtr():
 
 
 def test_cdf_saturation_and_nan():
-    assert normal.cdf(-np.inf) == 0.0 and normal.cdf(np.inf) == 1.0
+    assert normal.cdf(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
     lower = -np.geomspace(37.5, 1e300, 200)
     upper = np.geomspace(8.5, 1e300, 200)
     assert np.all(normal.cdf(lower) == 0.0)
     assert np.all(normal.cdf(upper) == 1.0)
-    assert np.isnan(normal.cdf(np.nan))
     got = normal.cdf(np.array([np.nan, 0.0, -np.inf]))
     assert np.isnan(got[0]) and got[1] == 0.5 and got[2] == 0.0
 
@@ -57,20 +56,15 @@ def test_cdf_in_place_bit_identical():
     for x in (special, rng.normal(0.0, 12.0, (13, 4096)), rng.uniform(-40.0, 10.0, 99_999),
               np.concatenate([special, rng.normal(0.0, 3.0, 500)])):
         ref = _cdf_out_of_place(x).view(np.uint64)
-        assert np.array_equal(normal.cdf(x).view(np.uint64), ref)
         y = x.copy()
-        assert normal.cdf(y, out=y) is y
+        assert normal.cdf(y) is y
         assert np.array_equal(y.view(np.uint64), ref)
-    for v in special:
-        assert np.array_equal(normal.cdf(v), _cdf_out_of_place(v), equal_nan=True)
-    # in place or on a copy: no third array to write into, and no x whose
-    # flat view would be a copy that loses the results
+    # in place only: no x whose flat view would be a copy that loses the
+    # results, and no x that is not a float array to overwrite
     x = rng.normal(0.0, 3.0, (8, 6))
-    f, strided, ints = np.asfortranarray(x), x[:, ::2], np.arange(4)
-    assert np.array_equal(normal.cdf(f).view(np.uint64), _cdf_out_of_place(x).view(np.uint64))
-    for x, out in ((x, np.empty_like(x)), (f, f), (strided, strided), (ints, ints)):
-        with pytest.raises(ValueError, match="out must be x"):
-            normal.cdf(x, out=out)
+    for bad in (np.asfortranarray(x), x[:, ::2], np.arange(4), 0.5, [0.5]):
+        with pytest.raises(ValueError, match="x must be a C-contiguous float array"):
+            normal.cdf(bad)
 
 
 def test_ppf_matches_ndtri_on_centred_uniforms():
@@ -125,7 +119,7 @@ def test_cdf_nondecreasing_across_joins(join):
 @pytest.mark.parametrize("join", JOINS)
 def test_cdf_within_band_on_both_sides_of_joins(join):
     x = _around(join)
-    ref, got = ndtr(x), normal.cdf(x)
+    ref, got = ndtr(x), normal.cdf(x.copy())
     zero = x <= -37.5  # saturated; Phi is below 5e-308 there
     assert np.all(got[zero] == 0.0) and np.all(ref[zero] < 5e-308)
     live = ~zero

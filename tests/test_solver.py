@@ -20,11 +20,12 @@ from phara.market import build_market, sample_kernel_at
 from phara import normal, solver
 from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
                           _common_risk_aversion, _d1_outer, _horizon, _newton_root,
-                          _phi, _risk_vector, _tables, budget,
+                          _phi, _tables, budget,
                           optimal_terminal_wealth, portfolio_general, portfolio_unified,
                           sahara_portfolio, solve_multiplier,
                           state_price_for_wealth, wealth_total)
-from phara.utility import INF, PharaPiece, PharaUtility, cara_utility, crra_utility
+from phara.utility import (INF, PharaPiece, PharaUtility, PiecewiseLinearPayoff, cara_utility,
+                           compose, crra_utility, s_shaped_utility)
 from phara.verify import fd_portfolio_check
 
 
@@ -153,7 +154,7 @@ class TestMultiplier:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_infeasible(self, demo_envelope, market):
-        floor = math.exp(-market.r * market.T) * 4.0
+        floor = market.discount(0.0) * 4.0
         with pytest.raises(InfeasibleBudget):
             solve_multiplier(demo_envelope.envelope, market, floor)
 
@@ -395,7 +396,7 @@ class TestPortfolios:
         h = 1e-5  # central difference of X_t in log xi: -xi dX/dxi
         fd = (wealth_total(env, market, 0.5, 1.0, math.exp(-h))
               - wealth_total(env, market, 0.5, 1.0, math.exp(h))) / (2.0 * h)
-        hedge = dec.total / _risk_vector(market)
+        hedge = dec.total / market.risk_direction
         assert hedge == pytest.approx([fd], rel=1e-6)
         assert hedge == pytest.approx([0.0398], abs=5e-5)
         assert portfolio_general(env, market, 0.5, 1.0, 1.0).tolist() == dec.total.tolist()
@@ -490,7 +491,7 @@ class TestWealthInversion:
     def test_roundtrip(self, demo_envelope, market, demo_dual):
         env = demo_envelope.envelope
         for t in (0.0, 5.0, 9.99):
-            disc = math.exp(-market.r * (market.T - t))
+            disc = market.discount(t)
             for x in (disc * 6.0, disc * 20.0, disc * 45.0):
                 xi = state_price_for_wealth(env, market, demo_dual.y_star, t, x)
                 back = wealth_total(env, market, demo_dual.y_star, t, xi)
@@ -498,7 +499,7 @@ class TestWealthInversion:
 
     def test_floor_saturates(self, demo_envelope, market, demo_dual):
         t = 5.0
-        floor = math.exp(-market.r * (market.T - t)) * 4.0
+        floor = market.discount(t) * 4.0
         xi = state_price_for_wealth(demo_envelope.envelope, market,
                                     demo_dual.y_star, t, floor)
         assert xi == 1e18
@@ -511,7 +512,7 @@ class TestWealthInversion:
         for env, x0 in ((crra_envelope, 10.0), (demo_envelope.envelope, 25.0)):
             y = solve_multiplier(env, market, x0).y_star
             for t in (0.0, 5.0, market.T - 1e-4):
-                floor = math.exp(-market.r * (market.T - t)) * env.a0
+                floor = market.discount(t) * env.a0
                 tail = [wealth_total(env, market, y, t, math.exp(u))
                         for u in (38.0, 40.0, 41.0, 44.0)]
                 x = np.array([floor - 1.0, floor, np.nextafter(floor, INF),
@@ -639,7 +640,7 @@ def _round_trip_error(env, market, y, t, x):
 
 def _levels(env, market, t):
     """From just above the discounted floor to 100 times the last kink."""
-    disc = math.exp(-market.r * (market.T - t))
+    disc = market.discount(t)
     floor = disc * env.a0
     top = disc * 100.0 * max(1.0, abs(env.pieces[-1].a_lo)) + floor
     near = floor + np.geomspace(1e-9, 1e-2, 12) * (top - floor)
@@ -664,7 +665,7 @@ def test_batched_inversion_round_trip_random_utilities(market):
     checked = 0
     for _ in range(12):
         env = concave_envelope(random_raw_utility(rng)).envelope
-        x0 = math.exp(-market.r * market.T) * env.a0 + float(rng.uniform(0.5, 20.0))
+        x0 = market.discount(0.0) * env.a0 + float(rng.uniform(0.5, 20.0))
         y = solve_multiplier(env, market, x0).y_star
         for tau in (market.T - 0.01, market.T / 2, 1e-2, 1e-4):
             t = market.T - tau
@@ -727,7 +728,7 @@ def _raw_envelope(seed):
 
 
 def _floor(env, market, t=0.0):
-    return math.exp(-market.r * (market.T - t)) * env.a0
+    return market.discount(t) * env.a0
 
 
 @given(seeds, markets(), st.floats(1e-3, 50.0), st.floats(1e-3, 1.0))
@@ -807,7 +808,7 @@ def test_split_signs_properties(seed, market, log_y, frac, logs):
     # (kinks, all at nonnegative wealth when a0 >= 0) lowers it
     env = random_concave_envelope(np.random.default_rng(seed))
     dec = portfolio_unified(env, market, math.exp(log_y), frac * market.T, np.exp(logs))
-    direction = _risk_vector(market)[:, None]  # a term over it has its scalar's sign
+    direction = market.risk_direction[:, None]  # a term over it has its scalar's sign
     assert np.all(dec.risk_seeking * direction >= 0.0)
     assert env.a0 >= 0.0 and np.all(dec.first_order_ra * direction <= 0.0)
 
@@ -830,7 +831,8 @@ def test_phi_is_the_running_maximum(seed, market, frac, logs):
         for slots in (slice(None), t.cara_slots):
             got, F, xR = _phi(t, h, logs, slots)
             assert got.tobytes() == D.tobytes()
-            assert F.tobytes() == np.maximum.accumulate(normal.cdf(D[slots]), axis=0).tobytes()
+            ref = np.maximum.accumulate(normal.cdf(D[slots].copy()), axis=0)  # not D
+            assert F.tobytes() == ref.tobytes()
             assert np.array_equal(xR, power, equal_nan=True)
 
 
@@ -899,9 +901,9 @@ def test_one_phi_call_per_block(monkeypatch, name):
     power = sum(0.0 < p.R < INF for p in env.pieces)
     shapes, cdf = [], normal.cdf
 
-    def counted(x, out=None):
+    def counted(x):
         shapes.append(np.shape(x))
-        return cdf(x, out)
+        return cdf(x)
     monkeypatch.setattr(normal, "cdf", counted)
     xi = np.geomspace(0.1, 10.0, _BLOCK + 1)
     wealth_total(env, market, 1.0, 1.0, xi)
@@ -929,28 +931,56 @@ def test_block_temporaries_bounded(market, demo_envelope, demo_dual):
     assert peak <= 1.6 * 2**20
 
 
+def _random_composition(rng):
+    """An S-shaped preference composed with a random payoff: 0 to 2
+    breakpoints, slopes 10^U(-3, 12)."""
+    pref = s_shaped_utility(reference=float(rng.uniform(0.1, 3.0)),
+                            gain_exponent=float(rng.uniform(0.05, 0.95)), a0=0.0,
+                            loss_exponent=float(rng.uniform(0.05, 0.95)),
+                            loss_weight=float(rng.uniform(0.5, 5.0)))
+    lo, k = float(rng.uniform(-2.0, 2.0)), int(rng.integers(0, 3))
+    payoff = PiecewiseLinearPayoff(
+        domain_lo=lo, value_lo=float(rng.uniform(0.0, 2.0)),
+        breakpoints=tuple((lo + np.cumsum(rng.uniform(0.1, 3.0, k))).tolist()),
+        slopes=tuple((10.0 ** rng.uniform(-3.0, 12.0, k + 1)).tolist()))
+    return compose(pref, payoff)
+
+
+def _envelope_values(utility):
+    """The concave envelope's anchors and its values at its junctions."""
+    env = concave_envelope(utility).envelope
+    anchors = [(p.anchor_u, p.anchor_slope) for p in env.pieces]
+    return np.concatenate([np.ravel(anchors), env.value(env.partition[:-1])])
+
+
 @given(seeds, markets(), st.floats(-5.0, 60.0), st.floats(-1.0, 25.0),
-       st.floats(-5.0, 60.0), st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8))
-def test_failures_are_typed(seed, market, x0, t, x, log_xi):
-    """Out-of-range budgets, times, wealth levels and state prices, and
-    non-concave utilities: whatever fails raises a PharaError, and an
-    evaluation that returns has only finite values.  The suite turns a
-    RuntimeWarning into a failure, so none may be emitted on the way."""
+       st.floats(-5.0, 60.0), st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=8),
+       st.floats(-300.0, 300.0), st.floats(-15.0, -1.0))
+def test_failures_are_typed(seed, market, x0, t, x, log_xi, log_y, log_gap):
+    """Out-of-range budgets, times (t just below T among them), wealth
+    levels, multipliers and state prices, non-concave utilities, and the
+    envelopes of S-shaped preferences composed with steep payoffs: whatever
+    fails raises a PharaError, and a call that returns has only finite
+    values.  The suite turns a RuntimeWarning into a failure, so none may be
+    emitted on the way."""
     raw = random_raw_utility(np.random.default_rng(seed))
     env = concave_envelope(raw).envelope
     xi = 10.0 ** np.array(log_xi)  # log-uniform in [1e-300, 1e300]
+    y = 10.0 ** log_y  # likewise
     calls = [
         lambda: solve_multiplier(env, market, x0),
-        lambda: state_price_for_wealth(env, market, 1.0, t, x),
-        lambda: wealth_total(raw, market, 1.0, t, 1.0),
-        lambda: portfolio_general(env, market, 1.0, t, np.array([0.5, 2.0])),
         lambda: budget(env, market, float(xi[0])),
+        lambda: _envelope_values(_random_composition(np.random.default_rng([seed, 1]))),
     ]
-    for z in (float(xi[0]), xi):  # scalar and vector state prices
-        calls += [lambda z=z: portfolio_unified(env, market, 1.0, t, z),
-                  lambda z=z: wealth_total(env, market, 1.0, t, z),
-                  lambda z=z: portfolio_general(env, market, 1.0, t, z),
-                  lambda z=z: optimal_terminal_wealth(env, 1.0, z)]
+    for s in (t, market.T - 10.0 ** log_gap):  # and t just below T
+        calls += [lambda s=s: state_price_for_wealth(env, market, y, s, x),
+                  lambda s=s: wealth_total(raw, market, y, s, 1.0),
+                  lambda s=s: portfolio_general(env, market, y, s, np.array([0.5, 2.0]))]
+        for z in (float(xi[0]), xi):  # scalar and vector state prices
+            calls += [lambda s=s, z=z: portfolio_unified(env, market, y, s, z),
+                      lambda s=s, z=z: wealth_total(env, market, y, s, z),
+                      lambda s=s, z=z: portfolio_general(env, market, y, s, z)]
+    calls += [lambda z=z: optimal_terminal_wealth(env, y, z) for z in (float(xi[0]), xi)]
     for call in calls:
         try:
             out = call()

@@ -269,7 +269,7 @@ class TestCompose:
                                        breakpoints=(), slopes=(1.0,))
         u = compose(pref, payoff)
         assert [p.a_lo for p in u.pieces] == [0.0, 1.0]
-        assert u.pieces[0].curvature == "convex"
+        assert u.pieces[0].convex
         xs = np.linspace(0.0, 3.0, 300)
         direct = _s_shape(xs, 1.0, 0.5, lam=2.25)
         assert np.allclose(u.value(xs), direct, rtol=1e-12, atol=1e-12)

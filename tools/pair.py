@@ -53,11 +53,7 @@ LEVEL = 0.95
 
 def child_env(tree: Path) -> dict:
     """The benchmark's child environment, with ``tree``'s sources on the path."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PHARA_THREADS", "PYTHONPATH")}
-    env["PYTHONPATH"] = str(tree / "src")
-    env.update({var: "1" for var in THREAD_VARS})
-    return env
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), **{var: "1" for var in THREAD_VARS})
 
 
 def build(tree: Path) -> bool:

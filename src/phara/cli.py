@@ -2,9 +2,14 @@
 
 A scenario is a JSON file holding the market block, the utility (explicit
 piece list or a preference composed with a piecewise-linear payoff), the
-initial wealth, grids, and reproducibility knobs.  Commands write JSON/CSV
-artifacts into the output directory.  Exit codes: 0 success, 1 verification
-failure, 2 input error.
+initial wealth, grids, and reproducibility knobs.  ``main`` runs every
+command through one pipeline: check --grid and --steps, load the scenario,
+make the output directory, build the concave envelope, solve the dual for y*
+(all but ``envelope``), evaluate (``cmd_<name>``, which also runs the checks
+of its own flags: decompose's --x and --xi, surface's one asset), write the
+JSON/CSV artifacts the evaluation returned, and return its exit code: 0
+success, 1 verification failure, 2 input error.  No artifact is written
+unless the evaluation returns.
 
 Run as the program (``phara`` or ``python -m phara.cli``, so ``main()`` gets
 no ``argv``), ``main`` first settles the process for one command and exit:
@@ -25,16 +30,17 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import verify as verify_mod
-from .concavify import concave_envelope
+from .concavify import EnvelopeResult, concave_envelope
 from .errors import BadDimension, IllegalCase, PharaError
 from .market import MarketParams, build_market
-from .solver import (portfolio_unified, solve_multiplier, state_price_for_wealth,
-                     _fraction_of_wealth)
+from .solver import (DualSolution, portfolio_unified, solve_multiplier,
+                     state_price_for_wealth, _fraction_of_wealth)
 from .utility import (INF, NEG_INF, PharaPiece, PharaUtility,
                       PiecewiseLinearPayoff, compose, s_shaped_utility)
 
@@ -202,23 +208,25 @@ def _strict(value):
     return value
 
 
-def _write_json(path: Path, payload) -> None:
-    """Standard JSON: infinities as strings, and no NaN."""
-    path.write_text(json.dumps(_strict(payload), indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
-
-
-def _csv_row(values) -> str:
-    return ",".join(_FMT.format(v) for v in values)
+def _write(path: Path, payload) -> None:
+    """One artifact, its format by suffix: standard JSON (infinities as
+    strings, no NaN) for ``.json``; for ``.csv``, a (header, rows) pair with
+    every number at 17 significant digits."""
+    if path.suffix == ".json":
+        text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
+    else:
+        header, rows = payload
+        text = "\n".join([header, *(",".join(map(_FMT.format, row)) for row in rows)])
+    path.write_text(text + "\n")
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each evaluates at the envelope ``res`` and the dual solution
+# ``sol`` (None for envelope) and returns ({file name: payload}, exit code)
 # ---------------------------------------------------------------------------
 
 
-def cmd_envelope(scn: Scenario, out: Path, grid_n: int) -> int:
-    res = concave_envelope(scn.utility)
+def cmd_envelope(scn: Scenario, res: EnvelopeResult, sol: None, args):
     env = res.envelope
     table = {
         "a0": env.a0,
@@ -228,26 +236,17 @@ def cmd_envelope(scn: Scenario, out: Path, grid_n: int) -> int:
         "pieces": [{"a_lo": p.a_lo, "a_hi": p.a_hi, "R": p.R, "A": p.A, "alpha": p.alpha,
                     "gamma_plus": p.slope_lo, "u_plus": p.value_lo} for p in env.pieces],
     }
-    _write_json(out / "envelope.json", table)
-
     finite = [p.a_lo for p in env.pieces]
     hi = finite[-1] + 2.0 * max(1.0, finite[-1] - env.a0)
-    xs = np.linspace(env.a0, hi, grid_n)
+    xs = np.linspace(env.a0, hi, args.grid)
     if not np.isfinite(scn.utility.value_at_a0):
         xs[0] = env.a0 + 1e-9 * (hi - env.a0)
-    raw_v = scn.utility.value(xs)
-    env_v = env.value(xs)
-    lines = ["x,U,U_envelope"]
-    lines += [_csv_row(row) for row in zip(xs, raw_v, env_v)]
-    (out / "envelope_curve.csv").write_text("\n".join(lines) + "\n")
-    return 0
+    curve = zip(xs, scn.utility.value(xs), env.value(xs))
+    return {"envelope.json": table, "envelope_curve.csv": ("x,U,U_envelope", curve)}, 0
 
 
-def cmd_solve(scn: Scenario, out: Path) -> int:
-    env = concave_envelope(scn.utility).envelope
-    sol = solve_multiplier(env, scn.market, scn.x0)
-    _write_json(out / "dual.json", asdict(sol))
-    return 0
+def cmd_solve(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
+    return {"dual.json": asdict(sol)}, 0
 
 
 def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.ndarray:
@@ -260,37 +259,33 @@ def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.
     return np.linspace(disc * env.a0, hi, grid_n)[1:]
 
 
-def cmd_surface(scn: Scenario, out: Path, grid_n: int) -> int:
+def cmd_surface(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
     if scn.market.m != 1:
         raise BadDimension("surface sweeps are one-dimensional")
-    env = concave_envelope(scn.utility).envelope
-    sol = solve_multiplier(env, scn.market, scn.x0)
-
-    lines = ["t,x,xi,percentage,merton,risk_seeking,loss_aversion,first_order_ra"]
+    env = res.envelope
+    blocks = []  # one lazy row iterator per time, over arrays already evaluated
     for t in scn.t_grid:
         xi = state_price_for_wealth(env, scn.market, sol.y_star, t,
-                                    _wealth_axis(scn, env, t, grid_n))
+                                    _wealth_axis(scn, env, t, args.grid))
         dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
         wealth = dec.wealth
         # split columns are fractions of wealth; NaN without a split
         split = [_fraction_of_wealth(v[0], wealth, dec.wealth_rounding)
                  for v in dec.terms.values()] or [np.full_like(wealth, np.nan)] * 4
-        lines += [_csv_row([t, *row])
-                  for row in zip(wealth, xi, dec.percentage[0], *split)]
-    (out / "surface.csv").write_text("\n".join(lines) + "\n")
-    return 0
+        blocks.append(zip(repeat(t), wealth, xi, dec.percentage[0], *split))
+    header = "t,x,xi,percentage,merton,risk_seeking,loss_aversion,first_order_ra"
+    return {"surface.csv": (header, chain(*blocks))}, 0
 
 
-def cmd_decompose(scn: Scenario, out: Path, t: float, x: float | None,
-                  xi: float | None) -> int:
+def cmd_decompose(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
+    t, x, xi = args.t, args.x, args.xi
     if x is None and xi is None:
         raise IllegalCase("decompose needs --x or --xi")
     if x is not None:
         _check(x, "--x", "number", **_FINITE)
     if xi is not None:
         _check(xi, "--xi", "number", lambda v: 0.0 < v < INF, "finite and positive")
-    env = concave_envelope(scn.utility).envelope
-    sol = solve_multiplier(env, scn.market, scn.x0)
+    env = res.envelope
     if xi is None:
         xi = state_price_for_wealth(env, scn.market, sol.y_star, t, x, xi_cap=INF)
     dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
@@ -310,14 +305,11 @@ def cmd_decompose(scn: Scenario, out: Path, t: float, x: float | None,
         "portfolio": {key: v.tolist() for key, v in {
             **dec.terms, "total": dec.total, "percentage": dec.percentage}.items()},
     }
-    _write_json(out / "decompose.json", payload)
-    return 0
+    return {"decompose.json": payload}, 0
 
 
-def cmd_verify(scn: Scenario, out: Path) -> int:
-    env = concave_envelope(scn.utility).envelope
-    sol = solve_multiplier(env, scn.market, scn.x0)
-    T = scn.market.T
+def cmd_verify(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
+    env, T = res.envelope, scn.market.T
     reports = [verify_mod.mc_budget_check(env, scn.market, sol.y_star,
                                           scn.paths, scn.seed)]
     reports += [verify_mod.mc_martingale_check(env, scn.market, sol.y_star, t,
@@ -326,24 +318,20 @@ def cmd_verify(scn: Scenario, out: Path) -> int:
     reports += [verify_mod.fd_portfolio_check(env, scn.market, sol.y_star, t, xi)
                 for t, xi in ((0.0, 1.0), (T / 2, 0.6), (T / 2, 1.7), (0.9 * T, 1.1))]
     reports.sort(key=lambda r: r.name)
-    _write_json(out / "verification.json", [asdict(r) for r in reports])
     ok = all(r.passed for r in reports)
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
               f"computed={r.computed:.6g} oracle={r.oracle:.6g}")
-    return 0 if ok else 1
+    return {"verification.json": [asdict(r) for r in reports]}, 0 if ok else 1
 
 
-def cmd_simulate(scn: Scenario, out: Path, steps: int) -> int:
-    env = concave_envelope(scn.utility).envelope
-    sol = solve_multiplier(env, scn.market, scn.x0)
+def cmd_simulate(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
     report = verify_mod.simulate_order_check(
-        env, scn.market, sol.y_star, scn.x0, min(scn.paths, 10_000), steps,
-        scn.seed)
-    _write_json(out / "simulation.json", asdict(report))
+        res.envelope, scn.market, sol.y_star, scn.x0, min(scn.paths, 10_000),
+        args.steps, scn.seed)
     print(f"{'PASS' if report.passed else 'FAIL'} {report.name}: "
           f"gap ratio {report.computed:.4f} (target 0.5)")
-    return 0 if report.passed else 1
+    return {"simulation.json": asdict(report)}, 0 if report.passed else 1
 
 
 _COMMANDS = {"envelope": cmd_envelope, "solve": cmd_solve, "surface": cmd_surface,
@@ -404,9 +392,13 @@ def main(argv=None) -> int:
                             paths_override=args.paths)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        extra = {"envelope": (args.grid,), "surface": (args.grid,),
-                 "decompose": (args.t, args.x, args.xi), "simulate": (args.steps,)}
-        return _COMMANDS[args.command](scn, out, *extra.get(args.command, ()))
+        res = concave_envelope(scn.utility)
+        sol = (None if args.command == "envelope"
+               else solve_multiplier(res.envelope, scn.market, scn.x0))
+        artifacts, code = _COMMANDS[args.command](scn, res, sol, args)
+        for name, payload in artifacts.items():
+            _write(out / name, payload)
+        return code
     except (PharaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,6 +34,7 @@ from .utility import INF, PharaUtility, same_slope
 
 _BUDGET_RTOL = 1e-10
 _MAX_EXPAND = 200
+_RUNG = 2.0  # spacing in log xi of the wealth inversion's ladder
 _NEWTON_ITERS = 100
 _NEWTON_STEPS = 20  # then bisection, which a steep map cannot make creep
 _BLOCK = 4096
@@ -314,7 +315,7 @@ def solve_multiplier(env: PharaUtility, market: MarketParams,
     X_0 depends on (y, xi_0) only through y xi_0, so B(y) is the time-0
     wealth at multiplier 1 and state price y, and y* is the wealth inversion
     of x0 at t = 0.  The bracket holds the two inversion ladder rungs
-    e^{2j} <= y* < e^{2j+2} around it.
+    e^{2j} <= y* < e^{2j+2} around it (_RUNG = 2).
     """
     if _tables(env).chord[-1]:
         raise UnboundedDemand("envelope has a linear tail; demand is infinite")
@@ -323,9 +324,9 @@ def solve_multiplier(env: PharaUtility, market: MarketParams,
     tol = _BUDGET_RTOL * max(1.0, x0)
     if not abs(resid) <= tol:
         raise UnboundedDemand(f"budget equation residual {resid:.3e} > {tol:.3e}")
-    rung = 2.0 * math.floor(0.5 * math.log(y_star))
+    rung = _RUNG * math.floor(math.log(y_star) / _RUNG)
     return DualSolution(y_star=y_star, budget_residual=float(resid),
-                        bracket=(math.exp(rung), math.exp(rung + 2.0)), x0=x0,
+                        bracket=(math.exp(rung), math.exp(rung + _RUNG)), x0=x0,
                         feasible_floor=market.discount(0.0) * env.a0)
 
 
@@ -463,16 +464,16 @@ def sahara_portfolio(market: MarketParams, alpha: float, beta: float,
 
 def _wealth_ladder(env: PharaUtility, market: MarketParams, y_star: float,
                    t: float, x: np.ndarray, u_cap: float):
-    """X_t on rungs u = log xi = 0, -+2, ... down to X > max(x), up to
+    """X_t on rungs u = log xi = 0, -+_RUNG, ... down to X > max(x), up to
     X < min(x) or the last rung under u_cap; _MAX_EXPAND rungs each way."""
     rungs = {0.0: wealth_total(env, market, y_star, t, 1.0)}
-    for step, more in ((-2.0, lambda u: rungs[u] <= x.max()),
-                       (2.0, lambda u: rungs[u] >= x.min() and u + 2.0 <= u_cap)):
+    for step, more in ((-_RUNG, lambda u: rungs[u] <= x.max()),
+                       (_RUNG, lambda u: rungs[u] >= x.min() and u + _RUNG <= u_cap)):
         u = 0.0
         while more(u):
             u += step
             rungs[u] = wealth_total(env, market, y_star, t, math.exp(u))
-            if abs(u) > 2.0 * _MAX_EXPAND:
+            if abs(u) > _RUNG * _MAX_EXPAND:
                 raise UnboundedDemand(f"wealth inversion found no bracket: X_t is "
                                       f"{rungs[u]:.6g} at xi = e^{u:g}")
     u = np.array(sorted(rungs))

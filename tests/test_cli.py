@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import strict_json as _strict_json
-from phara.cli import (_check, _parse_utility, _settle_process, cmd_decompose,
-                       cmd_surface, load_scenario, main)
+from phara.cli import _check, _parse_utility, _settle_process, load_scenario, main
 from phara.concavify import concave_envelope
-from phara.errors import BadDimension, IllegalCase, PharaError
+from phara.errors import BadDimension, PharaError
 from phara.solver import portfolio_general, solve_multiplier, wealth_total
 from phara.utility import INF, PharaPiece
 
@@ -609,18 +608,27 @@ class TestErrorPaths:
                        "does not fit a double\n")
         assert not (tmp_path / "decompose.json").exists()
 
-    def test_decompose_needs_x_or_xi(self, tmp_path):
-        scn = load_scenario(SCENARIOS / "crra.json")
-        with pytest.raises(IllegalCase):
-            cmd_decompose(scn, tmp_path, 0.0, None, None)
+    def test_decompose_needs_x_or_xi(self, tmp_path, capsys):
+        err = self._input_error(["decompose", "--scenario", SCENARIOS / "crra.json",
+                                 "--out", tmp_path], capsys)
+        assert err == "error: decompose needs --x or --xi\n"
+        assert list(tmp_path.iterdir()) == []
 
-    def test_surface_needs_one_asset(self, tmp_path):
+    def test_surface_needs_one_asset(self, tmp_path, capsys):
         raw = json.loads((SCENARIOS / "crra.json").read_text())
         raw["market"].update(mu=[0.086, 0.09], sigma=[[0.3, 0.0], [0.0, 0.2]])
-        path = tmp_path / "two.json"
+        path, out = tmp_path / "two.json", tmp_path / "out"
         path.write_text(json.dumps(raw))
-        with pytest.raises(BadDimension):
-            cmd_surface(load_scenario(path), tmp_path, 11)
+        err = self._input_error(["surface", "--scenario", path, "--out", out,
+                                 "--grid", "11"], capsys)
+        assert err == "error: surface sweeps are one-dimensional\n"
+        assert list(out.iterdir()) == []
+
+    def test_only_decompose_reads_x(self, tmp_path):
+        # --x is decompose's flag: solve ignores even a value decompose rejects
+        assert run(["solve", "--scenario", SCENARIOS / "crra.json", "--out", tmp_path,
+                    "--x", "inf"]) == 0
+        assert (tmp_path / "dual.json").is_file()
 
 
 def _run_child(*args) -> None:

@@ -11,17 +11,22 @@ repository.  Both trees are byte-compiled and run the same matrix as
   the horizon, the state prices 1e-200 and 1e200 whose wealth does not fit
   a double included);
 - every command of the ``surface_sweep`` and ``cold_commands`` plans that
-  ``perfbench/run.py --seconds 40`` runs, for seeds 1 and 7.
+  ``perfbench/run.py --seconds 40`` runs, for seeds 1 and 7;
+- eight single-fault invocations on bundled scenarios, each an input error
+  (exit 2): ``decompose`` without ``--x`` and ``--xi``, with ``--x inf``, with
+  ``--xi 0`` and with ``--x`` below the wealth floor; ``envelope --grid 1``;
+  ``simulate --steps 5``; ``verify --paths 1``; and ``surface`` on a two-asset
+  copy of ``crra.json``.
 
 The inputs come from this repository, so both trees read the same files.
-For every command it compares the exit code, the standard output and error,
-line by line, and the bytes of every artifact.  Where an artifact differs it
-names the JSON key path (a report in a list by its ``name``) or the CSV
-cell, the two values, their distance in units in the last place (ulps) and
-their relative difference.  A summary counts the differences per file and
-key, with the largest relative difference.  A report, not a gate: the exit
-code is 0 when nothing differs, 1 when something does and 2 when a tree has
-no sources.  It uses the standard library only, with the plan and
+For every command, failing ones included, it compares the exit code, the
+standard output and error, line by line, and the bytes of every artifact.
+Where an artifact differs it names the JSON key path (a report in a list by
+its ``name``) or the CSV cell, the two values, their distance in units in
+the last place (ulps) and their relative difference.  A summary counts the
+differences per file and key, with the largest relative difference.  A
+report, not a gate: the exit code is 0 when nothing differs, 1 when
+something does and 2 when a tree has no sources.  It uses the standard library only, with the plan and
 child-process code of ``tools/pair.py``.
 """
 
@@ -52,6 +57,13 @@ POINTS = ((5.0, "--xi", 1.0), (5.0, "--xi", 0.3), (9.0, "--xi", 2.5),
           (2.0, "--xi", 1e-3), (5.0, "--xi", 1e-200), (5.0, "--xi", 1e200),
           (0.0, "--x", "x0"), (5.0, "--x", "x0"), (5.0, "--x", 30.0),
           (9.5, "--x", 1.5))
+# single-fault invocations (command, scenario, flags); "crra_m2" is crra.json
+# with a second asset, and multi_kink_demo's floor at t = 5 is 4 e^(-0.25) = 3.1
+FAULTS = (("decompose", "crra", ()), ("decompose", "crra", ("--x", "inf")),
+          ("decompose", "crra", ("--xi", "0")),
+          ("decompose", "multi_kink_demo", ("--t", "5", "--x", "3")),
+          ("envelope", "crra", ("--grid", "1")), ("simulate", "crra", ("--steps", "5")),
+          ("verify", "crra", ("--paths", "1")), ("surface", "crra_m2", ()))
 
 
 def bundled_commands(scenario_dir: Path) -> list:
@@ -70,10 +82,23 @@ def bundled_commands(scenario_dir: Path) -> list:
     return commands
 
 
+def fault_commands(scenario_dir: Path) -> list:
+    """The FAULTS invocations, their scenario files written into scenario_dir."""
+    scenario_dir.mkdir(parents=True)
+    for name in ("crra", "multi_kink_demo"):
+        shutil.copy(ROOT / "scenarios" / f"{name}.json", scenario_dir)
+    raw = json.loads((ROOT / "scenarios" / "crra.json").read_text())
+    raw["market"].update(mu=[0.086, 0.09], sigma=[[0.3, 0.0], [0.0, 0.2]])
+    (scenario_dir / "crra_m2.json").write_text(json.dumps(raw))
+    return [Command(f"{c}-{name}{''.join(flags)}", c, name, list(flags))
+            for c, name, flags in FAULTS]
+
+
 def matrix(work: Path) -> list:
     """(scenario directory, command) for the whole matrix, every scenario
     file written under work; the directory's name labels the group."""
-    groups = {work / "bundled": bundled_commands(work / "bundled")}
+    groups = {work / "bundled": bundled_commands(work / "bundled"),
+              work / "faults": fault_commands(work / "faults")}
     for workload, seed in itertools.product(WORKLOADS, SEEDS):
         group = work / f"{workload}-{seed}"
         groups[group] = plan_commands(workload, seed, group)

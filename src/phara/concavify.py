@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import NoConvergence, UnboundedEnvelope
 from .solver import _MAX_EXPAND, _newton_root
-from .utility import INF, PharaPiece, PharaUtility, same_slope
-
-_RESIDUAL_TOL = 1e-12
+from .utility import INF, PharaPiece, PharaUtility, same_slope, same_value
 
 
 @dataclass(frozen=True)
@@ -58,16 +56,16 @@ def _support(piece: PharaPiece, s: float) -> tuple[float, float]:
     return float(piece.value(x)) - s * x, x
 
 
-def _geometric(gap, s: float, factor: float, kind: str) -> tuple[float, float]:
-    """First (s, gap(s)) of s, s factor, s factor^2, ... (_MAX_EXPAND tries)
-    where the increasing gap has crossed zero: a search up (factor > 1) stops
-    at a positive gap, a search down at a negative one."""
+def _geometric(gap, s: float, factor: float, fault: str) -> tuple[float, float]:
+    """First (s, gap(s)) of s, s factor, s factor^2, ... (_MAX_EXPAND tries) where
+    the increasing gap has crossed zero: a search up (factor > 1) stops at a
+    positive gap, a search down at a negative one.  Raises NoConvergence(fault)."""
     for _ in range(_MAX_EXPAND):
         g = gap(s)
         if g * (factor - 1.0) > 0.0:
             return s, g
         s *= factor
-    raise NoConvergence(f"no {kind} supporting slope found")
+    raise NoConvergence(fault)
 
 
 def _short(lo: float, hi: float) -> bool:
@@ -125,17 +123,17 @@ class _Sweep:
 
     # -- bridging chords -----------------------------------------------------
 
-    def _bridge(self, support, hint: float, start: float, s_lo=None):
+    def _bridge(self, support, hint: float, start: float, s_lo=None, what="the point"):
         """Cut the hull at its common tangent with an incoming object whose
         slope-s support line has (intercept, contact) = support(s); return
         the chord's hull contact and slope (x_b, v_b, s*).
 
-        gap(s) = c_H(s) - c_obj(s) increases in s.  The upper bracket is
-        ``hint`` when gap(hint) >= 0, else a search up from ``start``; the
-        lower one is ``s_lo``, else a search down.  None when gap(s_lo) >= 0:
-        the object lies under the hull's support lines.  Newton in u = log s
-        runs on c_obj - c_H, whose slope -s (x_obj - x_H) comes from the two
-        contact points.
+        gap(s) = c_H(s) - c_obj(s) increases in s.  The upper bracket is ``hint``
+        when gap(hint) >= 0, else a search up from ``start``; the lower one is
+        ``s_lo``, else a search down, which fails only when the object ``what``
+        rises above the hull by rounding.  None when gap(s_lo) >= 0: the object
+        lies under the hull's support lines.  Newton in u = log s runs on
+        c_obj - c_H, whose slope -s (x_obj - x_H) comes from the two contacts.
         """
         def gap(s):
             return self.hull_support(s)[0] - support(s)[0]
@@ -146,9 +144,11 @@ class _Sweep:
                 return None
         s_hi, g_hi = hint, (gap(hint) if np.isfinite(hint) else -INF)
         if not g_hi >= 0.0:
-            s_hi, g_hi = _geometric(gap, max(start, 1e-300), 4.0, "steep")
+            s_hi, g_hi = _geometric(gap, max(start, 1e-300), 4.0,
+                                    "no steep supporting slope found")
         if s_lo is None:
-            s_lo, g_lo = _geometric(gap, 0.25 * s_hi, 0.25, "shallow")
+            s_lo, g_lo = _geometric(gap, 0.25 * s_hi, 0.25, "no shallow supporting slope "
+                                    f"found: {what} rises above the hull by rounding only")
 
         def support_gap(act, u):
             s = math.exp(u[0])
@@ -160,13 +160,9 @@ class _Sweep:
         falsi = g_lo / (g_lo - g_hi) if g_hi > g_lo else 0.0
         s_star = math.exp(_newton_root(support_gap, lo, hi,
                                        lo + (hi - lo) * falsi)[0])
-        c_h = self.hull_support(s_star)[0]
-        resid = c_h - support(s_star)[0]
-        scale = max(1.0, abs(c_h))
-        if abs(resid) > _RESIDUAL_TOL * scale:
-            raise NoConvergence(
-                f"tangency residual {resid:.3e} at slope {s_star:.3e}"
-            )
+        c_h, c_obj = self.hull_support(s_star)[0], support(s_star)[0]
+        if not same_value(c_h, c_obj):
+            raise NoConvergence(f"tangency residual {c_h - c_obj:.3e} at slope {s_star:.3e}")
         return (*self.truncate_at_slope(s_star), s_star)
 
     # -- attaching objects -----------------------------------------------------
@@ -178,7 +174,7 @@ class _Sweep:
             if s_c <= s_e or same_slope(s_c, s_e):
                 self._push_chord(x_e, v_e, x, max(s_c, 0.0))
                 return
-        elif v > v_e + 1e-12 * max(1.0, abs(v_e)):
+        elif v > v_e and not same_value(v, v_e):
             s_c = INF  # a jump up at the hull's end
         else:
             return
@@ -194,7 +190,7 @@ class _Sweep:
             return True
         x_e, v_e, s_e = end
         return (x_e == piece.a_lo
-                and v_e <= piece.value_lo + 1e-12 * max(1.0, abs(v_e))
+                and (v_e <= piece.value_lo or same_value(v_e, piece.value_lo))
                 and (piece.slope_lo <= s_e or same_slope(piece.slope_lo, s_e)))
 
     def attach_arc(self, piece: PharaPiece):
@@ -219,7 +215,8 @@ class _Sweep:
         bridge = self._bridge(
             lambda s: _support(piece, s), s_in,
             max(s_e if np.isfinite(s_e) else 1.0, piece.slope_hi, 1e-12) * 2.0,
-            max(piece.slope_hi, 1e-300) if np.isfinite(piece.a_hi) else None)
+            max(piece.slope_hi, 1e-300) if np.isfinite(piece.a_hi) else None,
+            f"the piece on [{piece.a_lo}, inf) with R = {piece.R}")
         if bridge is None:
             # whole arc below the hull fan: only its right endpoint matters
             self.attach_point(piece.a_hi, piece.value_hi)

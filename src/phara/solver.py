@@ -138,8 +138,10 @@ def _tables(env: PharaUtility) -> _Tables:
     ladder[0::2] = [env.gamma_minus(k) for k in range(n1 + 1)]
     ladder[1::2] = [env.gamma_plus(k) for k in range(n1)]
     g = ladder.tolist()
-    if any(g[i + 1] > g[i] and not same_slope(g[i], g[i + 1]) for i in range(2 * n1)):
-        raise NotConcave("utility is not concave; build its envelope first")
+    for i in range(2 * n1):
+        if g[i + 1] > g[i] and not same_slope(g[i], g[i + 1]):
+            raise NotConcave(f"utility is not concave: slope {g[i]!r} at {a[i // 2]} rises "
+                             f"to {g[i + 1]!r} at {a[(i + 1) // 2]}; build its envelope first")
 
     C = np.zeros(n1)
     K = np.zeros(n1)

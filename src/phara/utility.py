@@ -24,14 +24,18 @@ from .errors import IllegalCase, NotPhara, OutOfDomain
 INF = float("inf")
 NEG_INF = float("-inf")
 
-_CONTINUITY_TOL = 1e-9
-_VERIFY_TOL = 1e-10
+_VALUE_RTOL = 1e-10
 _KINK_RTOL = 1e-9
 
 
 def same_slope(s: float, t: float) -> bool:
     """The one kink rule: s and t are one slope within _KINK_RTOL, or 1e-300."""
     return math.isclose(s, t, rel_tol=_KINK_RTOL, abs_tol=1e-300)
+
+
+def same_value(v: float, w: float, rounding: float = 0.0) -> bool:
+    """The one value rule: |v - w| <= _VALUE_RTOL max(1, |v|, |w|) + the pieces' rounding."""
+    return abs(v - w) <= _VALUE_RTOL * max(1.0, abs(v), abs(w)) + rounding
 
 
 def _anchor(lo: float, hi: float, R: float, A: float) -> float:
@@ -149,6 +153,12 @@ class PharaPiece:
             return self.anchor_x - math.log(s / self.anchor_slope) / self.alpha
         return self.A + (self.anchor_x - self.A) * (s / self.anchor_slope) ** (-1.0 / self.R)
 
+    def rounding(self, x: float) -> float:
+        """Bound on value(x)'s rounding: 4 eps (|anchor_u| + |value(x)| + |x slope(x)|),
+        the last term 0 where the slope is infinite."""
+        v, s = float(self.value(x)), float(self.slope(x))
+        return 2.0**-50 * (abs(self.anchor_u) + abs(v) + (abs(x * s) if s < INF else 0.0))
+
     # -- one-sided limits ---------------------------------------------------
 
     @cached_property
@@ -203,15 +213,11 @@ class PharaUtility:
                 raise IllegalCase(
                     f"partition gap between {left.a_hi} and {right.a_lo}"
                 )
-            lv, rv = left.value_hi, right.value_lo
+            lv, rv, x = left.value_hi, right.value_lo, right.a_lo
             if not (np.isfinite(lv) and np.isfinite(rv)):
                 raise IllegalCase("interior junction values must be finite")
-            scale = max(1.0, abs(lv), abs(rv))
-            if rv < lv - _CONTINUITY_TOL * scale:
-                raise IllegalCase(
-                    f"utility decreases across the junction at {right.a_lo}: "
-                    f"{lv} -> {rv}"
-                )
+            if rv < lv and not same_value(lv, rv, left.rounding(x) + right.rounding(x)):
+                raise IllegalCase(f"utility decreases across the junction at {x}: {lv} -> {rv}")
 
     # -- structure ----------------------------------------------------------
 
@@ -408,7 +414,7 @@ def compose(preference: PharaUtility, payoff: PiecewiseLinearPayoff) -> PharaUti
 
     utility = PharaUtility(a0=payoff.domain_lo, pieces=tuple(pieces),
                            a0_included=True)
-    _verify_composition(utility, preference.value, payoff)
+    _verify_composition(utility, preference, payoff)
     return utility
 
 
@@ -442,19 +448,18 @@ def _composed_piece(preference: PharaUtility, lo, hi, seg_lo, seg_v, s) -> Phara
                       A=A, alpha=alpha)
 
 
-def _verify_composition(utility: PharaUtility, pref_value, payoff):
+def _verify_composition(utility: PharaUtility, preference: PharaUtility, payoff):
+    """Each cell's branch against the preference at the payoff, by :func:`same_value`."""
     for piece in utility.pieces:
         hi = piece.a_hi if np.isfinite(piece.a_hi) else piece.a_lo + 10.0
-        probes = piece.a_lo + (hi - piece.a_lo) * np.array([0.13, 0.41, 0.67, 0.93])
-        for x in probes:
-            direct = pref_value(float(payoff.value(x)))
-            built = piece.value(x)
-            scale = max(1.0, abs(direct))
-            if not np.isfinite(built) or abs(built - direct) > _VERIFY_TOL * scale:
-                raise NotPhara(
-                    f"cell [{piece.a_lo}, {piece.a_hi}) does not reduce to "
-                    f"HARA form (gap {built - direct:.3e} at x={x})"
-                )
+        for x in piece.a_lo + (hi - piece.a_lo) * np.array([0.13, 0.41, 0.67, 0.93]):
+            w = float(payoff.value(x))
+            branch = preference.pieces[preference._piece_index(w)]
+            direct, built = preference.value(w), piece.value(x)
+            rounding = piece.rounding(x) + branch.rounding(w)
+            if not (np.isfinite(built) and same_value(built, direct, rounding)):
+                raise NotPhara(f"cell [{piece.a_lo}, {piece.a_hi}) does not reduce to "
+                               f"HARA form (gap {built - direct:.3e} at x={x})")
 
 
 # ---------------------------------------------------------------------------

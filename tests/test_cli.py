@@ -614,6 +614,21 @@ class TestErrorPaths:
         assert err == "error: decompose needs --x or --xi\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("gain", [1e-19, 1e-100])
+    def test_gain_branch_flat_to_rounding(self, tmp_path, capsys, gain):
+        # hedge_fund with a gain exponent of 1e-19 or below: the gain branch
+        # 1 + 1e-19 log(...) rises above the hull by less than rounding at
+        # every slope the search reaches, and the error names that branch
+        raw = json.loads((SCENARIOS / "hedge_fund.json").read_text())
+        raw["utility"]["preference"]["gain_exponent"] = gain
+        (tmp_path / "s.json").write_text(json.dumps(raw))
+        err = self._input_error(["envelope", "--scenario", tmp_path / "s.json",
+                                 "--out", tmp_path / "out"], capsys)
+        assert err == ("error: no shallow supporting slope found: the piece on "
+                       "[3.2974425414002564, inf) with R = 1.0 rises above the hull "
+                       "by rounding only\n")
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_surface_needs_one_asset(self, tmp_path, capsys):
         raw = json.loads((SCENARIOS / "crra.json").read_text())
         raw["market"].update(mu=[0.086, 0.09], sigma=[[0.3, 0.0], [0.0, 0.2]])

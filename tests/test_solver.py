@@ -15,7 +15,8 @@ from conftest import (CONTRACT_PARAMS, d0, d1, d_next, d_transform, deriv,
 from phara.cli import load_scenario
 from phara.concavify import concave_envelope
 from phara.errors import (BadDimension, BadTime, IllegalCase, InfeasibleBudget,
-                          NoConvergence, NotConcave, PharaError, UnboundedDemand)
+                          NoConvergence, NotConcave, NotPhara, PharaError,
+                          UnboundedDemand)
 from phara.market import build_market, sample_kernel_at
 from phara import normal, solver
 from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
@@ -25,8 +26,8 @@ from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
                           sahara_portfolio, solve_multiplier,
                           state_price_for_wealth, wealth_total)
 from phara.utility import (INF, PharaPiece, PharaUtility, PiecewiseLinearPayoff, cara_utility,
-                           compose, crra_utility, s_shaped_utility)
-from phara.verify import fd_portfolio_check
+                           _verify_composition, compose, crra_utility, s_shaped_utility)
+from phara.verify import argmax_oracle, fd_portfolio_check
 
 
 def norm_pdf(z):
@@ -482,7 +483,8 @@ class TestSahara:
 
 
 def test_non_concave_utility_rejected(demo_utility, market):
-    with pytest.raises(PharaError) as err:
+    # the error names the first junction where the slope rises, and both slopes
+    with pytest.raises(PharaError, match=r"slope 0\.0 at 8\.96 rises to 0\.2896") as err:
         wealth_total(demo_utility, market, 1.0, 0.0, 1.0)
     assert isinstance(err.value, NotConcave)
 
@@ -931,9 +933,9 @@ def test_block_temporaries_bounded(market, demo_envelope, demo_dual):
     assert peak <= 1.6 * 2**20
 
 
-def _random_composition(rng):
-    """An S-shaped preference composed with a random payoff: 0 to 2
-    breakpoints, slopes 10^U(-3, 12)."""
+def _random_parts(rng):
+    """An S-shaped preference and a random payoff: 0 to 2 breakpoints,
+    slopes 10^U(-3, 12)."""
     pref = s_shaped_utility(reference=float(rng.uniform(0.1, 3.0)),
                             gain_exponent=float(rng.uniform(0.05, 0.95)), a0=0.0,
                             loss_exponent=float(rng.uniform(0.05, 0.95)),
@@ -943,7 +945,69 @@ def _random_composition(rng):
         domain_lo=lo, value_lo=float(rng.uniform(0.0, 2.0)),
         breakpoints=tuple((lo + np.cumsum(rng.uniform(0.1, 3.0, k))).tolist()),
         slopes=tuple((10.0 ** rng.uniform(-3.0, 12.0, k + 1)).tolist()))
-    return compose(pref, payoff)
+    return pref, payoff
+
+
+def _random_composition(rng):
+    """The preference of :func:`_random_parts` composed with its payoff."""
+    return compose(*_random_parts(rng))
+
+
+def test_every_steep_composition_builds():
+    # the value rule reads the rounding a steep payoff magnifies: each draw
+    # composes, passes the continuity and composition checks, and has an envelope
+    for s in range(1000):
+        concave_envelope(_random_composition(np.random.default_rng([s, 1])))
+
+
+def test_steep_compositions_match_the_argmax_oracle():
+    # on each envelope that _tables accepts, the closed-form terminal wealth
+    # attains the raw composition's grid-and-golden argmax objective.  Seeds
+    # 0-449 include 103 such envelopes whose compositions a fixed relative
+    # value tolerance (1e-9 or 1e-10, with no rounding term) rejects
+    checked = 0
+    for s in range(450):
+        raw = _random_composition(np.random.default_rng([s, 1]))
+        env = concave_envelope(raw).envelope
+        try:
+            _tables(env)
+        except NotConcave:
+            continue
+        checked += 1
+        for w in interesting_multipliers(env, np.random.default_rng(s), 3):
+            objective = [float(raw.value(x)) - w * x for x in
+                         (argmax_oracle(raw, 1.0, w), optimal_terminal_wealth(env, 1.0, w))]
+            assert objective[0] - objective[1] <= 1e-10 * max(1.0, abs(objective[0]))
+    assert checked >= 350
+
+
+def test_wrong_steep_compositions_raise():
+    # 100 times the value rule's bound: a branch off by it at a probe fails
+    # the composition check, and a junction that drops by it fails continuity
+    for s in range(100):
+        pref, payoff = _random_parts(np.random.default_rng([s, 1]))
+        u = compose(pref, payoff)
+        # the first branch down and the last up: neither shift drops a junction
+        for k, sign in ((0, -1.0), (-1, 1.0)):
+            piece = u.pieces[k]
+            hi = piece.a_hi if np.isfinite(piece.a_hi) else piece.a_lo + 10.0
+            x = piece.a_lo + (hi - piece.a_lo) * 0.13  # the first probe
+            w = float(payoff.value(x))
+            branch = pref.pieces[pref._piece_index(w)]
+            v = float(piece.value(x))
+            bound = 1e-10 * max(1.0, abs(v)) + piece.rounding(x) + branch.rounding(w)
+            pieces = list(u.pieces)
+            pieces[k] = replace(piece, anchor_u=piece.anchor_u + sign * 100.0 * bound)
+            with pytest.raises(NotPhara, match="does not reduce"):
+                _verify_composition(replace(u, pieces=tuple(pieces)), pref, payoff)
+        for j in range(1, u.n_pieces):
+            left, right = u.pieces[j - 1], u.pieces[j]
+            x, lv, rv = right.a_lo, left.value_hi, right.value_lo
+            drop = 100.0 * (1e-10 * max(1.0, abs(lv), abs(rv))
+                            + left.rounding(x) + right.rounding(x)) + max(rv - lv, 0.0)
+            with pytest.raises(IllegalCase, match="decreases across the junction"):
+                replace(u, pieces=u.pieces[:j] + tuple(
+                    replace(p, anchor_u=p.anchor_u - drop) for p in u.pieces[j:]))
 
 
 def _envelope_values(utility):

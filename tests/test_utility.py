@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (CONTRACT_PARAMS, deriv, random_concave_envelope,
-                      random_raw_utility)
+                      random_raw_utility, scale_shift)
 from phara.errors import IllegalCase, NotPhara, OutOfDomain, PharaError
 from phara.utility import (INF, NEG_INF, PharaPiece, PharaUtility,
-                           PiecewiseLinearPayoff, _VERIFY_TOL, _verify_composition,
+                           PiecewiseLinearPayoff, _verify_composition,
                            cara_utility, compose, crra_utility,
                            hedge_fund_payoff, hedge_fund_utility,
                            s_shaped_utility)
@@ -86,6 +86,18 @@ class TestTemplate:
     def test_linear_piece_has_no_slope_inverse(self):
         with pytest.raises(IllegalCase):
             _template(0.0, NEG_INF, None).slope_inverse(1.0)
+
+    def test_rounding_bound(self, demo_utility):
+        # 4 eps (|anchor_u| + |value(x)| + |x slope(x)|): 2 sqrt(x) at x = 4 has
+        # value 4 and slope 1/2; at the benchmark, where the slope is infinite,
+        # the last term reads 0.  On the demo's junctions it stays below 5e-15
+        # of the value, far below the value rule's 1e-10 floor
+        power = _template(0.5, 0.0, None, x_hat=1.0, u=2.0, gamma=1.0, a_lo=0.0)
+        assert power.rounding(4.0) == 4.0 * np.finfo(float).eps * (2.0 + 4.0 + 2.0)
+        assert power.rounding(0.0) == 4.0 * np.finfo(float).eps * (2.0 + 0.0)
+        for left, right in zip(demo_utility.pieces, demo_utility.pieces[1:]):
+            x, v = right.a_lo, right.value_lo
+            assert left.rounding(x) + right.rounding(x) <= 5e-15 * max(1.0, abs(v))
 
     def test_restrict_keeps_branch(self, demo_utility):
         for piece in demo_utility.pieces + crra_utility(0.5).pieces:
@@ -260,7 +272,7 @@ class TestCompose:
         xs = np.r_[np.linspace(0.0, 0.999, 40), 1.0 + np.geomspace(1e-6, 1e3, 46)]
         direct = pref.value(payoff.value(xs))
         assert np.all(np.abs(u.value(xs) - direct)
-                      <= _VERIFY_TOL * np.maximum(1.0, np.abs(direct)))
+                      <= 1e-10 * np.maximum(1.0, np.abs(direct)))
 
     def test_loss_branch_is_convex(self):
         pref = s_shaped_utility(reference=1.0, gain_exponent=0.5, a0=0.0,
@@ -320,9 +332,9 @@ class TestCompose:
         payoff = PiecewiseLinearPayoff(domain_lo=1.0, value_lo=1.0,
                                        breakpoints=(), slopes=(1.0,))
         u = compose(pref, payoff)
-        _verify_composition(u, pref.value, payoff)
+        _verify_composition(u, pref, payoff)
         with pytest.raises(NotPhara, match="does not reduce"):
-            _verify_composition(u, lambda w: pref.value(w) + 1e-6, payoff)
+            _verify_composition(u, scale_shift(pref, 1.0, 1e-6), payoff)
 
     def test_hedge_fund_floor_above_benchmark(self, market):
         with pytest.raises(IllegalCase, match="floor"):

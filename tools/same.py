@@ -16,7 +16,12 @@ repository.  Both trees are byte-compiled and run the same matrix as
   (exit 2): ``decompose`` without ``--x`` and ``--xi``, with ``--x inf``, with
   ``--xi 0`` and with ``--x`` below the wealth floor; ``envelope --grid 1``;
   ``simulate --steps 5``; ``verify --paths 1``; and ``surface`` on a two-asset
-  copy of ``crra.json``.
+  copy of ``crra.json``;
+- ``envelope`` and ``solve`` on two steep compositions (group ``steep``),
+  each an S-shaped preference composed with a payoff of slope up to 8e11, in
+  a copy of ``crra.json``.  Their continuity, composition and sweep checks
+  read the value rule (``utility.same_value``), so a change to that rule
+  shows up here.
 
 The inputs come from this repository, so both trees read the same files.
 For every command, failing ones included, it compares the exit code, the
@@ -64,6 +69,23 @@ FAULTS = (("decompose", "crra", ()), ("decompose", "crra", ("--x", "inf")),
           ("decompose", "multi_kink_demo", ("--t", "5", "--x", "3")),
           ("envelope", "crra", ("--grid", "1")), ("simulate", "crra", ("--steps", "5")),
           ("verify", "crra", ("--paths", "1")), ("surface", "crra_m2", ()))
+# steep compositions, the draws np.random.default_rng([s, 1]) for s = 5 and 6
+# of the tests' random compositions, as scenario "utility" blocks
+STEEP = {
+    "steep5": {"preference": {"type": "s_shaped", "reference": 2.3451921230842556,
+                              "gain_exponent": 0.4736504148692837,
+                              "loss_exponent": 0.6762923099079033,
+                              "loss_weight": 4.174419406293373},
+               "payoff": {"floor": 0.15174771641887608, "value_lo": 0.42044229041378256,
+                          "breakpoints": [0.45706155401454823],
+                          "slopes": [15857.21875835412, 774163105696.3518]}},
+    "steep6": {"preference": {"type": "s_shaped", "reference": 1.7476400200778284,
+                              "gain_exponent": 0.6171543117632141,
+                              "loss_exponent": 0.3233993144654729,
+                              "loss_weight": 3.2076224905612265},
+               "payoff": {"floor": -0.21993887917716703, "value_lo": 1.3127872360208268,
+                          "breakpoints": [2.391966502754233],
+                          "slopes": [494218597558.0551, 0.0037770652682795947]}}}
 
 
 def bundled_commands(scenario_dir: Path) -> list:
@@ -94,11 +116,22 @@ def fault_commands(scenario_dir: Path) -> list:
             for c, name, flags in FAULTS]
 
 
+def steep_commands(scenario_dir: Path) -> list:
+    """envelope and solve on each STEEP composition, its scenario file (crra.json
+    with that utility) written into scenario_dir."""
+    scenario_dir.mkdir(parents=True)
+    raw = json.loads((ROOT / "scenarios" / "crra.json").read_text())
+    for name, utility in STEEP.items():
+        (scenario_dir / f"{name}.json").write_text(json.dumps(dict(raw, utility=utility)))
+    return [Command(f"{c}-{name}", c, name) for name in STEEP for c in ("envelope", "solve")]
+
+
 def matrix(work: Path) -> list:
     """(scenario directory, command) for the whole matrix, every scenario
     file written under work; the directory's name labels the group."""
     groups = {work / "bundled": bundled_commands(work / "bundled"),
-              work / "faults": fault_commands(work / "faults")}
+              work / "faults": fault_commands(work / "faults"),
+              work / "steep": steep_commands(work / "steep")}
     for workload, seed in itertools.product(WORKLOADS, SEEDS):
         group = work / f"{workload}-{seed}"
         groups[group] = plan_commands(workload, seed, group)

@@ -46,9 +46,9 @@ from .utility import (INF, NEG_INF, PharaPiece, PharaUtility,
 
 _FMT = "{:.17g}"
 _MISSING = object()
-_NOUNS = {"number": "a number", "count": "an integer", "flag": "true or false",
-          "text": "a string", "list": "a list", "object": "an object"}
-_TYPES = {"flag": bool, "text": str, "list": list, "object": dict}
+_NOUNS = {"number": "a number", "count": "an integer", "text": "a string",
+          "list": "a list", "object": "an object"}
+_TYPES = {"text": str, "list": list, "object": dict}
 _FINITE = {"ok": math.isfinite, "rule": "finite"}
 # a standard error needs two samples and an axis two points; 10^8 bounds the arrays
 _SIZE = {"ok": lambda n: 2 <= n <= 10**8, "rule": ">= 2, at most 10^8 and integral"}
@@ -137,8 +137,7 @@ def _parse_utility(value, path: str = "utility") -> PharaUtility:
                                  A=e.get("A", default=NEG_INF),
                                  alpha=e.get("alpha", default=None),
                                  anchor_x=x, anchor_u=u, anchor_slope=slope))
-        return _build(path, PharaUtility, a0=block.get("a0"), pieces=tuple(pieces),
-                      a0_included=block.get("a0_included", "flag", True))
+        return _build(path, PharaUtility, a0=block.get("a0"), pieces=tuple(pieces))
 
     if "preference" in block.data:
         pay = block.get("payoff", "object")
@@ -239,7 +238,7 @@ def cmd_envelope(scn: Scenario, res: EnvelopeResult, sol: None, args):
     finite = [p.a_lo for p in env.pieces]
     hi = finite[-1] + 2.0 * max(1.0, finite[-1] - env.a0)
     xs = np.linspace(env.a0, hi, args.grid)
-    if not np.isfinite(scn.utility.value_at_a0):
+    if scn.utility.value(env.a0) == NEG_INF:
         xs[0] = env.a0 + 1e-9 * (hi - env.a0)
     curve = zip(xs, scn.utility.value(xs), env.value(xs))
     return {"envelope.json": table, "envelope_curve.csv": ("x,U,U_envelope", curve)}, 0

@@ -157,9 +157,7 @@ class _Sweep:
             return np.array([c_obj - c_h]), np.array([-s * (x_obj - x_h)])
 
         lo, hi = np.array([math.log(s_lo)]), np.array([math.log(s_hi)])
-        falsi = g_lo / (g_lo - g_hi) if g_hi > g_lo else 0.0
-        s_star = math.exp(_newton_root(support_gap, lo, hi,
-                                       lo + (hi - lo) * falsi)[0])
+        s_star = math.exp(_newton_root(support_gap, lo, hi, -g_lo, -g_hi)[0])
         c_h, c_obj = self.hull_support(s_star)[0], support(s_star)[0]
         if not same_value(c_h, c_obj):
             raise NoConvergence(f"tangency residual {c_h - c_obj:.3e} at slope {s_star:.3e}")
@@ -255,8 +253,7 @@ class _Sweep:
 
 def concave_envelope(utility: PharaUtility) -> EnvelopeResult:
     """Exact concave envelope, returned as another piecewise-HARA utility."""
-    env = PharaUtility(a0=utility.a0, pieces=tuple(_Sweep(utility).run()),
-                       a0_included=utility.a0_included)
+    env = PharaUtility(a0=utility.a0, pieces=tuple(_Sweep(utility).run()))
     chords = tuple((p.a_lo, p.a_hi, p.anchor_slope) for p in env.pieces if p.R == 0.0)
     kinks = set(env.kinks())
     return EnvelopeResult(env, chords, tuple(sorted(

@@ -113,12 +113,10 @@ class _Tables:
     cara: np.ndarray
     chord: np.ndarray
     # slots a piece type reads: rows 2k+1, 2k+2 per power and exponential piece
-    # (interleaved), 2k+1 per chord; exponential slots, and each row's place there
+    # (interleaved, so ascending), 2k+1 per chord
     crra_rungs: np.ndarray
     cara_rungs: np.ndarray
     chord_rungs: np.ndarray
-    cara_slots: np.ndarray
-    cara_cells: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -165,10 +163,8 @@ def _tables(env: PharaUtility) -> _Tables:
 
     def rungs(mask, *offsets):  # interleaved per piece
         return slot[(2 * np.flatnonzero(mask)[:, None] + offsets).ravel()]
-    cara_rungs = rungs(cara, 1, 2)
     tab = _Tables(a, ladder, slot, log_slopes, R, A, alpha, np.diff(a), C, K, crra,
-                  cara, chord, rungs(crra, 1, 2), cara_rungs, rungs(chord, 1),
-                  *np.unique(cara_rungs, return_inverse=True))
+                  cara, chord, rungs(crra, 1, 2), rungs(cara, 1, 2), rungs(chord, 1))
     for arr in vars(tab).values():
         arr.setflags(write=False)
     return tab
@@ -277,9 +273,10 @@ def _decomposition(xi, tab: _Tables, h: _Horizon, y: float):
 
 def _hedge_rows(xi, tab: _Tables, h: _Horizon, y: float):
     """The delta-hedge scalar of :func:`_hedge`, with Phi from :func:`_phi`
-    on the slopes it reads: the exponential and the power pieces'."""
-    D, F, xR = _phi(tab, h, np.log(y * xi), tab.cara_slots)
-    q = F[tab.cara_cells[1::2]] - F[tab.cara_cells[::2]]
+    on the slopes it reads: the exponential pieces' rungs, ascending, where a
+    repeated slot leaves the running maximum as it is, and the power pieces'."""
+    D, F, xR = _phi(tab, h, np.log(y * xi), tab.cara_rungs)
+    q = F[1::2] - F[::2]
     return (_hedge(tab, h, xR, q, D[tab.chord_rungs]).sum(axis=0),)
 
 
@@ -482,17 +479,19 @@ def _wealth_ladder(env: PharaUtility, market: MarketParams, y_star: float,
     return u, np.array([rungs[v] for v in u])
 
 
-def _newton_root(fn, lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Roots of decreasing maps, one per entry of u, each inside (lo, hi).
+def _newton_root(fn, lo: np.ndarray, hi: np.ndarray, f_lo, f_hi) -> np.ndarray:
+    """Roots of decreasing maps, one per entry of lo, each inside (lo, hi).
 
     fn(act, u[act]) returns f and df/du on the active entries, with
-    f(lo) > 0 > f(hi).  Newton steps from the start u, bisecting where a step
+    f_lo = f(lo) >= 0 > f(hi) = f_hi.  Newton steps from the regula falsi
+    start lo + (hi - lo) f_lo / (f_lo - f_hi), bisecting where a step
     is not finite or leaves the open bracket.  Every evaluated point becomes a
     bracket end (lo and hi are updated in place), so rounding noise cannot
     make the steps cycle.  An entry is done once a step or a move is within
-    1e-14 (1 + |u|); NoConvergence after _NEWTON_ITERS steps.  An empty u
-    costs one call of fn on no entries.
+    1e-14 (1 + |u|); NoConvergence after _NEWTON_ITERS steps.  An empty
+    bracket costs one call of fn on no entries.
     """
+    u = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
     act = np.arange(u.size)
     for i in range(_NEWTON_ITERS):
         ua = u[act]
@@ -542,12 +541,11 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
         k = np.searchsorted(-rung_X, -xs[live], side="right")  # first X < x
         live, k = live[k < rung_u.size], k[k < rung_u.size]
         level, lo, hi = xs[live], rung_u[k - 1], rung_u[k]
-        f_lo, f_hi = rung_X[k - 1] - level, rung_X[k] - level
-        u = lo + (hi - lo) * f_lo / (f_lo - f_hi)  # regula falsi start
 
         def wealth_gap(act, ua):
             x_t, total = _evaluate(lambda b: _decomposition(b, tab, h, y_star)[:2],
                                    np.exp(ua))
             return x_t - level[act], -total
-        out[live] = np.exp(_newton_root(wealth_gap, lo, hi, u))
+        out[live] = np.exp(_newton_root(wealth_gap, lo, hi, rung_X[k - 1] - level,
+                                        rung_X[k] - level))
     return float(out[0]) if np.ndim(x) == 0 else out

@@ -186,15 +186,19 @@ class PharaPiece:
 
 @dataclass(frozen=True)
 class PharaUtility:
-    """Increasing, upper-semicontinuous piecewise-HARA utility on [a0, inf)."""
+    """Increasing, upper-semicontinuous piecewise-HARA utility on [a0, inf).
+
+    U(a0) is the first piece's limit there: -inf for a log branch, or a power
+    branch with R > 1, whose benchmark is a0.  The one domain rule: a0 is in
+    the domain exactly when U(a0) is finite.
+    """
 
     a0: float
     pieces: tuple[PharaPiece, ...]
-    a0_included: bool = True
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.a0, self.pieces, self.a0_included))
+        return hash((self.a0, self.pieces))
 
     def __hash__(self) -> int:
         # the field hash, computed once: the solver's table cache looks the
@@ -234,10 +238,6 @@ class PharaUtility:
     def interior_points(self) -> np.ndarray:
         return np.array([p.a_lo for p in self.pieces[1:]])
 
-    @property
-    def value_at_a0(self) -> float:
-        return self.pieces[0].value_lo if self.a0_included else NEG_INF
-
     def gamma_plus(self, k: int) -> float:
         """Right slope at a_k, k = 0..n."""
         return self.pieces[k].slope_lo
@@ -260,11 +260,12 @@ class PharaUtility:
         return np.searchsorted(self.interior_points, x, side="right")
 
     def value(self, x):
-        """U(x); upper-semicontinuous choice (max of one-sided limits) at kinks."""
+        """U(x); upper-semicontinuous choice (max of one-sided limits) at kinks.
+        OutOfDomain below a0."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        if np.any(x < self.a0) or (not self.a0_included and np.any(x == self.a0)):
+        if np.any(x < self.a0):
             raise OutOfDomain(f"domain starts at {self.a0}")
         out = np.empty_like(x)
         idx = self._piece_index(x)
@@ -276,11 +277,12 @@ class PharaUtility:
 
 
 def crra_utility(R: float, a0: float = 0.0) -> PharaUtility:
-    """Pure power/log utility on (a0, inf) with benchmark a0 and U'(x)=(x-a0)^-R."""
+    """Pure power/log utility on [a0, inf) with benchmark a0 and U'(x)=(x-a0)^-R;
+    U(a0) is 0 for R < 1 and -inf for R >= 1."""
     u = 0.0 if R == 1.0 else 1.0 / (1.0 - R)
     piece = PharaPiece(a_lo=a0, a_hi=INF, R=R, A=a0, anchor_x=a0 + 1.0,
                        anchor_u=u, anchor_slope=1.0)
-    return PharaUtility(a0=a0, pieces=(piece,), a0_included=False)
+    return PharaUtility(a0=a0, pieces=(piece,))
 
 
 def cara_utility(alpha: float, a0: float = -200.0) -> PharaUtility:
@@ -387,15 +389,14 @@ def compose(preference: PharaUtility, payoff: PiecewiseLinearPayoff) -> PharaUti
     preference's interior points; on each resulting cell the payoff is affine
     and the preference is one HARA branch, and the affine substitution keeps
     the template.  Raises OutOfDomain when the payoff's floor value lies
-    outside the preference's domain, and NotPhara when the rebuilt branches
+    below the preference's a0, and NotPhara when the rebuilt branches
     fail to reproduce the pointwise composition.
     """
     if (not payoff.breakpoints and payoff.slopes == (1.0,)
             and payoff.value_lo == payoff.domain_lo == preference.a0):
         return preference  # the identity payoff on the preference's domain
     lo_val = payoff.value_lo
-    if lo_val < preference.a0 or (lo_val == preference.a0
-                                  and not preference.a0_included):
+    if lo_val < preference.a0:
         raise OutOfDomain(f"payoff floor value {lo_val} below preference domain")
 
     kink_values = preference.interior_points.tolist()
@@ -412,8 +413,7 @@ def compose(preference: PharaUtility, payoff: PiecewiseLinearPayoff) -> PharaUti
         for c_lo, c_hi in zip(cuts, cuts[1:]):
             pieces.append(_composed_piece(preference, c_lo, c_hi, lo, v_lo, s))
 
-    utility = PharaUtility(a0=payoff.domain_lo, pieces=tuple(pieces),
-                           a0_included=True)
+    utility = PharaUtility(a0=payoff.domain_lo, pieces=tuple(pieces))
     _verify_composition(utility, preference, payoff)
     return utility
 

@@ -58,9 +58,7 @@ def argmax_oracle(utility: PharaUtility, y: float, xi_T: float) -> float:
     lo = utility.a0
     hi = _grid_upper_limit(utility, w)
     xs = np.linspace(lo, hi, _ARGMAX_GRID)
-    if not np.isfinite(utility.value_at_a0):  # -inf where a0 is excluded
-        xs[0] = lo + (hi - lo) * 1e-12
-    vals = utility.value(xs) - w * xs
+    vals = utility.value(xs) - w * xs  # where U(a0) = -inf, a0 never wins
     i = int(np.argmax(vals))
 
     a = xs[max(i - 1, 0)]

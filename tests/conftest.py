@@ -135,7 +135,7 @@ def multi_kink_utility() -> PharaUtility:
         PharaPiece(a_lo=40.0, a_hi=INF, R=0.5, A=20.0, anchor_x=40.0,
                    anchor_u=v_top, anchor_slope=0.5 * k2 / math.sqrt(20.0)),
     )
-    return PharaUtility(a0=4.0, pieces=pieces, a0_included=True)
+    return PharaUtility(a0=4.0, pieces=pieces)
 
 
 @pytest.fixture(scope="session")
@@ -211,7 +211,7 @@ def random_concave_envelope(rng: np.random.Generator,
     A = x - float(rng.uniform(0.2, 3.0))
     pieces.append(PharaPiece(a_lo=x, a_hi=INF, R=R, A=A, anchor_x=x,
                              anchor_u=u, anchor_slope=slope))
-    return PharaUtility(a0=a0, pieces=tuple(pieces), a0_included=True)
+    return PharaUtility(a0=a0, pieces=tuple(pieces))
 
 
 def random_raw_utility(rng: np.random.Generator) -> PharaUtility:
@@ -259,7 +259,7 @@ def random_raw_utility(rng: np.random.Generator) -> PharaUtility:
     pieces.append(PharaPiece(a_lo=x, a_hi=INF, R=float(rng.uniform(0.2, 3.0)),
                              A=A, anchor_x=x, anchor_u=u,
                              anchor_slope=float(rng.uniform(0.05, 2.0))))
-    return PharaUtility(a0=a0, pieces=tuple(pieces), a0_included=True)
+    return PharaUtility(a0=a0, pieces=tuple(pieces))
 
 
 def interesting_multipliers(env: PharaUtility, rng: np.random.Generator,

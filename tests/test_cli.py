@@ -15,7 +15,8 @@ from conftest import strict_json as _strict_json
 from phara.cli import _check, _parse_utility, _settle_process, load_scenario, main
 from phara.concavify import concave_envelope
 from phara.errors import BadDimension, PharaError
-from phara.solver import portfolio_general, solve_multiplier, wealth_total
+from phara.solver import (optimal_terminal_wealth, portfolio_general, solve_multiplier,
+                          wealth_total)
 from phara.utility import INF, PharaPiece
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,6 +77,21 @@ class TestEnvelopeCommand:
         table = json.loads((tmp_path / "envelope.json").read_text())
         assert table["chords"] == []
 
+    @pytest.mark.parametrize("R", [0.5, 2.0])
+    def test_curve_starts_where_u_is_finite(self, tmp_path, R):
+        # the curve starts at a0 where U(a0) is finite (R = 0.5: U(0) = 0),
+        # and just above it where U(a0) = -inf (R = 2)
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        raw["utility"]["pieces"][0].update(R=R, anchor={"x": 1.0, "u": 1.0 / (1.0 - R),
+                                                          "slope": 1.0})
+        (tmp_path / "s.json").write_text(json.dumps(raw))
+        assert run(["envelope", "--scenario", tmp_path / "s.json", "--out", tmp_path,
+                    "--grid", "11"]) == 0
+        rows = (tmp_path / "envelope_curve.csv").read_text().splitlines()[1:]
+        cols = np.array([row.split(",") for row in rows], dtype=float)
+        assert np.isfinite(cols).all()
+        assert (cols[0, 0] == 0.0) == (R < 1.0) and cols[0, 0] < cols[1, 0]
+
     def test_contract_tangency(self, tmp_path):
         assert run(["envelope", "--scenario",
                     SCENARIOS / "participating_contract.json",
@@ -104,6 +120,36 @@ class TestSolveCommand:
                           + 0.5 * beta * beta * th * th * market.T)
         assert sol["y_star"] == pytest.approx((x0 / growth) ** (-R), rel=1e-9)
         assert abs(sol["budget_residual"]) <= 1e-10 * x0
+
+    @pytest.mark.parametrize("included", [False, True])
+    def test_old_domain_key_is_ignored(self, tmp_path, included):
+        # a file that still carries utility.a0_included loads as the file
+        # without it, and solve writes the same dual.json
+        raw = json.loads((SCENARIOS / "crra.json").read_text())
+        old = dict(raw, utility=dict(raw["utility"], a0_included=included))
+        for name, data in (("new", raw), ("old", old)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+            assert run(["solve", "--scenario", tmp_path / f"{name}.json",
+                        "--out", tmp_path / name]) == 0
+        assert (load_scenario(tmp_path / "old.json").utility
+                == load_scenario(tmp_path / "new.json").utility)
+        assert ((tmp_path / "old" / "dual.json").read_bytes()
+                == (tmp_path / "new" / "dual.json").read_bytes())
+
+    def test_old_domain_key_keeps_a_finite_floor(self):
+        # a convex power piece on [0, 1) below a concave tail, in a block
+        # that still says a0_included false: the envelope's chord starts at
+        # a0, which is the terminal wealth at state prices above the chord's
+        # slope, and U(a0) = 0 there
+        u = _parse_utility({"a0": 0.0, "a0_included": False, "pieces": [
+            {"a_lo": 0.0, "R": 0.5, "A": 2.0, "anchor": {"x": 0.0, "u": 0.0, "slope": 0.5}},
+            {"a_lo": 1.0, "R": 0.5, "A": 0.0,
+             "anchor": {"x": 1.0, "u": 2.0 - math.sqrt(2.0), "slope": 0.5}}]})
+        ((lo, hi, slope),) = concave_envelope(u).chords
+        assert (lo, hi) == (0.0, 1.0) and slope == pytest.approx(2.0 - math.sqrt(2.0))
+        x = optimal_terminal_wealth(concave_envelope(u).envelope, 1.0,
+                                    np.array([0.6, 1.0, 10.0]))
+        assert np.all(x == 0.0) and np.all(u.value(x) == 0.0)
 
     def test_contract(self, tmp_path, contract_dual):
         assert run(["solve", "--scenario",
@@ -574,19 +620,6 @@ class TestErrorPaths:
         with pytest.raises(BadDimension):
             load_scenario(bad)
         assert not (tmp_path / "dual.json").exists()
-
-    @pytest.mark.parametrize("key", ["a0_included"])
-    def test_quoted_boolean(self, tmp_path, capsys, key):
-        # bool("false") is True: only JSON true and false are accepted
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        raw["utility"][key] = "false"
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
-        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
-                                capsys)
-        assert f"{key} must be true or false" in err
-        with pytest.raises(BadDimension):
-            load_scenario(bad)
 
     @pytest.mark.parametrize("flag", [("--xi", "-1"), ("--xi", "0"),
                                       ("--xi", "nan"), ("--xi", "inf"),

@@ -465,7 +465,7 @@ class TestSweepEdges:
                          anchor_u=0.0, anchor_slope=1.0)
         tail = PharaPiece(a_lo=1.0, a_hi=INF, R=0.5, A=0.0, anchor_x=1.0,
                           anchor_u=1e20, anchor_slope=1.0)
-        u = PharaUtility(a0=0.0, pieces=(log, tail), a0_included=False)
+        u = PharaUtility(a0=0.0, pieces=(log, tail))
         with pytest.raises(UnboundedEnvelope, match="open domain"):
             concave_envelope(u)
 
@@ -492,6 +492,6 @@ class TestSweepEdges:
     def test_tangency_residual_is_checked(self, monkeypatch, demo_utility):
         # a root-finder that returns the bracket's lower end leaves a gap
         # between the two support lines
-        monkeypatch.setattr(concavify, "_newton_root", lambda fn, lo, hi, u: lo)
+        monkeypatch.setattr(concavify, "_newton_root", lambda fn, lo, hi, f_lo, f_hi: lo)
         with pytest.raises(NoConvergence, match="tangency residual"):
             concave_envelope(demo_utility)

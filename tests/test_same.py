@@ -40,3 +40,12 @@ def test_differences_are_named(tmp_path):
     assert same.distance(-5e-324, 5e-324) == (2, 2.0)
     assert same.distance(-0.0, 0.0) == (0, 0.0)
     assert same.distance("inf", 1.0) is None
+
+
+def test_integers_have_no_distance():
+    # an exit code, or any other integer, is shown as it is: its bits read as
+    # a double would give a ulp count that says nothing
+    assert same.describe(2, 0) == "2 -> 0"
+    assert same.describe(100000, 99999) == "100000 -> 99999"
+    assert same.distance(2, 0) is None and same.distance(1, 1.0) is None
+    assert same.describe(0.5, 0.25) == "0.5 -> 0.25 (4503599627370496 ulps, rel 0.5)"

@@ -545,7 +545,7 @@ class TestWealthInversion:
         def nan_map(act, u):
             return np.full(u.size, np.nan), np.ones(u.size)
         with pytest.raises(NoConvergence, match="NaN"):
-            _newton_root(nan_map, np.array([-1.0]), np.array([1.0]), np.array([0.0]))
+            _newton_root(nan_map, np.array([-1.0]), np.array([1.0]), 1.0, -1.0)
 
     def test_root_find_step_cap(self, monkeypatch, demo_envelope, market,
                                 demo_dual):
@@ -821,7 +821,8 @@ def test_split_signs_properties(seed, market, log_y, frac, logs):
 def test_phi_is_the_running_maximum(seed, market, frac, logs):
     # _phi's row-by-row maximum in place equals numpy's accumulate bit for
     # bit, NaN columns (a NaN state price) and infinite ladder ends included,
-    # on the whole ladder and on the exponential pieces' slopes; the reversed
+    # on the whole ladder and on the exponential pieces' rungs, where a slot
+    # repeats at a smooth junction between two of them; the reversed
     # ladder makes every row's maximum differ from its own value.  The power
     # pieces' rows of the same normal.cdf call take no maximum.
     tab, logs = _tables(_raw_envelope(seed)), np.array(logs)
@@ -830,7 +831,7 @@ def test_phi_is_the_running_maximum(seed, market, frac, logs):
         D, R = _d1_outer(t.log_slopes, logs, h), t.R[t.crra, None]
         G = normal.cdf(D[t.crra_rungs] - np.repeat(h.s / R, 2, axis=0))
         power = t.C[t.crra, None] * np.exp(-logs / R) * h.growth * (G[1::2] - G[::2])
-        for slots in (slice(None), t.cara_slots):
+        for slots in (slice(None), t.cara_rungs):
             got, F, xR = _phi(t, h, logs, slots)
             assert got.tobytes() == D.tobytes()
             ref = np.maximum.accumulate(normal.cdf(D[slots].copy()), axis=0)  # not D

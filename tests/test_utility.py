@@ -158,11 +158,15 @@ class TestEval:
         with pytest.raises(OutOfDomain):
             demo_utility.value(3.9)
         with pytest.raises(OutOfDomain):
-            crra_utility(0.5).value(0.0)  # a0 excluded
+            crra_utility(0.5).value(-1e-300)
 
     def test_value_at_a0(self, demo_utility):
-        assert demo_utility.value(4.0) == demo_utility.value_at_a0
-        assert crra_utility(2.0).value_at_a0 == NEG_INF
+        # U(a0) is the first piece's limit, finite or -inf: a0 is in the
+        # domain exactly when it is finite
+        assert demo_utility.value(4.0) == demo_utility.pieces[0].value_lo
+        assert crra_utility(0.5).value(0.0) == 0.0
+        assert crra_utility(2.0).value(0.0) == NEG_INF
+        assert crra_utility(1.0).value(0.0) == NEG_INF
 
 
 def _ara(piece: PharaPiece, x: float) -> float:
@@ -293,7 +297,7 @@ class TestCompose:
         assert payoff.values == pytest.approx((0.0, 1.5))
 
     def test_payoff_below_preference_domain(self):
-        pref = crra_utility(0.5)  # open domain (0, inf)
+        pref = crra_utility(0.5)  # domain [0, inf)
         payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=-1.0,
                                        breakpoints=(), slopes=(1.0,))
         with pytest.raises(OutOfDomain):
@@ -301,6 +305,20 @@ class TestCompose:
         with pytest.raises(OutOfDomain):
             compose(pref, PiecewiseLinearPayoff(domain_lo=-1.0, value_lo=-1.0,
                                                 breakpoints=(), slopes=(1.0,)))
+
+    @pytest.mark.parametrize("R, floor_value", [(0.5, 0.0), (2.0, NEG_INF)])
+    def test_payoff_floor_at_the_preference_floor(self, R, floor_value):
+        # a payoff whose floor value is the preference's a0 composes, with
+        # U(floor) the preference's value there, finite or -inf
+        pref = crra_utility(R)
+        payoff = PiecewiseLinearPayoff(domain_lo=1.0, value_lo=0.0,
+                                       breakpoints=(2.0,), slopes=(1.0, 0.5))
+        u = compose(pref, payoff)
+        assert u.a0 == 1.0 and u.value(1.0) == floor_value
+        xs = np.linspace(1.0, 12.0, 111)[1:]
+        direct = pref.value(payoff.value(xs))
+        assert np.all(np.abs(u.value(xs) - direct)
+                      <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
     def test_preference_branch_anchored_at_cell_end(self, demo_utility):
         # the cell [20, 40) has its benchmark at its left end, so it is
@@ -316,11 +334,11 @@ class TestCompose:
                       <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
     def test_flat_payoff_at_an_infinite_preference_value(self):
-        # log x with the floor a0 = 0 included: U(0) = -inf, so a payoff flat
-        # at 0 has no finite utility
+        # log x on [0, inf): U(0) = -inf, so a payoff flat at 0 has no
+        # finite utility
         log = PharaPiece(a_lo=0.0, a_hi=INF, R=1.0, A=0.0, anchor_x=1.0,
                          anchor_u=0.0, anchor_slope=1.0)
-        pref = PharaUtility(a0=0.0, pieces=(log,), a0_included=True)
+        pref = PharaUtility(a0=0.0, pieces=(log,))
         payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
                                        breakpoints=(1.0,), slopes=(0.0, 1.0))
         with pytest.raises(NotPhara, match="flat payoff"):
@@ -403,7 +421,7 @@ class TestSShaped:
             for q, lam in ((None, 1.0), (0.3, 2.25)):
                 u = s_shaped_utility(reference=1.0, gain_exponent=0.6, a0=a0,
                                      loss_exponent=q, loss_weight=lam)
-                assert u.a0 == a0 and u.value_at_a0 == u.value(a0)
+                assert u.a0 == a0 and np.isfinite(u.value(a0))
                 assert u.n_pieces == (2 if a0 < 1.0 else 1)
                 xs = a0 + np.linspace(0.0, 10.0, 501)
                 direct = _s_shape(xs, 1.0, 0.6, q, lam)
@@ -452,8 +470,7 @@ def test_compose_properties(seed, raw, data):
 def test_utility_hash_computed_once(monkeypatch, demo_utility):
     # the solver's table cache looks a utility up on every call: the field
     # hash is taken once per utility, and equality is unchanged
-    fresh = PharaUtility(a0=demo_utility.a0, pieces=demo_utility.pieces,
-                         a0_included=demo_utility.a0_included)
+    fresh = PharaUtility(a0=demo_utility.a0, pieces=demo_utility.pieces)
     calls = []
     piece_hash = PharaPiece.__hash__
     monkeypatch.setattr(PharaPiece, "__hash__",
@@ -462,5 +479,3 @@ def test_utility_hash_computed_once(monkeypatch, demo_utility):
     assert len(calls) == fresh.n_pieces
     assert hash(fresh) == first and len(calls) == fresh.n_pieces
     assert fresh == demo_utility and first == hash(demo_utility)
-    assert fresh != PharaUtility(a0=fresh.a0, pieces=fresh.pieces,
-                                 a0_included=not fresh.a0_included)

@@ -28,11 +28,13 @@ For every command, failing ones included, it compares the exit code, the
 standard output and error, line by line, and the bytes of every artifact.
 Where an artifact differs it names the JSON key path (a report in a list by
 its ``name``) or the CSV cell, the two values, their distance in units in
-the last place (ulps) and their relative difference.  A summary counts the
-differences per file and key, with the largest relative difference.  A
-report, not a gate: the exit code is 0 when nothing differs, 1 when
-something does and 2 when a tree has no sources.  It uses the standard library only, with the plan and
-child-process code of ``tools/pair.py``.
+the last place (ulps) and their relative difference when both are floats;
+an exit code or another integer is shown as it is.  A summary counts the
+differences per file and key, with the largest relative difference among
+the floats.  A report, not a gate: the exit code is 0 when nothing differs,
+1 when something does and 2 when a tree has no sources.  It uses the
+standard library only, with the plan and child-process code of
+``tools/pair.py``.
 """
 
 from __future__ import annotations
@@ -145,16 +147,16 @@ def _ordered(x: float) -> int:
 
 
 def distance(a, b):
-    """(ulps, relative difference) of two finite numbers, else None."""
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               and math.isfinite(v) for v in (a, b)):
+    """(ulps, relative difference) of two finite floats, else None: an exit
+    code or another integer is compared as it is."""
+    if not all(isinstance(v, float) and math.isfinite(v) for v in (a, b)):
         return None
     rel = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
-    return abs(_ordered(float(a)) - _ordered(float(b))), rel
+    return abs(_ordered(a) - _ordered(b)), rel
 
 
 def describe(a, b) -> str:
-    """The two values, with their distance when both are finite numbers."""
+    """The two values, with their distance when both are finite floats."""
     dist = distance(a, b)
     return f"{a!r} -> {b!r}" + ("" if dist is None else " ({} ulps, rel {:.2g})".format(*dist))
 

@@ -41,8 +41,8 @@ from .errors import BadDimension, IllegalCase, PharaError
 from .market import MarketParams, build_market
 from .solver import (DualSolution, portfolio_unified, solve_multiplier,
                      state_price_for_wealth, _fraction_of_wealth)
-from .utility import (INF, NEG_INF, PharaPiece, PharaUtility,
-                      PiecewiseLinearPayoff, compose, s_shaped_utility)
+from .utility import (INF, NEG_INF, PharaPiece, PharaUtility, compose,
+                      piecewise_linear_payoff, s_shaped_utility)
 
 _FMT = "{:.17g}"
 _MISSING = object()
@@ -141,8 +141,8 @@ def _parse_utility(value, path: str = "utility") -> PharaUtility:
 
     if "preference" in block.data:
         pay = block.get("payoff", "object")
-        payoff = _build(pay.path, PiecewiseLinearPayoff,
-                        domain_lo=pay.get("floor", default=0.0),
+        payoff = _build(pay.path, piecewise_linear_payoff,
+                        a0=pay.get("floor", default=0.0),
                         value_lo=pay.get("value_lo", default=0.0),
                         breakpoints=tuple(pay.get("breakpoints", "numbers", [])),
                         slopes=tuple(pay.get("slopes", "numbers")))
@@ -151,7 +151,7 @@ def _parse_utility(value, path: str = "utility") -> PharaUtility:
                     '"s_shaped" or "phara"') == "phara":
             preference = _parse_utility(pref.data, pref.path)
         else:  # built on the payoff's range [value_lo, inf)
-            preference = _build(pref.path, s_shaped_utility, a0=payoff.value_lo,
+            preference = _build(pref.path, s_shaped_utility, a0=payoff.pieces[0].value_lo,
                                 reference=pref.get("reference", default=0.0),
                                 gain_exponent=pref.get("gain_exponent"),
                                 loss_exponent=pref.get("loss_exponent", default=None),

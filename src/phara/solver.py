@@ -447,13 +447,17 @@ def sahara_portfolio(market: MarketParams, alpha: float, beta: float,
     """
     if market.m != 1:
         raise BadDimension("SAHARA comparison is one-dimensional")
-    if alpha <= 0.0 or beta < 0.0:
-        raise IllegalCase("need alpha > 0 and beta >= 0")
-    tau = market.tau(t)
-    th = market.theta_norm
-    b_t = beta * math.exp(-(market.r - th**2 / (2.0 * alpha**2)) * tau)
-    sigma = float(market.sigma[0, 0])
-    return np.array([th / (alpha * sigma) * math.hypot(x, b_t)])
+    if not (0.0 < alpha < INF and 0.0 <= beta < INF and math.isfinite(x)):
+        raise IllegalCase(f"need alpha > 0, beta >= 0 and x finite, got {alpha}, {beta}, {x}")
+    tau, th, sigma = market.tau(t), market.theta_norm, float(market.sigma[0, 0])
+    try:  # alpha**2 or the exponential leaves the doubles for an extreme alpha
+        b_t = beta * math.exp(-(market.r - th**2 / (2.0 * alpha**2)) * tau)
+        pi = th / (alpha * sigma) * math.hypot(x, b_t)
+    except (OverflowError, ZeroDivisionError):
+        pi = INF
+    if not pi < INF:
+        raise UnboundedDemand(f"SAHARA portfolio leaves the doubles at alpha = {alpha}")
+    return np.array([pi])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllegalCase, NotPhara, OutOfDomain
+from .market import _LOG_MAX
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -82,8 +83,8 @@ class PharaPiece:
         if not self.R >= 0.0:
             raise IllegalCase(f"risk aversion R must be >= 0, got {self.R}")
         if self.R == 0.0:
-            if not self.anchor_slope >= 0.0:
-                raise IllegalCase("linear piece needs slope >= 0")
+            if not 0.0 <= self.anchor_slope < INF:
+                raise IllegalCase("linear piece needs a finite slope >= 0")
             return
         if not self.anchor_slope > 0.0:
             raise IllegalCase("non-linear piece needs a positive anchor slope")
@@ -190,7 +191,7 @@ class PharaUtility:
 
     U(a0) is the first piece's limit there: -inf for a log branch, or a power
     branch with R > 1, whose benchmark is a0.  The one domain rule: a0 is in
-    the domain exactly when U(a0) is finite.
+    the domain exactly when U(a0) is finite.  A payoff is one with linear pieces.
     """
 
     a0: float
@@ -287,6 +288,8 @@ def crra_utility(R: float, a0: float = 0.0) -> PharaUtility:
 
 def cara_utility(alpha: float, a0: float = -200.0) -> PharaUtility:
     """Exponential utility -exp(-alpha x)/alpha, truncated far below zero."""
+    if not 0.0 < alpha < INF:
+        raise IllegalCase(f"alpha must be in (0, inf), got {alpha}")
     piece = PharaPiece(a_lo=a0, a_hi=INF, R=INF, anchor_x=0.0,
                        anchor_u=-1.0 / alpha, anchor_slope=1.0, alpha=alpha)
     return PharaUtility(a0=a0, pieces=(piece,))
@@ -331,77 +334,46 @@ def s_shaped_utility(reference: float, gain_exponent: float, a0: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearPayoff:
-    """Continuous increasing piecewise-linear payoff above a liquidation floor.
+def piecewise_linear_payoff(a0: float, value_lo: float, breakpoints, slopes) -> PharaUtility:
+    """Continuous increasing piecewise-linear payoff, ``value_lo`` at the floor a0.
 
-    Segments are [domain_lo, b_1), [b_1, b_2), ..., [b_K, inf) with one
-    nonnegative slope each; the payoff value at the floor is ``value_lo``.
+    One linear piece per cell [a0, b_1), ..., [b_K, inf), anchored at its left
+    end with the previous piece's value there: the pieces validate the rest.
     """
-
-    domain_lo: float
-    value_lo: float
-    breakpoints: tuple[float, ...]
-    slopes: tuple[float, ...]
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.size and (np.any(np.diff(bp) <= 0.0) or bp[0] <= self.domain_lo):
-            raise IllegalCase("breakpoints must increase strictly above the floor")
-        if len(self.slopes) != len(self.breakpoints) + 1:
-            raise IllegalCase(
-                f"need {len(self.breakpoints) + 1} slopes, got {len(self.slopes)}"
-            )
-        if any(s < 0.0 for s in self.slopes):
-            raise IllegalCase("payoff slopes must be nonnegative")
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        """Payoff value at each breakpoint (continuity makes them derived)."""
-        out, v, lo = [], self.value_lo, self.domain_lo
-        for b, s in zip(self.breakpoints, self.slopes):
-            v += s * (b - lo)
-            out.append(v)
-            lo = b
-        return tuple(out)
-
-    def segments(self):
-        """(lo, hi, value at lo, slope) per linear cell, last hi = inf."""
-        knots = (self.domain_lo, *self.breakpoints, INF)
-        vals = (self.value_lo, *self.values)
-        return [(knots[i], knots[i + 1], vals[i], self.slopes[i])
-                for i in range(len(self.slopes))]
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        bp = np.asarray(self.breakpoints)
-        vals = np.array((self.value_lo, *self.values))
-        lows = np.array((self.domain_lo, *self.breakpoints))
-        idx = np.searchsorted(bp, x, side="right")
-        out = vals[idx] + np.asarray(self.slopes)[idx] * (x - lows[idx])
-        return float(out) if out.ndim == 0 else out
+    if len(slopes) != len(breakpoints) + 1:
+        raise IllegalCase(f"need {len(breakpoints) + 1} slopes, got {len(slopes)}")
+    knots = (a0, *breakpoints, INF)
+    pieces = []
+    for lo, hi, s in zip(knots, knots[1:], slopes):
+        pieces.append(PharaPiece(a_lo=lo, a_hi=hi, R=0.0, anchor_x=lo, anchor_slope=s,
+                                 anchor_u=pieces[-1].value_hi if pieces else value_lo))
+    return PharaUtility(a0=a0, pieces=tuple(pieces))
 
 
-def compose(preference: PharaUtility, payoff: PiecewiseLinearPayoff) -> PharaUtility:
-    """Utility of a payoff: U = preference o payoff, returned in PHARA form.
+def compose(preference: PharaUtility, payoff: PharaUtility) -> PharaUtility:
+    """Utility of a payoff, a PHARA utility with linear pieces: U = preference o payoff.
 
-    The partition is the payoff's breakpoints together with preimages of the
-    preference's interior points; on each resulting cell the payoff is affine
-    and the preference is one HARA branch, and the affine substitution keeps
-    the template.  Raises OutOfDomain when the payoff's floor value lies
-    below the preference's a0, and NotPhara when the rebuilt branches
-    fail to reproduce the pointwise composition.
+    The partition is the payoff's together with preimages of the preference's
+    interior points; on each resulting cell the payoff is affine and the
+    preference is one HARA branch, and the affine substitution keeps the
+    template.  Raises NotPhara on a payoff piece that is not linear, or when
+    the rebuilt branches fail to reproduce the pointwise composition, and
+    OutOfDomain when the payoff's floor value lies below the preference's a0.
     """
-    if (not payoff.breakpoints and payoff.slopes == (1.0,)
-            and payoff.value_lo == payoff.domain_lo == preference.a0):
+    for k, piece in enumerate(payoff.pieces):
+        if piece.R != 0.0:
+            raise NotPhara(f"payoff piece {k} on [{piece.a_lo}, {piece.a_hi}) is not linear")
+    first = payoff.pieces[0]
+    if (payoff.n_pieces == 1 and first.anchor_slope == 1.0
+            and first.value_lo == payoff.a0 == preference.a0):
         return preference  # the identity payoff on the preference's domain
-    lo_val = payoff.value_lo
-    if lo_val < preference.a0:
-        raise OutOfDomain(f"payoff floor value {lo_val} below preference domain")
+    if first.value_lo < preference.a0:
+        raise OutOfDomain(f"payoff floor value {first.value_lo} below preference domain")
 
     kink_values = preference.interior_points.tolist()
     pieces: list[PharaPiece] = []
-    for lo, hi, v_lo, s in payoff.segments():
+    for lo, hi, v_lo, s in ((p.a_lo, p.a_hi, p.value_lo, p.anchor_slope)
+                            for p in payoff.pieces):
         cuts = [lo]
         if s > 0.0:
             for kv in kink_values:
@@ -413,7 +385,7 @@ def compose(preference: PharaUtility, payoff: PiecewiseLinearPayoff) -> PharaUti
         for c_lo, c_hi in zip(cuts, cuts[1:]):
             pieces.append(_composed_piece(preference, c_lo, c_hi, lo, v_lo, s))
 
-    utility = PharaUtility(a0=payoff.domain_lo, pieces=tuple(pieces))
+    utility = PharaUtility(a0=payoff.a0, pieces=tuple(pieces))
     _verify_composition(utility, preference, payoff)
     return utility
 
@@ -452,8 +424,8 @@ def _verify_composition(utility: PharaUtility, preference: PharaUtility, payoff)
     """Each cell's branch against the preference at the payoff, by :func:`same_value`."""
     for piece in utility.pieces:
         hi = piece.a_hi if np.isfinite(piece.a_hi) else piece.a_lo + 10.0
-        for x in piece.a_lo + (hi - piece.a_lo) * np.array([0.13, 0.41, 0.67, 0.93]):
-            w = float(payoff.value(x))
+        xs = piece.a_lo + (hi - piece.a_lo) * np.array([0.13, 0.41, 0.67, 0.93])
+        for x, w in zip(xs, payoff.value(xs).tolist()):
             branch = preference.pieces[preference._piece_index(w)]
             direct, built = preference.value(w), piece.value(x)
             rounding = piece.rounding(x) + branch.rounding(w)
@@ -468,19 +440,17 @@ def _verify_composition(utility: PharaUtility, preference: PharaUtility, payoff)
 
 
 def participating_contract_payoff(guarantee: float, wealth_share: float,
-                                  bonus_share: float) -> PiecewiseLinearPayoff:
+                                  bonus_share: float) -> PharaUtility:
     """Issuer's payoff under a participating contract with a minimum guarantee.
 
     Zero below the guarantee level, full upside between the guarantee and
     guarantee/wealth_share, and a reduced participation above that.
     """
+    if not wealth_share > 0.0:
+        raise IllegalCase(f"wealth_share must be positive, got {wealth_share}")
     L = guarantee
-    hi_slope = 1.0 - bonus_share * wealth_share
-    return PiecewiseLinearPayoff(
-        domain_lo=0.0, value_lo=0.0,
-        breakpoints=(L, L / wealth_share),
-        slopes=(0.0, 1.0, hi_slope),
-    )
+    return piecewise_linear_payoff(0.0, 0.0, (L, L / wealth_share),
+                                   (0.0, 1.0, 1.0 - bonus_share * wealth_share))
 
 
 def participating_contract_utility(gamma: float, wealth_share: float,
@@ -489,27 +459,26 @@ def participating_contract_utility(gamma: float, wealth_share: float,
     """Power-preference issuer facing the participating contract payoff."""
     payoff = participating_contract_payoff(guarantee, wealth_share, bonus_share)
     return compose(s_shaped_utility(reference=0.0, gain_exponent=gamma,
-                                    a0=payoff.value_lo), payoff)
+                                    a0=payoff.pieces[0].value_lo), payoff)
 
 
 def hedge_fund_payoff(omega: float, mgmt_fee: float, incentive: float,
                       floor_mult: float, benchmark_mult: float,
-                      x0: float, r: float, T: float) -> PiecewiseLinearPayoff:
+                      x0: float, r: float, T: float) -> PharaUtility:
     """Manager's stake: ownership + management fee + incentive above benchmark.
 
     The fund is liquidated at floor_mult * x0 * e^{rT}; the incentive kicks
     in at benchmark_mult * x0 * e^{rT}.
     """
+    if not r * T <= _LOG_MAX:  # e^(rT) finite, as build_market asks
+        raise IllegalCase(f"r T must be at most {_LOG_MAX:.6g}, got r={r}, T={T}")
     floor = floor_mult * x0 * math.exp(r * T)
     benchmark = benchmark_mult * x0 * math.exp(r * T)
     if floor >= benchmark:
         raise IllegalCase("liquidation floor must sit below the benchmark")
     base = omega + mgmt_fee * (1.0 - omega)
-    return PiecewiseLinearPayoff(
-        domain_lo=floor, value_lo=base * floor,
-        breakpoints=(benchmark,),
-        slopes=(base, base + incentive * (1.0 - omega)),
-    )
+    return piecewise_linear_payoff(floor, base * floor, (benchmark,),
+                                   (base, base + incentive * (1.0 - omega)))
 
 
 def hedge_fund_utility(preference: PharaUtility, omega: float, mgmt_fee: float,

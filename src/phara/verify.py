@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepTooCoarse
+from .errors import BadDimension, StepTooCoarse
 from .market import MarketParams, sample_kernel_at, standard_normals
 from .solver import (budget, optimal_terminal_wealth, portfolio_general,
                      wealth_total, _BLOCK)
@@ -92,6 +92,8 @@ def _mc_check(name: str, market: MarketParams, t: float, n_paths: int, seed: int
     passes within 3 standard errors.  Chunks of _CHUNK paths fold into a running
     mean and sum of squared deviations (Chan et al.'s pairwise update), so
     memory does not grow with n_paths."""
+    if not n_paths >= 2:
+        raise BadDimension(f"a standard error needs at least 2 paths, got {n_paths}")
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n_paths, _CHUNK):
         xi = sample_kernel_at(market, t, min(_CHUNK, n_paths - start), seed, start)
@@ -181,6 +183,8 @@ def simulate_strategy(env: PharaUtility, market: MarketParams, y_star: float,
     """
     if n_steps < 10:
         raise StepTooCoarse(f"need at least 10 steps, got {n_steps}")
+    if not n_paths >= 1:
+        raise BadDimension(f"need at least 1 path, got {n_paths}")
 
     m = market.m
     grid = market.T * (1.0 - (1.0 - np.arange(n_steps + 1) / n_steps) ** 2)

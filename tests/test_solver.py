@@ -25,9 +25,12 @@ from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
                           optimal_terminal_wealth, portfolio_general, portfolio_unified,
                           sahara_portfolio, solve_multiplier,
                           state_price_for_wealth, wealth_total)
-from phara.utility import (INF, PharaPiece, PharaUtility, PiecewiseLinearPayoff, cara_utility,
-                           _verify_composition, compose, crra_utility, s_shaped_utility)
-from phara.verify import argmax_oracle, fd_portfolio_check
+from phara.utility import (INF, PharaPiece, PharaUtility, cara_utility, _verify_composition,
+                           compose, crra_utility, hedge_fund_payoff, hedge_fund_utility,
+                           participating_contract_payoff, participating_contract_utility,
+                           piecewise_linear_payoff, s_shaped_utility)
+from phara.verify import (VerificationReport, argmax_oracle, fd_portfolio_check,
+                          mc_budget_check, mc_martingale_check, simulate_order_check)
 
 
 def norm_pdf(z):
@@ -942,8 +945,8 @@ def _random_parts(rng):
                             loss_exponent=float(rng.uniform(0.05, 0.95)),
                             loss_weight=float(rng.uniform(0.5, 5.0)))
     lo, k = float(rng.uniform(-2.0, 2.0)), int(rng.integers(0, 3))
-    payoff = PiecewiseLinearPayoff(
-        domain_lo=lo, value_lo=float(rng.uniform(0.0, 2.0)),
+    payoff = piecewise_linear_payoff(
+        a0=lo, value_lo=float(rng.uniform(0.0, 2.0)),
         breakpoints=tuple((lo + np.cumsum(rng.uniform(0.1, 3.0, k))).tolist()),
         slopes=tuple((10.0 ** rng.uniform(-3.0, 12.0, k + 1)).tolist()))
     return pref, payoff
@@ -1055,3 +1058,60 @@ def test_failures_are_typed(seed, market, x0, t, x, log_xi, log_y, log_gap):
             assert all(np.all(np.isfinite(v)) for v in vars(out).values() if v is not None)
         elif not isinstance(out, DualSolution):
             assert np.all(np.isfinite(out))
+
+
+@given(markets(max_m=1), st.lists(st.one_of(st.floats(0.0, 3.0), st.floats()),
+                                  min_size=8, max_size=8), st.integers(-2, 1))
+def test_constructor_and_oracle_failures_are_typed(market, v, n_paths):
+    """Moderate numbers or any doubles, NaN and +-inf among them, for the constructors,
+    and sample sizes too small for a standard error: whatever fails raises a
+    PharaError, and a call that returns has only finite values: a utility's
+    knots, a report's figures, a portfolio."""
+    env = crra_utility(0.5)
+    calls = [lambda: cara_utility(v[0]),
+             lambda: participating_contract_payoff(*v[:3]),
+             lambda: participating_contract_utility(*v[:4]),
+             lambda: hedge_fund_payoff(*v),
+             lambda: hedge_fund_utility(env, *v),
+             lambda: piecewise_linear_payoff(v[0], v[1], v[2:4], v[4:7]),
+             lambda: sahara_portfolio(market, v[0], v[1], 0.0, v[2]),
+             lambda: mc_budget_check(env, market, 1.0, n_paths, 0),
+             lambda: mc_martingale_check(env, market, 1.0, 0.5 * market.T, n_paths, 0),
+             lambda: simulate_order_check(env, market, 1.0, 1.0, n_paths, 10, 0)]
+    for call in calls:
+        try:
+            out = call()
+        except PharaError:
+            continue
+        if isinstance(out, PharaUtility):
+            out = out.partition[:-1]
+        elif isinstance(out, VerificationReport):
+            out = [out.computed, out.oracle, out.tolerance]
+        assert np.all(np.isfinite(out))
+
+
+def test_constructor_and_oracle_errors_name_their_input(market, crra_envelope):
+    # a zero, an overflowing growth factor or a NaN is named before any
+    # arithmetic reads it, and so is a sample too small for the oracle
+    nan = float("nan")
+    hedge = (0.1, 0.2, 0.4, 0.7, 2.0, 1.0)
+    cases = [(IllegalCase, "alpha", lambda: cara_utility(0.0)),
+             (IllegalCase, "wealth_share", lambda: participating_contract_payoff(1.0, 0.0, 0.3)),
+             (IllegalCase, "r T", lambda: hedge_fund_payoff(*hedge, r=1000.0, T=10.0)),
+             (IllegalCase, "empty piece", lambda: participating_contract_payoff(nan, 0.4, 0.3)),
+             (IllegalCase, "empty piece",
+              lambda: hedge_fund_payoff(0.1, 0.2, 0.4, nan, 2.0, 1.0, r=0.05, T=10.0))]
+    cases += [(IllegalCase, "need alpha", lambda a=a, b=b, x=x: sahara_portfolio(
+        market, alpha=a, beta=b, t=0.0, x=x)) for a, b, x in ((nan, 1.0, 1.0), (2.0, nan, 1.0),
+                                                              (2.0, 1.0, nan), (INF, 1.0, 1.0))]
+    cases += [(UnboundedDemand, "SAHARA", lambda: sahara_portfolio(market, 1e-3, 1.0, 0.0, 1.0))]
+    for n in (0, 1):
+        cases += [(BadDimension, "2 paths", lambda n=n: mc_budget_check(
+                       crra_envelope, market, 1.0, n, 0)),
+                  (BadDimension, "2 paths", lambda n=n: mc_martingale_check(
+                       crra_envelope, market, 1.0, 5.0, n, 0))]
+    cases += [(BadDimension, "1 path", lambda: simulate_order_check(
+        crra_envelope, market, 1.0, 10.0, 0, 10, 0))]
+    for error, match, call in cases:
+        with pytest.raises(error, match=match):
+            call()

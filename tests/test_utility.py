@@ -8,10 +8,9 @@ from conftest import (CONTRACT_PARAMS, deriv, random_concave_envelope,
                       random_raw_utility, scale_shift)
 from phara.errors import IllegalCase, NotPhara, OutOfDomain, PharaError
 from phara.utility import (INF, NEG_INF, PharaPiece, PharaUtility,
-                           PiecewiseLinearPayoff, _verify_composition,
-                           cara_utility, compose, crra_utility,
-                           hedge_fund_payoff, hedge_fund_utility,
-                           s_shaped_utility)
+                           _verify_composition, cara_utility, compose,
+                           crra_utility, hedge_fund_payoff, hedge_fund_utility,
+                           piecewise_linear_payoff, s_shaped_utility)
 
 
 def _s_shape(w, reference, g, q=None, lam=1.0):
@@ -231,8 +230,8 @@ class TestCompose:
         assert contract_utility.value(x) == pytest.approx(expect, rel=1e-12)
 
     def test_identity_payoff_returns_preference(self, demo_utility):
-        payoff = PiecewiseLinearPayoff(domain_lo=4.0, value_lo=4.0,
-                                       breakpoints=(), slopes=(1.0,))
+        payoff = piecewise_linear_payoff(a0=4.0, value_lo=4.0,
+                                         breakpoints=(), slopes=(1.0,))
         assert compose(demo_utility, payoff) is demo_utility
 
     def test_hedge_fund_kinks(self, market):
@@ -246,9 +245,9 @@ class TestCompose:
         assert u.kinks() == pytest.approx([floor, benchmark], rel=1e-12)
 
     def test_compose_matches_pointwise(self, contract_utility):
-        payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
-                                       breakpoints=(1.0, 2.5),
-                                       slopes=(0.0, 1.0, 0.88))
+        payoff = piecewise_linear_payoff(a0=0.0, value_lo=0.0,
+                                         breakpoints=(1.0, 2.5),
+                                         slopes=(0.0, 1.0, 0.88))
         xs = np.linspace(0.0, 12.0, 1000)
         direct = _s_shape(payoff.value(xs), 0.0, 0.5)
         built = contract_utility.value(xs)
@@ -256,8 +255,8 @@ class TestCompose:
 
     def test_phara_preference_compose(self):
         pref = crra_utility(0.5)
-        payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.1,
-                                       breakpoints=(2.0,), slopes=(0.5, 2.0))
+        payoff = piecewise_linear_payoff(a0=0.0, value_lo=0.1,
+                                         breakpoints=(2.0,), slopes=(0.5, 2.0))
         u = compose(pref, payoff)
         xs = np.linspace(0.0, 8.0, 400)
         direct = pref.value(payoff.value(xs))
@@ -270,8 +269,8 @@ class TestCompose:
         # template.  Points from 1 + 1e-6 on: nearer the start one ulp of x
         # moves the payoff by slope ulp(1), and the value by more than the bound
         pref = crra_utility(0.5)
-        payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=1.0,
-                                       breakpoints=(1.0,), slopes=(0.5, slope))
+        payoff = piecewise_linear_payoff(a0=0.0, value_lo=1.0,
+                                         breakpoints=(1.0,), slopes=(0.5, slope))
         u = compose(pref, payoff)
         xs = np.r_[np.linspace(0.0, 0.999, 40), 1.0 + np.geomspace(1e-6, 1e3, 46)]
         direct = pref.value(payoff.value(xs))
@@ -281,8 +280,8 @@ class TestCompose:
     def test_loss_branch_is_convex(self):
         pref = s_shaped_utility(reference=1.0, gain_exponent=0.5, a0=0.0,
                                 loss_weight=2.25)
-        payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
-                                       breakpoints=(), slopes=(1.0,))
+        payoff = piecewise_linear_payoff(a0=0.0, value_lo=0.0,
+                                         breakpoints=(), slopes=(1.0,))
         u = compose(pref, payoff)
         assert [p.a_lo for p in u.pieces] == [0.0, 1.0]
         assert u.pieces[0].convex
@@ -291,28 +290,30 @@ class TestCompose:
         assert np.allclose(u.value(xs), direct, rtol=1e-12, atol=1e-12)
 
     def test_payoff_values_property(self):
-        payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
-                                       breakpoints=(1.0, 2.5),
-                                       slopes=(0.0, 1.0, 0.88))
-        assert payoff.values == pytest.approx((0.0, 1.5))
+        payoff = piecewise_linear_payoff(a0=0.0, value_lo=0.0,
+                                         breakpoints=(1.0, 2.5),
+                                         slopes=(0.0, 1.0, 0.88))
+        # one linear piece per cell, valued at each breakpoint by the one before
+        assert [p.R for p in payoff.pieces] == [0.0] * 3
+        assert [p.value_lo for p in payoff.pieces] == pytest.approx((0.0, 0.0, 1.5))
 
     def test_payoff_below_preference_domain(self):
         pref = crra_utility(0.5)  # domain [0, inf)
-        payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=-1.0,
-                                       breakpoints=(), slopes=(1.0,))
+        payoff = piecewise_linear_payoff(a0=0.0, value_lo=-1.0,
+                                         breakpoints=(), slopes=(1.0,))
         with pytest.raises(OutOfDomain):
             compose(pref, payoff)
         with pytest.raises(OutOfDomain):
-            compose(pref, PiecewiseLinearPayoff(domain_lo=-1.0, value_lo=-1.0,
-                                                breakpoints=(), slopes=(1.0,)))
+            compose(pref, piecewise_linear_payoff(a0=-1.0, value_lo=-1.0,
+                                                  breakpoints=(), slopes=(1.0,)))
 
     @pytest.mark.parametrize("R, floor_value", [(0.5, 0.0), (2.0, NEG_INF)])
     def test_payoff_floor_at_the_preference_floor(self, R, floor_value):
         # a payoff whose floor value is the preference's a0 composes, with
         # U(floor) the preference's value there, finite or -inf
         pref = crra_utility(R)
-        payoff = PiecewiseLinearPayoff(domain_lo=1.0, value_lo=0.0,
-                                       breakpoints=(2.0,), slopes=(1.0, 0.5))
+        payoff = piecewise_linear_payoff(a0=1.0, value_lo=0.0,
+                                         breakpoints=(2.0,), slopes=(1.0, 0.5))
         u = compose(pref, payoff)
         assert u.a0 == 1.0 and u.value(1.0) == floor_value
         xs = np.linspace(1.0, 12.0, 111)[1:]
@@ -323,8 +324,8 @@ class TestCompose:
     def test_preference_branch_anchored_at_cell_end(self, demo_utility):
         # the cell [20, 40) has its benchmark at its left end, so it is
         # anchored at 40, where the preference's next piece has another slope
-        payoff = PiecewiseLinearPayoff(domain_lo=5.0, value_lo=5.0,
-                                       breakpoints=(), slopes=(1.0,))
+        payoff = piecewise_linear_payoff(a0=5.0, value_lo=5.0,
+                                         breakpoints=(), slopes=(1.0,))
         u = compose(demo_utility, payoff)
         assert u.a0 == 5.0
         assert [p.a_lo for p in u.pieces] == [5.0, 8.96, 12.0, 20.0, 40.0]
@@ -339,16 +340,16 @@ class TestCompose:
         log = PharaPiece(a_lo=0.0, a_hi=INF, R=1.0, A=0.0, anchor_x=1.0,
                          anchor_u=0.0, anchor_slope=1.0)
         pref = PharaUtility(a0=0.0, pieces=(log,))
-        payoff = PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
-                                       breakpoints=(1.0,), slopes=(0.0, 1.0))
+        payoff = piecewise_linear_payoff(a0=0.0, value_lo=0.0,
+                                         breakpoints=(1.0,), slopes=(0.0, 1.0))
         with pytest.raises(NotPhara, match="flat payoff"):
             compose(pref, payoff)
 
     def test_composition_check_rejects_a_wrong_branch(self):
         # the pointwise check behind compose: a cell off by 1e-6 fails it
         pref = crra_utility(0.5)
-        payoff = PiecewiseLinearPayoff(domain_lo=1.0, value_lo=1.0,
-                                       breakpoints=(), slopes=(1.0,))
+        payoff = piecewise_linear_payoff(a0=1.0, value_lo=1.0,
+                                         breakpoints=(), slopes=(1.0,))
         u = compose(pref, payoff)
         _verify_composition(u, pref, payoff)
         with pytest.raises(NotPhara, match="does not reduce"):
@@ -361,15 +362,33 @@ class TestCompose:
                               r=market.r, T=market.T)
 
     def test_payoff_validation(self):
-        with pytest.raises(IllegalCase):
-            PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
-                                  breakpoints=(2.0, 1.0), slopes=(1, 1, 1))
-        with pytest.raises(IllegalCase):
-            PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
-                                  breakpoints=(1.0,), slopes=(1.0, -0.2))
-        with pytest.raises(IllegalCase, match="slopes"):
-            PiecewiseLinearPayoff(domain_lo=0.0, value_lo=0.0,
-                                  breakpoints=(1.0,), slopes=(1.0,))
+        # the pieces validate the partition, the floor value and the slopes
+        nan = float("nan")
+        for a0, value_lo, breakpoints, slopes in (
+                (0.0, 0.0, (2.0, 1.0), (1, 1, 1)),     # breakpoints decrease
+                (0.0, 0.0, (1.0, 1.0), (1, 1, 1)),     # a breakpoint twice
+                (1.0, 0.0, (1.0,), (1, 1)),            # a breakpoint at the floor
+                (1.0, 0.0, (0.5,), (1, 1)),            # a breakpoint below the floor
+                (0.0, 0.0, (nan,), (1, 1)), (0.0, 0.0, (INF,), (1, 1)),
+                (nan, 0.0, (1.0,), (1, 1)), (INF, 0.0, (), (1,)), (NEG_INF, 0.0, (), (1,)),
+                (0.0, nan, (), (1,)), (0.0, INF, (), (1,)),
+                (0.0, 0.0, (1.0,), (1.0, -0.2)), (0.0, 0.0, (1.0,), (nan, 1.0)),
+                (0.0, 0.0, (), (INF,)), (0.0, 0.0, (10.0,), (1e308, 1.0))):
+            with pytest.raises(IllegalCase):
+                piecewise_linear_payoff(a0, value_lo, breakpoints, slopes)
+        with pytest.raises(IllegalCase, match="need 2 slopes, got 1"):
+            piecewise_linear_payoff(a0=0.0, value_lo=0.0,
+                                    breakpoints=(1.0,), slopes=(1.0,))
+
+    def test_curved_payoff_rejected(self):
+        # a payoff is composed piece by piece as an affine map: a power piece is not
+        with pytest.raises(NotPhara, match="payoff piece 0 .* not linear"):
+            compose(crra_utility(0.5), crra_utility(0.5, a0=1.0))
+        line = piecewise_linear_payoff(a0=0.0, value_lo=0.0, breakpoints=(), slopes=(1.0,))
+        bent = PharaUtility(a0=0.0, pieces=(line.pieces[0].restrict(0.0, 1.0),
+                                            crra_utility(0.5).pieces[0].restrict(1.0, INF)))
+        with pytest.raises(NotPhara, match="payoff piece 1 on \\[1.0, inf\\)"):
+            compose(crra_utility(0.5), bent)
 
 
 class TestValidation:
@@ -439,7 +458,7 @@ class TestSShaped:
 
 
 @st.composite
-def _payoffs(draw, a0: float) -> PiecewiseLinearPayoff:
+def _payoffs(draw, a0: float) -> PharaUtility:
     """0-2 breakpoints, flat or rising slopes, floor value at or above a0."""
     n = draw(st.integers(0, 2))
     lo = draw(st.floats(-3.0, 3.0))
@@ -447,9 +466,9 @@ def _payoffs(draw, a0: float) -> PiecewiseLinearPayoff:
     lift = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
     slopes = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
                            min_size=n + 1, max_size=n + 1))
-    return PiecewiseLinearPayoff(domain_lo=lo, value_lo=a0 + lift,
-                                 breakpoints=tuple(lo + np.cumsum(gaps)),
-                                 slopes=tuple(slopes))
+    return piecewise_linear_payoff(a0=lo, value_lo=a0 + lift,
+                                   breakpoints=tuple(lo + np.cumsum(gaps)),
+                                   slopes=tuple(slopes))
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())

@@ -10,10 +10,11 @@ the incoming object each have a closed-form support line and contact point
 for every slope s, and the difference of their intercepts is strictly
 increasing in s, so the common tangent is a root bracketed by one geometric
 search, found by the solver's Newton-bisection step in log s, and the hull
-is cut there.  One walk finds the hull's slope-s contact; it serves both the
-support query and the truncation of the hull at the new chord.  Convex and
-flat stretches of the input are always swallowed.  The chord anatomy
-(chords and tangency points) is read off the finished envelope.
+is cut there.  One contact rule, ``PharaPiece.contact``, places every support
+line, hull contact and arc cut; one walk finds the hull's slope-s contact, for
+both the support query and the truncation of the hull at the new chord.
+Convex and flat stretches of the input are always swallowed.  The chord
+anatomy (chords and tangency points) is read off the finished envelope.
 """
 
 from __future__ import annotations
@@ -46,13 +47,8 @@ class EnvelopeResult:
 
 def _support(piece: PharaPiece, s: float) -> tuple[float, float]:
     """Intercept and contact point of the slope-s line supporting a concave
-    curved piece from above; off the piece's slope range an end takes over."""
-    if s >= piece.slope_lo:
-        x = piece.a_lo
-    elif np.isfinite(piece.a_hi) and s <= piece.slope_hi:
-        x = piece.a_hi
-    else:
-        x = piece.slope_inverse(s)
+    curved piece from above, the contact by :meth:`PharaPiece.contact`."""
+    x = piece.contact(s)
     return float(piece.value(x)) - s * x, x
 
 
@@ -96,13 +92,14 @@ class _Sweep:
         for k in range(len(self.hull) - 1, -1, -1):
             piece = self.hull[k]
             # a tie holds for a curve only: past a line's slope its left end
-            # supports, and its right end would lift the intercept off the hull
-            if s <= piece.slope_hi or (piece.R != 0.0 and same_slope(s, piece.slope_hi)):
-                return k, piece.a_hi, piece.value_hi
-            if s <= piece.slope_lo:
-                x = min(max(piece.slope_inverse(s), piece.a_lo), piece.a_hi)
-                if not _short(piece.a_lo, x):
-                    return k, x, float(piece.value(x))
+            # supports, and its right end would lift the intercept off the hull;
+            # a right end holds however short the piece, a left end does not
+            tie = piece.R != 0.0 and same_slope(s, piece.slope_hi)
+            x = piece.a_hi if tie else piece.contact(s)
+            if x == piece.a_hi:
+                return k, x, piece.value_hi
+            if not _short(piece.a_lo, x):
+                return k, x, float(piece.value(x))
         if self.anchor is None:
             raise UnboundedEnvelope("support requested left of an open domain")
         return -1, self.anchor[0], self.anchor[1]
@@ -220,10 +217,7 @@ class _Sweep:
             self.attach_point(piece.a_hi, piece.value_hi)
             return
         x_b, v_b, s_star = bridge
-        if s_star >= s_in:
-            f = piece.a_lo
-        else:
-            f = min(max(piece.slope_inverse(s_star), piece.a_lo), piece.a_hi)
+        f = piece.contact(s_star)
         if _short(f, piece.a_hi):
             f = piece.a_hi  # the chord reaches the arc's end: no fragment is kept
         self._push_chord(x_b, v_b, f, s_star)

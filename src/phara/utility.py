@@ -86,8 +86,8 @@ class PharaPiece:
             if not 0.0 <= self.anchor_slope < INF:
                 raise IllegalCase("linear piece needs a finite slope >= 0")
             return
-        if not self.anchor_slope > 0.0:
-            raise IllegalCase("non-linear piece needs a positive anchor slope")
+        if not 0.0 < self.anchor_slope < INF:
+            raise IllegalCase("non-linear piece needs a finite positive anchor slope")
         if self.R == INF:
             if self.A != NEG_INF:
                 raise IllegalCase("exponential case needs A = -inf")
@@ -146,13 +146,17 @@ class PharaPiece:
                        anchor_u=float(self.value(x)),
                        anchor_slope=float(self.slope(x)))
 
-    def slope_inverse(self, s: float) -> float:
-        """x with slope(x) = s; only for strictly monotone-slope pieces."""
-        if self.R == 0.0:
-            raise IllegalCase("linear piece has no slope inverse")
+    def contact(self, s: float) -> float:
+        """The one contact rule: where a slope-s line touches the piece, clamped to it."""
+        if s <= self.slope_hi:
+            return self.a_hi
+        if s >= self.slope_lo:
+            return self.a_lo
         if self.R == INF:
-            return self.anchor_x - math.log(s / self.anchor_slope) / self.alpha
-        return self.A + (self.anchor_x - self.A) * (s / self.anchor_slope) ** (-1.0 / self.R)
+            x = self.anchor_x - math.log(s / self.anchor_slope) / self.alpha
+        else:
+            x = self.A + (self.anchor_x - self.A) * (s / self.anchor_slope) ** (-1.0 / self.R)
+        return min(max(x, self.a_lo), self.a_hi)
 
     def rounding(self, x: float) -> float:
         """Bound on value(x)'s rounding: 4 eps (|anchor_u| + |value(x)| + |x slope(x)|),
@@ -196,15 +200,6 @@ class PharaUtility:
 
     a0: float
     pieces: tuple[PharaPiece, ...]
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.a0, self.pieces))
-
-    def __hash__(self) -> int:
-        # the field hash, computed once: the solver's table cache looks the
-        # utility up on every call
-        return self._hash
 
     def __post_init__(self):
         if not self.pieces:
@@ -314,19 +309,22 @@ def s_shaped_utility(reference: float, gain_exponent: float, a0: float,
         raise IllegalCase("loss exponent must be in (0, 1)")
     if not loss_weight > 0.0:
         raise IllegalCase("loss weight must be positive")
-    pieces = []
-    if a0 < reference:
-        d = reference - a0
-        pieces.append(PharaPiece(a_lo=a0, a_hi=reference, R=1.0 - q, A=reference,
-                                 anchor_x=a0, anchor_u=-loss_weight * d ** q,
-                                 anchor_slope=loss_weight * q * d ** (q - 1.0)))
+
+    def branch(lo, hi, x, p, weight):
+        # +-weight |x - reference|^p on [lo, hi), anchored at x
+        d = abs(x - reference)
+        try:
+            return PharaPiece(a_lo=lo, a_hi=hi, R=1.0 - p, A=reference, anchor_x=x,
+                              anchor_u=math.copysign(weight * d ** p, x - reference),
+                              anchor_slope=weight * p * d ** (p - 1.0))
+        except OverflowError:
+            raise IllegalCase(f"{'loss' if x < reference else 'gain'} piece's anchor slope "
+                              f"overflows at {x}: |{x} - reference| = {d}, exponent {p}") from None
+
+    losses = (branch(a0, reference, a0, q, loss_weight),) if a0 < reference else ()
     lo = max(a0, reference)
     x = _anchor(lo, INF, 1.0 - gain_exponent, reference)
-    d = x - reference
-    pieces.append(PharaPiece(a_lo=lo, a_hi=INF, R=1.0 - gain_exponent, A=reference,
-                             anchor_x=x, anchor_u=d ** gain_exponent,
-                             anchor_slope=gain_exponent * d ** (gain_exponent - 1.0)))
-    return PharaUtility(a0=a0, pieces=tuple(pieces))
+    return PharaUtility(a0=a0, pieces=losses + (branch(lo, INF, x, gain_exponent, 1.0),))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDimension, StepTooCoarse
+from .errors import BadDimension, StepTooCoarse, UnboundedDemand
 from .market import MarketParams, sample_kernel_at, standard_normals
 from .solver import (budget, optimal_terminal_wealth, portfolio_general,
                      wealth_total, _BLOCK)
@@ -44,7 +44,9 @@ def _grid_upper_limit(utility: PharaUtility, w: float) -> float:
     target = w / 10.0
     if target >= last.slope_lo:
         return last.a_lo + 2.0 * span
-    x = last.slope_inverse(target)
+    x = last.contact(target)
+    if x == math.inf:
+        raise UnboundedDemand(f"linear tail steeper than w/10 = {target}: no grid bound")
     return max(x * 1.5 if x > 0 else x + span, last.a_lo + 2.0 * span)
 
 

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (deriv, random_concave_envelope, random_raw_utility,
                       scale_shift)
 from phara import concavify
 from phara.concavify import concave_envelope
 from phara.errors import NoConvergence, UnboundedEnvelope
-from phara.utility import INF, PharaPiece, PharaUtility, crra_utility, s_shaped_utility
+from phara.utility import (INF, PharaPiece, PharaUtility, crra_utility, s_shaped_utility,
+                           same_slope)
 
 
 def analytic_tangency(p: float, A: float, gamma: float) -> float:
@@ -167,18 +169,13 @@ class TestGeneralProperties:
         # any line above the raw utility must stay above the envelope
 
         def tight_intercept(u, c):
-            # exact sup of U - c x: piece endpoints plus interior stationary
-            # points where the piece slope equals c
+            # exact sup of U - c x: piece endpoints plus each piece's slope-c
+            # contact, the stationary point where a concave piece's slope is c
             best = -math.inf
             for piece in u.pieces:
-                cands = [piece.a_lo]
+                cands = [piece.a_lo, piece.contact(c)]
                 if np.isfinite(piece.a_hi):
                     cands.append(piece.a_hi)
-                if piece.R != 0.0 and not piece.convex:
-                    if c < piece.slope_lo:
-                        x_st = piece.slope_inverse(c)
-                        if piece.a_lo < x_st < piece.a_hi:
-                            cands.append(x_st)
                 for x in cands:
                     val = float(piece.value(x)) - c * x
                     if math.isfinite(val):
@@ -343,6 +340,30 @@ class TestGeneralProperties:
         assert np.all(env[1:-1] >= chords - 1e-10)
 
 
+@given(st.integers(0, 2**32 - 1), st.floats(-0.5, 1.5))
+def test_contact_properties(seed, frac):
+    # on each envelope piece, a slope s from frac of the way (in log s) from
+    # slope_lo down to slope_hi (at most a factor 1e3 down, a factor e on a
+    # line), or past them: the contact lies in the piece,
+    # is the end the rule names off the slope range, and where it is interior
+    # the slopes one ulp either side bracket s to within the kink rule
+    env = concave_envelope(random_raw_utility(np.random.default_rng(seed))).envelope
+    for piece in env.pieces:
+        top = math.log(max(piece.slope_lo, 1e-300))
+        span = math.log(max(piece.slope_hi, 1e-3 * piece.slope_lo, 1e-300)) - top
+        s = math.exp(top + frac * (span or -1.0))
+        x = piece.contact(s)
+        assert piece.a_lo <= x <= piece.a_hi
+        if s <= piece.slope_hi:
+            assert x == piece.a_hi
+        elif s >= piece.slope_lo:
+            assert x == piece.a_lo
+        elif piece.a_lo < x < piece.a_hi:
+            left, right = (float(piece.slope(np.nextafter(x, end))) for end in (-INF, INF))
+            assert right <= s or same_slope(right, s)
+            assert s <= left or same_slope(s, left)
+
+
 def _check_envelope(u, res, hi):
     """Majorant, concave, and equal to the input off the chords."""
     xs = np.linspace(u.a0, hi, 4001)
@@ -360,7 +381,8 @@ class TestSweepEdges:
         # U(a0) = -inf: the sweep starts with no anchor point and an empty hull
         u = crra_utility(R)
         res = concave_envelope(u)
-        assert res.envelope == u and res.chords == ()
+        # an equal envelope hashes equal, so the solver's table cache finds it
+        assert res.envelope == u and hash(res.envelope) == hash(u) and res.chords == ()
 
     def test_convex_sliver_one_ulp_wide(self):
         # a convex piece one ulp wide between two concave arcs: the chord

@@ -1100,11 +1100,17 @@ def test_constructor_and_oracle_errors_name_their_input(market, crra_envelope):
              (IllegalCase, "r T", lambda: hedge_fund_payoff(*hedge, r=1000.0, T=10.0)),
              (IllegalCase, "empty piece", lambda: participating_contract_payoff(nan, 0.4, 0.3)),
              (IllegalCase, "empty piece",
-              lambda: hedge_fund_payoff(0.1, 0.2, 0.4, nan, 2.0, 1.0, r=0.05, T=10.0))]
+              lambda: hedge_fund_payoff(0.1, 0.2, 0.4, nan, 2.0, 1.0, r=0.05, T=10.0)),
+             (IllegalCase, "loss piece's anchor slope overflows at 0.0", lambda: s_shaped_utility(
+                 reference=5e-324, gain_exponent=0.5, a0=0.0, loss_exponent=0.01)),
+             (IllegalCase, "gain piece's anchor slope overflows at 5e-324",
+              lambda: s_shaped_utility(reference=0.0, gain_exponent=0.01, a0=5e-324))]
     cases += [(IllegalCase, "need alpha", lambda a=a, b=b, x=x: sahara_portfolio(
         market, alpha=a, beta=b, t=0.0, x=x)) for a, b, x in ((nan, 1.0, 1.0), (2.0, nan, 1.0),
                                                               (2.0, 1.0, nan), (INF, 1.0, 1.0))]
-    cases += [(UnboundedDemand, "SAHARA", lambda: sahara_portfolio(market, 1e-3, 1.0, 0.0, 1.0))]
+    cases += [(UnboundedDemand, "SAHARA", lambda: sahara_portfolio(market, 1e-3, 1.0, 0.0, 1.0)),
+              (UnboundedDemand, "linear tail steeper than w/10 = 0.05", lambda: argmax_oracle(
+                  piecewise_linear_payoff(0.0, 0.0, (), (1.0,)), 1.0, 0.5))]
     for n in (0, 1):
         cases += [(BadDimension, "2 paths", lambda n=n: mc_budget_check(
                        crra_envelope, market, 1.0, n, 0)),

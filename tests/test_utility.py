@@ -63,6 +63,7 @@ class TestTemplate:
             dict(R=0.5, A=0.0, alpha=None, gamma=-1.0),      # bad slope
             dict(R=0.5, A=0.0, alpha=None, gamma=0.0),       # flat only if linear
             dict(R=0.5, A=0.0, alpha=None, gamma=nan),
+            dict(R=0.5, A=0.0, alpha=None, gamma=INF),       # value inf * 0 at the anchor
             dict(R=0.0, A=NEG_INF, alpha=None, gamma=-1.0),
             dict(R=0.0, A=NEG_INF, alpha=None, gamma=nan),
             dict(R=-0.5, A=0.0, alpha=None),                 # R < 0
@@ -82,9 +83,12 @@ class TestTemplate:
             with pytest.raises(IllegalCase):
                 _template(**kwargs)
 
-    def test_linear_piece_has_no_slope_inverse(self):
-        with pytest.raises(IllegalCase):
-            _template(0.0, NEG_INF, None).slope_inverse(1.0)
+    def test_linear_piece_contact(self):
+        # a line of the piece's slope, or shallower, touches it at its right
+        # end; a steeper one at its left end
+        line = _template(0.0, NEG_INF, None, a_hi=4.0)
+        assert line.contact(1.5) == line.contact(0.1) == 4.0
+        assert line.contact(1.5 + 1e-12) == line.contact(9.0) == 1.0
 
     def test_rounding_bound(self, demo_utility):
         # 4 eps (|anchor_u| + |value(x)| + |x slope(x)|): 2 sqrt(x) at x = 4 has
@@ -484,17 +488,3 @@ def test_compose_properties(seed, raw, data):
         direct = pref.value(payoff.value(xs))
         assert np.all(np.abs(built - direct)
                       <= 1e-10 * np.maximum(1.0, np.abs(built)))
-
-
-def test_utility_hash_computed_once(monkeypatch, demo_utility):
-    # the solver's table cache looks a utility up on every call: the field
-    # hash is taken once per utility, and equality is unchanged
-    fresh = PharaUtility(a0=demo_utility.a0, pieces=demo_utility.pieces)
-    calls = []
-    piece_hash = PharaPiece.__hash__
-    monkeypatch.setattr(PharaPiece, "__hash__",
-                        lambda self: calls.append(1) or piece_hash(self))
-    first = hash(fresh)
-    assert len(calls) == fresh.n_pieces
-    assert hash(fresh) == first and len(calls) == fresh.n_pieces
-    assert fresh == demo_utility and first == hash(demo_utility)

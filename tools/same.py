@@ -12,13 +12,15 @@ repository.  Both trees are byte-compiled and run the same matrix as
   a double included);
 - every command of the ``surface_sweep`` and ``cold_commands`` plans that
   ``perfbench/run.py --seconds 40`` runs, for seeds 1 and 7;
-- ten single-fault invocations on bundled scenarios, each an input error
+- eleven single-fault invocations on bundled scenarios, each an input error
   (exit 2): ``decompose`` without ``--x`` and ``--xi``, with ``--x inf``, with
   ``--xi 0`` and with ``--x`` below the wealth floor; ``envelope --grid 1``;
   ``simulate --steps 5``; ``verify --paths 1``; ``surface`` on a two-asset
-  copy of ``crra.json``; and ``envelope`` on two copies of
-  ``hedge_fund.json`` whose payoff has one slope too few, or its breakpoint
-  below the floor;
+  copy of ``crra.json``; ``envelope`` on two copies of ``hedge_fund.json``
+  whose payoff has one slope too few, or its breakpoint below the floor; and
+  ``envelope`` on a copy of ``participating_contract.json`` whose reference
+  sits one subnormal above the floor, where the loss piece's anchor slope
+  overflows;
 - ``envelope`` and ``solve`` on two steep compositions (group ``steep``),
   each an S-shaped preference composed with a payoff of slope up to 8e11, in
   a copy of ``crra.json``.  Their continuity, composition and sweep checks
@@ -68,17 +70,22 @@ POINTS = ((5.0, "--xi", 1.0), (5.0, "--xi", 0.3), (9.0, "--xi", 2.5),
           (9.5, "--x", 1.5))
 # single-fault invocations (command, scenario, flags); "crra_m2" is crra.json
 # with a second asset, multi_kink_demo's floor at t = 5 is 4 e^(-0.25) = 3.1,
-# and the "hedge_fund_" files change one field of hedge_fund.json's payoff
+# and the FIELD_FAULTS files change fields of one block of a bundled scenario
 FAULTS = (("decompose", "crra", ()), ("decompose", "crra", ("--x", "inf")),
           ("decompose", "crra", ("--xi", "0")),
           ("decompose", "multi_kink_demo", ("--t", "5", "--x", "3")),
           ("envelope", "crra", ("--grid", "1")), ("simulate", "crra", ("--steps", "5")),
           ("verify", "crra", ("--paths", "1")), ("surface", "crra_m2", ()),
           ("envelope", "hedge_fund_one_slope", ()),
-          ("envelope", "hedge_fund_low_breakpoint", ()))
-# the payoff faults: one slope short, and the breakpoint below the floor 1.154
-PAYOFF_FAULTS = {"hedge_fund_one_slope": {"slopes": [0.28]},
-                 "hedge_fund_low_breakpoint": {"breakpoints": [1.0]}}
+          ("envelope", "hedge_fund_low_breakpoint", ()),
+          ("envelope", "participating_contract_subnormal_reference", ()))
+# name: (bundled scenario, utility block, fields); the payoff faults are one
+# slope short, and the breakpoint below the floor 1.154
+FIELD_FAULTS = {
+    "hedge_fund_one_slope": ("hedge_fund", "payoff", {"slopes": [0.28]}),
+    "hedge_fund_low_breakpoint": ("hedge_fund", "payoff", {"breakpoints": [1.0]}),
+    "participating_contract_subnormal_reference": (
+        "participating_contract", "preference", {"reference": 5e-324, "loss_exponent": 0.01})}
 # steep compositions, the draws np.random.default_rng([s, 1]) for s = 5 and 6
 # of the tests' random compositions, as scenario "utility" blocks
 STEEP = {
@@ -122,9 +129,9 @@ def fault_commands(scenario_dir: Path) -> list:
     raw = json.loads((ROOT / "scenarios" / "crra.json").read_text())
     raw["market"].update(mu=[0.086, 0.09], sigma=[[0.3, 0.0], [0.0, 0.2]])
     (scenario_dir / "crra_m2.json").write_text(json.dumps(raw))
-    for name, fields in PAYOFF_FAULTS.items():
-        raw = json.loads((ROOT / "scenarios" / "hedge_fund.json").read_text())
-        raw["utility"]["payoff"].update(fields)
+    for name, (base, block, fields) in FIELD_FAULTS.items():
+        raw = json.loads((ROOT / "scenarios" / f"{base}.json").read_text())
+        raw["utility"][block].update(fields)
         (scenario_dir / f"{name}.json").write_text(json.dumps(raw))
     return [Command(f"{c}-{name}{''.join(flags)}", c, name, list(flags))
             for c, name, flags in FAULTS]

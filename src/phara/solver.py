@@ -130,12 +130,16 @@ def _tables(env: PharaUtility) -> _Tables:
     A = np.where(crra, [p.A for p in env.pieces], 0.0)
     alpha = np.array([p.alpha if p.R == INF else 0.0 for p in env.pieces])
 
-    # slope ladder must be nonincreasing: gminus[k] >= gplus[k] >= gminus[k+1],
-    # where a rise within the one kink rule is one slope
+    # slope ladder must be nonincreasing: gminus[k] >= gplus[k] >= gminus[k+1], a rise
+    # within same_slope being one slope.  A larger rise at a junction that kinks() omits is
+    # rounding: both rows take the slope of the chord there (the sweep's line), else the left
     ladder = np.empty(2 * n1 + 1)
     ladder[0::2] = [env.gamma_minus(k) for k in range(n1 + 1)]
     ladder[1::2] = [env.gamma_plus(k) for k in range(n1)]
-    g = ladder.tolist()
+    g, kinks = ladder.tolist(), env.kinks()
+    for k in range(1, n1):  # junction k: rows 2k, 2k + 1
+        if g[2 * k + 1] > g[2 * k] and not same_slope(*g[2 * k:2 * k + 2]) and a[k] not in kinks:
+            ladder[2 * k:2 * k + 2] = g[2 * k] = g[2 * k + 1] = g[2 * k + chord[k]]
     for i in range(2 * n1):
         if g[i + 1] > g[i] and not same_slope(g[i], g[i + 1]):
             raise NotConcave(f"utility is not concave: slope {g[i]!r} at {a[i // 2]} rises "
@@ -156,7 +160,7 @@ def _tables(env: PharaUtility) -> _Tables:
                               f"marginal utility does not fit a double (C = {C[k]}, K = {K[k]})")
     # one slot per run of equal slopes (a chord's ends) and per smooth junction
     new = np.r_[True, ladder[1:] != ladder[:-1]]
-    new[1::2] &= np.isin(a[:-1], env.kinks())
+    new[1::2] &= np.isin(a[:-1], kinks)
     slot = np.cumsum(new) - 1
     with np.errstate(divide="ignore"):
         log_slopes = np.log(ladder[new])

@@ -30,8 +30,19 @@ _KINK_RTOL = 1e-9
 
 
 def same_slope(s: float, t: float) -> bool:
-    """The one kink rule: s and t are one slope within _KINK_RTOL, or 1e-300."""
+    """Two slopes agree within _KINK_RTOL or 1e-300: the sweep's ties and the ladder read it."""
     return math.isclose(s, t, rel_tol=_KINK_RTOL, abs_tol=1e-300)
+
+
+def one_slope(left: PharaPiece, right: PharaPiece) -> bool:
+    """The one junction rule at x: one slope by :func:`same_slope`, or a rise by rounding only,
+    right's slope 4 ulps right of x at most left's 4 ulps left (NaN, below A, reads +inf)."""
+    s, t, x = left.slope_hi, right.slope_lo, right.a_lo
+    if t < s or same_slope(s, t):
+        return same_slope(s, t)
+    h = 4.0 * math.ulp(x)
+    s, t = np.nan_to_num([left.slope(x - h), right.slope(x + h)], nan=INF)
+    return bool(t <= s)
 
 
 def same_value(v: float, w: float, rounding: float = 0.0) -> bool:
@@ -245,9 +256,9 @@ class PharaUtility:
         return self.pieces[k - 1].slope_hi
 
     def kinks(self) -> list[float]:
-        """Domain floor plus the junctions whose slopes differ by :func:`same_slope`."""
+        """Domain floor plus the junctions that :func:`one_slope` does not call one slope."""
         return [self.a0] + [right.a_lo for left, right in zip(self.pieces, self.pieces[1:])
-                            if not same_slope(left.slope_hi, right.slope_lo)]
+                            if not one_slope(left, right)]
 
     # -- evaluation ----------------------------------------------------------
 

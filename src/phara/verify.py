@@ -38,15 +38,16 @@ class VerificationReport:
 
 
 def _grid_upper_limit(utility: PharaUtility, w: float) -> float:
-    """x beyond which U'(x) < w/10, so the argmax cannot sit further right."""
+    """x beyond which U'(x) < w/10, so the argmax cannot sit further right, or
+    a_lo + 2 span on a linear tail of slope at most w; a steeper one has no argmax."""
     last = utility.pieces[-1]
     span = max(1.0, (last.a_lo - utility.a0))
     target = w / 10.0
-    if target >= last.slope_lo:
+    if target >= last.slope_lo or last.R == 0.0 and last.slope_lo <= w:
         return last.a_lo + 2.0 * span
     x = last.contact(target)
     if x == math.inf:
-        raise UnboundedDemand(f"linear tail steeper than w/10 = {target}: no grid bound")
+        raise UnboundedDemand(f"linear tail steeper than w = {w}: no argmax")
     return max(x * 1.5 if x > 0 else x + span, last.a_lo + 2.0 * span)
 
 

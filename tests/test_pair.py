@@ -9,6 +9,8 @@ _spec = importlib.util.spec_from_file_location("pair", ROOT / "tools" / "pair.py
 pair = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pair)
 
+from run import end_to_end as bench_end_to_end  # noqa: E402  (pair's path)
+
 
 def test_interval_brackets_the_median():
     ratios = [0.9, 0.95, 1.0, 1.02, 1.1, 1.3, 0.97]
@@ -40,6 +42,24 @@ def test_interval_holds_its_level():
         assert misses <= 0.05 * 4000, (n, misses)
 
 
+def test_end_to_end_metrics_are_the_benchmarks():
+    # each side's p50, tail and throughput over its own executions equal what
+    # perfbench/run.py reports for those wall times: at 30 samples the tail
+    # is p66.7, and below 20 it is the median
+    rng = random.Random(3)
+    for n in (30, 12):
+        pairs = [{side: {"wall": rng.lognormvariate(-1.5, 0.3)} for side in ("parent", "change")}
+                 for _ in range(n)]
+        got = pair.end_to_end(pairs)
+        for side in ("parent", "change"):
+            records = [{"wall_s": p[side]["wall"], "rss_mb": 1.0, "status": "ok"} for p in pairs]
+            metrics, extra = bench_end_to_end("cold_commands", records, [0.1])
+            assert got[side] == {"tail_percentile": extra["tail_percentile"],
+                                 **{k: metrics[k]["value"] for k in (
+                                     "cmd_wall_s.p50", "cmd_wall_s.tail", "commands_per_s")}}
+        assert got["change"]["tail_percentile"] == (100.0 * (1.0 - 10.0 / 30) if n == 30 else 50.0)
+
+
 def test_a_a_pair_on_one_scenario(tmp_path, capsys):
     # one tree against itself: every command pairs with an equal twin and
     # the order alternates.  Of 8 pairs the 95 % interval is [min, max],
@@ -49,7 +69,8 @@ def test_a_a_pair_on_one_scenario(tmp_path, capsys):
     assert pair.main([str(ROOT), str(ROOT), "--workload", "cold_commands",
                       "--seed", "1", "--only=-crra", "--rounds", "2",
                       "--json", str(out)]) == 0
-    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    printed = capsys.readouterr().out
+    result = json.loads(printed.splitlines()[-1])
     pairs = json.loads(out.read_text())["pairs"]
     assert result["exit_codes_differ"] == [] and result["level"] == 0.95
     assert sorted({p["command"] for p in pairs}) == ["decompose", "envelope",
@@ -58,6 +79,12 @@ def test_a_a_pair_on_one_scenario(tmp_path, capsys):
     assert all(p[side]["rc"] == 0 for p in pairs for side in ("parent", "change"))
     wall = result["summary"]["all"]["wall"]
     assert wall["lo"] <= 1.0 <= wall["hi"], wall
+    for side in ("parent", "change"):  # 8 executions: the tail is their median
+        e = result["end_to_end"][side]
+        walls = [p[side]["wall"] for p in pairs]
+        assert e["cmd_wall_s.p50"] == e["cmd_wall_s.tail"] == statistics.median(walls)
+        assert e["commands_per_s"] == 8 / sum(walls)
+    assert "cmd_wall_s.tail (p50.0)" in printed
 
 
 def test_a_tree_without_sources(tmp_path, capsys):

@@ -12,8 +12,9 @@ from scipy.special import ndtr
 from conftest import (CONTRACT_PARAMS, d0, d1, d_next, d_transform, deriv,
                       interesting_multipliers, random_concave_envelope,
                       random_raw_utility, scale_shift)
+from phara import cli
 from phara.cli import load_scenario
-from phara.concavify import concave_envelope
+from phara.concavify import EnvelopeResult, concave_envelope
 from phara.errors import (BadDimension, BadTime, IllegalCase, InfeasibleBudget,
                           NoConvergence, NotConcave, NotPhara, PharaError,
                           UnboundedDemand)
@@ -28,7 +29,7 @@ from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
 from phara.utility import (INF, PharaPiece, PharaUtility, cara_utility, _verify_composition,
                            compose, crra_utility, hedge_fund_payoff, hedge_fund_utility,
                            participating_contract_payoff, participating_contract_utility,
-                           piecewise_linear_payoff, s_shaped_utility)
+                           piecewise_linear_payoff, s_shaped_utility, same_slope)
 from phara.verify import (VerificationReport, argmax_oracle, fd_portfolio_check,
                           mc_budget_check, mc_martingale_check, simulate_order_check)
 
@@ -959,30 +960,80 @@ def _random_composition(rng):
 
 def test_every_steep_composition_builds():
     # the value rule reads the rounding a steep payoff magnifies: each draw
-    # composes, passes the continuity and composition checks, and has an envelope
+    # composes, passes the continuity and composition checks, and has an
+    # envelope; the junction rule reads the rounding of the sweep's chord
+    # ends: each envelope's slope ladder passes _tables
     for s in range(1000):
-        concave_envelope(_random_composition(np.random.default_rng([s, 1])))
+        _tables(concave_envelope(_random_composition(np.random.default_rng([s, 1]))).envelope)
+
+
+def _assert_attains_the_argmax(raw, env, seed):
+    # the closed-form terminal wealth attains the raw utility's
+    # grid-and-golden argmax objective at 3 multipliers
+    for w in interesting_multipliers(env, np.random.default_rng(seed), 3):
+        objective = [float(raw.value(x)) - w * x for x in
+                     (argmax_oracle(raw, 1.0, w), optimal_terminal_wealth(env, 1.0, w))]
+        assert objective[0] - objective[1] <= 1e-10 * max(1.0, abs(objective[0]))
 
 
 def test_steep_compositions_match_the_argmax_oracle():
-    # on each envelope that _tables accepts, the closed-form terminal wealth
-    # attains the raw composition's grid-and-golden argmax objective.  Seeds
-    # 0-449 include 103 such envelopes whose compositions a fixed relative
-    # value tolerance (1e-9 or 1e-10, with no rounding term) rejects
-    checked = 0
+    # on every one of the 450 envelopes, none skipped.  Seeds 0-449 include
+    # 103 envelopes whose compositions a fixed relative value tolerance (1e-9
+    # or 1e-10, with no rounding term) rejects, and 68 whose ladders rise by
+    # rounding at a junction that kinks() calls one slope
     for s in range(450):
         raw = _random_composition(np.random.default_rng([s, 1]))
-        env = concave_envelope(raw).envelope
-        try:
-            _tables(env)
-        except NotConcave:
-            continue
-        checked += 1
-        for w in interesting_multipliers(env, np.random.default_rng(s), 3):
-            objective = [float(raw.value(x)) - w * x for x in
-                         (argmax_oracle(raw, 1.0, w), optimal_terminal_wealth(env, 1.0, w))]
-            assert objective[0] - objective[1] <= 1e-10 * max(1.0, abs(objective[0]))
-    assert checked >= 350
+        _assert_attains_the_argmax(raw, concave_envelope(raw).envelope, s)
+
+
+@pytest.mark.parametrize("seed", [891, 1316, 2039, 2936])
+def test_rounded_junctions_take_the_chords_slope(seed):
+    # a chord ends within ulps of a power piece's benchmark.  In draw 1316 the
+    # gain branch after the chord starts at slope +inf; in 891, 2039 and 2936 a
+    # power piece at most 2.1e-9 wide ends 6.7e-9, 5.4e-9 and 8.6e-9 below the
+    # slope of the long chord after it.  kinks() calls each junction one slope,
+    # both ladder rows take the chord's slope, and the junction shares one slot
+    raw = _random_composition(np.random.default_rng([seed, 1]))
+    env = concave_envelope(raw).envelope
+    tab, kinks = _tables(env), env.kinks()
+    rounded = [k for k in range(1, env.n_pieces) if env.partition[k] not in kinks
+               and not same_slope(env.gamma_minus(k), env.gamma_plus(k))]
+    assert rounded
+    for k in rounded:
+        chord = next(p for p in env.pieces[k - 1:k + 1] if p.R == 0.0)
+        assert tab.ladder[2 * k] == tab.ladder[2 * k + 1] == chord.anchor_slope
+    _assert_one_slot_per_smooth_junction(env)
+    _assert_attains_the_argmax(raw, env, seed)
+
+
+@pytest.mark.parametrize("factor", [0.5, 100.0])
+def test_junction_rule_admits_rounding_only(monkeypatch, tmp_path, capsys, factor):
+    # a line of slope 1 into a power piece 1e-8 above its benchmark, whose
+    # slope falls by a window of 4.4e-8 of itself over the 4 ulps right of the
+    # junction at 1.  Raised by half its window, the junction is one slope:
+    # kinks() omits it, both ladder rows take the line's slope, and phara
+    # solve exits 0.  Raised by 100 times its window, it is a kink that rises:
+    # _tables raises NotConcave, and phara solve exits 2 on an envelope that
+    # kept it
+    lo, hi = {"a_lo": 0.0, "R": 0.0, "u_plus": 0.0, "gamma_plus": 1.0}, {
+        "a_lo": 1.0, "R": 0.5, "A": 1.0 - 1e-8, "u_plus": 1.0, "gamma_plus": 1.0}
+    probe = cli._parse_utility({"a0": 0.0, "pieces": [lo, hi]}).pieces[1]
+    hi["gamma_plus"] += factor * (probe.slope_lo - probe.slope(1.0 + 4.0 * math.ulp(1.0)))
+    raw = json.loads((SCENARIOS / "crra.json").read_text())
+    raw["utility"] = {"a0": 0.0, "pieces": [lo, hi]}
+    (tmp_path / "s.json").write_text(json.dumps(raw))
+    u = load_scenario(tmp_path / "s.json").utility
+    assert not same_slope(u.gamma_minus(1), u.gamma_plus(1))
+    monkeypatch.setattr(cli, "concave_envelope", lambda utility: EnvelopeResult(u, (), ()))
+    code = cli.main(["solve", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path)])
+    if factor < 1.0:
+        assert u.kinks() == [0.0] and _tables(u).ladder.tolist() == [INF, 1.0, 1.0, 1.0, 0.0]
+        assert code == 0
+        return
+    assert u.kinks() == [0.0, 1.0]
+    with pytest.raises(NotConcave, match=r"slope 1\.0 at 1\.0 rises to 1\.0000044"):
+        _tables(u)
+    assert code == 2 and "error: utility is not concave" in capsys.readouterr().err
 
 
 def test_wrong_steep_compositions_raise():
@@ -1109,7 +1160,7 @@ def test_constructor_and_oracle_errors_name_their_input(market, crra_envelope):
         market, alpha=a, beta=b, t=0.0, x=x)) for a, b, x in ((nan, 1.0, 1.0), (2.0, nan, 1.0),
                                                               (2.0, 1.0, nan), (INF, 1.0, 1.0))]
     cases += [(UnboundedDemand, "SAHARA", lambda: sahara_portfolio(market, 1e-3, 1.0, 0.0, 1.0)),
-              (UnboundedDemand, "linear tail steeper than w/10 = 0.05", lambda: argmax_oracle(
+              (UnboundedDemand, "linear tail steeper than w = 0.5", lambda: argmax_oracle(
                   piecewise_linear_payoff(0.0, 0.0, (), (1.0,)), 1.0, 0.5))]
     for n in (0, 1):
         cases += [(BadDimension, "2 paths", lambda n=n: mc_budget_check(

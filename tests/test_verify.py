@@ -14,6 +14,7 @@ from phara.concavify import concave_envelope
 from phara.errors import StepTooCoarse
 from phara.market import build_market, sample_kernel_at
 from phara.solver import optimal_terminal_wealth, solve_multiplier
+from phara.utility import piecewise_linear_payoff
 from phara.verify import (_CHUNK, _mc_check, argmax_oracle, fd_portfolio_check,
                           mc_budget_check, mc_martingale_check,
                           simulate_order_check, simulate_strategy)
@@ -26,6 +27,11 @@ class TestArgmaxOracle:
         for w in (0.2, 1.0, 3.0):
             got = argmax_oracle(crra_envelope, w, 1.0)
             assert got == pytest.approx(w**-2.0, rel=1e-6)
+
+    def test_linear_tail_no_steeper_than_w(self):
+        # U(x) - w x does not increase on a tail of slope w/2: the argmax is
+        # the floor, inside the grid that ends at a_lo + 2 span
+        assert argmax_oracle(piecewise_linear_payoff(0.0, 0.0, (), (0.5,)), 1.0, 1.0) == 0.0
 
     def test_raw_demo_agrees_with_closed_form(self, demo_utility,
                                               demo_envelope, demo_dual):

@@ -18,7 +18,12 @@ Per pair it records the change/parent ratio of the wall time, the CPU time
 ratio's median with its distribution-free 95 % interval (the sign-test
 interval: two order statistics of the ratios, which holds its level at any
 pair count and reads n/a below 6 pairs), and the count of pairs where the
-change took longer.  The plan is the one ``perfbench/run.py --seconds 40``
+change took longer.  Per side, over that side's executions, it prints the
+benchmark's end-to-end wall metrics as ``perfbench/run.py`` computes them
+from its own samples: ``cmd_wall_s.p50``, ``cmd_wall_s.tail`` (the highest
+percentile with ten samples beyond it, the median below 20 samples) and
+``commands_per_s``; so a claim on a tail can be checked on pairs before a
+whole benchmark run.  The plan is the one ``perfbench/run.py --seconds 40``
 builds.  The last line of standard output is the result object; ``--json
 PATH`` also writes it with every pair.  A report, not a gate: the exit code
 is 0 once every pair has run, 2 when a tree has no sources.  It uses the
@@ -42,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from run import percentile, tail_percentile  # noqa: E402
 from scenarios import WORKLOADS, build_plan  # noqa: E402
 
 METRICS = ("wall", "cpu", "rss")
@@ -127,6 +133,19 @@ def summarize(pairs: list) -> dict:
     return out
 
 
+def end_to_end(pairs: list) -> dict:
+    """Per side, the benchmark's end-to-end wall metrics over that side's
+    executions, with the tail's percentile."""
+    out = {}
+    for side in ("parent", "change"):
+        walls = [p[side]["wall"] for p in pairs]
+        q = tail_percentile(len(walls))
+        out[side] = {"cmd_wall_s.p50": statistics.median(walls),
+                     "cmd_wall_s.tail": percentile(walls, q), "tail_percentile": q,
+                     "commands_per_s": len(walls) / sum(walls)}
+    return out
+
+
 def bounds(iv: dict) -> str:
     """An interval as printed: [lo, hi], or [n/a] on too few pairs."""
     return "[n/a]" if iv["lo"] is None else f"[{iv['lo']:.4f}, {iv['hi']:.4f}]"
@@ -172,13 +191,18 @@ def main(argv=None) -> int:
     for name, s in summary.items():
         print(f"{name:<10} {s['pairs']:>5} {s['slower']:>6}   " + "   ".join(
             f"{s[m]['median']:.4f} {bounds(s[m])}".ljust(25) for m in METRICS))
+    sides = end_to_end(pairs)
+    for side, e in sides.items():
+        print(f"{side:<10} cmd_wall_s.p50 {e['cmd_wall_s.p50']:.4f} s   cmd_wall_s.tail "
+              f"(p{e['tail_percentile']:.1f}) {e['cmd_wall_s.tail']:.4f} s   "
+              f"commands_per_s {e['commands_per_s']:.3f}")
     mismatched = sorted({p["name"] for p in pairs if p["parent"]["rc"] != p["change"]["rc"]})
     if mismatched:
         print(f"exit codes differ: {', '.join(mismatched)}")
     result = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
               "only": args.only, "level": LEVEL,
               "parent": str(trees["parent"]), "change": str(trees["change"]),
-              "exit_codes_differ": mismatched, "summary": summary}
+              "exit_codes_differ": mismatched, "summary": summary, "end_to_end": sides}
     if args.json is not None:
         args.json.write_text(json.dumps({**result, "pairs": pairs}, indent=1) + "\n")
     print(json.dumps(result))

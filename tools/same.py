@@ -21,11 +21,15 @@ repository.  Both trees are byte-compiled and run the same matrix as
   ``envelope`` on a copy of ``participating_contract.json`` whose reference
   sits one subnormal above the floor, where the loss piece's anchor slope
   overflows;
-- ``envelope`` and ``solve`` on two steep compositions (group ``steep``),
-  each an S-shaped preference composed with a payoff of slope up to 8e11, in
-  a copy of ``crra.json``.  Their continuity, composition and sweep checks
-  read the value rule (``utility.same_value``), so a change to that rule
-  shows up here.
+- ``envelope``, ``solve`` and ``surface`` on three random compositions (group
+  ``steep``), each an S-shaped preference composed with a payoff, in a copy of
+  ``crra.json``.  Two have a payoff of slope up to 8e11: their continuity,
+  composition and sweep checks read the value rule (``utility.same_value``).
+  The third, ``steep1316``, has a payoff of slope 0.98.  Its envelope, and
+  ``steep6``'s, end a chord within ulps of a gain branch's benchmark, where
+  one ulp moves that branch's slope far (to +inf in ``steep1316``): their
+  ladders read the junction rule (``utility.one_slope``).  So a change to
+  either rule shows up here.
 
 The inputs come from this repository, so both trees read the same files.
 For every command, failing ones included, it compares the exit code, the
@@ -86,8 +90,8 @@ FIELD_FAULTS = {
     "hedge_fund_low_breakpoint": ("hedge_fund", "payoff", {"breakpoints": [1.0]}),
     "participating_contract_subnormal_reference": (
         "participating_contract", "preference", {"reference": 5e-324, "loss_exponent": 0.01})}
-# steep compositions, the draws np.random.default_rng([s, 1]) for s = 5 and 6
-# of the tests' random compositions, as scenario "utility" blocks
+# the draws np.random.default_rng([s, 1]) for s = 5, 6 and 1316 of the tests'
+# random compositions, as scenario "utility" blocks
 STEEP = {
     "steep5": {"preference": {"type": "s_shaped", "reference": 2.3451921230842556,
                               "gain_exponent": 0.4736504148692837,
@@ -102,7 +106,13 @@ STEEP = {
                               "loss_weight": 3.2076224905612265},
                "payoff": {"floor": -0.21993887917716703, "value_lo": 1.3127872360208268,
                           "breakpoints": [2.391966502754233],
-                          "slopes": [494218597558.0551, 0.0037770652682795947]}}}
+                          "slopes": [494218597558.0551, 0.0037770652682795947]}},
+    "steep1316": {"preference": {"type": "s_shaped", "reference": 1.5158611050105482,
+                                 "gain_exponent": 0.9477417855775014,
+                                 "loss_exponent": 0.24784897802429728,
+                                 "loss_weight": 3.5876455714681477},
+                  "payoff": {"floor": -0.08576597524819896, "value_lo": 1.2616239656156172,
+                             "breakpoints": [], "slopes": [0.9801273255833165]}}}
 
 
 def bundled_commands(scenario_dir: Path) -> list:
@@ -138,13 +148,14 @@ def fault_commands(scenario_dir: Path) -> list:
 
 
 def steep_commands(scenario_dir: Path) -> list:
-    """envelope and solve on each STEEP composition, its scenario file (crra.json
-    with that utility) written into scenario_dir."""
+    """envelope, solve and surface on each STEEP composition, its scenario file
+    (crra.json with that utility) written into scenario_dir."""
     scenario_dir.mkdir(parents=True)
     raw = json.loads((ROOT / "scenarios" / "crra.json").read_text())
     for name, utility in STEEP.items():
         (scenario_dir / f"{name}.json").write_text(json.dumps(dict(raw, utility=utility)))
-    return [Command(f"{c}-{name}", c, name) for name in STEEP for c in ("envelope", "solve")]
+    return [Command(f"{c}-{name}", c, name) for name in STEEP
+            for c in ("envelope", "solve", "surface")]
 
 
 def matrix(work: Path) -> list:

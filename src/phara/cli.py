@@ -40,7 +40,7 @@ from .concavify import EnvelopeResult, concave_envelope
 from .errors import BadDimension, IllegalCase, PharaError
 from .market import MarketParams, build_market
 from .solver import (DualSolution, portfolio_unified, solve_multiplier,
-                     state_price_for_wealth, _fraction_of_wealth)
+                     state_price_for_wealth, wealth_bounds, _fraction_of_wealth)
 from .utility import (INF, NEG_INF, PharaPiece, PharaUtility, compose,
                       piecewise_linear_payoff, s_shaped_utility)
 
@@ -252,10 +252,12 @@ def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.
     grid = scn.wealth_grid
     if grid is not None:
         return np.linspace(grid.lo, grid.hi, grid_n if grid.n is None else grid.n)
-    disc = scn.market.discount(t)
+    floor, ceiling = wealth_bounds(env, scn.market, t)
+    if ceiling < INF:  # a flat tail: the axis stops short of its ceiling
+        return np.linspace(floor, ceiling, grid_n + 1)[1:-1]
     a_n = env.pieces[-1].a_lo
-    hi = disc * (a_n + 0.5 * max(1.0, a_n - env.a0))
-    return np.linspace(disc * env.a0, hi, grid_n)[1:]
+    hi = scn.market.discount(t) * (a_n + 0.5 * max(1.0, a_n - env.a0))
+    return np.linspace(floor, hi, grid_n)[1:]
 
 
 def cmd_surface(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):

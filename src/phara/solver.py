@@ -121,7 +121,7 @@ class _Tables:
 
 @lru_cache(maxsize=64)
 def _tables(env: PharaUtility) -> _Tables:
-    n1 = env.n_pieces
+    n1 = len(env.pieces)
     a = env.partition
     R = np.array([p.R for p in env.pieces])
     crra = (R > 0.0) & np.isfinite(R)
@@ -134,8 +134,8 @@ def _tables(env: PharaUtility) -> _Tables:
     # within same_slope being one slope.  A larger rise at a junction that kinks() omits is
     # rounding: both rows take the slope of the chord there (the sweep's line), else the left
     ladder = np.empty(2 * n1 + 1)
-    ladder[0::2] = [env.gamma_minus(k) for k in range(n1 + 1)]
-    ladder[1::2] = [env.gamma_plus(k) for k in range(n1)]
+    ladder[0::2] = [INF] + [p.slope_hi for p in env.pieces]
+    ladder[1::2] = [p.slope_lo for p in env.pieces]
     g, kinks = ladder.tolist(), env.kinks()
     for k in range(1, n1):  # junction k: rows 2k, 2k + 1
         if g[2 * k + 1] > g[2 * k] and not same_slope(*g[2 * k:2 * k + 2]) and a[k] not in kinks:
@@ -144,6 +144,9 @@ def _tables(env: PharaUtility) -> _Tables:
         if g[i + 1] > g[i] and not same_slope(g[i], g[i + 1]):
             raise NotConcave(f"utility is not concave: slope {g[i]!r} at {a[i // 2]} rises "
                              f"to {g[i + 1]!r} at {a[(i + 1) // 2]}; build its envelope first")
+    if g[-1] > 0.0:  # U'(inf) > 0 only on a rising linear tail; a flat one is bounded
+        raise UnboundedDemand(f"envelope has a linear tail of slope {g[-1]!r} > 0: "
+                              "demand is infinite")
 
     C = np.zeros(n1)
     K = np.zeros(n1)
@@ -320,8 +323,6 @@ def solve_multiplier(env: PharaUtility, market: MarketParams,
     of x0 at t = 0.  The bracket holds the two inversion ladder rungs
     e^{2j} <= y* < e^{2j+2} around it (_RUNG = 2).
     """
-    if _tables(env).chord[-1]:
-        raise UnboundedDemand("envelope has a linear tail; demand is infinite")
     y_star = state_price_for_wealth(env, market, 1.0, 0.0, x0, xi_cap=INF)
     resid = budget(env, market, y_star) - x0
     tol = _BUDGET_RTOL * max(1.0, x0)
@@ -330,7 +331,7 @@ def solve_multiplier(env: PharaUtility, market: MarketParams,
     rung = _RUNG * math.floor(math.log(y_star) / _RUNG)
     return DualSolution(y_star=y_star, budget_residual=float(resid),
                         bracket=(math.exp(rung), math.exp(rung + _RUNG)), x0=x0,
-                        feasible_floor=market.discount(0.0) * env.a0)
+                        feasible_floor=wealth_bounds(env, market, 0.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +357,16 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
 class PortfolioDecomposition:
     """Everything at one (t, xi_t) from one pass over the slope ladder.
 
-    The optimal portfolio ``total``, the wealth, a bound on its rounding and
-    their ratio, with the four-term split when :func:`_common_risk_aversion`
-    gives one (None otherwise); the kink and cell weights p and q, which sum
+    The four-term split ``terms`` by name (merton, risk_seeking,
+    loss_aversion, first_order_ra) when :func:`_common_risk_aversion` gives
+    one, else empty; the optimal portfolio ``total``, the wealth, a bound on
+    its rounding and their ratio; the kink and cell weights p and q, which sum
     to one; and the wealth's five families per piece, zero on pieces of
     another type: kink atoms xD, benchmark terms xA, curvature terms xR, and
     the exponential pieces' level xAbar and curvature xRbar.  N state prices
-    give (m, N) vectors, N wealth levels and (n_pieces, N) rows."""
+    give (m, N) vectors, N wealth levels and (len(pieces), N) rows."""
 
-    merton: np.ndarray | None
-    risk_seeking: np.ndarray | None
-    loss_aversion: np.ndarray | None
-    first_order_ra: np.ndarray | None
+    terms: dict
     total: np.ndarray
     wealth: float | np.ndarray
     wealth_rounding: float | np.ndarray
@@ -379,15 +378,6 @@ class PortfolioDecomposition:
     xAbar: np.ndarray
     xR: np.ndarray
     xRbar: np.ndarray
-
-    @property
-    def terms(self) -> dict:
-        """The four split terms by name; empty without a split."""
-        if self.merton is None:
-            return {}
-        return {"merton": self.merton, "risk_seeking": self.risk_seeking,
-                "loss_aversion": self.loss_aversion,
-                "first_order_ra": self.first_order_ra}
 
 
 def _common_risk_aversion(tab: _Tables) -> float | None:
@@ -415,29 +405,29 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
     """
     tab = _tables(env)
     h, R = _horizon(market, t, tab), _common_risk_aversion(tab)
-    x_t, total, chords, p, q, *terms = _evaluate(_decomposition, xi_t, tab, h, y_star)
+    x_t, total, chords, p, q, *families = _evaluate(_decomposition, xi_t, tab, h, y_star)
     eps2 = 2.0 * np.finfo(float).eps  # first, so that no magnitude overflows
-    rounding = (sum(np.abs(eps2 * f).sum(axis=0) for f in terms)
+    rounding = (sum(np.abs(eps2 * f).sum(axis=0) for f in families)
                 + eps2 * (1.0 + np.abs(np.log(xi_t))) * np.abs(total))
-    pct = _fraction_of_wealth(total, x_t, rounding)
-    split = [None] * 4
+    split = {}
     if R is not None:  # risk-seeking: the chords' gambling terms
-        split = [x_t / R, chords, -h.disc / R * np.tensordot(tab.A, q, axes=1),
-                 -h.disc / R * np.tensordot(tab.a[:-1], p, axes=1)]
+        split = {"merton": x_t / R, "risk_seeking": chords,
+                 "loss_aversion": -h.disc / R * np.tensordot(tab.A, q, axes=1),
+                 "first_order_ra": -h.disc / R * np.tensordot(tab.a[:-1], p, axes=1)}
 
     def vector(v):
-        return None if v is None else np.multiply.outer(market.risk_direction, v)
+        return np.multiply.outer(market.risk_direction, v)
 
     def per_piece(v, mask=slice(None)):  # one row per piece, 0 off the mask
         out = np.zeros(p.shape)
         out[mask] = v
         return out
-    merton, rs, la, fo, total, pct = map(vector, [*split, total, pct])
-    xD, xA, xAbar, xR, xRbar = map(per_piece, terms,
+    xD, xA, xAbar, xR, xRbar = map(per_piece, families,
                                    [slice(None)] * 2 + [tab.cara, tab.crra, tab.cara])
     return PortfolioDecomposition(
-        merton=merton, risk_seeking=rs, loss_aversion=la, first_order_ra=fo,
-        total=total, wealth=x_t, wealth_rounding=rounding, percentage=pct, p=p, q=q,
+        terms={name: vector(v) for name, v in split.items()}, total=vector(total),
+        wealth=x_t, wealth_rounding=rounding,
+        percentage=vector(_fraction_of_wealth(total, x_t, rounding)), p=p, q=q,
         xD=xD, xA=xA, xAbar=xAbar, xR=xR, xRbar=xRbar,
     )
 
@@ -521,26 +511,43 @@ def _newton_root(fn, lo: np.ndarray, hi: np.ndarray, f_lo, f_hi) -> np.ndarray:
                         f"{_NEWTON_ITERS} steps")
 
 
+def wealth_bounds(env: PharaUtility, market: MarketParams, t: float):
+    """(floor, ceiling) of the wealth X_t: e^{-r(T-t)} a0, and e^{-r(T-t)} a_f
+    where the envelope turns flat, at its first slope 0 (a_f = inf on a curved
+    tail); X_T lies in [a0, a_f]."""
+    tab, disc = _tables(env), market.discount(t)  # not concave, bad t
+    # ladder rows 2k and 2k + 1 are the slopes left and right of a_k; the last
+    # row, at a_n = inf, is 0 on every envelope that _tables admits
+    return disc * env.a0, disc * float(tab.a[np.argmax(tab.ladder == 0.0) // 2])
+
+
 def state_price_for_wealth(env: PharaUtility, market: MarketParams,
                            y_star: float, t: float, x,
                            xi_cap: float = 1e18):
     """xi_t with X_t(xi_t) = x, vectorized over x; saturates at xi_cap.
 
-    The one attainability rule: a level is attainable when it exceeds the
-    floor e^{-r(T-t)} a0.  Other levels, and levels not below X_t on the last
-    ladder rung under xi_cap, map to a finite xi_cap; with no cap to saturate
-    at, an unattainable level raises InfeasibleBudget.
+    The one attainability rule: a level is attainable when it lies strictly
+    between the floor and the ceiling of :func:`wealth_bounds`.  A level at
+    or above the ceiling raises InfeasibleBudget.  Levels at or below the
+    floor, and levels not below X_t on the last ladder rung under xi_cap, map
+    to a finite xi_cap; with no cap to saturate at, such a level raises
+    InfeasibleBudget.
     The rest are bracketed by rungs and solved by :func:`_newton_root` in
     u = log xi with dX/du = -(delta-hedge scalar); it bisects where wealth is
     flat near the floor.
     """
-    tab, floor = _tables(env), market.discount(t) * env.a0  # not concave, bad t
+    tab = _tables(env)
+    floor, ceiling = wealth_bounds(env, market, t)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xs.shape, xi_cap)
     attainable = xs > floor
     if xi_cap == INF and not attainable.all():
         raise InfeasibleBudget(f"wealth {float(xs[~attainable][0])} at t = {t:g} must "
                                f"exceed the floor e^(-r(T-t)) a0 = {floor}")
+    if (xs >= ceiling).any():
+        raise InfeasibleBudget(f"wealth {float(xs[xs >= ceiling][0])} at t = {t:g} must stay "
+                               f"below the ceiling e^(-r(T-t)) a_f = {ceiling}, where the "
+                               "envelope is flat from a_f")
     live = np.flatnonzero(attainable)
     if live.size:
         rung_u, rung_X = _wealth_ladder(env, market, y_star, t, xs[live],

@@ -233,27 +233,13 @@ class PharaUtility:
     # -- structure ----------------------------------------------------------
 
     @property
-    def n_pieces(self) -> int:
-        return len(self.pieces)
-
-    @property
     def partition(self) -> np.ndarray:
-        """Array [a_0, a_1, ..., a_n, inf] of length n_pieces + 1."""
+        """Array [a_0, a_1, ..., a_n, inf] of length len(pieces) + 1."""
         return np.array([p.a_lo for p in self.pieces] + [INF])
 
     @property
     def interior_points(self) -> np.ndarray:
         return np.array([p.a_lo for p in self.pieces[1:]])
-
-    def gamma_plus(self, k: int) -> float:
-        """Right slope at a_k, k = 0..n."""
-        return self.pieces[k].slope_lo
-
-    def gamma_minus(self, k: int) -> float:
-        """Left slope at a_k, k = 0..n+1; inf at a_0 by convention."""
-        if k == 0:
-            return INF
-        return self.pieces[k - 1].slope_hi
 
     def kinks(self) -> list[float]:
         """Domain floor plus the junctions that :func:`one_slope` does not call one slope."""
@@ -373,7 +359,7 @@ def compose(preference: PharaUtility, payoff: PharaUtility) -> PharaUtility:
         if piece.R != 0.0:
             raise NotPhara(f"payoff piece {k} on [{piece.a_lo}, {piece.a_hi}) is not linear")
     first = payoff.pieces[0]
-    if (payoff.n_pieces == 1 and first.anchor_slope == 1.0
+    if (len(payoff.pieces) == 1 and first.anchor_slope == 1.0
             and first.value_lo == payoff.a0 == preference.a0):
         return preference  # the identity payoff on the preference's domain
     if first.value_lo < preference.a0:

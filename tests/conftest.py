@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def strict_json(path):
     def reject(token):
         raise ValueError(f"{path.name} holds the non-standard token {token}")
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def capped_hedge_fund() -> dict:
+    """hedge_fund.json with its payoff flat above the breakpoint a_f = 2 e^0.5,
+    x0 1.0 and no wealth grid: X_0 lies between the floor 0.7 and the ceiling 2."""
+    raw = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                      / "hedge_fund.json").read_text())
+    raw["utility"]["payoff"]["slopes"] = [0.28, 0.0]
+    del raw["grids"]["wealth"]
+    return dict(raw, x0=1.0)
 
 
 def d_transform(z, y_shift: float, market, t: float):
@@ -265,14 +276,12 @@ def random_raw_utility(rng: np.random.Generator) -> PharaUtility:
 def interesting_multipliers(env: PharaUtility, rng: np.random.Generator,
                             n: int) -> np.ndarray:
     """y*xi levels spanning all pieces of an envelope, away from tie slopes."""
-    finite = [env.gamma_plus(k) for k in range(env.n_pieces)]
-    finite += [env.gamma_minus(k) for k in range(1, env.n_pieces + 1)]
-    finite += [p.anchor_slope for p in env.pieces]
+    finite = [s for p in env.pieces for s in (p.slope_lo, p.slope_hi, p.anchor_slope)]
     finite = [s for s in finite if np.isfinite(s) and s > 0.0]
     lo, hi = min(finite) / 30.0, max(finite) * 30.0
     out = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    chord_slopes = [env.pieces[k].anchor_slope for k in range(env.n_pieces)
-                    if env.pieces[k].R == 0.0]
+    # a flat chord's slope 0 is no tie level: every y*xi is above it
+    chord_slopes = [p.anchor_slope for p in env.pieces if p.R == 0.0 and p.anchor_slope > 0.0]
     for s in chord_slopes:
         near = np.abs(np.log(out / s)) < 1e-6
         out[near] *= 1.01

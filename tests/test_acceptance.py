@@ -62,9 +62,9 @@ def test_criterion_3_contract_tangency(contract_envelope):
     m = gamma * (L / alpha - L) ** (gamma - 1.0)
     ok = ok and abs(K - 0.5) <= 1e-12
     ok = ok and abs(m - 0.5 / math.sqrt(1.5)) <= 1e-12
-    ok = ok and abs(env.gamma_plus(0) - K) <= 1e-12
-    ok = ok and abs(env.gamma_minus(2) - m) <= 1e-12
-    ok = ok and abs(env.gamma_plus(2) - (1 - delta * alpha) * m) <= 1e-12
+    ok = ok and abs(env.pieces[0].slope_lo - K) <= 1e-12
+    ok = ok and abs(env.pieces[1].slope_hi - m) <= 1e-12
+    ok = ok and abs(env.pieces[2].slope_lo - (1 - delta * alpha) * m) <= 1e-12
     _report(3, "participating-contract tangency", ok,
             f"tangency={tang!r}, K={K}, m={m}")
 
@@ -113,8 +113,8 @@ def test_criterion_5_finite_difference(market, demo_envelope, demo_dual,
                     lines.append(f"{rep.name}: {rep.computed:.2e}")
         # 4 near-kink points, at the same default tolerance
         t = market.T - 0.01
-        for k in range(env.n_pieces):
-            g = env.gamma_plus(k)
+        for piece in env.pieces:
+            g = piece.slope_lo
             if not np.isfinite(g) or len(lines) > 8:
                 continue
             xi = g / sol.y_star * 1.001

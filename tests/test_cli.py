@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import strict_json as _strict_json
+from conftest import capped_hedge_fund, strict_json as _strict_json
 from phara.cli import _check, _parse_utility, _settle_process, load_scenario, main
 from phara.concavify import concave_envelope
 from phara.errors import BadDimension, PharaError
@@ -395,8 +395,37 @@ class TestHedgeFundScenario:
         path = tmp_path / "composed.json"
         path.write_text(json.dumps(raw))
         scn = load_scenario(path)
-        assert scn.utility.n_pieces == 2
+        assert len(scn.utility.pieces) == 2
         assert run(["solve", "--scenario", path, "--out", tmp_path]) == 0
+
+    def test_capped_payoff_solves(self, tmp_path, capsys):
+        # a flat tail has bounded demand; the default wealth axis stops short of
+        # the ceiling e^(-r(T-t)) a_f at every time
+        raw = capped_hedge_fund()
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(raw))
+        for args in (["solve"], ["decompose", "--t", "5", "--xi", "1"],
+                     ["decompose", "--t", "5", "--x", "1.5"], ["verify"], ["surface"]):
+            assert run([*args, "--scenario", path, "--out", tmp_path]) == 0, args
+        assert capsys.readouterr().out.count("PASS") == 8
+        assert json.loads((tmp_path / "dual.json").read_text())["feasible_floor"] == \
+            pytest.approx(0.7, rel=1e-12)
+        rows = _csv(tmp_path / "surface.csv")
+        market = load_scenario(path).market
+        ceiling = [market.discount(t) * raw["utility"]["payoff"]["breakpoints"][0]
+                   for t in rows[:, 0]]
+        assert len(rows) == 200 * 3 and np.all(rows[:, 1] < ceiling)
+        assert np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize("x0, args", [(2.1, ["solve"]),
+                                          (1.0, ["decompose", "--t", "5", "--x", "2.6"])])
+    def test_capped_payoff_ceiling(self, tmp_path, capsys, x0, args):
+        # no wealth reaches the ceiling: 2 at t = 0, 2.568 at t = 5
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(dict(capped_hedge_fund(), x0=x0)))
+        assert run([*args, "--scenario", path, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must stay below the ceiling" in err
 
 
 class TestErrorPaths:

@@ -96,11 +96,7 @@ class TestDemoEnvelope:
 
     def test_slopes_nonincreasing(self, demo_envelope):
         env = demo_envelope.envelope
-        slopes = []
-        for k in range(env.n_pieces):
-            slopes.append(env.gamma_plus(k))
-            slopes.append(env.gamma_minus(k + 1))
-        slopes = [s for s in slopes if np.isfinite(s)]
+        slopes = [s for p in env.pieces for s in (p.slope_lo, p.slope_hi) if np.isfinite(s)]
         assert all(a >= b - 1e-12 for a, b in zip(slopes, slopes[1:]))
 
     def test_tangency_slope_continuity(self, demo_envelope):
@@ -128,7 +124,7 @@ class TestContractEnvelope:
 
     def test_structure(self, contract_envelope):
         env = contract_envelope.envelope
-        assert env.n_pieces == 3
+        assert len(env.pieces) == 3
         assert env.pieces[0].R == 0.0
         assert contract_envelope.chords == ((0.0, pytest.approx(2.0, abs=1e-9),
                                         pytest.approx(0.5, abs=1e-12)),)
@@ -265,11 +261,8 @@ class TestGeneralProperties:
                     mid = 0.5 * (lo + hi)
                     assert env.value(mid) > u.value(mid)
             # slope ladder nonincreasing
-            slopes = []
-            for k in range(env.n_pieces):
-                slopes.append(env.gamma_plus(k))
-                slopes.append(env.gamma_minus(k + 1))
-            finite = [s for s in slopes if np.isfinite(s)]
+            finite = [s for p in env.pieces for s in (p.slope_lo, p.slope_hi)
+                      if np.isfinite(s)]
             assert all(a >= b - 1e-9 * max(a, 1.0)
                        for a, b in zip(finite, finite[1:]))
             # tangent contacts are smooth

@@ -4,6 +4,8 @@ import random
 import statistics
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("pair", ROOT / "tools" / "pair.py")
 pair = importlib.util.module_from_spec(_spec)
@@ -85,6 +87,16 @@ def test_a_a_pair_on_one_scenario(tmp_path, capsys):
         assert e["cmd_wall_s.p50"] == e["cmd_wall_s.tail"] == statistics.median(walls)
         assert e["commands_per_s"] == 8 / sum(walls)
     assert "cmd_wall_s.tail (p50.0)" in printed
+
+
+def test_only_without_a_match(monkeypatch, capsys):
+    # a filter that matches no command is one error line, before any child runs
+    monkeypatch.setattr(pair, "run_child", lambda *args: pytest.fail("a child ran"))
+    assert pair.main([str(ROOT), str(ROOT), "--workload", "cold_commands",
+                      "--seed", "1", "--only=nothing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: --only='nothing' matches no command of the "
+                                 "cold_commands plan for seed 1\n")
 
 
 def test_a_tree_without_sources(tmp_path, capsys):

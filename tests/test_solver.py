@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
-from conftest import (CONTRACT_PARAMS, d0, d1, d_next, d_transform, deriv,
-                      interesting_multipliers, random_concave_envelope,
+from conftest import (CONTRACT_PARAMS, capped_hedge_fund, d0, d1, d_next, d_transform,
+                      deriv, interesting_multipliers, random_concave_envelope,
                       random_raw_utility, scale_shift)
 from phara import cli
 from phara.cli import load_scenario
@@ -25,7 +26,7 @@ from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
                           _phi, _tables, budget,
                           optimal_terminal_wealth, portfolio_general, portfolio_unified,
                           sahara_portfolio, solve_multiplier,
-                          state_price_for_wealth, wealth_total)
+                          state_price_for_wealth, wealth_bounds, wealth_total)
 from phara.utility import (INF, PharaPiece, PharaUtility, cara_utility, _verify_composition,
                            compose, crra_utility, hedge_fund_payoff, hedge_fund_utility,
                            participating_contract_payoff, participating_contract_utility,
@@ -97,7 +98,7 @@ class TestTerminalWealth:
         chord_slope = env.pieces[2].anchor_slope  # the tangent chord 12 -> 28
         got = optimal_terminal_wealth(env, y, chord_slope / y)
         assert got == pytest.approx(12.0, abs=1e-9)
-        kink_plus = env.gamma_plus(4)  # right slope at the kink 40
+        kink_plus = env.pieces[4].slope_lo  # right slope at the kink 40
         got = optimal_terminal_wealth(env, y, kink_plus / y)
         assert got == pytest.approx(40.0, rel=1e-12)
 
@@ -212,10 +213,9 @@ class TestWealthProcess:
         w = demo_dual.y_star * xi
         wd = portfolio_unified(env, market, demo_dual.y_star, t, xi)
         for k, piece in enumerate(env.pieces):
-            if piece.R == 0.0 or not np.isfinite(env.gamma_plus(k)):
+            gp, gn = piece.slope_lo, piece.slope_hi
+            if piece.R == 0.0 or not np.isfinite(gp):
                 continue
-            gp = env.gamma_plus(k)
-            gn = env.gamma_minus(k + 1)
             ratio = norm_pdf(d1(gp / w, market, t)) \
                 / norm_pdf(d_next(gp / w, piece.R, market, t))
             expect = disc * (piece.a_lo - piece.A) * ratio * (
@@ -230,9 +230,8 @@ class TestPortfolios:
         for t, xi in [(0.0, 1.0), (5.0, 0.5), (9.9, 2.0)]:
             dec = portfolio_unified(crra_envelope, market, sol.y_star, t, xi)
             assert dec.percentage[0] == pytest.approx(0.8, abs=1e-12)
-            assert np.allclose(dec.risk_seeking, 0.0)
-            assert np.allclose(dec.loss_aversion, 0.0)
-            assert np.allclose(dec.first_order_ra, 0.0)
+            for name in ("risk_seeking", "loss_aversion", "first_order_ra"):
+                assert np.allclose(dec.terms[name], 0.0)
 
     def test_wealth_zero_to_rounding(self, market):
         # an exponential piece from a0 = -5, inverted at wealth 0: the wealth
@@ -317,17 +316,16 @@ class TestPortfolios:
         rs_manual = disc / (sigma * math.sqrt(tau)) * (
             (a[2] - a[1]) * norm_pdf(d1(chord1.anchor_slope / w, market, t))
             + (a[3] - a[2]) * norm_pdf(d1(chord2.anchor_slope / w, market, t)))
-        assert dec.risk_seeking[0] == pytest.approx(rs_manual, rel=1e-11)
+        assert dec.terms["risk_seeking"][0] == pytest.approx(rs_manual, rel=1e-11)
 
         A_terms = sum(env.pieces[k].A * dec.q[k] for k in (0, 3, 4))
         la_manual = -market.theta_norm * disc / (sigma * R) * A_terms
-        assert dec.loss_aversion[0] == pytest.approx(la_manual, rel=1e-11)
+        assert dec.terms["loss_aversion"][0] == pytest.approx(la_manual, rel=1e-11)
 
         fo_manual = -market.theta_norm * disc / (sigma * R) * float(
             np.sum(a[:-1] * dec.p))
-        assert dec.first_order_ra[0] == pytest.approx(fo_manual, rel=1e-11)
-        total = dec.merton[0] + dec.risk_seeking[0] + dec.loss_aversion[0] \
-            + dec.first_order_ra[0]
+        assert dec.terms["first_order_ra"][0] == pytest.approx(fo_manual, rel=1e-11)
+        total = sum(v[0] for v in dec.terms.values())
         assert dec.total[0] == pytest.approx(total, rel=1e-14)
 
     def test_unified_equals_general_randomized(self, market):
@@ -370,7 +368,7 @@ class TestPortfolios:
         env = PharaUtility(a0=0.0, pieces=(head, tail))
         assert _common_risk_aversion(_tables(env)) is None
         dec = portfolio_unified(env, market, 0.5, 1.0, 1.0)
-        assert dec.terms == {} and dec.merton is None
+        assert dec.terms == {}
         # the same delta-hedge as the Euler step's form
         pi = portfolio_general(env, market, 0.5, 1.0, 1.0)
         assert np.all(np.isfinite(pi)) and np.all(pi > 0.0)
@@ -378,16 +376,11 @@ class TestPortfolios:
         assert np.allclose(dec.percentage, pi / dec.wealth, rtol=1e-12, atol=0.0)
 
     def test_all_linear_envelope_has_no_split(self, market):
+        # U(x) = x: U' never falls below 1, so X_T = +inf wherever y xi_T < 1
+        # and X_t is infinite; every evaluator raises, and none returns a split
         line = PharaPiece(a_lo=0.0, a_hi=INF, R=0.0, anchor_x=0.0, anchor_u=0.0,
                           anchor_slope=1.0)
-        env = PharaUtility(a0=0.0, pieces=(line,))
-        assert _common_risk_aversion(_tables(env)) is None
-        # a linear tail gambles without bound in both forms; the wealth is finite
-        assert math.isfinite(wealth_total(env, market, 0.5, 1.0, 1.0))
-        for form in (portfolio_unified, portfolio_general):
-            with pytest.raises(UnboundedDemand,
-                               match="optimal portfolio at state price xi = 1 does not fit"):
-                form(env, market, 0.5, 1.0, 1.0)
+        _assert_every_evaluator_raises(PharaUtility(a0=0.0, pieces=(line,)), market, 1.0)
 
     def test_flat_tail_chord(self, market):
         # a flat tail is a chord of width inf whose phi(D) is 0 at slope 0:
@@ -440,10 +433,10 @@ class TestWeights:
             0.88 * 0.5 / math.sqrt(1.5), abs=1e-12)
 
         env = contract_envelope.envelope
-        assert env.gamma_plus(0) == pytest.approx(K, abs=1e-12)
-        assert env.gamma_minus(2) == pytest.approx(m, abs=1e-12)
-        assert env.gamma_plus(2) == pytest.approx((1 - delta * alpha) * m,
-                                                  abs=1e-12)
+        assert env.pieces[0].slope_lo == pytest.approx(K, abs=1e-12)
+        assert env.pieces[1].slope_hi == pytest.approx(m, abs=1e-12)
+        assert env.pieces[2].slope_lo == pytest.approx((1 - delta * alpha) * m,
+                                                       abs=1e-12)
 
         t, xi = 4.0, 0.9
         w = contract_dual.y_star * xi
@@ -691,15 +684,16 @@ def test_vector_portfolio_unified_matches_scalar(demo_envelope, contract_envelop
             rows = [portfolio_unified(env, market, y, t, float(v)) for v in xi]
             for field in ("merton", "risk_seeking", "loss_aversion",
                           "first_order_ra", "total", "percentage"):
-                stacked = np.stack([getattr(r, field) for r in rows], axis=1)
-                got = getattr(vec, field)
+                stacked = np.stack([{**r.terms, "total": r.total,
+                                     "percentage": r.percentage}[field] for r in rows], axis=1)
+                got = {**vec.terms, "total": vec.total, "percentage": vec.percentage}[field]
                 assert got.shape == stacked.shape == (1, xi.size)
                 assert np.allclose(got, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
             assert np.allclose(vec.wealth, [r.wealth for r in rows], rtol=1e-12, atol=0.0)
             for field in ("p", "q", "xD", "xA", "xAbar", "xR", "xRbar"):  # per piece
                 stacked = np.stack([getattr(r, field) for r in rows], axis=1)
                 got = getattr(vec, field)
-                assert got.shape == stacked.shape == (env.n_pieces, xi.size)
+                assert got.shape == stacked.shape == (len(env.pieces), xi.size)
                 assert np.allclose(got, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
             assert np.allclose(vec.p.sum(axis=0) + vec.q.sum(axis=0), 1.0, atol=1e-12)
 
@@ -815,8 +809,8 @@ def test_split_signs_properties(seed, market, log_y, frac, logs):
     env = random_concave_envelope(np.random.default_rng(seed))
     dec = portfolio_unified(env, market, math.exp(log_y), frac * market.T, np.exp(logs))
     direction = market.risk_direction[:, None]  # a term over it has its scalar's sign
-    assert np.all(dec.risk_seeking * direction >= 0.0)
-    assert env.a0 >= 0.0 and np.all(dec.first_order_ra * direction <= 0.0)
+    assert np.all(dec.terms["risk_seeking"] * direction >= 0.0)
+    assert env.a0 >= 0.0 and np.all(dec.terms["first_order_ra"] * direction <= 0.0)
 
 
 @given(seeds, markets(), st.floats(0.0, 0.999),
@@ -976,6 +970,60 @@ def _assert_attains_the_argmax(raw, env, seed):
         assert objective[0] - objective[1] <= 1e-10 * max(1.0, abs(objective[0]))
 
 
+def _assert_every_evaluator_raises(env, market, slope):
+    """UnboundedDemand naming the slope from every evaluator of an envelope
+    whose linear tail rises at that slope."""
+    calls = [lambda: optimal_terminal_wealth(env, 1.0, np.array([0.1, 0.4, 1.0, 10.0])),
+             lambda: wealth_total(env, market, 0.5, 1.0, 1.0),
+             lambda: budget(env, market, 0.5),
+             lambda: portfolio_unified(env, market, 0.5, 1.0, 1.0),
+             lambda: portfolio_general(env, market, 0.5, 1.0, 1.0),
+             lambda: state_price_for_wealth(env, market, 0.5, 1.0, 1.0),
+             lambda: solve_multiplier(env, market, 1.0)]
+    for call in calls:
+        with pytest.raises(UnboundedDemand, match=f"linear tail of slope {slope!r} > 0"):
+            call()
+
+
+def test_rising_linear_tail_raises_in_every_evaluator(market):
+    # a power head, then a line of slope 0.5 from 4: U(x) - w x has no
+    # maximum for w < 0.5, where the terminal wealth read 4.0 (at w = 0.1 and
+    # 0.4), and X_t is infinite at every xi
+    head = PharaPiece(a_lo=0.0, a_hi=4.0, R=0.5, A=-1.0, anchor_x=0.0, anchor_u=0.0,
+                      anchor_slope=2.0)
+    tail = PharaPiece(a_lo=4.0, a_hi=INF, R=0.0, anchor_x=4.0, anchor_u=head.value_hi,
+                      anchor_slope=0.5)
+    _assert_every_evaluator_raises(PharaUtility(a0=0.0, pieces=(head, tail)), market, 0.5)
+
+
+def test_capped_payoff_attains_the_argmax():
+    # a flat tail has bounded demand: the terminal wealth stays in [a0, a_f]
+    # and attains the raw utility's argmax objective
+    raw = cli._parse_utility(capped_hedge_fund()["utility"])
+    env = concave_envelope(raw).envelope
+    assert env.pieces[-1].slope_lo == 0.0 and env.pieces[-1].a_lo == raw.pieces[-1].a_lo
+    _assert_attains_the_argmax(raw, env, 0)
+
+
+def test_flat_envelope_has_a_ceiling(market, monkeypatch):
+    # the envelope turns flat at its first slope 0, here a_f = 1 though a
+    # second flat piece starts at 2: X_T <= 1, so X_t < e^{-r(T-t)}.  A level
+    # at or above that ceiling is infeasible whatever xi_cap is, and no
+    # ladder rung is evaluated for it
+    env = concave_envelope(piecewise_linear_payoff(0.0, 0.0, (1.0, 2.0),
+                                                   (1.0, 0.0, 0.0))).envelope
+    ceiling = market.discount(5.0)
+    assert wealth_bounds(env, market, 5.0) == (0.0, ceiling)
+    assert wealth_bounds(crra_utility(0.5), market, 5.0) == (0.0, INF)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "wealth_total", lambda *args: pytest.fail("a rung was evaluated"))
+        for cap in (1e18, INF):
+            with pytest.raises(InfeasibleBudget, match=f"ceiling .* = {re.escape(repr(ceiling))}"):
+                state_price_for_wealth(env, market, 1.0, 5.0, [0.5, ceiling], xi_cap=cap)
+    xi = state_price_for_wealth(env, market, 1.0, 5.0, 0.99 * ceiling)
+    assert wealth_total(env, market, 1.0, 5.0, xi) == pytest.approx(0.99 * ceiling, rel=1e-12)
+
+
 def test_steep_compositions_match_the_argmax_oracle():
     # on every one of the 450 envelopes, none skipped.  Seeds 0-449 include
     # 103 envelopes whose compositions a fixed relative value tolerance (1e-9
@@ -996,8 +1044,8 @@ def test_rounded_junctions_take_the_chords_slope(seed):
     raw = _random_composition(np.random.default_rng([seed, 1]))
     env = concave_envelope(raw).envelope
     tab, kinks = _tables(env), env.kinks()
-    rounded = [k for k in range(1, env.n_pieces) if env.partition[k] not in kinks
-               and not same_slope(env.gamma_minus(k), env.gamma_plus(k))]
+    rounded = [k for k, (left, right) in enumerate(zip(env.pieces, env.pieces[1:]), 1)
+               if right.a_lo not in kinks and not same_slope(left.slope_hi, right.slope_lo)]
     assert rounded
     for k in rounded:
         chord = next(p for p in env.pieces[k - 1:k + 1] if p.R == 0.0)
@@ -1023,7 +1071,7 @@ def test_junction_rule_admits_rounding_only(monkeypatch, tmp_path, capsys, facto
     raw["utility"] = {"a0": 0.0, "pieces": [lo, hi]}
     (tmp_path / "s.json").write_text(json.dumps(raw))
     u = load_scenario(tmp_path / "s.json").utility
-    assert not same_slope(u.gamma_minus(1), u.gamma_plus(1))
+    assert not same_slope(u.pieces[0].slope_hi, u.pieces[1].slope_lo)
     monkeypatch.setattr(cli, "concave_envelope", lambda utility: EnvelopeResult(u, (), ()))
     code = cli.main(["solve", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path)])
     if factor < 1.0:
@@ -1055,7 +1103,7 @@ def test_wrong_steep_compositions_raise():
             pieces[k] = replace(piece, anchor_u=piece.anchor_u + sign * 100.0 * bound)
             with pytest.raises(NotPhara, match="does not reduce"):
                 _verify_composition(replace(u, pieces=tuple(pieces)), pref, payoff)
-        for j in range(1, u.n_pieces):
+        for j in range(1, len(u.pieces)):
             left, right = u.pieces[j - 1], u.pieces[j]
             x, lv, rv = right.a_lo, left.value_hi, right.value_lo
             drop = 100.0 * (1e-10 * max(1.0, abs(lv), abs(rv))
@@ -1106,7 +1154,8 @@ def test_failures_are_typed(seed, market, x0, t, x, log_xi, log_y, log_gap):
         except PharaError:
             continue
         if isinstance(out, PortfolioDecomposition):
-            assert all(np.all(np.isfinite(v)) for v in vars(out).values() if v is not None)
+            arrays = [v for k, v in vars(out).items() if k != "terms"] + [*out.terms.values()]
+            assert all(np.all(np.isfinite(v)) for v in arrays)
         elif not isinstance(out, DualSolution):
             assert np.all(np.isfinite(out))
 

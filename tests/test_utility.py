@@ -143,7 +143,7 @@ class TestEval:
         # S-shape's reference point has infinite slope on both sides
         assert demo_utility.kinks() == [4.0, 4.4, 8.96, 12.0, 20.0, 40.0]
         u = s_shaped_utility(reference=1.0, gain_exponent=0.5, a0=0.0)
-        assert (u.gamma_minus(1), u.gamma_plus(1)) == (INF, INF)
+        assert (u.pieces[0].slope_hi, u.pieces[1].slope_lo) == (INF, INF)
         assert u.kinks() == [0.0]
 
     def test_monotone_on_grid(self, demo_utility, contract_utility):
@@ -434,7 +434,7 @@ class TestValidation:
     def test_single_piece_accepted(self):
         # one global cell is fine: every kink weight downstream vanishes
         u = crra_utility(0.8)
-        assert u.n_pieces == 1
+        assert len(u.pieces) == 1
 
 
 class TestSShaped:
@@ -445,7 +445,7 @@ class TestSShaped:
                 u = s_shaped_utility(reference=1.0, gain_exponent=0.6, a0=a0,
                                      loss_exponent=q, loss_weight=lam)
                 assert u.a0 == a0 and np.isfinite(u.value(a0))
-                assert u.n_pieces == (2 if a0 < 1.0 else 1)
+                assert len(u.pieces) == (2 if a0 < 1.0 else 1)
                 xs = a0 + np.linspace(0.0, 10.0, 501)
                 direct = _s_shape(xs, 1.0, 0.6, q, lam)
                 assert np.all(np.abs(u.value(xs) - direct)

@@ -198,8 +198,9 @@ class TestSimulation:
         xi_T = sample_kernel_at(market, market.T, 100_000, seed=8)
         x_T = optimal_terminal_wealth(env, demo_dual.y_star, xi_T)
         y = demo_dual.y_star
+        left = [math.inf] + [p.slope_hi for p in env.pieces]  # the slope left of a_k
         for k, a_k in enumerate(env.partition[:-1]):
-            gp, gm = env.gamma_plus(k), env.gamma_minus(k)
+            gp, gm = env.pieces[k].slope_lo, left[k]
             atom = float(ndtr(d0(gp / y, market, 0.0))
                          - ndtr(d0(gm / y, market, 0.0)))
             if atom < 1e-3:

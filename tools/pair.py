@@ -26,8 +26,8 @@ percentile with ten samples beyond it, the median below 20 samples) and
 whole benchmark run.  The plan is the one ``perfbench/run.py --seconds 40``
 builds.  The last line of standard output is the result object; ``--json
 PATH`` also writes it with every pair.  A report, not a gate: the exit code
-is 0 once every pair has run, 2 when a tree has no sources.  It uses the
-standard library only.
+is 0 once every pair has run, 2 when a tree has no sources or ``--only``
+matches no command of the plan.  It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -171,6 +171,10 @@ def main(argv=None) -> int:
         work = Path(tmp)
         commands = [c for c in plan_commands(args.workload, args.seed, work / "scenarios")
                     if args.only in c.name]
+        if not commands:
+            print(f"error: --only={args.only!r} matches no command of the {args.workload} "
+                  f"plan for seed {args.seed}", file=sys.stderr)
+            return 2
         for k in range(args.rounds):
             order = list(commands)
             random.Random(f"{args.seed}/pair/{k}").shuffle(order)

@@ -29,7 +29,14 @@ repository.  Both trees are byte-compiled and run the same matrix as
   ``steep6``'s, end a chord within ulps of a gain branch's benchmark, where
   one ulp moves that branch's slope far (to +inf in ``steep1316``): their
   ladders read the junction rule (``utility.one_slope``).  So a change to
-  either rule shows up here.
+  either rule shows up here;
+- ``envelope``, ``solve``, ``surface``, ``verify`` and ``decompose`` (at
+  t = 5: ``--xi 1``, ``--x 1.5`` and ``--x 2.6``) on a copy of
+  ``hedge_fund.json`` whose payoff is flat above its breakpoint, with x0 1.0
+  and no wealth grid (group ``capped``), and ``solve`` on that copy at x0
+  2.1.  A flat tail has bounded demand, and no wealth reaches its ceiling
+  e^(-r(T-t)) a_f: 2 at t = 0 and 2.568 at t = 5, so the last two
+  invocations exit 2, and the default wealth axis stops short of it.
 
 The inputs come from this repository, so both trees read the same files.
 For every command, failing ones included, it compares the exit code, the
@@ -158,12 +165,31 @@ def steep_commands(scenario_dir: Path) -> list:
             for c in ("envelope", "solve", "surface")]
 
 
+def capped_commands(scenario_dir: Path) -> list:
+    """The capped group, its scenario files (hedge_fund.json with its payoff
+    flat above the breakpoint and no wealth grid, at x0 1.0 and 2.1) written
+    into scenario_dir."""
+    scenario_dir.mkdir(parents=True)
+    raw = json.loads((ROOT / "scenarios" / "hedge_fund.json").read_text())
+    raw["utility"]["payoff"]["slopes"] = [0.28, 0.0]
+    del raw["grids"]["wealth"]
+    for name, x0 in (("capped", 1.0), ("capped_x2.1", 2.1)):
+        (scenario_dir / f"{name}.json").write_text(json.dumps(dict(raw, x0=x0)))
+    return ([Command(f"{c}-capped", c, "capped")
+             for c in ("envelope", "solve", "surface", "verify")]
+            + [Command(f"decompose-capped-t5{flag}{v}", "decompose", "capped",
+                       ["--t", "5", flag, v])
+               for flag, v in (("--xi", "1"), ("--x", "1.5"), ("--x", "2.6"))]
+            + [Command("solve-capped_x2.1", "solve", "capped_x2.1")])
+
+
 def matrix(work: Path) -> list:
     """(scenario directory, command) for the whole matrix, every scenario
     file written under work; the directory's name labels the group."""
     groups = {work / "bundled": bundled_commands(work / "bundled"),
               work / "faults": fault_commands(work / "faults"),
-              work / "steep": steep_commands(work / "steep")}
+              work / "steep": steep_commands(work / "steep"),
+              work / "capped": capped_commands(work / "capped")}
     for workload, seed in itertools.product(WORKLOADS, SEEDS):
         group = work / f"{workload}-{seed}"
         groups[group] = plan_commands(workload, seed, group)

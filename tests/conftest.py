@@ -1,5 +1,7 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from phara.cli import main
 from phara.concavify import concave_envelope
 from phara.errors import IllegalCase
 from phara.market import build_market
@@ -29,11 +32,44 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def run_recorded(argv, out: Path) -> int:
+    """``main(argv + ["--out", out])`` in this process, its standard output and
+    error and its exit code written into out as the files ``stdout``,
+    ``stderr`` and ``exit_code``, the way ``tools/same.py --record`` keeps a
+    child's; the exit code."""
+    out.mkdir(parents=True, exist_ok=True)
+    with redirect_stdout(io.StringIO()) as stdout, redirect_stderr(io.StringIO()) as stderr:
+        code = main([*map(str, argv), "--out", str(out)])
+    (out / "stdout").write_text(stdout.getvalue())
+    (out / "stderr").write_text(stderr.getvalue())
+    (out / "exit_code").write_text(f"{code}\n")
+    return code
+
+
+@pytest.fixture(scope="session")
+def simulate_bundled(tmp_path_factory):
+    """simulate at its defaults on a bundled scenario, by name: run once per
+    session by ``run_recorded``, for the CLI test and the golden test; its
+    output directory."""
+    runs = {}
+
+    def run(name: str) -> Path:
+        if name not in runs:
+            out = tmp_path_factory.mktemp(f"simulate-{name}")
+            run_recorded(["simulate", "--scenario", SCENARIOS / f"{name}.json"], out)
+            runs[name] = out
+        return runs[name]
+
+    return run
+
+
 def capped_hedge_fund() -> dict:
     """hedge_fund.json with its payoff flat above the breakpoint a_f = 2 e^0.5,
     x0 1.0 and no wealth grid: X_0 lies between the floor 0.7 and the ceiling 2."""
-    raw = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
-                      / "hedge_fund.json").read_text())
+    raw = json.loads((SCENARIOS / "hedge_fund.json").read_text())
     raw["utility"]["payoff"]["slopes"] = [0.28, 0.0]
     del raw["grids"]["wealth"]
     return dict(raw, x0=1.0)

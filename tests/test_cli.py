@@ -335,12 +335,12 @@ class TestVerifySimulate:
         assert rep["passed"]
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_simulate_bundled_defaults(self, tmp_path, name):
-        # default --steps and --paths; chord envelopes included
-        code = run(["simulate", "--scenario", SCENARIOS / f"{name}.json",
-                    "--out", tmp_path])
-        rep = json.loads((tmp_path / "simulation.json").read_text())
-        assert code == 0 and rep["passed"]
+    def test_simulate_bundled_defaults(self, simulate_bundled, name):
+        # default --steps and --paths; chord envelopes included; the same run
+        # is compared with its golden files in test_golden.py
+        out = simulate_bundled(name)
+        rep = json.loads((out / "simulation.json").read_text())
+        assert (out / "exit_code").read_text() == "0\n" and rep["passed"]
         assert 0.35 <= rep["computed"] <= 0.65
         assert rep["detail"]["grid"] == "t_k = T (1 - (1 - k/n)^2)"
         if name == "crra":

@@ -49,3 +49,27 @@ def test_integers_have_no_distance():
     assert same.describe(100000, 99999) == "100000 -> 99999"
     assert same.distance(2, 0) is None and same.distance(1, 1.0) is None
     assert same.describe(0.5, 0.25) == "0.5 -> 0.25 (4503599627370496 ulps, rel 0.5)"
+
+
+def test_foreign_host_rule(tmp_path):
+    # on another host a float may move within FOREIGN_RTOL and FOREIGN_ATOL,
+    # a printed number within PRINTED_RTOL; a word, an exit code, an integer
+    # or a file present on one side only never moves
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, computed, residue, n, line, code in (
+            (a, 1.0, 6.139524294369188e-08, 3, "PASS fd: computed=9.57777e-10", "0"),
+            (b, 1.0 + 5e-10, 6.139524303919973e-08, 3, "PASS fd: computed=9.57778e-10", "0")):
+        d.mkdir()
+        (d / "v.json").write_text(f'{{"computed": {computed!r}, "fd": {residue!r}, "n": {n}}}')
+        (d / "stdout").write_text(f"{line}\n")
+        (d / "exit_code").write_text(f"{code}\n")
+    assert len(list(same.compare_dirs(a, b))) == 3
+    assert same.golden_diffs(a, b, exact=False) == []
+    assert len(same.golden_diffs(a, b, exact=True)) == 3
+    (b / "v.json").write_text('{"computed": 1.000000002, "fd": 6.139524303919973e-08, "n": 4}')
+    (b / "stdout").write_text("FAIL fd: computed=9.57777e-10\n")
+    (b / "exit_code").write_text("2\n")
+    (b / "extra.json").write_text("{}")
+    assert [d[:2] for d in same.golden_diffs(a, b, exact=False)] == [
+        ("exit_code", "[line 1]"), ("extra.json", ""), ("stdout", "[line 1]"),
+        ("v.json", ":computed"), ("v.json", ":n")]

@@ -50,6 +50,19 @@ the floats.  A report, not a gate: the exit code is 0 when nothing differs,
 1 when something does and 2 when a tree has no sources.  It uses the
 standard library only, with the plan and child-process code of
 ``tools/pair.py``.
+
+    python tools/same.py --record
+
+rewrites the golden files, ``tests/golden/``, from this repository: the
+bundled group's artifacts, standard output and error and exit code (file
+``exit_code``), one directory per command, and ``host.json``, the numpy
+version, Python version, CPU and the features numpy dispatches on, as
+``host()`` reads them.  ``tests/test_golden.py`` reruns that group in
+process and compares it with those files through ``compare_dirs``: byte
+for byte on a host whose ``host()`` equals ``host.json``, and elsewhere
+through ``golden_diffs``, which lets a float differ by ``FOREIGN_RTOL``
+relative plus ``FOREIGN_ATOL``, and a number printed in a line of output by
+``PRINTED_RTOL``.
 """
 
 from __future__ import annotations
@@ -61,6 +74,7 @@ import math
 import re
 import shutil
 import struct
+import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -74,6 +88,32 @@ from scenarios import BUNDLED, WORKLOADS, Command  # noqa: E402  (pair's path)
 
 SEEDS = (1, 7)
 WORKERS = 2
+GOLDEN = ROOT / "tests" / "golden"
+# the golden comparison on another host: floats a, b with |a - b| within
+# FOREIGN_RTOL max(|a|, |b|) + FOREIGN_ATOL (the measurement behind both is
+# in CHANGES.md), and numbers printed in %g's six digits, which two such
+# floats can round one unit apart, within PRINTED_RTOL of each other
+FOREIGN_RTOL = 1e-9
+FOREIGN_ATOL = 1e-12
+PRINTED_RTOL = 1e-5
+# what the numbers depend on besides the sources, printed by a child so that
+# this file imports no numpy
+HOST = """
+import json, platform, numpy
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+try:
+    with open("/proc/cpuinfo") as fh:
+        cpu = next(ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name"))
+except (OSError, StopIteration):
+    cpu = platform.processor()
+print(json.dumps({"numpy": numpy.__version__, "python": platform.python_version(),
+                  "machine": platform.machine(), "cpu": cpu,
+                  "dispatch": [f for f in umath.__cpu_dispatch__
+                               if umath.__cpu_features__.get(f)]}))
+"""
 # decompose points (t, flag, value); "x0" is the scenario's initial wealth
 POINTS = ((5.0, "--xi", 1.0), (5.0, "--xi", 0.3), (9.0, "--xi", 2.5),
           (2.0, "--xi", 1e-3), (5.0, "--xi", 1e-200), (5.0, "--xi", 1e200),
@@ -196,6 +236,11 @@ def matrix(work: Path) -> list:
     return [(group, cmd) for group, commands in groups.items() for cmd in commands]
 
 
+def _rel(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; 0 when they are equal."""
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
 def _ordered(x: float) -> int:
     """x's bit pattern as an integer that counts ulps across zero."""
     n = struct.unpack("<q", struct.pack("<d", x))[0]
@@ -207,8 +252,7 @@ def distance(a, b):
     code or another integer is compared as it is."""
     if not all(isinstance(v, float) and math.isfinite(v) for v in (a, b)):
         return None
-    rel = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
-    return abs(_ordered(a) - _ordered(b)), rel
+    return abs(_ordered(a) - _ordered(b)), _rel(a, b)
 
 
 def describe(a, b) -> str:
@@ -276,6 +320,57 @@ def compare_dirs(a: Path, b: Path):
             yield from ((name, place, u, v) for place, u, v in diffs)
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _foreign_close(a, b) -> bool:
+    """True when another host may have made a into b: two finite floats
+    within FOREIGN_RTOL and FOREIGN_ATOL, or two lines of text that match but
+    for numbers within PRINTED_RTOL of each other."""
+    if isinstance(a, float) and isinstance(b, float):
+        return (math.isfinite(a) and math.isfinite(b)
+                and abs(a - b) <= FOREIGN_RTOL * max(abs(a), abs(b)) + FOREIGN_ATOL)
+    if not (isinstance(a, str) and isinstance(b, str)):
+        return False
+    na, nb = _NUMBER.findall(a), _NUMBER.findall(b)
+    return (_NUMBER.sub("#", a) == _NUMBER.sub("#", b)
+            and all(_rel(float(u), float(v)) <= PRINTED_RTOL for u, v in zip(na, nb)))
+
+
+def golden_diffs(golden: Path, out: Path, exact: bool) -> list:
+    """compare_dirs(golden, out), less, unless exact, the differences that
+    another host may make (``_foreign_close``): a file, key, exit code or
+    PASS/FAIL word always matches."""
+    return [d for d in compare_dirs(golden, out) if exact or not _foreign_close(*d[2:])]
+
+
+def host() -> dict:
+    """The platform that the numbers depend on besides the sources, as the
+    golden files' ``host.json`` records it."""
+    return json.loads(subprocess.run([sys.executable, "-c", HOST], check=True,
+                                     capture_output=True, text=True).stdout)
+
+
+def record(work: Path) -> int:
+    """Rewrite GOLDEN from this repository's bundled group, run in children
+    with outputs under work; the number of commands."""
+    commands = bundled_commands(work / "scenarios")
+    env = child_env(ROOT)
+
+    def run(cmd):
+        out = work / "out" / cmd.name
+        out.mkdir(parents=True)
+        rc = run_child(phara_argv(cmd, work / "scenarios", out), env, work, out)["rc"]
+        (out / "exit_code").write_text(f"{rc}\n")
+
+    with ThreadPoolExecutor(WORKERS) as pool:
+        list(pool.map(run, commands))
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    shutil.copytree(work / "out", GOLDEN)
+    (GOLDEN / "host.json").write_text(json.dumps(host(), indent=1) + "\n")
+    return len(commands)
+
+
 def compare(parent: Path, change: Path, runs: list, work: Path) -> list:
     """Run every (scenario directory, command) of runs in both trees, outputs
     under work, and return one (command, file, place, parent value, change
@@ -303,10 +398,23 @@ def compare(parent: Path, change: Path, runs: list, work: Path) -> list:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path, help="parent checkout")
+    ap.add_argument("parent", type=Path, nargs="?", help="parent checkout")
     ap.add_argument("change", type=Path, nargs="?", default=ROOT,
                     help="changed checkout (default: this repository)")
+    ap.add_argument("--record", action="store_true",
+                    help=f"rewrite {GOLDEN.relative_to(ROOT)} from this repository")
     args = ap.parse_args(argv)
+    if args.record:
+        if args.parent is not None:
+            ap.error("--record takes no tree")
+        if not build(ROOT):
+            return 2
+        with tempfile.TemporaryDirectory(prefix="phara-golden-") as tmp:
+            count = record(Path(tmp))
+        print(f"recorded {count} commands in {GOLDEN}")
+        return 0
+    if args.parent is None:
+        ap.error("a parent tree is needed")
     trees = [args.parent.resolve(), args.change.resolve()]
     if not all([build(tree) for tree in trees]):
         return 2

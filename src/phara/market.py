@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, BadTime, DriftBelowRate, SingularVolatility
-from .normal import ppf
 
 # Smallest acceptable eigenvalue ratio of sigma @ sigma.T before the market
 # is declared singular (double-precision conditioning limit).
@@ -132,26 +131,28 @@ def build_market(r: float, mu, sigma, T: float) -> MarketParams:
     )
 
 
-def _centred_normals(k) -> np.ndarray:
-    """Standard normals z(k) for 53-bit integers k: the quantile of the
-    centred uniform (k + 1/2) 2^-53, computed from the lower tail so that
-    z(k) = -z(2^53 - 1 - k) exactly and every z is finite."""
-    k = np.asarray(k, dtype=np.uint64)
-    mirror = np.uint64((1 << 53) - 1) - k
-    # min(k, mirror) + 1/2 < 2^52 is exact in a double
-    z = ppf((np.minimum(k, mirror) + 0.5) * 2.0**-53)
-    return np.where(k > mirror, -z, z)
-
-
 def standard_normals(seed: int, n: int, stream: int = 0, start: int = 0) -> np.ndarray:
     """Normals start, ..., start + n - 1 of the stream (seed, stream), pure functions
-    of (seed, stream, index): Philox keyed by (seed, stream), from counter start // 4,
-    gives four 64-bit words per counter; word k shifted right by 11, as in
-    ``Generator.integers(0, 2**53)``, is the centred 53-bit uniform of normal k."""
+    of (seed, stream, index), by Box-Muller on Philox's words: Philox keyed by
+    (seed, stream), from counter start // 4, gives four 64-bit words per counter;
+    word k shifted right by 11, as in ``Generator.integers(0, 2**53)``, is a count
+    c_k, read as the uniform u_k = (c_k + 1/2) 2^-53 in (0, 1] so that no log sees
+    0, and normals 2j and 2j + 1 are sqrt(-2 log u_2j) times cos and sin of
+    2 pi u_2j+1."""
+    first = start - start % 2  # the first normal of start's pair
+    pairs = (start + n + 1) // 2 - first // 2
     key = np.array([seed, stream], dtype=np.uint64)
-    raw = np.random.Philox(key=key, counter=[start // 4, 0, 0, 0]).random_raw(start % 4 + n)
+    raw = np.random.Philox(key=key, counter=[start // 4, 0, 0, 0]).random_raw(
+        first % 4 + 2 * pairs)
     raw >>= np.uint64(11)
-    return _centred_normals(raw[start % 4:])
+    u = raw[first % 4:].reshape(pairs, 2).T + 0.5  # rows: radius words, angle words
+    u *= 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[0]))
+    angle = u[1] * (2.0 * math.pi)
+    z = np.empty((pairs, 2))
+    np.multiply(radius, np.cos(angle), out=z[:, 0])
+    np.multiply(radius, np.sin(angle), out=z[:, 1])
+    return z.reshape(-1)[start % 2:start % 2 + n]
 
 
 def sample_kernel_at(market: MarketParams, t: float, n_paths: int,

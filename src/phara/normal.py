@@ -1,14 +1,12 @@
-"""The standard normal density, CDF and quantile in numpy alone.
+"""The standard normal density and CDF in numpy alone.
 
 ``cdf`` follows Shepherd & Laframboise (1981, Math. Comp. 36:249): with
 y = |x|/sqrt(2), Phi(-|x|) = erfc(y)/2 and (1 + 2y) exp(y^2) erfc(y) is a
 smooth bounded function of t = (y - K)/(y + K) in [-1, 1).  It is summed
 here as one of two power series, each in its own rescaling of t to
 [-1, 1], by Horner's rule: a near piece of degree 18 for |x| < 8.3 and a
-far piece of degree 13 for -37.5 < x <= -8.3.  ``ppf`` is Wichura's AS241
-(1988, Appl. Stat. 37:477), the rational approximations that also serve
-the standard library's ``statistics.NormalDist.inv_cdf``.  Both agree with
-``scipy.special.ndtr`` and ``ndtri`` to about 2e-15 relative.
+far piece of degree 13 for -37.5 < x <= -8.3.  It agrees with
+``scipy.special.ndtr`` to about 2e-15 relative.
 """
 
 from __future__ import annotations
@@ -60,35 +58,6 @@ def _piece(x_lo: float, x_hi: float, coeffs):
 
 _NEAR_PIECE = _piece(0.0, _X_ONE, _ERFC_NEAR)
 _FAR_PIECE = _piece(_X_ONE, -_X_ZERO, _ERFC_FAR)
-
-# AS241 numerators and denominators, lowest degree first: the central
-# region |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2, then the tails
-# in r = sqrt(-log(min(p, 1 - p))) - 1.6 (r <= 5) and - 5 (beyond)
-_CENTRAL = ((3.3871328727963666080e0, 1.3314166789178437745e2,
-             1.9715909503065514427e3, 1.3731693765509461125e4,
-             4.5921953931549871457e4, 6.7265770927008700853e4,
-             3.3430575583588128105e4, 2.5090809287301226727e3),
-            (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
-             5.3941960214247511077e3, 2.1213794301586595867e4,
-             3.9307895800092710610e4, 2.8729085735721942674e4,
-             5.2264952788528545610e3))
-_NEAR_TAIL = ((1.42343711074968357734e0, 4.63033784615654529590e0,
-               5.76949722146069140550e0, 3.64784832476320460504e0,
-               1.27045825245236838258e0, 2.41780725177450611770e-1,
-               2.27238449892691845833e-2, 7.74545014278341407640e-4),
-              (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
-               6.89767334985100004550e-1, 1.48103976427480074590e-1,
-               1.51986665636164571966e-2, 5.47593808499534494600e-4,
-               1.05075007164441684324e-9))
-_FAR_TAIL = ((6.65790464350110377720e0, 5.46378491116411436990e0,
-              1.78482653991729133580e0, 2.96560571828504891230e-1,
-              2.65321895265761230930e-2, 1.24266094738807843860e-3,
-              2.71155556874348757815e-5, 2.01033439929228813265e-7),
-             (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-              1.48753612908506148525e-2, 7.86869131145613259100e-4,
-              1.84631831751005468180e-5, 1.42151175831644588870e-7,
-              2.04426310338993978564e-15))
-
 
 def pdf(x):
     """Standard normal density; 0 at -+inf."""
@@ -142,42 +111,3 @@ def _lower_tail(y, piece):
     acc *= np.exp(np.negative(np.multiply(y, y, out=s), out=s), out=s)
     acc /= np.add(np.multiply(y, 4.0, out=s), 2.0, out=s)
     return acc
-
-
-def _ratio(coeffs, r):
-    """num(r) / den(r) by Horner, for one (num, den) pair of AS241."""
-    num, den = (np.full_like(r, c[-1]) for c in coeffs)
-    for a, b in zip(coeffs[0][-2::-1], coeffs[1][-2::-1]):
-        num *= r
-        num += a
-        den *= r
-        den += b
-    num /= den
-    return num
-
-
-def ppf(p):
-    """Standard normal quantile Phi^{-1}(p); -+inf at p = 0, 1, NaN outside
-    [0, 1]."""
-    p = np.asarray(p, dtype=float)
-    flat = p.reshape(-1)
-    q = flat - 0.5
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the central ratio runs on every entry: gathering the central ones
-        # (85 % of uniforms) and scattering them back costs more than it saves
-        r = q * q
-        np.subtract(0.180625, r, out=r)
-        out = _ratio(_CENTRAL, r)
-        out *= q
-        tail = np.flatnonzero(~(np.abs(q) <= 0.425))  # NaN included
-        if tail.size:
-            pt, qt = flat[tail], q[tail]
-            r = np.sqrt(-np.log(np.where(qt < 0.0, pt, 1.0 - pt)))
-            # each tail ratio only on its own entries
-            near = r <= 5.0
-            z = np.empty_like(r)
-            z[near] = _ratio(_NEAR_TAIL, r[near] - 1.6)
-            z[~near] = _ratio(_FAR_TAIL, r[~near] - 5.0)
-            z[r == np.inf] = np.inf
-            out[tail] = np.where(qt < 0.0, -z, z)
-    return float(out[0]) if p.ndim == 0 else out.reshape(p.shape)

@@ -733,7 +733,7 @@ assert "numpy.ma" not in sys.modules
 
 
 def test_commands_never_import_scipy(tmp_path):
-    # Phi and its inverse live in phara.normal; scipy is a test-only oracle
+    # Phi lives in phara.normal; scipy is a test-only oracle
     _run_child("-c", f"""
 import sys
 from phara.cli import main

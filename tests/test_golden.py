@@ -11,17 +11,15 @@ _spec = importlib.util.spec_from_file_location("same", ROOT / "tools" / "same.py
 same = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same)
 
-BUNDLED = ("crra", "multi_kink_demo", "participating_contract", "hedge_fund")
-
 
 @pytest.fixture(scope="module")
 def exact():
-    """Byte for byte on the host that recorded the golden files; elsewhere a
-    float may move by same.FOREIGN_RTOL."""
+    """Byte for byte on the host that recorded the golden files; elsewhere by
+    the foreign-host rule of same.golden_diffs."""
     return same.host() == json.loads((same.GOLDEN / "host.json").read_text())
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("name", same.BUNDLED)
 def test_bundled_matches_golden(tmp_path, simulate_bundled, exact, name):
     # every command of tools/same.py's bundled group on this scenario, run in
     # this process (simulate's run is shared with test_cli.py), against the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phara.errors import BadDimension, BadTime, DriftBelowRate, SingularVolatility
-from phara.market import _centred_normals, build_market, sample_kernel_at, standard_normals
+from phara.market import build_market, sample_kernel_at, standard_normals
 
 
 def test_theta_demo_market(market):
@@ -150,33 +150,24 @@ def test_normals_counter_based():
     b = standard_normals(42, 100, stream=1)
     assert not np.array_equal(a, b)
     assert np.array_equal(standard_normals(42, 100, stream=1), b)
-    # inverse-CDF draws are standard-normal-ish
+    # Box-Muller draws are standard-normal-ish, and no radius exceeds the one
+    # of the smallest uniform, 2^-54
     big = standard_normals(3, 200_000)
     assert abs(big.mean()) < 0.01
     assert abs(big.std() - 1.0) < 0.01
-
-
-def test_centred_normals_finite_and_antisymmetric():
-    # (k + 1/2) 2^-53 rounds to 1.0 at the top count; the quantile is taken
-    # from the lower tail instead, so z stays finite and mirrors exactly
-    top = (1 << 53) - 1
-    k = np.array([0, 1, 2**52 - 1, 2**52, top - 1, top], dtype=np.uint64)
-    z = _centred_normals(k)
-    assert np.all(np.isfinite(z)) and z[-1] == -z[0] > 8.0
-    k = np.concatenate([k, np.random.default_rng(5).integers(
-        0, 1 << 53, size=100_000, dtype=np.uint64)])
-    assert np.array_equal(_centred_normals(k), -_centred_normals(np.uint64(top) - k))
-    # one counter tick per variate: a shorter draw is a prefix of a longer one
-    assert np.array_equal(standard_normals(9, 1000, stream=4)[:300],
-                          standard_normals(9, 300, stream=4))
+    assert np.abs(big).max() <= math.sqrt(-2.0 * math.log(2.0**-54))
 
 
 def test_normals_are_the_integer_draws_of_philox():
-    # the raw words shifted right by 11 are Generator.integers(0, 2^53)'s
+    # the raw words shifted right by 11 are Generator.integers(0, 2^53)'s;
+    # each pair of them, as uniforms (k + 1/2) 2^-53, gives one Box-Muller pair
     key = np.array([77, 3], dtype=np.uint64)
     k = np.random.Generator(np.random.Philox(key=key)).integers(
-        0, 1 << 53, size=5001, dtype=np.uint64)
-    assert np.array_equal(standard_normals(77, 5001, stream=3), _centred_normals(k))
+        0, 1 << 53, size=5002, dtype=np.uint64)
+    u = (k + 0.5) * 2.0**-53
+    radius, angle = np.sqrt(-2.0 * np.log(u[0::2])), u[1::2] * (2.0 * math.pi)
+    pairs = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    assert np.array_equal(standard_normals(77, 5001, stream=3), pairs.reshape(-1)[:5001])
 
 
 @pytest.mark.parametrize("chunk, n", [(1, 103), (3, 103), (4, 103), (7, 103),

@@ -99,6 +99,16 @@ def test_only_without_a_match(monkeypatch, capsys):
                                  "cold_commands plan for seed 1\n")
 
 
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_rounds_below_one(monkeypatch, capsys, rounds):
+    # no pair could run: one error line, before either tree is built
+    monkeypatch.setattr(pair, "build", lambda tree: pytest.fail("a tree was built"))
+    assert pair.main([str(ROOT), str(ROOT), "--workload", "cold_commands",
+                      "--seed", "1", "--rounds", rounds]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --rounds must be at least 1, got {rounds}\n"
+
+
 def test_a_tree_without_sources(tmp_path, capsys):
     assert pair.main([str(tmp_path), str(ROOT), "--workload", "cold_commands",
                       "--seed", "1"]) == 2

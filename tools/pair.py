@@ -26,8 +26,9 @@ percentile with ten samples beyond it, the median below 20 samples) and
 whole benchmark run.  The plan is the one ``perfbench/run.py --seconds 40``
 builds.  The last line of standard output is the result object; ``--json
 PATH`` also writes it with every pair.  A report, not a gate: the exit code
-is 0 once every pair has run, 2 when a tree has no sources or ``--only``
-matches no command of the plan.  It uses the standard library only.
+is 0 once every pair has run, 2 when ``--rounds`` is below 1 (checked
+before either tree is built), a tree has no sources or ``--only`` matches
+no command of the plan.  It uses the standard library only.
 """
 
 from __future__ import annotations
@@ -162,6 +163,9 @@ def main(argv=None) -> int:
                     help="run only the commands whose name contains this text")
     ap.add_argument("--json", type=Path, default=None, help="also write every pair here")
     args = ap.parse_args(argv)
+    if args.rounds < 1:
+        print(f"error: --rounds must be at least 1, got {args.rounds}", file=sys.stderr)
+        return 2
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     if not all([build(tree) for tree in trees.values()]):

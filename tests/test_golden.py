@@ -37,6 +37,28 @@ def test_bundled_matches_golden(tmp_path, simulate_bundled, exact, name):
             run_recorded([cmd.command, "--scenario", scenarios / f"{name}.json",
                           *cmd.args], out)
         diffs += [f"{cmd.name}/{file}{place}: {same.describe(a, b)}"
-                  for file, place, a, b in same.golden_diffs(same.GOLDEN / cmd.name,
-                                                             out, exact)]
+                  for file, place, a, b in same.golden_diffs(
+                      same.golden_path("bundled", cmd), out, exact)]
+    assert not diffs, "\n".join(diffs)
+
+
+@pytest.mark.parametrize("group", [g for g in same.GOLDEN_GROUPS if g != "bundled"])
+def test_group_matches_golden(tmp_path, monkeypatch, exact, group):
+    # every command of one of tools/same.py's other golden groups, run in this
+    # process from tmp_path with the relative scenario path `--record` gave its
+    # children, so an error message that names the file reads the same; the
+    # faults guard the messages and exit codes, steep the value and junction
+    # rules, capped the flat-tail ceiling
+    monkeypatch.chdir(tmp_path)
+    commands = same.GOLDEN_GROUPS[group](Path(group))
+    assert sorted(cmd.name for cmd in commands) == sorted(
+        d.name for d in (same.GOLDEN / group).iterdir())
+    diffs = []
+    for cmd in commands:
+        out = tmp_path / "out" / cmd.name
+        run_recorded([cmd.command, "--scenario", Path(group, f"{cmd.scenario}.json"),
+                      *cmd.args], out)
+        diffs += [f"{group}/{cmd.name}/{file}{place}: {same.describe(a, b)}"
+                  for file, place, a, b in same.golden_diffs(
+                      same.golden_path(group, cmd), out, exact)]
     assert not diffs, "\n".join(diffs)

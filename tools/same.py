@@ -53,16 +53,19 @@ standard library only, with the plan and child-process code of
 
     python tools/same.py --record
 
-rewrites the golden files, ``tests/golden/``, from this repository: the
-bundled group's artifacts, standard output and error and exit code (file
-``exit_code``), one directory per command, and ``host.json``, the numpy
-version, Python version, CPU and the features numpy dispatches on, as
-``host()`` reads them.  ``tests/test_golden.py`` reruns that group in
-process and compares it with those files through ``compare_dirs``: byte
-for byte on a host whose ``host()`` equals ``host.json``, and elsewhere
-through ``golden_diffs``, which lets a float differ by ``FOREIGN_RTOL``
-relative plus ``FOREIGN_ATOL``, and a number printed in a line of output by
-``PRINTED_RTOL``.
+rewrites the golden files, ``tests/golden/``, from this repository: for
+each command of ``GOLDEN_GROUPS`` (the bundled, fault, ``steep`` and
+``capped`` groups), its artifacts, standard output and error and exit code
+(file ``exit_code``) in one directory, ``golden_path``; and ``host.json``,
+the numpy version, Python version, CPU and the features numpy dispatches
+on, as ``host()`` reads them.  A command names its scenario file by the
+relative path ``<group>/<scenario>.json``, so an error message that prints
+it is the same wherever the group runs.  ``tests/test_golden.py`` reruns
+the groups in process and compares them with those files through
+``compare_dirs``: byte for byte on a host whose ``host()`` equals
+``host.json``, and elsewhere through ``golden_diffs``, which lets a float
+differ by ``FOREIGN_RTOL`` relative plus ``FOREIGN_ATOL``, and a number
+printed in a line of output by ``PRINTED_RTOL``.
 """
 
 from __future__ import annotations
@@ -223,13 +226,22 @@ def capped_commands(scenario_dir: Path) -> list:
             + [Command("solve-capped_x2.1", "solve", "capped_x2.1")])
 
 
+# the groups of the golden files, by name, each with the function that writes
+# its scenario files into a directory and returns its commands
+GOLDEN_GROUPS = {"bundled": bundled_commands, "faults": fault_commands,
+                 "steep": steep_commands, "capped": capped_commands}
+
+
+def golden_path(group: str, cmd) -> Path:
+    """The golden directory of one command of a GOLDEN_GROUPS group: the
+    bundled group's at the top of GOLDEN, the others' under their group."""
+    return GOLDEN / cmd.name if group == "bundled" else GOLDEN / group / cmd.name
+
+
 def matrix(work: Path) -> list:
     """(scenario directory, command) for the whole matrix, every scenario
     file written under work; the directory's name labels the group."""
-    groups = {work / "bundled": bundled_commands(work / "bundled"),
-              work / "faults": fault_commands(work / "faults"),
-              work / "steep": steep_commands(work / "steep"),
-              work / "capped": capped_commands(work / "capped")}
+    groups = {work / name: make(work / name) for name, make in GOLDEN_GROUPS.items()}
     for workload, seed in itertools.product(WORKLOADS, SEEDS):
         group = work / f"{workload}-{seed}"
         groups[group] = plan_commands(workload, seed, group)
@@ -352,23 +364,26 @@ def host() -> dict:
 
 
 def record(work: Path) -> int:
-    """Rewrite GOLDEN from this repository's bundled group, run in children
-    with outputs under work; the number of commands."""
-    commands = bundled_commands(work / "scenarios")
-    env = child_env(ROOT)
+    """Rewrite GOLDEN from this repository's GOLDEN_GROUPS, run in children
+    from work, each group's scenario files in work / <group>; the number of
+    commands."""
+    runs = [(group, cmd) for group, make in GOLDEN_GROUPS.items()
+            for cmd in make(work / group)]
+    env, new = child_env(ROOT), work / "golden"
 
-    def run(cmd):
-        out = work / "out" / cmd.name
+    def run(job):
+        group, cmd = job
+        out = new / golden_path(group, cmd).relative_to(GOLDEN)
         out.mkdir(parents=True)
-        rc = run_child(phara_argv(cmd, work / "scenarios", out), env, work, out)["rc"]
+        rc = run_child(phara_argv(cmd, Path(group), out), env, work, out)["rc"]
         (out / "exit_code").write_text(f"{rc}\n")
 
     with ThreadPoolExecutor(WORKERS) as pool:
-        list(pool.map(run, commands))
+        list(pool.map(run, runs))
     shutil.rmtree(GOLDEN, ignore_errors=True)
-    shutil.copytree(work / "out", GOLDEN)
+    shutil.copytree(new, GOLDEN)
     (GOLDEN / "host.json").write_text(json.dumps(host(), indent=1) + "\n")
-    return len(commands)
+    return len(runs)
 
 
 def compare(parent: Path, change: Path, runs: list, work: Path) -> list:

@@ -39,8 +39,8 @@ from . import verify as verify_mod
 from .concavify import EnvelopeResult, concave_envelope
 from .errors import BadDimension, IllegalCase, PharaError
 from .market import MarketParams, build_market
-from .solver import (DualSolution, portfolio_unified, solve_multiplier,
-                     state_price_for_wealth, wealth_bounds, _fraction_of_wealth)
+from .solver import (SPLIT, DualSolution, fraction_of_wealth, portfolio_unified,
+                     solve_multiplier, state_price_for_wealth, wealth_bounds)
 from .utility import (INF, NEG_INF, PharaPiece, PharaUtility, compose,
                       piecewise_linear_payoff, s_shaped_utility)
 
@@ -271,10 +271,10 @@ def cmd_surface(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
         dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
         wealth = dec.wealth
         # split columns are fractions of wealth; NaN without a split
-        split = [_fraction_of_wealth(v[0], wealth, dec.wealth_rounding)
-                 for v in dec.terms.values()] or [np.full_like(wealth, np.nan)] * 4
+        split = [fraction_of_wealth(v[0], wealth, dec.wealth_rounding)
+                 for v in dec.terms.values()] or [np.full_like(wealth, np.nan)] * len(SPLIT)
         blocks.append(zip(repeat(t), wealth, xi, dec.percentage[0], *split))
-    header = "t,x,xi,percentage,merton,risk_seeking,loss_aversion,first_order_ra"
+    header = ",".join(("t", "x", "xi", "percentage", *SPLIT))
     return {"surface.csv": (header, chain(*blocks))}, 0
 
 
@@ -294,14 +294,8 @@ def cmd_decompose(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
         "t": t,
         "xi": xi,
         "y_star": sol.y_star,
-        "wealth": {
-            "total": dec.wealth,
-            "kink_terms": dec.xD.tolist(),
-            "benchmark_terms": dec.xA.tolist(),
-            "cara_level_terms": dec.xAbar.tolist(),
-            "curvature_terms": dec.xR.tolist(),
-            "cara_curvature_terms": dec.xRbar.tolist(),
-        },
+        "wealth": {"total": dec.wealth,
+                   **{name: v.tolist() for name, v in dec.families.items()}},
         "weights": {"p": dec.p.tolist(), "q": dec.q.tolist()},
         "portfolio": {key: v.tolist() for key, v in {
             **dec.terms, "total": dec.total, "percentage": dec.percentage}.items()},

@@ -38,6 +38,8 @@ _RUNG = 2.0  # spacing in log xi of the wealth inversion's ladder
 _NEWTON_ITERS = 100
 _NEWTON_STEPS = 20  # then bisection, which a steep map cannot make creep
 _BLOCK = 4096
+# the four-term split's names, in the order of the paper and of surface.csv
+SPLIT = ("merton", "risk_seeking", "loss_aversion", "first_order_ra")
 
 
 class _Horizon(NamedTuple):
@@ -249,9 +251,9 @@ def _ladder(xi, tab: _Tables, h: _Horizon, y: float):
     """Every closed form at w = y xi, from :func:`_phi` on the whole ladder,
     whose entries 2k, 2k+1 are the slopes left and right of the kink a_k.
     Returns the wealth X_t, the kink weights p and cell weights q (one row
-    per piece), the five wealth families xD, xA (one row per piece), xAbar,
-    xR, xRbar (one row per piece of their type: exponential, power,
-    exponential), and D per ladder slot, which the hedge reads."""
+    per piece), the five wealth families in ``families`` order (kink and
+    benchmark terms one row per piece, the others one row per piece of their
+    type: exponential, power, exponential), and D per ladder slot."""
     log_w, disc = np.log(y * xi), h.disc
     D, F, xR = _phi(tab, h, log_w, slice(None))
     F = F[tab.slot]  # one row per ladder entry
@@ -357,14 +359,14 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
 class PortfolioDecomposition:
     """Everything at one (t, xi_t) from one pass over the slope ladder.
 
-    The four-term split ``terms`` by name (merton, risk_seeking,
-    loss_aversion, first_order_ra) when :func:`_common_risk_aversion` gives
-    one, else empty; the optimal portfolio ``total``, the wealth, a bound on
-    its rounding and their ratio; the kink and cell weights p and q, which sum
-    to one; and the wealth's five families per piece, zero on pieces of
-    another type: kink atoms xD, benchmark terms xA, curvature terms xR, and
-    the exponential pieces' level xAbar and curvature xRbar.  N state prices
-    give (m, N) vectors, N wealth levels and (len(pieces), N) rows."""
+    The four-term split ``terms``, keyed by SPLIT, when
+    :func:`_common_risk_aversion` gives one R, else empty; the optimal
+    portfolio ``total``, the wealth, a bound on its rounding and their ratio;
+    the kink and cell weights p and q, which sum to one; and the wealth's five
+    ``families`` per piece by their ``decompose.json`` names, zero on pieces of
+    another type: kink atoms, benchmark terms, power curvature terms, and the
+    exponential pieces' level and curvature terms.  N state prices give (m, N)
+    vectors, N wealth levels and (len(pieces), N) rows."""
 
     terms: dict
     total: np.ndarray
@@ -373,11 +375,7 @@ class PortfolioDecomposition:
     percentage: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    xD: np.ndarray
-    xA: np.ndarray
-    xAbar: np.ndarray
-    xR: np.ndarray
-    xRbar: np.ndarray
+    families: dict
 
 
 def _common_risk_aversion(tab: _Tables) -> float | None:
@@ -387,7 +385,7 @@ def _common_risk_aversion(tab: _Tables) -> float | None:
     return levels.pop() if len(levels) == 1 and not tab.cara.any() else None
 
 
-def _fraction_of_wealth(v, wealth, rounding):
+def fraction_of_wealth(v, wealth, rounding):
     """v / wealth, 0 where |wealth| <= rounding, the one zero-wealth rule; the
     bound is 2 eps (the magnitude of the wealth's five families + (1 + |log xi|)
     |xi dX/dxi|, the wealth's move over the rounding of log xi)."""
@@ -409,27 +407,25 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
     eps2 = 2.0 * np.finfo(float).eps  # first, so that no magnitude overflows
     rounding = (sum(np.abs(eps2 * f).sum(axis=0) for f in families)
                 + eps2 * (1.0 + np.abs(np.log(xi_t))) * np.abs(total))
-    split = {}
-    if R is not None:  # risk-seeking: the chords' gambling terms
-        split = {"merton": x_t / R, "risk_seeking": chords,
-                 "loss_aversion": -h.disc / R * np.tensordot(tab.A, q, axes=1),
-                 "first_order_ra": -h.disc / R * np.tensordot(tab.a[:-1], p, axes=1)}
+    split = () if R is None else (  # risk-seeking: the chords' gambling terms
+        x_t / R, chords, -h.disc / R * np.tensordot(tab.A, q, axes=1),
+        -h.disc / R * np.tensordot(tab.a[:-1], p, axes=1))
 
     def vector(v):
         return np.multiply.outer(market.risk_direction, v)
 
-    def per_piece(v, mask=slice(None)):  # one row per piece, 0 off the mask
+    def per_piece(v, mask):  # one row per piece, 0 off the mask
         out = np.zeros(p.shape)
         out[mask] = v
         return out
-    xD, xA, xAbar, xR, xRbar = map(per_piece, families,
-                                   [slice(None)] * 2 + [tab.cara, tab.crra, tab.cara])
+    names = ("kink_terms", "benchmark_terms", "cara_level_terms", "curvature_terms",
+             "cara_curvature_terms")
+    masks = (slice(None), slice(None), tab.cara, tab.crra, tab.cara)
     return PortfolioDecomposition(
-        terms={name: vector(v) for name, v in split.items()}, total=vector(total),
+        terms={name: vector(v) for name, v in zip(SPLIT, split)}, total=vector(total),
         wealth=x_t, wealth_rounding=rounding,
-        percentage=vector(_fraction_of_wealth(total, x_t, rounding)), p=p, q=q,
-        xD=xD, xA=xA, xAbar=xAbar, xR=xR, xRbar=xRbar,
-    )
+        percentage=vector(fraction_of_wealth(total, x_t, rounding)), p=p, q=q,
+        families={name: per_piece(v, m) for name, v, m in zip(names, families, masks)})
 
 
 def sahara_portfolio(market: MarketParams, alpha: float, beta: float,

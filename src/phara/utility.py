@@ -237,10 +237,6 @@ class PharaUtility:
         """Array [a_0, a_1, ..., a_n, inf] of length len(pieces) + 1."""
         return np.array([p.a_lo for p in self.pieces] + [INF])
 
-    @property
-    def interior_points(self) -> np.ndarray:
-        return np.array([p.a_lo for p in self.pieces[1:]])
-
     def kinks(self) -> list[float]:
         """Domain floor plus the junctions that :func:`one_slope` does not call one slope."""
         return [self.a0] + [right.a_lo for left, right in zip(self.pieces, self.pieces[1:])
@@ -250,7 +246,7 @@ class PharaUtility:
 
     def _piece_index(self, x: np.ndarray) -> np.ndarray:
         # x == a_k belongs to the right piece (value there is the upper limit)
-        return np.searchsorted(self.interior_points, x, side="right")
+        return np.searchsorted(self.partition[1:-1], x, side="right")
 
     def value(self, x):
         """U(x); upper-semicontinuous choice (max of one-sided limits) at kinks.
@@ -365,7 +361,7 @@ def compose(preference: PharaUtility, payoff: PharaUtility) -> PharaUtility:
     if first.value_lo < preference.a0:
         raise OutOfDomain(f"payoff floor value {first.value_lo} below preference domain")
 
-    kink_values = preference.interior_points.tolist()
+    kink_values = preference.partition[1:-1].tolist()
     pieces: list[PharaPiece] = []
     for lo, hi, v_lo, s in ((p.a_lo, p.a_hi, p.value_lo, p.anchor_slope)
                             for p in payoff.pieces):

@@ -118,7 +118,7 @@ def deriv(u: PharaUtility, x: float, side: str = "right") -> float:
         raise IllegalCase(f"side must be 'left' or 'right', got {side!r}")
     if x == u.a0 and side == "left":
         return INF
-    k = int(np.searchsorted(u.interior_points, x, side=side))
+    k = int(np.searchsorted(u.partition[1:-1], x, side=side))
     return float(u.pieces[k].slope(x))
 
 

@@ -191,17 +191,17 @@ class TestWealthProcess:
 
     def test_crra_single_term(self, crra_envelope, market):
         wd = portfolio_unified(crra_envelope, market, 0.4, 3.0, 1.2)
-        assert wd.xD == pytest.approx([0.0], abs=0.0)
-        assert wd.xA == pytest.approx([0.0], abs=0.0)
-        assert wd.xAbar == pytest.approx([0.0], abs=0.0)
-        assert wd.xRbar == pytest.approx([0.0], abs=0.0)
-        assert wd.wealth == pytest.approx(float(wd.xR[0]), rel=1e-15)
+        assert sorted(wd.families) == ["benchmark_terms", "cara_curvature_terms",
+                                       "cara_level_terms", "curvature_terms", "kink_terms"]
+        for name in ("kink_terms", "benchmark_terms", "cara_level_terms",
+                     "cara_curvature_terms"):
+            assert wd.families[name] == pytest.approx([0.0], abs=0.0)
+        assert wd.wealth == pytest.approx(float(wd.families["curvature_terms"][0]), rel=1e-15)
 
     def test_decomposition_sums_to_total(self, demo_envelope, market, demo_dual):
         wd = portfolio_unified(demo_envelope.envelope, market, demo_dual.y_star,
                                2.0, 0.9)
-        parts = wd.xD.sum() + wd.xA.sum() + wd.xAbar.sum() + wd.xR.sum() \
-            + wd.xRbar.sum()
+        parts = sum(v.sum() for v in wd.families.values())
         assert wd.wealth == pytest.approx(parts, rel=1e-14)
 
     def test_phi_ratio_identity(self, demo_envelope, market, demo_dual):
@@ -221,7 +221,7 @@ class TestWealthProcess:
             expect = disc * (piece.a_lo - piece.A) * ratio * (
                 ndtr(d_next(gn / w, piece.R, market, t))
                 - ndtr(d_next(gp / w, piece.R, market, t)))
-            assert float(wd.xR[k]) == pytest.approx(expect, rel=1e-11)
+            assert float(wd.families["curvature_terms"][k]) == pytest.approx(expect, rel=1e-11)
 
 
 class TestPortfolios:
@@ -690,9 +690,10 @@ def test_vector_portfolio_unified_matches_scalar(demo_envelope, contract_envelop
                 assert got.shape == stacked.shape == (1, xi.size)
                 assert np.allclose(got, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
             assert np.allclose(vec.wealth, [r.wealth for r in rows], rtol=1e-12, atol=0.0)
-            for field in ("p", "q", "xD", "xA", "xAbar", "xR", "xRbar"):  # per piece
-                stacked = np.stack([getattr(r, field) for r in rows], axis=1)
-                got = getattr(vec, field)
+            for field in ("p", "q", *vec.families):  # per piece
+                stacked = np.stack([{"p": r.p, "q": r.q, **r.families}[field] for r in rows],
+                                   axis=1)
+                got = {"p": vec.p, "q": vec.q, **vec.families}[field]
                 assert got.shape == stacked.shape == (len(env.pieces), xi.size)
                 assert np.allclose(got, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
             assert np.allclose(vec.p.sum(axis=0) + vec.q.sum(axis=0), 1.0, atol=1e-12)
@@ -1154,7 +1155,8 @@ def test_failures_are_typed(seed, market, x0, t, x, log_xi, log_y, log_gap):
         except PharaError:
             continue
         if isinstance(out, PortfolioDecomposition):
-            arrays = [v for k, v in vars(out).items() if k != "terms"] + [*out.terms.values()]
+            arrays = [v for k, v in vars(out).items() if k not in ("terms", "families")]
+            arrays += [*out.terms.values(), *out.families.values()]
             assert all(np.all(np.isfinite(v)) for v in arrays)
         elif not isinstance(out, DualSolution):
             assert np.all(np.isfinite(out))

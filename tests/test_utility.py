@@ -130,7 +130,7 @@ class TestEval:
             assert deriv(u, x, "right") == pytest.approx(x**-0.5, rel=1e-14)
 
     def test_right_derivative_matches_finite_difference(self, demo_utility):
-        for a_k in demo_utility.interior_points:
+        for a_k in demo_utility.partition[1:-1]:
             got = deriv(demo_utility, float(a_k), "right")
             if not math.isfinite(got):
                 continue  # square-root branch rooted exactly at a_k

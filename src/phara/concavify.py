@@ -190,7 +190,7 @@ class _Sweep:
 
     def attach_arc(self, piece: PharaPiece):
         if self._continues(piece):
-            self.hull.append(piece.restrict(piece.a_lo, piece.a_hi))
+            self.hull.append(piece)
             return
         s_in = piece.slope_lo
         if piece.R == 0.0:

@@ -50,13 +50,19 @@ def same_value(v: float, w: float, rounding: float = 0.0) -> bool:
     return abs(v - w) <= _VALUE_RTOL * max(1.0, abs(v), abs(w)) + rounding
 
 
-def _anchor(lo: float, hi: float, R: float, A: float) -> float:
+def _anchor(lo: float, hi: float, R: float, A: float, home: float = NEG_INF) -> float:
     """Finite anchor in [lo, hi] where a branch's slope is finite.
 
-    The anchor is ``lo`` unless a power or log branch has its benchmark
-    there (the slope blows up at A); then it is ``hi``, or a point above A
-    when the cell is unbounded.
+    An exponential branch sits at the point of [lo, hi] nearest ``home``, its
+    own anchor: its value and slope grow like e^(alpha d) at a distance d
+    from it, so an anchor far left of home would turn every value to its
+    right into a cancellation of two such numbers.  Otherwise the anchor is
+    ``lo`` unless a power or log branch has its benchmark there (the slope
+    blows up at A); then it is ``hi``, or a point above A when the cell is
+    unbounded.
     """
+    if R == INF:
+        return min(max(home, lo), hi)
     if 0.0 < R < INF and A == lo:
         return hi if np.isfinite(hi) else A + max(1.0, abs(A))
     return lo
@@ -152,7 +158,7 @@ class PharaPiece:
 
     def restrict(self, lo: float, hi: float) -> "PharaPiece":
         """The same branch on [lo, hi], re-anchored by :func:`_anchor`."""
-        x = _anchor(lo, hi, self.R, self.A)
+        x = _anchor(lo, hi, self.R, self.A, self.anchor_x)
         return replace(self, a_lo=lo, a_hi=hi, anchor_x=x,
                        anchor_u=float(self.value(x)),
                        anchor_slope=float(self.slope(x)))
@@ -348,8 +354,9 @@ def compose(preference: PharaUtility, payoff: PharaUtility) -> PharaUtility:
     interior points; on each resulting cell the payoff is affine and the
     preference is one HARA branch, and the affine substitution keeps the
     template.  Raises NotPhara on a payoff piece that is not linear, or when
-    the rebuilt branches fail to reproduce the pointwise composition, and
-    OutOfDomain when the payoff's floor value lies below the preference's a0.
+    the rebuilt branches fail to reproduce the pointwise composition,
+    OutOfDomain when the payoff's floor value lies below the preference's a0,
+    and IllegalCase naming a cell whose branch is not a valid piece.
     """
     for k, piece in enumerate(payoff.pieces):
         if piece.R != 0.0:
@@ -374,7 +381,11 @@ def compose(preference: PharaUtility, payoff: PharaUtility) -> PharaUtility:
         cuts.append(hi)
         cuts.sort()
         for c_lo, c_hi in zip(cuts, cuts[1:]):
-            pieces.append(_composed_piece(preference, c_lo, c_hi, lo, v_lo, s))
+            try:  # e.g. an exponential branch whose slope underflows on the cell
+                pieces.append(_composed_piece(preference, c_lo, c_hi, lo, v_lo, s))
+            except IllegalCase as exc:
+                raise IllegalCase(f"composed cell [{c_lo}, {c_hi}), payoff value "
+                                  f"{v_lo + s * (c_lo - lo)} at its left end: {exc}") from None
 
     utility = PharaUtility(a0=payoff.a0, pieces=tuple(pieces))
     _verify_composition(utility, preference, payoff)
@@ -386,7 +397,8 @@ def _composed_piece(preference: PharaUtility, lo, hi, seg_lo, seg_v, s) -> Phara
 
     The preference's branch under the cell's midpoint, with benchmark and
     absolute risk aversion mapped through the affine payoff, anchored with
-    that branch's own value and slope.
+    that branch's own value and slope; an exponential branch's home is the
+    preimage of its anchor.
     """
     def theta(x):
         return seg_v + s * (x - seg_lo)
@@ -402,7 +414,7 @@ def _composed_piece(preference: PharaUtility, lo, hi, seg_lo, seg_v, s) -> Phara
 
     A = seg_lo + (branch.A - seg_v) / s
     alpha = None if branch.alpha is None else branch.alpha * s
-    x_hat = _anchor(lo, hi, branch.R, A)
+    x_hat = _anchor(lo, hi, branch.R, A, seg_lo + (branch.anchor_x - seg_v) / s)
     # power or log: the argument that the rounded A gives x_hat, theta(x_hat) + O(s ulp(A))
     w_hat = branch.A + s * (x_hat - A) if 0.0 < branch.R < INF else theta(x_hat)
     return PharaPiece(a_lo=lo, a_hi=hi, R=branch.R, anchor_x=x_hat,

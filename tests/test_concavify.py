@@ -8,8 +8,9 @@ from conftest import (deriv, random_concave_envelope, random_raw_utility,
                       scale_shift)
 from phara import concavify
 from phara.concavify import concave_envelope
-from phara.errors import NoConvergence, UnboundedEnvelope
-from phara.utility import (INF, PharaPiece, PharaUtility, crra_utility, s_shaped_utility,
+from phara.errors import NoConvergence, PharaError, UnboundedEnvelope
+from phara.utility import (INF, PharaPiece, PharaUtility, cara_utility, compose,
+                           crra_utility, piecewise_linear_payoff, s_shaped_utility,
                            same_slope)
 
 
@@ -510,3 +511,92 @@ class TestSweepEdges:
         monkeypatch.setattr(concavify, "_newton_root", lambda fn, lo, hi, f_lo, f_hi: lo)
         with pytest.raises(NoConvergence, match="tangency residual"):
             concave_envelope(demo_utility)
+
+
+def _assert_cara(got, alpha: float, w):
+    """got is cara_utility(alpha)'s -e^(-alpha w)/alpha at w, to 1e-9 relative
+    plus 4 eps of |U(0)| = 1/alpha: a template anchored at w = 0 cancels its
+    anchor value where U has decayed far below it."""
+    with np.errstate(over="ignore"):
+        exact = -np.exp(-alpha * np.asarray(w, dtype=float)) / alpha
+    bound = 1e-9 * np.abs(exact) + 4.0 * np.finfo(float).eps / alpha
+    assert np.all(np.abs(got - exact) <= bound), (got, exact)
+
+
+def _cara_parts(rng):
+    """A CARA preference, alpha in (0.1, 5) and a0 in (-50, 0), and a random
+    payoff: floor in (-2, 2) worth up to 2 above a0, 0 to 2 breakpoints,
+    slopes 10^U(-3, 12)."""
+    alpha, a0 = float(rng.uniform(0.1, 5.0)), float(rng.uniform(-50.0, 0.0))
+    lo, k = float(rng.uniform(-2.0, 2.0)), int(rng.integers(0, 3))
+    payoff = piecewise_linear_payoff(
+        a0=lo, value_lo=a0 + float(rng.uniform(0.0, 2.0)),
+        breakpoints=tuple((lo + np.cumsum(rng.uniform(0.1, 3.0, k))).tolist()),
+        slopes=tuple((10.0 ** rng.uniform(-3.0, 12.0, k + 1)).tolist()))
+    return cara_utility(alpha, a0), payoff
+
+
+class TestExponentialAnchors:
+    """An exponential branch is anchored at the point of its cell nearest its
+    own anchor.  Anchored at a far left end, its value and slope there reach
+    1e66 or more, and every value to the right cancels two such numbers."""
+
+    @pytest.mark.parametrize("a0", [-200.0, -20.0])
+    def test_cara_envelope_keeps_its_values(self, a0):
+        # the envelope read [0, 0, 0] here when the continuing piece was
+        # re-anchored at a0
+        xs = np.array([0.0, 1.0, 5.0])
+        _assert_cara(concave_envelope(cara_utility(2.0, a0)).envelope.value(xs), 2.0, xs)
+
+    def test_concave_piece_list_is_its_own_envelope(self):
+        # an exponential head and a power tail that meets it at 5 with its
+        # value and slope: no kink at 5 and no chord [5, 8], and the values at
+        # 0.16 and 4.36, which read 0, are U's
+        head = PharaPiece(a_lo=-20.0, a_hi=5.0, R=INF, anchor_x=0.0, anchor_u=-0.5,
+                          anchor_slope=1.0, alpha=2.0)
+        tail = PharaPiece(a_lo=5.0, a_hi=INF, R=0.5, A=4.0, anchor_x=5.0,
+                          anchor_u=head.value_hi, anchor_slope=head.slope_hi)
+        u = PharaUtility(a0=-20.0, pieces=(head, tail))
+        res = concave_envelope(u)
+        assert res.envelope == u and res.envelope.kinks() == [-20.0] and res.chords == ()
+        xs = np.array([0.16, 4.36])
+        _assert_cara(res.envelope.value(xs), 2.0, xs)
+
+    @pytest.mark.parametrize("alpha, a0, floor, value_lo, breakpoints, slopes, xs", [
+        # built with value -7.48e50 at 4, 6 and 8
+        (4.863606887418385, -32.631305456440614, -1.604773012787153, -31.96204685624691,
+         (1.183516058191318,), (0.0011153798584445842, 5.2336162478506845), (4.0, 6.0, 8.0)),
+        # the envelope raised a bare ValueError in PharaPiece.contact
+        (3.243526599092306, -28.265074562328902, 0.1578913054371025, -26.41401562383042,
+         (1.6058118588707055, 3.423489214266105), (0.19837400692971024, 220.1339849333043, 0.0),
+         (0.5, 1.0, 1.65, 1.72, 1.75, 2.0, 5.0))])
+    def test_composed_cara_keeps_its_values(self, alpha, a0, floor, value_lo, breakpoints,
+                                            slopes, xs):
+        payoff = piecewise_linear_payoff(floor, value_lo, breakpoints, slopes)
+        u = compose(cara_utility(alpha, a0), payoff)
+        res = concave_envelope(u)
+        xs = np.array(xs)
+        w = payoff.value(xs)
+        _assert_cara(u.value(xs), alpha, w)
+        off = _equals_input(res, xs)
+        assert off.any()
+        _assert_cara(res.envelope.value(xs[off]), alpha, w[off])
+
+    def test_seeded_cara_compositions(self):
+        # each draw composes and has an envelope, or raises a PharaError (a
+        # bare Python error fails); where it builds, the composed utility and
+        # the envelope's curved pieces are the preference at the payoff
+        built = 0
+        for s in range(1000):
+            pref, payoff = _cara_parts(np.random.default_rng([s, 2]))
+            try:
+                u = compose(pref, payoff)
+                env = concave_envelope(u).envelope
+            except PharaError:
+                continue
+            built += 1
+            for piece in u.pieces + tuple(p for p in env.pieces if p.R != 0.0):
+                hi = piece.a_hi if np.isfinite(piece.a_hi) else piece.a_lo + 10.0
+                xs = piece.a_lo + (hi - piece.a_lo) * np.array([0.13, 0.41, 0.67, 0.93])
+                _assert_cara(piece.value(xs), pref.pieces[0].alpha, payoff.value(xs))
+        assert built >= 400

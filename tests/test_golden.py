@@ -48,7 +48,7 @@ def test_group_matches_golden(tmp_path, monkeypatch, exact, group):
     # process from tmp_path with the relative scenario path `--record` gave its
     # children, so an error message that names the file reads the same; the
     # faults guard the messages and exit codes, steep the value and junction
-    # rules, capped the flat-tail ceiling
+    # rules, capped the flat-tail ceiling, cara the exponential anchor rule
     monkeypatch.chdir(tmp_path)
     commands = same.GOLDEN_GROUPS[group](Path(group))
     assert sorted(cmd.name for cmd in commands) == sorted(

@@ -349,6 +349,16 @@ class TestCompose:
         with pytest.raises(NotPhara, match="flat payoff"):
             compose(pref, payoff)
 
+    def test_cell_that_cannot_be_built_names_itself(self):
+        # from payoff value 4.7e10 the CARA slope e^(-2.4 w) underflows to 0,
+        # which no exponential piece admits: the error names the cell
+        payoff = piecewise_linear_payoff(0.0, -1.0, (1.0,), (1.0, 4.7e10))
+        with pytest.raises(IllegalCase, match=r"composed cell \[2\.0, inf\), payoff value "
+                           r"47000000000\.0 at its left end: non-linear piece needs"):
+            compose(cara_utility(2.4, -10.0), piecewise_linear_payoff(
+                0.0, -1.0, (1.0, 2.0), (1.0, 4.7e10, 1.0)))
+        assert compose(cara_utility(2.4, -10.0), payoff).pieces[-1].value_lo < 0.0
+
     def test_composition_check_rejects_a_wrong_branch(self):
         # the pointwise check behind compose: a cell off by 1e-6 fails it
         pref = crra_utility(0.5)

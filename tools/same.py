@@ -36,7 +36,16 @@ repository.  Both trees are byte-compiled and run the same matrix as
   and no wealth grid (group ``capped``), and ``solve`` on that copy at x0
   2.1.  A flat tail has bounded demand, and no wealth reaches its ceiling
   e^(-r(T-t)) a_f: 2 at t = 0 and 2.568 at t = 5, so the last two
-  invocations exit 2, and the default wealth axis stops short of it.
+  invocations exit 2, and the default wealth axis stops short of it;
+- ``envelope``, ``solve`` and ``decompose --t 5 --xi 1`` on three utilities
+  with an exponential branch whose own anchor lies far right of its cell's
+  left end (group ``cara``), each in a copy of ``crra.json`` at x0 1.0: a
+  concave piece list, an exponential head on [-20, 5) and a power tail that
+  meets it at 5 with its value and slope, whose envelope is itself; and two
+  CARA preferences composed with a payoff, the second flat above its last
+  breakpoint.  Anchored at those left ends, the branches' values reach 1e66
+  and cancel (``utility._anchor``), so a change to the anchor rule shows up
+  here.
 
 The inputs come from this repository, so both trees read the same files.
 For every command, failing ones included, it compares the exit code, the
@@ -54,8 +63,8 @@ standard library only, with the plan and child-process code of
     python tools/same.py --record
 
 rewrites the golden files, ``tests/golden/``, from this repository: for
-each command of ``GOLDEN_GROUPS`` (the bundled, fault, ``steep`` and
-``capped`` groups), its artifacts, standard output and error and exit code
+each command of ``GOLDEN_GROUPS`` (the bundled, fault, ``steep``,
+``capped`` and ``cara`` groups), its artifacts, standard output and error and exit code
 (file ``exit_code``) in one directory, ``golden_path``; and ``host.json``,
 the numpy version, Python version, CPU and the features numpy dispatches
 on, as ``host()`` reads them.  A command names its scenario file by the
@@ -165,6 +174,31 @@ STEEP = {
                              "breakpoints": [], "slopes": [0.9801273255833165]}}}
 
 
+
+def _cara(alpha: float, a0: float) -> dict:
+    """cara_utility(alpha, a0) as a scenario "phara" preference: one
+    exponential piece from a0, worth -1/alpha with slope 1 at 0."""
+    return {"type": "phara", "a0": a0, "pieces": [
+        {"a_lo": a0, "R": "inf", "alpha": alpha,
+         "anchor": {"x": 0.0, "u": -1.0 / alpha, "slope": 1.0}}]}
+
+
+# the cara group's utilities, as scenario "utility" blocks
+CARA = {
+    "cara_list": {"a0": -20.0, "pieces": [
+        {"a_lo": -20.0, "R": "inf", "alpha": 2.0, "anchor": {"x": 0.0, "u": -0.5, "slope": 1.0}},
+        {"a_lo": 5.0, "R": 0.5, "A": 4.0,
+         "anchor": {"x": 5.0, "u": -2.269996488124537e-05, "slope": 4.5399929762484854e-05}}]},
+    "cara_steep": {"preference": _cara(4.863606887418385, -32.631305456440614),
+                   "payoff": {"floor": -1.604773012787153, "value_lo": -31.96204685624691,
+                              "breakpoints": [1.183516058191318],
+                              "slopes": [0.0011153798584445842, 5.2336162478506845]}},
+    "cara_flat": {"preference": _cara(3.243526599092306, -28.265074562328902),
+                  "payoff": {"floor": 0.1578913054371025, "value_lo": -26.41401562383042,
+                             "breakpoints": [1.6058118588707055, 3.423489214266105],
+                             "slopes": [0.19837400692971024, 220.1339849333043, 0.0]}}}
+
+
 def bundled_commands(scenario_dir: Path) -> list:
     """The six commands on each bundled scenario, decompose at POINTS, with
     the scenario files copied into scenario_dir."""
@@ -226,10 +260,23 @@ def capped_commands(scenario_dir: Path) -> list:
             + [Command("solve-capped_x2.1", "solve", "capped_x2.1")])
 
 
+def cara_commands(scenario_dir: Path) -> list:
+    """envelope, solve and decompose --t 5 --xi 1 on each CARA utility, its
+    scenario file (crra.json with that utility and x0 1.0) written into
+    scenario_dir."""
+    scenario_dir.mkdir(parents=True)
+    raw = json.loads((ROOT / "scenarios" / "crra.json").read_text())
+    for name, utility in CARA.items():
+        (scenario_dir / f"{name}.json").write_text(json.dumps(dict(raw, utility=utility, x0=1.0)))
+    return [Command(f"{c}-{name}", c, name, args) for name in CARA
+            for c, args in (("envelope", []), ("solve", []),
+                            ("decompose", ["--t", "5", "--xi", "1"]))]
+
+
 # the groups of the golden files, by name, each with the function that writes
 # its scenario files into a directory and returns its commands
 GOLDEN_GROUPS = {"bundled": bundled_commands, "faults": fault_commands,
-                 "steep": steep_commands, "capped": capped_commands}
+                 "steep": steep_commands, "capped": capped_commands, "cara": cara_commands}
 
 
 def golden_path(group: str, cmd) -> Path:

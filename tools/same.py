@@ -43,9 +43,9 @@ repository.  Both trees are byte-compiled and run the same matrix as
   concave piece list, an exponential head on [-20, 5) and a power tail that
   meets it at 5 with its value and slope, whose envelope is itself; and two
   CARA preferences composed with a payoff, the second flat above its last
-  breakpoint.  Anchored at those left ends, the branches' values reach 1e66
-  and cancel (``utility._anchor``), so a change to the anchor rule shows up
-  here.
+  breakpoint.  Anchored at those left ends, the branches' values reach up
+  to 1e66 and cancel (``utility._anchor``), so a change to the anchor rule
+  shows up here.
 
 The inputs come from this repository, so both trees read the same files.
 For every command, failing ones included, it compares the exit code, the
@@ -64,10 +64,10 @@ standard library only, with the plan and child-process code of
 
 rewrites the golden files, ``tests/golden/``, from this repository: for
 each command of ``GOLDEN_GROUPS`` (the bundled, fault, ``steep``,
-``capped`` and ``cara`` groups), its artifacts, standard output and error and exit code
-(file ``exit_code``) in one directory, ``golden_path``; and ``host.json``,
-the numpy version, Python version, CPU and the features numpy dispatches
-on, as ``host()`` reads them.  A command names its scenario file by the
+``capped`` and ``cara`` groups), its artifacts, standard output and error
+and exit code (file ``exit_code``) in one directory, ``golden_path``; and
+``host.json``, the numpy version, Python version, CPU and the features
+numpy dispatches on, as ``host()`` reads them.  A command names its scenario file by the
 relative path ``<group>/<scenario>.json``, so an error message that prints
 it is the same wherever the group runs.  ``tests/test_golden.py`` reruns
 the groups in process and compares them with those files through
@@ -172,7 +172,6 @@ STEEP = {
                                  "loss_weight": 3.5876455714681477},
                   "payoff": {"floor": -0.08576597524819896, "value_lo": 1.2616239656156172,
                              "breakpoints": [], "slopes": [0.9801273255833165]}}}
-
 
 
 def _cara(alpha: float, a0: float) -> dict:

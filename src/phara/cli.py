@@ -6,10 +6,10 @@ initial wealth, grids, and reproducibility knobs.  ``main`` runs every
 command through one pipeline: check --grid and --steps, load the scenario,
 make the output directory, build the concave envelope, solve the dual for y*
 (all but ``envelope``), evaluate (``cmd_<name>``, which also runs the checks
-of its own flags: decompose's --x and --xi, surface's one asset), write the
-JSON/CSV artifacts the evaluation returned, and return its exit code: 0
-success, 1 verification failure, 2 input error.  No artifact is written
-unless the evaluation returns.
+of its own flags: decompose's --x and --xi), write the JSON/CSV artifacts
+the evaluation returned, and return its exit code: 0 success, 1
+verification failure, 2 input error.  No artifact is written unless the
+evaluation returns.  Every command takes any number of risky assets.
 
 Run as the program (``phara`` or ``python -m phara.cli``, so ``main()`` gets
 no ``argv``), ``main`` first settles the process for one command and exit:
@@ -261,21 +261,19 @@ def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.
 
 
 def cmd_surface(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
-    if scn.market.m != 1:
-        raise BadDimension("surface sweeps are one-dimensional")
-    env = res.envelope
+    env, m = res.envelope, scn.market.m
     blocks = []  # one lazy row iterator per time, over arrays already evaluated
     for t in scn.t_grid:
         xi = state_price_for_wealth(env, scn.market, sol.y_star, t,
                                     _wealth_axis(scn, env, t, args.grid))
         dec = portfolio_unified(env, scn.market, sol.y_star, t, xi)
-        wealth = dec.wealth
         # split columns are fractions of wealth; NaN without a split
-        split = [fraction_of_wealth(v[0], wealth, dec.wealth_rounding)
-                 for v in dec.terms.values()] or [np.full_like(wealth, np.nan)] * len(SPLIT)
-        blocks.append(zip(repeat(t), wealth, xi, dec.percentage[0], *split))
-    header = ",".join(("t", "x", "xi", "percentage", *SPLIT))
-    return {"surface.csv": (header, chain(*blocks))}, 0
+        split = [fraction_of_wealth(v, dec.wealth, dec.wealth_rounding) for v in
+                 dec.terms.values()] or [np.full_like(dec.percentage, np.nan)] * len(SPLIT)
+        blocks.append(zip(repeat(t), dec.wealth, xi, *dec.percentage, *chain(*split)))
+    # one column per asset and name, suffixed _1 ... _m when m > 1
+    names = [f"{n}_{i}" if m > 1 else n for n in ("percentage", *SPLIT) for i in range(1, m + 1)]
+    return {"surface.csv": (",".join(("t", "x", "xi", *names)), chain(*blocks))}, 0
 
 
 def cmd_decompose(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):

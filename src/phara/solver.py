@@ -432,22 +432,23 @@ def sahara_portfolio(market: MarketParams, alpha: float, beta: float,
                      t: float, x: float) -> np.ndarray:
     """Comparison strategy whose absolute risk aversion is alpha/sqrt(beta^2+x^2).
 
-    One risky asset only; stays strictly positive at zero wealth, unlike the
-    piecewise-HARA strategies pinned to their domain floor.
+    Like every term of the unified formula it rides the direction
+    (sigma^T)^{-1} theta, for any number of assets; with beta > 0 it stays
+    off zero at zero wealth, unlike the piecewise-HARA strategies pinned to
+    their domain floor.
     """
-    if market.m != 1:
-        raise BadDimension("SAHARA comparison is one-dimensional")
     if not (0.0 < alpha < INF and 0.0 <= beta < INF and math.isfinite(x)):
         raise IllegalCase(f"need alpha > 0, beta >= 0 and x finite, got {alpha}, {beta}, {x}")
-    tau, th, sigma = market.tau(t), market.theta_norm, float(market.sigma[0, 0])
+    tau, th = market.tau(t), market.theta_norm
     try:  # alpha**2 or the exponential leaves the doubles for an extreme alpha
         b_t = beta * math.exp(-(market.r - th**2 / (2.0 * alpha**2)) * tau)
-        pi = th / (alpha * sigma) * math.hypot(x, b_t)
     except (OverflowError, ZeroDivisionError):
-        pi = INF
-    if not pi < INF:
+        b_t = INF
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi = market.risk_direction / alpha * math.hypot(x, b_t)
+    if not np.all(np.abs(pi) < INF):
         raise UnboundedDemand(f"SAHARA portfolio leaves the doubles at alpha = {alpha}")
-    return np.array([pi])
+    return pi
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import math
@@ -32,7 +33,16 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+
+
+def load_tool(name: str):
+    """The script ``tools/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_recorded(argv, out: Path) -> int:

@@ -11,17 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import capped_hedge_fund, strict_json as _strict_json
+from conftest import capped_hedge_fund, load_tool, strict_json as _strict_json
 from phara.cli import _check, _parse_utility, _settle_process, load_scenario, main
 from phara.concavify import concave_envelope
 from phara.errors import BadDimension, PharaError
 from phara.solver import (optimal_terminal_wealth, portfolio_general, solve_multiplier,
                           wealth_total)
-from phara.utility import INF, PharaPiece
+from phara.utility import INF
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
 BUNDLED = ("crra", "multi_kink_demo", "participating_contract", "hedge_fund")
+same = load_tool("same")
 
 
 def run(args):
@@ -183,6 +184,25 @@ class TestSurfaceCommand:
         # the four split columns add up to the percentage column
         assert np.allclose(data[:, 4:].sum(axis=1), data[:, 3],
                            rtol=1e-9, atol=1e-12)
+        # the demo's r, T and |theta| in 2 and 3 assets: the same x and xi,
+        # the split adds up per asset, and a percentage row is a scalar s
+        # times (sigma^T)^{-1} theta: |sigma^T row| = |theta| s, which is
+        # sigma = 0.3 times the demo's percentage theta s / sigma
+        same.multi_commands(tmp_path / "multi")
+        for m in (2, 3):
+            path = tmp_path / "multi" / f"demo_m{m}.json"
+            assert run(["surface", "--scenario", path, "--out", tmp_path / path.stem]) == 0
+            rows = (tmp_path / path.stem / "surface.csv").read_text().splitlines()
+            assert rows[0] == ",".join(["t", "x", "xi"] + [
+                f"{n}_{i}" for n in ("percentage", "merton", "risk_seeking", "loss_aversion",
+                                     "first_order_ra") for i in range(1, m + 1)])
+            multi = np.array([r.split(",") for r in rows[1:]], dtype=float)
+            assert np.allclose(multi[:, :3], data[:, :3], rtol=1e-12, atol=0.0)
+            pct, split = multi[:, 3:3 + m], multi[:, 3 + m:].reshape(-1, 4, m)
+            assert np.allclose(split.sum(axis=1), pct, rtol=1e-9, atol=1e-12)
+            sigma = load_scenario(path).market.sigma
+            assert np.allclose(np.linalg.norm(pct @ sigma, axis=1), 0.3 * data[:, 3],
+                               rtol=1e-12, atol=0.0)
 
     def test_default_wealth_axis(self, tmp_path):
         # without grids.wealth, --grid points from e^{-r(T-t)} a0 to
@@ -249,14 +269,9 @@ class TestSurfaceCommand:
 
 def _two_risk_aversions(tmp_path):
     """The demo market with sqrt gains up to 2 and an R = 2 tail: no common R."""
-    head = PharaPiece(a_lo=0.0, a_hi=2.0, R=0.5, A=-1.0, anchor_x=0.0,
-                      anchor_u=0.0, anchor_slope=1.0)
     raw = json.loads((SCENARIOS / "crra.json").read_text())
-    raw["utility"] = {"a0": 0.0, "pieces": [
-        {"a_lo": 0.0, "R": 0.5, "A": -1.0, "anchor": {"x": 0.0, "u": 0.0, "slope": 1.0}},
-        {"a_lo": 2.0, "R": 2.0, "A": 1.0,
-         "anchor": {"x": 2.0, "u": head.value_hi, "slope": 0.9 * head.slope_hi}}]}
-    raw.update(x0=3.0, grids={"t": [0.0, 5.0], "wealth": {"lo": 1.0, "hi": 6.0, "n": 4}})
+    raw.update(utility=same.TWO_R, x0=3.0,
+               grids={"t": [0.0, 5.0], "wealth": {"lo": 1.0, "hi": 6.0, "n": 4}})
     path = tmp_path / "two_R.json"
     path.write_text(json.dumps(raw))
     scn = load_scenario(path)
@@ -690,16 +705,6 @@ class TestErrorPaths:
                        "[3.2974425414002564, inf) with R = 1.0 rises above the hull "
                        "by rounding only\n")
         assert list((tmp_path / "out").iterdir()) == []
-
-    def test_surface_needs_one_asset(self, tmp_path, capsys):
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        raw["market"].update(mu=[0.086, 0.09], sigma=[[0.3, 0.0], [0.0, 0.2]])
-        path, out = tmp_path / "two.json", tmp_path / "out"
-        path.write_text(json.dumps(raw))
-        err = self._input_error(["surface", "--scenario", path, "--out", out,
-                                 "--grid", "11"], capsys)
-        assert err == "error: surface sweeps are one-dimensional\n"
-        assert list(out.iterdir()) == []
 
     def test_only_decompose_reads_x(self, tmp_path):
         # --x is decompose's flag: solve ignores even a value decompose rejects

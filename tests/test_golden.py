@@ -1,15 +1,11 @@
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from conftest import run_recorded
+from conftest import load_tool, run_recorded
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("same", ROOT / "tools" / "same.py")
-same = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(same)
+same = load_tool("same")
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +44,8 @@ def test_group_matches_golden(tmp_path, monkeypatch, exact, group):
     # process from tmp_path with the relative scenario path `--record` gave its
     # children, so an error message that names the file reads the same; the
     # faults guard the messages and exit codes, steep the value and junction
-    # rules, capped the flat-tail ceiling, cara the exponential anchor rule
+    # rules, capped the flat-tail ceiling, cara the exponential anchor rule,
+    # multi the per-asset columns
     monkeypatch.chdir(tmp_path)
     commands = same.GOLDEN_GROUPS[group](Path(group))
     assert sorted(cmd.name for cmd in commands) == sorted(

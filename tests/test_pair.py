@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import random
 import statistics
@@ -6,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_tool
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("pair", ROOT / "tools" / "pair.py")
-pair = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(pair)
+pair = load_tool("pair")
 
 from run import end_to_end as bench_end_to_end  # noqa: E402  (pair's path)
 

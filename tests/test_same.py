@@ -1,10 +1,9 @@
-import importlib.util
 from pathlib import Path
 
+from conftest import load_tool
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("same", ROOT / "tools" / "same.py")
-same = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(same)
+same = load_tool("same")
 
 
 def test_crra_against_itself(tmp_path):

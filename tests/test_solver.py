@@ -460,12 +460,25 @@ class TestSahara:
             pi = sahara_portfolio(market, alpha=2.0, beta=0.0, t=1.0, x=x)
             assert pi[0] == pytest.approx(0.12 / 0.6 * abs(x), rel=1e-12)
 
-    def test_two_assets_rejected(self):
-        mkt = build_market(r=0.05, mu=[0.09, 0.13],
-                           sigma=[[0.2, 0.0], [0.0, 0.4]], T=5.0)
-        with pytest.raises(PharaError) as err:
-            sahara_portfolio(mkt, alpha=2.0, beta=1.0, t=0.0, x=1.0)
-        assert isinstance(err.value, BadDimension)
+    def test_sign_of_sigma_is_irrelevant(self):
+        # sigma = -0.3 is the sigma = 0.3 market with W negated: theta flips
+        # sign and the direction theta / sigma = 0.4 stays, as does the position
+        up, down = (sahara_portfolio(build_market(r=0.05, mu=[0.086], sigma=[[s]], T=10.0),
+                                     alpha=2.0, beta=1.0, t=0.0, x=1.0) for s in (0.3, -0.3))
+        assert up[0] > 0.0
+        assert down[0] == pytest.approx(up[0], rel=1e-15)
+
+    def test_two_assets_match_one_asset(self):
+        # sigma^T pi = theta hypot(x, b_t) / alpha, whose norm is sigma_1 pi in
+        # the one-asset market of the same r, T and |theta|
+        mkt = build_market(r=0.05, mu=[0.09, 0.13], sigma=[[0.2, 0.0], [0.1, 0.4]], T=5.0)
+        one = build_market(r=0.05, mu=[0.05 + mkt.theta_norm * 0.3], sigma=[[0.3]], T=5.0)
+        for alpha, beta, t, x in ((2.0, 1.0, 0.0, 1.0), (0.7, 0.0, 2.5, -3.0),
+                                  (5.0, 2.0, 4.9, 0.0)):
+            pi = sahara_portfolio(mkt, alpha=alpha, beta=beta, t=t, x=x)
+            assert pi.shape == (2,)
+            assert np.linalg.norm(mkt.sigma.T @ pi) == pytest.approx(
+                0.3 * sahara_portfolio(one, alpha=alpha, beta=beta, t=t, x=x)[0], rel=1e-14)
 
     def test_beyond_horizon_rejected(self, market):
         for t in (-5.0, market.T, market.T + 1.0):

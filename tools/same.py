@@ -12,15 +12,14 @@ repository.  Both trees are byte-compiled and run the same matrix as
   a double included);
 - every command of the ``surface_sweep`` and ``cold_commands`` plans that
   ``perfbench/run.py --seconds 40`` runs, for seeds 1 and 7;
-- eleven single-fault invocations on bundled scenarios, each an input error
+- ten single-fault invocations on bundled scenarios, each an input error
   (exit 2): ``decompose`` without ``--x`` and ``--xi``, with ``--x inf``, with
   ``--xi 0`` and with ``--x`` below the wealth floor; ``envelope --grid 1``;
-  ``simulate --steps 5``; ``verify --paths 1``; ``surface`` on a two-asset
-  copy of ``crra.json``; ``envelope`` on two copies of ``hedge_fund.json``
-  whose payoff has one slope too few, or its breakpoint below the floor; and
-  ``envelope`` on a copy of ``participating_contract.json`` whose reference
-  sits one subnormal above the floor, where the loss piece's anchor slope
-  overflows;
+  ``simulate --steps 5``; ``verify --paths 1``; ``envelope`` on two copies of
+  ``hedge_fund.json`` whose payoff has one slope too few, or its breakpoint
+  below the floor; and ``envelope`` on a copy of
+  ``participating_contract.json`` whose reference sits one subnormal above
+  the floor, where the loss piece's anchor slope overflows;
 - ``envelope``, ``solve`` and ``surface`` on three random compositions (group
   ``steep``), each an S-shaped preference composed with a payoff, in a copy of
   ``crra.json``.  Two have a payoff of slope up to 8e11: their continuity,
@@ -45,7 +44,14 @@ repository.  Both trees are byte-compiled and run the same matrix as
   CARA preferences composed with a payoff, the second flat above its last
   breakpoint.  Anchored at those left ends, the branches' values reach up
   to 1e66 and cancel (``utility._anchor``), so a change to the anchor rule
-  shows up here.
+  shows up here;
+- ``surface``, ``decompose --t 5 --xi 1`` and ``verify --paths 2000`` on four
+  markets of several assets (group ``multi``): a two-asset copy of
+  ``crra.json``; two- and three-asset copies of ``multi_kink_demo.json`` that
+  keep its r, T and |theta|, so that each asset's columns of ``surface.csv``
+  are the one-asset columns along (sigma^T)^-1 theta; and the two-asset
+  ``crra.json`` market with a utility of two risk aversions, whose split
+  columns are NaN.
 
 The inputs come from this repository, so both trees read the same files.
 For every command, failing ones included, it compares the exit code, the
@@ -64,8 +70,9 @@ standard library only, with the plan and child-process code of
 
 rewrites the golden files, ``tests/golden/``, from this repository: for
 each command of ``GOLDEN_GROUPS`` (the bundled, fault, ``steep``,
-``capped`` and ``cara`` groups), its artifacts, standard output and error
-and exit code (file ``exit_code``) in one directory, ``golden_path``; and
+``capped``, ``cara`` and ``multi`` groups), its artifacts, standard output
+and error and exit code (file ``exit_code``) in one directory,
+``golden_path``; and
 ``host.json``, the numpy version, Python version, CPU and the features
 numpy dispatches on, as ``host()`` reads them.  A command names its scenario file by the
 relative path ``<group>/<scenario>.json``, so an error message that prints
@@ -131,15 +138,14 @@ POINTS = ((5.0, "--xi", 1.0), (5.0, "--xi", 0.3), (9.0, "--xi", 2.5),
           (2.0, "--xi", 1e-3), (5.0, "--xi", 1e-200), (5.0, "--xi", 1e200),
           (0.0, "--x", "x0"), (5.0, "--x", "x0"), (5.0, "--x", 30.0),
           (9.5, "--x", 1.5))
-# single-fault invocations (command, scenario, flags); "crra_m2" is crra.json
-# with a second asset, multi_kink_demo's floor at t = 5 is 4 e^(-0.25) = 3.1,
-# and the FIELD_FAULTS files change fields of one block of a bundled scenario
+# single-fault invocations (command, scenario, flags); multi_kink_demo's floor
+# at t = 5 is 4 e^(-0.25) = 3.1, and the FIELD_FAULTS files change fields of
+# one block of a bundled scenario
 FAULTS = (("decompose", "crra", ()), ("decompose", "crra", ("--x", "inf")),
           ("decompose", "crra", ("--xi", "0")),
           ("decompose", "multi_kink_demo", ("--t", "5", "--x", "3")),
           ("envelope", "crra", ("--grid", "1")), ("simulate", "crra", ("--steps", "5")),
-          ("verify", "crra", ("--paths", "1")), ("surface", "crra_m2", ()),
-          ("envelope", "hedge_fund_one_slope", ()),
+          ("verify", "crra", ("--paths", "1")), ("envelope", "hedge_fund_one_slope", ()),
           ("envelope", "hedge_fund_low_breakpoint", ()),
           ("envelope", "participating_contract_subnormal_reference", ()))
 # name: (bundled scenario, utility block, fields); the payoff faults are one
@@ -198,6 +204,31 @@ CARA = {
                              "slopes": [0.19837400692971024, 220.1339849333043, 0.0]}}}
 
 
+def _market(sigma: list, u: tuple) -> dict:
+    """multi_kink_demo's r = 0.05 and T = 10 with volatility sigma and market
+    price of risk theta = 0.12 u, |theta| = 0.12 for a unit vector u: mu is
+    r + sigma theta."""
+    return {"r": 0.05, "T": 10.0, "sigma": sigma,
+            "mu": [0.05 + sum(s * 0.12 * v for s, v in zip(row, u)) for row in sigma]}
+
+
+CRRA_M2 = {"r": 0.05, "T": 10.0, "mu": [0.086, 0.09], "sigma": [[0.3, 0.0], [0.0, 0.2]]}
+# a square-root head on [0, 2) from (0, 0) at slope 1 and an R = 2 tail from
+# its end value at 0.9 times its end slope: no common R, so no split
+TWO_R = {"a0": 0.0, "pieces": [
+    {"a_lo": 0.0, "R": 0.5, "A": -1.0, "anchor": {"x": 0.0, "u": 0.0, "slope": 1.0}},
+    {"a_lo": 2.0, "R": 2.0, "A": 1.0,
+     "anchor": {"x": 2.0, "u": 1.4641016151377544, "slope": 0.5196152422706631}}]}
+# the multi group's scenarios: name: (bundled scenario, fields replaced)
+MULTI = {
+    "crra_m2": ("crra", {"market": CRRA_M2}),
+    "demo_m2": ("multi_kink_demo", {"market": _market([[0.3, 0.0], [0.1, 0.2]], (0.6, 0.8))}),
+    "demo_m3": ("multi_kink_demo", {"market": _market(
+        [[0.3, 0.0, 0.0], [0.1, 0.2, 0.0], [0.05, 0.1, 0.25]], (2 / 3, 1 / 3, 2 / 3))}),
+    "two_R_m2": ("crra", {"market": CRRA_M2, "utility": TWO_R, "x0": 3.0, "grids": {
+        "t": [0.0, 5.0], "wealth": {"lo": 1.0, "hi": 6.0, "n": 4}}})}
+
+
 def bundled_commands(scenario_dir: Path) -> list:
     """The six commands on each bundled scenario, decompose at POINTS, with
     the scenario files copied into scenario_dir."""
@@ -219,9 +250,6 @@ def fault_commands(scenario_dir: Path) -> list:
     scenario_dir.mkdir(parents=True)
     for name in ("crra", "multi_kink_demo"):
         shutil.copy(ROOT / "scenarios" / f"{name}.json", scenario_dir)
-    raw = json.loads((ROOT / "scenarios" / "crra.json").read_text())
-    raw["market"].update(mu=[0.086, 0.09], sigma=[[0.3, 0.0], [0.0, 0.2]])
-    (scenario_dir / "crra_m2.json").write_text(json.dumps(raw))
     for name, (base, block, fields) in FIELD_FAULTS.items():
         raw = json.loads((ROOT / "scenarios" / f"{base}.json").read_text())
         raw["utility"][block].update(fields)
@@ -272,10 +300,23 @@ def cara_commands(scenario_dir: Path) -> list:
                             ("decompose", ["--t", "5", "--xi", "1"]))]
 
 
+def multi_commands(scenario_dir: Path) -> list:
+    """surface, decompose --t 5 --xi 1 and verify --paths 2000 on each MULTI
+    scenario, its file written into scenario_dir."""
+    scenario_dir.mkdir(parents=True)
+    for name, (base, fields) in MULTI.items():
+        raw = json.loads((ROOT / "scenarios" / f"{base}.json").read_text())
+        (scenario_dir / f"{name}.json").write_text(json.dumps(dict(raw, **fields)))
+    return [Command(f"{c}-{name}", c, name, args) for name in MULTI
+            for c, args in (("surface", []), ("decompose", ["--t", "5", "--xi", "1"]),
+                            ("verify", ["--paths", "2000"]))]
+
+
 # the groups of the golden files, by name, each with the function that writes
 # its scenario files into a directory and returns its commands
 GOLDEN_GROUPS = {"bundled": bundled_commands, "faults": fault_commands,
-                 "steep": steep_commands, "capped": capped_commands, "cara": cara_commands}
+                 "steep": steep_commands, "capped": capped_commands, "cara": cara_commands,
+                 "multi": multi_commands}
 
 
 def golden_path(group: str, cmd) -> Path:

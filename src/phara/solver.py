@@ -440,9 +440,9 @@ def sahara_portfolio(market: MarketParams, alpha: float, beta: float,
     if not (0.0 < alpha < INF and 0.0 <= beta < INF and math.isfinite(x)):
         raise IllegalCase(f"need alpha > 0, beta >= 0 and x finite, got {alpha}, {beta}, {x}")
     tau, th = market.tau(t), market.theta_norm
-    try:  # alpha**2 or the exponential leaves the doubles for an extreme alpha
-        b_t = beta * math.exp(-(market.r - th**2 / (2.0 * alpha**2)) * tau)
-    except (OverflowError, ZeroDivisionError):
+    try:  # the exponential leaves the doubles for a small alpha
+        b_t = beta * math.exp(-(market.r - 0.5 * (th / alpha)**2) * tau)
+    except OverflowError:
         b_t = INF
     with np.errstate(over="ignore", invalid="ignore"):
         pi = market.risk_direction / alpha * math.hypot(x, b_t)

@@ -45,6 +45,11 @@ def load_tool(name: str):
     return module
 
 
+# the one copy of tools/same.py that every test reads: its scenario writer
+# (same.write_scenario, whose same.DELETE is this copy's), groups and BUNDLED
+same = load_tool("same")
+
+
 def run_recorded(argv, out: Path) -> int:
     """``main(argv + ["--out", out])`` in this process, its standard output and
     error and its exit code written into out as the files ``stdout``,
@@ -74,15 +79,6 @@ def simulate_bundled(tmp_path_factory):
         return runs[name]
 
     return run
-
-
-def capped_hedge_fund() -> dict:
-    """hedge_fund.json with its payoff flat above the breakpoint a_f = 2 e^0.5,
-    x0 1.0 and no wealth grid: X_0 lies between the floor 0.7 and the ceiling 2."""
-    raw = json.loads((SCENARIOS / "hedge_fund.json").read_text())
-    raw["utility"]["payoff"]["slopes"] = [0.28, 0.0]
-    del raw["grids"]["wealth"]
-    return dict(raw, x0=1.0)
 
 
 def d_transform(z, y_shift: float, market, t: float):
@@ -233,90 +229,6 @@ def demo_dual(demo_envelope, market):
 @pytest.fixture(scope="session")
 def contract_dual(contract_envelope, market):
     return solve_multiplier(contract_envelope.envelope, market, 1.8)
-
-
-def random_concave_envelope(rng: np.random.Generator,
-                            R: float | None = None) -> PharaUtility:
-    """A random legal concave utility whose curved pieces share one R.
-
-    Cells alternate between power branches (benchmark strictly below the
-    cell) and chords, with nonincreasing slopes across junctions; the tail
-    is always a power branch so demand stays finite.
-    """
-    if R is None:
-        R = float(rng.uniform(0.2, 5.0))
-    a0 = float(rng.uniform(0.0, 5.0))
-    x = a0
-    u = float(rng.uniform(-1.0, 1.0))
-    slope = float(rng.uniform(1.0, 4.0))
-    pieces = []
-    for _ in range(int(rng.integers(1, 5))):
-        width = float(rng.uniform(0.5, 4.0))
-        if rng.random() < 0.4:
-            piece = PharaPiece(a_lo=x, a_hi=x + width, R=0.0, anchor_x=x,
-                               anchor_u=u, anchor_slope=slope)
-        else:
-            A = x - float(rng.uniform(0.2, 3.0))
-            piece = PharaPiece(a_lo=x, a_hi=x + width, R=R, A=A, anchor_x=x,
-                               anchor_u=u, anchor_slope=slope)
-        pieces.append(piece)
-        x += width
-        u = float(piece.value(x))
-        slope = float(piece.slope(x))
-        if rng.random() < 0.5:
-            slope *= float(rng.uniform(0.5, 0.95))  # concave kink
-    A = x - float(rng.uniform(0.2, 3.0))
-    pieces.append(PharaPiece(a_lo=x, a_hi=INF, R=R, A=A, anchor_x=x,
-                             anchor_u=u, anchor_slope=slope))
-    return PharaUtility(a0=a0, pieces=tuple(pieces))
-
-
-def random_raw_utility(rng: np.random.Generator) -> PharaUtility:
-    """A random raw utility with every legal pathology.
-
-    Cells may be concave powers, convex powers (benchmark at or beyond the
-    right end), flats, rising lines, or exponentials; junctions may kink
-    upwards or jump upwards.  The tail is always a concave power so the
-    envelope exists.
-    """
-    a0 = float(rng.uniform(-2.0, 5.0))
-    x = a0
-    u = float(rng.uniform(-2.0, 2.0))
-    pieces = []
-    for _ in range(int(rng.integers(1, 6))):
-        width = float(rng.uniform(0.4, 3.0))
-        kind = rng.choice(["concave", "convex", "flat", "line", "exp"])
-        slope = float(rng.uniform(0.05, 3.0))
-        if kind == "concave":
-            A = x - float(rng.uniform(0.1, 2.0))
-            piece = PharaPiece(a_lo=x, a_hi=x + width,
-                               R=float(rng.uniform(0.2, 3.0)), A=A,
-                               anchor_x=x, anchor_u=u, anchor_slope=slope)
-        elif kind == "convex":
-            A = x + width + float(rng.uniform(0.0, 1.0))
-            piece = PharaPiece(a_lo=x, a_hi=x + width,
-                               R=float(rng.uniform(0.2, 0.8)), A=A,
-                               anchor_x=x, anchor_u=u, anchor_slope=slope)
-        elif kind == "flat":
-            piece = PharaPiece(a_lo=x, a_hi=x + width, R=0.0, anchor_x=x,
-                               anchor_u=u, anchor_slope=0.0)
-        elif kind == "line":
-            piece = PharaPiece(a_lo=x, a_hi=x + width, R=0.0, anchor_x=x,
-                               anchor_u=u, anchor_slope=slope)
-        else:
-            piece = PharaPiece(a_lo=x, a_hi=x + width, R=float("inf"),
-                               anchor_x=x, anchor_u=u, anchor_slope=slope,
-                               alpha=float(rng.uniform(0.3, 3.0)))
-        pieces.append(piece)
-        x += width
-        u = float(piece.value(x))
-        if rng.random() < 0.25:
-            u += float(rng.uniform(0.0, 0.8))  # upward jump at the junction
-    A = x - float(rng.uniform(0.1, 2.0))
-    pieces.append(PharaPiece(a_lo=x, a_hi=INF, R=float(rng.uniform(0.2, 3.0)),
-                             A=A, anchor_x=x, anchor_u=u,
-                             anchor_slope=float(rng.uniform(0.05, 2.0))))
-    return PharaUtility(a0=a0, pieces=tuple(pieces))
 
 
 def interesting_multipliers(env: PharaUtility, rng: np.random.Generator,

@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from conftest import (CONTRACT_PARAMS, interesting_multipliers,
-                      random_concave_envelope)
+from conftest import CONTRACT_PARAMS, interesting_multipliers
+from corpora import random_concave_envelope
 from phara.solver import (optimal_terminal_wealth, portfolio_general,
                           portfolio_unified, sahara_portfolio, solve_multiplier,
                           state_price_for_wealth)

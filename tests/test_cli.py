@@ -6,12 +6,11 @@ import os
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import capped_hedge_fund, load_tool, strict_json as _strict_json
+from conftest import ROOT, SCENARIOS, same, strict_json as _strict_json
 from phara.cli import _check, _parse_utility, _settle_process, load_scenario, main
 from phara.concavify import concave_envelope
 from phara.errors import BadDimension, PharaError
@@ -19,10 +18,7 @@ from phara.solver import (optimal_terminal_wealth, portfolio_general, solve_mult
                           wealth_total)
 from phara.utility import INF
 
-ROOT = Path(__file__).resolve().parents[1]
-SCENARIOS = ROOT / "scenarios"
-BUNDLED = ("crra", "multi_kink_demo", "participating_contract", "hedge_fund")
-same = load_tool("same")
+DELETE = same.DELETE
 
 
 def run(args):
@@ -36,17 +32,14 @@ def _csv(path):
 
 class TestScenarioIO:
     def test_integral_floats_and_default_wealth_n(self, tmp_path):
-        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
-        raw.update(seed=7.0, paths=100000.0)
-        del raw["grids"]["wealth"]["n"]
-        path = tmp_path / "floats.json"
-        path.write_text(json.dumps(raw))
+        path = same.write_scenario(tmp_path / "floats.json", "multi_kink_demo", {
+            "seed": 7.0, "paths": 100000.0, "grids.wealth.n": DELETE})
         scn = load_scenario(path)
         assert (scn.seed, scn.paths, scn.wealth_grid.n) == (7, 100000, None)
         assert run(["surface", "--scenario", path, "--out", tmp_path,
                     "--grid", "7"]) == 0
         rows = (tmp_path / "surface.csv").read_text().splitlines()[1:]
-        assert len(rows) == 7 * len(raw["grids"]["t"])
+        assert len(rows) == 7 * len(scn.t_grid)
 
     def test_parsed_utilities_match_presets(self, demo_utility, contract_utility):
         scn = load_scenario(SCENARIOS / "multi_kink_demo.json")
@@ -82,12 +75,10 @@ class TestEnvelopeCommand:
     def test_curve_starts_where_u_is_finite(self, tmp_path, R):
         # the curve starts at a0 where U(a0) is finite (R = 0.5: U(0) = 0),
         # and just above it where U(a0) = -inf (R = 2)
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        raw["utility"]["pieces"][0].update(R=R, anchor={"x": 1.0, "u": 1.0 / (1.0 - R),
-                                                          "slope": 1.0})
-        (tmp_path / "s.json").write_text(json.dumps(raw))
-        assert run(["envelope", "--scenario", tmp_path / "s.json", "--out", tmp_path,
-                    "--grid", "11"]) == 0
+        path = same.write_scenario(tmp_path / "s.json", "crra", {
+            "utility.pieces.0.R": R,
+            "utility.pieces.0.anchor": {"x": 1.0, "u": 1.0 / (1.0 - R), "slope": 1.0}})
+        assert run(["envelope", "--scenario", path, "--out", tmp_path, "--grid", "11"]) == 0
         rows = (tmp_path / "envelope_curve.csv").read_text().splitlines()[1:]
         cols = np.array([row.split(",") for row in rows], dtype=float)
         assert np.isfinite(cols).all()
@@ -126,12 +117,9 @@ class TestSolveCommand:
     def test_old_domain_key_is_ignored(self, tmp_path, included):
         # a file that still carries utility.a0_included loads as the file
         # without it, and solve writes the same dual.json
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        old = dict(raw, utility=dict(raw["utility"], a0_included=included))
-        for name, data in (("new", raw), ("old", old)):
-            (tmp_path / f"{name}.json").write_text(json.dumps(data))
-            assert run(["solve", "--scenario", tmp_path / f"{name}.json",
-                        "--out", tmp_path / name]) == 0
+        for name, edit in (("new", {}), ("old", {"utility.a0_included": included})):
+            path = same.write_scenario(tmp_path / f"{name}.json", "crra", edit)
+            assert run(["solve", "--scenario", path, "--out", tmp_path / name]) == 0
         assert (load_scenario(tmp_path / "old.json").utility
                 == load_scenario(tmp_path / "new.json").utility)
         assert ((tmp_path / "old" / "dual.json").read_bytes()
@@ -208,15 +196,14 @@ class TestSurfaceCommand:
         # without grids.wealth, --grid points from e^{-r(T-t)} a0 to
         # e^{-r(T-t)} (a_n + (a_n - a0)/2) over the envelope's last knot
         # a_n = 40, the first point dropped
-        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
-        del raw["grids"]["wealth"]
-        path = tmp_path / "no_axis.json"
-        path.write_text(json.dumps(raw))
+        path = same.write_scenario(tmp_path / "no_axis.json", "multi_kink_demo",
+                                   {"grids.wealth": DELETE})
         assert run(["surface", "--scenario", path, "--out", tmp_path,
                     "--grid", "5"]) == 0
         data = _csv(tmp_path / "surface.csv")
-        assert data.shape == (4 * len(raw["grids"]["t"]), 8)
-        for t in raw["grids"]["t"]:
+        t_grid = load_scenario(path).t_grid
+        assert data.shape == (4 * len(t_grid), 8)
+        for t in t_grid:
             disc = math.exp(-0.05 * (10.0 - t))
             axis = np.linspace(disc * 4.0, disc * (40.0 + 0.5 * 36.0), 5)[1:]
             assert np.allclose(data[data[:, 0] == t, 1], axis, rtol=1e-10)
@@ -224,10 +211,7 @@ class TestSurfaceCommand:
     def test_default_wealth_axis_one_piece(self, tmp_path):
         # a_n = a0 = 0 on crra: the span max(1, a_n - a0) keeps the axis
         # above the floor instead of collapsing every level onto it
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        del raw["grids"]["wealth"]
-        path = tmp_path / "no_axis.json"
-        path.write_text(json.dumps(raw))
+        path = same.write_scenario(tmp_path / "no_axis.json", "crra", {"grids.wealth": DELETE})
         assert run(["surface", "--scenario", path, "--out", tmp_path,
                     "--grid", "6"]) == 0
         data = _csv(tmp_path / "surface.csv")
@@ -243,13 +227,10 @@ class TestSurfaceCommand:
     def test_cara_levels_at_and_below_zero(self, tmp_path):
         # an exponential piece from a0 = -5: wealth in (-5 e^{-r(T-t)}, 0]
         # is attainable and gets its own state price, not xi = inf
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        raw["utility"] = {"a0": -5.0, "pieces": [
-            {"a_lo": -5.0, "R": "inf", "alpha": 0.5,
-             "anchor": {"x": 0.0, "u": 0.0, "slope": 1.0}}]}
-        raw["grids"]["wealth"] = {"lo": -3.0, "hi": 3.0, "n": 7}
-        path = tmp_path / "cara.json"
-        path.write_text(json.dumps(raw))
+        path = same.write_scenario(tmp_path / "cara.json", "crra", {
+            "utility": {"a0": -5.0, "pieces": [{"a_lo": -5.0, "R": "inf", "alpha": 0.5,
+                                                "anchor": {"x": 0.0, "u": 0.0, "slope": 1.0}}]},
+            "grids.wealth": {"lo": -3.0, "hi": 3.0, "n": 7}})
         assert run(["surface", "--scenario", path, "--out", tmp_path]) == 0
         data = _csv(tmp_path / "surface.csv")
         scn = load_scenario(path)
@@ -268,12 +249,11 @@ class TestSurfaceCommand:
 
 
 def _two_risk_aversions(tmp_path):
-    """The demo market with sqrt gains up to 2 and an R = 2 tail: no common R."""
-    raw = json.loads((SCENARIOS / "crra.json").read_text())
-    raw.update(utility=same.TWO_R, x0=3.0,
-               grids={"t": [0.0, 5.0], "wealth": {"lo": 1.0, "hi": 6.0, "n": 4}})
-    path = tmp_path / "two_R.json"
-    path.write_text(json.dumps(raw))
+    """The demo market with sqrt gains up to 2 and an R = 2 tail: no common R;
+    the multi group's two_R_m2 scenario in one asset."""
+    base, edit = same.MULTI["two_R_m2"]
+    path = same.write_scenario(tmp_path / "two_R.json", base,
+                               {k: v for k, v in edit.items() if k != "market"})
     scn = load_scenario(path)
     env = concave_envelope(scn.utility).envelope
     return path, scn, env, solve_multiplier(env, scn.market, scn.x0).y_star
@@ -303,7 +283,7 @@ class TestWithoutCommonRiskAversion:
 
 
 class TestStandardJson:
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", same.BUNDLED)
     def test_bundled_artifacts(self, tmp_path, name):
         scenario = SCENARIOS / f"{name}.json"
         x0 = json.loads(scenario.read_text())["x0"]
@@ -321,10 +301,7 @@ class TestStandardJson:
 
     def test_linear_tail_envelope(self, tmp_path):
         # R = 0 on crra: the envelope is one line to +inf, written as "inf"
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        raw["utility"]["pieces"][0]["R"] = 0.0
-        path = tmp_path / "line.json"
-        path.write_text(json.dumps(raw))
+        path = same.write_scenario(tmp_path / "line.json", "crra", {"utility.pieces.0.R": 0.0})
         assert run(["envelope", "--scenario", path, "--out", tmp_path]) == 0
         table = _strict_json(tmp_path / "envelope.json")
         ((lo, hi, slope),) = table["chords"]
@@ -349,7 +326,7 @@ class TestVerifySimulate:
         rep = json.loads((tmp_path / "simulation.json").read_text())
         assert rep["passed"]
 
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", same.BUNDLED)
     def test_simulate_bundled_defaults(self, simulate_bundled, name):
         # default --steps and --paths; chord envelopes included; the same run
         # is compared with its golden files in test_golden.py
@@ -373,7 +350,7 @@ class TestVerifySimulate:
         assert payload["portfolio"]["total"][0] == pytest.approx(total,
                                                                  rel=1e-12)
 
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", same.BUNDLED)
     def test_decompose_wealth_is_wealth_total(self, tmp_path, name):
         # the reported wealth is the one sum that wealth_total and the
         # wealth inversion use, to the last bit
@@ -400,15 +377,11 @@ class TestHedgeFundScenario:
         assert slope == pytest.approx(0.4 / math.sqrt(benchmark), rel=1e-10)
 
     def test_phara_preference_block(self, tmp_path):
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        raw["utility"] = {
-            "preference": {"type": "phara", **raw["utility"]},
-            "payoff": {"floor": 0.5, "value_lo": 0.25,
-                       "breakpoints": [2.0], "slopes": [0.5, 1.5]},
-        }
-        raw["x0"] = 3.0
-        path = tmp_path / "composed.json"
-        path.write_text(json.dumps(raw))
+        crra = json.loads((SCENARIOS / "crra.json").read_text())["utility"]
+        path = same.write_scenario(tmp_path / "composed.json", "crra", {"x0": 3.0, "utility": {
+            "preference": {"type": "phara", **crra},
+            "payoff": {"floor": 0.5, "value_lo": 0.25, "breakpoints": [2.0],
+                       "slopes": [0.5, 1.5]}}})
         scn = load_scenario(path)
         assert len(scn.utility.pieces) == 2
         assert run(["solve", "--scenario", path, "--out", tmp_path]) == 0
@@ -416,9 +389,8 @@ class TestHedgeFundScenario:
     def test_capped_payoff_solves(self, tmp_path, capsys):
         # a flat tail has bounded demand; the default wealth axis stops short of
         # the ceiling e^(-r(T-t)) a_f at every time
-        raw = capped_hedge_fund()
-        path = tmp_path / "capped.json"
-        path.write_text(json.dumps(raw))
+        same.capped_commands(tmp_path / "s")
+        path = tmp_path / "s" / "capped.json"
         for args in (["solve"], ["decompose", "--t", "5", "--xi", "1"],
                      ["decompose", "--t", "5", "--x", "1.5"], ["verify"], ["surface"]):
             assert run([*args, "--scenario", path, "--out", tmp_path]) == 0, args
@@ -427,8 +399,8 @@ class TestHedgeFundScenario:
             pytest.approx(0.7, rel=1e-12)
         rows = _csv(tmp_path / "surface.csv")
         market = load_scenario(path).market
-        ceiling = [market.discount(t) * raw["utility"]["payoff"]["breakpoints"][0]
-                   for t in rows[:, 0]]
+        a_f = json.loads(path.read_text())["utility"]["payoff"]["breakpoints"][0]
+        ceiling = [market.discount(t) * a_f for t in rows[:, 0]]
         assert len(rows) == 200 * 3 and np.all(rows[:, 1] < ceiling)
         assert np.all(np.isfinite(rows))
 
@@ -436,8 +408,8 @@ class TestHedgeFundScenario:
                                           (1.0, ["decompose", "--t", "5", "--x", "2.6"])])
     def test_capped_payoff_ceiling(self, tmp_path, capsys, x0, args):
         # no wealth reaches the ceiling: 2 at t = 0, 2.568 at t = 5
-        path = tmp_path / "capped.json"
-        path.write_text(json.dumps(dict(capped_hedge_fund(), x0=x0)))
+        same.capped_commands(tmp_path / "s")
+        path = tmp_path / "s" / ("capped.json" if x0 == 1.0 else f"capped_x{x0}.json")
         assert run([*args, "--scenario", path, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must stay below the ceiling" in err
@@ -445,20 +417,15 @@ class TestHedgeFundScenario:
 
 class TestErrorPaths:
     def test_corrupted_sigma_exit_code(self, tmp_path):
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        raw["market"]["sigma"] = [[0.0]]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "bad.json", "crra", {"market.sigma": [[0.0]]})
         assert run(["solve", "--scenario", bad, "--out", tmp_path]) == 2
 
     def test_unknown_preference_type(self, tmp_path):
-        raw = json.loads((SCENARIOS / "participating_contract.json").read_text())
-        raw["utility"]["preference"]["type"] = "quadratic"
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "bad.json", "participating_contract",
+                                  {"utility.preference.type": "quadratic"})
         assert run(["solve", "--scenario", bad, "--out", tmp_path]) == 2
         with pytest.raises(PharaError):
-            _parse_utility(raw["utility"])
+            _parse_utility(json.loads(bad.read_text())["utility"])
 
     def test_utility_block_without_pieces_or_preference(self):
         with pytest.raises(PharaError):
@@ -476,33 +443,23 @@ class TestErrorPaths:
         assert f"malformed scenario {bad}: not JSON" in err
 
     @pytest.mark.parametrize("edit, message", [
-        (("x0", True), "x0 must be finite, got true"),
-        (("utility", "pieces", 0, "anchor", "slope", "1"),
+        ({"x0": True}, "x0 must be finite, got true"),
+        ({"utility.pieces.0.anchor.slope": "1"},
          'utility.pieces[0].anchor.slope must be a number, got "1"'),
-        (("utility", "pieces", 0, "R", None), "utility.pieces[0].R is missing"),
-        (("utility", "pieces", 0, "A", 0.5), "utility.pieces[0]: benchmark 0.5 inside"),
-        (("market", "sigma", 0, "x"), "market.sigma must be a list, got \"x\""),
-        (("grids", "wealth", "n", 1e9), "grids.wealth.n must be >= 2, at most 10^8"),
+        ({"utility.pieces.0.R": DELETE}, "utility.pieces[0].R is missing"),
+        ({"utility.pieces.0.A": 0.5}, "utility.pieces[0]: benchmark 0.5 inside"),
+        ({"market.sigma.0": "x"}, "market.sigma must be a list, got \"x\""),
+        ({"grids.wealth.n": 1e9}, "grids.wealth.n must be >= 2, at most 10^8"),
     ], ids=["bool_number", "quoted_number", "missing", "constructor", "sigma_row",
             "huge_count"])
     def test_error_names_the_field(self, tmp_path, capsys, edit, message):
         # a JSON true was read as 1.0 and "1" as a number; a missing key
         # printed only its name, and a constructor's error named no piece
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        *keys, last, value = edit
-        block = raw
-        for key in keys:
-            block = block[key]
-        if value is None:
-            del block[last]
-        else:
-            block[last] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "bad.json", "crra", edit)
         err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path], capsys)
         assert err.startswith(f"error: malformed scenario {bad}: {message}")
 
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", same.BUNDLED)
     def test_decompose_below_the_floor(self, tmp_path, capsys, name):
         # no state price reaches it; saturating at xi_cap would answer for the floor
         scenario = SCENARIOS / f"{name}.json"
@@ -514,10 +471,7 @@ class TestErrorPaths:
         assert not (tmp_path / "decompose.json").exists()
 
     def test_infeasible_budget(self, tmp_path):
-        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
-        raw["x0"] = 0.5
-        bad = tmp_path / "low.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "low.json", "multi_kink_demo", {"x0": 0.5})
         assert run(["solve", "--scenario", bad, "--out", tmp_path]) == 2
 
     def test_grid_below_two(self, tmp_path, capsys):
@@ -532,10 +486,7 @@ class TestErrorPaths:
         # one sample has no standard error: the report would hold NaN
         assert run(["verify", "--scenario", SCENARIOS / "crra.json",
                     "--out", tmp_path, "--paths", "1"]) == 2
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        raw["paths"] = 1
-        bad = tmp_path / "one_path.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "one_path.json", "crra", {"paths": 1})
         assert run(["verify", "--scenario", bad, "--out", tmp_path]) == 2
         assert capsys.readouterr().err.count("paths must be >= 2") == 2
         assert not (tmp_path / "verification.json").exists()
@@ -558,55 +509,33 @@ class TestErrorPaths:
         assert not (tmp_path / "verification.json").exists()
 
     def test_scenario_seed_out_of_range(self, tmp_path, capsys):
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        raw["seed"] = -5
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "bad.json", "crra", {"seed": -5})
         self._input_error(["verify", "--scenario", bad, "--out", tmp_path],
                           capsys)
 
-    @pytest.mark.parametrize("edit", ["mu", "utility", "top_level_list"])
+    @pytest.mark.parametrize("edit", [{"market.mu": 0.086}, {"utility": 3}, None],
+                             ids=["mu", "utility", "top_level_list"])
     def test_block_of_wrong_json_type(self, tmp_path, capsys, edit):
-        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
-        if edit == "mu":
-            raw["market"]["mu"] = 0.086
-        elif edit == "utility":
-            raw["utility"] = 3
-        else:
-            raw = [raw]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "bad.json", "multi_kink_demo", edit)
+        if edit is None:
+            bad.write_text(f"[{bad.read_text()}]")
         err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
                                 capsys)
         assert "malformed scenario" in err
         with pytest.raises(BadDimension):
             load_scenario(bad)
 
-    @pytest.mark.parametrize("edit", ["seed", "paths", "wealth_n", "wealth_n_zero",
-                                      "wealth_n_negative", "wealth_list",
-                                      "wealth_without_hi", "wealth_lo_inf"])
+    # n 0 wrote a header-only csv from surface, and lo -inf NaN rows
+    @pytest.mark.parametrize("edit", [
+        {"seed": 1.7}, {"paths": 1000.9}, {"grids.wealth.n": 2.5}, {"grids.wealth.n": 0},
+        {"grids.wealth.n": -3}, {"grids.wealth": [1, 2]}, {"grids.wealth.hi": DELETE},
+        {"grids.wealth.lo": "-inf"}], ids=[
+        "seed", "paths", "wealth_n", "wealth_n_zero", "wealth_n_negative", "wealth_list",
+        "wealth_without_hi", "wealth_lo_inf"])
     def test_fractional_count_or_bad_wealth_grid(self, tmp_path, capsys, edit):
         # counts are not truncated, and the wealth grid is checked on load,
         # so every command rejects it, not only surface
-        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
-        if edit == "seed":
-            raw["seed"] = 1.7
-        elif edit == "paths":
-            raw["paths"] = 1000.9
-        elif edit == "wealth_n":
-            raw["grids"]["wealth"]["n"] = 2.5
-        elif edit == "wealth_n_zero":
-            raw["grids"]["wealth"]["n"] = 0  # surface wrote a header-only csv
-        elif edit == "wealth_n_negative":
-            raw["grids"]["wealth"]["n"] = -3
-        elif edit == "wealth_list":
-            raw["grids"]["wealth"] = [1, 2]
-        elif edit == "wealth_without_hi":
-            del raw["grids"]["wealth"]["hi"]
-        else:
-            raw["grids"]["wealth"]["lo"] = "-inf"  # surface wrote NaN rows
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "bad.json", "multi_kink_demo", edit)
         for command in ("solve", "surface"):
             self._input_error([command, "--scenario", bad, "--out", tmp_path],
                               capsys)
@@ -617,10 +546,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("x0", ["inf", "nan"])
     def test_non_finite_x0(self, tmp_path, capsys, x0):
         # inf failed in the root-find, nan in the budget residual check
-        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
-        raw["x0"] = x0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "bad.json", "multi_kink_demo", {"x0": x0})
         err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
                                 capsys)
         assert "x0 must be finite" in err
@@ -632,11 +558,8 @@ class TestErrorPaths:
     def test_time_grid_outside_horizon(self, tmp_path, capsys, t):
         # solve exited 0 on these while surface exited 2: every command
         # now rejects them on load
-        raw = json.loads((SCENARIOS / "multi_kink_demo.json").read_text())
-        raw["grids"]["t"] = [0.0, {"T": raw["market"]["T"], "nan": "nan",
-                                   "inf": "inf", "negative": -1.0}[t]]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "bad.json", "multi_kink_demo", {"grids.t": [
+            0.0, {"T": 10.0, "nan": "nan", "inf": "inf", "negative": -1.0}[t]]})
         for command in ("solve", "surface"):
             err = self._input_error([command, "--scenario", bad, "--out", tmp_path],
                                     capsys)
@@ -647,17 +570,15 @@ class TestErrorPaths:
         assert not (tmp_path / "surface.csv").exists()
 
     @pytest.mark.parametrize("edit, field", [
-        ({"T": 1e308}, "r T"), ({"mu": ["inf"]}, "mu entries"),
-        ({"mu": [1e308]}, "|theta|^2 T"), ({"sigma": [[1e308]]}, "sigma entries"),
-        ({"mu": [0.086, 0.09], "sigma": [[0.3, 0.0], [0.2]]}, "mu and sigma must be arrays"),
+        ({"market.T": 1e308}, "r T"), ({"market.mu": ["inf"]}, "mu entries"),
+        ({"market.mu": [1e308]}, "|theta|^2 T"), ({"market.sigma": [[1e308]]}, "sigma entries"),
+        ({"market.mu": [0.086, 0.09], "market.sigma": [[0.3, 0.0], [0.2]]},
+         "mu and sigma must be arrays"),
     ], ids=["T_1e308", "mu_inf", "mu_1e308", "sigma_1e308", "sigma_ragged"])
     def test_market_out_of_range(self, tmp_path, capsys, edit, field):
         # these gave an OverflowError traceback or overflow and invalid-value
         # warnings; now one typed error that names the field
-        raw = json.loads((SCENARIOS / "crra.json").read_text())
-        raw["market"].update(edit)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad = same.write_scenario(tmp_path / "bad.json", "crra", edit)
         err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
                                 capsys)
         assert field in err and err.count("\n") == 1
@@ -675,7 +596,7 @@ class TestErrorPaths:
                            tmp_path, "--t", "5.0", *flag], capsys)
         assert not (tmp_path / "decompose.json").exists()
 
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", same.BUNDLED)
     def test_decompose_wealth_beyond_the_doubles(self, tmp_path, capsys, name):
         # X_t at xi = 1e-200 is above 1e308: the power terms overflowed and
         # the report's NaN escaped as a ValueError traceback
@@ -696,10 +617,9 @@ class TestErrorPaths:
         # hedge_fund with a gain exponent of 1e-19 or below: the gain branch
         # 1 + 1e-19 log(...) rises above the hull by less than rounding at
         # every slope the search reaches, and the error names that branch
-        raw = json.loads((SCENARIOS / "hedge_fund.json").read_text())
-        raw["utility"]["preference"]["gain_exponent"] = gain
-        (tmp_path / "s.json").write_text(json.dumps(raw))
-        err = self._input_error(["envelope", "--scenario", tmp_path / "s.json",
+        path = same.write_scenario(tmp_path / "s.json", "hedge_fund",
+                                   {"utility.preference.gain_exponent": gain})
+        err = self._input_error(["envelope", "--scenario", path,
                                  "--out", tmp_path / "out"], capsys)
         assert err == ("error: no shallow supporting slope found: the piece on "
                        "[3.2974425414002564, inf) with R = 1.0 rises above the hull "
@@ -745,7 +665,7 @@ from phara.cli import main
 commands = (("envelope",), ("solve",), ("surface",),
             ("decompose", "--t", "1", "--x", "12"), ("verify", "--paths", "2000"),
             ("simulate", "--paths", "200", "--steps", "10"))
-for name in {BUNDLED!r}:
+for name in {same.BUNDLED!r}:
     for command, *flags in commands:
         code = main([command, "--scenario", {str(SCENARIOS)!r} + "/" + name + ".json",
                      "--out", {str(tmp_path)!r}, *flags])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (deriv, random_concave_envelope, random_raw_utility,
-                      scale_shift)
+from conftest import deriv, scale_shift
+from corpora import cara_parts, random_concave_envelope, random_raw_utility
 from phara import concavify
 from phara.concavify import concave_envelope
 from phara.errors import NoConvergence, PharaError, UnboundedEnvelope
@@ -341,7 +341,7 @@ def test_contact_properties(seed, frac):
     # line), or past them: the contact lies in the piece,
     # is the end the rule names off the slope range, and where it is interior
     # the slopes one ulp either side bracket s to within the kink rule
-    env = concave_envelope(random_raw_utility(np.random.default_rng(seed))).envelope
+    env = concave_envelope(random_raw_utility(seed)).envelope
     for piece in env.pieces:
         top = math.log(max(piece.slope_lo, 1e-300))
         span = math.log(max(piece.slope_hi, 1e-3 * piece.slope_lo, 1e-300)) - top
@@ -523,19 +523,6 @@ def _assert_cara(got, alpha: float, w):
     assert np.all(np.abs(got - exact) <= bound), (got, exact)
 
 
-def _cara_parts(rng):
-    """A CARA preference, alpha in (0.1, 5) and a0 in (-50, 0), and a random
-    payoff: floor in (-2, 2) worth up to 2 above a0, 0 to 2 breakpoints,
-    slopes 10^U(-3, 12)."""
-    alpha, a0 = float(rng.uniform(0.1, 5.0)), float(rng.uniform(-50.0, 0.0))
-    lo, k = float(rng.uniform(-2.0, 2.0)), int(rng.integers(0, 3))
-    payoff = piecewise_linear_payoff(
-        a0=lo, value_lo=a0 + float(rng.uniform(0.0, 2.0)),
-        breakpoints=tuple((lo + np.cumsum(rng.uniform(0.1, 3.0, k))).tolist()),
-        slopes=tuple((10.0 ** rng.uniform(-3.0, 12.0, k + 1)).tolist()))
-    return cara_utility(alpha, a0), payoff
-
-
 class TestExponentialAnchors:
     """An exponential branch is anchored at the point of its cell nearest its
     own anchor.  Anchored at a far left end, its value and slope there reach
@@ -588,7 +575,7 @@ class TestExponentialAnchors:
         # the envelope's curved pieces are the preference at the payoff
         built = 0
         for s in range(1000):
-            pref, payoff = _cara_parts(np.random.default_rng([s, 2]))
+            pref, payoff = cara_parts(s)
             try:
                 u = compose(pref, payoff)
                 env = concave_envelope(u).envelope

@@ -1,13 +1,9 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from conftest import load_tool
 from phara import normal
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cdf_matches_ndtr():
@@ -74,10 +70,7 @@ def test_pdf():
 
 def test_committed_coefficients_match_generator():
     pytest.importorskip("mpmath")
-    spec = importlib.util.spec_from_file_location(
-        "normal_coefficients", ROOT / "tools" / "normal_coefficients.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = load_tool("normal_coefficients")
     assert (gen.K, gen.X_ZERO, gen.X_ONE) == (normal._K, normal._X_ZERO, normal._X_ONE)
     tables = gen.tables()
     assert set(tables) == {"_ERFC_NEAR", "_ERFC_FAR"}

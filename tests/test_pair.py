@@ -1,13 +1,10 @@
 import json
 import random
 import statistics
-from pathlib import Path
-
 import pytest
 
-from conftest import load_tool
+from conftest import ROOT, load_tool
 
-ROOT = Path(__file__).resolve().parents[1]
 pair = load_tool("pair")
 
 from run import end_to_end as bench_end_to_end  # noqa: E402  (pair's path)

@@ -1,9 +1,5 @@
-from pathlib import Path
-
-from conftest import load_tool
-
-ROOT = Path(__file__).resolve().parents[1]
-same = load_tool("same")
+from conftest import ROOT, same
+from corpora import steep_block
 
 
 def test_crra_against_itself(tmp_path):
@@ -72,3 +68,9 @@ def test_foreign_host_rule(tmp_path):
     assert [d[:2] for d in same.golden_diffs(a, b, exact=False)] == [
         ("exit_code", "[line 1]"), ("extra.json", ""), ("stdout", "[line 1]"),
         ("v.json", ":computed"), ("v.json", ":n")]
+
+
+def test_steep_literals_are_corpus_draws():
+    # the steep group's utility blocks, which same.py keeps as literals to stay
+    # standard-library only, are draws 5, 6 and 1316 of the steep corpus
+    assert same.STEEP == {f"steep{s}": steep_block(s) for s in (5, 6, 1316)}

@@ -9,22 +9,17 @@ give exit 2 and one ``error:`` line that names the mutated field or a block
 holding it; every JSON artifact must be standard JSON.
 """
 
-import copy
 import json
 import random
 import re
 import warnings
-from pathlib import Path
 
-from conftest import strict_json
+from conftest import SCENARIOS, same, strict_json
 from phara.cli import load_scenario, main
 from phara.errors import PharaError
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-BUNDLED = ("crra", "multi_kink_demo", "participating_contract", "hedge_fund")
 BAD = (float("nan"), "nan", "inf", "-inf", "x", 0, -1, 1e308, 1e-300, None, [],
        {}, True, 3)
-DELETE = object()
 ARTIFACT = {"envelope": "envelope.json", "solve": "dual.json",
             "decompose": "decompose.json", "verify": "verification.json",
             "simulate": "simulation.json"}
@@ -42,20 +37,13 @@ def _leaves(node, path=()):
 
 
 def _mutants():
-    for name in BUNDLED:
-        raw = json.loads((SCENARIOS / f"{name}.json").read_text())
-        raw["grids"]["wealth"]["n"] = 5  # a short surface axis: the values are what is fuzzed
-        for path in _leaves(raw):
-            for value in BAD + (DELETE,):
-                mutant = copy.deepcopy(raw)
-                parent = mutant
-                for key in path[:-1]:
-                    parent = parent[key]
-                if value is DELETE:
-                    del parent[path[-1]]
-                else:
-                    parent[path[-1]] = value
-                yield name, path, value, mutant
+    """(bundled scenario, leaf path, value, edit of same.write_scenario) for
+    every leaf and bad value; a short surface axis of 5 points, the values
+    being what is fuzzed."""
+    for name in same.BUNDLED:
+        for path in _leaves(json.loads((SCENARIOS / f"{name}.json").read_text())):
+            for value in BAD + (same.DELETE,):
+                yield name, path, value, {"grids.wealth.n": 5, ".".join(map(str, path)): value}
 
 
 def _field_names(path):
@@ -76,9 +64,10 @@ def test_scenario_fuzz(tmp_path, capsys):
     rng = random.Random(20260810)
     scenario, out = tmp_path / "scenario.json", tmp_path / "out"
     failures, runs = [], 0
-    for name, path, value, mutant in _mutants():
-        scenario.write_text(json.dumps(mutant))
-        label = f"{name}:{'.'.join(map(str, path))}={'<deleted>' if value is DELETE else repr(value)}"
+    for name, path, value, edit in _mutants():
+        same.write_scenario(scenario, name, edit)
+        shown = "<deleted>" if value is same.DELETE else repr(value)
+        label = f"{name}:{'.'.join(map(str, path))}={shown}"
         try:
             load_scenario(scenario)
             rejected = False

@@ -1,18 +1,17 @@
-import json
 import math
 import re
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
-from conftest import (CONTRACT_PARAMS, capped_hedge_fund, d0, d1, d_next, d_transform,
-                      deriv, interesting_multipliers, random_concave_envelope,
-                      random_raw_utility, scale_shift)
+from conftest import (CONTRACT_PARAMS, SCENARIOS, d0, d1, d_next, d_transform, deriv,
+                      interesting_multipliers, same, scale_shift)
+from corpora import (random_concave_envelope, random_raw_utility, steep_composition,
+                     steep_parts)
 from phara import cli
 from phara.cli import load_scenario
 from phara.concavify import EnvelopeResult, concave_envelope
@@ -480,6 +479,15 @@ class TestSahara:
             assert np.linalg.norm(mkt.sigma.T @ pi) == pytest.approx(
                 0.3 * sahara_portfolio(one, alpha=alpha, beta=beta, t=t, x=x)[0], rel=1e-14)
 
+    @pytest.mark.parametrize("alpha", [1e155, 1e300])
+    def test_large_alpha_stays_finite(self, market, alpha):
+        # alpha**2 overflowed, and the position left the doubles; (theta /
+        # alpha)^2 is 0 to rounding, so b_t is e^{-r T} and the position tiny
+        pi = sahara_portfolio(market, alpha=alpha, beta=1.0, t=0.0, x=1.0)
+        b_t = math.exp(-0.05 * 10.0)
+        assert pi[0] == pytest.approx(0.4 / alpha * math.hypot(1.0, b_t), rel=1e-15)
+        assert 0.0 < pi[0] < 1e-150
+
     def test_beyond_horizon_rejected(self, market):
         for t in (-5.0, market.T, market.T + 1.0):
             with pytest.raises(BadTime):
@@ -637,10 +645,6 @@ class TestBeyondTheDoubles:
         assert wealth_total(env, market, 1.0, 5.0, xi) == pytest.approx(1e8, rel=1e-10)
 
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-BUNDLED = ("crra", "multi_kink_demo", "participating_contract", "hedge_fund")
-
-
 def _round_trip_error(env, market, y, t, x):
     """Worst |X_t(xi(x)) - x| / max(1, |x|) over the unsaturated levels."""
     xi = state_price_for_wealth(env, market, y, t, x)
@@ -659,7 +663,7 @@ def _levels(env, market, t):
     return np.concatenate([near, np.linspace(floor, top, 60)[1:]])
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("name", same.BUNDLED)
 def test_batched_inversion_round_trip_bundled(name):
     scn = load_scenario(SCENARIOS / f"{name}.json")
     env = concave_envelope(scn.utility).envelope
@@ -737,17 +741,13 @@ def markets(draw, max_m=3):
 seeds = st.integers(0, 2**32 - 1)
 
 
-def _raw_envelope(seed):
-    return concave_envelope(random_raw_utility(np.random.default_rng(seed))).envelope
-
-
 def _floor(env, market, t=0.0):
     return market.discount(t) * env.a0
 
 
 @given(seeds, markets(), st.floats(1e-3, 50.0), st.floats(1e-3, 1.0))
 def test_dual_solve_properties(seed, market, excess, gap):
-    env = _raw_envelope(seed)
+    env = concave_envelope(random_raw_utility(seed)).envelope
     x0 = _floor(env, market) + excess
     sol = solve_multiplier(env, market, x0)
     tol = 1e-10 * max(1.0, x0)
@@ -763,7 +763,7 @@ def test_dual_solve_properties(seed, market, excess, gap):
 @given(seeds, markets(), st.floats(1e-3, 50.0), st.floats(0.0, 0.999),
        st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
 def test_inversion_round_trip_properties(seed, market, excess, frac, logs):
-    env = _raw_envelope(seed)
+    env = concave_envelope(random_raw_utility(seed)).envelope
     y = solve_multiplier(env, market, _floor(env, market) + excess).y_star
     t = frac * market.T
     x = wealth_total(env, market, y, t, np.exp(logs))
@@ -784,7 +784,8 @@ def test_inversion_round_trip_properties(seed, market, excess, frac, logs):
 def test_unified_equals_general_properties(seed, raw, market, log_y, frac, logs):
     # one common R, or the envelope of a raw utility: several R, exponential
     # pieces and chords
-    env = _raw_envelope(seed) if raw else random_concave_envelope(np.random.default_rng(seed))
+    env = (concave_envelope(random_raw_utility(seed)).envelope if raw
+           else random_concave_envelope(seed))
     y, t = math.exp(log_y), frac * market.T
     R = _common_risk_aversion(_tables(env))
     assert raw or R > 0.0
@@ -807,7 +808,7 @@ def test_fd_portfolio_properties(seed, market, excess):
     # the delta-hedge against the central difference of the wealth map at
     # the four points of `phara verify`, on envelopes of raw utilities:
     # exponential pieces, several R and chords
-    env = _raw_envelope(seed)
+    env = concave_envelope(random_raw_utility(seed)).envelope
     y = solve_multiplier(env, market, _floor(env, market) + excess).y_star
     T = market.T
     for t, xi in ((0.0, 1.0), (T / 2, 0.6), (T / 2, 1.7), (0.9 * T, 1.1)):
@@ -820,7 +821,7 @@ def test_fd_portfolio_properties(seed, market, excess):
 def test_split_signs_properties(seed, market, log_y, frac, logs):
     # non-concavity (chords) raises risk taking; non-differentiability
     # (kinks, all at nonnegative wealth when a0 >= 0) lowers it
-    env = random_concave_envelope(np.random.default_rng(seed))
+    env = random_concave_envelope(seed)
     dec = portfolio_unified(env, market, math.exp(log_y), frac * market.T, np.exp(logs))
     direction = market.risk_direction[:, None]  # a term over it has its scalar's sign
     assert np.all(dec.terms["risk_seeking"] * direction >= 0.0)
@@ -837,7 +838,7 @@ def test_phi_is_the_running_maximum(seed, market, frac, logs):
     # repeats at a smooth junction between two of them; the reversed
     # ladder makes every row's maximum differ from its own value.  The power
     # pieces' rows of the same normal.cdf call take no maximum.
-    tab, logs = _tables(_raw_envelope(seed)), np.array(logs)
+    tab, logs = _tables(concave_envelope(random_raw_utility(seed)).envelope), np.array(logs)
     h = _horizon(market, frac * market.T, tab)
     for t in (tab, replace(tab, log_slopes=tab.log_slopes[::-1])):
         D, R = _d1_outer(t.log_slopes, logs, h), t.R[t.crra, None]
@@ -857,7 +858,7 @@ def test_no_kink_weight_at_a_tangency(seed, market, log_y, frac, logs):
     # where a chord touches a curve the envelope is differentiable, so the
     # kink weight p there is exactly 0, even where concavification left the
     # two slopes ulps apart: a junction that is no kink has one ladder slot
-    result = concave_envelope(random_raw_utility(np.random.default_rng(seed)))
+    result = concave_envelope(random_raw_utility(seed))
     env, t = result.envelope, frac * market.T
     dec = portfolio_unified(env, market, math.exp(log_y), t, np.exp(logs))
     for x in result.tangency_points:
@@ -888,24 +889,21 @@ def _assert_one_slot_per_smooth_junction(env):
 def test_one_slot_per_smooth_junction_properties(seed):
     # every envelope the sweep builds passes _tables' concavity check, and
     # each junction that kinks() does not list shares one slot
-    _assert_one_slot_per_smooth_junction(_raw_envelope(seed))
+    _assert_one_slot_per_smooth_junction(concave_envelope(random_raw_utility(seed)).envelope)
 
 
-@pytest.mark.parametrize("name, gain", [(n, None) for n in BUNDLED]
+@pytest.mark.parametrize("name, gain", [(n, None) for n in same.BUNDLED]
                          + [("hedge_fund", 1e-300)])
 def test_one_slot_per_smooth_junction(tmp_path, name, gain):
     # gain exponent 1e-300: the slopes 3.03e-301 and 6.93e-301 at the
     # junction 3.297 are one slope by the kink rule, for the sweep, kinks()
     # and _tables alike
-    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
-    if gain is not None:
-        raw["utility"]["preference"]["gain_exponent"] = gain
-    (tmp_path / "s.json").write_text(json.dumps(raw))
-    utility = load_scenario(tmp_path / "s.json").utility
+    edit = {} if gain is None else {"utility.preference.gain_exponent": gain}
+    utility = load_scenario(same.write_scenario(tmp_path / "s.json", name, edit)).utility
     _assert_one_slot_per_smooth_junction(concave_envelope(utility).envelope)
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("name", same.BUNDLED)
 def test_one_phi_call_per_block(monkeypatch, name):
     # a block of wealth_total makes one normal.cdf call, on the ladder's
     # slots, which the kink rule counts, and two rows per power piece; a
@@ -946,33 +944,13 @@ def test_block_temporaries_bounded(market, demo_envelope, demo_dual):
     assert peak <= 1.6 * 2**20
 
 
-def _random_parts(rng):
-    """An S-shaped preference and a random payoff: 0 to 2 breakpoints,
-    slopes 10^U(-3, 12)."""
-    pref = s_shaped_utility(reference=float(rng.uniform(0.1, 3.0)),
-                            gain_exponent=float(rng.uniform(0.05, 0.95)), a0=0.0,
-                            loss_exponent=float(rng.uniform(0.05, 0.95)),
-                            loss_weight=float(rng.uniform(0.5, 5.0)))
-    lo, k = float(rng.uniform(-2.0, 2.0)), int(rng.integers(0, 3))
-    payoff = piecewise_linear_payoff(
-        a0=lo, value_lo=float(rng.uniform(0.0, 2.0)),
-        breakpoints=tuple((lo + np.cumsum(rng.uniform(0.1, 3.0, k))).tolist()),
-        slopes=tuple((10.0 ** rng.uniform(-3.0, 12.0, k + 1)).tolist()))
-    return pref, payoff
-
-
-def _random_composition(rng):
-    """The preference of :func:`_random_parts` composed with its payoff."""
-    return compose(*_random_parts(rng))
-
-
 def test_every_steep_composition_builds():
     # the value rule reads the rounding a steep payoff magnifies: each draw
     # composes, passes the continuity and composition checks, and has an
     # envelope; the junction rule reads the rounding of the sweep's chord
     # ends: each envelope's slope ladder passes _tables
     for s in range(1000):
-        _tables(concave_envelope(_random_composition(np.random.default_rng([s, 1]))).envelope)
+        _tables(concave_envelope(steep_composition(s)).envelope)
 
 
 def _assert_attains_the_argmax(raw, env, seed):
@@ -1010,10 +988,11 @@ def test_rising_linear_tail_raises_in_every_evaluator(market):
     _assert_every_evaluator_raises(PharaUtility(a0=0.0, pieces=(head, tail)), market, 0.5)
 
 
-def test_capped_payoff_attains_the_argmax():
+def test_capped_payoff_attains_the_argmax(tmp_path):
     # a flat tail has bounded demand: the terminal wealth stays in [a0, a_f]
     # and attains the raw utility's argmax objective
-    raw = cli._parse_utility(capped_hedge_fund()["utility"])
+    same.capped_commands(tmp_path / "s")
+    raw = load_scenario(tmp_path / "s" / "capped.json").utility
     env = concave_envelope(raw).envelope
     assert env.pieces[-1].slope_lo == 0.0 and env.pieces[-1].a_lo == raw.pieces[-1].a_lo
     _assert_attains_the_argmax(raw, env, 0)
@@ -1044,7 +1023,7 @@ def test_steep_compositions_match_the_argmax_oracle():
     # or 1e-10, with no rounding term) rejects, and 68 whose ladders rise by
     # rounding at a junction that kinks() calls one slope
     for s in range(450):
-        raw = _random_composition(np.random.default_rng([s, 1]))
+        raw = steep_composition(s)
         _assert_attains_the_argmax(raw, concave_envelope(raw).envelope, s)
 
 
@@ -1055,7 +1034,7 @@ def test_rounded_junctions_take_the_chords_slope(seed):
     # power piece at most 2.1e-9 wide ends 6.7e-9, 5.4e-9 and 8.6e-9 below the
     # slope of the long chord after it.  kinks() calls each junction one slope,
     # both ladder rows take the chord's slope, and the junction shares one slot
-    raw = _random_composition(np.random.default_rng([seed, 1]))
+    raw = steep_composition(seed)
     env = concave_envelope(raw).envelope
     tab, kinks = _tables(env), env.kinks()
     rounded = [k for k, (left, right) in enumerate(zip(env.pieces, env.pieces[1:]), 1)
@@ -1081,13 +1060,12 @@ def test_junction_rule_admits_rounding_only(monkeypatch, tmp_path, capsys, facto
         "a_lo": 1.0, "R": 0.5, "A": 1.0 - 1e-8, "u_plus": 1.0, "gamma_plus": 1.0}
     probe = cli._parse_utility({"a0": 0.0, "pieces": [lo, hi]}).pieces[1]
     hi["gamma_plus"] += factor * (probe.slope_lo - probe.slope(1.0 + 4.0 * math.ulp(1.0)))
-    raw = json.loads((SCENARIOS / "crra.json").read_text())
-    raw["utility"] = {"a0": 0.0, "pieces": [lo, hi]}
-    (tmp_path / "s.json").write_text(json.dumps(raw))
-    u = load_scenario(tmp_path / "s.json").utility
+    path = same.write_scenario(tmp_path / "s.json", "crra",
+                               {"utility": {"a0": 0.0, "pieces": [lo, hi]}})
+    u = load_scenario(path).utility
     assert not same_slope(u.pieces[0].slope_hi, u.pieces[1].slope_lo)
     monkeypatch.setattr(cli, "concave_envelope", lambda utility: EnvelopeResult(u, (), ()))
-    code = cli.main(["solve", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path)])
+    code = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path)])
     if factor < 1.0:
         assert u.kinks() == [0.0] and _tables(u).ladder.tolist() == [INF, 1.0, 1.0, 1.0, 0.0]
         assert code == 0
@@ -1102,7 +1080,7 @@ def test_wrong_steep_compositions_raise():
     # 100 times the value rule's bound: a branch off by it at a probe fails
     # the composition check, and a junction that drops by it fails continuity
     for s in range(100):
-        pref, payoff = _random_parts(np.random.default_rng([s, 1]))
+        pref, payoff = steep_parts(s)
         u = compose(pref, payoff)
         # the first branch down and the last up: neither shift drops a junction
         for k, sign in ((0, -1.0), (-1, 1.0)):
@@ -1144,14 +1122,14 @@ def test_failures_are_typed(seed, market, x0, t, x, log_xi, log_y, log_gap):
     fails raises a PharaError, and a call that returns has only finite
     values.  The suite turns a RuntimeWarning into a failure, so none may be
     emitted on the way."""
-    raw = random_raw_utility(np.random.default_rng(seed))
+    raw = random_raw_utility(seed)
     env = concave_envelope(raw).envelope
     xi = 10.0 ** np.array(log_xi)  # log-uniform in [1e-300, 1e300]
     y = 10.0 ** log_y  # likewise
     calls = [
         lambda: solve_multiplier(env, market, x0),
         lambda: budget(env, market, float(xi[0])),
-        lambda: _envelope_values(_random_composition(np.random.default_rng([seed, 1]))),
+        lambda: _envelope_values(steep_composition(seed)),
     ]
     for s in (t, market.T - 10.0 ** log_gap):  # and t just below T
         calls += [lambda s=s: state_price_for_wealth(env, market, y, s, x),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (CONTRACT_PARAMS, deriv, random_concave_envelope,
-                      random_raw_utility, scale_shift)
+from conftest import CONTRACT_PARAMS, deriv, scale_shift
+from corpora import random_concave_envelope, random_raw_utility
 from phara.errors import IllegalCase, NotPhara, OutOfDomain, PharaError
 from phara.utility import (INF, NEG_INF, PharaPiece, PharaUtility,
                            _verify_composition, cara_utility, compose,
@@ -487,8 +487,7 @@ def _payoffs(draw, a0: float) -> PharaUtility:
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
 def test_compose_properties(seed, raw, data):
-    rng = np.random.default_rng(seed)
-    pref = random_raw_utility(rng) if raw else random_concave_envelope(rng)
+    pref = random_raw_utility(seed) if raw else random_concave_envelope(seed)
     payoff = data.draw(_payoffs(pref.a0))
     u = compose(pref, payoff)
     for piece in u.pieces:

@@ -3,12 +3,11 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import deriv, interesting_multipliers
+from conftest import ROOT, SCENARIOS, deriv, interesting_multipliers
 from phara.cli import main
 from phara.concavify import concave_envelope
 from phara.errors import StepTooCoarse
@@ -18,8 +17,6 @@ from phara.utility import piecewise_linear_payoff
 from phara.verify import (_CHUNK, _mc_check, argmax_oracle, fd_portfolio_check,
                           mc_budget_check, mc_martingale_check,
                           simulate_order_check, simulate_strategy)
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestArgmaxOracle:
@@ -118,7 +115,7 @@ class TestMonteCarlo:
                                        if os.environ.get("PYTHONPATH") else [])))
             proc = subprocess.Popen(
                 [sys.executable, "-m", "phara.cli", "verify", "--scenario",
-                 str(ROOT / "scenarios" / "crra.json"), "--out", str(tmp_path / str(paths)),
+                 str(SCENARIOS / "crra.json"), "--out", str(tmp_path / str(paths)),
                  "--paths", str(paths)], env=env, stdout=subprocess.DEVNULL)
             _, status, usage = os.wait4(proc.pid, 0)
             assert os.waitstatus_to_exitcode(status) == 0
@@ -129,10 +126,8 @@ class TestMonteCarlo:
 class TestReportRunner:
     def test_reports_sorted_by_name(self, tmp_path):
         # cmd_verify builds its reports and writes them sorted by name
-        scenario = (Path(__file__).resolve().parents[1] / "scenarios"
-                    / "multi_kink_demo.json")
-        main(["verify", "--scenario", str(scenario), "--out", str(tmp_path),
-              "--paths", "5000"])
+        main(["verify", "--scenario", str(SCENARIOS / "multi_kink_demo.json"),
+              "--out", str(tmp_path), "--paths", "5000"])
         names = [r["name"] for r in
                  json.loads((tmp_path / "verification.json").read_text())]
         assert names == sorted(names)

@@ -48,12 +48,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from run import percentile, tail_percentile  # noqa: E402
+from run import THREAD_VARS, percentile, tail_percentile  # noqa: E402
 from scenarios import WORKLOADS, build_plan  # noqa: E402
 
 METRICS = ("wall", "cpu", "rss")
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 PLAN_SECONDS = 40.0
 LEVEL = 0.95
 

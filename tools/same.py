@@ -7,23 +7,24 @@ repository.  Both trees are byte-compiled and run the same matrix as
 ``python -m phara.cli`` child processes, at most two at a time:
 
 - all six commands on the four bundled scenarios at their defaults, and
-  ``decompose`` at ten points each (state prices and wealth levels across
-  the horizon, the state prices 1e-200 and 1e200 whose wealth does not fit
-  a double included);
+  ``decompose`` at ten points each (group ``bundled``; state prices and
+  wealth levels across the horizon, the state prices 1e-200 and 1e200 whose
+  wealth does not fit a double included);
 - every command of the ``surface_sweep`` and ``cold_commands`` plans that
   ``perfbench/run.py --seconds 40`` runs, for seeds 1 and 7;
-- ten single-fault invocations on bundled scenarios, each an input error
-  (exit 2): ``decompose`` without ``--x`` and ``--xi``, with ``--x inf``, with
-  ``--xi 0`` and with ``--x`` below the wealth floor; ``envelope --grid 1``;
-  ``simulate --steps 5``; ``verify --paths 1``; ``envelope`` on two copies of
+- ten single-fault invocations on bundled scenarios (group ``faults``),
+  each an input error (exit 2): ``decompose`` without ``--x`` and ``--xi``,
+  with ``--x inf``, with ``--xi 0`` and with ``--x`` below the wealth floor;
+  ``envelope --grid 1``; ``simulate --steps 5``; ``verify --paths 1``; ``envelope`` on two copies of
   ``hedge_fund.json`` whose payoff has one slope too few, or its breakpoint
   below the floor; and ``envelope`` on a copy of
   ``participating_contract.json`` whose reference sits one subnormal above
   the floor, where the loss piece's anchor slope overflows;
 - ``envelope``, ``solve`` and ``surface`` on three random compositions (group
-  ``steep``), each an S-shaped preference composed with a payoff, in a copy of
-  ``crra.json``.  Two have a payoff of slope up to 8e11: their continuity,
-  composition and sweep checks read the value rule (``utility.same_value``).
+  ``steep``), draws of the steep corpus of ``tests/corpora.py``, each an
+  S-shaped preference composed with a payoff, in a copy of ``crra.json``.
+  Two have a payoff of slope up to 8e11: their continuity, composition and
+  sweep checks read the value rule (``utility.same_value``).
   The third, ``steep1316``, has a payoff of slope 0.98.  Its envelope, and
   ``steep6``'s, end a chord within ulps of a gain branch's benchmark, where
   one ulp moves that branch's slope far (to +inf in ``steep1316``): their
@@ -69,14 +70,15 @@ standard library only, with the plan and child-process code of
     python tools/same.py --record
 
 rewrites the golden files, ``tests/golden/``, from this repository: for
-each command of ``GOLDEN_GROUPS`` (the bundled, fault, ``steep``,
+each command of ``GOLDEN_GROUPS`` (the ``bundled``, ``faults``, ``steep``,
 ``capped``, ``cara`` and ``multi`` groups), its artifacts, standard output
 and error and exit code (file ``exit_code``) in one directory,
-``golden_path``; and
-``host.json``, the numpy version, Python version, CPU and the features
-numpy dispatches on, as ``host()`` reads them.  A command names its scenario file by the
-relative path ``<group>/<scenario>.json``, so an error message that prints
-it is the same wherever the group runs.  ``tests/test_golden.py`` reruns
+``tests/golden/<group>/<command>``; and ``host.json``, the numpy version,
+Python version, CPU and the features numpy dispatches on, as ``host()``
+reads them.  Every scenario file but the bundled ones is written by
+``write_scenario``.  A command names its scenario file by the relative
+path ``<group>/<scenario>.json``, so an error message that prints it is
+the same wherever the group runs.  ``tests/test_golden.py`` reruns
 the groups in process and compares them with those files through
 ``compare_dirs``: byte for byte on a host whose ``host()`` equals
 ``host.json``, and elsewhere through ``golden_diffs``, which lets a float
@@ -99,10 +101,9 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tools"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from pair import build, child_env, phara_argv, plan_commands, run_child  # noqa: E402
+from pair import ROOT, build, child_env, phara_argv, plan_commands, run_child  # noqa: E402
 from scenarios import BUNDLED, WORKLOADS, Command  # noqa: E402  (pair's path)
 
 SEEDS = (1, 7)
@@ -148,15 +149,16 @@ FAULTS = (("decompose", "crra", ()), ("decompose", "crra", ("--x", "inf")),
           ("verify", "crra", ("--paths", "1")), ("envelope", "hedge_fund_one_slope", ()),
           ("envelope", "hedge_fund_low_breakpoint", ()),
           ("envelope", "participating_contract_subnormal_reference", ()))
-# name: (bundled scenario, utility block, fields); the payoff faults are one
+# name: (bundled scenario, edit of write_scenario); the payoff faults are one
 # slope short, and the breakpoint below the floor 1.154
 FIELD_FAULTS = {
-    "hedge_fund_one_slope": ("hedge_fund", "payoff", {"slopes": [0.28]}),
-    "hedge_fund_low_breakpoint": ("hedge_fund", "payoff", {"breakpoints": [1.0]}),
+    "hedge_fund_one_slope": ("hedge_fund", {"utility.payoff.slopes": [0.28]}),
+    "hedge_fund_low_breakpoint": ("hedge_fund", {"utility.payoff.breakpoints": [1.0]}),
     "participating_contract_subnormal_reference": (
-        "participating_contract", "preference", {"reference": 5e-324, "loss_exponent": 0.01})}
-# the draws np.random.default_rng([s, 1]) for s = 5, 6 and 1316 of the tests'
-# random compositions, as scenario "utility" blocks
+        "participating_contract", {"utility.preference.reference": 5e-324,
+                                   "utility.preference.loss_exponent": 0.01})}
+# draws 5, 6 and 1316 of the steep corpus of tests/corpora.py, as scenario
+# "utility" blocks (tests/test_same.py checks them against the corpus)
 STEEP = {
     "steep5": {"preference": {"type": "s_shaped", "reference": 2.3451921230842556,
                               "gain_exponent": 0.4736504148692837,
@@ -219,7 +221,7 @@ TWO_R = {"a0": 0.0, "pieces": [
     {"a_lo": 0.0, "R": 0.5, "A": -1.0, "anchor": {"x": 0.0, "u": 0.0, "slope": 1.0}},
     {"a_lo": 2.0, "R": 2.0, "A": 1.0,
      "anchor": {"x": 2.0, "u": 1.4641016151377544, "slope": 0.5196152422706631}}]}
-# the multi group's scenarios: name: (bundled scenario, fields replaced)
+# the multi group's scenarios: name: (bundled scenario, edit of write_scenario)
 MULTI = {
     "crra_m2": ("crra", {"market": CRRA_M2}),
     "demo_m2": ("multi_kink_demo", {"market": _market([[0.3, 0.0], [0.1, 0.2]], (0.6, 0.8))}),
@@ -227,6 +229,31 @@ MULTI = {
         [[0.3, 0.0, 0.0], [0.1, 0.2, 0.0], [0.05, 0.1, 0.25]], (2 / 3, 1 / 3, 2 / 3))}),
     "two_R_m2": ("crra", {"market": CRRA_M2, "utility": TWO_R, "x0": 3.0, "grids": {
         "t": [0.0, 5.0], "wealth": {"lo": 1.0, "hi": 6.0, "n": 4}}})}
+
+
+DELETE = object()  # an edit value of write_scenario: remove the key
+# hedge_fund.json's edit for the capped group: its payoff flat above the
+# breakpoint a_f = 2 e^0.5, and no wealth grid
+CAPPED = {"utility.payoff.slopes": [0.28, 0.0], "grids.wealth": DELETE}
+
+
+def write_scenario(path: Path, base: str, edit: dict | None = None) -> Path:
+    """The bundled scenario ``scenarios/<base>.json`` with edit applied,
+    written to path; path.  edit maps a key path, its keys joined by dots and
+    a list index written as a number (``utility.pieces.0.R``), to the value
+    the key takes, or to DELETE to remove it."""
+    raw = json.loads((ROOT / "scenarios" / f"{base}.json").read_text())
+    for keys, value in (edit or {}).items():
+        *parents, last = (int(k) if k.isdigit() else k for k in keys.split("."))
+        block = raw
+        for key in parents:
+            block = block[key]
+        if value is DELETE:
+            del block[last]
+        else:
+            block[last] = value
+    path.write_text(json.dumps(raw))
+    return path
 
 
 def bundled_commands(scenario_dir: Path) -> list:
@@ -250,10 +277,8 @@ def fault_commands(scenario_dir: Path) -> list:
     scenario_dir.mkdir(parents=True)
     for name in ("crra", "multi_kink_demo"):
         shutil.copy(ROOT / "scenarios" / f"{name}.json", scenario_dir)
-    for name, (base, block, fields) in FIELD_FAULTS.items():
-        raw = json.loads((ROOT / "scenarios" / f"{base}.json").read_text())
-        raw["utility"][block].update(fields)
-        (scenario_dir / f"{name}.json").write_text(json.dumps(raw))
+    for name, (base, edit) in FIELD_FAULTS.items():
+        write_scenario(scenario_dir / f"{name}.json", base, edit)
     return [Command(f"{c}-{name}{''.join(flags)}", c, name, list(flags))
             for c, name, flags in FAULTS]
 
@@ -262,23 +287,19 @@ def steep_commands(scenario_dir: Path) -> list:
     """envelope, solve and surface on each STEEP composition, its scenario file
     (crra.json with that utility) written into scenario_dir."""
     scenario_dir.mkdir(parents=True)
-    raw = json.loads((ROOT / "scenarios" / "crra.json").read_text())
     for name, utility in STEEP.items():
-        (scenario_dir / f"{name}.json").write_text(json.dumps(dict(raw, utility=utility)))
+        write_scenario(scenario_dir / f"{name}.json", "crra", {"utility": utility})
     return [Command(f"{c}-{name}", c, name) for name in STEEP
             for c in ("envelope", "solve", "surface")]
 
 
 def capped_commands(scenario_dir: Path) -> list:
-    """The capped group, its scenario files (hedge_fund.json with its payoff
-    flat above the breakpoint and no wealth grid, at x0 1.0 and 2.1) written
-    into scenario_dir."""
+    """The capped group, its scenario files (hedge_fund.json with the CAPPED
+    edit, at x0 1.0 and 2.1: capped.json and capped_x2.1.json) written into
+    scenario_dir."""
     scenario_dir.mkdir(parents=True)
-    raw = json.loads((ROOT / "scenarios" / "hedge_fund.json").read_text())
-    raw["utility"]["payoff"]["slopes"] = [0.28, 0.0]
-    del raw["grids"]["wealth"]
     for name, x0 in (("capped", 1.0), ("capped_x2.1", 2.1)):
-        (scenario_dir / f"{name}.json").write_text(json.dumps(dict(raw, x0=x0)))
+        write_scenario(scenario_dir / f"{name}.json", "hedge_fund", {**CAPPED, "x0": x0})
     return ([Command(f"{c}-capped", c, "capped")
              for c in ("envelope", "solve", "surface", "verify")]
             + [Command(f"decompose-capped-t5{flag}{v}", "decompose", "capped",
@@ -292,9 +313,8 @@ def cara_commands(scenario_dir: Path) -> list:
     scenario file (crra.json with that utility and x0 1.0) written into
     scenario_dir."""
     scenario_dir.mkdir(parents=True)
-    raw = json.loads((ROOT / "scenarios" / "crra.json").read_text())
     for name, utility in CARA.items():
-        (scenario_dir / f"{name}.json").write_text(json.dumps(dict(raw, utility=utility, x0=1.0)))
+        write_scenario(scenario_dir / f"{name}.json", "crra", {"utility": utility, "x0": 1.0})
     return [Command(f"{c}-{name}", c, name, args) for name in CARA
             for c, args in (("envelope", []), ("solve", []),
                             ("decompose", ["--t", "5", "--xi", "1"]))]
@@ -304,9 +324,8 @@ def multi_commands(scenario_dir: Path) -> list:
     """surface, decompose --t 5 --xi 1 and verify --paths 2000 on each MULTI
     scenario, its file written into scenario_dir."""
     scenario_dir.mkdir(parents=True)
-    for name, (base, fields) in MULTI.items():
-        raw = json.loads((ROOT / "scenarios" / f"{base}.json").read_text())
-        (scenario_dir / f"{name}.json").write_text(json.dumps(dict(raw, **fields)))
+    for name, (base, edit) in MULTI.items():
+        write_scenario(scenario_dir / f"{name}.json", base, edit)
     return [Command(f"{c}-{name}", c, name, args) for name in MULTI
             for c, args in (("surface", []), ("decompose", ["--t", "5", "--xi", "1"]),
                             ("verify", ["--paths", "2000"]))]
@@ -317,12 +336,6 @@ def multi_commands(scenario_dir: Path) -> list:
 GOLDEN_GROUPS = {"bundled": bundled_commands, "faults": fault_commands,
                  "steep": steep_commands, "capped": capped_commands, "cara": cara_commands,
                  "multi": multi_commands}
-
-
-def golden_path(group: str, cmd) -> Path:
-    """The golden directory of one command of a GOLDEN_GROUPS group: the
-    bundled group's at the top of GOLDEN, the others' under their group."""
-    return GOLDEN / cmd.name if group == "bundled" else GOLDEN / group / cmd.name
 
 
 def matrix(work: Path) -> list:
@@ -460,7 +473,7 @@ def record(work: Path) -> int:
 
     def run(job):
         group, cmd = job
-        out = new / golden_path(group, cmd).relative_to(GOLDEN)
+        out = new / group / cmd.name
         out.mkdir(parents=True)
         rc = run_child(phara_argv(cmd, Path(group), out), env, work, out)["rc"]
         (out / "exit_code").write_text(f"{rc}\n")

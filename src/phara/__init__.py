@@ -15,8 +15,7 @@ from .errors import (  # noqa: F401
 from .market import MarketParams, build_market  # noqa: F401
 from .utility import (  # noqa: F401
     PharaPiece, PharaUtility, cara_utility, compose, crra_utility,
-    hedge_fund_utility, participating_contract_utility, piecewise_linear_payoff,
-    s_shaped_utility,
+    piecewise_linear_payoff, s_shaped_utility,
 )
 from .concavify import EnvelopeResult, concave_envelope  # noqa: F401
 from .solver import (  # noqa: F401

@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IllegalCase, NotPhara, OutOfDomain
-from .market import _LOG_MAX
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -435,58 +434,3 @@ def _verify_composition(utility: PharaUtility, preference: PharaUtility, payoff)
             if not (np.isfinite(built) and same_value(built, direct, rounding)):
                 raise NotPhara(f"cell [{piece.a_lo}, {piece.a_hi}) does not reduce to "
                                f"HARA form (gap {built - direct:.3e} at x={x})")
-
-
-# ---------------------------------------------------------------------------
-# Contract builders
-# ---------------------------------------------------------------------------
-
-
-def participating_contract_payoff(guarantee: float, wealth_share: float,
-                                  bonus_share: float) -> PharaUtility:
-    """Issuer's payoff under a participating contract with a minimum guarantee.
-
-    Zero below the guarantee level, full upside between the guarantee and
-    guarantee/wealth_share, and a reduced participation above that.
-    """
-    if not wealth_share > 0.0:
-        raise IllegalCase(f"wealth_share must be positive, got {wealth_share}")
-    L = guarantee
-    return piecewise_linear_payoff(0.0, 0.0, (L, L / wealth_share),
-                                   (0.0, 1.0, 1.0 - bonus_share * wealth_share))
-
-
-def participating_contract_utility(gamma: float, wealth_share: float,
-                                   bonus_share: float,
-                                   guarantee: float) -> PharaUtility:
-    """Power-preference issuer facing the participating contract payoff."""
-    payoff = participating_contract_payoff(guarantee, wealth_share, bonus_share)
-    return compose(s_shaped_utility(reference=0.0, gain_exponent=gamma,
-                                    a0=payoff.pieces[0].value_lo), payoff)
-
-
-def hedge_fund_payoff(omega: float, mgmt_fee: float, incentive: float,
-                      floor_mult: float, benchmark_mult: float,
-                      x0: float, r: float, T: float) -> PharaUtility:
-    """Manager's stake: ownership + management fee + incentive above benchmark.
-
-    The fund is liquidated at floor_mult * x0 * e^{rT}; the incentive kicks
-    in at benchmark_mult * x0 * e^{rT}.
-    """
-    if not r * T <= _LOG_MAX:  # e^(rT) finite, as build_market asks
-        raise IllegalCase(f"r T must be at most {_LOG_MAX:.6g}, got r={r}, T={T}")
-    floor = floor_mult * x0 * math.exp(r * T)
-    benchmark = benchmark_mult * x0 * math.exp(r * T)
-    if floor >= benchmark:
-        raise IllegalCase("liquidation floor must sit below the benchmark")
-    base = omega + mgmt_fee * (1.0 - omega)
-    return piecewise_linear_payoff(floor, base * floor, (benchmark,),
-                                   (base, base + incentive * (1.0 - omega)))
-
-
-def hedge_fund_utility(preference: PharaUtility, omega: float, mgmt_fee: float,
-                       incentive: float, floor_mult: float,
-                       benchmark_mult: float, x0: float, r: float,
-                       T: float) -> PharaUtility:
-    return compose(preference, hedge_fund_payoff(
-        omega, mgmt_fee, incentive, floor_mult, benchmark_mult, x0, r, T))

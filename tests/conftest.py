@@ -5,18 +5,16 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from phara.cli import main
+from phara.cli import Scenario, load_scenario, main
 from phara.concavify import concave_envelope
-from phara.errors import IllegalCase
-from phara.market import build_market
 from phara.solver import _d1_outer, _horizon, _tables, solve_multiplier
-from phara.utility import (INF, PharaPiece, PharaUtility, cara_utility, crra_utility,
-                           participating_contract_utility)
+from phara.utility import INF, PharaUtility, cara_utility, crra_utility
 
 
 # property tests: a fixed example budget per test keeps the suite's runtime
@@ -118,10 +116,9 @@ def d1(z, market, t: float):
 
 
 def deriv(u: PharaUtility, x: float, side: str = "right") -> float:
-    """One-sided derivative of u at x; at a_k the left side reads piece k-1
-    and the right side piece k, and the left slope at a0 is inf."""
-    if side not in ("left", "right"):
-        raise IllegalCase(f"side must be 'left' or 'right', got {side!r}")
+    """One-sided derivative of u at x, side "left" or "right"; at a_k the left
+    side reads piece k-1 and the right side piece k, and the left slope at a0
+    is inf."""
     if x == u.a0 and side == "left":
         return INF
     k = int(np.searchsorted(u.partition[1:-1], x, side=side))
@@ -136,69 +133,50 @@ def scale_shift(u: PharaUtility, a: float, b: float) -> PharaUtility:
 
 
 # ---------------------------------------------------------------------------
-# Demo models
+# Demo models: the bundled scenario files are their one copy
 # ---------------------------------------------------------------------------
 
 
-CONTRACT_PARAMS = dict(gamma=0.5, wealth_share=0.4, bonus_share=0.3, guarantee=1.0)
+def bundled(name: str) -> Scenario:
+    """``scenarios/<name>.json``, loaded as the commands load it.  Every
+    bundled scenario has one market: one risky asset, r = 5 %, drift 8.6 %,
+    vol 30 % and T = 10, so |theta| = 0.12 and the Merton fraction at
+    R = 0.5 is 0.8."""
+    return load_scenario(SCENARIOS / f"{name}.json")
 
 
-def demo_market():
-    """One risky asset, r=5%, drift 8.6%, vol 30%, ten-year horizon.
+def _contract_constants():
+    """The participating contract of ``participating_contract.json``: gain
+    exponent gamma, wealth share alpha, bonus share delta and guarantee L
+    (the file's payoff has breakpoints L and L / alpha and slopes 0, 1 and
+    1 - delta alpha), and the analytic constants of its envelope: the
+    tangency L / (1 - gamma) of the chord from (0, 0) and the slope K there,
+    the slope m just below L / alpha, and the benchmarks A1 and A2 of the
+    two power branches."""
+    gamma, alpha, delta, L = 0.5, 0.4, 0.3, 1.0
+    return SimpleNamespace(
+        gamma=gamma, alpha=alpha, delta=delta, L=L, tangency=L / (1 - gamma),
+        K=gamma * (L / (1 - gamma) - L) ** (gamma - 1.0),
+        m=gamma * (L / alpha - L) ** (gamma - 1.0),
+        A1=L, A2=(1 - delta) * L / (1 - delta * alpha))
 
-    The implied market price of risk is 0.12; with R = 0.5 the Merton
-    constant percentage is 0.8.
-    """
-    return build_market(r=0.05, mu=[0.086], sigma=[[0.3]], T=10.0)
 
-
-def multi_kink_utility() -> PharaUtility:
-    """A deliberately nasty showcase utility on [4, inf).
-
-    Square-root gains near the floor, a flat stretch, a convex recovery
-    branch, a second plateau, and two concave square-root tails with a slope
-    drop at 40.  Its concave envelope keeps the first and last arcs, bridges
-    the middle with two chords (4.4 -> 12 and 12 -> tangency at 28), and has
-    kinks at 4, 4.4, 12 and 40.  ``scenarios/multi_kink_demo.json`` holds
-    the same utility.
-    """
-    k1 = math.sqrt(0.24)
-    k2 = 0.02
-    lam = 1.01
-    v_plateau = -lam * math.sqrt(12.0 - 8.96)   # value on the first plateau
-    v_top = k1 * math.sqrt(40.0 - 20.0)         # value where the slope drops
-
-    pieces = (
-        # k1 (x-4)^{1/2} shifted to hit the plateau value at 4.4
-        PharaPiece(a_lo=4.0, a_hi=4.4, R=0.5, A=4.0, anchor_x=4.4,
-                   anchor_u=v_plateau,
-                   anchor_slope=0.5 * k1 / math.sqrt(0.4)),
-        PharaPiece(a_lo=4.4, a_hi=8.96, R=0.0, anchor_x=4.4,
-                   anchor_u=v_plateau, anchor_slope=0.0),
-        # -lam (12-x)^{1/2}: convex recovery towards zero at 12
-        PharaPiece(a_lo=8.96, a_hi=12.0, R=0.5, A=12.0, anchor_x=8.96,
-                   anchor_u=v_plateau,
-                   anchor_slope=0.5 * lam / math.sqrt(12.0 - 8.96)),
-        PharaPiece(a_lo=12.0, a_hi=20.0, R=0.0, anchor_x=12.0,
-                   anchor_u=0.0, anchor_slope=0.0),
-        # k1 (x-20)^{1/2}
-        PharaPiece(a_lo=20.0, a_hi=40.0, R=0.5, A=20.0, anchor_x=40.0,
-                   anchor_u=v_top, anchor_slope=0.5 * k1 / math.sqrt(20.0)),
-        # k2 (x-20)^{1/2} + continuity constant
-        PharaPiece(a_lo=40.0, a_hi=INF, R=0.5, A=20.0, anchor_x=40.0,
-                   anchor_u=v_top, anchor_slope=0.5 * k2 / math.sqrt(20.0)),
-    )
-    return PharaUtility(a0=4.0, pieces=pieces)
+CONTRACT = _contract_constants()
 
 
 @pytest.fixture(scope="session")
 def market():
-    return demo_market()
+    return bundled("multi_kink_demo").market
 
 
 @pytest.fixture(scope="session")
 def demo_utility():
-    return multi_kink_utility()
+    """Square-root gains from the floor 4, a flat stretch, a convex recovery
+    branch, a second plateau, and two concave square-root tails with a slope
+    drop at 40.  Its concave envelope keeps the first and last arcs, bridges
+    the middle with two chords (4.4 -> 12 and 12 -> tangency at 28), and has
+    kinks at 4, 4.4, 12 and 40."""
+    return bundled("multi_kink_demo").utility
 
 
 @pytest.fixture(scope="session")
@@ -208,7 +186,7 @@ def demo_envelope(demo_utility):
 
 @pytest.fixture(scope="session")
 def contract_utility():
-    return participating_contract_utility(**CONTRACT_PARAMS)
+    return bundled("participating_contract").utility
 
 
 @pytest.fixture(scope="session")

@@ -41,16 +41,6 @@ class TestScenarioIO:
         rows = (tmp_path / "surface.csv").read_text().splitlines()[1:]
         assert len(rows) == 7 * len(scn.t_grid)
 
-    def test_parsed_utilities_match_presets(self, demo_utility, contract_utility):
-        scn = load_scenario(SCENARIOS / "multi_kink_demo.json")
-        xs = np.linspace(4.0, 90.0, 300)
-        assert np.allclose(scn.utility.value(xs), demo_utility.value(xs),
-                           rtol=1e-12)
-        scn = load_scenario(SCENARIOS / "participating_contract.json")
-        xs = np.linspace(0.0, 8.0, 300)
-        assert np.allclose(scn.utility.value(xs), contract_utility.value(xs),
-                           rtol=1e-12)
-
 
 class TestEnvelopeCommand:
     def test_demo_outputs(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import deriv, scale_shift
+from conftest import bundled, deriv, same, scale_shift
 from corpora import cara_parts, random_concave_envelope, random_raw_utility
 from phara import concavify
 from phara.concavify import concave_envelope
@@ -215,16 +215,14 @@ class TestGeneralProperties:
         expect = analytic_tangency(3.0, 7.0, 0.3)
         assert res.tangency_points[0] == pytest.approx(expect, rel=1e-11)
 
-    def test_curve_to_curve_common_tangent(self, market):
-        # manager stake: sqrt(0.28 x) then sqrt(0.64 (x - 0.5625 B)) above B;
-        # the bridging chord is a two-sided tangent with closed-form data:
-        # slope s = 0.4 / sqrt(B), contacts at 0.4375 B and 1.5625 B
-        from phara.utility import hedge_fund_utility, s_shaped_utility
-        pref = s_shaped_utility(reference=0.0, gain_exponent=0.5, a0=0.0)
-        u = hedge_fund_utility(pref, omega=0.1, mgmt_fee=0.2, incentive=0.4,
-                               floor_mult=0.7, benchmark_mult=2.0, x0=1.0,
-                               r=market.r, T=market.T)
-        B = 2.0 * math.exp(market.r * market.T)
+    def test_curve_to_curve_common_tangent(self):
+        # manager stake: sqrt(0.28 x) then sqrt(0.64 (x - 0.5625 B)) above
+        # the benchmark B = 2 e^{rT}; the bridging chord is a two-sided
+        # tangent with closed-form data: slope s = 0.4 / sqrt(B), contacts at
+        # 0.4375 B and 1.5625 B
+        scn = bundled("hedge_fund")
+        u = scn.utility
+        B = 2.0 * math.exp(scn.market.r * scn.market.T)
         res = concave_envelope(u)
         assert len(res.chords) == 1
         lo, hi, slope = res.chords[0]
@@ -549,17 +547,17 @@ class TestExponentialAnchors:
         xs = np.array([0.16, 4.36])
         _assert_cara(res.envelope.value(xs), 2.0, xs)
 
-    @pytest.mark.parametrize("alpha, a0, floor, value_lo, breakpoints, slopes, xs", [
+    @pytest.mark.parametrize("name, xs", [
         # built with value -7.48e50 at 4, 6 and 8
-        (4.863606887418385, -32.631305456440614, -1.604773012787153, -31.96204685624691,
-         (1.183516058191318,), (0.0011153798584445842, 5.2336162478506845), (4.0, 6.0, 8.0)),
+        ("cara_steep", (4.0, 6.0, 8.0)),
         # the envelope raised a bare ValueError in PharaPiece.contact
-        (3.243526599092306, -28.265074562328902, 0.1578913054371025, -26.41401562383042,
-         (1.6058118588707055, 3.423489214266105), (0.19837400692971024, 220.1339849333043, 0.0),
-         (0.5, 1.0, 1.65, 1.72, 1.75, 2.0, 5.0))])
-    def test_composed_cara_keeps_its_values(self, alpha, a0, floor, value_lo, breakpoints,
-                                            slopes, xs):
-        payoff = piecewise_linear_payoff(floor, value_lo, breakpoints, slopes)
+        ("cara_flat", (0.5, 1.0, 1.65, 1.72, 1.75, 2.0, 5.0))])
+    def test_composed_cara_keeps_its_values(self, name, xs):
+        # the cara golden group's utilities, from tools/same.py
+        pref, pay = same.CARA[name]["preference"], same.CARA[name]["payoff"]
+        alpha, a0 = pref["pieces"][0]["alpha"], pref["a0"]
+        payoff = piecewise_linear_payoff(pay["floor"], pay["value_lo"], pay["breakpoints"],
+                                         pay["slopes"])
         u = compose(cara_utility(alpha, a0), payoff)
         res = concave_envelope(u)
         xs = np.array(xs)

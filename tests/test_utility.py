@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CONTRACT_PARAMS, deriv, scale_shift
+from conftest import CONTRACT, bundled, deriv, scale_shift
 from corpora import random_concave_envelope, random_raw_utility
-from phara.errors import IllegalCase, NotPhara, OutOfDomain, PharaError
+from phara.errors import IllegalCase, NotPhara, OutOfDomain
 from phara.utility import (INF, NEG_INF, PharaPiece, PharaUtility,
                            _verify_composition, cara_utility, compose,
-                           crra_utility, hedge_fund_payoff, hedge_fund_utility,
-                           piecewise_linear_payoff, s_shaped_utility)
+                           crra_utility, piecewise_linear_payoff, s_shaped_utility)
 
 
 def _s_shape(w, reference, g, q=None, lam=1.0):
@@ -153,10 +152,6 @@ class TestEval:
             vals = u.value(xs)
             assert np.all(np.diff(vals) >= -1e-12)
 
-    def test_bad_derivative_side(self, demo_utility):
-        with pytest.raises(PharaError):
-            deriv(demo_utility, 5.0, "middle")
-
     def test_out_of_domain(self, demo_utility):
         with pytest.raises(OutOfDomain):
             demo_utility.value(3.9)
@@ -215,18 +210,14 @@ class TestAra:
 
 class TestCompose:
     def test_contract_branch_parameters(self, contract_utility):
-        gamma = CONTRACT_PARAMS["gamma"]
-        alpha = CONTRACT_PARAMS["wealth_share"]
-        delta = CONTRACT_PARAMS["bonus_share"]
-        L = CONTRACT_PARAMS["guarantee"]
+        gamma, alpha, delta, L = CONTRACT.gamma, CONTRACT.alpha, CONTRACT.delta, CONTRACT.L
         assert [p.a_lo for p in contract_utility.pieces] == [0.0, L, L / alpha]
         flat, mid, top = contract_utility.pieces
         assert (flat.R, flat.anchor_slope) == (0.0, 0.0)
         assert mid.R == pytest.approx(1.0 - gamma)
-        assert mid.A == pytest.approx(L)
+        assert mid.A == pytest.approx(CONTRACT.A1)
         assert top.R == pytest.approx(1.0 - gamma)
-        assert top.A == pytest.approx((1 - delta) * L / (1 - delta * alpha),
-                                      rel=1e-14)
+        assert top.A == pytest.approx(CONTRACT.A2, rel=1e-14)
         # branch values against the direct composition formula
         assert contract_utility.value(2.0) == pytest.approx(1.0, rel=1e-12)
         x = 4.0
@@ -238,11 +229,8 @@ class TestCompose:
                                          breakpoints=(), slopes=(1.0,))
         assert compose(demo_utility, payoff) is demo_utility
 
-    def test_hedge_fund_kinks(self, market):
-        pref = s_shaped_utility(reference=0.0, gain_exponent=0.5, a0=0.0)
-        u = hedge_fund_utility(pref, omega=0.1, mgmt_fee=0.2, incentive=0.4,
-                               floor_mult=0.7, benchmark_mult=2.0, x0=1.0,
-                               r=market.r, T=market.T)
+    def test_hedge_fund_kinks(self):
+        u = bundled("hedge_fund").utility
         floor = 0.7 * math.exp(0.05 * 10.0)
         benchmark = 2.0 * math.exp(0.05 * 10.0)
         assert u.a0 == pytest.approx(floor, rel=1e-14)
@@ -368,12 +356,6 @@ class TestCompose:
         _verify_composition(u, pref, payoff)
         with pytest.raises(NotPhara, match="does not reduce"):
             _verify_composition(u, scale_shift(pref, 1.0, 1e-6), payoff)
-
-    def test_hedge_fund_floor_above_benchmark(self, market):
-        with pytest.raises(IllegalCase, match="floor"):
-            hedge_fund_payoff(omega=0.1, mgmt_fee=0.2, incentive=0.4,
-                              floor_mult=2.0, benchmark_mult=2.0, x0=1.0,
-                              r=market.r, T=market.T)
 
     def test_payoff_validation(self):
         # the pieces validate the partition, the floor value and the slopes

@@ -14,13 +14,12 @@ from .errors import (  # noqa: F401
 )
 from .market import MarketParams, build_market  # noqa: F401
 from .utility import (  # noqa: F401
-    PharaPiece, PharaUtility, cara_utility, compose, crra_utility,
-    piecewise_linear_payoff, s_shaped_utility,
+    PharaPiece, PharaUtility, compose, piecewise_linear_payoff, s_shaped_utility,
 )
 from .concavify import EnvelopeResult, concave_envelope  # noqa: F401
 from .solver import (  # noqa: F401
     DualSolution, PortfolioDecomposition, optimal_terminal_wealth,
-    portfolio_general, portfolio_unified, sahara_portfolio, solve_multiplier,
+    portfolio_general, portfolio_unified, solve_multiplier,
 )
 
 __version__ = "0.1.0"

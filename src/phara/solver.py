@@ -428,29 +428,6 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
         families={name: per_piece(v, m) for name, v, m in zip(names, families, masks)})
 
 
-def sahara_portfolio(market: MarketParams, alpha: float, beta: float,
-                     t: float, x: float) -> np.ndarray:
-    """Comparison strategy whose absolute risk aversion is alpha/sqrt(beta^2+x^2).
-
-    Like every term of the unified formula it rides the direction
-    (sigma^T)^{-1} theta, for any number of assets; with beta > 0 it stays
-    off zero at zero wealth, unlike the piecewise-HARA strategies pinned to
-    their domain floor.
-    """
-    if not (0.0 < alpha < INF and 0.0 <= beta < INF and math.isfinite(x)):
-        raise IllegalCase(f"need alpha > 0, beta >= 0 and x finite, got {alpha}, {beta}, {x}")
-    tau, th = market.tau(t), market.theta_norm
-    try:  # the exponential leaves the doubles for a small alpha
-        b_t = beta * math.exp(-(market.r - 0.5 * (th / alpha)**2) * tau)
-    except OverflowError:
-        b_t = INF
-    with np.errstate(over="ignore", invalid="ignore"):
-        pi = market.risk_direction / alpha * math.hypot(x, b_t)
-    if not np.all(np.abs(pi) < INF):
-        raise UnboundedDemand(f"SAHARA portfolio leaves the doubles at alpha = {alpha}")
-    return pi
-
-
 # ---------------------------------------------------------------------------
 # Wealth-level inversion (for wealth-indexed sweeps and the dual solve)
 # ---------------------------------------------------------------------------

@@ -270,24 +270,6 @@ class PharaUtility:
         return float(out[0]) if scalar else out
 
 
-def crra_utility(R: float, a0: float = 0.0) -> PharaUtility:
-    """Pure power/log utility on [a0, inf) with benchmark a0 and U'(x)=(x-a0)^-R;
-    U(a0) is 0 for R < 1 and -inf for R >= 1."""
-    u = 0.0 if R == 1.0 else 1.0 / (1.0 - R)
-    piece = PharaPiece(a_lo=a0, a_hi=INF, R=R, A=a0, anchor_x=a0 + 1.0,
-                       anchor_u=u, anchor_slope=1.0)
-    return PharaUtility(a0=a0, pieces=(piece,))
-
-
-def cara_utility(alpha: float, a0: float = -200.0) -> PharaUtility:
-    """Exponential utility -exp(-alpha x)/alpha, truncated far below zero."""
-    if not 0.0 < alpha < INF:
-        raise IllegalCase(f"alpha must be in (0, inf), got {alpha}")
-    piece = PharaPiece(a_lo=a0, a_hi=INF, R=INF, anchor_x=0.0,
-                       anchor_u=-1.0 / alpha, anchor_slope=1.0, alpha=alpha)
-    return PharaUtility(a0=a0, pieces=(piece,))
-
-
 def s_shaped_utility(reference: float, gain_exponent: float, a0: float,
                      loss_exponent: float | None = None,
                      loss_weight: float = 1.0) -> PharaUtility:

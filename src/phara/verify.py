@@ -11,7 +11,7 @@ import numpy as np
 from .errors import BadDimension, StepTooCoarse, UnboundedDemand
 from .market import MarketParams, sample_kernel_at, standard_normals
 from .solver import (budget, optimal_terminal_wealth, portfolio_general,
-                     wealth_total, _BLOCK)
+                     portfolio_unified, wealth_total, _BLOCK)
 from .utility import PharaUtility
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -90,11 +90,11 @@ def argmax_oracle(utility: PharaUtility, y: float, xi_T: float) -> float:
 
 
 def _mc_check(name: str, market: MarketParams, t: float, n_paths: int, seed: int,
-              value, oracle: float, detail: dict) -> VerificationReport:
-    """Mean of xi_t value(xi_t) over n_paths draws of xi_t against the oracle;
-    passes within 3 standard errors.  Chunks of _CHUNK paths fold into a running
-    mean and sum of squared deviations (Chan et al.'s pairwise update), so
-    memory does not grow with n_paths."""
+              value, oracle: float, rounding: float, detail: dict) -> VerificationReport:
+    """Mean of xi_t value(xi_t) over n_paths draws of xi_t against the oracle; passes
+    within 3 standard errors, or the oracle's rounding where wider (a constant xi_t X_t,
+    as for log utility).  Chunks of _CHUNK paths fold into a running mean and sum of squared
+    deviations (Chan et al.'s pairwise update), so memory does not grow with n_paths."""
     if not n_paths >= 2:
         raise BadDimension(f"a standard error needs at least 2 paths, got {n_paths}")
     count, mean, m2 = 0, 0.0, 0.0
@@ -106,11 +106,18 @@ def _mc_check(name: str, market: MarketParams, t: float, n_paths: int, seed: int
         mean += delta * size / count
         m2 += float(np.sum((v - v_mean) ** 2)) + delta * delta * (count - size) * size / count
     se = math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+    tolerance = max(3.0 * se, rounding)
     return VerificationReport(
-        name=name, computed=mean, oracle=oracle, tolerance=3.0 * se,
-        passed=abs(mean - oracle) <= 3.0 * se,
+        name=name, computed=mean, oracle=oracle, tolerance=tolerance,
+        passed=abs(mean - oracle) <= tolerance,
         detail={**detail, "paths": count, "std_error": se},
     )
+
+
+def _budget(env: PharaUtility, market: MarketParams, y: float) -> tuple[float, float]:
+    """The closed-form budget B(y) and its rounding bound, the time-0 wealth's."""
+    return budget(env, market, y), float(portfolio_unified(env, market, y, 0.0, 1.0)
+                                         .wealth_rounding)
 
 
 def mc_budget_check(env: PharaUtility, market: MarketParams, y: float,
@@ -118,7 +125,7 @@ def mc_budget_check(env: PharaUtility, market: MarketParams, y: float,
     """E[xi_T X_T*] by simulation against the closed-form budget."""
     return _mc_check("mc_budget", market, market.T, n_paths, seed,
                      lambda xi: optimal_terminal_wealth(env, y, xi),
-                     budget(env, market, y), {"seed": seed})
+                     *_budget(env, market, y), {"seed": seed})
 
 
 def mc_martingale_check(env: PharaUtility, market: MarketParams, y: float,
@@ -126,7 +133,7 @@ def mc_martingale_check(env: PharaUtility, market: MarketParams, y: float,
     """E[xi_t X_t*] must equal the budget (deflated optimal wealth is a martingale)."""
     return _mc_check(f"mc_martingale_t={t:g}", market, t, n_paths, seed,
                      lambda xi: wealth_total(env, market, y, t, xi),
-                     budget(env, market, y), {"seed": seed, "t": t})
+                     *_budget(env, market, y), {"seed": seed, "t": t})
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from corpora import cara_utility, crra_utility
 from phara.cli import Scenario, load_scenario, main
 from phara.concavify import concave_envelope
 from phara.solver import _d1_outer, _horizon, _tables, solve_multiplier
-from phara.utility import INF, PharaUtility, cara_utility, crra_utility
+from phara.utility import INF, PharaUtility
 
 
 # property tests: a fixed example budget per test keeps the suite's runtime

@@ -13,12 +13,31 @@ so a loop can also take several draws from one generator.
   (``steep_block``, ``steep_parts``, ``steep_composition``);
 - the CARA corpus, draw s from ``default_rng([s, 2])``: a CARA preference and
   the same kind of payoff, drawn by the same code (``cara_parts``).
+
+Two one-piece utilities serve the corpora and the tests: ``crra_utility`` and
+``cara_utility``.
 """
 
 import numpy as np
 
-from phara.utility import (INF, PharaPiece, PharaUtility, cara_utility, compose,
-                           piecewise_linear_payoff, s_shaped_utility)
+from phara.utility import (INF, PharaPiece, PharaUtility, compose, piecewise_linear_payoff,
+                           s_shaped_utility)
+
+
+def crra_utility(R: float, a0: float = 0.0) -> PharaUtility:
+    """Pure power/log utility on [a0, inf) with benchmark a0 and U'(x)=(x-a0)^-R;
+    U(a0) is 0 for R < 1 and -inf for R >= 1."""
+    u = 0.0 if R == 1.0 else 1.0 / (1.0 - R)
+    piece = PharaPiece(a_lo=a0, a_hi=INF, R=R, A=a0, anchor_x=a0 + 1.0,
+                       anchor_u=u, anchor_slope=1.0)
+    return PharaUtility(a0=a0, pieces=(piece,))
+
+
+def cara_utility(alpha: float, a0: float = -200.0) -> PharaUtility:
+    """Exponential utility -exp(-alpha x)/alpha on [a0, inf), alpha > 0."""
+    piece = PharaPiece(a_lo=a0, a_hi=INF, R=INF, anchor_x=0.0,
+                       anchor_u=-1.0 / alpha, anchor_slope=1.0, alpha=alpha)
+    return PharaUtility(a0=a0, pieces=(piece,))
 
 
 def random_concave_envelope(seed, R: float | None = None) -> PharaUtility:

@@ -13,8 +13,7 @@ import numpy as np
 from conftest import CONTRACT, interesting_multipliers
 from corpora import random_concave_envelope
 from phara.solver import (optimal_terminal_wealth, portfolio_general,
-                          portfolio_unified, sahara_portfolio, solve_multiplier,
-                          state_price_for_wealth)
+                          portfolio_unified, solve_multiplier, state_price_for_wealth)
 from phara.verify import (argmax_oracle, fd_portfolio_check, mc_budget_check,
                           mc_martingale_check)
 
@@ -219,7 +218,11 @@ def test_criterion_8_portfolio_shape(market, demo_envelope, demo_dual):
 
 
 def test_criterion_9_sahara_contrast(market, contract_envelope, contract_dual):
-    pi0 = sahara_portfolio(market, alpha=2.0, beta=1.0, t=0.0, x=0.0)
+    # SAHARA, of absolute risk aversion alpha / sqrt(beta^2 + x^2), holds at zero
+    # wealth the position risk_direction / alpha beta e^{-(r - |theta|^2 / (2 alpha^2)) T}
+    alpha, beta = 2.0, 1.0
+    pi0 = market.risk_direction / alpha * beta * math.exp(
+        -(market.r - 0.5 * (market.theta_norm / alpha) ** 2) * market.T)
     ok = pi0[0] > 0.0
     # the piecewise-HARA position vanishes towards the domain floor (x -> 0)
     env = contract_envelope.envelope

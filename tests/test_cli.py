@@ -166,7 +166,7 @@ class TestSurfaceCommand:
         # the split adds up per asset, and a percentage row is a scalar s
         # times (sigma^T)^{-1} theta: |sigma^T row| = |theta| s, which is
         # sigma = 0.3 times the demo's percentage theta s / sigma
-        same.multi_commands(tmp_path / "multi")
+        same.GOLDEN_GROUPS["multi"](tmp_path / "multi")
         for m in (2, 3):
             path = tmp_path / "multi" / f"demo_m{m}.json"
             assert run(["surface", "--scenario", path, "--out", tmp_path / path.stem]) == 0

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import bundled, deriv, same, scale_shift
-from corpora import cara_parts, random_concave_envelope, random_raw_utility
+from corpora import (cara_parts, cara_utility, crra_utility, random_concave_envelope,
+                     random_raw_utility)
 from phara import concavify
+from phara.cli import _parse_utility
 from phara.concavify import concave_envelope
 from phara.errors import NoConvergence, PharaError, UnboundedEnvelope
-from phara.utility import (INF, PharaPiece, PharaUtility, cara_utility, compose,
-                           crra_utility, piecewise_linear_payoff, s_shaped_utility,
-                           same_slope)
+from phara.utility import (INF, PharaPiece, PharaUtility, compose, piecewise_linear_payoff,
+                           s_shaped_utility, same_slope)
 
 
 def analytic_tangency(p: float, A: float, gamma: float) -> float:
@@ -278,15 +279,7 @@ class TestGeneralProperties:
     def test_collinear_chords_merge(self):
         # the chord over the first flat and the chord over the second have
         # the same slope, so they become one chord with no kink between them
-        pieces = (
-            PharaPiece(a_lo=0.0, a_hi=1.0, R=0.0, anchor_x=0.0, anchor_u=0.0,
-                       anchor_slope=0.0),
-            PharaPiece(a_lo=1.0, a_hi=2.0, R=0.0, anchor_x=1.0, anchor_u=1.0,
-                       anchor_slope=0.0),
-            PharaPiece(a_lo=2.0, a_hi=INF, R=0.5, A=1.0, anchor_x=2.0,
-                       anchor_u=2.0, anchor_slope=0.25),
-        )
-        u = PharaUtility(a0=0.0, pieces=pieces)
+        u = _parse_utility(same.BRANCHES["collinear"])
         res = concave_envelope(u)
         assert res.chords == ((0.0, 2.0, 1.0),)
         assert _differs_on(u, res) == [(0.0, 2.0)]
@@ -299,11 +292,7 @@ class TestGeneralProperties:
         # parallel to the line forever, so demand is unbounded
         from phara.errors import UnboundedDemand
         from phara.solver import solve_multiplier
-        arc = PharaPiece(a_lo=0.0, a_hi=1.0, R=0.5, A=-1.0, anchor_x=0.0,
-                         anchor_u=0.0, anchor_slope=1.0)
-        line = PharaPiece(a_lo=1.0, a_hi=INF, R=0.0, anchor_x=1.0,
-                          anchor_u=arc.value_hi, anchor_slope=0.9)
-        u = PharaUtility(a0=0.0, pieces=(arc, line))
+        u = _parse_utility(same.BRANCHES["steep_tail"])
         res = concave_envelope(u)
         x_t = 1.0 / 0.81 - 1.0
         ((lo, hi, slope),) = res.chords
@@ -316,13 +305,7 @@ class TestGeneralProperties:
 
     def test_jump_up_bridged(self):
         # value jump at 2 forces a chord over the junction
-        pieces = (
-            PharaPiece(a_lo=0.0, a_hi=2.0, R=0.5, A=-1.0, anchor_x=0.0,
-                       anchor_u=0.0, anchor_slope=0.2),
-            PharaPiece(a_lo=2.0, a_hi=INF, R=0.5, A=1.0, anchor_x=2.0,
-                       anchor_u=1.0, anchor_slope=0.1),
-        )
-        u = PharaUtility(a0=0.0, pieces=pieces)
+        u = _parse_utility(same.BRANCHES["jump_up"])
         res = concave_envelope(u)
         assert len(res.chords) >= 1
         xs = np.linspace(0.0, 30.0, 600)
@@ -435,17 +418,7 @@ class TestSweepEdges:
     def test_common_tangent_at_an_arc_end(self):
         # the line 0.5 x + 1 touches sqrt gains at 2 and a flatter arc exactly
         # at its right end 8: the chord swallows the whole arc
-        def line(x):
-            return 0.5 * x + 1.0
-        head = PharaPiece(a_lo=0.0, a_hi=3.0, R=0.5, A=-1.0, anchor_x=2.0,
-                          anchor_u=line(2.0), anchor_slope=0.5)
-        flat = PharaPiece(a_lo=3.0, a_hi=5.0, R=0.0, anchor_x=3.0,
-                          anchor_u=head.value_hi, anchor_slope=0.0)
-        arc = PharaPiece(a_lo=5.0, a_hi=8.0, R=3.0, A=-45.0, anchor_x=8.0,
-                         anchor_u=line(8.0), anchor_slope=0.5)
-        tail = PharaPiece(a_lo=8.0, a_hi=INF, R=0.5, A=7.0, anchor_x=8.0,
-                          anchor_u=line(8.0), anchor_slope=0.25)
-        u = PharaUtility(a0=0.0, pieces=(head, flat, arc, tail))
+        u = _parse_utility(same.BRANCHES["arc_end"])
         res = concave_envelope(u)
         ((lo, hi, slope),) = res.chords
         assert (lo, hi, slope) == (pytest.approx(2.0, rel=1e-12),

@@ -61,7 +61,7 @@ def test_group_matches_golden(tmp_path, monkeypatch, simulate_bundled, exact, gr
     # every command of one of the other golden groups: faults guards the
     # messages and exit codes, steep the value and junction rules, capped the
     # flat-tail ceiling, cara the exponential anchor rule, multi the
-    # per-asset columns
+    # per-asset columns, branches every other branch a command can take
     monkeypatch.chdir(tmp_path)
     commands = same.GOLDEN_GROUPS[group](Path(group))
     diffs = golden_diffs(group, commands, None, exact, simulate_bundled,

@@ -1,5 +1,6 @@
 from conftest import ROOT, same
-from corpora import steep_block
+from corpora import cara_utility, steep_block
+from phara.cli import _parse_utility
 
 
 def test_crra_against_itself(tmp_path):
@@ -74,3 +75,12 @@ def test_steep_literals_are_corpus_draws():
     # the steep group's utility blocks, which same.py keeps as literals to stay
     # standard-library only, are draws 5, 6 and 1316 of the steep corpus
     assert same.STEEP == {f"steep{s}": steep_block(s) for s in (5, 6, 1316)}
+
+
+def test_cara_blocks_are_the_corpus_utility():
+    # same.py's _cara(alpha, a0) preference block, as the commands parse it, is
+    # corpora.cara_utility(alpha, a0), for both CARA compositions of the cara group
+    for name in ("cara_steep", "cara_flat"):
+        block = same.CARA[name]["preference"]
+        alpha, a0 = block["pieces"][0]["alpha"], block["a0"]
+        assert _parse_utility(block) == cara_utility(alpha, a0)

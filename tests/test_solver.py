@@ -10,8 +10,8 @@ from scipy.special import ndtr
 
 from conftest import (CONTRACT, ROOT, SCENARIOS, bundled, d1, d_next, d_transform, deriv,
                       interesting_multipliers, same, scale_shift)
-from corpora import (random_concave_envelope, random_raw_utility, steep_composition,
-                     steep_parts)
+from corpora import (cara_utility, crra_utility, random_concave_envelope,
+                     random_raw_utility, steep_composition, steep_parts)
 from phara import cli
 from phara.cli import load_scenario
 from phara.concavify import EnvelopeResult, concave_envelope
@@ -24,11 +24,10 @@ from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
                           _common_risk_aversion, _d1_outer, _horizon, _newton_root,
                           _phi, _tables, budget,
                           optimal_terminal_wealth, portfolio_general, portfolio_unified,
-                          sahara_portfolio, solve_multiplier,
-                          state_price_for_wealth, wealth_bounds, wealth_total)
-from phara.utility import (INF, PharaPiece, PharaUtility, cara_utility, _verify_composition,
-                           compose, crra_utility, piecewise_linear_payoff, s_shaped_utility,
-                           same_slope)
+                          solve_multiplier, state_price_for_wealth, wealth_bounds,
+                          wealth_total)
+from phara.utility import (INF, PharaPiece, PharaUtility, _verify_composition, compose,
+                           piecewise_linear_payoff, s_shaped_utility, same_slope)
 from phara.verify import (VerificationReport, argmax_oracle, fd_portfolio_check,
                           mc_budget_check, mc_martingale_check, simulate_order_check)
 
@@ -426,59 +425,6 @@ class TestWeights:
         assert wv.q[2] == pytest.approx(
             1.0 - float(ndtr(d1((1 - delta * alpha) * m / w, market, t))),
             abs=1e-14)
-
-
-class TestSahara:
-    def test_positive_at_zero_wealth(self, market):
-        pi = sahara_portfolio(market, alpha=2.0, beta=1.0, t=0.0, x=0.0)
-        expect = 0.12 / (2.0 * 0.3) * math.exp(-(0.05 - 0.0144 / 8.0) * 10.0)
-        assert pi[0] == pytest.approx(expect, rel=1e-12)
-        assert pi[0] > 0.0
-
-    def test_zero_beta_limit(self, market):
-        for x in (-3.0, 0.0, 2.0):
-            pi = sahara_portfolio(market, alpha=2.0, beta=0.0, t=1.0, x=x)
-            assert pi[0] == pytest.approx(0.12 / 0.6 * abs(x), rel=1e-12)
-
-    def test_sign_of_sigma_is_irrelevant(self):
-        # sigma = -0.3 is the sigma = 0.3 market with W negated: theta flips
-        # sign and the direction theta / sigma = 0.4 stays, as does the position
-        up, down = (sahara_portfolio(build_market(r=0.05, mu=[0.086], sigma=[[s]], T=10.0),
-                                     alpha=2.0, beta=1.0, t=0.0, x=1.0) for s in (0.3, -0.3))
-        assert up[0] > 0.0
-        assert down[0] == pytest.approx(up[0], rel=1e-15)
-
-    def test_two_assets_match_one_asset(self):
-        # sigma^T pi = theta hypot(x, b_t) / alpha, whose norm is sigma_1 pi in
-        # the one-asset market of the same r, T and |theta|
-        mkt = build_market(r=0.05, mu=[0.09, 0.13], sigma=[[0.2, 0.0], [0.1, 0.4]], T=5.0)
-        one = build_market(r=0.05, mu=[0.05 + mkt.theta_norm * 0.3], sigma=[[0.3]], T=5.0)
-        for alpha, beta, t, x in ((2.0, 1.0, 0.0, 1.0), (0.7, 0.0, 2.5, -3.0),
-                                  (5.0, 2.0, 4.9, 0.0)):
-            pi = sahara_portfolio(mkt, alpha=alpha, beta=beta, t=t, x=x)
-            assert pi.shape == (2,)
-            assert np.linalg.norm(mkt.sigma.T @ pi) == pytest.approx(
-                0.3 * sahara_portfolio(one, alpha=alpha, beta=beta, t=t, x=x)[0], rel=1e-14)
-
-    @pytest.mark.parametrize("alpha", [1e155, 1e300])
-    def test_large_alpha_stays_finite(self, market, alpha):
-        # alpha**2 overflowed, and the position left the doubles; (theta /
-        # alpha)^2 is 0 to rounding, so b_t is e^{-r T} and the position tiny
-        pi = sahara_portfolio(market, alpha=alpha, beta=1.0, t=0.0, x=1.0)
-        b_t = math.exp(-0.05 * 10.0)
-        assert pi[0] == pytest.approx(0.4 / alpha * math.hypot(1.0, b_t), rel=1e-15)
-        assert 0.0 < pi[0] < 1e-150
-
-    def test_beyond_horizon_rejected(self, market):
-        for t in (-5.0, market.T, market.T + 1.0):
-            with pytest.raises(BadTime):
-                sahara_portfolio(market, alpha=2.0, beta=1.0, t=t, x=1.0)
-
-    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (-1.0, 1.0), (2.0, -0.1)])
-    def test_bad_parameters_rejected(self, market, alpha, beta):
-        with pytest.raises(PharaError) as err:
-            sahara_portfolio(market, alpha=alpha, beta=beta, t=0.0, x=1.0)
-        assert isinstance(err.value, IllegalCase)
 
 
 def test_non_concave_utility_rejected(demo_utility, market):
@@ -1139,12 +1085,12 @@ def test_failures_are_typed(seed, market, x0, t, x, log_xi, log_y, log_gap):
 def test_constructor_and_oracle_failures_are_typed(market, v, n_paths):
     """Moderate numbers or any doubles, NaN and +-inf among them, for the constructors,
     and sample sizes too small for a standard error: whatever fails raises a
-    PharaError, and a call that returns has only finite values: a utility's
-    knots, a report's figures, a portfolio."""
+    PharaError, and a call that returns has only finite values: an exponential
+    piece's alpha, a utility's knots, a report's figures."""
     env = crra_utility(0.5)
-    calls = [lambda: cara_utility(v[0]),
+    calls = [lambda: PharaPiece(a_lo=0.0, a_hi=INF, R=INF, anchor_x=0.0, anchor_u=-1.0,
+                                anchor_slope=1.0, alpha=v[0]).alpha,
              lambda: piecewise_linear_payoff(v[0], v[1], v[2:4], v[4:7]),
-             lambda: sahara_portfolio(market, v[0], v[1], 0.0, v[2]),
              lambda: mc_budget_check(env, market, 1.0, n_paths, 0),
              lambda: mc_martingale_check(env, market, 1.0, 0.5 * market.T, n_paths, 0),
              lambda: simulate_order_check(env, market, 1.0, 1.0, n_paths, 10, 0)]
@@ -1164,18 +1110,16 @@ def test_constructor_and_oracle_errors_name_their_input(market, crra_envelope):
     # a zero, an overflowing growth factor or a NaN is named before any
     # arithmetic reads it, and so is a sample too small for the oracle
     nan = float("nan")
-    cases = [(IllegalCase, "alpha", lambda: cara_utility(0.0)),
+    cases = [(IllegalCase, "alpha in \\(0, inf\\), got 0.0", lambda: PharaPiece(
+                 a_lo=0.0, a_hi=INF, R=INF, anchor_x=0.0, anchor_u=-1.0, anchor_slope=1.0,
+                 alpha=0.0)),
              (IllegalCase, "empty piece", lambda: piecewise_linear_payoff(
                  0.0, 0.0, (nan, nan), (0.0, 1.0, 0.88))),
              (IllegalCase, "loss piece's anchor slope overflows at 0.0", lambda: s_shaped_utility(
                  reference=5e-324, gain_exponent=0.5, a0=0.0, loss_exponent=0.01)),
              (IllegalCase, "gain piece's anchor slope overflows at 5e-324",
               lambda: s_shaped_utility(reference=0.0, gain_exponent=0.01, a0=5e-324))]
-    cases += [(IllegalCase, "need alpha", lambda a=a, b=b, x=x: sahara_portfolio(
-        market, alpha=a, beta=b, t=0.0, x=x)) for a, b, x in ((nan, 1.0, 1.0), (2.0, nan, 1.0),
-                                                              (2.0, 1.0, nan), (INF, 1.0, 1.0))]
-    cases += [(UnboundedDemand, "SAHARA", lambda: sahara_portfolio(market, 1e-3, 1.0, 0.0, 1.0)),
-              (UnboundedDemand, "linear tail steeper than w = 0.5", lambda: argmax_oracle(
+    cases += [(UnboundedDemand, "linear tail steeper than w = 0.5", lambda: argmax_oracle(
                   piecewise_linear_payoff(0.0, 0.0, (), (1.0,)), 1.0, 0.5))]
     for n in (0, 1):
         cases += [(BadDimension, "2 paths", lambda n=n: mc_budget_check(

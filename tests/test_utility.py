@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CONTRACT, bundled, deriv, scale_shift
-from corpora import random_concave_envelope, random_raw_utility
+from corpora import cara_utility, crra_utility, random_concave_envelope, random_raw_utility
 from phara.errors import IllegalCase, NotPhara, OutOfDomain
-from phara.utility import (INF, NEG_INF, PharaPiece, PharaUtility,
-                           _verify_composition, cara_utility, compose,
-                           crra_utility, piecewise_linear_payoff, s_shaped_utility)
+from phara.utility import (INF, NEG_INF, PharaPiece, PharaUtility, _verify_composition,
+                           compose, piecewise_linear_payoff, s_shaped_utility)
 
 
 def _s_shape(w, reference, g, q=None, lam=1.0):

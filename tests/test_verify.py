@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import ROOT, SCENARIOS, deriv, interesting_multipliers
+from corpora import crra_utility
 from phara.cli import main
 from phara.concavify import concave_envelope
 from phara.errors import StepTooCoarse
@@ -83,6 +84,20 @@ class TestMonteCarlo:
                                       demo_dual.y_star, t, 50_000, seed=41 + i)
             assert rep.passed, rep
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_log_utility_within_rounding(self, market, seed):
+        # for U = log x, xi_t X_t is the budget itself: the sample's standard
+        # error is rounding alone, below one ulp of the budget, so the band is
+        # the budget's own rounding bound
+        env = concave_envelope(crra_utility(1.0)).envelope
+        y = solve_multiplier(env, market, 10.0).y_star
+        reports = [mc_budget_check(env, market, y, 2000, seed)]
+        reports += [mc_martingale_check(env, market, y, t, 2000, seed)
+                    for t in (2.5, 5.0, 7.5)]
+        for rep in reports:
+            assert 3.0 * rep.detail["std_error"] < math.ulp(rep.oracle) < rep.tolerance
+            assert rep.passed, rep
+
     def test_seed_stability(self, market, demo_envelope, demo_dual):
         a = mc_budget_check(demo_envelope.envelope, market, demo_dual.y_star,
                             20_000, seed=5)
@@ -99,7 +114,7 @@ class TestMonteCarlo:
 
         def value(xi):
             return (level + spread * np.sin(1e3 * xi)) / xi
-        rep = _mc_check("stream", market, 3.0, n, 17, value, 0.0, {})
+        rep = _mc_check("stream", market, 3.0, n, 17, value, 0.0, 0.0, {})
         xi = sample_kernel_at(market, 3.0, n, 17)
         v = xi * value(xi)
         assert rep.detail["paths"] == n

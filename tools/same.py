@@ -52,7 +52,21 @@ repository.  Both trees are byte-compiled and run the same matrix as
   keep its r, T and |theta|, so that each asset's columns of ``surface.csv``
   are the one-asset columns along (sigma^T)^-1 theta; and the two-asset
   ``crra.json`` market with a utility of two risk aversions, whose split
-  columns are NaN.
+  columns are NaN;
+- ``envelope --grid 21``, ``solve``, ``surface --grid 21`` and ``verify
+  --paths 2000`` on eight utilities (group ``branches``), each in a copy of
+  ``crra.json`` with no wealth grid, so that ``surface`` reads the default
+  wealth axis: log x, whose U(0) = -inf starts the sweep on an open domain,
+  steps the curve's first point off a0 and evaluates the log branch, and
+  whose constant deflated wealth sets the Monte-Carlo checks' band to the
+  budget's rounding; ``crra.json``'s utility as a "phara" preference under the identity payoff,
+  which ``compose`` passes through; and six piece lists, one per sweep branch
+  that no other golden command takes: two collinear chords that merge, a
+  jump up, an unbounded line steeper than the hull (``solve``, ``surface``
+  and ``verify`` exit 2: demand is infinite), a finite one, an arc wholly
+  below the hull's support lines, and a chord that reaches an arc's end.  So
+  a change to the log branch, the identity shortcut, one of those sweep
+  branches or the Monte-Carlo rounding band shows up here.
 
 The inputs come from this repository, so both trees read the same files.
 For every command, failing ones included, it compares the exit code, the
@@ -71,8 +85,9 @@ standard library only, with the plan and child-process code of
 
 rewrites the golden files, ``tests/golden/``, from this repository: for
 each command of ``GOLDEN_GROUPS`` (the ``bundled``, ``faults``, ``steep``,
-``capped``, ``cara`` and ``multi`` groups), its artifacts, standard output
-and error and exit code (file ``exit_code``) in one directory,
+``capped``, ``cara``, ``multi`` and ``branches`` groups; ``steep``, ``cara``,
+``multi`` and ``branches`` are the tables of ``TABLES``), its artifacts,
+standard output and error and exit code (file ``exit_code``) in one directory,
 ``tests/golden/<group>/<command>``; and ``host.json``, the numpy version,
 Python version, CPU and the features numpy dispatches on, as ``host()``
 reads them.  Every scenario file but the bundled ones is written by
@@ -89,6 +104,7 @@ printed in a line of output by ``PRINTED_RTOL``.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -231,10 +247,64 @@ MULTI = {
         "t": [0.0, 5.0], "wealth": {"lo": 1.0, "hi": 6.0, "n": 4}}})}
 
 
+def _pieces(a0: float, *rows) -> dict:
+    """A piece-list "utility" block from rows (a_lo, R, A, (x, u, slope)), the
+    anchor (x, u, slope) and A None for a line."""
+    return {"a0": a0, "pieces": [
+        {"a_lo": lo, "R": R, **({} if A is None else {"A": A}),
+         "anchor": {"x": x, "u": u, "slope": slope}} for lo, R, A, (x, u, slope) in rows]}
+
+
+# 2 (sqrt(1 + x) - 1) on [0, 1), worth 0 at 0 with slope 1, and its end value
+SQRT_HEAD, SQRT_END = (0.0, 0.5, -1.0, (0.0, 0.0, 1.0)), 0.8284271247461903
+# the branches group's utilities, as scenario "utility" blocks: each takes a
+# branch of the template, compose or the sweep that no other golden command
+# takes (tests/test_concavify.py reads the sweep's)
+BRANCHES = {
+    # log x: U(a0) = -inf, so the sweep starts on an open domain
+    "log": _pieces(0.0, (0.0, 1.0, 0.0, (1.0, 0.0, 1.0))),
+    # crra.json's utility under the identity payoff, which compose passes through
+    "identity": {"preference": {"type": "phara", **_pieces(0.0, (0.0, 0.5, 0.0, (1.0, 2.0, 1.0)))},
+                 "payoff": {"slopes": [1.0]}},
+    # the chords over two flats have one slope, and merge
+    "collinear": _pieces(0.0, (0.0, 0.0, None, (0.0, 0.0, 0.0)),
+                         (1.0, 0.0, None, (1.0, 1.0, 0.0)), (2.0, 0.5, 1.0, (2.0, 2.0, 0.25))),
+    # a jump up at 2, bridged by a chord
+    "jump_up": _pieces(0.0, (0.0, 0.5, -1.0, (0.0, 0.0, 0.2)), (2.0, 0.5, 1.0, (2.0, 1.0, 0.1))),
+    # a line of slope 0.9 from 1, steeper than the head there: demand is infinite
+    "steep_tail": _pieces(0.0, SQRT_HEAD, (1.0, 0.0, None, (1.0, SQRT_END, 0.9))),
+    # a line of slope 2 on [1, 2), steeper than the head: a chord to its end
+    "steep_line": _pieces(0.0, SQRT_HEAD, (1.0, 0.0, None, (1.0, SQRT_END, 2.0)),
+                          (2.0, 0.5, 1.0, (2.0, 2.8284271247461903, 0.5))),
+    # a steep arc on [1, 2) below every support line of the slope-1 head: a
+    # chord to its end
+    "arc_below": _pieces(0.0, (0.0, 0.0, None, (0.0, 0.0, 1.0)), (1.0, 0.5, 0.0, (1.0, 1.0, 2.0)),
+                         (2.0, 0.5, 1.0, (2.0, 2.6568542494923806, 1.0))),
+    # the line 0.5 x + 1 touches the head at 2 and a flatter arc at its right
+    # end 8: the chord reaches the arc's end
+    "arc_end": _pieces(0.0, (0.0, 0.5, -1.0, (2.0, 2.0, 0.5)),
+                       (3.0, 0.0, None, (3.0, 2.4641016151377544, 0.0)),
+                       (5.0, 3.0, -45.0, (8.0, 5.0, 0.5)), (8.0, 0.5, 7.0, (8.0, 5.0, 0.25)))}
+
+
 DELETE = object()  # an edit value of write_scenario: remove the key
 # hedge_fund.json's edit for the capped group: its payoff flat above the
 # breakpoint a_f = 2 e^0.5, and no wealth grid
 CAPPED = {"utility.payoff.slopes": [0.28, 0.0], "grids.wealth": DELETE}
+DECOMPOSE_T5 = ("decompose", ["--t", "5", "--xi", "1"])
+VERIFY_2000 = ("verify", ["--paths", "2000"])
+# the groups of one shape, by name: {scenario: (bundled scenario, edit of
+# write_scenario)}, and the (command, args) run on each scenario
+TABLES = {
+    "steep": ({name: ("crra", {"utility": u}) for name, u in STEEP.items()},
+              (("envelope", []), ("solve", []), ("surface", []))),
+    "cara": ({name: ("crra", {"utility": u, "x0": 1.0}) for name, u in CARA.items()},
+             (("envelope", []), ("solve", []), DECOMPOSE_T5)),
+    "multi": (MULTI, (("surface", []), DECOMPOSE_T5, VERIFY_2000)),
+    "branches": ({name: ("crra", {"utility": u, "grids.wealth": DELETE})
+                  for name, u in BRANCHES.items()},
+                 (("envelope", ["--grid", "21"]), ("solve", []), ("surface", ["--grid", "21"]),
+                  VERIFY_2000))}
 
 
 def write_scenario(path: Path, base: str, edit: dict | None = None) -> Path:
@@ -283,16 +353,6 @@ def fault_commands(scenario_dir: Path) -> list:
             for c, name, flags in FAULTS]
 
 
-def steep_commands(scenario_dir: Path) -> list:
-    """envelope, solve and surface on each STEEP composition, its scenario file
-    (crra.json with that utility) written into scenario_dir."""
-    scenario_dir.mkdir(parents=True)
-    for name, utility in STEEP.items():
-        write_scenario(scenario_dir / f"{name}.json", "crra", {"utility": utility})
-    return [Command(f"{c}-{name}", c, name) for name in STEEP
-            for c in ("envelope", "solve", "surface")]
-
-
 def capped_commands(scenario_dir: Path) -> list:
     """The capped group, its scenario files (hedge_fund.json with the CAPPED
     edit, at x0 1.0 and 2.1: capped.json and capped_x2.1.json) written into
@@ -308,34 +368,22 @@ def capped_commands(scenario_dir: Path) -> list:
             + [Command("solve-capped_x2.1", "solve", "capped_x2.1")])
 
 
-def cara_commands(scenario_dir: Path) -> list:
-    """envelope, solve and decompose --t 5 --xi 1 on each CARA utility, its
-    scenario file (crra.json with that utility and x0 1.0) written into
-    scenario_dir."""
+def table_commands(group: str, scenario_dir: Path) -> list:
+    """The TABLES group's commands, <command>-<scenario>, each scenario's file
+    written into scenario_dir."""
+    scenarios, commands = TABLES[group]
     scenario_dir.mkdir(parents=True)
-    for name, utility in CARA.items():
-        write_scenario(scenario_dir / f"{name}.json", "crra", {"utility": utility, "x0": 1.0})
-    return [Command(f"{c}-{name}", c, name, args) for name in CARA
-            for c, args in (("envelope", []), ("solve", []),
-                            ("decompose", ["--t", "5", "--xi", "1"]))]
-
-
-def multi_commands(scenario_dir: Path) -> list:
-    """surface, decompose --t 5 --xi 1 and verify --paths 2000 on each MULTI
-    scenario, its file written into scenario_dir."""
-    scenario_dir.mkdir(parents=True)
-    for name, (base, edit) in MULTI.items():
+    for name, (base, edit) in scenarios.items():
         write_scenario(scenario_dir / f"{name}.json", base, edit)
-    return [Command(f"{c}-{name}", c, name, args) for name in MULTI
-            for c, args in (("surface", []), ("decompose", ["--t", "5", "--xi", "1"]),
-                            ("verify", ["--paths", "2000"]))]
+    return [Command(f"{c}-{name}", c, name, list(args))
+            for name in scenarios for c, args in commands]
 
 
 # the groups of the golden files, by name, each with the function that writes
 # its scenario files into a directory and returns its commands
 GOLDEN_GROUPS = {"bundled": bundled_commands, "faults": fault_commands,
-                 "steep": steep_commands, "capped": capped_commands, "cara": cara_commands,
-                 "multi": multi_commands}
+                 "capped": capped_commands,
+                 **{group: functools.partial(table_commands, group) for group in TABLES}}
 
 
 def matrix(work: Path) -> list:

@@ -28,10 +28,9 @@ import gc
 import json
 import math
 import sys
-from collections import namedtuple
-from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,12 +106,13 @@ def _build(field: str, make, *args, **kwargs):
         raise type(exc)(f"{field}: {exc}") from exc
 
 
-# the scenario's grids.wealth block; n unset means --grid points
-WealthGrid = namedtuple("WealthGrid", "lo hi n")
+class WealthGrid(NamedTuple):  # the scenario's grids.wealth block
+    lo: float
+    hi: float
+    n: int | None  # None: --grid points
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     market: MarketParams
     utility: PharaUtility
     x0: float
@@ -245,7 +245,7 @@ def cmd_envelope(scn: Scenario, res: EnvelopeResult, sol: None, args):
 
 
 def cmd_solve(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
-    return {"dual.json": asdict(sol)}, 0
+    return {"dual.json": sol._asdict()}, 0
 
 
 def _wealth_axis(scn: Scenario, env: PharaUtility, t: float, grid_n: int) -> np.ndarray:
@@ -315,7 +315,7 @@ def cmd_verify(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
               f"computed={r.computed:.6g} oracle={r.oracle:.6g}")
-    return {"verification.json": [asdict(r) for r in reports]}, 0 if ok else 1
+    return {"verification.json": [r._asdict() for r in reports]}, 0 if ok else 1
 
 
 def cmd_simulate(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
@@ -324,7 +324,7 @@ def cmd_simulate(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
         args.steps, scn.seed)
     print(f"{'PASS' if report.passed else 'FAIL'} {report.name}: "
           f"gap ratio {report.computed:.4f} (target 0.5)")
-    return {"simulation.json": asdict(report)}, 0 if report.passed else 1
+    return {"simulation.json": report._asdict()}, 0 if report.passed else 1
 
 
 _COMMANDS = {"envelope": cmd_envelope, "solve": cmd_solve, "surface": cmd_surface,

@@ -8,11 +8,12 @@ routine, ``_Sweep._bridge``, finds the bridging chord for either object by
 a one-dimensional root-find in the supporting-slope variable: the hull and
 the incoming object each have a closed-form support line and contact point
 for every slope s, and the difference of their intercepts is strictly
-increasing in s, so the common tangent is a root bracketed by one geometric
-search, found by the solver's Newton-bisection step in log s, and the hull
-is cut there.  One contact rule, ``PharaPiece.contact``, places every support
-line, hull contact and arc cut; one walk finds the hull's slope-s contact, for
-both the support query and the truncation of the hull at the new chord.
+increasing in s, so the common tangent is a root bracketed by the solver's
+bracket walk over geometric steps in s, found by its Newton-bisection step
+in log s, and the hull is cut there.  One contact rule, ``PharaPiece.contact``,
+places every support line, hull contact and arc cut; one scan finds the
+hull's slope-s contact, for both the support query and the truncation of the
+hull at the new chord.
 Convex and flat stretches of the input are always swallowed.  The chord
 anatomy (chords and tangency points) is read off the finished envelope.
 """
@@ -20,17 +21,17 @@ anatomy (chords and tangency points) is read off the finished envelope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoConvergence, UnboundedEnvelope
-from .solver import _MAX_EXPAND, _newton_root
+from .solver import _newton_root, _walk
 from .utility import INF, PharaPiece, PharaUtility, same_slope, same_value
 
 
-@dataclass(frozen=True)
-class EnvelopeResult:
+class EnvelopeResult(NamedTuple):
     """Concave envelope of a piecewise-HARA utility, with its chord anatomy.
 
     ``chords`` lists every linear interval of the envelope (bridging chords
@@ -47,21 +48,12 @@ class EnvelopeResult:
 
 def _support(piece: PharaPiece, s: float) -> tuple[float, float]:
     """Intercept and contact point of the slope-s line supporting a concave
-    curved piece from above, the contact by :meth:`PharaPiece.contact`."""
+    curved piece from above, the contact by :meth:`PharaPiece.contact`; a
+    contact beyond the doubles puts the line there, at intercept +inf."""
     x = piece.contact(s)
+    if x == INF and s > 0.0:
+        return INF, x
     return float(piece.value(x)) - s * x, x
-
-
-def _geometric(gap, s: float, factor: float, fault: str) -> tuple[float, float]:
-    """First (s, gap(s)) of s, s factor, s factor^2, ... (_MAX_EXPAND tries) where
-    the increasing gap has crossed zero: a search up (factor > 1) stops at a
-    positive gap, a search down at a negative one.  Raises NoConvergence(fault)."""
-    for _ in range(_MAX_EXPAND):
-        g = gap(s)
-        if g * (factor - 1.0) > 0.0:
-            return s, g
-        s *= factor
-    raise NoConvergence(fault)
 
 
 def _short(lo: float, hi: float) -> bool:
@@ -135,17 +127,21 @@ class _Sweep:
         def gap(s):
             return self.hull_support(s)[0] - support(s)[0]
 
+        def walk(s, factor, done, fault):  # s, s factor, s factor^2, ...
+            return _walk(gap, s, gap(s), lambda s: s * factor, done,
+                         lambda s, g: NoConvergence(fault))[-1]
+
         if s_lo is not None:
             g_lo = gap(s_lo)
             if g_lo >= 0.0:
                 return None
         s_hi, g_hi = hint, (gap(hint) if np.isfinite(hint) else -INF)
         if not g_hi >= 0.0:
-            s_hi, g_hi = _geometric(gap, max(start, 1e-300), 4.0,
-                                    "no steep supporting slope found")
+            s_hi, g_hi = walk(max(start, 1e-300), 4.0, lambda s, g: g > 0.0,
+                              "no steep supporting slope found")
         if s_lo is None:
-            s_lo, g_lo = _geometric(gap, 0.25 * s_hi, 0.25, "no shallow supporting slope "
-                                    f"found: {what} rises above the hull by rounding only")
+            s_lo, g_lo = walk(0.25 * s_hi, 0.25, lambda s, g: g < 0.0, "no shallow supporting "
+                              f"slope found: {what} rises above the hull by rounding only")
 
         def support_gap(act, u):
             s = math.exp(u[0])
@@ -157,7 +153,8 @@ class _Sweep:
         s_star = math.exp(_newton_root(support_gap, lo, hi, -g_lo, -g_hi)[0])
         c_h, c_obj = self.hull_support(s_star)[0], support(s_star)[0]
         if not same_value(c_h, c_obj):
-            raise NoConvergence(f"tangency residual {c_h - c_obj:.3e} at slope {s_star:.3e}")
+            raise NoConvergence(f"tangency residual {c_h - c_obj:.3e} at slope {s_star:.3e} "
+                                f"to {what}")
         return (*self.truncate_at_slope(s_star), s_star)
 
     # -- attaching objects -----------------------------------------------------
@@ -211,7 +208,7 @@ class _Sweep:
             lambda s: _support(piece, s), s_in,
             max(s_e if np.isfinite(s_e) else 1.0, piece.slope_hi, 1e-12) * 2.0,
             max(piece.slope_hi, 1e-300) if np.isfinite(piece.a_hi) else None,
-            f"the piece on [{piece.a_lo}, inf) with R = {piece.R}")
+            f"the piece on [{piece.a_lo}, {piece.a_hi}) with R = {piece.R}")
         if bridge is None:
             # whole arc below the hull fan: only its right endpoint matters
             self.attach_point(piece.a_hi, piece.value_hi)

@@ -20,7 +20,6 @@ serves the dual multiplier, the wealth inversion and the tangent search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -99,8 +98,7 @@ def _evaluate(pass_, xi, *args, first="optimal wealth"):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Tables:
+class _Tables(NamedTuple):
     a: np.ndarray          # partition, length n+1, a[n] = inf
     ladder: np.ndarray     # gminus[0] >= gplus[0] >= gminus[1] >= ... >= gminus[n]
     slot: np.ndarray       # ladder row -> slope, shared where no kink parts them
@@ -174,7 +172,7 @@ def _tables(env: PharaUtility) -> _Tables:
         return slot[(2 * np.flatnonzero(mask)[:, None] + offsets).ravel()]
     tab = _Tables(a, ladder, slot, log_slopes, R, A, alpha, np.diff(a), C, K, crra,
                   cara, chord, rungs(crra, 1, 2), rungs(cara, 1, 2), rungs(chord, 1))
-    for arr in vars(tab).values():
+    for arr in tab:
         arr.setflags(write=False)
     return tab
 
@@ -302,8 +300,7 @@ def wealth_total(env: PharaUtility, market: MarketParams, y: float, t: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(NamedTuple):
     y_star: float
     budget_residual: float
     bracket: tuple[float, float]
@@ -355,8 +352,7 @@ def portfolio_general(env: PharaUtility, market: MarketParams, y_star: float,
     return np.multiply.outer(market.risk_direction, scalar)
 
 
-@dataclass(frozen=True)
-class PortfolioDecomposition:
+class PortfolioDecomposition(NamedTuple):
     """Everything at one (t, xi_t) from one pass over the slope ladder.
 
     The four-term split ``terms``, keyed by SPLIT, when
@@ -436,19 +432,33 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
 def _wealth_ladder(env: PharaUtility, market: MarketParams, y_star: float,
                    t: float, x: np.ndarray, u_cap: float):
     """X_t on rungs u = log xi = 0, -+_RUNG, ... down to X > max(x), up to
-    X < min(x) or the last rung under u_cap; _MAX_EXPAND rungs each way."""
-    rungs = {0.0: wealth_total(env, market, y_star, t, 1.0)}
-    for step, more in ((-_RUNG, lambda u: rungs[u] <= x.max()),
-                       (_RUNG, lambda u: rungs[u] >= x.min() and u + _RUNG <= u_cap)):
-        u = 0.0
-        while more(u):
-            u += step
-            rungs[u] = wealth_total(env, market, y_star, t, math.exp(u))
-            if abs(u) > _RUNG * _MAX_EXPAND:
-                raise UnboundedDemand(f"wealth inversion found no bracket: X_t is "
-                                      f"{rungs[u]:.6g} at xi = e^{u:g}")
-    u = np.array(sorted(rungs))
-    return u, np.array([rungs[v] for v in u])
+    X < min(x) or the last rung under u_cap, each way by :func:`_walk`."""
+    def wealth(u):
+        return wealth_total(env, market, y_star, t, math.exp(u))
+
+    def fail(u, x_t):
+        return UnboundedDemand(f"wealth inversion found no bracket: X_t is {x_t:.6g} "
+                               f"at xi = e^{u:g}")
+    x_0 = wealth(0.0)
+    down = _walk(wealth, 0.0, x_0, lambda u: u - _RUNG, lambda u, x_t: not x_t <= x.max(), fail)
+    up = _walk(wealth, 0.0, x_0, lambda u: u + _RUNG,
+               lambda u, x_t: not (x_t >= x.min() and u + _RUNG <= u_cap), fail)
+    return np.array(down[:0:-1] + up).T
+
+
+def _walk(f, x, f_x, step, done, fail):
+    """The bracket walk of every monotone root: the points x, step(x),
+    step(step(x)), ... as (x, f(x)) pairs, f_x being f(x) at the first,
+    up to the first pair where done(x, f(x)) holds; fail(x, f(x)) at the
+    last pair is raised when _MAX_EXPAND steps do not get there."""
+    points = [(x, f_x)]
+    while not done(x, f_x):
+        if len(points) > _MAX_EXPAND:
+            raise fail(x, f_x)
+        x = step(x)
+        f_x = f(x)
+        points.append((x, f_x))
+    return points
 
 
 def _newton_root(fn, lo: np.ndarray, hi: np.ndarray, f_lo, f_hi) -> np.ndarray:
@@ -464,6 +474,7 @@ def _newton_root(fn, lo: np.ndarray, hi: np.ndarray, f_lo, f_hi) -> np.ndarray:
     bracket costs one call of fn on no entries.
     """
     u = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    u = np.where(np.isfinite(u), u, 0.5 * (lo + hi))  # an infinite f_lo: bisect
     act = np.arange(u.size)
     for i in range(_NEWTON_ITERS):
         ua = u[act]

@@ -110,6 +110,9 @@ class PharaPiece:
             if self.alpha is None or not 0.0 < self.alpha < INF:
                 raise IllegalCase(
                     f"exponential case needs alpha in (0, inf), got {self.alpha}")
+            if not 0.0 < self.anchor_slope / self.alpha < INF:  # the value's scale
+                raise IllegalCase(f"exponential case needs anchor_slope / alpha in the "
+                                  f"doubles, got {self.anchor_slope} / {self.alpha}")
             return
         if not np.isfinite(self.A):
             raise IllegalCase("power/log piece needs a finite benchmark")
@@ -168,10 +171,13 @@ class PharaPiece:
             return self.a_hi
         if s >= self.slope_lo:
             return self.a_lo
-        if self.R == INF:
-            x = self.anchor_x - math.log(s / self.anchor_slope) / self.alpha
-        else:
-            x = self.A + (self.anchor_x - self.A) * (s / self.anchor_slope) ** (-1.0 / self.R)
+        try:
+            if self.R == INF:
+                x = self.anchor_x - math.log(s / self.anchor_slope) / self.alpha
+            else:
+                x = self.A + (self.anchor_x - self.A) * (s / self.anchor_slope) ** (-1.0 / self.R)
+        except (OverflowError, ValueError, ZeroDivisionError):  # s / anchor_slope is 0, or
+            return self.a_hi  # its power overflows: the contact lies beyond the doubles
         return min(max(x, self.a_lo), self.a_hi)
 
     def rounding(self, x: float) -> float:

@@ -4,14 +4,14 @@ pricing, finite-difference deltas, and forward SDE simulation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadDimension, StepTooCoarse, UnboundedDemand
 from .market import MarketParams, sample_kernel_at, standard_normals
-from .solver import (budget, optimal_terminal_wealth, portfolio_general,
-                     portfolio_unified, wealth_total, _BLOCK)
+from .solver import (optimal_terminal_wealth, portfolio_general, portfolio_unified,
+                     wealth_total, _BLOCK)
 from .utility import PharaUtility
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -22,14 +22,13 @@ _FD_TOL = 1e-6             # relative error bound of the finite-difference delta
 _CHUNK = 4 * _BLOCK        # Monte-Carlo paths per chunk, whole evaluation blocks
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     name: str
     computed: float
     oracle: float
     tolerance: float
     passed: bool
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 # ---------------------------------------------------------------------------
@@ -89,23 +88,36 @@ def argmax_oracle(utility: PharaUtility, y: float, xi_T: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _unit(magnitude: float) -> float:
+    """The power of two that brings |magnitude| below 2^400, 1 where it is below: a
+    square of a number that size, or a sum of 2^200 such squares, fits a double, and
+    scaling by a power of two is exact."""
+    return 2.0 ** -max(0, math.frexp(magnitude)[1] - 400)
+
+
 def _mc_check(name: str, market: MarketParams, t: float, n_paths: int, seed: int,
               value, oracle: float, rounding: float, detail: dict) -> VerificationReport:
     """Mean of xi_t value(xi_t) over n_paths draws of xi_t against the oracle; passes
     within 3 standard errors, or the oracle's rounding where wider (a constant xi_t X_t,
     as for log utility).  Chunks of _CHUNK paths fold into a running mean and sum of squared
-    deviations (Chan et al.'s pairwise update), so memory does not grow with n_paths."""
+    deviations (Chan et al.'s pairwise update), so memory does not grow with n_paths; the
+    deviations are squared in units of 1 / _unit(oracle), and UnboundedDemand names the
+    check where even so the mean or the sum does not fit a double."""
     if not n_paths >= 2:
         raise BadDimension(f"a standard error needs at least 2 paths, got {n_paths}")
-    count, mean, m2 = 0, 0.0, 0.0
+    count, mean, m2, unit = 0, 0.0, 0.0, _unit(oracle)
     for start in range(0, n_paths, _CHUNK):
         xi = sample_kernel_at(market, t, min(_CHUNK, n_paths - start), seed, start)
-        v = xi * value(xi)
-        size, v_mean = v.size, float(np.mean(v))
-        delta, count = v_mean - mean, count + size
-        mean += delta * size / count
-        m2 += float(np.sum((v - v_mean) ** 2)) + delta * delta * (count - size) * size / count
-    se = math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = xi * value(xi)
+            size, v_mean = v.size, float(np.mean(v))
+            delta, count = v_mean - mean, count + size
+            mean += delta * size / count
+            d = delta * unit
+            m2 += float(np.sum(((v - v_mean) * unit) ** 2)) + d * d * (count - size) * size / count
+    if not (math.isfinite(mean) and math.isfinite(m2)):
+        raise UnboundedDemand(f"{name}: the sample's mean or spread does not fit a double")
+    se = math.sqrt(m2 / (count - 1)) / math.sqrt(count) / unit
     tolerance = max(3.0 * se, rounding)
     return VerificationReport(
         name=name, computed=mean, oracle=oracle, tolerance=tolerance,
@@ -116,8 +128,8 @@ def _mc_check(name: str, market: MarketParams, t: float, n_paths: int, seed: int
 
 def _budget(env: PharaUtility, market: MarketParams, y: float) -> tuple[float, float]:
     """The closed-form budget B(y) and its rounding bound, the time-0 wealth's."""
-    return budget(env, market, y), float(portfolio_unified(env, market, y, 0.0, 1.0)
-                                         .wealth_rounding)
+    dec = portfolio_unified(env, market, y, 0.0, 1.0)
+    return dec.wealth, float(dec.wealth_rounding)
 
 
 def mc_budget_check(env: PharaUtility, market: MarketParams, y: float,
@@ -156,19 +168,21 @@ def fd_portfolio_check(env: PharaUtility, market: MarketParams, y_star: float,
     step = _FD_STEP * market.theta_norm * math.sqrt(market.tau(t))
     x_t, up, dn = wealth_total(env, market, y_star, t,
                                xi_t * np.exp([0.0, step, -step]))
-    slope = (up - dn) / (2.0 * step)  # xi dX/dxi
     direction = market.risk_direction
-    pi_fd = -direction * slope
     pi = portfolio_general(env, market, y_star, t, xi_t)
-    noise = float(4.0 * np.finfo(float).eps * (1.0 + abs(x_t)) / (2.0 * step)
-                  * np.linalg.norm(direction))
-    scale = max(float(np.linalg.norm(pi)), noise / _FD_TOL)
-    err = float(np.linalg.norm(pi - pi_fd)) / scale
+    name = f"fd_portfolio_t={t:g}_xi={xi_t:g}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi_fd = -direction * ((up - dn) / (2.0 * step))  # the slope is xi dX/dxi
+        noise = float(4.0 * np.finfo(float).eps * (1.0 + abs(x_t)) / (2.0 * step)
+                      * np.linalg.norm(direction))
+        unit = _unit(float(np.abs(np.r_[pi, pi_fd]).max()))
+        norm, miss = (float(np.linalg.norm(v * unit)) / unit for v in (pi, pi - pi_fd))
+    if not math.isfinite(miss):
+        raise UnboundedDemand(f"{name}: the portfolio's norm does not fit a double")
+    err = miss / max(norm, noise / _FD_TOL)
     return VerificationReport(
-        name=f"fd_portfolio_t={t:g}_xi={xi_t:g}", computed=err, oracle=0.0,
-        tolerance=_FD_TOL, passed=err <= _FD_TOL,
-        detail={"t": t, "xi": xi_t, "step": step,
-                "portfolio_norm": float(np.linalg.norm(pi)),
+        name=name, computed=err, oracle=0.0, tolerance=_FD_TOL, passed=err <= _FD_TOL,
+        detail={"t": t, "xi": xi_t, "step": step, "portfolio_norm": norm,
                 "noise_floor": noise},
     )
 
@@ -182,7 +196,8 @@ def simulate_strategy(env: PharaUtility, market: MarketParams, y_star: float,
                       x0: float, n_paths: int, n_steps: int,
                       seed: int) -> float:
     """Euler scheme for the wealth SDE driven by the closed-form portfolio;
-    returns the root-mean-square gap to the exact terminal wealth.
+    returns the root-mean-square gap to the exact terminal wealth, squared in
+    units of 1 / _unit(its largest entry).
 
     The same Brownian draws feed both the simulated wealth and the exact
     terminal target, so the gap is pure discretization error (strong order
@@ -210,7 +225,13 @@ def simulate_strategy(env: PharaUtility, market: MarketParams, y_star: float,
         x = x + (market.r * x + excess @ pi) * dt + diffusion
         xi = xi * market.kernel(dt, market.theta @ dW)
 
-    return float(np.sqrt(np.mean((x - optimal_terminal_wealth(env, y_star, xi))**2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = x - optimal_terminal_wealth(env, y_star, xi)
+        unit = _unit(float(np.abs(gap).max()))
+        rms = float(np.sqrt(np.mean((gap * unit)**2))) / unit
+    if not math.isfinite(rms):
+        raise UnboundedDemand("simulate_order: the gap to the terminal wealth does not fit a double")
+    return rms
 
 
 def simulate_order_check(env: PharaUtility, market: MarketParams, y_star: float,

@@ -6,13 +6,17 @@ each of 14 bad values, or deleted.  Every mutant runs through ``solve``, the
 other commands with few paths and steps.  A run must exit 0, 1 or 2 without
 an escaped exception or a RuntimeWarning; a scenario the loader rejects must
 give exit 2 and one ``error:`` line that names the mutated field or a block
-holding it; every JSON artifact must be standard JSON.
+holding it; every JSON artifact must be standard JSON.  The named inputs,
+values at the edge of the doubles, run through every command and must exit
+0, or 2 with an error that names the part of the model at fault.
 """
 
 import json
 import random
 import re
 import warnings
+
+import pytest
 
 from conftest import SCENARIOS, same, strict_json
 from phara.cli import load_scenario, main
@@ -26,6 +30,23 @@ ARTIFACT = {"envelope": "envelope.json", "solve": "dual.json",
 OTHERS = (("envelope", "--grid", "5"), ("surface", "--grid", "5"),
           ("decompose", "--t", "0", "--xi", "1"), ("verify", "--paths", "200"),
           ("simulate", "--paths", "200", "--steps", "10"))
+GAINS = (0.999, 0.9995, 0.9999, 0.999999, 0.999999999)
+# name: (bundled scenario, edit of same.write_scenario, the text every exit-2
+# error names, or None where every command must exit 0)
+NAMED = {
+    # an exponential piece whose anchor_slope / alpha leaves the doubles
+    **{name: ("crra", {"utility": {"a0": 0, "pieces": [{"a_lo": 0, "R": "inf", "alpha": alpha,
+                                                        "anchor": {"x": 0, "u": -1, "slope": slope}}]}},
+              "utility.pieces[0]")
+       for name, alpha, slope in (("alpha_overflow", 1e-310, 1.0),
+                                  ("alpha_underflow", 1e200, 1e-300))},
+    # a gain branch so nearly linear that its support lines leave the doubles
+    **{f"{base}_gain_{gain}": (base, {"utility.preference.gain_exponent": gain},
+                               f"R = {1.0 - gain!r}")
+       for base in ("participating_contract", "hedge_fund") for gain in GAINS},
+    # wealth whose squares leave the doubles
+    "crra_x0_1e300": ("crra", {"x0": 1e300}, None),
+    "hedge_fund_x0_1e200": ("hedge_fund", {"x0": 1e200}, None)}
 
 
 def _leaves(node, path=()):
@@ -60,6 +81,33 @@ def _field_names(path):
     return names
 
 
+def _run(scenario, out, capsys, command, *flags):
+    """``command`` on scenario: its exit code, standard error and what is
+    wrong with the run, None when nothing is: an escaped exception, an exit
+    code not 0, 1 or 2, not one ``error:`` line on exit 2, or a JSON
+    artifact that is not standard JSON."""
+    artifact = out / ARTIFACT.get(command, "surface.csv")
+    artifact.unlink(missing_ok=True)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--scenario", str(scenario), "--out", str(out), *flags])
+    except Exception as exc:  # noqa: BLE001 -- every escape is a finding
+        capsys.readouterr()
+        return None, "", f"{type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    if code not in (0, 1, 2):
+        return code, err, f"exit {code}"
+    if code == 2 and not (err.startswith("error: ") and err.count("\n") == 1):
+        return code, err, f"stderr {err!r}"
+    if code != 2 and artifact.suffix == ".json":
+        try:
+            strict_json(artifact)
+        except ValueError as exc:
+            return code, err, f"{artifact.name}: {exc}"
+    return code, err, None
+
+
 def test_scenario_fuzz(tmp_path, capsys):
     rng = random.Random(20260810)
     scenario, out = tmp_path / "scenario.json", tmp_path / "out"
@@ -78,32 +126,24 @@ def test_scenario_fuzz(tmp_path, capsys):
             commands += [c for c in OTHERS if c not in commands]
         for command, *flags in commands:
             runs += 1
-            artifact = out / ARTIFACT.get(command, "surface.csv")
-            artifact.unlink(missing_ok=True)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    code = main([command, "--scenario", str(scenario), "--out", str(out),
-                                 *flags])
-            except Exception as exc:  # noqa: BLE001 -- every escape is a finding
-                failures.append(f"{label} {command}: {type(exc).__name__}: {exc}")
-                capsys.readouterr()
-                continue
-            err = capsys.readouterr().err
-            if code not in (0, 1, 2):
-                failures.append(f"{label} {command}: exit {code}")
-            elif code == 2 and not (err.startswith("error: ") and err.count("\n") == 1):
-                failures.append(f"{label} {command}: stderr {err!r}")
-            elif command == "solve" and rejected and code != 2:
-                failures.append(f"{label} {command}: the loader rejects, exit {code}")
-            elif command == "solve" and rejected and not any(
+            code, err, failure = _run(scenario, out, capsys, command, *flags)
+            if failure is None and command == "solve" and rejected and code != 2:
+                failure = f"the loader rejects, exit {code}"
+            elif failure is None and command == "solve" and rejected and not any(
                     re.search(rf"(?<![\w.]){re.escape(n)}(?!\w)", err)
                     for n in _field_names(path)):
-                failures.append(f"{label} {command}: field not named: {err.strip()}")
-            elif code != 2 and artifact.suffix == ".json":
-                try:
-                    strict_json(artifact)
-                except ValueError as exc:
-                    failures.append(f"{label} {command}: {artifact.name}: {exc}")
+                failure = f"field not named: {err.strip()}"
+            if failure is not None:
+                failures.append(f"{label} {command}: {failure}")
     assert runs > 2000
     assert not failures, f"{len(failures)} of {runs} runs:\n" + "\n".join(failures[:40])
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_input(tmp_path, capsys, name):
+    base, edit, named = NAMED[name]
+    scenario = same.write_scenario(tmp_path / "scenario.json", base, edit)
+    for command, *flags in (("solve",),) + OTHERS:
+        code, err, failure = _run(scenario, tmp_path / "out", capsys, command, *flags)
+        assert failure is None, f"{command}: {failure}"
+        assert code == 0 or named is not None and code == 2 and named in err, (command, err)

@@ -767,7 +767,7 @@ def test_phi_is_the_running_maximum(seed, market, frac, logs):
     # pieces' rows of the same normal.cdf call take no maximum.
     tab, logs = _tables(concave_envelope(random_raw_utility(seed)).envelope), np.array(logs)
     h = _horizon(market, frac * market.T, tab)
-    for t in (tab, replace(tab, log_slopes=tab.log_slopes[::-1])):
+    for t in (tab, tab._replace(log_slopes=tab.log_slopes[::-1])):
         D, R = _d1_outer(t.log_slopes, logs, h), t.R[t.crra, None]
         G = normal.cdf(D[t.crra_rungs] - np.repeat(h.s / R, 2, axis=0))
         power = t.C[t.crra, None] * np.exp(-logs / R) * h.growth * (G[1::2] - G[::2])
@@ -1073,7 +1073,7 @@ def test_failures_are_typed(seed, market, x0, t, x, log_xi, log_y, log_gap):
         except PharaError:
             continue
         if isinstance(out, PortfolioDecomposition):
-            arrays = [v for k, v in vars(out).items() if k not in ("terms", "families")]
+            arrays = [v for k, v in out._asdict().items() if k not in ("terms", "families")]
             arrays += [*out.terms.values(), *out.families.values()]
             assert all(np.all(np.isfinite(v)) for v in arrays)
         elif not isinstance(out, DualSolution):

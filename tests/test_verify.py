@@ -13,7 +13,7 @@ from phara.cli import main
 from phara.concavify import concave_envelope
 from phara.errors import StepTooCoarse
 from phara.market import build_market, sample_kernel_at
-from phara.solver import optimal_terminal_wealth, solve_multiplier
+from phara.solver import budget, optimal_terminal_wealth, solve_multiplier
 from phara.utility import piecewise_linear_payoff
 from phara.verify import (_CHUNK, _mc_check, argmax_oracle, fd_portfolio_check,
                           mc_budget_check, mc_martingale_check,
@@ -77,6 +77,8 @@ class TestMonteCarlo:
             rep = mc_budget_check(env, market, sol.y_star, 50_000, seed=314)
             assert rep.passed, rep
             assert rep.oracle == pytest.approx(sol.x0, abs=1e-9)
+            # the oracle is the point evaluator's wealth, the budget bit for bit
+            assert rep.oracle == budget(env, market, sol.y_star)
 
     def test_martingale(self, market, demo_envelope, demo_dual):
         for i, t in enumerate((2.5, 5.0, 7.5)):
@@ -106,21 +108,23 @@ class TestMonteCarlo:
         assert a == b
 
     @pytest.mark.parametrize("n", [2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
-    def test_streamed_mean_and_error(self, market, n):
+    @pytest.mark.parametrize("scale", [1.0, 2.0**900])
+    def test_streamed_mean_and_error(self, market, n, scale):
         # the chunks' running mean and sum of squared deviations give the
-        # one-pass figures of the whole sample, whose length crosses chunk edges
+        # one-pass figures of the whole sample, whose length crosses chunk
+        # edges; at an oracle of 2^900 the squares would leave the doubles
         rng = np.random.default_rng(n)
         level, spread = rng.uniform(-50.0, 50.0), rng.uniform(0.1, 10.0)
 
         def value(xi):
-            return (level + spread * np.sin(1e3 * xi)) / xi
-        rep = _mc_check("stream", market, 3.0, n, 17, value, 0.0, 0.0, {})
+            return scale * (level + spread * np.sin(1e3 * xi)) / xi
+        rep = _mc_check("stream", market, 3.0, n, 17, value, scale, 0.0, {})
         xi = sample_kernel_at(market, 3.0, n, 17)
-        v = xi * value(xi)
+        v = xi * value(xi) / scale
         assert rep.detail["paths"] == n
-        assert rep.computed == pytest.approx(np.mean(v), rel=1e-13)
+        assert rep.computed == pytest.approx(scale * np.mean(v), rel=1e-13)
         assert rep.detail["std_error"] == pytest.approx(
-            np.std(v, ddof=1) / math.sqrt(n), rel=1e-13)
+            scale * np.std(v, ddof=1) / math.sqrt(n), rel=1e-13)
 
     def test_memory_does_not_grow_with_paths(self, tmp_path):
         # the checks stream their paths: ten times the paths, the same peak

@@ -12,12 +12,8 @@ verification failure, 2 input error.  No artifact is written unless the
 evaluation returns.  Every command takes any number of risky assets.
 
 Run as the program (``phara`` or ``python -m phara.cli``, so ``main()`` gets
-no ``argv``), ``main`` first settles the process for one command and exit:
-it freezes the import-time objects out of the garbage collector, which then
-skips them in every collection, the final one at exit included, and on glibc
-it keeps freed heap pages for reuse instead of handing numpy's temporaries
-back to the kernel and faulting them in afresh on the next call.  ``main(argv)``
-and the library change neither.
+no ``argv``), ``main`` first settles the process for one command and exit
+(``_settle_process``); ``main(argv)`` and the library change neither.
 """
 
 from __future__ import annotations
@@ -340,7 +336,8 @@ def _settle_process() -> None:
     """Settings for a process that runs one command and exits.
 
     ``gc.freeze()`` puts every object alive now (the imports) out of the
-    collector's reach.  The two ``mallopt`` values make glibc serve blocks
+    collector's reach, in every collection, the final one at exit included.
+    The two ``mallopt`` values make glibc serve blocks
     below 32 MiB from the heap and keep up to 1 GiB of freed heap, so numpy's
     temporaries reuse pages already mapped; setting either value turns off
     glibc's own moving threshold, and the trim threshold alone would map

@@ -130,7 +130,6 @@ class _Sweep:
         def walk(s, factor, done, fault):  # s, s factor, s factor^2, ...
             return _walk(gap, s, gap(s), lambda s: s * factor, done,
                          lambda s, g: NoConvergence(fault))[-1]
-
         if s_lo is not None:
             g_lo = gap(s_lo)
             if g_lo >= 0.0:

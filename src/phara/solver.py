@@ -429,35 +429,16 @@ def portfolio_unified(env: PharaUtility, market: MarketParams, y_star: float,
 # ---------------------------------------------------------------------------
 
 
-def _wealth_ladder(env: PharaUtility, market: MarketParams, y_star: float,
-                   t: float, x: np.ndarray, u_cap: float):
-    """X_t on rungs u = log xi = 0, -+_RUNG, ... down to X > max(x), up to
-    X < min(x) or the last rung under u_cap, each way by :func:`_walk`."""
-    def wealth(u):
-        return wealth_total(env, market, y_star, t, math.exp(u))
-
-    def fail(u, x_t):
-        return UnboundedDemand(f"wealth inversion found no bracket: X_t is {x_t:.6g} "
-                               f"at xi = e^{u:g}")
-    x_0 = wealth(0.0)
-    down = _walk(wealth, 0.0, x_0, lambda u: u - _RUNG, lambda u, x_t: not x_t <= x.max(), fail)
-    up = _walk(wealth, 0.0, x_0, lambda u: u + _RUNG,
-               lambda u, x_t: not (x_t >= x.min() and u + _RUNG <= u_cap), fail)
-    return np.array(down[:0:-1] + up).T
-
-
 def _walk(f, x, f_x, step, done, fail):
-    """The bracket walk of every monotone root: the points x, step(x),
-    step(step(x)), ... as (x, f(x)) pairs, f_x being f(x) at the first,
-    up to the first pair where done(x, f(x)) holds; fail(x, f(x)) at the
-    last pair is raised when _MAX_EXPAND steps do not get there."""
+    """The bracket walk of every monotone root: the points x, step(x), ... with
+    their values, f_x at x, up to the first (x, f(x)) where done(x, f(x))
+    holds; fail(x, f(x)) of the last is raised after _MAX_EXPAND steps."""
     points = [(x, f_x)]
-    while not done(x, f_x):
+    while not done(*points[-1]):
         if len(points) > _MAX_EXPAND:
-            raise fail(x, f_x)
+            raise fail(*points[-1])
         x = step(x)
-        f_x = f(x)
-        points.append((x, f_x))
+        points.append((x, f(x)))
     return points
 
 
@@ -517,9 +498,9 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
     floor, and levels not below X_t on the last ladder rung under xi_cap, map
     to a finite xi_cap; with no cap to saturate at, such a level raises
     InfeasibleBudget.
-    The rest are bracketed by rungs and solved by :func:`_newton_root` in
-    u = log xi with dX/du = -(delta-hedge scalar); it bisects where wealth is
-    flat near the floor.
+    The rest are bracketed by rungs, each way by :func:`_walk`, and solved by
+    :func:`_newton_root` in u = log xi with dX/du = -(delta-hedge scalar); it
+    bisects where wealth is flat near the floor.
     """
     tab = _tables(env)
     floor, ceiling = wealth_bounds(env, market, t)
@@ -534,9 +515,18 @@ def state_price_for_wealth(env: PharaUtility, market: MarketParams,
                                f"below the ceiling e^(-r(T-t)) a_f = {ceiling}, where the "
                                "envelope is flat from a_f")
     live = np.flatnonzero(attainable)
-    if live.size:
-        rung_u, rung_X = _wealth_ladder(env, market, y_star, t, xs[live],
-                                        math.log(xi_cap))
+    if live.size:  # X_t on rungs u = log xi = 0, -+_RUNG, ... to X above and below every level
+        def wealth(u):
+            return wealth_total(env, market, y_star, t, math.exp(u))
+
+        def fail(u, x_t):
+            return UnboundedDemand(f"wealth inversion found no bracket: X_t is {x_t:.6g} "
+                                   f"at xi = e^{u:g}")
+        x_0, u_cap, x_lo, x_hi = wealth(0.0), math.log(xi_cap), xs[live].min(), xs[live].max()
+        down = _walk(wealth, 0.0, x_0, lambda u: u - _RUNG, lambda u, x_t: not x_t <= x_hi, fail)
+        up = _walk(wealth, 0.0, x_0, lambda u: u + _RUNG,  # or to the last rung under xi_cap
+                   lambda u, x_t: not (x_t >= x_lo and u + _RUNG <= u_cap), fail)
+        rung_u, rung_X = np.array(down[:0:-1] + up).T
         h = _horizon(market, t, tab)  # after the rungs, which raise its IllegalCase first
         k = np.searchsorted(-rung_X, -xs[live], side="right")  # first X < x
         live, k = live[k < rung_u.size], k[k < rung_u.size]

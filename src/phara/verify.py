@@ -89,9 +89,8 @@ def argmax_oracle(utility: PharaUtility, y: float, xi_T: float) -> float:
 
 
 def _unit(magnitude: float) -> float:
-    """The power of two that brings |magnitude| below 2^400, 1 where it is below: a
-    square of a number that size, or a sum of 2^200 such squares, fits a double, and
-    scaling by a power of two is exact."""
+    """The power of two that scales |magnitude| below 2^400, 1 where it is: the
+    squares of numbers that size, and sums of 2^200 of them, fit a double."""
     return 2.0 ** -max(0, math.frexp(magnitude)[1] - 400)
 
 
@@ -100,24 +99,21 @@ def _mc_check(name: str, market: MarketParams, t: float, n_paths: int, seed: int
     """Mean of xi_t value(xi_t) over n_paths draws of xi_t against the oracle; passes
     within 3 standard errors, or the oracle's rounding where wider (a constant xi_t X_t,
     as for log utility).  Chunks of _CHUNK paths fold into a running mean and sum of squared
-    deviations (Chan et al.'s pairwise update), so memory does not grow with n_paths; the
-    deviations are squared in units of 1 / _unit(oracle), and UnboundedDemand names the
-    check where even so the mean or the sum does not fit a double."""
+    deviations (Chan et al.'s pairwise update) in units of 1 / _unit(oracle), so memory does
+    not grow with n_paths and no square overflows; UnboundedDemand where the sum does."""
     if not n_paths >= 2:
         raise BadDimension(f"a standard error needs at least 2 paths, got {n_paths}")
     count, mean, m2, unit = 0, 0.0, 0.0, _unit(oracle)
     for start in range(0, n_paths, _CHUNK):
         xi = sample_kernel_at(market, t, min(_CHUNK, n_paths - start), seed, start)
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = xi * value(xi)
-            size, v_mean = v.size, float(np.mean(v))
-            delta, count = v_mean - mean, count + size
-            mean += delta * size / count
-            d = delta * unit
-            m2 += float(np.sum(((v - v_mean) * unit) ** 2)) + d * d * (count - size) * size / count
-    if not (math.isfinite(mean) and math.isfinite(m2)):
-        raise UnboundedDemand(f"{name}: the sample's mean or spread does not fit a double")
-    se = math.sqrt(m2 / (count - 1)) / math.sqrt(count) / unit
+        v = xi * value(xi) * unit
+        size, v_mean = v.size, float(np.mean(v))
+        delta, count = v_mean - mean, count + size
+        mean += delta * size / count
+        m2 += float(np.sum((v - v_mean) ** 2)) + delta * delta * (count - size) * size / count
+    mean, se = mean / unit, math.sqrt(m2 / (count - 1)) / math.sqrt(count) / unit
+    if not math.isfinite(se):
+        raise UnboundedDemand(f"{name}: the sample's spread does not fit a double")
     tolerance = max(3.0 * se, rounding)
     return VerificationReport(
         name=name, computed=mean, oracle=oracle, tolerance=tolerance,
@@ -168,20 +164,20 @@ def fd_portfolio_check(env: PharaUtility, market: MarketParams, y_star: float,
     step = _FD_STEP * market.theta_norm * math.sqrt(market.tau(t))
     x_t, up, dn = wealth_total(env, market, y_star, t,
                                xi_t * np.exp([0.0, step, -step]))
+    slope = (up - dn) / (2.0 * step)  # xi dX/dxi
     direction = market.risk_direction
+    pi_fd = -direction * slope
     pi = portfolio_general(env, market, y_star, t, xi_t)
-    name = f"fd_portfolio_t={t:g}_xi={xi_t:g}"
-    with np.errstate(over="ignore", invalid="ignore"):
-        pi_fd = -direction * ((up - dn) / (2.0 * step))  # the slope is xi dX/dxi
-        noise = float(4.0 * np.finfo(float).eps * (1.0 + abs(x_t)) / (2.0 * step)
-                      * np.linalg.norm(direction))
-        unit = _unit(float(np.abs(np.r_[pi, pi_fd]).max()))
-        norm, miss = (float(np.linalg.norm(v * unit)) / unit for v in (pi, pi - pi_fd))
-    if not math.isfinite(miss):
-        raise UnboundedDemand(f"{name}: the portfolio's norm does not fit a double")
-    err = miss / max(norm, noise / _FD_TOL)
+    noise = float(4.0 * np.finfo(float).eps * (1.0 + abs(x_t)) / (2.0 * step)
+                  * np.linalg.norm(direction))
+    unit = _unit(float(np.abs(np.r_[pi, pi_fd]).max()))  # so that no square overflows
+    norm = float(np.linalg.norm(pi * unit)) / unit
+    err = float(np.linalg.norm((pi - pi_fd) * unit)) / unit / max(norm, noise / _FD_TOL)
+    if not math.isfinite(err):
+        raise UnboundedDemand(f"fd_portfolio_t={t:g}_xi={xi_t:g}: the delta does not fit a double")
     return VerificationReport(
-        name=name, computed=err, oracle=0.0, tolerance=_FD_TOL, passed=err <= _FD_TOL,
+        name=f"fd_portfolio_t={t:g}_xi={xi_t:g}", computed=err, oracle=0.0,
+        tolerance=_FD_TOL, passed=err <= _FD_TOL,
         detail={"t": t, "xi": xi_t, "step": step, "portfolio_norm": norm,
                 "noise_floor": noise},
     )
@@ -225,13 +221,9 @@ def simulate_strategy(env: PharaUtility, market: MarketParams, y_star: float,
         x = x + (market.r * x + excess @ pi) * dt + diffusion
         xi = xi * market.kernel(dt, market.theta @ dW)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = x - optimal_terminal_wealth(env, y_star, xi)
-        unit = _unit(float(np.abs(gap).max()))
-        rms = float(np.sqrt(np.mean((gap * unit)**2))) / unit
-    if not math.isfinite(rms):
-        raise UnboundedDemand("simulate_order: the gap to the terminal wealth does not fit a double")
-    return rms
+    gap = x - optimal_terminal_wealth(env, y_star, xi)
+    unit = _unit(float(np.abs(gap).max()))
+    return float(np.sqrt(np.mean((gap * unit)**2))) / unit
 
 
 def simulate_order_check(env: PharaUtility, market: MarketParams, y_star: float,
@@ -242,6 +234,8 @@ def simulate_order_check(env: PharaUtility, market: MarketParams, y_star: float,
     fine = simulate_strategy(env, market, y_star, x0, n_paths, 4 * steps,
                              seed + 1)
     ratio = fine / coarse
+    if not math.isfinite(ratio):
+        raise UnboundedDemand(f"simulate_order: the gap ratio {fine} / {coarse} is not finite")
     return VerificationReport(
         name="simulate_order", computed=ratio, oracle=0.5,
         tolerance=0.15, passed=0.35 <= ratio <= 0.65,

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bundled, deriv, same, scale_shift
+from conftest import CONTRACT, bundled, deriv, same, scale_shift
 from corpora import (cara_parts, cara_utility, crra_utility, random_concave_envelope,
                      random_raw_utility)
 from phara import concavify
-from phara.cli import _parse_utility
+from phara.cli import _parse_utility, load_scenario
 from phara.concavify import concave_envelope
 from phara.errors import NoConvergence, PharaError, UnboundedEnvelope
 from phara.utility import (INF, PharaPiece, PharaUtility, compose, piecewise_linear_payoff,
@@ -131,6 +131,17 @@ class TestContractEnvelope:
         assert contract_envelope.chords == ((0.0, pytest.approx(2.0, abs=1e-9),
                                         pytest.approx(0.5, abs=1e-12)),)
         assert env.kinks() == pytest.approx([0.0, 2.5], abs=1e-9)
+
+    @pytest.mark.parametrize("gain", [0.999, 0.9995, 0.9999, 0.999999, 0.999999999])
+    def test_nearly_linear_gain_branch(self, tmp_path, gain):
+        # the branch (0.88 (x - A2))^gain above 2.5 is so nearly linear that
+        # the first slopes the bracket walk tries touch it beyond the doubles;
+        # the chord from (0, 0) still meets it at A2 / (1 - gain)
+        path = same.write_scenario(tmp_path / "s.json", "participating_contract",
+                                   {"utility.preference.gain_exponent": gain})
+        res = concave_envelope(load_scenario(path).utility)
+        assert [c[:2] for c in res.chords] == [
+            (0.0, pytest.approx(analytic_tangency(0.0, CONTRACT.A2, gain), rel=1e-6))]
 
 
 class TestGeneralProperties:
@@ -468,7 +479,7 @@ class TestSweepEdges:
 
     def test_tangency_shallower_than_the_bracket_search(self):
         # 1e-150 (x - 1)^{1/2} after a flat: the tangent from the flat's
-        # start has slope 5e-151, beyond the 4^-200 range of the downward search
+        # start has slope 5e-151, beyond the 4^-201 range of the downward search
         flat = PharaPiece(a_lo=0.0, a_hi=1.0, R=0.0, anchor_x=0.0, anchor_u=0.0,
                           anchor_slope=0.0)
         arc = PharaPiece(a_lo=1.0, a_hi=INF, R=0.5, A=1.0, anchor_x=2.0,

@@ -13,8 +13,9 @@ one normal.cdf call per pass on the rungs it reads.  :func:`portfolio_unified`
 is the one point evaluator: from one pass over the ladder it returns the
 weights, the wealth's five families, the wealth and the portfolio.  Every
 evaluator runs in one driver, :func:`_evaluate`, which raises UnboundedDemand
-where a result does not fit a double.  One Newton-bisection root-finder
-serves the dual multiplier, the wealth inversion and the tangent search.
+where a result does not fit a double.  One bracket walk and one
+Newton-bisection root-finder serve the dual multiplier, the wealth
+inversion and the tangent search.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .market import MarketParams
 from .utility import INF, PharaUtility, same_slope
 
 _BUDGET_RTOL = 1e-10
-_MAX_EXPAND = 200
+_MAX_EXPAND = 200  # steps of a bracket walk
 _RUNG = 2.0  # spacing in log xi of the wealth inversion's ladder
 _NEWTON_ITERS = 100
 _NEWTON_STEPS = 20  # then bisection, which a steep map cannot make creep

@@ -108,11 +108,10 @@ class TestMonteCarlo:
         assert a == b
 
     @pytest.mark.parametrize("n", [2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
-    @pytest.mark.parametrize("scale", [1.0, 2.0**900])
-    def test_streamed_mean_and_error(self, market, n, scale):
+    def test_streamed_mean_and_error(self, market, n, scale=1.0):
         # the chunks' running mean and sum of squared deviations give the
         # one-pass figures of the whole sample, whose length crosses chunk
-        # edges; at an oracle of 2^900 the squares would leave the doubles
+        # edges, at the values' scale
         rng = np.random.default_rng(n)
         level, spread = rng.uniform(-50.0, 50.0), rng.uniform(0.1, 10.0)
 
@@ -125,6 +124,11 @@ class TestMonteCarlo:
         assert rep.computed == pytest.approx(scale * np.mean(v), rel=1e-13)
         assert rep.detail["std_error"] == pytest.approx(
             scale * np.std(v, ddof=1) / math.sqrt(n), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, _CHUNK + 1])
+    def test_streamed_at_a_huge_oracle(self, market, n):
+        # at an oracle of 2^900 the squared deviations would leave the doubles
+        self.test_streamed_mean_and_error(market, n, 2.0**900)
 
     def test_memory_does_not_grow_with_paths(self, tmp_path):
         # the checks stream their paths: ten times the paths, the same peak

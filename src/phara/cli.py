@@ -1,19 +1,18 @@
 """Scenario-driven command line: envelope, solve, surface, decompose, verify, simulate.
 
-A scenario is a JSON file holding the market block, the utility (explicit
-piece list or a preference composed with a piecewise-linear payoff), the
-initial wealth, grids, and reproducibility knobs.  ``main`` runs every
-command through one pipeline: check --grid and --steps, load the scenario,
-make the output directory, build the concave envelope, solve the dual for y*
-(all but ``envelope``), evaluate (``cmd_<name>``, which also runs the checks
-of its own flags: decompose's --x and --xi), write the JSON/CSV artifacts
-the evaluation returned, and return its exit code: 0 success, 1
-verification failure, 2 input error.  No artifact is written unless the
-evaluation returns.  Every command takes any number of risky assets.
+A scenario is a JSON file holding the market block, the utility (explicit piece
+list or a preference composed with a piecewise-linear payoff), the initial
+wealth, grids, and reproducibility knobs.  ``main`` runs every command through
+one pipeline: check the count flags (--grid, --steps, --seed, --paths), load
+the scenario, put --seed and --paths in it, make the output directory, build
+the concave envelope, solve the dual for y* (all but ``envelope``), evaluate
+(``cmd_<name>``, which checks its own flags: decompose's --x and --xi), write
+the JSON/CSV artifacts the evaluation returned, and return its exit code: 0
+success, 1 verification failure, 2 input error.  No artifact is written unless
+the evaluation returns.  Every command takes any number of risky assets.
 
-Run as the program (``phara`` or ``python -m phara.cli``, so ``main()`` gets
-no ``argv``), ``main`` first settles the process for one command and exit
-(``_settle_process``); ``main(argv)`` and the library change neither.
+``run`` is the program (``phara`` or ``python -m phara.cli``): it settles the
+process for one command and exit, then calls ``main``, which never does.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ def _parse_utility(value, path: str = "utility") -> PharaUtility:
     raise BadDimension(f"{path} needs either 'pieces' or 'preference' and 'payoff'")
 
 
-def _scenario(path, flags: dict) -> Scenario:
+def _scenario(path) -> Scenario:
     try:
         text = json.loads(Path(path).read_text())
     except ValueError as exc:  # not JSON, or not UTF-8
@@ -170,11 +169,10 @@ def _scenario(path, flags: dict) -> Scenario:
                            for row in mb.get("sigma", "list")],  # each row: a list
                     T=mb.get("T"))
     wealth = grids.get("wealth", "object", None)
-    counts = {key: raw.get(key, "count", default, **spec) for key, default, spec
-              in (("seed", 0, _SEED), ("paths", 100_000, _SIZE)) if key not in flags}
     return Scenario(
         market=market, utility=_parse_utility(raw.get("utility", "object").data),
-        x0=raw.get("x0", **_FINITE), **counts, **flags,
+        x0=raw.get("x0", **_FINITE), seed=raw.get("seed", "count", 0, **_SEED),
+        paths=raw.get("paths", "count", 100_000, **_SIZE),
         t_grid=tuple(grids.get("t", "numbers", [0.0], lambda t: 0.0 <= t < market.T,
                                    f"finite and in [0, {market.T}) (market.T)")),
         wealth_grid=wealth and WealthGrid(
@@ -182,13 +180,10 @@ def _scenario(path, flags: dict) -> Scenario:
             n=wealth.get("n", "count", None, **_SIZE)))
 
 
-def load_scenario(path, seed_override=None, paths_override=None) -> Scenario:
+def load_scenario(path) -> Scenario:
     """The scenario file at ``path``; an input error is a PharaError whose
     message starts with "malformed scenario <path>:" and names the field."""
-    flags = {key: _check(flag, f"--{key}", "count", **spec) for key, flag, spec
-             in (("seed", seed_override, _SEED), ("paths", paths_override, _SIZE))
-             if flag is not None}
-    return _build(f"malformed scenario {path}", _scenario, path, flags)
+    return _build(f"malformed scenario {path}", _scenario, path)
 
 
 def _strict(value):
@@ -354,8 +349,6 @@ def _settle_process() -> None:
 
 
 def main(argv=None) -> int:
-    if argv is None:  # run as the program
-        _settle_process()
     parser = argparse.ArgumentParser(
         prog="phara",
         description="Closed-form optimal portfolios for piecewise-HARA utilities",
@@ -376,10 +369,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        for name in ("grid", "steps"):
-            _check(getattr(args, name), f"--{name}", "count", **_SIZE)
-        scn = load_scenario(args.scenario, seed_override=args.seed,
-                            paths_override=args.paths)
+        for key, spec in (("grid", _SIZE), ("steps", _SIZE), ("seed", _SEED), ("paths", _SIZE)):
+            if getattr(args, key) is not None:  # an unset --seed or --paths keeps the file's
+                _check(getattr(args, key), f"--{key}", "count", **spec)
+        flags = {k: v for k, v in vars(args).items() if k in ("seed", "paths") and v is not None}
+        scn = load_scenario(args.scenario)._replace(**flags)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         res = concave_envelope(scn.utility)
@@ -394,5 +388,11 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The ``phara`` program: ``main`` on the command line, in a settled process."""
+    _settle_process()
+    return main(sys.argv[1:])
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import ROOT, SCENARIOS, same, strict_json as _strict_json
+from phara import cli
 from phara.cli import _check, _parse_utility, _settle_process, load_scenario, main
 from phara.concavify import concave_envelope
 from phara.errors import BadDimension, PharaError
@@ -666,8 +667,8 @@ assert not loaded, loaded
 
 
 class TestProcessSettings:
-    """``main()`` run as the program freezes the collector and sets glibc's
-    malloc thresholds; ``main(argv)`` leaves the process alone."""
+    """``run()``, the program, freezes the collector and sets glibc's malloc
+    thresholds; ``main()`` and ``main(argv)`` leave the process alone."""
 
     @pytest.fixture(autouse=True)
     def mallopt_calls(self, monkeypatch):
@@ -702,12 +703,16 @@ class TestProcessSettings:
         _settle_process()
         assert gc.get_freeze_count() > 0
 
-    def test_main_as_the_program(self, tmp_path, monkeypatch, mallopt_calls):
+    @pytest.mark.parametrize("program, settled", [(cli.run, True), (main, False)],
+                             ids=["run", "main"])
+    def test_command_line(self, tmp_path, monkeypatch, mallopt_calls, program, settled):
+        # both read the command from sys.argv; only run() settles the process
         monkeypatch.setattr(sys, "argv", [
             "phara", "solve", "--scenario", str(SCENARIOS / "crra.json"),
             "--out", str(tmp_path)])
-        assert main() == 0
-        assert gc.get_freeze_count() > 0 and len(mallopt_calls) == 2
+        frozen = gc.get_freeze_count()
+        assert program() == 0
+        assert (gc.get_freeze_count() > frozen, len(mallopt_calls)) == (settled, 2 * settled)
 
     def test_main_with_argv(self, tmp_path, mallopt_calls):
         frozen = gc.get_freeze_count()

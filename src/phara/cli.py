@@ -23,6 +23,7 @@ import gc
 import json
 import math
 import sys
+from collections import Counter
 from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -48,6 +49,8 @@ _FINITE = {"ok": math.isfinite, "rule": "finite"}
 _SIZE = {"ok": lambda n: 2 <= n <= 10**8, "rule": ">= 2, at most 10^8 and integral"}
 # the commands key Philox (uint64) with seeds up to seed + 3
 _SEED = {"ok": lambda s: 0 <= s < 2**64 - 3, "rule": "in [0, 2^64 - 4] and integral"}
+# fields of earlier versions, still accepted and ignored
+_DROPPED = ("utility.a0_included", "grids.wealth.discounted")
 
 
 def _check(value, field: str, kind: str, ok=None, rule: str | None = None):
@@ -65,9 +68,41 @@ def _check(value, field: str, kind: str, ok=None, rule: str | None = None):
     else:
         parsed = value if isinstance(value, _TYPES[kind]) else None
     if parsed is None or (ok is not None and not ok(parsed)):
-        got = {list: "a list", dict: "an object"}.get(type(value)) or json.dumps(value)
+        got = ("a list" if isinstance(value, list) else "an object" if isinstance(value, dict)
+               else json.dumps(value))
         raise BadDimension(f"{field} must be {rule or _NOUNS[kind]}, got {got}")
     return parsed
+
+
+class _Object(dict):
+    """A JSON object of a scenario file, which keeps the keys the file
+    repeats (their last value is the one read) and the keys read from it."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.repeated = {key for key, n in Counter(key for key, _ in pairs).items() if n > 1}
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _check_keys(value, path: str) -> None:
+    """A BadDimension naming the first key, in file order, of the JSON
+    ``value`` at ``path`` that the file repeats or that no field read."""
+    if isinstance(value, list):
+        for i, entry in enumerate(value):
+            _check_keys(entry, f"{path}[{i}]")
+    elif isinstance(value, _Object):
+        for key, entry in value.items():
+            name = f"{path}.{key}" if path else key
+            if key in value.repeated:
+                raise BadDimension(f"{name} is repeated")
+            if key in value.read:
+                _check_keys(entry, name)
+            elif name not in _DROPPED:
+                raise BadDimension(f"{name} is not used")
 
 
 class _Fields:
@@ -158,7 +193,7 @@ def _parse_utility(value, path: str = "utility") -> PharaUtility:
 
 def _scenario(path) -> Scenario:
     try:
-        text = json.loads(Path(path).read_text())
+        text = json.loads(Path(path).read_text(), object_pairs_hook=_Object)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise BadDimension(f"not JSON: {exc}") from exc
     raw = _Fields(text, "")
@@ -169,7 +204,7 @@ def _scenario(path) -> Scenario:
                            for row in mb.get("sigma", "list")],  # each row: a list
                     T=mb.get("T"))
     wealth = grids.get("wealth", "object", None)
-    return Scenario(
+    scenario = Scenario(
         market=market, utility=_parse_utility(raw.get("utility", "object").data),
         x0=raw.get("x0", **_FINITE), seed=raw.get("seed", "count", 0, **_SEED),
         paths=raw.get("paths", "count", 100_000, **_SIZE),
@@ -178,6 +213,8 @@ def _scenario(path) -> Scenario:
         wealth_grid=wealth and WealthGrid(
             lo=wealth.get("lo", **_FINITE), hi=wealth.get("hi", **_FINITE),
             n=wealth.get("n", "count", None, **_SIZE)))
+    _check_keys(text, "")  # once every field is read
+    return scenario
 
 
 def load_scenario(path) -> Scenario:

@@ -116,6 +116,17 @@ def d1(z, market, t: float):
     return float(out) if out.ndim == 0 else out
 
 
+def crra_multiplier(market, R: float, x0: float) -> float:
+    """y* of U = x^(1-R) / (1-R) at initial wealth x0, in closed form: the
+    budget E[xi_T (y xi_T)^(-1/R)] = y^(-1/R) G with G = E[xi_T^beta], beta =
+    1 - 1/R, the lognormal moment exp(-beta (r + |theta|^2/2) T + beta^2
+    |theta|^2 T / 2), so y* = (x0 / G)^(-R)."""
+    beta, th = 1.0 - 1.0 / R, market.theta_norm
+    growth = math.exp(-beta * (market.r + 0.5 * th * th) * market.T
+                      + 0.5 * beta * beta * th * th * market.T)
+    return (x0 / growth) ** (-R)
+
+
 def deriv(u: PharaUtility, x: float, side: str = "right") -> float:
     """One-sided derivative of u at x, side "left" or "right"; at a_k the left
     side reads piece k-1 and the right side piece k, and the left slope at a0

@@ -10,7 +10,8 @@ import types
 import numpy as np
 import pytest
 
-from conftest import ROOT, SCENARIOS, same, strict_json as _strict_json
+from conftest import (ROOT, SCENARIOS, bundled, crra_multiplier, same,
+                      strict_json as _strict_json)
 from phara import cli
 from phara.cli import _check, _parse_utility, _settle_process, load_scenario, main
 from phara.concavify import concave_envelope
@@ -41,6 +42,14 @@ class TestScenarioIO:
                     "--grid", "7"]) == 0
         rows = (tmp_path / "surface.csv").read_text().splitlines()[1:]
         assert len(rows) == 7 * len(scn.t_grid)
+
+    def test_dropped_wealth_grid_key_is_ignored(self, tmp_path):
+        # grids.wealth.discounted, a flag of earlier versions, loads as the
+        # file without it (a market compares by identity)
+        path = same.write_scenario(tmp_path / "old.json", "multi_kink_demo",
+                                   {"grids.wealth.discounted": True})
+        assert (load_scenario(path)._replace(market=None)
+                == bundled("multi_kink_demo")._replace(market=None))
 
 
 class TestEnvelopeCommand:
@@ -96,12 +105,8 @@ class TestSolveCommand:
         assert run(["solve", "--scenario", SCENARIOS / "crra.json",
                     "--out", tmp_path]) == 0
         sol = json.loads((tmp_path / "dual.json").read_text())
-        R, x0 = 0.5, 10.0
-        beta = 1.0 - 1.0 / R
-        th = market.theta_norm
-        growth = math.exp(-beta * (market.r + 0.5 * th * th) * market.T
-                          + 0.5 * beta * beta * th * th * market.T)
-        assert sol["y_star"] == pytest.approx((x0 / growth) ** (-R), rel=1e-9)
+        x0 = 10.0  # crra.json: R = 0.5
+        assert sol["y_star"] == pytest.approx(crra_multiplier(market, 0.5, x0), rel=1e-9)
         assert abs(sol["budget_residual"]) <= 1e-10 * x0
 
     @pytest.mark.parametrize("included", [False, True])
@@ -503,6 +508,36 @@ class TestErrorPaths:
         bad = same.write_scenario(tmp_path / "bad.json", "crra", {"seed": -5})
         self._input_error(["verify", "--scenario", bad, "--out", tmp_path],
                           capsys)
+
+    @pytest.mark.parametrize("field, value, flags", [("seed", -5, ["--seed", "3"]),
+                                                     ("paths", 1, [])], ids=["seed", "paths"])
+    def test_file_count_malformed_under_its_flag(self, tmp_path, capsys, field, value, flags):
+        # the flag replaced the file's value unread, so a malformed one loaded
+        bad = same.write_scenario(tmp_path / "bad.json", "crra", {field: value})
+        err = self._input_error(["verify", "--scenario", bad, "--out", tmp_path,
+                                 "--paths", "2000", *flags], capsys)
+        assert err.startswith(f"error: malformed scenario {bad}: {field} must be")
+
+    @pytest.mark.parametrize("base, edit, field", [
+        ("crra", {"sede": 7}, "sede"),
+        ("hedge_fund", {"utility.preference.referense": 1.0}, "utility.preference.referense"),
+    ], ids=["top_level", "nested"])
+    def test_unused_key(self, tmp_path, capsys, base, edit, field):
+        # a key the reader does not know was ignored: a misspelt field loaded
+        # as its default
+        bad = same.write_scenario(tmp_path / "bad.json", base, edit)
+        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path], capsys)
+        assert err == f"error: malformed scenario {bad}: {field} is not used\n"
+
+    @pytest.mark.parametrize("key, field", [('"x0"', "x0"),
+                                            ('"u"', "utility.pieces[0].anchor.u")],
+                             ids=["top_level", "nested"])
+    def test_repeated_key(self, tmp_path, capsys, key, field):
+        # the last value of a repeated key was read, the others dropped
+        bad = same.write_scenario(tmp_path / "bad.json", "crra")
+        bad.write_text(bad.read_text().replace(f"{key}: ", f"{key}: 3.0, {key}: ", 1))
+        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path], capsys)
+        assert err == f"error: malformed scenario {bad}: {field} is repeated\n"
 
     @pytest.mark.parametrize("edit", [{"market.mu": 0.086}, {"utility": 3}, None],
                              ids=["mu", "utility", "top_level_list"])

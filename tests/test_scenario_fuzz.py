@@ -6,9 +6,11 @@ each of 14 bad values, or deleted.  Every mutant runs through ``solve``, the
 other commands with few paths and steps.  A run must exit 0, 1 or 2 without
 an escaped exception or a RuntimeWarning; a scenario the loader rejects must
 give exit 2 and one ``error:`` line that names the mutated field or a block
-holding it; every JSON artifact must be standard JSON.  The named inputs,
-values at the edge of the doubles, run through every command and must exit
-0, or 2 with an error that names the part of the model at fault.
+holding it; every JSON artifact must be standard JSON.  Every key of the
+bundled scenarios, renamed, must give exit 2 from ``solve`` with an error
+that names the renamed key, or the key or a block holding it.  The named
+inputs, values at the edge of the doubles, run through every command and
+must exit 0, or 2 with an error that names the part of the model at fault.
 """
 
 import json
@@ -66,6 +68,17 @@ def _leaves(node, path=()):
         yield path
 
 
+def _keys(node, path=()):
+    """The path of every object key in node, a block's before its own keys."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield path + (key,)
+            yield from _keys(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _keys(child, path + (i,))
+
+
 def _mutants():
     """(bundled scenario, leaf path, value, edit of same.write_scenario) for
     every leaf and bad value; a short surface axis of 5 points, the values
@@ -88,6 +101,11 @@ def _field_names(path):
             name = f"{name}.{key}" if name else key
         names.append(name)
     return names
+
+
+def _names(err: str, names) -> bool:
+    """Whether err names one of the fields ``names``, not only a longer one."""
+    return any(re.search(rf"(?<![\w.]){re.escape(n)}(?!\w)", err) for n in names)
 
 
 def _run(scenario, out, capsys, command, *flags):
@@ -138,14 +156,33 @@ def test_scenario_fuzz(tmp_path, capsys):
             code, err, failure = _run(scenario, out, capsys, command, *flags)
             if failure is None and command == "solve" and rejected and code != 2:
                 failure = f"the loader rejects, exit {code}"
-            elif failure is None and command == "solve" and rejected and not any(
-                    re.search(rf"(?<![\w.]){re.escape(n)}(?!\w)", err)
-                    for n in _field_names(path)):
+            elif failure is None and command == "solve" and rejected and not _names(
+                    err, _field_names(path)):
                 failure = f"field not named: {err.strip()}"
             if failure is not None:
                 failures.append(f"{label} {command}: {failure}")
     assert runs > 2000
     assert not failures, f"{len(failures)} of {runs} runs:\n" + "\n".join(failures[:40])
+
+
+@pytest.mark.parametrize("name", same.BUNDLED)
+def test_renamed_key(tmp_path, capsys, name):
+    # a key the reader does not know was ignored: a misspelt optional field
+    # loaded as its default
+    raw, failures = json.loads((SCENARIOS / f"{name}.json").read_text()), []
+    for path in _keys(raw):
+        key, value = ".".join(map(str, path)), raw
+        for step in path:
+            value = value[step]
+        scenario = same.write_scenario(tmp_path / "scenario.json", name,
+                                       {key: same.DELETE, f"{key}_x": value})
+        code, err, failure = _run(scenario, tmp_path / "out", capsys, "solve")
+        renamed = _field_names(path)[-1] + "_x"
+        if failure is None and not (code == 2 and _names(err, [renamed, *_field_names(path)])):
+            failure = f"exit {code}: {err.strip()}"
+        if failure is not None:
+            failures.append(f"{key}: {failure}")
+    assert not failures, "\n".join(failures)
 
 
 @pytest.mark.parametrize("name", NAMED)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
-from conftest import (CONTRACT, ROOT, SCENARIOS, bundled, d1, d_next, d_transform, deriv,
-                      interesting_multipliers, same, scale_shift)
+from conftest import (CONTRACT, ROOT, SCENARIOS, bundled, crra_multiplier, d1, d_next,
+                      d_transform, deriv, interesting_multipliers, same, scale_shift)
 from corpora import (cara_utility, crra_utility, random_concave_envelope,
                      random_raw_utility, steep_composition, steep_parts)
 from phara import cli
@@ -108,14 +108,9 @@ class TestTerminalWealth:
 
 class TestMultiplier:
     def test_crra_closed_form(self, crra_envelope, market):
-        R = 0.5
-        beta = 1.0 - 1.0 / R
-        th = market.theta_norm
-        growth = math.exp(-beta * (market.r + 0.5 * th * th) * market.T
-                          + 0.5 * beta * beta * th * th * market.T)
         for x0 in (1.0, 10.0, 77.0):
             sol = solve_multiplier(crra_envelope, market, x0)
-            assert sol.y_star == pytest.approx((x0 / growth) ** (-R), rel=1e-10)
+            assert sol.y_star == pytest.approx(crra_multiplier(market, 0.5, x0), rel=1e-10)
             assert abs(sol.budget_residual) <= 1e-10 * max(1.0, x0)
 
     def test_homogeneity(self, crra_envelope, market):

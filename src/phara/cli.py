@@ -74,58 +74,52 @@ def _check(value, field: str, kind: str, ok=None, rule: str | None = None):
     return parsed
 
 
-class _Object(dict):
-    """A JSON object of a scenario file, which keeps the keys the file
-    repeats (their last value is the one read) and the keys read from it."""
+def _numbers(value, name: str, ok=None, rule: str | None = None) -> list:
+    """value read as a list of numbers that each pass ``ok``."""
+    return [_check(v, f"{name} entries", "number", ok, rule) for v in _check(value, name, "list")]
+
+
+class _JsonObject(dict):
+    """A JSON object of a scenario file (the ``json.loads`` hook): its field path,
+    given when it is read, how often the file holds each key, and the keys read."""
 
     def __init__(self, pairs):
-        super().__init__(pairs)
-        self.repeated = {key for key, n in Counter(key for key, _ in pairs).items() if n > 1}
-        self.read = set()
+        super().__init__(pairs)  # a repeated key keeps its last value
+        self.read, self.counts = set(), Counter(key for key, _ in pairs)
 
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
+    @classmethod
+    def at(cls, value, path: str) -> _JsonObject:
+        """value read as the JSON object at ``path``, such as ``utility.pieces[2]``."""
+        obj = _check(value, path or "the scenario", "object")
+        obj = obj if isinstance(obj, cls) else cls(obj.items())
+        obj.path, obj.prefix = path, f"{path}." if path else ""
+        return obj
 
-
-def _check_keys(value, path: str) -> None:
-    """A BadDimension naming the first key, in file order, of the JSON
-    ``value`` at ``path`` that the file repeats or that no field read."""
-    if isinstance(value, list):
-        for i, entry in enumerate(value):
-            _check_keys(entry, f"{path}[{i}]")
-    elif isinstance(value, _Object):
-        for key, entry in value.items():
-            name = f"{path}.{key}" if path else key
-            if key in value.repeated:
-                raise BadDimension(f"{name} is repeated")
-            if key in value.read:
-                _check_keys(entry, name)
-            elif name not in _DROPPED:
-                raise BadDimension(f"{name} is not used")
-
-
-class _Fields:
-    """The scenario's JSON object at a field path such as ``utility.pieces[2]``."""
-
-    def __init__(self, value, path: str):
-        self.path, self.data = path, _check(value, path or "the scenario", "object")
-        self.prefix = f"{path}." if path else ""
-
-    def get(self, key: str, kind: str = "number", default=_MISSING, ok=None,
-            rule: str | None = None):
-        """The value at ``key`` read as a ``kind``: an "object" as a _Fields,
-        and "numbers" as a list whose entries each pass ``ok``."""
+    def field(self, key: str, kind="number", default=_MISSING, ok=None, rule=None):
+        """The value at ``key`` read as a ``kind``; "numbers": a list of numbers passing ``ok``."""
         name = self.prefix + key
-        if key not in self.data:
+        if key not in self:
             if default is _MISSING:
                 raise BadDimension(f"{name} is missing")
             return default
+        self.read.add(key)
         if kind == "numbers":
-            return [_check(v, f"{name} entries", "number", ok, rule)
-                    for v in _check(self.data[key], name, "list")]
-        value = _check(self.data[key], name, kind, ok, rule)
-        return _Fields(value, name) if kind == "object" else value
+            return _numbers(self[key], name, ok, rule)
+        return (_JsonObject.at(self[key], name) if kind == "object"
+                else _check(self[key], name, kind, ok, rule))
+
+    def check_keys(self) -> None:
+        """A BadDimension naming the first key, in file order, repeated or never read."""
+        for key, value in self.items():
+            name = self.prefix + key
+            if self.counts[key] > 1:
+                raise BadDimension(f"{name} is repeated")
+            if key in self.read:  # a list read holds objects or numbers
+                for entry in value if isinstance(value, list) else [value]:
+                    if isinstance(entry, _JsonObject):
+                        entry.check_keys()
+            elif name not in _DROPPED:
+                raise BadDimension(f"{name} is not used")
 
 
 def _build(field: str, make, *args, **kwargs):
@@ -153,39 +147,39 @@ class Scenario(NamedTuple):
 
 
 def _parse_utility(value, path: str = "utility") -> PharaUtility:
-    block = _Fields(value, path)
-    if "pieces" in block.data:
-        entries = [_Fields(v, f"{path}.pieces[{i}]")
-                   for i, v in enumerate(block.get("pieces", "list"))]
-        bounds = [e.get("a_lo") for e in entries] + [INF]
+    block = _JsonObject.at(value, path)
+    if "pieces" in block:
+        entries = [_JsonObject.at(v, f"{path}.pieces[{i}]")
+                   for i, v in enumerate(block.field("pieces", "list"))]
+        bounds = [e.field("a_lo") for e in entries] + [INF]
         pieces = []
         for e, lo, hi in zip(entries, bounds, bounds[1:]):
-            anc = e.get("anchor", "object", None)
-            x, u, slope = ((anc.get("x"), anc.get("u"), anc.get("slope")) if anc
-                           else (lo, e.get("u_plus"), e.get("gamma_plus")))
-            pieces.append(_build(e.path, PharaPiece, a_lo=lo, a_hi=hi, R=e.get("R"),
-                                 A=e.get("A", default=NEG_INF),
-                                 alpha=e.get("alpha", default=None),
+            anc = e.field("anchor", "object", None)
+            x, u, slope = ((lo, e.field("u_plus"), e.field("gamma_plus")) if anc is None
+                           else (anc.field("x"), anc.field("u"), anc.field("slope")))
+            pieces.append(_build(e.path, PharaPiece, a_lo=lo, a_hi=hi, R=e.field("R"),
+                                 A=e.field("A", default=NEG_INF),
+                                 alpha=e.field("alpha", default=None),
                                  anchor_x=x, anchor_u=u, anchor_slope=slope))
-        return _build(path, PharaUtility, a0=block.get("a0"), pieces=tuple(pieces))
+        return _build(path, PharaUtility, a0=block.field("a0"), pieces=tuple(pieces))
 
-    if "preference" in block.data:
-        pay = block.get("payoff", "object")
+    if "preference" in block:
+        pay = block.field("payoff", "object")
         payoff = _build(pay.path, piecewise_linear_payoff,
-                        a0=pay.get("floor", default=0.0),
-                        value_lo=pay.get("value_lo", default=0.0),
-                        breakpoints=tuple(pay.get("breakpoints", "numbers", [])),
-                        slopes=tuple(pay.get("slopes", "numbers")))
-        pref = block.get("preference", "object")
-        if pref.get("type", "text", "s_shaped", ("s_shaped", "phara").__contains__,
-                    '"s_shaped" or "phara"') == "phara":
-            preference = _parse_utility(pref.data, pref.path)
+                        a0=pay.field("floor", default=0.0),
+                        value_lo=pay.field("value_lo", default=0.0),
+                        breakpoints=tuple(pay.field("breakpoints", "numbers", [])),
+                        slopes=tuple(pay.field("slopes", "numbers")))
+        pref = block.field("preference", "object")
+        if pref.field("type", "text", "s_shaped", ("s_shaped", "phara").__contains__,
+                      '"s_shaped" or "phara"') == "phara":
+            preference = _parse_utility(pref, pref.path)
         else:  # built on the payoff's range [value_lo, inf)
             preference = _build(pref.path, s_shaped_utility, a0=payoff.pieces[0].value_lo,
-                                reference=pref.get("reference", default=0.0),
-                                gain_exponent=pref.get("gain_exponent"),
-                                loss_exponent=pref.get("loss_exponent", default=None),
-                                loss_weight=pref.get("loss_weight", default=1.0))
+                                reference=pref.field("reference", default=0.0),
+                                gain_exponent=pref.field("gain_exponent"),
+                                loss_exponent=pref.field("loss_exponent", default=None),
+                                loss_weight=pref.field("loss_weight", default=1.0))
         return _build(path, compose, preference, payoff)
 
     raise BadDimension(f"{path} needs either 'pieces' or 'preference' and 'payoff'")
@@ -193,27 +187,28 @@ def _parse_utility(value, path: str = "utility") -> PharaUtility:
 
 def _scenario(path) -> Scenario:
     try:
-        text = json.loads(Path(path).read_text(), object_pairs_hook=_Object)
+        text = json.loads(Path(path).read_text(), object_pairs_hook=_JsonObject)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise BadDimension(f"not JSON: {exc}") from exc
-    raw = _Fields(text, "")
-    mb = raw.get("market", "object")
-    grids = raw.get("grids", "object", _Fields({}, "grids"))
-    market = _build("market", build_market, r=mb.get("r"), mu=mb.get("mu", "numbers"),
-                    sigma=[_Fields({"sigma": row}, "market").get("sigma", "numbers")
-                           for row in mb.get("sigma", "list")],  # each row: a list
-                    T=mb.get("T"))
-    wealth = grids.get("wealth", "object", None)
+    raw = _JsonObject.at(text, "")
+    mb = raw.field("market", "object")
+    grids = raw.field("grids", "object", _JsonObject.at({}, "grids"))
+    market = _build("market", build_market, r=mb.field("r"), mu=mb.field("mu", "numbers"),
+                    sigma=[_numbers(row, "market.sigma") for row in mb.field("sigma", "list")],
+                    T=mb.field("T"))
+    wealth = grids.field("wealth", "object", None)
     scenario = Scenario(
-        market=market, utility=_parse_utility(raw.get("utility", "object").data),
-        x0=raw.get("x0", **_FINITE), seed=raw.get("seed", "count", 0, **_SEED),
-        paths=raw.get("paths", "count", 100_000, **_SIZE),
-        t_grid=tuple(grids.get("t", "numbers", [0.0], lambda t: 0.0 <= t < market.T,
-                                   f"finite and in [0, {market.T}) (market.T)")),
-        wealth_grid=wealth and WealthGrid(
-            lo=wealth.get("lo", **_FINITE), hi=wealth.get("hi", **_FINITE),
-            n=wealth.get("n", "count", None, **_SIZE)))
-    _check_keys(text, "")  # once every field is read
+        market=market, utility=_parse_utility(raw.field("utility", "object")),
+        x0=raw.field("x0", **_FINITE), seed=raw.field("seed", "count", 0, **_SEED),
+        paths=raw.field("paths", "count", 100_000, **_SIZE),
+        t_grid=tuple(grids.field("t", "numbers", [0.0], lambda t: 0.0 <= t < market.T,
+                                 f"finite and in [0, {market.T}) (market.T)")),
+        wealth_grid=None if wealth is None else WealthGrid(
+            lo=wealth.field("lo", **_FINITE), hi=wealth.field("hi", **_FINITE),
+            n=wealth.field("n", "count", None, **_SIZE)))
+    if not scenario.t_grid:
+        raise BadDimension("grids.t must hold at least one time")
+    raw.check_keys()  # once every field is read
     return scenario
 
 

@@ -15,7 +15,7 @@ from conftest import (ROOT, SCENARIOS, bundled, crra_multiplier, same,
 from phara import cli
 from phara.cli import _check, _parse_utility, _settle_process, load_scenario, main
 from phara.concavify import concave_envelope
-from phara.errors import BadDimension, PharaError
+from phara.errors import PharaError
 from phara.solver import (optimal_terminal_wealth, portfolio_general, solve_multiplier,
                           wealth_total)
 from phara.utility import INF
@@ -45,11 +45,12 @@ class TestScenarioIO:
 
     def test_dropped_wealth_grid_key_is_ignored(self, tmp_path):
         # grids.wealth.discounted, a flag of earlier versions, loads as the
-        # file without it (a market compares by identity)
-        path = same.write_scenario(tmp_path / "old.json", "multi_kink_demo",
-                                   {"grids.wealth.discounted": True})
-        assert (load_scenario(path)._replace(market=None)
-                == bundled("multi_kink_demo")._replace(market=None))
+        # file without it (a market compares by identity); its value is never read
+        for value in (True, {"unread": 1}):
+            path = same.write_scenario(tmp_path / "old.json", "multi_kink_demo",
+                                       {"grids.wealth.discounted": value})
+            assert (load_scenario(path)._replace(market=None)
+                    == bundled("multi_kink_demo")._replace(market=None))
 
 
 class TestEnvelopeCommand:
@@ -411,18 +412,150 @@ class TestHedgeFundScenario:
         assert err.count("\n") == 1 and "must stay below the ceiling" in err
 
 
+LOAD = "error: malformed scenario <s>: "  # <s>: the scenario file's path
+SIZE, SEED = ">= 2, at most 10^8 and integral", "in [0, 2^64 - 4] and integral"
+# The input-error table.  A row is a command on a bundled scenario with its
+# same.write_scenario edit (a str: a template of the whole file), its flags,
+# and the one line the command prints on standard error with exit code 2.
+# Each key is a test of TestErrorPaths, test_<key>: a list holds its rows, a
+# dict one row per case id.
+ERRORS = {
+    "corrupted_sigma_exit_code": [
+        ("solve", "crra", {"market.sigma": [[0.0]]}, [], LOAD + "market: smallest eigenvalue "
+         "of sigma sigma^T is 0.000e+00 (largest 0.000e+00)")],
+    "unknown_preference_type": [
+        ("solve", "participating_contract", {"utility.preference.type": "quadratic"}, [],
+         LOAD + 'utility.preference.type must be "s_shaped" or "phara", got "quadratic"')],
+    # a JSON true was read as 1.0 and "1" as a number; a missing key printed
+    # only its name, and a constructor's error named no piece
+    "error_names_the_field": {
+        "bool_number": ("solve", "crra", {"x0": True}, [], LOAD + "x0 must be finite, got true"),
+        "quoted_number": ("solve", "crra", {"utility.pieces.0.anchor.slope": "1"}, [],
+                          LOAD + 'utility.pieces[0].anchor.slope must be a number, got "1"'),
+        "missing": ("solve", "crra", {"utility.pieces.0.R": DELETE}, [],
+                    LOAD + "utility.pieces[0].R is missing"),
+        "empty_anchor": ("solve", "crra", {"utility.pieces.0.anchor": {}}, [],
+                         LOAD + "utility.pieces[0].anchor.x is missing"),
+        "constructor": ("solve", "crra", {"utility.pieces.0.A": 0.5}, [],
+                        LOAD + "utility.pieces[0]: benchmark 0.5 inside (0.0, inf) would put "
+                        "a singularity in the piece"),
+        "sigma_row": ("solve", "crra", {"market.sigma.0": "x"}, [],
+                      LOAD + 'market.sigma must be a list, got "x"'),
+        "huge_count": ("solve", "crra", {"grids.wealth.n": 1e9}, [],
+                       LOAD + f"grids.wealth.n must be {SIZE}, got 1000000000.0"),
+    },
+    "infeasible_budget": [
+        ("solve", "multi_kink_demo", {"x0": 0.5}, [], "error: wealth 0.5 at t = 0 must exceed "
+         "the floor e^(-r(T-t)) a0 = 2.4261226388505337")],
+    # U(a0) = -inf on crra: the curve's first abscissa is moved off a0
+    "grid_below_two": [("envelope", "crra", None, ["--grid", g],
+                        f"error: --grid must be {SIZE}, got {g}") for g in "01"],
+    # one sample has no standard error: the report would hold NaN
+    "paths_below_two": [
+        ("verify", "crra", None, ["--paths", "1"], f"error: --paths must be {SIZE}, got 1"),
+        ("verify", "crra", {"paths": 1}, [], LOAD + f"paths must be {SIZE}, got 1")],
+    # verify keys Philox with seed .. seed + 3, which must fit a uint64
+    "seed_flag_out_of_range": {
+        s: ("verify", "crra", None, ["--paths", "100", "--seed", s],
+            f"error: --seed must be {SEED}, got {s}") for s in ("-1", str(2**64 - 3))},
+    "scenario_seed_out_of_range": [
+        ("verify", "crra", {"seed": -5}, [], LOAD + f"seed must be {SEED}, got -5")],
+    # the flag replaced the file's value unread, so a malformed one loaded
+    "file_count_malformed_under_its_flag": {
+        "seed": ("verify", "crra", {"seed": -5}, ["--paths", "2000", "--seed", "3"],
+                 LOAD + f"seed must be {SEED}, got -5"),
+        "paths": ("verify", "crra", {"paths": 1}, ["--paths", "2000"],
+                  LOAD + f"paths must be {SIZE}, got 1"),
+    },
+    # a key the reader does not know was ignored: a misspelt field loaded as its default
+    "unused_key": {
+        "top_level": ("solve", "crra", {"sede": 7}, [], LOAD + "sede is not used"),
+        "nested": ("solve", "hedge_fund", {"utility.preference.referense": 1.0}, [],
+                   LOAD + "utility.preference.referense is not used"),
+    },
+    "block_of_wrong_json_type": {
+        "mu": ("solve", "multi_kink_demo", {"market.mu": 0.086}, [],
+               LOAD + "market.mu must be a list, got 0.086"),
+        "utility": ("solve", "multi_kink_demo", {"utility": 3}, [],
+                    LOAD + "utility must be an object, got 3"),
+        "top_level_list": ("solve", "multi_kink_demo", "[{}]", [],
+                           LOAD + "the scenario must be an object, got a list"),
+    },
+    # counts are not truncated, and the wealth grid is checked on load, so
+    # every command rejects it; n 0 wrote a header-only csv from surface, lo
+    # -inf NaN rows, and an empty block must not read as no block
+    "fractional_count_or_bad_wealth_grid": {
+        "seed": ("solve", "multi_kink_demo", {"seed": 1.7}, [],
+                 LOAD + f"seed must be {SEED}, got 1.7"),
+        "paths": ("solve", "multi_kink_demo", {"paths": 1000.9}, [],
+                  LOAD + f"paths must be {SIZE}, got 1000.9"),
+        **{case: ("surface", "multi_kink_demo", {"grids.wealth.n": n}, [],
+                  LOAD + f"grids.wealth.n must be {SIZE}, got {n}")
+           for case, n in (("wealth_n", 2.5), ("wealth_n_zero", 0), ("wealth_n_negative", -3))},
+        "wealth_list": ("surface", "multi_kink_demo", {"grids.wealth": [1, 2]}, [],
+                        LOAD + "grids.wealth must be an object, got a list"),
+        "wealth_without_hi": ("surface", "multi_kink_demo", {"grids.wealth.hi": DELETE}, [],
+                              LOAD + "grids.wealth.hi is missing"),
+        "wealth_lo_inf": ("surface", "multi_kink_demo", {"grids.wealth.lo": "-inf"}, [],
+                          LOAD + 'grids.wealth.lo must be finite, got "-inf"'),
+        "wealth_empty": ("surface", "multi_kink_demo", {"grids.wealth": {}}, [],
+                         LOAD + "grids.wealth.lo is missing"),
+    },
+    # inf failed in the root-find, nan in the budget residual check
+    "non_finite_x0": {x0: ("solve", "multi_kink_demo", {"x0": x0}, [],
+                           LOAD + f'x0 must be finite, got "{x0}"') for x0 in ("inf", "nan")},
+    # solve exited 0 on these while surface exited 2: the loader rejects them
+    "time_grid_outside_horizon": {
+        case: ("surface", "multi_kink_demo", {"grids.t": [0.0, t]}, [],
+               LOAD + "grids.t entries must be finite and in [0, 10.0) (market.T), "
+               f"got {json.dumps(t)}")
+        for case, t in (("T", 10.0), ("nan", "nan"), ("inf", "inf"), ("negative", -1.0))},
+    # surface wrote a header-only csv
+    "empty_time_grid": [("surface", "crra", {"grids.t": []}, [],
+                         LOAD + "grids.t must hold at least one time")],
+    # these gave an OverflowError traceback or overflow and invalid-value
+    # warnings; now one typed error that names the field
+    "market_out_of_range": {
+        "T_1e308": ("solve", "crra", {"market.T": 1e308}, [], LOAD + "market: r T must be at "
+                    "most 709.783 so that e^(rT) is finite, got r=0.05, T=1e+308"),
+        "mu_inf": ("solve", "crra", {"market.mu": ["inf"]}, [],
+                   LOAD + "market: mu entries must be finite, got [inf]"),
+        "mu_1e308": ("solve", "crra", {"market.mu": [1e308]}, [], LOAD + "market: |theta|^2 T "
+                     "must be at most 709.783 so that e^(|theta|^2 T) is finite, got "
+                     "|theta|=inf from mu, sigma and r, and T=10.0"),
+        "sigma_1e308": ("solve", "crra", {"market.sigma": [[1e308]]}, [], LOAD + "market: "
+                        "sigma entries too large: sigma sigma^T overflows, got sigma=[[1e+308]]"),
+        "sigma_ragged": ("solve", "crra",
+                         {"market.mu": [0.086, 0.09], "market.sigma": [[0.3, 0.0], [0.2]]}, [],
+                         LOAD + "market: mu and sigma must be arrays: setting an array element "
+                         "with a sequence. The requested array has an inhomogeneous shape after "
+                         "1 dimensions. The detected shape was (2,) + inhomogeneous part."),
+    },
+    "decompose_bad_state": {
+        f"{flag[2:]}={v}": ("decompose", "multi_kink_demo", None, ["--t", "5.0", flag, v],
+                            f"error: {flag} must be {rule}, got {got}")
+        for flag, rule in (("--xi", "finite and positive"), ("--x", "finite"))
+        for v, got in (("-1", "-1.0"), ("0", "0.0"), ("nan", "NaN"), ("inf", "Infinity"))
+        if flag == "--xi" or v in ("nan", "inf")},
+    # X_t at xi = 1e-200 is above 1e308: the power terms overflowed and the
+    # report's NaN escaped as a ValueError traceback
+    "decompose_wealth_beyond_the_doubles": {
+        name: ("decompose", name, None, ["--xi", "1e-200"],
+               "error: optimal wealth at state price xi = 1e-200 does not fit a double")
+        for name in same.BUNDLED},
+    "decompose_needs_x_or_xi": [
+        ("decompose", "crra", None, [], "error: decompose needs --x or --xi")],
+    # hedge_fund with a gain exponent of 1e-19 or below: the gain branch
+    # 1 + 1e-19 log(...) rises above the hull by less than rounding at every
+    # slope the search reaches, and the error names that branch
+    "gain_branch_flat_to_rounding": {
+        g: ("envelope", "hedge_fund", {"utility.preference.gain_exponent": float(g)}, [],
+            "error: no shallow supporting slope found: the piece on [3.2974425414002564, inf) "
+            "with R = 1.0 rises above the hull by rounding only") for g in ("1e-19", "1e-100")},
+}
+
+
 class TestErrorPaths:
-    def test_corrupted_sigma_exit_code(self, tmp_path):
-        bad = same.write_scenario(tmp_path / "bad.json", "crra", {"market.sigma": [[0.0]]})
-        assert run(["solve", "--scenario", bad, "--out", tmp_path]) == 2
-
-    def test_unknown_preference_type(self, tmp_path):
-        bad = same.write_scenario(tmp_path / "bad.json", "participating_contract",
-                                  {"utility.preference.type": "quadratic"})
-        assert run(["solve", "--scenario", bad, "--out", tmp_path]) == 2
-        with pytest.raises(PharaError):
-            _parse_utility(json.loads(bad.read_text())["utility"])
-
     def test_utility_block_without_pieces_or_preference(self):
         with pytest.raises(PharaError):
             _parse_utility({"a0": 0.0})
@@ -438,23 +571,6 @@ class TestErrorPaths:
         err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path], capsys)
         assert f"malformed scenario {bad}: not JSON" in err
 
-    @pytest.mark.parametrize("edit, message", [
-        ({"x0": True}, "x0 must be finite, got true"),
-        ({"utility.pieces.0.anchor.slope": "1"},
-         'utility.pieces[0].anchor.slope must be a number, got "1"'),
-        ({"utility.pieces.0.R": DELETE}, "utility.pieces[0].R is missing"),
-        ({"utility.pieces.0.A": 0.5}, "utility.pieces[0]: benchmark 0.5 inside"),
-        ({"market.sigma.0": "x"}, "market.sigma must be a list, got \"x\""),
-        ({"grids.wealth.n": 1e9}, "grids.wealth.n must be >= 2, at most 10^8"),
-    ], ids=["bool_number", "quoted_number", "missing", "constructor", "sigma_row",
-            "huge_count"])
-    def test_error_names_the_field(self, tmp_path, capsys, edit, message):
-        # a JSON true was read as 1.0 and "1" as a number; a missing key
-        # printed only its name, and a constructor's error named no piece
-        bad = same.write_scenario(tmp_path / "bad.json", "crra", edit)
-        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path], capsys)
-        assert err.startswith(f"error: malformed scenario {bad}: {message}")
-
     @pytest.mark.parametrize("name", same.BUNDLED)
     def test_decompose_below_the_floor(self, tmp_path, capsys, name):
         # no state price reaches it; saturating at xi_cap would answer for the floor
@@ -466,27 +582,6 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and f"a0 = {floor}" in err
         assert not (tmp_path / "decompose.json").exists()
 
-    def test_infeasible_budget(self, tmp_path):
-        bad = same.write_scenario(tmp_path / "low.json", "multi_kink_demo", {"x0": 0.5})
-        assert run(["solve", "--scenario", bad, "--out", tmp_path]) == 2
-
-    def test_grid_below_two(self, tmp_path, capsys):
-        # U(a0) = -inf on crra: the curve's first abscissa is moved off a0
-        for grid in ("0", "1"):
-            assert run(["envelope", "--scenario", SCENARIOS / "crra.json",
-                        "--out", tmp_path, "--grid", grid]) == 2
-        assert "--grid must be >= 2" in capsys.readouterr().err
-        assert not (tmp_path / "envelope_curve.csv").exists()
-
-    def test_paths_below_two(self, tmp_path, capsys):
-        # one sample has no standard error: the report would hold NaN
-        assert run(["verify", "--scenario", SCENARIOS / "crra.json",
-                    "--out", tmp_path, "--paths", "1"]) == 2
-        bad = same.write_scenario(tmp_path / "one_path.json", "crra", {"paths": 1})
-        assert run(["verify", "--scenario", bad, "--out", tmp_path]) == 2
-        assert capsys.readouterr().err.count("paths must be >= 2") == 2
-        assert not (tmp_path / "verification.json").exists()
-
     @staticmethod
     def _input_error(args, capsys):
         # exit 2 with one "error:" line, never an escaped exception
@@ -495,39 +590,21 @@ class TestErrorPaths:
         assert err.startswith("error: ") and "Traceback" not in err
         return err
 
-    @pytest.mark.parametrize("seed", ["-1", str(2**64 - 3)])
-    def test_seed_flag_out_of_range(self, tmp_path, capsys, seed):
-        # verify keys Philox with seed .. seed + 3, which must fit a uint64
-        err = self._input_error(["verify", "--scenario", SCENARIOS / "crra.json",
-                                 "--out", tmp_path, "--paths", "100",
-                                 "--seed", seed], capsys)
-        assert "seed must be in" in err
-        assert not (tmp_path / "verification.json").exists()
-
-    def test_scenario_seed_out_of_range(self, tmp_path, capsys):
-        bad = same.write_scenario(tmp_path / "bad.json", "crra", {"seed": -5})
-        self._input_error(["verify", "--scenario", bad, "--out", tmp_path],
-                          capsys)
-
-    @pytest.mark.parametrize("field, value, flags", [("seed", -5, ["--seed", "3"]),
-                                                     ("paths", 1, [])], ids=["seed", "paths"])
-    def test_file_count_malformed_under_its_flag(self, tmp_path, capsys, field, value, flags):
-        # the flag replaced the file's value unread, so a malformed one loaded
-        bad = same.write_scenario(tmp_path / "bad.json", "crra", {field: value})
-        err = self._input_error(["verify", "--scenario", bad, "--out", tmp_path,
-                                 "--paths", "2000", *flags], capsys)
-        assert err.startswith(f"error: malformed scenario {bad}: {field} must be")
-
-    @pytest.mark.parametrize("base, edit, field", [
-        ("crra", {"sede": 7}, "sede"),
-        ("hedge_fund", {"utility.preference.referense": 1.0}, "utility.preference.referense"),
-    ], ids=["top_level", "nested"])
-    def test_unused_key(self, tmp_path, capsys, base, edit, field):
-        # a key the reader does not know was ignored: a misspelt field loaded
-        # as its default
-        bad = same.write_scenario(tmp_path / "bad.json", base, edit)
-        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path], capsys)
-        assert err == f"error: malformed scenario {bad}: {field} is not used\n"
+    def _error_line(self, tmp_path, capsys, command, base, edit, flags, line):
+        # one row of ERRORS: exactly its line and no artifact, and a
+        # malformed scenario is load_scenario's PharaError with the same text
+        bad = same.write_scenario(tmp_path / "bad.json", base,
+                                  None if isinstance(edit, str) else edit)
+        if isinstance(edit, str):
+            bad.write_text(edit.format(bad.read_text()))
+        expected, out = line.replace("<s>", str(bad)) + "\n", tmp_path / "out"
+        assert self._input_error([command, "--scenario", bad, "--out", out, *flags],
+                                 capsys) == expected
+        assert list(out.glob("*")) == []
+        if line.startswith(LOAD):
+            with pytest.raises(PharaError) as exc:
+                load_scenario(bad)
+            assert f"error: {exc.value}\n" == expected
 
     @pytest.mark.parametrize("key, field", [('"x0"', "x0"),
                                             ('"u"', "utility.pieces[0].anchor.u")],
@@ -539,124 +616,30 @@ class TestErrorPaths:
         err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path], capsys)
         assert err == f"error: malformed scenario {bad}: {field} is repeated\n"
 
-    @pytest.mark.parametrize("edit", [{"market.mu": 0.086}, {"utility": 3}, None],
-                             ids=["mu", "utility", "top_level_list"])
-    def test_block_of_wrong_json_type(self, tmp_path, capsys, edit):
-        bad = same.write_scenario(tmp_path / "bad.json", "multi_kink_demo", edit)
-        if edit is None:
-            bad.write_text(f"[{bad.read_text()}]")
-        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
-                                capsys)
-        assert "malformed scenario" in err
-        with pytest.raises(BadDimension):
-            load_scenario(bad)
-
-    # n 0 wrote a header-only csv from surface, and lo -inf NaN rows
-    @pytest.mark.parametrize("edit", [
-        {"seed": 1.7}, {"paths": 1000.9}, {"grids.wealth.n": 2.5}, {"grids.wealth.n": 0},
-        {"grids.wealth.n": -3}, {"grids.wealth": [1, 2]}, {"grids.wealth.hi": DELETE},
-        {"grids.wealth.lo": "-inf"}], ids=[
-        "seed", "paths", "wealth_n", "wealth_n_zero", "wealth_n_negative", "wealth_list",
-        "wealth_without_hi", "wealth_lo_inf"])
-    def test_fractional_count_or_bad_wealth_grid(self, tmp_path, capsys, edit):
-        # counts are not truncated, and the wealth grid is checked on load,
-        # so every command rejects it, not only surface
-        bad = same.write_scenario(tmp_path / "bad.json", "multi_kink_demo", edit)
-        for command in ("solve", "surface"):
-            self._input_error([command, "--scenario", bad, "--out", tmp_path],
-                              capsys)
-        with pytest.raises(BadDimension):
-            load_scenario(bad)
-        assert not (tmp_path / "dual.json").exists()
-
-    @pytest.mark.parametrize("x0", ["inf", "nan"])
-    def test_non_finite_x0(self, tmp_path, capsys, x0):
-        # inf failed in the root-find, nan in the budget residual check
-        bad = same.write_scenario(tmp_path / "bad.json", "multi_kink_demo", {"x0": x0})
-        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
-                                capsys)
-        assert "x0 must be finite" in err
-        with pytest.raises(BadDimension):
-            load_scenario(bad)
-        assert not (tmp_path / "dual.json").exists()
-
-    @pytest.mark.parametrize("t", ["T", "nan", "inf", "negative"])
-    def test_time_grid_outside_horizon(self, tmp_path, capsys, t):
-        # solve exited 0 on these while surface exited 2: every command
-        # now rejects them on load
-        bad = same.write_scenario(tmp_path / "bad.json", "multi_kink_demo", {"grids.t": [
-            0.0, {"T": 10.0, "nan": "nan", "inf": "inf", "negative": -1.0}[t]]})
-        for command in ("solve", "surface"):
-            err = self._input_error([command, "--scenario", bad, "--out", tmp_path],
-                                    capsys)
-            assert "grids.t entries must be finite and in [0, 10.0)" in err
-        with pytest.raises(BadDimension):
-            load_scenario(bad)
-        assert not (tmp_path / "dual.json").exists()
-        assert not (tmp_path / "surface.csv").exists()
-
-    @pytest.mark.parametrize("edit, field", [
-        ({"market.T": 1e308}, "r T"), ({"market.mu": ["inf"]}, "mu entries"),
-        ({"market.mu": [1e308]}, "|theta|^2 T"), ({"market.sigma": [[1e308]]}, "sigma entries"),
-        ({"market.mu": [0.086, 0.09], "market.sigma": [[0.3, 0.0], [0.2]]},
-         "mu and sigma must be arrays"),
-    ], ids=["T_1e308", "mu_inf", "mu_1e308", "sigma_1e308", "sigma_ragged"])
-    def test_market_out_of_range(self, tmp_path, capsys, edit, field):
-        # these gave an OverflowError traceback or overflow and invalid-value
-        # warnings; now one typed error that names the field
-        bad = same.write_scenario(tmp_path / "bad.json", "crra", edit)
-        err = self._input_error(["solve", "--scenario", bad, "--out", tmp_path],
-                                capsys)
-        assert field in err and err.count("\n") == 1
-        with pytest.raises(BadDimension):
-            load_scenario(bad)
-        assert not (tmp_path / "dual.json").exists()
-
-    @pytest.mark.parametrize("flag", [("--xi", "-1"), ("--xi", "0"),
-                                      ("--xi", "nan"), ("--xi", "inf"),
-                                      ("--x", "nan"), ("--x", "inf")],
-                             ids=lambda f: f"{f[0][2:]}={f[1]}")
-    def test_decompose_bad_state(self, tmp_path, capsys, flag):
-        self._input_error(["decompose", "--scenario",
-                           SCENARIOS / "multi_kink_demo.json", "--out",
-                           tmp_path, "--t", "5.0", *flag], capsys)
-        assert not (tmp_path / "decompose.json").exists()
-
-    @pytest.mark.parametrize("name", same.BUNDLED)
-    def test_decompose_wealth_beyond_the_doubles(self, tmp_path, capsys, name):
-        # X_t at xi = 1e-200 is above 1e308: the power terms overflowed and
-        # the report's NaN escaped as a ValueError traceback
-        err = self._input_error(["decompose", "--scenario", SCENARIOS / f"{name}.json",
-                                 "--out", tmp_path, "--xi", "1e-200"], capsys)
-        assert err == ("error: optimal wealth at state price xi = 1e-200 "
-                       "does not fit a double\n")
-        assert not (tmp_path / "decompose.json").exists()
-
-    def test_decompose_needs_x_or_xi(self, tmp_path, capsys):
-        err = self._input_error(["decompose", "--scenario", SCENARIOS / "crra.json",
-                                 "--out", tmp_path], capsys)
-        assert err == "error: decompose needs --x or --xi\n"
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("gain", [1e-19, 1e-100])
-    def test_gain_branch_flat_to_rounding(self, tmp_path, capsys, gain):
-        # hedge_fund with a gain exponent of 1e-19 or below: the gain branch
-        # 1 + 1e-19 log(...) rises above the hull by less than rounding at
-        # every slope the search reaches, and the error names that branch
-        path = same.write_scenario(tmp_path / "s.json", "hedge_fund",
-                                   {"utility.preference.gain_exponent": gain})
-        err = self._input_error(["envelope", "--scenario", path,
-                                 "--out", tmp_path / "out"], capsys)
-        assert err == ("error: no shallow supporting slope found: the piece on "
-                       "[3.2974425414002564, inf) with R = 1.0 rises above the hull "
-                       "by rounding only\n")
-        assert list((tmp_path / "out").iterdir()) == []
-
     def test_only_decompose_reads_x(self, tmp_path):
         # --x is decompose's flag: solve ignores even a value decompose rejects
         assert run(["solve", "--scenario", SCENARIOS / "crra.json", "--out", tmp_path,
                     "--x", "inf"]) == 0
         assert (tmp_path / "dual.json").is_file()
+
+
+def _table_test(cases):
+    """The test of TestErrorPaths that runs the rows ``cases`` of ERRORS, a
+    list, or one row of the dict ``cases`` per case id."""
+    if isinstance(cases, dict):
+        @pytest.mark.parametrize("case", list(cases))
+        def test(self, tmp_path, capsys, case):
+            self._error_line(tmp_path, capsys, *cases[case])
+        return test
+
+    def test(self, tmp_path, capsys):
+        for row in cases:
+            self._error_line(tmp_path, capsys, *row)
+    return test
+
+
+for _name, _cases in ERRORS.items():
+    setattr(TestErrorPaths, f"test_{_name}", _table_test(_cases))
 
 
 def _run_child(*args) -> None:

@@ -307,26 +307,6 @@ class TestPortfolios:
         total = sum(v[0] for v in dec.terms.values())
         assert dec.total[0] == pytest.approx(total, rel=1e-14)
 
-    def test_unified_equals_general_randomized(self, market):
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        checked = 0
-        for _ in range(30):
-            env = random_concave_envelope(rng)
-            y = math.exp(rng.uniform(-1.0, 1.0))
-            for w in interesting_multipliers(env, rng, 10):
-                t = rng.uniform(0.0, market.T - 1e-3)
-                xi = w / y
-                dec = portfolio_unified(env, market, y, t, xi)
-                gen = portfolio_general(env, market, y, t, xi)
-                scale = max(np.linalg.norm(gen), np.linalg.norm(dec.total))
-                if scale < 1e-5 * (1.0 + abs(dec.wealth)):
-                    continue  # portfolio numerically zero: no relative measure
-                worst = max(worst, np.linalg.norm(dec.total - gen) / scale)
-                checked += 1
-        assert checked > 200
-        assert worst <= 1e-9
-
     def test_affine_invariance(self, demo_envelope, market, demo_dual):
         a = 2.2
         scaled = scale_shift(demo_envelope.envelope, a, -0.7)

@@ -78,8 +78,9 @@ def build_market(r: float, mu, sigma, T: float) -> MarketParams:
     try:
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    except ValueError as exc:  # ragged rows
-        raise BadDimension(f"mu and sigma must be arrays: {exc}") from exc
+    except ValueError:  # ragged rows
+        raise BadDimension("sigma rows must have one length, got lengths "
+                           f"{[len(row) for row in sigma]}") from None
     if mu.ndim != 1 or mu.size < 1:
         raise BadDimension(f"mu must be a vector, got shape {mu.shape}")
     m = mu.shape[0]

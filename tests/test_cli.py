@@ -173,7 +173,7 @@ class TestSurfaceCommand:
         # the split adds up per asset, and a percentage row is a scalar s
         # times (sigma^T)^{-1} theta: |sigma^T row| = |theta| s, which is
         # sigma = 0.3 times the demo's percentage theta s / sigma
-        same.GOLDEN_GROUPS["multi"](tmp_path / "multi")
+        same.group_commands("multi", tmp_path / "multi")
         for m in (2, 3):
             path = tmp_path / "multi" / f"demo_m{m}.json"
             assert run(["surface", "--scenario", path, "--out", tmp_path / path.stem]) == 0
@@ -386,7 +386,7 @@ class TestHedgeFundScenario:
     def test_capped_payoff_solves(self, tmp_path, capsys):
         # a flat tail has bounded demand; the default wealth axis stops short of
         # the ceiling e^(-r(T-t)) a_f at every time
-        same.capped_commands(tmp_path / "s")
+        same.group_commands("capped", tmp_path / "s")
         path = tmp_path / "s" / "capped.json"
         for args in (["solve"], ["decompose", "--t", "5", "--xi", "1"],
                      ["decompose", "--t", "5", "--x", "1.5"], ["verify"], ["surface"]):
@@ -405,7 +405,7 @@ class TestHedgeFundScenario:
                                           (1.0, ["decompose", "--t", "5", "--x", "2.6"])])
     def test_capped_payoff_ceiling(self, tmp_path, capsys, x0, args):
         # no wealth reaches the ceiling: 2 at t = 0, 2.568 at t = 5
-        same.capped_commands(tmp_path / "s")
+        same.group_commands("capped", tmp_path / "s")
         path = tmp_path / "s" / ("capped.json" if x0 == 1.0 else f"capped_x{x0}.json")
         assert run([*args, "--scenario", path, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
@@ -527,9 +527,7 @@ ERRORS = {
                         "sigma entries too large: sigma sigma^T overflows, got sigma=[[1e+308]]"),
         "sigma_ragged": ("solve", "crra",
                          {"market.mu": [0.086, 0.09], "market.sigma": [[0.3, 0.0], [0.2]]}, [],
-                         LOAD + "market: mu and sigma must be arrays: setting an array element "
-                         "with a sequence. The requested array has an inhomogeneous shape after "
-                         "1 dimensions. The detected shape was (2,) + inhomogeneous part."),
+                         LOAD + "market: sigma rows must have one length, got lengths [2, 1]"),
     },
     "decompose_bad_state": {
         f"{flag[2:]}={v}": ("decompose", "multi_kink_demo", None, ["--t", "5.0", flag, v],
@@ -545,6 +543,22 @@ ERRORS = {
         for name in same.BUNDLED},
     "decompose_needs_x_or_xi": [
         ("decompose", "crra", None, [], "error: decompose needs --x or --xi")],
+    # simulate's Euler scheme takes at least ten steps
+    "simulate_too_few_steps": [
+        ("simulate", "crra", None, ["--steps", "5"], "error: need at least 10 steps, got 5")],
+    # a payoff one slope short, a breakpoint below its floor 1.154, and a loss
+    # piece of exponent 0.01 whose reference sits one subnormal above the floor
+    "payoff_or_preference_out_of_range": {
+        "one_slope": ("envelope", "hedge_fund", {"utility.payoff.slopes": [0.28]}, [],
+                      LOAD + "utility.payoff: need 2 slopes, got 1"),
+        "low_breakpoint": ("envelope", "hedge_fund", {"utility.payoff.breakpoints": [1.0]}, [],
+                           LOAD + "utility.payoff: empty piece [1.1541048894900896, 1.0)"),
+        "subnormal_reference": (
+            "envelope", "participating_contract", {"utility.preference.reference": 5e-324,
+                                                   "utility.preference.loss_exponent": 0.01},
+            [], LOAD + "utility.preference: loss piece's anchor slope overflows at 0.0: "
+            "|0.0 - reference| = 5e-324, exponent 0.01"),
+    },
     # hedge_fund with a gain exponent of 1e-19 or below: the gain branch
     # 1 + 1e-19 log(...) rises above the hull by less than rounding at every
     # slope the search reaches, and the error names that branch
@@ -577,17 +591,20 @@ class TestErrorPaths:
         scenario = SCENARIOS / f"{name}.json"
         scn = load_scenario(scenario)
         floor = scn.market.discount(5.0) * scn.utility.a0
-        err = self._input_error(["decompose", "--scenario", scenario, "--out", tmp_path,
+        out = tmp_path / "out"
+        err = self._input_error(["decompose", "--scenario", scenario, "--out", out,
                                  "--t", "5", "--x", floor - 1.0], capsys)
-        assert err.count("\n") == 1 and f"a0 = {floor}" in err
-        assert not (tmp_path / "decompose.json").exists()
+        assert err == (f"error: wealth {floor - 1.0} at t = 5 must exceed the floor "
+                       f"e^(-r(T-t)) a0 = {floor}\n")
+        assert list(out.glob("*")) == []
 
     @staticmethod
     def _input_error(args, capsys):
-        # exit 2 with one "error:" line, never an escaped exception
+        # exit 2 with one "error:" line and no standard output, never an
+        # escaped exception
         assert run(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
         return err
 
     def _error_line(self, tmp_path, capsys, command, base, edit, flags, line):

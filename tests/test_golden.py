@@ -13,24 +13,25 @@ def exact():
     return same.host() == json.loads((same.GOLDEN / "host.json").read_text())
 
 
-def golden_diffs(group, commands, scenario, exact, simulate_bundled, out_dir):
-    """Run commands of one of tools/same.py's golden groups in this process
-    from the current directory, with the relative scenario path `--record`
-    gave its children, so an error message that names the file reads the
-    same, after checking that exactly these commands, of those on the
-    scenario (all of them if it is None), have a golden directory; the
-    differences from the golden files, each named by file and key path, CSV
-    cell or line, with both values and their ulps.  The bundled group's
-    simulate runs are shared with test_cli.py."""
-    recorded = [d.name for d in (same.GOLDEN / group).iterdir()]
-    if scenario is not None:
-        # a directory name is <command>-<scenario>[-<flags>], and no bundled
-        # scenario name has a '-'
-        assert {n.split("-")[1] for n in recorded} <= set(same.BUNDLED)
-        recorded = [n for n in recorded if n.split("-")[1] == scenario]
-    assert sorted(cmd.name for cmd in commands) == sorted(recorded)
+def test_golden_dirs_are_the_groups():
+    # a golden directory that no group records would sit unread
+    assert {d.name for d in same.GOLDEN.iterdir() if d.is_dir()} == set(same.GROUPS)
+
+
+def golden_diffs(group, scenario, exact, simulate_bundled, out_dir):
+    """Run the commands of one golden group on one of its scenarios (all of
+    them if scenario is None) in this process, with the relative scenario
+    path that --record gave its children, so that an error message naming
+    the file reads the same; the differences from the golden files.  The
+    bundled simulate runs are shared with test_cli.py."""
+    commands = same.group_commands(group, Path(group))
+    assert sorted(cmd.name for cmd in commands) == \
+        sorted(d.name for d in (same.GOLDEN / group).iterdir())
+    assert scenario in {None, *(cmd.scenario for cmd in commands)}
     diffs = []
     for cmd in commands:
+        if scenario is not None and cmd.scenario != scenario:
+            continue
         if group == "bundled" and cmd.command == "simulate":
             out = simulate_bundled(cmd.scenario)
         else:
@@ -45,25 +46,15 @@ def golden_diffs(group, commands, scenario, exact, simulate_bundled, out_dir):
 
 @pytest.mark.parametrize("name", same.BUNDLED)
 def test_bundled_matches_golden(tmp_path, monkeypatch, simulate_bundled, exact, name):
-    # the six commands of the bundled group on one bundled scenario,
-    # decompose at its ten points
+    # the bundled group's commands on one bundled scenario
     monkeypatch.chdir(tmp_path)
-    commands = [cmd for cmd in same.GOLDEN_GROUPS["bundled"](Path("bundled"))
-                if cmd.scenario == name]
-    assert len(commands) == 15
-    diffs = golden_diffs("bundled", commands, name, exact, simulate_bundled,
-                         tmp_path / "out")
+    diffs = golden_diffs("bundled", name, exact, simulate_bundled, tmp_path / "out")
     assert not diffs, "\n".join(diffs)
 
 
-@pytest.mark.parametrize("group", [g for g in same.GOLDEN_GROUPS if g != "bundled"])
+@pytest.mark.parametrize("group", [g for g in same.GROUPS if g != "bundled"])
 def test_group_matches_golden(tmp_path, monkeypatch, simulate_bundled, exact, group):
-    # every command of one of the other golden groups: faults guards the
-    # messages and exit codes, steep the value and junction rules, capped the
-    # flat-tail ceiling, cara the exponential anchor rule, multi the
-    # per-asset columns, branches every other branch a command can take
+    # every command of one of the other golden groups
     monkeypatch.chdir(tmp_path)
-    commands = same.GOLDEN_GROUPS[group](Path(group))
-    diffs = golden_diffs(group, commands, None, exact, simulate_bundled,
-                         tmp_path / "out")
+    diffs = golden_diffs(group, None, exact, simulate_bundled, tmp_path / "out")
     assert not diffs, "\n".join(diffs)

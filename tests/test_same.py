@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import ROOT, same
 from corpora import cara_utility, steep_block
 from phara.cli import _parse_utility
@@ -69,6 +71,25 @@ def test_foreign_host_rule(tmp_path):
     assert [d[:2] for d in same.golden_diffs(a, b, exact=False)] == [
         ("exit_code", "[line 1]"), ("extra.json", ""), ("stdout", "[line 1]"),
         ("v.json", ":computed"), ("v.json", ":n")]
+
+
+def test_foreign_dispatch_within_the_foreign_rule(tmp_path):
+    # the bundled golden commands but simulate, run in children with numpy's
+    # AVX-512 dispatch off: their values may move by ulps, but no exit code,
+    # PASS/FAIL word or value beyond the foreign-host rule
+    targets = [f for f in same.host()["dispatch"] if f == "X86_V4" or f.startswith("AVX512")]
+    if not targets:
+        pytest.skip("numpy dispatches on no AVX-512 target here")
+    runs = [("bundled", cmd) for cmd in same.group_commands("bundled", tmp_path / "bundled")
+            if cmd.command != "simulate"]
+    env = {**same.child_env(ROOT), "NPY_DISABLE_CPU_FEATURES": ",".join(targets)}
+    same.run_children(runs, env, tmp_path, tmp_path / "out")
+    moved = 0
+    for _, cmd in runs:
+        golden, out = same.GOLDEN / "bundled" / cmd.name, tmp_path / "out" / "bundled" / cmd.name
+        assert same.golden_diffs(golden, out, exact=False) == [], cmd.name
+        moved += len(same.golden_diffs(golden, out, exact=True))
+    print(f"{moved} values differ exactly in {len(runs)} commands with {','.join(targets)} off")
 
 
 def test_steep_literals_are_corpus_draws():

@@ -893,7 +893,7 @@ def test_rising_linear_tail_raises_in_every_evaluator(market):
 def test_capped_payoff_attains_the_argmax(tmp_path):
     # a flat tail has bounded demand: the terminal wealth stays in [a0, a_f]
     # and attains the raw utility's argmax objective
-    same.capped_commands(tmp_path / "s")
+    same.group_commands("capped", tmp_path / "s")
     raw = load_scenario(tmp_path / "s" / "capped.json").utility
     env = concave_envelope(raw).envelope
     assert env.pieces[-1].slope_lo == 0.0 and env.pieces[-1].a_lo == raw.pieces[-1].a_lo

@@ -12,14 +12,6 @@ repository.  Both trees are byte-compiled and run the same matrix as
   wealth does not fit a double included);
 - every command of the ``surface_sweep`` and ``cold_commands`` plans that
   ``perfbench/run.py --seconds 40`` runs, for seeds 1 and 7;
-- ten single-fault invocations on bundled scenarios (group ``faults``),
-  each an input error (exit 2): ``decompose`` without ``--x`` and ``--xi``,
-  with ``--x inf``, with ``--xi 0`` and with ``--x`` below the wealth floor;
-  ``envelope --grid 1``; ``simulate --steps 5``; ``verify --paths 1``; ``envelope`` on two copies of
-  ``hedge_fund.json`` whose payoff has one slope too few, or its breakpoint
-  below the floor; and ``envelope`` on a copy of
-  ``participating_contract.json`` whose reference sits one subnormal above
-  the floor, where the loss piece's anchor slope overflows;
 - ``envelope``, ``solve`` and ``surface`` on three random compositions (group
   ``steep``), draws of the steep corpus of ``tests/corpora.py``, each an
   S-shaped preference composed with a payoff, in a copy of ``crra.json``.
@@ -69,12 +61,13 @@ repository.  Both trees are byte-compiled and run the same matrix as
   branches or the Monte-Carlo rounding band shows up here.
 
 The inputs come from this repository, so both trees read the same files.
-For every command, failing ones included, it compares the exit code, the
-standard output and error, line by line, and the bytes of every artifact.
+For every command, failing ones included, it compares the exit code (file
+``exit_code``), the standard output and error, line by line, and the bytes of
+every artifact.
 Where an artifact differs it names the JSON key path (a report in a list by
 its ``name``) or the CSV cell, the two values, their distance in units in
 the last place (ulps) and their relative difference when both are floats;
-an exit code or another integer is shown as it is.  A summary counts the
+an integer is shown as it is.  A summary counts the
 differences per file and key, with the largest relative difference among
 the floats.  A report, not a gate: the exit code is 0 when nothing differs,
 1 when something does and 2 when a tree has no sources.  It uses the
@@ -84,27 +77,26 @@ standard library only, with the plan and child-process code of
     python tools/same.py --record
 
 rewrites the golden files, ``tests/golden/``, from this repository: for
-each command of ``GOLDEN_GROUPS`` (the ``bundled``, ``faults``, ``steep``,
-``capped``, ``cara``, ``multi`` and ``branches`` groups; ``steep``, ``cara``,
-``multi`` and ``branches`` are the tables of ``TABLES``), its artifacts,
-standard output and error and exit code (file ``exit_code``) in one directory,
-``tests/golden/<group>/<command>``; and ``host.json``, the numpy version,
-Python version, CPU and the features numpy dispatches on, as ``host()``
-reads them.  Every scenario file but the bundled ones is written by
-``write_scenario``.  A command names its scenario file by the relative
-path ``<group>/<scenario>.json``, so an error message that prints it is
-the same wherever the group runs.  ``tests/test_golden.py`` reruns
-the groups in process and compares them with those files through
-``compare_dirs``: byte for byte on a host whose ``host()`` equals
-``host.json``, and elsewhere through ``golden_diffs``, which lets a float
-differ by ``FOREIGN_RTOL`` relative plus ``FOREIGN_ATOL``, and a number
-printed in a line of output by ``PRINTED_RTOL``.
+each command of ``GROUPS``, its artifacts, standard output and error and
+exit code (file ``exit_code``) in ``tests/golden/<group>/<command>``; and
+``host.json``, the numpy version, Python version, CPU and the features numpy
+dispatches on, as ``host()`` reads them.  ``GROUPS`` is the one table of the
+groups: each scenario of a group is a bundled one with an edit of
+``write_scenario``, and runs its commands, ``<command>-<scenario><suffix>``.
+A command names its scenario file by the relative path
+``<group>/<scenario>.json``, so an error message that prints it is the same
+wherever the group runs.  ``tests/test_golden.py`` reruns the groups in
+process and compares them with those files: byte for byte on a host whose
+``host()`` equals ``host.json``, and elsewhere through ``golden_diffs``,
+which lets a float differ by ``FOREIGN_RTOL`` relative plus
+``FOREIGN_ATOL``, and a number printed in a line of output by
+``PRINTED_RTOL``.  Input errors (exit 2) are pinned by the ``ERRORS`` table
+of ``tests/test_cli.py``.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -155,24 +147,6 @@ POINTS = ((5.0, "--xi", 1.0), (5.0, "--xi", 0.3), (9.0, "--xi", 2.5),
           (2.0, "--xi", 1e-3), (5.0, "--xi", 1e-200), (5.0, "--xi", 1e200),
           (0.0, "--x", "x0"), (5.0, "--x", "x0"), (5.0, "--x", 30.0),
           (9.5, "--x", 1.5))
-# single-fault invocations (command, scenario, flags); multi_kink_demo's floor
-# at t = 5 is 4 e^(-0.25) = 3.1, and the FIELD_FAULTS files change fields of
-# one block of a bundled scenario
-FAULTS = (("decompose", "crra", ()), ("decompose", "crra", ("--x", "inf")),
-          ("decompose", "crra", ("--xi", "0")),
-          ("decompose", "multi_kink_demo", ("--t", "5", "--x", "3")),
-          ("envelope", "crra", ("--grid", "1")), ("simulate", "crra", ("--steps", "5")),
-          ("verify", "crra", ("--paths", "1")), ("envelope", "hedge_fund_one_slope", ()),
-          ("envelope", "hedge_fund_low_breakpoint", ()),
-          ("envelope", "participating_contract_subnormal_reference", ()))
-# name: (bundled scenario, edit of write_scenario); the payoff faults are one
-# slope short, and the breakpoint below the floor 1.154
-FIELD_FAULTS = {
-    "hedge_fund_one_slope": ("hedge_fund", {"utility.payoff.slopes": [0.28]}),
-    "hedge_fund_low_breakpoint": ("hedge_fund", {"utility.payoff.breakpoints": [1.0]}),
-    "participating_contract_subnormal_reference": (
-        "participating_contract", {"utility.preference.reference": 5e-324,
-                                   "utility.preference.loss_exponent": 0.01})}
 # draws 5, 6 and 1316 of the steep corpus of tests/corpora.py, as scenario
 # "utility" blocks (tests/test_same.py checks them against the corpus)
 STEEP = {
@@ -288,23 +262,34 @@ BRANCHES = {
 
 
 DELETE = object()  # an edit value of write_scenario: remove the key
+ENVELOPE, SOLVE, SURFACE, VERIFY = ((c, "", []) for c in ("envelope", "solve", "surface", "verify"))
+DECOMPOSE_T5 = ("decompose", "", ["--t", "5", "--xi", "1"])
+VERIFY_2000 = ("verify", "", ["--paths", "2000"])
 # hedge_fund.json's edit for the capped group: its payoff flat above the
 # breakpoint a_f = 2 e^0.5, and no wealth grid
 CAPPED = {"utility.payoff.slopes": [0.28, 0.0], "grids.wealth": DELETE}
-DECOMPOSE_T5 = ("decompose", ["--t", "5", "--xi", "1"])
-VERIFY_2000 = ("verify", ["--paths", "2000"])
-# the groups of one shape, by name: {scenario: (bundled scenario, edit of
-# write_scenario)}, and the (command, args) run on each scenario
-TABLES = {
-    "steep": ({name: ("crra", {"utility": u}) for name, u in STEEP.items()},
-              (("envelope", []), ("solve", []), ("surface", []))),
-    "cara": ({name: ("crra", {"utility": u, "x0": 1.0}) for name, u in CARA.items()},
-             (("envelope", []), ("solve", []), DECOMPOSE_T5)),
-    "multi": (MULTI, (("surface", []), DECOMPOSE_T5, VERIFY_2000)),
-    "branches": ({name: ("crra", {"utility": u, "grids.wealth": DELETE})
-                  for name, u in BRANCHES.items()},
-                 (("envelope", ["--grid", "21"]), ("solve", []), ("surface", ["--grid", "21"]),
-                  VERIFY_2000))}
+# the golden groups, by name: {scenario: (bundled scenario, edit of
+# write_scenario, runs)}, a run (command, suffix of its name, flags) and the
+# flag "x0" the scenario's initial wealth
+GROUPS = {
+    "bundled": {name: (name, None, (
+        ENVELOPE, SOLVE, SURFACE, VERIFY, ("simulate", "", []),
+        *(("decompose", f"-t{t:g}{flag}{v}", ["--t", repr(t), flag, v if v == "x0" else repr(v)])
+          for t, flag, v in POINTS))) for name in BUNDLED},
+    "steep": {name: ("crra", {"utility": u}, (ENVELOPE, SOLVE, SURFACE))
+              for name, u in STEEP.items()},
+    "capped": {
+        "capped": ("hedge_fund", {**CAPPED, "x0": 1.0}, (ENVELOPE, SOLVE, SURFACE, VERIFY, *(
+            ("decompose", f"-t5{flag}{v}", ["--t", "5", flag, v])
+            for flag, v in (("--xi", "1"), ("--x", "1.5"), ("--x", "2.6"))))),
+        "capped_x2.1": ("hedge_fund", {**CAPPED, "x0": 2.1}, (SOLVE,))},
+    "cara": {name: ("crra", {"utility": u, "x0": 1.0}, (ENVELOPE, SOLVE, DECOMPOSE_T5))
+             for name, u in CARA.items()},
+    "multi": {name: (base, edit, (SURFACE, DECOMPOSE_T5, VERIFY_2000))
+              for name, (base, edit) in MULTI.items()},
+    "branches": {name: ("crra", {"utility": u, "grids.wealth": DELETE}, (
+        ("envelope", "", ["--grid", "21"]), SOLVE, ("surface", "", ["--grid", "21"]), VERIFY_2000))
+        for name, u in BRANCHES.items()}}
 
 
 def write_scenario(path: Path, base: str, edit: dict | None = None) -> Path:
@@ -326,70 +311,23 @@ def write_scenario(path: Path, base: str, edit: dict | None = None) -> Path:
     return path
 
 
-def bundled_commands(scenario_dir: Path) -> list:
-    """The six commands on each bundled scenario, decompose at POINTS, with
-    the scenario files copied into scenario_dir."""
+def group_commands(group: str, scenario_dir: Path) -> list:
+    """The commands of GROUPS[group], <command>-<scenario><suffix>, each
+    scenario's file written into scenario_dir."""
     scenario_dir.mkdir(parents=True)
     commands = []
-    for name in BUNDLED:
-        copy = shutil.copy(ROOT / "scenarios" / f"{name}.json", scenario_dir)
-        x0 = json.loads(Path(copy).read_text())["x0"]
-        commands += [Command(f"{c}-{name}", c, name)
-                     for c in ("envelope", "solve", "surface", "verify", "simulate")]
-        commands += [Command(f"decompose-{name}-t{t:g}{flag}{v}", "decompose", name,
-                             ["--t", repr(t), flag, repr(x0 if v == "x0" else v)])
-                     for t, flag, v in POINTS]
+    for name, (base, edit, runs) in GROUPS[group].items():
+        path = write_scenario(scenario_dir / f"{name}.json", base, edit)
+        x0 = repr(json.loads(path.read_text())["x0"])
+        commands += [Command(f"{c}-{name}{suffix}", c, name, [x0 if a == "x0" else a for a in args])
+                     for c, suffix, args in runs]
     return commands
-
-
-def fault_commands(scenario_dir: Path) -> list:
-    """The FAULTS invocations, their scenario files written into scenario_dir."""
-    scenario_dir.mkdir(parents=True)
-    for name in ("crra", "multi_kink_demo"):
-        shutil.copy(ROOT / "scenarios" / f"{name}.json", scenario_dir)
-    for name, (base, edit) in FIELD_FAULTS.items():
-        write_scenario(scenario_dir / f"{name}.json", base, edit)
-    return [Command(f"{c}-{name}{''.join(flags)}", c, name, list(flags))
-            for c, name, flags in FAULTS]
-
-
-def capped_commands(scenario_dir: Path) -> list:
-    """The capped group, its scenario files (hedge_fund.json with the CAPPED
-    edit, at x0 1.0 and 2.1: capped.json and capped_x2.1.json) written into
-    scenario_dir."""
-    scenario_dir.mkdir(parents=True)
-    for name, x0 in (("capped", 1.0), ("capped_x2.1", 2.1)):
-        write_scenario(scenario_dir / f"{name}.json", "hedge_fund", {**CAPPED, "x0": x0})
-    return ([Command(f"{c}-capped", c, "capped")
-             for c in ("envelope", "solve", "surface", "verify")]
-            + [Command(f"decompose-capped-t5{flag}{v}", "decompose", "capped",
-                       ["--t", "5", flag, v])
-               for flag, v in (("--xi", "1"), ("--x", "1.5"), ("--x", "2.6"))]
-            + [Command("solve-capped_x2.1", "solve", "capped_x2.1")])
-
-
-def table_commands(group: str, scenario_dir: Path) -> list:
-    """The TABLES group's commands, <command>-<scenario>, each scenario's file
-    written into scenario_dir."""
-    scenarios, commands = TABLES[group]
-    scenario_dir.mkdir(parents=True)
-    for name, (base, edit) in scenarios.items():
-        write_scenario(scenario_dir / f"{name}.json", base, edit)
-    return [Command(f"{c}-{name}", c, name, list(args))
-            for name in scenarios for c, args in commands]
-
-
-# the groups of the golden files, by name, each with the function that writes
-# its scenario files into a directory and returns its commands
-GOLDEN_GROUPS = {"bundled": bundled_commands, "faults": fault_commands,
-                 "capped": capped_commands,
-                 **{group: functools.partial(table_commands, group) for group in TABLES}}
 
 
 def matrix(work: Path) -> list:
     """(scenario directory, command) for the whole matrix, every scenario
     file written under work; the directory's name labels the group."""
-    groups = {work / name: make(work / name) for name, make in GOLDEN_GROUPS.items()}
+    groups = {work / name: group_commands(name, work / name) for name in GROUPS}
     for workload, seed in itertools.product(WORKLOADS, SEEDS):
         group = work / f"{workload}-{seed}"
         groups[group] = plan_commands(workload, seed, group)
@@ -511,25 +449,30 @@ def host() -> dict:
                                      capture_output=True, text=True).stdout)
 
 
-def record(work: Path) -> int:
-    """Rewrite GOLDEN from this repository's GOLDEN_GROUPS, run in children
-    from work, each group's scenario files in work / <group>; the number of
-    commands."""
-    runs = [(group, cmd) for group, make in GOLDEN_GROUPS.items()
-            for cmd in make(work / group)]
-    env, new = child_env(ROOT), work / "golden"
-
+def run_children(runs: list, env: dict, work: Path, out: Path) -> None:
+    """Run every (scenario directory, command) of runs in children from work
+    with env, at most WORKERS at a time, each one's artifacts, standard output
+    and error and exit code (file ``exit_code``) in out / <directory's name> /
+    <command>."""
     def run(job):
         group, cmd = job
-        out = new / group / cmd.name
-        out.mkdir(parents=True)
-        rc = run_child(phara_argv(cmd, Path(group), out), env, work, out)["rc"]
-        (out / "exit_code").write_text(f"{rc}\n")
+        dest = out / Path(group).name / cmd.name
+        dest.mkdir(parents=True)
+        rc = run_child(phara_argv(cmd, Path(group), dest), env, work, dest)["rc"]
+        (dest / "exit_code").write_text(f"{rc}\n")
 
     with ThreadPoolExecutor(WORKERS) as pool:
         list(pool.map(run, runs))
+
+
+def record(work: Path) -> int:
+    """Rewrite GOLDEN from this repository's GROUPS, run in children from
+    work, each group's scenario files in work / <group>; the number of
+    commands."""
+    runs = [(group, cmd) for group in GROUPS for cmd in group_commands(group, work / group)]
+    run_children(runs, child_env(ROOT), work, work / "golden")
     shutil.rmtree(GOLDEN, ignore_errors=True)
-    shutil.copytree(new, GOLDEN)
+    shutil.copytree(work / "golden", GOLDEN)
     (GOLDEN / "host.json").write_text(json.dumps(host(), indent=1) + "\n")
     return len(runs)
 
@@ -537,26 +480,12 @@ def record(work: Path) -> int:
 def compare(parent: Path, change: Path, runs: list, work: Path) -> list:
     """Run every (scenario directory, command) of runs in both trees, outputs
     under work, and return one (command, file, place, parent value, change
-    value) per difference; the file of an exit code is "exit code"."""
-    jobs = [(side, tree, group, cmd) for group, cmd in runs
-            for side, tree in (("parent", parent), ("change", change))]
-
-    def run(job):
-        side, tree, group, cmd = job
-        out = work / side / group.name / cmd.name
-        out.mkdir(parents=True)
-        return run_child(phara_argv(cmd, group, out), child_env(tree), work, out)["rc"]
-
-    with ThreadPoolExecutor(WORKERS) as pool:
-        codes = list(pool.map(run, jobs))
-    diffs = []
-    for (group, cmd), rc_a, rc_b in zip(runs, codes[::2], codes[1::2]):
-        name = f"{group.name}/{cmd.name}"
-        if rc_a != rc_b:
-            diffs.append((name, "exit code", "", rc_a, rc_b))
-        diffs += [(name, *d) for d in compare_dirs(work / "parent" / group.name / cmd.name,
-                                                   work / "change" / group.name / cmd.name)]
-    return diffs
+    value) per difference, an exit code's in the file ``exit_code``."""
+    for side, tree in (("parent", parent), ("change", change)):
+        run_children(runs, child_env(tree), work, work / side)
+    return [(f"{group.name}/{cmd.name}", *d) for group, cmd in runs
+            for d in compare_dirs(*(work / side / group.name / cmd.name
+                                    for side in ("parent", "change")))]
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,7 @@ wealth, grids, and reproducibility knobs.  ``main`` runs every command through
 one pipeline: check the count flags (--grid, --steps, --seed, --paths), load
 the scenario, put --seed and --paths in it, make the output directory, build
 the concave envelope, solve the dual for y* (all but ``envelope``), evaluate
-(``cmd_<name>``, which checks its own flags: decompose's --x and --xi), write
+(``cmd_<name>``, which checks its own flags: decompose's --t, --x and --xi), write
 the JSON/CSV artifacts the evaluation returned, and return its exit code: 0
 success, 1 verification failure, 2 input error.  No artifact is written unless
 the evaluation returns.  Every command takes any number of risky assets.
@@ -51,6 +51,10 @@ _SIZE = {"ok": lambda n: 2 <= n <= 10**8, "rule": ">= 2, at most 10^8 and integr
 _SEED = {"ok": lambda s: 0 <= s < 2**64 - 3, "rule": "in [0, 2^64 - 4] and integral"}
 # fields of earlier versions, still accepted and ignored
 _DROPPED = ("utility.a0_included", "grids.wealth.discounted")
+
+
+def _times(market: MarketParams) -> dict:  # the range of grids.t's entries and --t
+    return dict(ok=lambda t: 0.0 <= t < market.T, rule=f"finite and in [0, {market.T}) (market.T)")
 
 
 def _check(value, field: str, kind: str, ok=None, rule: str | None = None):
@@ -157,9 +161,10 @@ def _parse_utility(value, path: str = "utility") -> PharaUtility:
             anc = e.field("anchor", "object", None)
             x, u, slope = ((lo, e.field("u_plus"), e.field("gamma_plus")) if anc is None
                            else (anc.field("x"), anc.field("u"), anc.field("slope")))
-            pieces.append(_build(e.path, PharaPiece, a_lo=lo, a_hi=hi, R=e.field("R"),
-                                 A=e.field("A", default=NEG_INF),
-                                 alpha=e.field("alpha", default=None),
+            R = e.field("R")  # a linear piece has no A, and only an exponential one an alpha
+            pieces.append(_build(e.path, PharaPiece, a_lo=lo, a_hi=hi, R=R,
+                                 A=NEG_INF if R == 0.0 else e.field("A", default=NEG_INF),
+                                 alpha=e.field("alpha", default=None) if R == INF else None,
                                  anchor_x=x, anchor_u=u, anchor_slope=slope))
         return _build(path, PharaUtility, a0=block.field("a0"), pieces=tuple(pieces))
 
@@ -201,8 +206,7 @@ def _scenario(path) -> Scenario:
         market=market, utility=_parse_utility(raw.field("utility", "object")),
         x0=raw.field("x0", **_FINITE), seed=raw.field("seed", "count", 0, **_SEED),
         paths=raw.field("paths", "count", 100_000, **_SIZE),
-        t_grid=tuple(grids.field("t", "numbers", [0.0], lambda t: 0.0 <= t < market.T,
-                                 f"finite and in [0, {market.T}) (market.T)")),
+        t_grid=tuple(grids.field("t", "numbers", [0.0], **_times(market))),
         wealth_grid=None if wealth is None else WealthGrid(
             lo=wealth.field("lo", **_FINITE), hi=wealth.field("hi", **_FINITE),
             n=wealth.field("n", "count", None, **_SIZE)))
@@ -303,6 +307,7 @@ def cmd_decompose(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
     t, x, xi = args.t, args.x, args.xi
     if x is None and xi is None:
         raise IllegalCase("decompose needs --x or --xi")
+    _check(t, "--t", "number", **_times(scn.market))
     if x is not None:
         _check(x, "--x", "number", **_FINITE)
     if xi is not None:

@@ -91,22 +91,26 @@ class PharaPiece:
         if not self.a_lo < self.a_hi:
             raise IllegalCase(f"empty piece [{self.a_lo}, {self.a_hi})")
         if not np.isfinite(self.a_lo):
-            raise IllegalCase("piece must start at a finite point")
+            raise IllegalCase(f"piece must start at a finite point, got {self.a_lo}")
         if not self.a_lo <= self.anchor_x <= self.a_hi:
-            raise IllegalCase("anchor must lie inside the piece")
+            raise IllegalCase(f"anchor must lie inside the piece, got {self.anchor_x} outside "
+                              f"[{self.a_lo}, {self.a_hi}]")
         if not (np.isfinite(self.anchor_x) and np.isfinite(self.anchor_u)):
-            raise IllegalCase("anchor point and value must be finite")
+            raise IllegalCase("anchor point and value must be finite, got "
+                              f"({self.anchor_x}, {self.anchor_u})")
         if not self.R >= 0.0:
             raise IllegalCase(f"risk aversion R must be >= 0, got {self.R}")
         if self.R == 0.0:
             if not 0.0 <= self.anchor_slope < INF:
-                raise IllegalCase("linear piece needs a finite slope >= 0")
+                raise IllegalCase(
+                    f"linear piece needs a finite slope >= 0, got {self.anchor_slope}")
             return
         if not 0.0 < self.anchor_slope < INF:
-            raise IllegalCase("non-linear piece needs a finite positive anchor slope")
+            raise IllegalCase("non-linear piece needs a finite positive anchor slope, "
+                              f"got {self.anchor_slope}")
         if self.R == INF:
             if self.A != NEG_INF:
-                raise IllegalCase("exponential case needs A = -inf")
+                raise IllegalCase(f"exponential case needs A = -inf, got {self.A}")
             if self.alpha is None or not 0.0 < self.alpha < INF:
                 raise IllegalCase(
                     f"exponential case needs alpha in (0, inf), got {self.alpha}")
@@ -115,16 +119,18 @@ class PharaPiece:
                                   f"doubles, got {self.anchor_slope} / {self.alpha}")
             return
         if not np.isfinite(self.A):
-            raise IllegalCase("power/log piece needs a finite benchmark")
+            raise IllegalCase(f"power/log piece needs a finite benchmark, got {self.A}")
         if self.a_lo < self.A < self.a_hi:
             raise IllegalCase(
                 f"benchmark {self.A} inside ({self.a_lo}, {self.a_hi}) "
                 "would put a singularity in the piece"
             )
         if self.A <= self.a_lo and not self.anchor_x > self.A:
-            raise IllegalCase("anchor must sit strictly above the benchmark")
+            raise IllegalCase("anchor must sit strictly above the benchmark, got anchor "
+                              f"{self.anchor_x} and benchmark {self.A}")
         if self.A >= self.a_hi and not self.anchor_x < self.A:
-            raise IllegalCase("anchor must sit strictly below the benchmark")
+            raise IllegalCase("anchor must sit strictly below the benchmark, got anchor "
+                              f"{self.anchor_x} and benchmark {self.A}")
 
     # -- closed-form evaluation -------------------------------------------
 
@@ -227,9 +233,9 @@ class PharaUtility:
         if not self.pieces:
             raise IllegalCase("utility needs at least one piece")
         if self.pieces[0].a_lo != self.a0:
-            raise IllegalCase("first piece must start at a0")
+            raise IllegalCase(f"first piece must start at a0={self.a0}, got {self.pieces[0].a_lo}")
         if self.pieces[-1].a_hi != INF:
-            raise IllegalCase("last piece must extend to +inf")
+            raise IllegalCase(f"last piece must extend to +inf, got {self.pieces[-1].a_hi}")
         for left, right in zip(self.pieces, self.pieces[1:]):
             if left.a_hi != right.a_lo:
                 raise IllegalCase(
@@ -237,7 +243,7 @@ class PharaUtility:
                 )
             lv, rv, x = left.value_hi, right.value_lo, right.a_lo
             if not (np.isfinite(lv) and np.isfinite(rv)):
-                raise IllegalCase("interior junction values must be finite")
+                raise IllegalCase(f"interior junction values must be finite at {x}: {lv} -> {rv}")
             if rv < lv and not same_value(lv, rv, left.rounding(x) + right.rounding(x)):
                 raise IllegalCase(f"utility decreases across the junction at {x}: {lv} -> {rv}")
 
@@ -290,11 +296,11 @@ def s_shaped_utility(reference: float, gain_exponent: float, a0: float,
     """
     q = gain_exponent if loss_exponent is None else loss_exponent
     if not 0.0 < gain_exponent < 1.0:
-        raise IllegalCase("gain exponent must be in (0, 1)")
+        raise IllegalCase(f"gain exponent must be in (0, 1), got {gain_exponent}")
     if not 0.0 < q < 1.0:
-        raise IllegalCase("loss exponent must be in (0, 1)")
+        raise IllegalCase(f"loss exponent must be in (0, 1), got {q}")
     if not loss_weight > 0.0:
-        raise IllegalCase("loss weight must be positive")
+        raise IllegalCase(f"loss weight must be positive, got {loss_weight}")
 
     def branch(lo, hi, x, p, weight):
         # +-weight |x - reference|^p on [lo, hi), anchored at x

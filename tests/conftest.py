@@ -2,6 +2,7 @@ import importlib.util
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,7 @@ from corpora import cara_utility, crra_utility
 from phara.cli import Scenario, load_scenario, main
 from phara.concavify import concave_envelope
 from phara.solver import _d1_outer, _horizon, _tables, solve_multiplier
-from phara.utility import INF, PharaUtility
+from phara.utility import INF, PharaPiece, PharaUtility
 
 
 # property tests: a fixed example budget per test keeps the suite's runtime
@@ -47,6 +48,16 @@ def load_tool(name: str):
 # the one copy of tools/same.py that every test reads: its scenario writer
 # (same.write_scenario, whose same.DELETE is this copy's), groups and BUNDLED
 same = load_tool("same")
+
+
+def run_python(out: Path, *args) -> dict:
+    """A fresh interpreter run with ``args`` on this checkout's sources, its
+    standard output and error written into the directory out; it must exit 0.
+    ``same.run_child``'s figures: exit code, wall and CPU seconds, peak RSS in MB."""
+    out.mkdir(parents=True, exist_ok=True)
+    child = same.run_child([sys.executable, *map(str, args)], same.child_env(ROOT), ROOT, out)
+    assert child["rc"] == 0, (out / "stderr").read_text()
+    return child
 
 
 def run_recorded(argv, out: Path) -> int:
@@ -135,6 +146,13 @@ def deriv(u: PharaUtility, x: float, side: str = "right") -> float:
         return INF
     k = int(np.searchsorted(u.partition[1:-1], x, side=side))
     return float(u.pieces[k].slope(x))
+
+
+def template(R, A, alpha, x_hat=2.0, u=7.0, gamma=1.5, a_lo=1.0, a_hi=INF) -> PharaPiece:
+    """The piece of risk aversion R, benchmark A and alpha on [a_lo, a_hi) with
+    value u and slope gamma at x_hat."""
+    return PharaPiece(a_lo=a_lo, a_hi=a_hi, R=R, A=A, alpha=alpha,
+                      anchor_x=x_hat, anchor_u=u, anchor_slope=gamma)
 
 
 def scale_shift(u: PharaUtility, a: float, b: float) -> PharaUtility:

@@ -2,15 +2,13 @@ import ctypes
 import gc
 import json
 import math
-import os
-import subprocess
 import sys
 import types
 
 import numpy as np
 import pytest
 
-from conftest import (ROOT, SCENARIOS, bundled, crra_multiplier, same,
+from conftest import (SCENARIOS, bundled, crra_multiplier, run_python, same,
                       strict_json as _strict_json)
 from phara import cli
 from phara.cli import _check, _parse_utility, _settle_process, load_scenario, main
@@ -297,8 +295,10 @@ class TestStandardJson:
             _strict_json(tmp_path / artifact)
 
     def test_linear_tail_envelope(self, tmp_path):
-        # R = 0 on crra: the envelope is one line to +inf, written as "inf"
-        path = same.write_scenario(tmp_path / "line.json", "crra", {"utility.pieces.0.R": 0.0})
+        # R = 0 on crra, whose benchmark A a line does not read: the envelope
+        # is one line to +inf, written as "inf"
+        path = same.write_scenario(tmp_path / "line.json", "crra", {
+            "utility.pieces.0.R": 0.0, "utility.pieces.0.A": DELETE})
         assert run(["envelope", "--scenario", path, "--out", tmp_path]) == 0
         table = _strict_json(tmp_path / "envelope.json")
         ((lo, hi, slope),) = table["chords"]
@@ -467,11 +467,16 @@ ERRORS = {
         "paths": ("verify", "crra", {"paths": 1}, ["--paths", "2000"],
                   LOAD + f"paths must be {SIZE}, got 1"),
     },
-    # a key the reader does not know was ignored: a misspelt field loaded as its default
+    # a key the reader does not know was ignored: a misspelt field loaded as its
+    # default; so were an alpha off an exponential piece and an A on a linear one
     "unused_key": {
         "top_level": ("solve", "crra", {"sede": 7}, [], LOAD + "sede is not used"),
         "nested": ("solve", "hedge_fund", {"utility.preference.referense": 1.0}, [],
                    LOAD + "utility.preference.referense is not used"),
+        "alpha_of_a_power_piece": ("solve", "crra", {"utility.pieces.0.alpha": 3.0}, [],
+                                   LOAD + "utility.pieces[0].alpha is not used"),
+        "A_of_a_linear_piece": ("envelope", "multi_kink_demo", {"utility.pieces.1.A": 3.0}, [],
+                                LOAD + "utility.pieces[1].A is not used"),
     },
     "block_of_wrong_json_type": {
         "mu": ("solve", "multi_kink_demo", {"market.mu": 0.086}, [],
@@ -535,6 +540,12 @@ ERRORS = {
         for flag, rule in (("--xi", "finite and positive"), ("--x", "finite"))
         for v, got in (("-1", "-1.0"), ("0", "0.0"), ("nan", "NaN"), ("inf", "Infinity"))
         if flag == "--xi" or v in ("nan", "inf")},
+    # the market's own BadTime, which named no flag
+    "decompose_time_outside_horizon": {
+        case: ("decompose", "crra", None, ["--t", t, "--xi", "1"], "error: --t must be finite "
+               f"and in [0, 10.0) (market.T), got {got}")
+        for case, t, got in (("nan", "nan", "NaN"), ("negative", "-1", "-1.0"),
+                             ("T", "10", "10.0"))},
     # X_t at xi = 1e-200 is above 1e308: the power terms overflowed and the
     # report's NaN escaped as a ValueError traceback
     "decompose_wealth_beyond_the_doubles": {
@@ -659,20 +670,10 @@ for _name, _cases in ERRORS.items():
     setattr(TestErrorPaths, f"test_{_name}", _table_test(_cases))
 
 
-def _run_child(*args) -> None:
-    """Run a fresh interpreter with ``args`` on this checkout's sources."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, *map(str, args)], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_split_commands_leave_numpy_ma_unimported(tmp_path):
     # np.unique imports numpy.ma (about 15 ms and 1.4 MB); the common-R
     # test of surface and decompose needs only a set
-    _run_child("-c", f"""
+    run_python(tmp_path / "child", "-c", f"""
 import sys
 from phara.cli import main
 for command, *flags in (("surface",), ("decompose", "--t", "1", "--x", "12")):
@@ -685,7 +686,7 @@ assert "numpy.ma" not in sys.modules
 
 def test_commands_never_import_scipy(tmp_path):
     # Phi lives in phara.normal; scipy is a test-only oracle
-    _run_child("-c", f"""
+    run_python(tmp_path / "child", "-c", f"""
 import sys
 from phara.cli import main
 commands = (("envelope",), ("solve",), ("surface",),
@@ -757,7 +758,7 @@ class TestProcessSettings:
 
     def test_child_artifacts_match_in_process(self, tmp_path):
         scenario = SCENARIOS / "participating_contract.json"
-        _run_child("-m", "phara.cli", "envelope", "--scenario", scenario,
+        run_python(tmp_path / "run", "-m", "phara.cli", "envelope", "--scenario", scenario,
                    "--out", tmp_path / "child")
         assert run(["envelope", "--scenario", scenario,
                     "--out", tmp_path / "here"]) == 0

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CONTRACT, bundled, deriv, scale_shift
+from conftest import CONTRACT, bundled, deriv, template
 from corpora import cara_utility, crra_utility, random_concave_envelope, random_raw_utility
-from phara.errors import IllegalCase, NotPhara, OutOfDomain
 from phara.utility import (INF, NEG_INF, PharaPiece, PharaUtility, _verify_composition,
                            compose, piecewise_linear_payoff, s_shaped_utility)
 
@@ -20,71 +19,34 @@ def _s_shape(w, reference, g, q=None, lam=1.0):
     return np.where(w >= reference, gain, loss)
 
 
-def _template(R, A, alpha, x_hat=2.0, u=7.0, gamma=1.5, a_lo=1.0, a_hi=INF):
-    return PharaPiece(a_lo=a_lo, a_hi=a_hi, R=R, A=A, alpha=alpha,
-                      anchor_x=x_hat, anchor_u=u, anchor_slope=gamma)
-
-
 _ALL_CASES = [(0.0, NEG_INF, None), (1.0, 0.5, None), (0.7, 0.5, None),
               (3.0, 0.5, None), (INF, NEG_INF, 0.8)]
 
 
 class TestTemplate:
     def test_linear_case(self):
-        assert _template(0.0, NEG_INF, None, x_hat=1.0, u=5.0, gamma=2.0,
+        assert template(0.0, NEG_INF, None, x_hat=1.0, u=5.0, gamma=2.0,
                          a_lo=0.0).value(3.0) == 9.0
 
     def test_log_case(self):
-        got = _template(1.0, 0.0, None, x_hat=1.0, u=0.0, gamma=3.0,
+        got = template(1.0, 0.0, None, x_hat=1.0, u=0.0, gamma=3.0,
                         a_lo=0.5).value(math.e)
         assert got == pytest.approx(3.0, rel=1e-14)
 
     def test_anchoring_all_cases(self):
         # the template returns u at the anchor in every branch
         for R, A, alpha in _ALL_CASES:
-            assert _template(R, A, alpha).value(2.0) == 7.0
+            assert template(R, A, alpha).value(2.0) == 7.0
 
     def test_anchor_slope_all_cases(self):
         for R, A, alpha in _ALL_CASES:
-            got = _template(R, A, alpha).slope(2.0)
+            got = template(R, A, alpha).slope(2.0)
             assert got == pytest.approx(1.5, rel=1e-14)
-
-    def test_illegal_cases(self):
-        nan = float("nan")
-        cases = [
-            dict(R=0.5, A=2.0, alpha=None, a_lo=2.0),        # anchor == A
-            dict(R=INF, A=1.0, alpha=0.5),                   # finite A
-            dict(R=INF, A=NEG_INF, alpha=None),              # no alpha
-            dict(R=INF, A=NEG_INF, alpha=0.0),
-            dict(R=INF, A=NEG_INF, alpha=INF),
-            dict(R=INF, A=NEG_INF, alpha=nan),
-            dict(R=0.5, A=0.0, alpha=None, gamma=-1.0),      # bad slope
-            dict(R=0.5, A=0.0, alpha=None, gamma=0.0),       # flat only if linear
-            dict(R=0.5, A=0.0, alpha=None, gamma=nan),
-            dict(R=0.5, A=0.0, alpha=None, gamma=INF),       # value inf * 0 at the anchor
-            dict(R=0.0, A=NEG_INF, alpha=None, gamma=-1.0),
-            dict(R=0.0, A=NEG_INF, alpha=None, gamma=nan),
-            dict(R=-0.5, A=0.0, alpha=None),                 # R < 0
-            dict(R=nan, A=0.0, alpha=None),
-            dict(R=0.5, A=NEG_INF, alpha=None),              # power needs finite A
-            dict(R=0.5, A=nan, alpha=None),
-            dict(R=0.5, A=1.5, alpha=None, a_hi=3.0),        # A inside the cell
-            dict(R=0.5, A=4.0, alpha=None, x_hat=4.0, a_hi=4.0),  # anchor at A
-            dict(R=0.0, A=NEG_INF, alpha=None, u=nan),       # anchor value
-            dict(R=0.0, A=NEG_INF, alpha=None, u=INF),
-            dict(R=0.0, A=NEG_INF, alpha=None, x_hat=INF),   # anchor point
-            dict(R=0.0, A=NEG_INF, alpha=None, x_hat=0.5),   # anchor outside
-            dict(R=0.0, A=NEG_INF, alpha=None, a_hi=1.0),    # empty cell
-            dict(R=0.0, A=NEG_INF, alpha=None, a_lo=NEG_INF),
-        ]
-        for kwargs in cases:
-            with pytest.raises(IllegalCase):
-                _template(**kwargs)
 
     def test_linear_piece_contact(self):
         # a line of the piece's slope, or shallower, touches it at its right
         # end; a steeper one at its left end
-        line = _template(0.0, NEG_INF, None, a_hi=4.0)
+        line = template(0.0, NEG_INF, None, a_hi=4.0)
         assert line.contact(1.5) == line.contact(0.1) == 4.0
         assert line.contact(1.5 + 1e-12) == line.contact(9.0) == 1.0
 
@@ -93,7 +55,7 @@ class TestTemplate:
         # value 4 and slope 1/2; at the benchmark, where the slope is infinite,
         # the last term reads 0.  On the demo's junctions it stays below 5e-15
         # of the value, far below the value rule's 1e-10 floor
-        power = _template(0.5, 0.0, None, x_hat=1.0, u=2.0, gamma=1.0, a_lo=0.0)
+        power = template(0.5, 0.0, None, x_hat=1.0, u=2.0, gamma=1.0, a_lo=0.0)
         assert power.rounding(4.0) == 4.0 * np.finfo(float).eps * (2.0 + 4.0 + 2.0)
         assert power.rounding(0.0) == 4.0 * np.finfo(float).eps * (2.0 + 0.0)
         for left, right in zip(demo_utility.pieces, demo_utility.pieces[1:]):
@@ -151,12 +113,6 @@ class TestEval:
             vals = u.value(xs)
             assert np.all(np.diff(vals) >= -1e-12)
 
-    def test_out_of_domain(self, demo_utility):
-        with pytest.raises(OutOfDomain):
-            demo_utility.value(3.9)
-        with pytest.raises(OutOfDomain):
-            crra_utility(0.5).value(-1e-300)
-
     def test_value_at_a0(self, demo_utility):
         # U(a0) is the first piece's limit, finite or -inf: a0 is in the
         # domain exactly when it is finite
@@ -177,7 +133,7 @@ class TestAra:
     risk aversion -U''/U' is R/(x - A), alpha, or 0."""
 
     def test_linear_zero(self):
-        assert _ara(_template(0.0, NEG_INF, None), 5.0) == 0.0
+        assert _ara(template(0.0, NEG_INF, None), 5.0) == 0.0
 
     def test_cara_constant(self):
         (piece,) = cara_utility(2.0).pieces
@@ -288,16 +244,6 @@ class TestCompose:
         assert [p.R for p in payoff.pieces] == [0.0] * 3
         assert [p.value_lo for p in payoff.pieces] == pytest.approx((0.0, 0.0, 1.5))
 
-    def test_payoff_below_preference_domain(self):
-        pref = crra_utility(0.5)  # domain [0, inf)
-        payoff = piecewise_linear_payoff(a0=0.0, value_lo=-1.0,
-                                         breakpoints=(), slopes=(1.0,))
-        with pytest.raises(OutOfDomain):
-            compose(pref, payoff)
-        with pytest.raises(OutOfDomain):
-            compose(pref, piecewise_linear_payoff(a0=-1.0, value_lo=-1.0,
-                                                  breakpoints=(), slopes=(1.0,)))
-
     @pytest.mark.parametrize("R, floor_value", [(0.5, 0.0), (2.0, NEG_INF)])
     def test_payoff_floor_at_the_preference_floor(self, R, floor_value):
         # a payoff whose floor value is the preference's a0 composes, with
@@ -325,103 +271,23 @@ class TestCompose:
         assert np.all(np.abs(u.value(xs) - direct)
                       <= 1e-12 * np.maximum(1.0, np.abs(direct)))
 
-    def test_flat_payoff_at_an_infinite_preference_value(self):
-        # log x on [0, inf): U(0) = -inf, so a payoff flat at 0 has no
-        # finite utility
-        log = PharaPiece(a_lo=0.0, a_hi=INF, R=1.0, A=0.0, anchor_x=1.0,
-                         anchor_u=0.0, anchor_slope=1.0)
-        pref = PharaUtility(a0=0.0, pieces=(log,))
-        payoff = piecewise_linear_payoff(a0=0.0, value_lo=0.0,
-                                         breakpoints=(1.0,), slopes=(0.0, 1.0))
-        with pytest.raises(NotPhara, match="flat payoff"):
-            compose(pref, payoff)
-
     def test_cell_that_cannot_be_built_names_itself(self):
         # from payoff value 4.7e10 the CARA slope e^(-2.4 w) underflows to 0,
-        # which no exponential piece admits: the error names the cell
+        # which no exponential piece admits, and tests/test_errors.py has the
+        # error that names the cell; the cell that ends there builds
         payoff = piecewise_linear_payoff(0.0, -1.0, (1.0,), (1.0, 4.7e10))
-        with pytest.raises(IllegalCase, match=r"composed cell \[2\.0, inf\), payoff value "
-                           r"47000000000\.0 at its left end: non-linear piece needs"):
-            compose(cara_utility(2.4, -10.0), piecewise_linear_payoff(
-                0.0, -1.0, (1.0, 2.0), (1.0, 4.7e10, 1.0)))
         assert compose(cara_utility(2.4, -10.0), payoff).pieces[-1].value_lo < 0.0
 
     def test_composition_check_rejects_a_wrong_branch(self):
-        # the pointwise check behind compose: a cell off by 1e-6 fails it
+        # the pointwise check behind compose passes the right branch; a cell
+        # off by 1e-6 fails it (tests/test_errors.py)
         pref = crra_utility(0.5)
         payoff = piecewise_linear_payoff(a0=1.0, value_lo=1.0,
                                          breakpoints=(), slopes=(1.0,))
-        u = compose(pref, payoff)
-        _verify_composition(u, pref, payoff)
-        with pytest.raises(NotPhara, match="does not reduce"):
-            _verify_composition(u, scale_shift(pref, 1.0, 1e-6), payoff)
-
-    def test_payoff_validation(self):
-        # the pieces validate the partition, the floor value and the slopes
-        nan = float("nan")
-        for a0, value_lo, breakpoints, slopes in (
-                (0.0, 0.0, (2.0, 1.0), (1, 1, 1)),     # breakpoints decrease
-                (0.0, 0.0, (1.0, 1.0), (1, 1, 1)),     # a breakpoint twice
-                (1.0, 0.0, (1.0,), (1, 1)),            # a breakpoint at the floor
-                (1.0, 0.0, (0.5,), (1, 1)),            # a breakpoint below the floor
-                (0.0, 0.0, (nan,), (1, 1)), (0.0, 0.0, (INF,), (1, 1)),
-                (nan, 0.0, (1.0,), (1, 1)), (INF, 0.0, (), (1,)), (NEG_INF, 0.0, (), (1,)),
-                (0.0, nan, (), (1,)), (0.0, INF, (), (1,)),
-                (0.0, 0.0, (1.0,), (1.0, -0.2)), (0.0, 0.0, (1.0,), (nan, 1.0)),
-                (0.0, 0.0, (), (INF,)), (0.0, 0.0, (10.0,), (1e308, 1.0))):
-            with pytest.raises(IllegalCase):
-                piecewise_linear_payoff(a0, value_lo, breakpoints, slopes)
-        with pytest.raises(IllegalCase, match="need 2 slopes, got 1"):
-            piecewise_linear_payoff(a0=0.0, value_lo=0.0,
-                                    breakpoints=(1.0,), slopes=(1.0,))
-
-    def test_curved_payoff_rejected(self):
-        # a payoff is composed piece by piece as an affine map: a power piece is not
-        with pytest.raises(NotPhara, match="payoff piece 0 .* not linear"):
-            compose(crra_utility(0.5), crra_utility(0.5, a0=1.0))
-        line = piecewise_linear_payoff(a0=0.0, value_lo=0.0, breakpoints=(), slopes=(1.0,))
-        bent = PharaUtility(a0=0.0, pieces=(line.pieces[0].restrict(0.0, 1.0),
-                                            crra_utility(0.5).pieces[0].restrict(1.0, INF)))
-        with pytest.raises(NotPhara, match="payoff piece 1 on \\[1.0, inf\\)"):
-            compose(crra_utility(0.5), bent)
+        _verify_composition(compose(pref, payoff), pref, payoff)
 
 
 class TestValidation:
-    def test_benchmark_inside_cell_rejected(self):
-        with pytest.raises(IllegalCase):
-            PharaPiece(a_lo=0.0, a_hi=2.0, R=0.5, A=1.0, anchor_x=0.0,
-                       anchor_u=0.0, anchor_slope=1.0)
-
-    def test_partition_gap_rejected(self):
-        p1 = PharaPiece(a_lo=0.0, a_hi=1.0, R=0.0, anchor_x=0.0,
-                        anchor_u=0.0, anchor_slope=1.0)
-        p2 = PharaPiece(a_lo=1.5, a_hi=INF, R=0.5, A=0.0, anchor_x=2.0,
-                        anchor_u=2.0, anchor_slope=0.5)
-        with pytest.raises(IllegalCase):
-            PharaUtility(a0=0.0, pieces=(p1, p2))
-
-    def test_decreasing_jump_rejected(self):
-        p1 = PharaPiece(a_lo=0.0, a_hi=1.0, R=0.0, anchor_x=0.0,
-                        anchor_u=0.0, anchor_slope=1.0)
-        p2 = PharaPiece(a_lo=1.0, a_hi=INF, R=0.5, A=0.0, anchor_x=1.0,
-                        anchor_u=-1.0, anchor_slope=0.5)
-        with pytest.raises(IllegalCase):
-            PharaUtility(a0=0.0, pieces=(p1, p2))
-
-    def test_structure_rejected(self):
-        line = PharaPiece(a_lo=0.0, a_hi=1.0, R=0.0, anchor_x=0.0,
-                          anchor_u=0.0, anchor_slope=1.0)
-        tail = PharaPiece(a_lo=1.0, a_hi=INF, R=0.5, A=0.0, anchor_x=1.0,
-                          anchor_u=1.0, anchor_slope=0.5)
-        # a convex log branch whose benchmark is its right end: +inf there
-        spike = PharaPiece(a_lo=0.0, a_hi=1.0, R=1.0, A=1.0, anchor_x=0.0,
-                           anchor_u=0.0, anchor_slope=1.0)
-        assert spike.value_hi == INF
-        for a0, pieces in ((0.0, ()), (-1.0, (line, tail)), (0.0, (line,)),
-                           (0.0, (spike, tail))):
-            with pytest.raises(IllegalCase):
-                PharaUtility(a0=a0, pieces=pieces)
-
     def test_single_piece_accepted(self):
         # one global cell is fine: every kink weight downstream vanishes
         u = crra_utility(0.8)
@@ -441,15 +307,6 @@ class TestSShaped:
                 direct = _s_shape(xs, 1.0, 0.6, q, lam)
                 assert np.all(np.abs(u.value(xs) - direct)
                               <= 1e-12 * np.maximum(1.0, np.abs(direct)))
-
-    def test_illegal_parameters(self):
-        for kwargs in (dict(gain_exponent=0.0), dict(gain_exponent=1.0),
-                       dict(gain_exponent=1.5), dict(gain_exponent=float("nan")),
-                       dict(loss_exponent=0.0), dict(loss_exponent=1.2),
-                       dict(loss_weight=0.0), dict(loss_weight=-1.0)):
-            args = {**dict(reference=0.0, gain_exponent=0.5, a0=-1.0), **kwargs}
-            with pytest.raises(IllegalCase):
-                s_shaped_utility(**args)
 
 
 @st.composite

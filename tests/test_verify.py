@@ -1,17 +1,13 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import ROOT, SCENARIOS, deriv, interesting_multipliers
+from conftest import SCENARIOS, deriv, interesting_multipliers, run_python
 from corpora import crra_utility
 from phara.cli import main
 from phara.concavify import concave_envelope
-from phara.errors import StepTooCoarse
 from phara.market import build_market, sample_kernel_at
 from phara.solver import budget, optimal_terminal_wealth, solve_multiplier
 from phara.utility import piecewise_linear_payoff
@@ -133,16 +129,9 @@ class TestMonteCarlo:
     def test_memory_does_not_grow_with_paths(self, tmp_path):
         # the checks stream their paths: ten times the paths, the same peak
         def peak_mb(paths):
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                                       if os.environ.get("PYTHONPATH") else [])))
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "phara.cli", "verify", "--scenario",
-                 str(SCENARIOS / "crra.json"), "--out", str(tmp_path / str(paths)),
-                 "--paths", str(paths)], env=env, stdout=subprocess.DEVNULL)
-            _, status, usage = os.wait4(proc.pid, 0)
-            assert os.waitstatus_to_exitcode(status) == 0
-            return usage.ru_maxrss / 1024.0
+            out = tmp_path / str(paths)
+            return run_python(out, "-m", "phara.cli", "verify", "--scenario",
+                              SCENARIOS / "crra.json", "--out", out, "--paths", paths)["rss"]
         assert peak_mb(1_000_000) <= peak_mb(100_000) + 3.0
 
 
@@ -180,11 +169,6 @@ class TestFiniteDifference:
 
 
 class TestSimulation:
-    def test_step_floor(self, crra_envelope, market):
-        with pytest.raises(StepTooCoarse):
-            simulate_strategy(crra_envelope, market, 1.0, 10.0, 100, 5,
-                              seed=0)
-
     def test_crra_strong_order(self, crra_envelope, market):
         y_star = solve_multiplier(crra_envelope, market, 10.0).y_star
         rep = simulate_order_check(crra_envelope, market, y_star, 10.0, 2_000,

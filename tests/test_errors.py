@@ -249,10 +249,8 @@ RAISES = {
                          f"riskless rate must be positive, got {r}") for r in (0.0, -0.01)},
     # e^(rT) and e^(|theta|^2 T) stay finite doubles; a non-finite entry or an
     # overflow in sigma sigma^T is named, never computed with
-    "market_mu_inf": (lambda: _market(mu=[INF]), BadDimension,
-                      "mu entries must be finite, got [inf]"),
-    "market_mu_nan": (lambda: _market(mu=[nan]), BadDimension,
-                      "mu entries must be finite, got [nan]"),
+    **{f"market_mu_{v}": (lambda v=v: _market(mu=[v]), BadDimension,
+                          f"mu entries must be finite, got [{v}]") for v in (INF, nan)},
     "market_sigma_inf": (lambda: _market(sigma=[[INF]]), BadDimension,
                          "sigma entries must be finite, got [[inf]]"),
     "market_sigma_1e308": (lambda: _market(sigma=[[1e308]]), BadDimension, "sigma entries too "

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import test_errors
 from phara.market import build_market, sample_kernel_at, standard_normals
 
 
@@ -33,6 +34,12 @@ def test_theta_reconstruction_residual():
         mkt = build_market(r=0.05, mu=mu, sigma=sigma, T=3.0)
         resid = np.linalg.norm(mkt.sigma @ mkt.theta - (mkt.mu - mkt.r))
         assert resid <= 1e-12 * max(1.0, np.linalg.norm(mkt.mu - mkt.r))
+
+
+@pytest.mark.parametrize("case", ["mu_inf", "mu_nan", "sigma_inf", "sigma_1e308", "T_1e308",
+                                  "mu_1e308", "sigma_1e-160", "theta_squared_T_1e4"])
+def test_build_market_ranges(case):
+    test_errors.test_raises(f"market_{case}")  # its RAISES row, under this file's id
 
 
 def test_kernel_at_zero(market):

@@ -161,10 +161,9 @@ def _parse_utility(value, path: str = "utility") -> PharaUtility:
             anc = e.field("anchor", "object", None)
             x, u, slope = ((lo, e.field("u_plus"), e.field("gamma_plus")) if anc is None
                            else (anc.field("x"), anc.field("u"), anc.field("slope")))
-            R = e.field("R")  # a linear piece has no A, and only an exponential one an alpha
-            pieces.append(_build(e.path, PharaPiece, a_lo=lo, a_hi=hi, R=R,
-                                 A=NEG_INF if R == 0.0 else e.field("A", default=NEG_INF),
-                                 alpha=e.field("alpha", default=None) if R == INF else None,
+            pieces.append(_build(e.path, PharaPiece, a_lo=lo, a_hi=hi, R=e.field("R"),
+                                 A=e.field("A", default=NEG_INF),
+                                 alpha=e.field("alpha", default=None),
                                  anchor_x=x, anchor_u=u, anchor_slope=slope))
         return _build(path, PharaUtility, a0=block.field("a0"), pieces=tuple(pieces))
 
@@ -336,8 +335,8 @@ def cmd_verify(scn: Scenario, res: EnvelopeResult, sol: DualSolution, args):
     reports += [verify_mod.mc_martingale_check(env, scn.market, sol.y_star, t,
                                                scn.paths, scn.seed + 1 + i)
                 for i, t in enumerate((T / 4, T / 2, 3 * T / 4))]
-    reports += [verify_mod.fd_portfolio_check(env, scn.market, sol.y_star, t, xi)
-                for t, xi in ((0.0, 1.0), (T / 2, 0.6), (T / 2, 1.7), (0.9 * T, 1.1))]
+    reports += [verify_mod.fd_portfolio_check(env, scn.market, sol.y_star, f * T, xi)
+                for f, xi in verify_mod.FD_POINTS]
     reports.sort(key=lambda r: r.name)
     ok = all(r.passed for r in reports)
     for r in reports:

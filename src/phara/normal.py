@@ -73,13 +73,13 @@ def cdf(x):
     if not (isinstance(x, np.ndarray) and x.dtype == float and x.flags.c_contiguous):
         raise ValueError("normal.cdf: x must be a C-contiguous float array")
     v = x.reshape(-1)  # the arguments, each overwritten by its Phi in [0, 1]
-    idx = np.flatnonzero((v > -_X_ONE) & (v < _X_ONE))
+    idx = np.flatnonzero(np.abs(v) < _X_ONE)
     if idx.size:
         y = v[idx]
+        sign = np.sign(y)
         h = _lower_tail(np.multiply(np.abs(y, out=y), _SQRT1_2, out=y), _NEAR_PIECE)
         # (1 + sign x)/2 - sign x h: h below zero, 1 - h above it, 1/2 at zero,
         # without a data-dependent branch
-        sign = np.sign(v[idx], out=y)
         h *= sign
         sign += 1.0
         sign *= 0.5
@@ -89,8 +89,7 @@ def cdf(x):
     if idx.size:
         v[idx] = _lower_tail(v[idx] * -_SQRT1_2, _FAR_PIECE)
     # the rest: exact 0 below, exact 1 above, NaN for NaN; Phi in [0, 1] stays
-    np.maximum(v, 0.0, out=v)
-    np.minimum(v, 1.0, out=v)
+    np.clip(v, 0.0, 1.0, out=v)
     return x
 
 

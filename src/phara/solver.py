@@ -129,7 +129,7 @@ def _tables(env: PharaUtility) -> _Tables:
     cara = R == INF
     chord = R == 0.0
     A = np.where(crra, [p.A for p in env.pieces], 0.0)
-    alpha = np.array([p.alpha if p.R == INF else 0.0 for p in env.pieces])
+    alpha = np.array([p.alpha or 0.0 for p in env.pieces])
 
     # slope ladder must be nonincreasing: gminus[k] >= gplus[k] >= gminus[k+1], a rise
     # within same_slope being one slope.  A larger rise at a junction that kinks() omits is

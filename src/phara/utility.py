@@ -71,11 +71,12 @@ def _anchor(lo: float, hi: float, R: float, A: float, home: float = NEG_INF) -> 
 class PharaPiece:
     """One HARA branch of a piecewise utility on [a_lo, a_hi).
 
-    The branch is one of four closed forms: R = 0 linear; R = 1 log;
-    R in (0,1)u(1,inf) power with benchmark A; R = inf exponential (needs
-    A = -inf and alpha > 0).  It is stored in anchored form: value
-    ``anchor_u`` and slope ``anchor_slope`` at the finite point ``anchor_x``
-    in [a_lo, a_hi], chosen by :func:`_anchor` when a piece is derived.
+    The branch is one of four closed forms: R = 0 linear; R = 1 log; R in
+    (0,1)u(1,inf) power with benchmark A; R = inf exponential with alpha > 0.
+    Only a power or log branch takes an A, and only an exponential one an
+    alpha.  It is stored in anchored form: value ``anchor_u`` and slope
+    ``anchor_slope`` at the finite point ``anchor_x`` in [a_lo, a_hi],
+    chosen by :func:`_anchor` when a piece is derived.
     """
 
     a_lo: float
@@ -100,7 +101,11 @@ class PharaPiece:
                               f"({self.anchor_x}, {self.anchor_u})")
         if not self.R >= 0.0:
             raise IllegalCase(f"risk aversion R must be >= 0, got {self.R}")
+        if self.R < INF and self.alpha is not None:
+            raise IllegalCase(f"a piece with R = {self.R} takes no alpha, got {self.alpha}")
         if self.R == 0.0:
+            if self.A != NEG_INF:
+                raise IllegalCase(f"linear piece needs A = -inf, got {self.A}")
             if not 0.0 <= self.anchor_slope < INF:
                 raise IllegalCase(
                     f"linear piece needs a finite slope >= 0, got {self.anchor_slope}")

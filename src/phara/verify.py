@@ -20,6 +20,7 @@ _GOLDEN_STEPS = 40         # golden-section steps around the best grid point
 _FD_STEP = 1e-4            # central-difference step in log xi, per |theta| sqrt(T - t)
 _FD_TOL = 1e-6             # relative error bound of the finite-difference delta
 _CHUNK = 4 * _BLOCK        # Monte-Carlo paths per chunk, whole evaluation blocks
+FD_POINTS = ((0.0, 1.0), (0.5, 0.6), (0.5, 1.7), (0.9, 1.1))  # (t / T, xi) of verify's deltas
 
 
 class VerificationReport(NamedTuple):

@@ -467,16 +467,19 @@ ERRORS = {
         "paths": ("verify", "crra", {"paths": 1}, ["--paths", "2000"],
                   LOAD + f"paths must be {SIZE}, got 1"),
     },
-    # a key the reader does not know was ignored: a misspelt field loaded as its
-    # default; so were an alpha off an exponential piece and an A on a linear one
+    # a key the reader does not know is refused, or a misspelt field would load
+    # as its default; an alpha off an exponential piece and an A on a linear
+    # one are read, and the piece refuses them
     "unused_key": {
         "top_level": ("solve", "crra", {"sede": 7}, [], LOAD + "sede is not used"),
         "nested": ("solve", "hedge_fund", {"utility.preference.referense": 1.0}, [],
                    LOAD + "utility.preference.referense is not used"),
         "alpha_of_a_power_piece": ("solve", "crra", {"utility.pieces.0.alpha": 3.0}, [],
-                                   LOAD + "utility.pieces[0].alpha is not used"),
+                                   LOAD + "utility.pieces[0]: a piece with R = 0.5 takes "
+                                   "no alpha, got 3.0"),
         "A_of_a_linear_piece": ("envelope", "multi_kink_demo", {"utility.pieces.1.A": 3.0}, [],
-                                LOAD + "utility.pieces[1].A is not used"),
+                                LOAD + "utility.pieces[1]: linear piece needs A = -inf, "
+                                "got 3.0"),
     },
     "block_of_wrong_json_type": {
         "mu": ("solve", "multi_kink_demo", {"market.mu": 0.086}, [],

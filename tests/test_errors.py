@@ -115,6 +115,15 @@ RAISES = {
     **{f"piece_power_A_{A}": (lambda A=A: template(0.5, A, None), IllegalCase,
                               f"power/log piece needs a finite benchmark, got {A}")
        for A in (NEG_INF, nan)},
+    "piece_linear_A": (lambda: template(0.0, 3.0, None), IllegalCase,
+                       "linear piece needs A = -inf, got 3.0"),
+    **{f"piece_{kind}_alpha": (lambda R=R, A=A: template(R, A, 2.0), IllegalCase,
+                               f"a piece with R = {R} takes no alpha, got 2.0")
+       for kind, R, A in (("linear", 0.0, NEG_INF), ("log", 1.0, 0.0), ("power", 0.5, 0.0))},
+    # a line with both an A and an alpha: the alpha is named first
+    "piece_linear_A_and_alpha": (lambda: PharaPiece(
+        a_lo=0.0, a_hi=INF, R=0.0, A=3.0, alpha=2.0, anchor_x=0.0, anchor_u=0.0,
+        anchor_slope=1.0), IllegalCase, "a piece with R = 0.0 takes no alpha, got 2.0"),
     "piece_A_inside_the_cell": (
         lambda: template(0.5, 1.5, None, a_hi=3.0), IllegalCase,
         "benchmark 1.5 inside (1.0, 3.0) would put a singularity in the piece"),

@@ -27,7 +27,7 @@ from phara.solver import (_BLOCK, DualSolution, PortfolioDecomposition,
                           wealth_total)
 from phara.utility import (INF, PharaPiece, PharaUtility, _verify_composition, compose,
                            piecewise_linear_payoff, same_slope)
-from phara.verify import (VerificationReport, argmax_oracle, fd_portfolio_check,
+from phara.verify import (FD_POINTS, VerificationReport, argmax_oracle, fd_portfolio_check,
                           mc_budget_check, mc_martingale_check, simulate_order_check)
 
 
@@ -614,9 +614,8 @@ def test_fd_portfolio_properties(seed, market, excess):
     # exponential pieces, several R and chords
     env = concave_envelope(random_raw_utility(seed)).envelope
     y = solve_multiplier(env, market, _floor(env, market) + excess).y_star
-    T = market.T
-    for t, xi in ((0.0, 1.0), (T / 2, 0.6), (T / 2, 1.7), (0.9 * T, 1.1)):
-        report = fd_portfolio_check(env, market, y, t, xi)
+    for f, xi in FD_POINTS:
+        report = fd_portfolio_check(env, market, y, f * market.T, xi)
         assert report.passed, report
 
 
